@@ -36,7 +36,7 @@ from .errors import (
     QZerosError,
 )
 from .params import ParamSet
-from .precision import F64, get_context
+from .precision import get_context
 
 CONFIG_FIELDS = {"r", "s", "N", "q", "alpha", "beta", "sweep_k", "t_end", "perturb"}
 
@@ -155,12 +155,12 @@ def _monic(params: ParamSet, ctx) -> qseries.Poly:
 def cmd_poly(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict], dict]:
     p = qseries.coeffs_P(params, ctx)
     monic = qseries.to_monic(p)
-    lead = ctx.to_complex(p.coeffs[-1])
+    lead = complex(p.coeffs[-1])
     prefactor = complex(qseries.monic_prefactor(params))
     checks = [_check("prefactor_gap", abs(prefactor * lead - 1), tol)]
     result = {
-        "P_coeffs": [_pair(ctx.to_complex(c)) for c in p.coeffs],
-        "p_coeffs": [_pair(ctx.to_complex(c)) for c in monic.coeffs],
+        "P_coeffs": [_pair(c) for c in p.coeffs],
+        "p_coeffs": [_pair(c) for c in monic.coeffs],
     }
     return checks, result
 
@@ -171,16 +171,16 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
     companions = rootfind.companion_zeros(monic, ctx)
     gap = 0.0
     for a, b in zip(zset.zeros, companions):
-        a, b = ctx.to_complex(a), ctx.to_complex(b)
+        a, b = complex(a), complex(b)
         gap = max(gap, abs(a - b) / max(1.0, abs(b)))
     recon = [1 + 0j]
     for z in zset.zeros:
-        zc = ctx.to_complex(z)
+        zc = complex(z)
         recon = [0j] + recon
         for i in range(len(recon) - 1):
             recon[i] = recon[i] - zc * recon[i + 1]
     recon_gap = max(
-        abs(rc - ctx.to_complex(mc)) / max(1.0, abs(rc))
+        abs(rc - complex(mc)) / max(1.0, abs(rc))
         for rc, mc in zip(recon, monic.coeffs)
     )
     checks = [
@@ -189,7 +189,7 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
         _check("reconstruction_gap", recon_gap, tol),
     ]
     result = {
-        "zeros": [_pair(ctx.to_complex(z)) for z in zset.zeros],
+        "zeros": [_pair(z) for z in zset.zeros],
         "min_separation": float(zset.min_separation),
     }
     return checks, result
@@ -218,7 +218,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dic
     zset = rootfind.find_zeros(monic, params, ctx)
     zeros = zset.zeros
 
-    points = [ctx.make(z.real, z.imag) for z in _sample_points(zeros, rng)]
+    points = [ctx.convert(z) for z in _sample_points(zeros, rng)]
     checks = [
         _check(
             "qde_residual_max",
@@ -234,7 +234,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dic
         _check("prop1_dual_gap", _prop1_dual_gap(zeros, params, monic, ctx), tol),
     ]
 
-    _, M, lam = isospectral.certified_spectrum(params, ctx)
+    M, lam = isospectral.certified_spectrum(params, zeros, ctx)
     mus = isospectral.mu_closed(params, ctx)
     report = isospectral.match_spectrum(lam, mus)
     checks.append(
@@ -254,7 +254,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dic
     checks.append(_check("jacobian_defect", _jacobian_defect(params, zeros, M), tol))
 
     result = {
-        "zeros": [_pair(ctx.to_complex(z)) for z in zeros],
+        "zeros": [_pair(z) for z in zeros],
         "mu_closed": [_pair(m) for m in mu_c],
         "matched_pairs": [
             [_pair(lam), _pair(mu), float(rel)]
@@ -311,7 +311,7 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
             raise ConfigError(
                 f"could not draw a generic β perturbation in {SWEEP_REDRAW_LIMIT} tries"
             )
-        _zeros_p, M_p, lam_p = isospectral.certified_spectrum(pert, ctx)
+        M_p, lam_p = isospectral.certified_spectrum(pert, ctx=ctx)
         report = isospectral.match_spectrum(lam_p, mus)
         drift_max = max(drift_max, max(rel for _, _, _, rel in report.matched_pairs))
         delta = [
@@ -333,7 +333,7 @@ def cmd_flow(
 ) -> Tuple[List[dict], dict]:
     monic = _monic(params, ctx)
     zset = rootfind.find_zeros(monic, params, ctx)
-    zeta = [ctx.to_complex(z) for z in zset.zeros]
+    zeta = [complex(z) for z in zset.zeros]
     t_end = options["t_end"]
     perturb = options["perturb"]
 

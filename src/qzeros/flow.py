@@ -36,13 +36,13 @@ from .errors import (
     RepeatedEigenvalue,
     StepUnderflow,
 )
+from .isospectral import mu_n
 from .params import ParamSet, elem_sym
-from .precision import F64, PrecisionContext
-from .rootfind import ZeroSet
-from .zero_algebra import f_n, shift_range
+from .precision import F64, TINY, PrecisionContext
+from .rootfind import ZeroSet, relative_separation
+from .zero_algebra import decancelled_size, f_n, shift_range
 
 COLLISION_TOL = 1e-10
-TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,7 @@ def build_C(params: ParamSet, ctx: PrecisionContext = F64) -> TriangularC:
     N, diff = params.N, params.s - params.r
     diag, sub = [], []
     for n in range(1, N + 1):
-        val = -(q ** (diff * (N - n))) * (q ** (-n) - 1)
-        for a in alpha:
-            val = val * (a * q ** (N - n) - 1)
-        diag.append(val)
+        diag.append(mu_n(n, q, alpha, N, diff))
         sval = q ** (N - n + 1) - 1
         for b in beta:
             sval = sval * (b * q ** (N - n) - 1)
@@ -156,48 +153,19 @@ def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
     return CoeffState(c=tuple(out), t=float(t))
 
 
-def _min_rel_separation(zs) -> float:
-    n = len(zs)
-    if n < 2:
-        return float("inf")
-    scale = max(max(abs(z) for z in zs), TINY)
-    best = float("inf")
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, abs(zs[i] - zs[j]))
-    return float(best / scale)
-
-
 def _f_bound(p: int, n: int, zs, q) -> float:
-    """Sensitivity scale for |f_n(p)|: the numerator product with only its
-    most-cancelling factor replaced by its incoherent size |q^p z_n| + |z_l*|.
-
-    |f_n(p)| itself collapses when q^p z_n lands on another zero, which
-    happens identically at equilibrium in the balanced low-order cases
-    (e.g. r = s = 0 where the zeros form the chain q, .., q^N); the fully
-    incoherent product prod(|q^p z_n| + |z_l|) overshoots by the inverse
-    chain compression and masks genuine perturbations. De-cancelling the
-    single smallest factor tracks how much f_n(p) moves under an O(delta)
-    displacement of the configuration, which is the scale a velocity
-    residual should be compared against."""
-    zn = zs[n]
+    """Sensitivity scale for |f_n(p)|: decancelled_size of its numerator
+    product over |prod_{l != n} (z_n - z_l)|. |f_n(p)| itself collapses when
+    q^p z_n lands on another zero (e.g. the chain q, .., q^N at r = s = 0);
+    the scale tracks how much f_n(p) moves under an O(delta) displacement."""
     if len(zs) == 1:
         return 1.0
-    zk = zn * q**p
-    zk_mag = abs(zk)
-    mags = [abs(zk - zl) for l, zl in enumerate(zs) if l != n]
+    zn = zs[n]
     others = [zl for l, zl in enumerate(zs) if l != n]
-    i_min = min(range(len(mags)), key=mags.__getitem__)
-    rest = 1.0
-    for i, m in enumerate(mags):
-        if i != i_min:
-            rest *= m
-    decancelled = (zk_mag + abs(others[i_min])) * rest
-    num = max(rest * mags[i_min], decancelled)
     den = 1.0
     for zl in others:
         den *= abs(zn - zl)
-    return float(num / den)
+    return float(decancelled_size(zn * q**p, others) / den)
 
 
 def _flow_terms(zs, params: ParamSet):
@@ -237,7 +205,7 @@ def _flow_terms(zs, params: ParamSet):
 def flow_rhs(state, params: ParamSet) -> List:
     """Velocities of all zeros at the given configuration."""
     zs = state.z if isinstance(state, FlowState) else tuple(state)
-    if _min_rel_separation(zs) < COLLISION_TOL:
+    if relative_separation(zs) < COLLISION_TOL:
         raise CollisionDetected(
             f"pairwise relative separation below {COLLISION_TOL:.0e}"
         )
@@ -383,7 +351,7 @@ def integrate_flow(
     """
     zs0 = tuple(z0.z if isinstance(z0, FlowState) else z0)
     t0 = float(z0.t) if isinstance(z0, FlowState) else 0.0
-    if _min_rel_separation(zs0) < COLLISION_TOL:
+    if relative_separation(zs0) < COLLISION_TOL:
         raise CollisionDetected("initial configuration already below the collision threshold")
     if t_end == t0:
         return [FlowState(z=zs0, t=t0)]
@@ -398,7 +366,7 @@ def integrate_flow(
         return np.array(flow_rhs(tuple(y), params), dtype=complex)
 
     def separation_event(_t, y):
-        sep = _min_rel_separation(tuple(y))
+        sep = relative_separation(tuple(y))
         return min(sep, 1.0) - COLLISION_TOL
 
     separation_event.terminal = True

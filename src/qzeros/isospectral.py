@@ -12,27 +12,26 @@ fractions.Fraction end to end).
 
 Diagonal entries combine three kernel groups (a beta-weighted g-group, a
 zeta_n-weighted alpha g-group, and an alpha f-group); off-diagonal entries
-combine two f_nm groups with zeta_n/(zeta_n - zeta_m)^2 prefactors.
-Specialized builders for (r, s) = (1, 1), (2, 1), (2, 2) are deliberately
-separate code paths used by tests to pin the sign conventions of the general
-assembly.
+combine two f_nm groups with zeta_n/(zeta_n - zeta_m)^2 prefactors. mu_n is
+the one home of the closed form; mu_closed, mu_closed_exact, closed_trace and
+the coefficient flow's build_C all evaluate it.
 """
 
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, elem_sym
-from .precision import F64, PrecisionContext, extended
+from .precision import F64, TINY, PrecisionContext, extended
 from .qseries import coeffs_P, eval_poly_deriv, to_monic
 from .rootfind import ZeroSet, find_zeros
 from .zero_algebra import KernelCache
@@ -43,7 +42,6 @@ MATCH_TOL = 1e-6
 @dataclass(frozen=True)
 class IsoMatrix:
     entries: Tuple  # row-major tuple of N tuples
-    params_hash: str
 
     @property
     def n(self) -> int:
@@ -59,14 +57,6 @@ class SpectrumReport:
     det_gap: float
     power_trace_gaps: Tuple[float, float, float]
     is_match: bool
-
-
-def _digest(params: ParamSet, zeros: Sequence) -> str:
-    text = repr((params.r, params.s, params.N, complex(params.q),
-                 tuple(complex(a) for a in params.alpha),
-                 tuple(complex(b) for b in params.beta),
-                 tuple(complex(z) for z in zeros)))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _zero_list(zeros) -> Tuple:
@@ -138,34 +128,33 @@ def build_M(zeros, params: ParamSet, cache: KernelCache | None = None) -> IsoMat
                     -sign_s * zn / dz2 * beta_group + sign_r * zn**2 / dz2 * alpha_group
                 )
         rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows), params_hash=_digest(params, zs))
+    return IsoMatrix(entries=tuple(rows))
+
+
+def mu_n(n: int, q, alphas: Sequence, N: int, diff: int):
+    """The closed-form eigenvalue mu_n (1-based n, diff = s - r).
+
+    Generic over the scalar type: complex, mpmath and Fraction values alike.
+    """
+    val = -(q ** (diff * (N - n))) * (q ** (-n) - 1)
+    for a in alphas:
+        val = val * (a * q ** (N - n) - 1)
+    return val
 
 
 def mu_closed(params: ParamSet, ctx: PrecisionContext = F64) -> List:
     """Closed-form eigenvalues mu_n, n = 1..N."""
     q = ctx.convert(params.q)
     alpha = [ctx.convert(a) for a in params.alpha]
-    N, diff = params.N, params.s - params.r
-    out = []
-    for n in range(1, N + 1):
-        val = -(q ** (diff * (N - n))) * (q ** (-n) - 1)
-        for a in alpha:
-            val = val * (a * q ** (N - n) - 1)
-        out.append(val)
-    return out
+    diff = params.s - params.r
+    return [mu_n(n, q, alpha, params.N, diff) for n in range(1, params.N + 1)]
 
 
 def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: int) -> List[Fraction]:
     """The same formula over exact rationals (always lowest terms)."""
     if len(alphas) != r:
         raise LengthMismatch(f"got {len(alphas)} alphas for r = {r}")
-    out = []
-    for n in range(1, N + 1):
-        val = -(q ** ((s - r) * (N - n))) * (q ** (-n) - 1)
-        for a in alphas:
-            val = val * (a * q ** (N - n) - 1)
-        out.append(Fraction(val))
-    return out
+    return [Fraction(mu_n(n, q, alphas, N, s - r)) for n in range(1, N + 1)]
 
 
 # certified relative forward error demanded of the returned eigenvalues;
@@ -174,16 +163,25 @@ def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: 
 EIG_TARGET = 1e-9
 
 
-def _eig_extended(rows, dps: int, to_builtin: bool = True) -> List:
-    import mpmath
+def _dense(rows) -> np.ndarray:
+    return np.array([[complex(v) for v in row] for row in rows], dtype=complex)
 
-    with mpmath.workdps(dps):
+
+def _eig_extended(rows, ctx: PrecisionContext) -> List:
+    """Eigenvalues at the digits of the extended context ctx, as its scalars.
+
+    The one use of mpmath's own global context, scoped by workdps.
+    """
+    if len(rows) == 1:
+        # mpmath.eig returns (E, ER, EL) for 1 x 1 input, whatever left/right say
+        return [ctx.convert(rows[0][0])]
+    with mpmath.workdps(ctx.mp.dps):
         mat = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in rows])
         try:
             vals = mpmath.eig(mat, left=False, right=False)
         except Exception as exc:  # mpmath raises bare exceptions on breakdown
             raise EigenNoConvergence(str(exc)) from exc
-        return [complex(v) for v in vals] if to_builtin else list(vals)
+    return [ctx.convert(v) for v in vals]
 
 
 def _eig_with_bound(arr):
@@ -203,14 +201,14 @@ def _eig_with_bound(arr):
     worst = 0.0
     for i in range(len(vals)):
         align = abs(np.vdot(vl[:, i], vr[:, i]))
-        err = eps * norm / max(align, 1e-300)
-        worst = max(worst, err / max(abs(vals[i]), 1e-300))
+        err = eps * norm / max(align, TINY)
+        worst = max(worst, err / max(abs(vals[i]), TINY))
     return vals, worst
 
 
-def _dps_for(worst: float) -> int:
+def _escalated(worst: float) -> PrecisionContext:
     # digits that bring the conditioning bound under the target, plus slack
-    return max(16 + int(math.ceil(math.log10(worst / EIG_TARGET))) + 8, 24)
+    return extended(max(16 + int(math.ceil(math.log10(worst / EIG_TARGET))) + 8, 24))
 
 
 def eigenvalues_dense(rows: Sequence[Sequence], ctx: PrecisionContext = F64) -> List:
@@ -224,66 +222,55 @@ def eigenvalues_dense(rows: Sequence[Sequence], ctx: PrecisionContext = F64) -> 
     the same bound lands below it. Escalation is rare and the matrices are
     small, so the amortized cost is negligible.
     """
-    if ctx.name != "f64":
-        import mpmath
-
-        return _eig_extended(rows, mpmath.mp.dps, to_builtin=False)
-
-    arr = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
-    vals, worst = _eig_with_bound(arr)
-    if worst <= EIG_TARGET:
-        return [complex(v) for v in vals]
-    return _eig_extended(rows, _dps_for(worst))
+    if ctx.mp is not None:
+        return _eig_extended(rows, ctx)
+    vals, worst = _eig_with_bound(_dense(rows))
+    if worst > EIG_TARGET:
+        vals = _eig_extended(rows, _escalated(worst))
+    return [complex(v) for v in vals]
 
 
 def eigenvalues(M: IsoMatrix, ctx: PrecisionContext = F64) -> List:
     return eigenvalues_dense(M.entries, ctx)
 
 
-def _extended_spectrum(params: ParamSet, dps: int, seeds=None):
-    """The coefficients -> zeros -> matrix -> eigenvalues chain at dps digits.
+def _extended_spectrum(params: ParamSet, zeros: Sequence, ctx: PrecisionContext):
+    """The coefficients -> zeros -> matrix -> eigenvalues chain in ctx.
 
-    Zeros are refined by Newton from the binary64 seeds (they sit ~1e-11
-    relative from the true zeros, far inside the basin since neighboring
-    zeros are never that close for generic parameters). The kernels must see
-    q, alpha, beta as extended scalars, otherwise binary64 roundings of the
-    q powers re-contaminate the matrix entries; the underlying values stay
-    the exact binary64 parameters, so the closed-form spectrum evaluated in
-    binary64 refers to the same mathematical configuration.
+    Zeros are refined by Newton from the given ones (binary64 seeds sit
+    ~1e-11 relative from the true zeros, far inside the basin since
+    neighboring zeros are never that close for generic parameters). The
+    kernels must see q, alpha, beta as extended scalars, otherwise binary64
+    roundings of the q powers re-contaminate the matrix entries; the
+    underlying values stay the exact binary64 parameters, so the closed-form
+    spectrum evaluated in binary64 refers to the same mathematical
+    configuration. Returns (M, lam).
     """
-    import mpmath
-
-    saved = mpmath.mp.dps
-    try:
-        ctxe = extended(dps)
-        pe = to_monic(coeffs_P(params, ctxe))
-        if seeds is None:
-            seeds = list(find_zeros(to_monic(coeffs_P(params)), params).zeros)
-        zs = [mpmath.mpc(z) for z in seeds]
-        for _ in range(6):
-            refined = []
-            for z in zs:
-                val, der = eval_poly_deriv(pe, z)
-                refined.append(z - val / der if der != 0 else z)
-            zs = refined
-        params_ext = ParamSet(
-            r=params.r,
-            s=params.s,
-            N=params.N,
-            q=mpmath.mpc(params.q),
-            alpha=tuple(mpmath.mpc(a) for a in params.alpha),
-            beta=tuple(mpmath.mpc(b) for b in params.beta),
-        )
-        M = build_M(zs, params_ext)
-        lam = _eig_extended(M.entries, dps)
-        return [complex(z) for z in zs], M, lam
-    finally:
-        mpmath.mp.dps = saved
+    pe = to_monic(coeffs_P(params, ctx))
+    zs = [ctx.convert(z) for z in _zero_list(zeros)]
+    for _ in range(6):
+        refined = []
+        for z in zs:
+            val, der = eval_poly_deriv(pe, z)
+            refined.append(z - val / der if der != 0 else z)
+        zs = refined
+    params_ext = replace(
+        params,
+        q=ctx.convert(params.q),
+        alpha=tuple(ctx.convert(a) for a in params.alpha),
+        beta=tuple(ctx.convert(b) for b in params.beta),
+    )
+    M = build_M(zs, params_ext)
+    return M, _eig_extended(M.entries, ctx)
 
 
-def certified_spectrum(params: ParamSet, ctx: PrecisionContext = F64):
-    """Zeros, matrix and eigenvalues for the spectrum identity, with the
+def certified_spectrum(params: ParamSet, zeros: Sequence | None = None, ctx: PrecisionContext = F64):
+    """Matrix and eigenvalues for the spectrum identity, with the
     eigenvalues certified below EIG_TARGET relative forward error.
+
+    zeros is the caller's zero set of params; when omitted, the binary64
+    zeros are found here. In an extended context the whole chain runs in
+    that context (_extended_spectrum).
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
@@ -295,23 +282,19 @@ def certified_spectrum(params: ParamSet, ctx: PrecisionContext = F64):
     consults the closed-form spectrum, so escalation is a property of the
     assembled matrix alone.
 
-    Returns (zeros, M, lam). zeros and M always come from the binary64
-    pipeline (their consumers, the entrywise and trace checks, are well
-    conditioned); lam may come from the escalated rebuild.
+    Returns (M, lam). In binary64, M always comes from the binary64 pipeline
+    (its consumers, the entrywise and trace checks, are well conditioned);
+    lam may come from the escalated rebuild.
     """
-    if ctx.name != "f64":
-        import mpmath
-
-        return _extended_spectrum(params, mpmath.mp.dps)
-    p = to_monic(coeffs_P(params))
-    zeros = list(find_zeros(p, params).zeros)
+    if zeros is None:
+        zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
+    if ctx.mp is not None:
+        return _extended_spectrum(params, zeros, ctx)
     M = build_M(zeros, params)
-    arr = np.array([[complex(v) for v in row] for row in M.entries], dtype=complex)
-    vals, worst = _eig_with_bound(arr)
-    if worst <= EIG_TARGET:
-        return zeros, M, [complex(v) for v in vals]
-    _, _, lam = _extended_spectrum(params, _dps_for(worst), seeds=zeros)
-    return zeros, M, lam
+    vals, worst = _eig_with_bound(_dense(M.entries))
+    if worst > EIG_TARGET:
+        _, vals = _extended_spectrum(params, zeros, _escalated(worst))
+    return M, [complex(v) for v in vals]
 
 
 def _rel_gap(a, b) -> float:
@@ -363,7 +346,7 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
 
 def matrix_power_trace(M: IsoMatrix, p: int):
     """Trace of M^p computed from the matrix itself (independent of eigenvalues)."""
-    arr = np.array([[complex(v) for v in row] for row in M.entries], dtype=complex)
+    arr = _dense(M.entries)
     acc = arr
     for _ in range(p - 1):
         acc = acc @ arr
@@ -372,8 +355,7 @@ def matrix_power_trace(M: IsoMatrix, p: int):
 
 def matrix_logdet(M: IsoMatrix):
     """log |det M| and phase, via LU (sign, logabsdet) plus angle accumulation."""
-    arr = np.array([[complex(v) for v in row] for row in M.entries], dtype=complex)
-    sign, logabs = np.linalg.slogdet(arr)
+    sign, logabs = np.linalg.slogdet(_dense(M.entries))
     return float(logabs), cmath.phase(complex(sign))
 
 
@@ -418,114 +400,5 @@ def closed_trace(params: ParamSet):
         )
     total = 0
     for n in range(1, N + 1):
-        val = -(q ** ((params.s - params.r) * (N - n))) * (q ** (-n) - 1)
-        for a in params.alpha:
-            val = val * (a * q ** (N - n) - 1)
-        total = total + val
+        total = total + mu_n(n, q, params.alpha, N, params.s - params.r)
     return total
-
-
-# ---------------------------------------------------------------------------
-# specialized assemblies: independent sign checks for the general builder
-# ---------------------------------------------------------------------------
-
-
-def build_M_r1s1(zeros, params: ParamSet) -> IsoMatrix:
-    zs = _zero_list(zeros)
-    q, N = params.q, params.N
-    a1, b1 = params.alpha[0], params.beta[0]
-    cache = KernelCache(zs, q, 1, 1)
-    qN = q ** (-N)
-    rows = []
-    for n in range(N):
-        zn = zs[n]
-        row = []
-        for m in range(N):
-            if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (-1 - b1 / q + zn * (qN + a1)) + (
-                    q**2 - 1
-                ) ** 2 * cache.g[2][n] * (b1 / q - zn * a1 * qN)
-                val = val + (q - 1) * cache.f[1][n] * (-qN - a1) + (q**2 - 1) * cache.f[2][
-                    n
-                ] * a1 * qN
-                row.append(val)
-            else:
-                pref = zn / (zn - zs[m]) ** 2
-                val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (1 + b1 / q - zn * (qN + a1))
-                    + (q**2 - 1) ** 2 * cache.fnm[2][n][m] * (-b1 / q + zn * a1 * qN)
-                )
-                row.append(val)
-        rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows), params_hash=_digest(params, zs))
-
-
-def build_M_r2s1(zeros, params: ParamSet) -> IsoMatrix:
-    zs = _zero_list(zeros)
-    q, N = params.q, params.N
-    a1 = params.alpha[0] + params.alpha[1]
-    a2 = params.alpha[0] * params.alpha[1]
-    b1 = params.beta[0]
-    cache = KernelCache(zs, q, 2, 1)
-    qN = q ** (-N)
-    rows = []
-    for n in range(N):
-        zn = zs[n]
-        row = []
-        for m in range(N):
-            if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (-1 - b1 / q + zn * (a1 * qN + a2))
-                val = val + (q**2 - 1) ** 2 * cache.g[2][n] * (b1 / q - zn * a2 * qN)
-                val = val + (q ** (-1) - 1) ** 2 * cache.g[-1][n] * zn
-                val = val - (q ** (-1) - 1) * cache.f[-1][n]
-                val = val + (q - 1) * cache.f[1][n] * (-a1 * qN - a2)
-                val = val + (q**2 - 1) * cache.f[2][n] * a2 * qN
-                row.append(val)
-            else:
-                pref = zn / (zn - zs[m]) ** 2
-                val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (1 + b1 / q - zn * (a1 * qN + a2))
-                    + (q**2 - 1) ** 2 * cache.fnm[2][n][m] * (-b1 / q + zn * a2 * qN)
-                    - (q ** (-1) - 1) ** 2 * cache.fnm[-1][n][m] * zn
-                )
-                row.append(val)
-        rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows), params_hash=_digest(params, zs))
-
-
-def build_M_r2s2(zeros, params: ParamSet) -> IsoMatrix:
-    zs = _zero_list(zeros)
-    q, N = params.q, params.N
-    a1 = params.alpha[0] + params.alpha[1]
-    a2 = params.alpha[0] * params.alpha[1]
-    b1 = params.beta[0] + params.beta[1]
-    b2 = params.beta[0] * params.beta[1]
-    cache = KernelCache(zs, q, 2, 2)
-    qN = q ** (-N)
-    rows = []
-    for n in range(N):
-        zn = zs[n]
-        row = []
-        for m in range(N):
-            if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (1 + b1 / q - zn * (qN + a1))
-                val = val + (q**2 - 1) ** 2 * cache.g[2][n] * (
-                    -b1 / q - b2 / q**2 + zn * (qN * a1 + a2)
-                )
-                val = val + (q**3 - 1) ** 2 * cache.g[3][n] * (b2 / q**2 - zn * a2 * qN)
-                val = val + (q - 1) * cache.f[1][n] * (qN + a1)
-                val = val + (q**2 - 1) * cache.f[2][n] * (-a1 * qN - a2)
-                val = val + (q**3 - 1) * cache.f[3][n] * a2 * qN
-                row.append(val)
-            else:
-                pref = zn / (zn - zs[m]) ** 2
-                val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (-1 - b1 / q + zn * (qN + a1))
-                    + (q**2 - 1) ** 2
-                    * cache.fnm[2][n][m]
-                    * (b1 / q + b2 / q**2 - zn * (a1 * qN + a2))
-                    + (q**3 - 1) ** 2 * cache.fnm[3][n][m] * (-b2 / q**2 + zn * a2 * qN)
-                )
-                row.append(val)
-        rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows), params_hash=_digest(params, zs))

@@ -49,11 +49,6 @@ class ParamSet:
         if len(self.beta) != self.s:
             raise ValueError(f"beta has {len(self.beta)} entries, expected s={self.s}")
 
-    @property
-    def unit_modulus_q(self) -> bool:
-        """True when |q| is within tolerance of 1 (accepted, but flagged in reports)."""
-        return abs(abs(self.q) - 1.0) < GENERICITY_TOL
-
 
 @dataclass(frozen=True)
 class SymFuncs:

@@ -28,9 +28,8 @@ from typing import List, Sequence
 
 from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
+from .precision import TINY
 from .qseries import Poly, eval_poly
-
-TINY = 1e-300
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ built here by the consecutive-term ratio
                     * [(-1) q^{m-1}]^{s-r},
 
 which costs O(N(r+s)) and never recomputes a Pochhammer product. The monic
-form divides by the leading coefficient; the closed rescale prefactor is kept
-in tests only, as an oracle.
+form divides by the leading coefficient; monic_prefactor is the closed form
+of that rescale, an independent oracle for the leading coefficient (the poly
+command checks one against the other).
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def coeffs_P(params: ParamSet, ctx: PrecisionContext = F64) -> Poly:
     beta = [ctx.convert(b) for b in params.beta]
     N, diff = params.N, params.s - params.r
 
-    term = ctx.make(1.0)
+    term = ctx.convert(1.0)
     coeffs = [term]
-    qpow = ctx.make(1.0)  # q^{m-1} while filling coefficient m
+    qpow = ctx.convert(1.0)  # q^{m-1} while filling coefficient m
     q_minus_N = q ** (-N)
     for m in range(1, N + 1):
         num = 1 - qpow * q_minus_N
@@ -176,7 +177,7 @@ def eval_phi(alphas_full, params: ParamSet, z, tol: float):
 
 
 def monic_prefactor(params: ParamSet):
-    """Closed rescale factor carrying P_N to its monic form (test oracle only)."""
+    """Closed rescale factor carrying P_N to its monic form (oracle for the lead)."""
     q = params.q
     N, diff = params.N, params.r - params.s
     num = qpochhammer(q, q, N)

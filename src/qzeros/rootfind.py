@@ -17,14 +17,13 @@ from typing import List, Tuple
 
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
-from .precision import F64, PrecisionContext
-from .qseries import Poly, eval_poly, eval_poly_deriv
+from .precision import F64, TINY, PrecisionContext
+from .qseries import Poly, eval_poly_deriv
 
 MAX_SWEEPS = 500
 SEPARATION_FLOOR = 1e-8
 F64_DEGREE_WARN = 12
 F64_DEGREE_CAP = 16
-TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,8 @@ def _canonical_order(zs) -> List:
     return sorted(zs, key=lambda z: (abs(z), cmath.phase(complex(z))))
 
 
-def _separation(zs) -> float:
+def relative_separation(zs) -> float:
+    """Smallest pairwise distance over the largest zero magnitude."""
     n = len(zs)
     if n < 2:
         return float("inf")
@@ -60,7 +60,7 @@ def _separation(zs) -> float:
 
 
 def _certify(zs, p: Poly) -> ZeroSet:
-    sep = _separation(zs)
+    sep = relative_separation(zs)
     steps = []
     worst = 0.0
     for z in zs:
@@ -101,7 +101,7 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
     for n in range(1, N + 1):
         radius = rho * absq ** (-(n - 1) / 2.0)
         angle = 2.0 * cmath.pi * (n + 0.37) / N
-        out.append(ctx.make(radius * cmath.cos(angle), radius * cmath.sin(angle)))
+        out.append(ctx.convert(complex(radius * cmath.cos(angle), radius * cmath.sin(angle))))
     return out
 
 
@@ -200,9 +200,9 @@ def companion_zeros(p: Poly, ctx: PrecisionContext = F64) -> List:
     if not p.monic:
         raise ValueError("companion_zeros expects a monic polynomial")
     N = p.degree
-    rows = [[ctx.make(0.0) for _ in range(N)] for _ in range(N)]
+    rows = [[ctx.convert(0.0) for _ in range(N)] for _ in range(N)]
     for i in range(1, N):
-        rows[i][i - 1] = ctx.make(1.0)
+        rows[i][i - 1] = ctx.convert(1.0)
     for i in range(N):
         rows[i][N - 1] = -ctx.convert(p.coeffs[i])
     return _canonical_order(eigenvalues_dense(rows, ctx))

@@ -20,7 +20,7 @@ prop1_residuals evaluates the system of N algebraic identities satisfied by
 the true zeros, in the product form built directly from the configuration;
 prop1_residuals_qde is the dual route through shifted-argument evaluations of
 the monic polynomial. Residuals are normalized by the largest term
-sensitivity scale (see _shift_magnitudes), so a true configuration scores at
+sensitivity scale (see decancelled_size), so a true configuration scores at
 the zeros' own forward error and an O(delta) perturbation scores at O(delta)
 even when the shifted products all collapse simultaneously.
 """
@@ -31,10 +31,8 @@ from typing import Dict, List, Sequence
 
 from .errors import DegreeMismatch, IndexCollision
 from .params import ParamSet, elem_sym
-from .qseries import Poly, coeffs_P, eval_poly, eval_poly_deriv, to_monic
-from .precision import F64, PrecisionContext
-
-TINY = 1e-300
+from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
+from .precision import F64, TINY, PrecisionContext
 
 
 def f_n(p: int, n: int, zeros: Sequence, q):
@@ -126,33 +124,32 @@ def _shift_products(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
     return out
 
 
-def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
-    """Sensitivity scale of each shifted product prod_m (z_n q^k - z_m).
+def decancelled_size(zk, zs):
+    """Sensitivity scale of the product prod_l (zk - z_l).
 
     Defined as max(|product|, |product with its single most-cancelling factor
-    replaced by |z_n q^k| + |z_m*||): the size the product takes under an
+    replaced by |zk| + |z_l*||): the size the product takes under an
     order-one relative move of the zero it is most nearly cancelling against.
-    This is the scale on which the residual responds to single-zero
-    perturbations. The plain |product| would collapse in the balanced
-    low-order cases where the zeros form geometric chains and z_n q^k lands
-    on another zero exactly (e.g. r = s = 0, where z_n = q^n), turning the
-    normalized residual into 0/0 noise at true zeros; the fully factor-wise
-    bound prod(|z_n q^k| + |z_m|) errs the other way, hiding genuine
-    perturbations behind the compounded looseness of every factor."""
+    This is the scale on which residuals built from such products respond to
+    single-zero perturbations. The plain |product| would collapse in the
+    balanced low-order cases where the zeros form geometric chains and zk
+    lands on another zero exactly (e.g. r = s = 0, where z_n = q^n), turning
+    a normalized residual into 0/0 noise at true zeros; the fully factor-wise
+    bound prod(|zk| + |z_l|) errs the other way, hiding genuine perturbations
+    behind the compounded looseness of every factor."""
+    mags = [abs(zk - zl) for zl in zs]
+    i_min = min(range(len(mags)), key=mags.__getitem__)
+    rest = 1.0
+    for i, m in enumerate(mags):
+        if i != i_min:
+            rest *= m
+    return max(rest * mags[i_min], (abs(zk) + abs(zs[i_min])) * rest)
+
+
+def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
+    """decancelled_size of each shifted product prod_m (z_n q^k - z_m)."""
     zn = zeros[n]
-    out = {}
-    for k in set(powers):
-        zk = zn * q**k
-        zk_mag = abs(zk)
-        mags = [abs(zk - zm) for zm in zeros]
-        i_min = min(range(len(mags)), key=mags.__getitem__)
-        rest = 1.0
-        for i, m in enumerate(mags):
-            if i != i_min:
-                rest *= m
-        decancelled = (zk_mag + abs(zeros[i_min])) * rest
-        out[k] = float(max(rest * mags[i_min], decancelled))
-    return out
+    return {k: float(decancelled_size(zn * q**k, zeros)) for k in set(powers)}
 
 
 def _prop1_terms(zeros: Sequence, n: int, params: ParamSet) -> List:
@@ -249,39 +246,3 @@ def prop1_residuals_qde(
                 mags[k] = float(max(abs(val), 2.0 * abs(zk) * abs(der)))
         out.append(_normalized(_prop1_terms(zs, n, params), values, mags))
     return out
-
-
-def prop1_residuals_r1s1(zeros: Sequence, params: ParamSet) -> List:
-    """Specialized two-bracket form of the identity for r = s = 1.
-
-    Returns the raw (unnormalized) left-hand sides. As printed, this form is
-    the negative of the general identity specialized to r = s = 1; the
-    equality test accounts for that overall sign.
-    """
-    if (params.r, params.s) != (1, 1):
-        raise DegreeMismatch(f"specialized form needs r = s = 1, got ({params.r}, {params.s})")
-    zs = tuple(zeros)
-    q = params.q
-    alpha1, beta1 = params.alpha[0], params.beta[0]
-    q_minus_N = q ** (-params.N)
-    out = []
-    for n in range(len(zs)):
-        prods = _shift_products(zs, n, q, [1, 2])
-        zn = zs[n]
-        lhs = (1 - zn * q_minus_N + beta1 / q - alpha1 * zn) * prods[1] + (
-            -beta1 / q + alpha1 * zn * q_minus_N
-        ) * prods[2]
-        out.append(lhs)
-    return out
-
-
-def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
-    """Largest term-magnitude bound of the n-th identity (the normalization
-    scale used by prop1_residuals)."""
-    zs = tuple(zeros)
-    powers = _needed_powers(params)
-    mags = _shift_magnitudes(zs, n, params.q, powers)
-    largest = TINY
-    for coef, k in _prop1_terms(zs, n, params):
-        largest = max(largest, float(abs(coef)) * mags[k])
-    return largest

@@ -47,7 +47,7 @@ def test_criterion_01_spectrum_identity(suite):
     t0 = time.perf_counter()
     worst = 0.0
     for params in suite:
-        _, _, lam = certified_spectrum(params)
+        _, lam = certified_spectrum(params)
         rep = match_spectrum(lam, mu_closed(params))
         worst = max(worst, max(pair[3] for pair in rep.matched_pairs))
     elapsed = time.perf_counter() - t0
@@ -102,7 +102,7 @@ def test_criterion_04_traces_and_determinant(suite):
     worst_closed = 0.0
     closed_checked = 0
     for params in suite:
-        _, M, _ = certified_spectrum(params)
+        M, _ = certified_spectrum(params)
         mus = mu_closed(params)
         for p in (1, 2, 3):
             lhs = matrix_power_trace(M, p)
@@ -127,7 +127,7 @@ def test_criterion_05_isospectral_beta_sweep():
     params = ParamSet(r=1, s=1, N=6, q=0.45, alpha=(0.7 + 0.2j,), beta=(1.3 - 0.4j,))
     rng = random.Random(505)
     mus = mu_closed(params)
-    _, M0, _ = certified_spectrum(params)
+    M0, _ = certified_spectrum(params)
     norm0 = max(sum(abs(v) for v in row) for row in M0.entries)
     worst_spec = 0.0
     least_move = float("inf")
@@ -146,7 +146,7 @@ def test_criterion_05_isospectral_beta_sweep():
                 break
             except NonGenericParameter:
                 continue
-        _, Mp, lam = certified_spectrum(pert)
+        Mp, lam = certified_spectrum(pert)
         rep = match_spectrum(lam, mus)
         worst_spec = max(worst_spec, max(pair[3] for pair in rep.matched_pairs))
         move = max(
@@ -186,7 +186,7 @@ def test_criterion_06_diophantine_rational_spectrum():
                 break
             except NonGenericParameter:
                 continue
-        _, _, lam = certified_spectrum(params)
+        _, lam = certified_spectrum(params)
         rep = match_spectrum(lam, targets)
         worst = max(worst, max(pair[3] for pair in rep.matched_pairs))
     ok = worst < 1e-6
@@ -273,7 +273,7 @@ def test_criterion_09_reduction():
         abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(pf.coeffs, pr.coeffs)
     )
 
-    _, _, lam = certified_spectrum(full)
+    _, lam = certified_spectrum(full)
     rep = match_spectrum(lam, mu_closed(full))
     spec_gap = max(pair[3] for pair in rep.matched_pairs)
     factor_gap = 0.0

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from qzeros.cli import main
@@ -163,8 +164,13 @@ def test_sweep_runs_perturbations(tmp_path):
 
 
 def test_extended_precision_mode(tmp_path):
-    cfg = write_config(tmp_path, N=3)
-    assert run("verify", cfg, "--precision", "extended", "--out", str(tmp_path / "r.json")) == 0
+    # N = 1 takes the 1 x 1 eigenvalue path; neither run may leave mpmath's
+    # global precision changed
+    for N in (3, 1):
+        cfg = write_config(tmp_path, N=N)
+        with mpmath.workdps(15):
+            assert run("verify", cfg, "--precision", "extended", "--out", str(tmp_path / "r.json")) == 0
+            assert mpmath.mp.dps == 15
 
 
 def test_module_entry_point(tmp_path):

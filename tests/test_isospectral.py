@@ -9,9 +9,6 @@ from qzeros.errors import LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     IsoMatrix,
     build_M,
-    build_M_r1s1,
-    build_M_r2s1,
-    build_M_r2s2,
     certified_spectrum,
     closed_trace,
     eigenvalues,
@@ -25,6 +22,7 @@ from qzeros.isospectral import (
 from qzeros.params import ParamSet, validate
 
 from conftest import zeros_of
+from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2
 
 
 def test_build_M_n1_hand_case():
@@ -99,7 +97,7 @@ def test_eigenvalues_hand_cases():
     got = sorted(eigenvalues_dense(companion), key=lambda v: v.real)
     assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
 
-    M = IsoMatrix(entries=companion, params_hash="hand")
+    M = IsoMatrix(entries=companion)
     got = sorted(eigenvalues(M), key=lambda v: v.real)
     assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
 
@@ -126,7 +124,7 @@ def test_match_spectrum_identity_and_permutation():
 
 def test_spectrum_identity_on_small_suite(small_suite):
     for params in small_suite:
-        _, _, lam = certified_spectrum(params)
+        _, lam = certified_spectrum(params)
         rep = match_spectrum(lam, mu_closed(params))
         assert rep.is_match, (params.r, params.s, params.N)
         assert max(pair[3] for pair in rep.matched_pairs) < 1e-6
@@ -134,7 +132,7 @@ def test_spectrum_identity_on_small_suite(small_suite):
 
 def test_corollary_traces_and_det(small_suite):
     for params in small_suite:
-        _, M, _ = certified_spectrum(params)
+        M, _ = certified_spectrum(params)
         mus = mu_closed(params)
         for p in (1, 2, 3):
             lhs = matrix_power_trace(M, p)
@@ -151,7 +149,7 @@ def test_beta_perturbation_keeps_spectrum():
     ]
     for params in cases:
         mus = mu_closed(params)
-        _, M0, _ = certified_spectrum(params)
+        M0, _ = certified_spectrum(params)
         for _ in range(2):
             while True:
                 pert = ParamSet(
@@ -167,7 +165,7 @@ def test_beta_perturbation_keeps_spectrum():
                     break
                 except NonGenericParameter:
                     continue
-            _, Mp, lam = certified_spectrum(pert)
+            Mp, lam = certified_spectrum(pert)
             rep = match_spectrum(lam, mus)
             assert rep.is_match
             norm0 = max(sum(abs(v) for v in row) for row in M0.entries)
@@ -183,12 +181,12 @@ def test_diophantine_rational_case():
     alphas = (Fraction(3, 4),)
     exact = mu_closed_exact(q, alphas, 5, 1, 1)
     params = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(1.3 - 0.4j,))
-    _, _, lam = certified_spectrum(params)
+    _, lam = certified_spectrum(params)
     rep = match_spectrum(lam, [complex(Fraction(v)) for v in exact])
     assert rep.is_match
     # the rationals do not depend on beta
     other = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(0.6 + 0.2j,))
-    _, _, lam2 = certified_spectrum(other)
+    _, lam2 = certified_spectrum(other)
     assert match_spectrum(lam2, [complex(v) for v in exact]).is_match
 
 
@@ -218,7 +216,7 @@ def test_reduction_retains_alpha2_factor():
     a1, a2 = 0.7 + 0.2j, 1.5 - 0.3j
     full = ParamSet(r=2, s=2, N=5, q=q, alpha=(a1, a2), beta=(1.3 - 0.4j, a2))
     reduced = ParamSet(r=1, s=1, N=5, q=q, alpha=(a1,), beta=(1.3 - 0.4j,))
-    _, _, lam = certified_spectrum(full)
+    _, lam = certified_spectrum(full)
     rep = match_spectrum(lam, mu_closed(full))
     assert rep.is_match
     # the mu of the full set retain (alpha_2 q^{N-n} - 1); they differ from

@@ -13,12 +13,11 @@ from qzeros.zero_algebra import (
     g_n,
     prop1_residuals,
     prop1_residuals_qde,
-    prop1_residuals_r1s1,
-    prop1_scale,
     shift_range,
 )
 
 from conftest import zeros_of
+from oracles import prop1_residuals_r1s1, prop1_scale
 
 
 def test_f_n_hand_cases():

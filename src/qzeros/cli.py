@@ -278,6 +278,8 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
     k = options["sweep_k"]
     if params.s == 0:
         return [], {"note": "no β parameters", "perturbations": 0}
+    if params.N == 1:
+        return [], {"note": "N = 1: the 1 x 1 matrix is μ_1, β-free by construction", "perturbations": 0}
     if k == 0:
         return [], {"note": "empty sweep", "perturbations": 0}
     monic = _monic(params, ctx)

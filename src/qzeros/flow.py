@@ -11,14 +11,13 @@ whose fixed point is exactly the coefficient vector of the equilibrium
 polynomial (an independent oracle for the coefficient pipeline). The zeros
 themselves obey the rational flow
 
-    zdot_n = (-1)^{s+1} { (q-1) f_n(1)
-               + sum_k b_k (-1)^k q^{-k} [ (q^{k+1}-1) f_n(k+1) - (q^k-1) f_n(k) ] }
-             + (-1)^r z_n { q^{-N} (q^{s-r+1}-1) f_n(s-r+1) - (q^{s-r}-1) f_n(s-r)
-               + sum_j a_j (-1)^j [ q^{-N} (q^{j+s+1-r}-1) f_n(j+s+1-r)
-                                    - (q^{j+s-r}-1) f_n(j+s-r) ] },
+    zdot_n = (-1)^s sum_i w_i z_n^{e_i} (q^{k_i} - 1) f_n(k_i),
 
-whose equilibria are the true zeros and whose linearization there is the
-spectral matrix (checked by jacobian_fd against build_M).
+summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
+(qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
+the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Its equilibria are
+the true zeros and its linearization there is the spectral matrix (checked by
+jacobian_fd against build_M).
 """
 
 from __future__ import annotations
@@ -37,12 +36,16 @@ from .errors import (
     StepUnderflow,
 )
 from .isospectral import mu_n
-from .params import ParamSet, elem_sym
+from .params import ParamSet
 from .precision import F64, TINY, PrecisionContext
 from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import decancelled_size, f_n, shift_range
+from .zero_algebra import _prop1_terms, _shift_products, decancelled_size, f_n, velocity_terms
 
 COLLISION_TOL = 1e-10
+# relative step of jacobian_fd's central differences: truncation error grows
+# like step^2 and round-off like eps/step; at 1e-5 the round-off left in the
+# conjugate-direction estimate still trips its 1e-6 warning on a suite case
+FD_REL_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -168,38 +171,9 @@ def _f_bound(p: int, n: int, zs, q) -> float:
     return float(decancelled_size(zn * q**p, others) / den)
 
 
-def _flow_terms(zs, params: ParamSet):
-    """Per-zero (addend, magnitude-bound) lists of the flow right-hand side."""
-    q = params.q
-    r, s, N = params.r, params.s, params.N
-    sym = elem_sym(params)
-    sign_s1 = (-1) ** (s + 1)
-    sign_r = (-1) ** r
-    q_minus_N = q ** (-N)
-    count = len(zs)
-    fvals = {p: [f_n(p, n, zs, q) for n in range(count)] for p in shift_range(r, s)}
-    fmags = {p: [_f_bound(p, n, zs, q) for n in range(count)] for p in shift_range(r, s)}
-    all_terms = []
-    for n in range(count):
-        zn = zs[n]
-        pairs = []
-
-        def push(coef, p, n=n, pairs=pairs):
-            pairs.append((coef * fvals[p][n], float(abs(coef)) * fmags[p][n]))
-
-        push(sign_s1 * (q - 1), 1)
-        for k in range(1, s + 1):
-            w = sign_s1 * sym.b[k - 1] * (-1) ** k / q**k
-            push(w * (q ** (k + 1) - 1), k + 1)
-            push(-w * (q**k - 1), k)
-        push(sign_r * zn * q_minus_N * (q ** (s - r + 1) - 1), s - r + 1)
-        push(-sign_r * zn * (q ** (s - r) - 1), s - r)
-        for j in range(1, r + 1):
-            w = sign_r * zn * sym.a[j - 1] * (-1) ** j
-            push(w * q_minus_N * (q ** (j + s + 1 - r) - 1), j + s + 1 - r)
-            push(-w * (q ** (j + s - r) - 1), j + s - r)
-        all_terms.append(pairs)
-    return all_terms
+def _per_shift(kernel, terms, zs, q):
+    """kernel(k, n, zs, q) for every zero n, once per shift k of terms."""
+    return {k: [kernel(k, n, zs, q) for n in range(len(zs))] for k in {t[0] for t in terms}}
 
 
 def flow_rhs(state, params: ParamSet) -> List:
@@ -209,11 +183,13 @@ def flow_rhs(state, params: ParamSet) -> List:
         raise CollisionDetected(
             f"pairwise relative separation below {COLLISION_TOL:.0e}"
         )
+    terms = velocity_terms(params)
+    f = _per_shift(f_n, terms, zs, params.q)
     out = []
-    for pairs in _flow_terms(zs, params):
+    for n, zn in enumerate(zs):
         total = 0
-        for value, _mag in pairs:
-            total = total + value
+        for k, c, e in terms:
+            total = total + (c * zn if e else c) * f[k][n]
         out.append(total)
     return out
 
@@ -222,58 +198,46 @@ def equilibrium_residual(zeros, params: ParamSet) -> float:
     """max_n |velocity_n| / velocity-scale, the scale being the largest
     factor-wise term bound in the n-th sum: a scale-free stall check."""
     zs = zeros.zeros if isinstance(zeros, ZeroSet) else tuple(zeros)
+    terms = velocity_terms(params)
+    bound = _per_shift(_f_bound, terms, zs, params.q)
     worst = 0.0
-    for pairs in _flow_terms(zs, params):
-        total = 0
+    for n, (zn, velocity) in enumerate(zip(zs, flow_rhs(zs, params))):
         largest = TINY
-        for value, mag in pairs:
-            total = total + value
-            largest = max(largest, mag)
-        worst = max(worst, float(abs(total) / largest))
+        for k, c, e in terms:
+            largest = max(largest, float(abs(c * zn if e else c)) * bound[k][n])
+        worst = max(worst, float(abs(velocity) / largest))
     return worst
 
 
 def flow_rhs_from_products(state, params: ParamSet) -> List:
-    """Dual route: velocities from shifted full products over the configuration,
-    divided by -prod_{l != n} (z_n - z_l). Algebraically identical to flow_rhs."""
+    """Dual route: the n-th velocity is (-1)^s times the n-th zero identity,
+    built from shifted full products over the configuration, divided by
+    z_n prod_{l != n} (z_n - z_l). Algebraically identical to flow_rhs."""
     zs = state.z if isinstance(state, FlowState) else tuple(state)
-    q = params.q
-    r, s, N = params.r, params.s, params.N
-    sym = elem_sym(params)
-    sign_s = (-1) ** s
-    sign_r = (-1) ** r
-    q_minus_N = q ** (-N)
-
-    def full_prod(zval):
-        acc = 1 + 0 * q
-        for zl in zs:
-            acc = acc * (zval - zl)
-        return acc
-
+    sign = (-1) ** params.s
     out = []
     for n, zn in enumerate(zs):
-        rhs = sign_s / zn * full_prod(q * zn)
-        for k in range(1, s + 1):
-            w = sign_s / zn * sym.b[k - 1] * (-1) ** k / q**k
-            rhs = rhs + w * (full_prod(q ** (k + 1) * zn) - full_prod(q**k * zn))
-        block = q_minus_N * full_prod(q ** (s - r + 1) * zn) - full_prod(q ** (s - r) * zn)
-        for j in range(1, r + 1):
-            w = sym.a[j - 1] * (-1) ** j
-            block = block + w * (
-                q_minus_N * full_prod(q ** (j + s + 1 - r) * zn)
-                - full_prod(q ** (j + s - r) * zn)
-            )
-        rhs = rhs - sign_r * block
-        denom = 1 + 0 * q
+        terms = _prop1_terms(zs, n, params)
+        prods = _shift_products(zs, n, params.q, [k for _, k in terms])
+        total = 0
+        for coef, k in terms:
+            total = total + coef * prods[k]
+        denom = zn
         for l, zl in enumerate(zs):
             if l != n:
                 denom = denom * (zn - zl)
-        out.append(-rhs / denom)
+        out.append(sign * total / denom)
     return out
 
 
-def jacobian_fd(params: ParamSet, zeros, h: float | None = None):
+def jacobian_fd(params: ParamSet, zeros):
     """Central-difference Jacobian of flow_rhs at the given configuration.
+
+    Column m is differenced with the step FD_REL_STEP * min(|z_m|, distance
+    from z_m to its nearest other zero): the zeros of one configuration can
+    span eight orders of magnitude or cluster far below 1, and one absolute
+    step would swamp the small ones. No zero is 0: the series has constant
+    term 1.
 
     The flow is holomorphic in each coordinate away from collisions, so the
     real-axis and imaginary-axis difference quotients must agree on the same
@@ -282,26 +246,18 @@ def jacobian_fd(params: ParamSet, zeros, h: float | None = None):
     """
     zs = list(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
     n_count = len(zs)
-    scale = max(1.0, max(abs(z) for z in zs))
-    if h is None:
-        h = 1e-6 * scale
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-
-    def rhs_at(vec):
-        return flow_rhs(tuple(vec), params)
 
     def quotients(m: int, step: float):
         """Real-axis and imaginary-axis central quotients for column m."""
         base = zs[m]
         zs[m] = base + step
-        f_plus = rhs_at(zs)
+        f_plus = flow_rhs(tuple(zs), params)
         zs[m] = base - step
-        f_minus = rhs_at(zs)
+        f_minus = flow_rhs(tuple(zs), params)
         zs[m] = base + 1j * step
-        f_iplus = rhs_at(zs)
+        f_iplus = flow_rhs(tuple(zs), params)
         zs[m] = base - 1j * step
-        f_iminus = rhs_at(zs)
+        f_iminus = flow_rhs(tuple(zs), params)
         zs[m] = base
         col_re = [(fp - fm) / (2 * step) for fp, fm in zip(f_plus, f_minus)]
         col_im = [(fp - fm) / (2j * step) for fp, fm in zip(f_iplus, f_iminus)]
@@ -310,6 +266,8 @@ def jacobian_fd(params: ParamSet, zeros, h: float | None = None):
     cols = []
     worst_conjugate = 0.0
     for m in range(n_count):
+        reach = min([abs(zs[m])] + [abs(zs[m] - zl) for l, zl in enumerate(zs) if l != m])
+        h = FD_REL_STEP * float(reach)
         col_re, col_im = quotients(m, h)
         col_re2, col_im2 = quotients(m, 2 * h)
         col = []

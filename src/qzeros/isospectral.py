@@ -10,11 +10,12 @@ matrix family is isospectral under beta deformations, and with rational q and
 alphas the spectrum is exactly rational (the exact path uses
 fractions.Fraction end to end).
 
-Diagonal entries combine three kernel groups (a beta-weighted g-group, a
-zeta_n-weighted alpha g-group, and an alpha f-group); off-diagonal entries
-combine two f_nm groups with zeta_n/(zeta_n - zeta_m)^2 prefactors. mu_n is
-the one home of the closed form; mu_closed, mu_closed_exact, closed_trace and
-the coefficient flow's build_C all evaluate it.
+The matrix is the Jacobian of the zero flow, so its entries carry the flow's
+weights (zero_algebra.velocity_terms, read from the one table of the
+expanded q-difference equation, qdiff.qde_terms) times the derivatives of
+the shift kernels. mu_n is the one home of the closed form; mu_closed,
+mu_closed_exact, closed_trace and the coefficient flow's build_C all
+evaluate it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenNoConvergence, LengthMismatch
-from .params import ParamSet, elem_sym
+from .params import ParamSet
 from .precision import F64, TINY, PrecisionContext, extended
 from .qseries import coeffs_P, eval_poly_deriv, to_monic
 from .rootfind import ZeroSet, find_zeros
-from .zero_algebra import KernelCache
+from .zero_algebra import KernelCache, velocity_terms
 
 MATCH_TOL = 1e-6
 
@@ -64,69 +65,37 @@ def _zero_list(zeros) -> Tuple:
 
 
 def build_M(zeros, params: ParamSet, cache: KernelCache | None = None) -> IsoMatrix:
-    """General assembly of the spectral matrix from a certified zero set."""
+    """General assembly of the spectral matrix from a certified zero set.
+
+    M is the Jacobian of the zero flow velocity_n = sum c z_n^e f_n(k) over
+    the velocity_terms addends (k, c, e). By the kernel derivative identities
+    (zero_algebra), with d = c (q^k - 1),
+
+        M_nm = z_n / (z_n - z_m)^2 sum d z_n^e f_nm(k),   m != n,
+        M_nn = sum [e c f_n(k) - d z_n^e g_n(k)].
+    """
     zs = _zero_list(zeros)
     q = params.q
-    r, s, N = params.r, params.s, params.N
-    sym = elem_sym(params)
     if cache is None:
-        cache = KernelCache(zs, q, r, s)
-    q_minus_N = q ** (-N)
-    sign_s, sign_r = (-1) ** s, (-1) ** r
-
-    def qk(k: int):
-        return q**k - 1
-
+        cache = KernelCache(zs, q, params.r, params.s)
+    terms = [(k, c, e, c * (q**k - 1)) for k, c, e in velocity_terms(params)]
     rows = []
-    for n in range(N):
-        zn = zs[n]
+    for n, zn in enumerate(zs):
+        scaled = [(k, d * zn if e else d) for k, _, e, d in terms]
+        diag = 0
+        for (k, c, e, _), (_, w) in zip(terms, scaled):
+            diag = diag - w * cache.g[k][n]
+            if e:
+                diag = diag + c * cache.f[k][n]
         row = []
-        for m in range(N):
+        for m, zm in enumerate(zs):
             if m == n:
-                beta_group = qk(1) ** 2 * cache.g[1][n]
-                for k in range(1, s + 1):
-                    w = sym.b[k - 1] * (-1) ** k / q**k
-                    beta_group = beta_group + w * (
-                        qk(k + 1) ** 2 * cache.g[k + 1][n] - qk(k) ** 2 * cache.g[k][n]
-                    )
-                alpha_g = q_minus_N * qk(s - r + 1) ** 2 * cache.g[s - r + 1][n] - qk(
-                    s - r
-                ) ** 2 * cache.g[s - r][n]
-                alpha_f = q_minus_N * qk(s - r + 1) * cache.f[s - r + 1][n] - qk(
-                    s - r
-                ) * cache.f[s - r][n]
-                for j in range(1, r + 1):
-                    w = sym.a[j - 1] * (-1) ** j
-                    alpha_g = alpha_g + w * (
-                        q_minus_N * qk(j + s + 1 - r) ** 2 * cache.g[j + s + 1 - r][n]
-                        - qk(j + s - r) ** 2 * cache.g[j + s - r][n]
-                    )
-                    alpha_f = alpha_f + w * (
-                        q_minus_N * qk(j + s + 1 - r) * cache.f[j + s + 1 - r][n]
-                        - qk(j + s - r) * cache.f[j + s - r][n]
-                    )
-                row.append(sign_s * beta_group - sign_r * zn * alpha_g + sign_r * alpha_f)
-            else:
-                dz2 = (zn - zs[m]) ** 2
-                beta_group = qk(1) ** 2 * cache.fnm[1][n][m]
-                for k in range(1, s + 1):
-                    w = sym.b[k - 1] * (-1) ** k / q**k
-                    beta_group = beta_group + w * (
-                        qk(k + 1) ** 2 * cache.fnm[k + 1][n][m]
-                        - qk(k) ** 2 * cache.fnm[k][n][m]
-                    )
-                alpha_group = q_minus_N * qk(s - r + 1) ** 2 * cache.fnm[s - r + 1][n][
-                    m
-                ] - qk(s - r) ** 2 * cache.fnm[s - r][n][m]
-                for j in range(1, r + 1):
-                    w = sym.a[j - 1] * (-1) ** j
-                    alpha_group = alpha_group + w * (
-                        q_minus_N * qk(j + s + 1 - r) ** 2 * cache.fnm[j + s + 1 - r][n][m]
-                        - qk(j + s - r) ** 2 * cache.fnm[j + s - r][n][m]
-                    )
-                row.append(
-                    -sign_s * zn / dz2 * beta_group + sign_r * zn**2 / dz2 * alpha_group
-                )
+                row.append(diag)
+                continue
+            acc = 0
+            for k, w in scaled:
+                acc = acc + w * cache.fnm[k][n][m]
+            row.append(zn / (zn - zm) ** 2 * acc)
         rows.append(tuple(row))
     return IsoMatrix(entries=tuple(rows))
 
@@ -235,32 +204,21 @@ def eigenvalues(M: IsoMatrix, ctx: PrecisionContext = F64) -> List:
 
 
 def _extended_spectrum(params: ParamSet, zeros: Sequence, ctx: PrecisionContext):
-    """The coefficients -> zeros -> matrix -> eigenvalues chain in ctx.
+    """Matrix and eigenvalues at the digits of the extended context ctx.
 
-    Zeros are refined by Newton from the given ones (binary64 seeds sit
-    ~1e-11 relative from the true zeros, far inside the basin since
-    neighboring zeros are never that close for generic parameters). The
-    kernels must see q, alpha, beta as extended scalars, otherwise binary64
-    roundings of the q powers re-contaminate the matrix entries; the
+    The kernels must see q, alpha, beta as extended scalars, otherwise
+    binary64 roundings of the q powers re-contaminate the matrix entries; the
     underlying values stay the exact binary64 parameters, so the closed-form
     spectrum evaluated in binary64 refers to the same mathematical
     configuration. Returns (M, lam).
     """
-    pe = to_monic(coeffs_P(params, ctx))
-    zs = [ctx.convert(z) for z in _zero_list(zeros)]
-    for _ in range(6):
-        refined = []
-        for z in zs:
-            val, der = eval_poly_deriv(pe, z)
-            refined.append(z - val / der if der != 0 else z)
-        zs = refined
     params_ext = replace(
         params,
         q=ctx.convert(params.q),
         alpha=tuple(ctx.convert(a) for a in params.alpha),
         beta=tuple(ctx.convert(b) for b in params.beta),
     )
-    M = build_M(zs, params_ext)
+    M = build_M(zeros, params_ext)
     return M, _eig_extended(M.entries, ctx)
 
 
@@ -268,32 +226,44 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None, ctx: Pre
     """Matrix and eigenvalues for the spectrum identity, with the
     eigenvalues certified below EIG_TARGET relative forward error.
 
-    zeros is the caller's zero set of params; when omitted, the binary64
-    zeros are found here. In an extended context the whole chain runs in
-    that context (_extended_spectrum).
+    zeros is the caller's zero set of params, found in ctx; when omitted,
+    the zeros are found here. In an extended context the matrix and its
+    eigenvalues are computed at its digits from those zeros (_extended_spectrum).
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
     from rounding the series coefficients (the computed zeros are near-exact
     roots of an already-rounded polynomial). Both are amplified by the same
     per-eigenvalue condition numbers, so one _eig_with_bound certificate
-    covers the decision: when it exceeds EIG_TARGET, the whole chain is
-    redone in extended digits via _extended_spectrum. The decision never
-    consults the closed-form spectrum, so escalation is a property of the
-    assembled matrix alone.
+    covers the decision: when it exceeds EIG_TARGET, the zeros are refined
+    in extended digits and the matrix and eigenvalues recomputed there. The
+    decision never consults the closed-form spectrum, so escalation is a
+    property of the assembled matrix alone.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
     (its consumers, the entrywise and trace checks, are well conditioned);
     lam may come from the escalated rebuild.
     """
     if zeros is None:
-        zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
+        zeros = find_zeros(to_monic(coeffs_P(params, ctx)), params, ctx).zeros
     if ctx.mp is not None:
         return _extended_spectrum(params, zeros, ctx)
     M = build_M(zeros, params)
     vals, worst = _eig_with_bound(_dense(M.entries))
     if worst > EIG_TARGET:
-        _, vals = _extended_spectrum(params, zeros, _escalated(worst))
+        # six Newton sweeps refine the zeros to the escalated digits: binary64
+        # zeros sit ~1e-11 relative from the true ones, far inside the basin
+        # since neighboring zeros are never that close for generic parameters
+        ext = _escalated(worst)
+        pe = to_monic(coeffs_P(params, ext))
+        zs = [ext.convert(z) for z in _zero_list(zeros)]
+        for _ in range(6):
+            refined = []
+            for z in zs:
+                val, der = eval_poly_deriv(pe, z)
+                refined.append(z - val / der if der != 0 else z)
+            zs = refined
+        _, vals = _extended_spectrum(params, zs, ext)
     return M, [complex(v) for v in vals]
 
 

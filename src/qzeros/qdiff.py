@@ -14,17 +14,21 @@ exact). The defining residual of the polynomial family is
 
 evaluated per sample point and normalized by the largest intermediate term
 magnitude (coefficient scales are tracked through every operator stage, see
-_operator_sides) so the pass threshold is scale-free. An expanded dual route
-evaluates the same
-identity purely through shifted-argument polynomial values p(z q^k); up to an
-overall (-1)^{s+1} the two routes are algebraically identical, which is the
-agreement check exported as qde_expanded_agreement.
+_operator_sides) so the pass threshold is scale-free.
+
+Expanding the operators gives the same equation as a weighted sum of
+shifted-argument values p(z q^k). Its weights live in one table, qde_terms,
+which the zero identities (zero_algebra), the zero flow (flow) and the
+spectral matrix (isospectral) read as well. The expanded route sums that
+table; up to an overall (-1)^{s+1} it is algebraically identical to the
+operator route, which never reads the table and so certifies it (the
+agreement check exported as qde_expanded_agreement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
@@ -113,8 +117,9 @@ def _horner_terms(poly: Poly, z, shift: int, scales):
     return value, largest
 
 
-def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
-    """Normalized annihilation residual of the operator route at each sample point."""
+def _operator_route(p: Poly, params: ParamSet, zs: Sequence) -> List:
+    """(value, largest intermediate-term magnitude) of the operator-route
+    residual A(z) - z*B(z) at each sample point."""
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
@@ -122,45 +127,49 @@ def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
     for z in zs:
         a_val, a_scale = _horner_terms(a_side, z, 0, a_marks)
         b_val, b_scale = _horner_terms(b_side, z, 1, b_marks)
-        scale = max(a_scale, b_scale, TINY)
-        out.append((a_val - b_val) / scale)
+        out.append((a_val - b_val, max(a_scale, b_scale)))
     return out
 
 
-def _expanded_terms(p: Poly, params: ParamSet, z):
-    """Addends of the expanded shifted-argument identity at z.
+def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
+    """Normalized annihilation residual of the operator route at each sample point."""
+    return [value / max(scale, TINY) for value, scale in _operator_route(p, params, zs)]
 
-    Returns (sum, largest addend magnitude). The addends are
+
+def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
+    """The expanded q-difference equation as (k, w, e) triples.
+
+    The equation reads sum_i w_i z^{e_i} p(z q^{k_i}) = 0 with e_i in {0, 1}:
         p(z) - p(zq) + sum_k (-q)^{-k} b_k [p(zq^k) - p(zq^{k+1})]
         - (-1)^{r-s} z { p(zq^{s-r}) - q^{-N} p(zq^{s-r+1})
-          + sum_j (-1)^j a_j [p(zq^{s-r+j}) - q^{-N} p(zq^{s-r+j+1})] }.
+          + sum_j (-1)^j a_j [p(zq^{s-r+j}) - q^{-N} p(zq^{s-r+j+1})] },
+    one addend per triple, in this order (b_0 = a_0 = 1 give the leading
+    pairs). The one home of these weights.
     """
     q = params.q
-    r, s, N = params.r, params.s, params.N
+    r, s = params.r, params.s
     sym = elem_sym(params)
-    q_minus_N = q ** (-N)
+    q_minus_N = q ** (-params.N)
     sign_rs = (-1) ** (r - s)
+    terms = []
+    for k, b in enumerate((1,) + sym.b):
+        w = b * (-q) ** (-k)
+        terms += [(k, w, 0), (k + 1, -w, 0)]
+    for j, a in enumerate((1,) + sym.a):
+        w = -sign_rs * (-1) ** j * a
+        terms += [(s - r + j, w, 1), (s - r + j + 1, -w * q_minus_N, 1)]
+    return terms
 
-    def pv(k: int):
-        return eval_poly(p, z * q**k)
 
-    addends = [pv(0), -pv(1)]
-    for k in range(1, s + 1):
-        w = sym.b[k - 1] * (-q) ** (-k)
-        addends.append(w * pv(k))
-        addends.append(-w * pv(k + 1))
-    addends.append(-sign_rs * z * pv(s - r))
-    addends.append(sign_rs * z * q_minus_N * pv(s - r + 1))
-    for j in range(1, r + 1):
-        w = sym.a[j - 1] * (-1) ** j
-        addends.append(-sign_rs * z * w * pv(s - r + j))
-        addends.append(sign_rs * z * w * q_minus_N * pv(s - r + j + 1))
-
-    total = addends[0]
-    largest = abs(addends[0])
-    for a in addends[1:]:
-        total = total + a
-        largest = max(largest, abs(a))
+def _expanded_terms(p: Poly, terms, q, z):
+    """Sum of the qde_terms addends at z and the largest addend magnitude."""
+    total = 0
+    largest = 0.0
+    for k, w, e in terms:
+        weight = w * z if e else w
+        addend = weight * eval_poly(p, z * q**k)
+        total = total + addend
+        largest = max(largest, abs(addend))
     return total, largest
 
 
@@ -168,9 +177,10 @@ def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
     """Normalized residual of the expanded shifted-argument route at each sample point."""
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    terms = qde_terms(params)
     out = []
     for z in zs:
-        total, largest = _expanded_terms(p, params, z)
+        total, largest = _expanded_terms(p, terms, params.q, z)
         out.append(total / max(largest, TINY))
     return out
 
@@ -182,16 +192,10 @@ def qde_expanded_agreement(p: Poly, params: ParamSet, zs: Sequence) -> List[floa
     polynomials in z; the defect is the raw difference over a scale shared by
     both routes, so it measures pure floating round-off.
     """
-    if p.degree != params.N:
-        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
-    a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
     orient = (-1) ** (params.s + 1)
+    terms = qde_terms(params)
     out = []
-    for z in zs:
-        a_val, a_scale = _horner_terms(a_side, z, 0, a_marks)
-        b_val, b_scale = _horner_terms(b_side, z, 1, b_marks)
-        op_val = a_val - b_val
-        exp_val, exp_scale = _expanded_terms(p, params, z)
-        scale = max(a_scale, b_scale, exp_scale, 1.0)
-        out.append(abs(op_val - orient * exp_val) / scale)
+    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs)):
+        exp_val, exp_scale = _expanded_terms(p, terms, params.q, z)
+        out.append(abs(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
     return out

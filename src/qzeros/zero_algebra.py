@@ -12,15 +12,17 @@ the same family:
     d f_n / d z_n = (1 - q^p) g_n(p)
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
-A KernelCache precomputes all values over the contiguous shift range needed by
-the matrix assembly and the flow (min(1, s-r) .. s+1), since the matrix reuses
-each O(N^2) times.
+A KernelCache precomputes all values over the contiguous shift range the
+matrix assembly reads (min(1, s-r) .. s+1), since the matrix reuses each
+O(N^2) times.
 
-prop1_residuals evaluates the system of N algebraic identities satisfied by
-the true zeros, in the product form built directly from the configuration;
-prop1_residuals_qde is the dual route through shifted-argument evaluations of
-the monic polynomial. Residuals are normalized by the largest term
-sensitivity scale (see decancelled_size), so a true configuration scores at
+The N algebraic identities satisfied by the true zeros are the q-difference
+equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
+the zero flow and the spectral matrix, through velocity_terms).
+prop1_residuals evaluates them in the product form built directly from the
+configuration; prop1_residuals_qde is the dual route through
+shifted-argument evaluations of the monic polynomial. Residuals are
+normalized by the largest term sensitivity scale (see decancelled_size), so a true configuration scores at
 the zeros' own forward error and an O(delta) perturbation scores at O(delta)
 even when the shifted products all collapse simultaneously.
 """
@@ -30,7 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .errors import DegreeMismatch, IndexCollision
-from .params import ParamSet, elem_sym
+from .params import ParamSet
+from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
 from .precision import F64, TINY, PrecisionContext
 
@@ -153,36 +156,25 @@ def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict
 
 
 def _prop1_terms(zeros: Sequence, n: int, params: ParamSet) -> List:
-    """(coefficient, shift) pairs of the n-th zero identity: the identity is
-    sum over pairs of coefficient * [shifted product at q^shift]."""
-    r, s = params.r, params.s
-    q = params.q
-    sym = elem_sym(params)
-    sign_rs = (-1) ** (r - s)
-    q_minus_N = q ** (-params.N)
+    """(coefficient, shift) pairs of the n-th zero identity, sum over pairs of
+    coefficient * [shifted product at q^shift]: the qde_terms addends at
+    z = z_n, less the constant p(z) addend, which vanishes there."""
     zn = zeros[n]
-
-    terms = [(-(1 + 0 * q), 1)]
-    for k in range(1, s + 1):
-        w = sym.b[k - 1] * (-q) ** (-k)
-        terms.append((w, k))
-        terms.append((-w, k + 1))
-    terms.append((-sign_rs * zn, s - r))
-    terms.append((sign_rs * zn * q_minus_N, s - r + 1))
-    for j in range(1, r + 1):
-        w = sym.a[j - 1] * (-1) ** j
-        if j != r - s:
-            terms.append((-sign_rs * zn * w, s - r + j))
-        if j != r - s - 1:
-            terms.append((sign_rs * zn * w * q_minus_N, s - r + j + 1))
-    return terms
+    return [(w * zn if e else w, k) for k, w, e in qde_terms(params) if (k, e) != (0, 0)]
 
 
-def _needed_powers(params: ParamSet) -> List[int]:
-    r, s = params.r, params.s
-    powers = [1] + [k for k in range(1, s + 2)] + [s - r, s - r + 1]
-    powers += [s - r + j for j in range(1, r + 1)] + [s - r + j + 1 for j in range(1, r + 1)]
-    return powers
+def velocity_terms(params: ParamSet) -> List:
+    """(k, c, e) addends of the zero flow, velocity_n = sum c z_n^e f_n(k),
+    with c = (-1)^s w (q^k - 1) for each qde_terms addend (k, w, e).
+
+    The velocity is (-1)^s times the n-th zero identity over
+    z_n prod_{l != n} (z_n - z_l), and that denominator divides each shifted
+    product prod_l (q^k z_n - z_l) to (q^k - 1) f_n(k). Shift-0 addends drop
+    out, since q^0 - 1 = 0.
+    """
+    q = params.q
+    sign = (-1) ** params.s
+    return [(k, sign * w * (q**k - 1), e) for k, w, e in qde_terms(params) if k != 0]
 
 
 def _normalized(terms, values, magnitudes) -> float:
@@ -209,11 +201,12 @@ def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
         raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
     q = params.q
     out = []
-    powers = _needed_powers(params)
     for n in range(len(zs)):
+        terms = _prop1_terms(zs, n, params)
+        powers = [k for _, k in terms]
         prods = _shift_products(zs, n, q, powers)
         mags = _shift_magnitudes(zs, n, q, powers)
-        out.append(_normalized(_prop1_terms(zs, n, params), prods, mags))
+        out.append(_normalized(terms, prods, mags))
     return out
 
 
@@ -233,16 +226,16 @@ def prop1_residuals_qde(
     out = []
     for n in range(len(zs)):
         zn = zs[n]
+        terms = _prop1_terms(zs, n, params)
         values, mags = {}, {}
-        for k in _needed_powers(params):
-            if k not in values:
-                zk = zn * q**k
-                val, der = eval_poly_deriv(p, zk)
-                values[k] = val
-                # same sensitivity scale as the product route: p' near a zero
-                # is the de-cancelled product, and the zero being cancelled
-                # against sits at |z| ~ |zk|, so its order-one move has size
-                # 2|zk| |p'(zk)|
-                mags[k] = float(max(abs(val), 2.0 * abs(zk) * abs(der)))
-        out.append(_normalized(_prop1_terms(zs, n, params), values, mags))
+        for k in {k for _, k in terms}:
+            zk = zn * q**k
+            val, der = eval_poly_deriv(p, zk)
+            values[k] = val
+            # same sensitivity scale as the product route: p' near a zero
+            # is the de-cancelled product, and the zero being cancelled
+            # against sits at |z| ~ |zk|, so its order-one move has size
+            # 2|zk| |p'(zk)|
+            mags[k] = float(max(abs(val), 2.0 * abs(zk) * abs(der)))
+        out.append(_normalized(terms, values, mags))
     return out

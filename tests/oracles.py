@@ -13,7 +13,6 @@ from qzeros.params import ParamSet
 from qzeros.precision import TINY
 from qzeros.zero_algebra import (
     KernelCache,
-    _needed_powers,
     _prop1_terms,
     _shift_magnitudes,
     _shift_products,
@@ -149,9 +148,9 @@ def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
     """Largest term-magnitude bound of the n-th identity (the normalization
     scale used by prop1_residuals)."""
     zs = tuple(zeros)
-    powers = _needed_powers(params)
-    mags = _shift_magnitudes(zs, n, params.q, powers)
+    terms = _prop1_terms(zs, n, params)
+    mags = _shift_magnitudes(zs, n, params.q, [k for _, k in terms])
     largest = TINY
-    for coef, k in _prop1_terms(zs, n, params):
+    for coef, k in terms:
         largest = max(largest, float(abs(coef)) * mags[k])
     return largest

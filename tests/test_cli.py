@@ -146,6 +146,12 @@ def test_sweep_vacuous_cases(tmp_path):
     assert run("sweep", s0, "--out", str(out)) == 0
     assert load_report(out)["result"]["note"] == "no β parameters"
 
+    # the 1 x 1 matrix is mu_1 whatever the β, so there is no drift to measure
+    n1 = write_config(tmp_path, "n1.json", N=1)
+    out1 = tmp_path / "r1n.json"
+    assert run("sweep", n1, "--out", str(out1)) == 0
+    assert load_report(out1)["checks"] == []
+
     k0 = write_config(tmp_path, "k0.json", sweep_k=0)
     out2 = tmp_path / "r2.json"
     assert run("sweep", k0, "--out", str(out2)) == 0

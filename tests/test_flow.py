@@ -180,10 +180,13 @@ def _matrix_gap(J, M):
     return num / den
 
 
-def test_jacobian_matches_M(small_suite):
+def test_jacobian_matches_M(suite):
+    # suite cases 19, 26 and 38 have zeros near 1e-5 (case 19 a cluster of
+    # them, case 26 up to 2.5e3 as well), which one absolute difference step
+    # scaled to the largest zero cannot serve
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConsistencyWarning)
-        for params in small_suite:
+        for params in suite[:18] + [suite[19], suite[26], suite[38]]:
             _, zset = zeros_of(params)
             J = jacobian_fd(params, zset)
             M = build_M(zset.zeros, params)

@@ -9,7 +9,7 @@ formula. validate() certifies exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 from .errors import (
@@ -84,6 +84,18 @@ def validate(params: ParamSet) -> ParamSet:
                 if abs(val - pole) < GENERICITY_TOL * max(1.0, abs(pole)):
                     raise NonGenericParameter(f"{label}_{idx}", f"q^-{m}")
     return params
+
+
+def in_context(params: ParamSet, ctx) -> ParamSet:
+    """The same parameter set with q, alpha and beta as scalars of the
+    precision context ctx (their values unchanged), so that kernels fed with
+    extended zeros do not round their q powers and products to binary64."""
+    return replace(
+        params,
+        q=ctx.convert(params.q),
+        alpha=tuple(ctx.convert(a) for a in params.alpha),
+        beta=tuple(ctx.convert(b) for b in params.beta),
+    )
 
 
 def _poly_mul_linear(coeffs: list, root_weight) -> list:

@@ -4,8 +4,10 @@ find_zeros runs the Aberth-Ehrlich simultaneous iteration (cubic local
 convergence) from a geometric-spiral initial configuration tuned to the
 quasi-geometric spread of this polynomial family's zeros, then polishes each
 root with one Newton step. companion_zeros is the independent cross-check
-oracle: eigenvalues of the companion matrix through the dense eigensolver.
-The two routes share no code beyond polynomial evaluation.
+oracle: eigenvalues of the companion matrix through the dense eigensolver
+(isospectral.eigenvalues_dense), which balances the matrix and then
+certifies, and if need be escalates, on the balanced matrix. The two routes
+share no code beyond polynomial evaluation.
 """
 
 from __future__ import annotations

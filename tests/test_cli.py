@@ -179,6 +179,25 @@ def test_extended_precision_mode(tmp_path):
             assert mpmath.mp.dps == 15
 
 
+def test_extended_verify_reads_extended_params(tmp_path, suite):
+    # binary64 q, alpha and beta would hold the residuals at ~1e-16
+    params = suite[3]
+    assert params.N <= 5 and params.r + params.s > 0
+    cfg = write_config(
+        tmp_path,
+        r=params.r,
+        s=params.s,
+        N=params.N,
+        q=[params.q.real, params.q.imag],
+        alpha=[[a.real, a.imag] for a in params.alpha],
+        beta=[[b.real, b.imag] for b in params.beta],
+    )
+    out = tmp_path / "rep.json"
+    assert run("verify", cfg, "--precision", "extended", "--out", str(out)) == 0
+    byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
+    assert byname["prop1_residual_max"] < 1e-40
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, r=0, s=0, N=2, q=2.0, alpha=[], beta=[])
     proc = subprocess.run(

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from qzeros import isospectral
 from qzeros.errors import DegenerateZeros, OverflowRisk
 from qzeros.params import ParamSet
 from qzeros.precision import extended
@@ -67,6 +68,48 @@ def test_oracle_agreement_on_suite(suite):
         p, zset = zeros_of(params)
         oracle = companion_zeros(p)
         assert max(_pair_off(zset.zeros, oracle)) < 1e-7
+
+
+def test_companion_escalates_on_the_balanced_matrix():
+    # coefficients from 1.5e-37 to 1: the balanced certificate asks for 25
+    # digits, too few for the unbalanced companion matrix, whose five
+    # smallest eigenvalues then land up to 5e-5 away
+    params = ParamSet(
+        r=2,
+        s=2,
+        N=10,
+        q=complex(0.19710328622590897, -0.08047794822177096),
+        alpha=(
+            complex(0.4124378438664725, 0.1500923083833725),
+            complex(1.2692071805549092, 0.21411061762836225),
+        ),
+        beta=(
+            complex(0.45746064718702406, -0.03216704839290663),
+            complex(1.1460788291600041, 0.49160040582020714),
+        ),
+    )
+    p = to_monic(coeffs_P(params))
+    zeros = find_zeros(p, params).zeros
+    oracle = companion_zeros(p)
+    for z, w in zip(zeros, oracle):
+        assert abs(z - w) <= 1e-9 * abs(z)
+
+
+def test_companion_escalations_on_suite(suite, monkeypatch):
+    # balancing leaves 2 of the 50 suite certificates above EIG_TARGET
+    # (21 on the unbalanced companion matrices)
+    calls = []
+    solve = isospectral._eig_extended
+
+    def counted(rows, ctx):
+        calls.append(ctx.mp.dps)
+        return solve(rows, ctx)
+
+    monkeypatch.setattr(isospectral, "_eig_extended", counted)
+    for params in suite:
+        p, _ = zeros_of(params)
+        companion_zeros(p)
+    assert len(calls) <= 2
 
 
 def test_residual_bound_on_suite(suite):

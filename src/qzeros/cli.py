@@ -36,7 +36,7 @@ from .errors import (
     QZerosError,
 )
 from .params import ParamSet
-from .precision import get_context
+from .precision import F64, context_of, extended
 
 CONFIG_FIELDS = {"r", "s", "N", "q", "alpha", "beta", "sweep_k", "t_end", "perturb"}
 
@@ -148,12 +148,12 @@ def _check(name: str, value: float, tol_override, direction: str = "below") -> d
     return {"name": name, "value": value, "threshold": float(threshold), "pass": bool(ok)}
 
 
-def _monic(params: ParamSet, ctx) -> qseries.Poly:
-    return qseries.to_monic(qseries.coeffs_P(params, ctx))
+def _monic(params: ParamSet) -> qseries.Poly:
+    return qseries.to_monic(qseries.coeffs_P(params))
 
 
-def cmd_poly(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict], dict]:
-    p = qseries.coeffs_P(params, ctx)
+def cmd_poly(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    p = qseries.coeffs_P(params)
     monic = qseries.to_monic(p)
     lead = complex(p.coeffs[-1])
     prefactor = complex(qseries.monic_prefactor(params))
@@ -165,10 +165,10 @@ def cmd_poly(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict]
     return checks, result
 
 
-def cmd_zeros(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict], dict]:
-    monic = _monic(params, ctx)
-    zset = rootfind.find_zeros(monic, params, ctx)
-    companions = rootfind.companion_zeros(monic, ctx)
+def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    monic = _monic(params)
+    zset = rootfind.find_zeros(monic, params)
+    companions = rootfind.companion_zeros(monic)
     gap = 0.0
     for a, b in zip(zset.zeros, companions):
         a, b = complex(a), complex(b)
@@ -213,14 +213,11 @@ def _jacobian_defect(params: ParamSet, zeros, M: isospectral.IsoMatrix) -> float
     return worst
 
 
-def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict], dict]:
-    # the residuals are only as fine as the q, alpha and beta they read
-    params = params_mod.in_context(params, ctx)
-    monic = _monic(params, ctx)
-    zset = rootfind.find_zeros(monic, params, ctx)
-    zeros = zset.zeros
+def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    monic = _monic(params)
+    zeros = rootfind.find_zeros(monic, params).zeros
 
-    points = [ctx.convert(z) for z in _sample_points(zeros, rng)]
+    points = [context_of(params.q).convert(z) for z in _sample_points(zeros, rng)]
     prop1 = zero_algebra.prop1_residuals(zeros, params)
     checks = [
         _check(
@@ -234,22 +231,23 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dic
             tol,
         ),
         _check("prop1_residual_max", max(prop1), tol),
-        _check("prop1_dual_gap", _prop1_dual_gap(prop1, zeros, params, monic, ctx), tol),
+        _check("prop1_dual_gap", _prop1_dual_gap(prop1, zeros, params, monic), tol),
     ]
 
-    M, lam = isospectral.certified_spectrum(params, zeros, ctx)
-    mus = isospectral.mu_closed(params, ctx)
+    M, lam = isospectral.certified_spectrum(params, zeros)
+    mus = isospectral.mu_closed(params)
     report = isospectral.match_spectrum(lam, mus)
     checks.append(
         _check("spectrum_gap_max", max(rel for _, _, _, rel in report.matched_pairs), tol)
     )
     mu_c = [complex(m) for m in mus]
-    for p in (1, 2, 3):
+    traces = {p: isospectral.matrix_power_trace(M, p) for p in (1, 2, 3)}
+    for p, tr in traces.items():
         target = sum(m**p for m in mu_c)
-        gap = abs(complex(isospectral.matrix_power_trace(M, p)) - target) / max(1.0, abs(target))
+        gap = abs(tr - target) / max(1.0, abs(target))
         checks.append(_check(f"trace_gap_p{p}", gap, tol))
     tr_closed = complex(isospectral.closed_trace(params))
-    tr_matrix = complex(isospectral.matrix_power_trace(M, 1))
+    tr_matrix = traces[1]
     checks.append(
         _check("closed_trace_gap", abs(tr_matrix - tr_closed) / max(1.0, abs(tr_closed)), tol)
     )
@@ -267,8 +265,8 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dic
     return checks, result
 
 
-def _prop1_dual_gap(prod_form, zeros, params: ParamSet, monic: qseries.Poly, ctx) -> float:
-    qde_form = zero_algebra.prop1_residuals_qde(zeros, params, monic, ctx)
+def _prop1_dual_gap(prod_form, zeros, params: ParamSet, monic: qseries.Poly) -> float:
+    qde_form = zero_algebra.prop1_residuals_qde(zeros, params, monic)
     return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(prod_form, qde_form))
 
 
@@ -276,7 +274,7 @@ def _matrix_inf_norm(rows) -> float:
     return max(sum(abs(complex(v)) for v in row) for row in rows)
 
 
-def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict], dict]:
+def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     k = options["sweep_k"]
     if params.s == 0:
         return [], {"note": "no β parameters", "perturbations": 0}
@@ -284,10 +282,9 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
         return [], {"note": "N = 1: the 1 x 1 matrix is μ_1, β-free by construction", "perturbations": 0}
     if k == 0:
         return [], {"note": "empty sweep", "perturbations": 0}
-    monic = _monic(params, ctx)
-    zeros = rootfind.find_zeros(monic, params, ctx).zeros
+    zeros = rootfind.find_zeros(_monic(params), params).zeros
     M_base = isospectral.build_M(zeros, params)
-    mus = isospectral.mu_closed(params, ctx)
+    mus = isospectral.mu_closed(params)
     base_norm = _matrix_inf_norm(M_base.entries)
 
     drift_max = 0.0
@@ -315,7 +312,7 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
             raise ConfigError(
                 f"could not draw a generic β perturbation in {SWEEP_REDRAW_LIMIT} tries"
             )
-        M_p, lam_p = isospectral.certified_spectrum(pert, ctx=ctx)
+        M_p, lam_p = isospectral.certified_spectrum(pert)
         report = isospectral.match_spectrum(lam_p, mus)
         drift_max = max(drift_max, max(rel for _, _, _, rel in report.matched_pairs))
         delta = [
@@ -333,11 +330,11 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng, ctx) -> Tuple[List[dict
 
 
 def cmd_flow(
-    params: ParamSet, options: dict, tol, rng, ctx, traj_path: str | None = None
+    params: ParamSet, options: dict, tol, rng, traj_path: str | None = None
 ) -> Tuple[List[dict], dict]:
-    monic = _monic(params, ctx)
-    zset = rootfind.find_zeros(monic, params, ctx)
-    zeta = [complex(z) for z in zset.zeros]
+    zeta = [complex(z) for z in rootfind.find_zeros(_monic(params), params).zeros]
+    # integrate_flow steps in binary64, so the flow checks read binary64 params
+    params = params_mod.in_context(params, F64)
     t_end = options["t_end"]
     perturb = options["perturb"]
 
@@ -439,12 +436,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         raw, params, options = load_config(args.config)
-        ctx = get_context(args.precision)
+        # every command computes in the precision of the params it is given
+        params = params_mod.in_context(params, extended() if args.precision == "extended" else F64)
         rng = np.random.default_rng(args.seed)
         if args.command == "flow":
-            checks, result = cmd_flow(params, options, args.tol, rng, ctx, args.traj)
+            checks, result = cmd_flow(params, options, args.tol, rng, args.traj)
         else:
-            checks, result = COMMANDS[args.command](params, options, args.tol, rng, ctx)
+            checks, result = COMMANDS[args.command](params, options, args.tol, rng)
     except (ConfigError, NonGenericParameter, InvalidDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .isospectral import mu_n
 from .params import ParamSet
-from .precision import F64, TINY, PrecisionContext
+from .precision import TINY, context_of
 from .rootfind import ZeroSet, relative_separation
 from .zero_algebra import _prop1_terms, _shift_products, decancelled_size, f_n, velocity_terms
 
@@ -82,8 +82,10 @@ class TriangularC:
         return len(self.diag)
 
 
-def build_C(params: ParamSet, ctx: PrecisionContext = F64) -> TriangularC:
-    """Assemble the diagonal (closed-form eigenvalues) and subdiagonal weights."""
+def build_C(params: ParamSet) -> TriangularC:
+    """Assemble the diagonal (closed-form eigenvalues) and subdiagonal weights,
+    in the precision of params.q."""
+    ctx = context_of(params.q)
     q = ctx.convert(params.q)
     alpha = [ctx.convert(a) for a in params.alpha]
     beta = [ctx.convert(b) for b in params.beta]

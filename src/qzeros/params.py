@@ -88,8 +88,9 @@ def validate(params: ParamSet) -> ParamSet:
 
 def in_context(params: ParamSet, ctx) -> ParamSet:
     """The same parameter set with q, alpha and beta as scalars of the
-    precision context ctx (their values unchanged), so that kernels fed with
-    extended zeros do not round their q powers and products to binary64."""
+    precision context ctx (their values unchanged). Every function computes
+    in the precision of the params it is given, so this is where a caller
+    chooses the precision of a whole pipeline."""
     return replace(
         params,
         q=ctx.convert(params.q),

@@ -3,14 +3,14 @@
 All numerical kernels in this package are written against plain arithmetic
 (+, -, *, /, integer **, abs) so the same code runs on binary64 complex and
 on mpmath arbitrary-precision complex. A PrecisionContext carries the scalar
-constructor, the machine epsilon, and the tolerance scale factor relative to
-binary64 (pass thresholds quoted in the contracts are binary64 thresholds;
-extended precision tightens them by eps_ext / eps_f64).
+constructor and the machine epsilon.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
 converts carry through all their arithmetic. mpmath's global precision is
-never touched.
+never touched. A function computes in its inputs' precision (context_of
+reads it from a value); the command line converts q, alpha and beta once
+(params.in_context), and everything downstream follows.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ TINY = 1e-300
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    name: str
     eps: float
-    # multiply any binary64 threshold by this to get the context's threshold
-    tol_scale: float
     # private mpmath context of an extended context; None for binary64
     mp: mpmath.MPContext | None = None
 
@@ -44,10 +41,10 @@ class PrecisionContext:
     @property
     def root_step_tol(self) -> float:
         # 1e-14 at binary64, scaled with eps elsewhere
-        return 1e-14 * self.tol_scale
+        return 1e-14 * (self.eps / _F64_EPS)
 
 
-F64 = PrecisionContext(name="f64", eps=_F64_EPS, tol_scale=1.0)
+F64 = PrecisionContext(eps=_F64_EPS)
 
 
 # one context per dps: contexts are never mutated, and building a fresh mpmath
@@ -58,12 +55,11 @@ def extended(dps: int = 50) -> PrecisionContext:
     private = mpmath.MPContext()
     private.dps = dps
     eps = float(private.power(10, 1 - dps))
-    return PrecisionContext(name="extended", eps=eps, tol_scale=eps / _F64_EPS, mp=private)
+    return PrecisionContext(eps=eps, mp=private)
 
 
-def get_context(name: str) -> PrecisionContext:
-    if name == "f64":
-        return F64
-    if name == "extended":
-        return extended()
-    raise ValueError(f"unknown precision context: {name!r}")
+def context_of(x) -> PrecisionContext:
+    """The context the scalar x computes in: extended(dps) for an mpmath
+    scalar of dps digits, F64 for any other number."""
+    mp = getattr(x, "context", None)
+    return F64 if mp is None else extended(mp.dps)

@@ -25,7 +25,7 @@ from typing import Tuple
 
 from .errors import DegreeMismatch, NoConvergence, OverflowRisk, ZeroLeadingCoefficient
 from .params import ParamSet
-from .precision import F64, PrecisionContext
+from .precision import context_of
 
 OVERFLOW_LIMIT = 1e280
 
@@ -59,8 +59,10 @@ def qpochhammer(gamma, q, m: int):
     return out
 
 
-def coeffs_P(params: ParamSet, ctx: PrecisionContext = F64) -> Poly:
-    """Coefficient vector of P_N via the consecutive-term ratio recurrence."""
+def coeffs_P(params: ParamSet) -> Poly:
+    """Coefficient vector of P_N via the consecutive-term ratio recurrence,
+    in the precision of params.q."""
+    ctx = context_of(params.q)
     q = ctx.convert(params.q)
     alpha = [ctx.convert(a) for a in params.alpha]
     beta = [ctx.convert(b) for b in params.beta]
@@ -81,7 +83,7 @@ def coeffs_P(params: ParamSet, ctx: PrecisionContext = F64) -> Poly:
         if diff:
             ratio = ratio * (-qpow) ** diff
         term = term * ratio
-        if ctx.name == "f64" and abs(term) > OVERFLOW_LIMIT:
+        if ctx.mp is None and abs(term) > OVERFLOW_LIMIT:
             raise OverflowRisk(
                 f"coefficient magnitude {abs(term):.3e} at m={m} exceeds {OVERFLOW_LIMIT:.0e};"
                 " use extended precision"

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
-from .precision import F64, TINY, PrecisionContext
+from .precision import TINY, PrecisionContext, context_of
 from .qseries import Poly, eval_poly_deriv
 
 MAX_SWEEPS = 500
@@ -107,8 +107,9 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
     return out
 
 
-def find_zeros(p: Poly, params: ParamSet, ctx: PrecisionContext = F64) -> ZeroSet:
-    """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration.
+def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
+    """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration,
+    in the precision of its coefficients.
 
     Converged when the largest relative correction drops below the context's
     step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; one Newton
@@ -120,7 +121,8 @@ def find_zeros(p: Poly, params: ParamSet, ctx: PrecisionContext = F64) -> ZeroSe
     N = p.degree
     if N < 1:
         raise ValueError("degree must be at least 1")
-    if ctx.name == "f64":
+    ctx = context_of(p.coeffs[0])
+    if ctx.mp is None:
         if N > F64_DEGREE_CAP:
             raise OverflowRisk(
                 f"degree {N} above the binary64 desk-scale cap {F64_DEGREE_CAP};"
@@ -134,7 +136,7 @@ def find_zeros(p: Poly, params: ParamSet, ctx: PrecisionContext = F64) -> ZeroSe
                 stacklevel=2,
             )
 
-    zs = _spiral_init(p, ctx.convert(params.q), N, ctx)
+    zs = _spiral_init(p, params.q, N, ctx)
     if N == 1:
         zs = [-p.coeffs[0]]
         return _certify(_canonical_order(zs), p)
@@ -195,16 +197,18 @@ def find_zeros(p: Poly, params: ParamSet, ctx: PrecisionContext = F64) -> ZeroSe
     return _certify(_canonical_order(zs), p)
 
 
-def companion_zeros(p: Poly, ctx: PrecisionContext = F64) -> List:
-    """Eigenvalues of the companion matrix (independent oracle for find_zeros)."""
+def companion_zeros(p: Poly) -> List:
+    """Eigenvalues of the companion matrix (independent oracle for find_zeros),
+    in the precision of the coefficients."""
     from .isospectral import eigenvalues_dense
 
     if not p.monic:
         raise ValueError("companion_zeros expects a monic polynomial")
     N = p.degree
+    ctx = context_of(p.coeffs[0])
     rows = [[ctx.convert(0.0) for _ in range(N)] for _ in range(N)]
     for i in range(1, N):
         rows[i][i - 1] = ctx.convert(1.0)
     for i in range(N):
         rows[i][N - 1] = -ctx.convert(p.coeffs[i])
-    return _canonical_order(eigenvalues_dense(rows, ctx))
+    return _canonical_order(eigenvalues_dense(rows))

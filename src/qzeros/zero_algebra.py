@@ -35,7 +35,7 @@ from .errors import DegreeMismatch, IndexCollision
 from .params import ParamSet
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
-from .precision import F64, TINY, PrecisionContext
+from .precision import TINY
 
 
 def f_n(p: int, n: int, zeros: Sequence, q):
@@ -210,16 +210,14 @@ def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
     return out
 
 
-def prop1_residuals_qde(
-    zeros: Sequence, params: ParamSet, p: Poly | None = None, ctx: PrecisionContext = F64
-) -> List[float]:
+def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly | None = None) -> List[float]:
     """Dual route: the same identities with each shifted product replaced by a
     polynomial evaluation p(z_n q^k) of the monic coefficient vector."""
     zs = tuple(zeros)
     if len(zs) != params.N:
         raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
     if p is None:
-        p = to_monic(coeffs_P(params, ctx))
+        p = to_monic(coeffs_P(params))
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     q = params.q

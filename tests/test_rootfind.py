@@ -6,7 +6,7 @@ import pytest
 
 from qzeros import isospectral
 from qzeros.errors import DegenerateZeros, OverflowRisk
-from qzeros.params import ParamSet
+from qzeros.params import ParamSet, in_context
 from qzeros.precision import extended
 from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
@@ -169,12 +169,11 @@ def test_degree_cap_at_binary64():
 
 
 def test_extended_context_lifts_cap():
-    params = ParamSet(r=0, s=0, N=13, q=0.8, alpha=(), beta=())
+    params = in_context(ParamSet(r=0, s=0, N=13, q=0.8, alpha=(), beta=()), extended(30))
     p = to_monic(coeffs_P(params))
-    ctx = extended(30)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zset = find_zeros(p, params, ctx)
+        zset = find_zeros(p, params)
     # chain case: the zeros are q, q^2, ..., q^13
     got = sorted((abs(complex(z)) for z in zset.zeros), reverse=True)
     for n, mag in enumerate(got, start=1):

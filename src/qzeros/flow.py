@@ -16,8 +16,12 @@ themselves obey the rational flow
 summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
 the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Its equilibria are
-the true zeros and its linearization there is the spectral matrix (checked by
-jacobian_fd against build_M).
+the true zeros and its linearization there is the spectral matrix. jacobian_fd
+checks that against build_M by finite differences of this velocity, moving one
+zero at a time: with z_m moved, every other row changes through a single
+factor of its kernels, so the whole Jacobian costs O(N^2) per shift, as much
+as one flow_rhs call. Its step is eps^(1/5) times the moved zero's reach, eps
+being the precision of the zeros.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from .rootfind import ZeroSet, relative_separation
 from .zero_algebra import _prop1_terms, _shift_products, decancelled_size, f_n, velocity_terms
 
 COLLISION_TOL = 1e-10
-# relative step of jacobian_fd's central differences: truncation error grows
-# like step^2 and round-off like eps/step; at 1e-5 the round-off left in the
-# conjugate-direction estimate still trips its 1e-6 warning on a suite case
-FD_REL_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -173,27 +173,29 @@ def _f_bound(p: int, n: int, zs, q) -> float:
     return float(decancelled_size(zn * q**p, others) / den)
 
 
-def _per_shift(kernel, terms, zs, q):
-    """kernel(k, n, zs, q) for every zero n, once per shift k of terms."""
-    return {k: [kernel(k, n, zs, q) for n in range(len(zs))] for k in {t[0] for t in terms}}
+def _check_separation(zs) -> None:
+    if relative_separation(zs) < COLLISION_TOL:
+        raise CollisionDetected(
+            f"pairwise relative separation below {COLLISION_TOL:.0e}"
+        )
+
+
+def _velocity(terms, n: int, zs, q):
+    """velocity_n = sum c z_n^e f_n(k) over the (k, c, e) addends of terms."""
+    zn = zs[n]
+    f = {k: f_n(k, n, zs, q) for k in {t[0] for t in terms}}
+    total = 0
+    for k, c, e in terms:
+        total = total + (c * zn if e else c) * f[k]
+    return total
 
 
 def flow_rhs(state, params: ParamSet) -> List:
     """Velocities of all zeros at the given configuration."""
     zs = state.z if isinstance(state, FlowState) else tuple(state)
-    if relative_separation(zs) < COLLISION_TOL:
-        raise CollisionDetected(
-            f"pairwise relative separation below {COLLISION_TOL:.0e}"
-        )
+    _check_separation(zs)
     terms = velocity_terms(params)
-    f = _per_shift(f_n, terms, zs, params.q)
-    out = []
-    for n, zn in enumerate(zs):
-        total = 0
-        for k, c, e in terms:
-            total = total + (c * zn if e else c) * f[k][n]
-        out.append(total)
-    return out
+    return [_velocity(terms, n, zs, params.q) for n in range(len(zs))]
 
 
 def equilibrium_residual(zeros, params: ParamSet) -> float:
@@ -201,12 +203,13 @@ def equilibrium_residual(zeros, params: ParamSet) -> float:
     factor-wise term bound in the n-th sum: a scale-free stall check."""
     zs = zeros.zeros if isinstance(zeros, ZeroSet) else tuple(zeros)
     terms = velocity_terms(params)
-    bound = _per_shift(_f_bound, terms, zs, params.q)
+    shifts = {t[0] for t in terms}
     worst = 0.0
     for n, (zn, velocity) in enumerate(zip(zs, flow_rhs(zs, params))):
+        bound = {k: _f_bound(k, n, zs, params.q) for k in shifts}
         largest = TINY
         for k, c, e in terms:
-            largest = max(largest, float(abs(c * zn if e else c)) * bound[k][n])
+            largest = max(largest, float(abs(c * zn if e else c)) * bound[k])
         worst = max(worst, float(abs(velocity) / largest))
     return worst
 
@@ -232,46 +235,98 @@ def flow_rhs_from_products(state, params: ParamSet) -> List:
     return out
 
 
+def _left_out_products(zn, zs, n: int, qp) -> List:
+    """For each m, prod_{l != n, m} (q^k z_n - z_l)/(z_n - z_l): f_n(k) with
+    the factor of z_m left out (all of f_n(k) at m = n). Built from prefix
+    and suffix products, never by dividing f_n(k) by a factor, since a
+    geometric chain puts q^k z_n exactly on another zero."""
+    factors = [1 if l == n else (qp * zn - zl) / (zn - zl) for l, zl in enumerate(zs)]
+    suffix = [1] * (len(zs) + 1)
+    for l in range(len(zs) - 1, -1, -1):
+        suffix[l] = factors[l] * suffix[l + 1]
+    out, prefix = [], 1
+    for l, factor in enumerate(factors):
+        out.append(prefix * suffix[l + 1])
+        prefix = prefix * factor
+    return out
+
+
+def _central_quotients(velocities, base, step: float):
+    """Real-axis and imaginary-axis central quotients of velocities at base."""
+    f_plus, f_minus = velocities(base + step), velocities(base - step)
+    f_iplus, f_iminus = velocities(base + 1j * step), velocities(base - 1j * step)
+    col_re = [(fp - fm) / (2 * step) for fp, fm in zip(f_plus, f_minus)]
+    col_im = [(fp - fm) / (2j * step) for fp, fm in zip(f_iplus, f_iminus)]
+    return col_re, col_im
+
+
 def jacobian_fd(params: ParamSet, zeros):
-    """Central-difference Jacobian of flow_rhs at the given configuration.
+    """Central-difference Jacobian of the flow velocity at the given
+    configuration.
 
-    Column m is differenced with the step FD_REL_STEP * min(|z_m|, distance
-    from z_m to its nearest other zero): the zeros of one configuration can
-    span eight orders of magnitude or cluster far below 1, and one absolute
-    step would swamp the small ones. No zero is 0: the series has constant
-    term 1.
+    Column m moves z_m alone, and only the factor (q^k z_n - z_m)/(z_n - z_m)
+    of each f_n(k), n != m, depends on it. So the velocity terms, the powers
+    q^k, the collision check and, for every m, the products f_n(k) with that
+    factor left out are computed once per call; each moved velocity
+    n != m is then (P_n - Q_n z)/(z_n - z) with P_n, Q_n summed once per
+    column, and only row m is evaluated in full (f_n at the moved point).
+    Per shift, a column then costs O(N) on top of the O(N^2) shared
+    products, where a full flow_rhs per move cost O(N^2), O(N^3) in all. The
+    velocity formula is the one flow_rhs sums, and neither KernelCache nor
+    build_M is read, so the check against M stays independent.
 
-    The flow is holomorphic in each coordinate away from collisions, so the
-    real-axis and imaginary-axis difference quotients must agree on the same
-    complex derivative; their average is returned and a ConsistencyWarning is
-    raised when they disagree beyond 1e-6 relative.
+    Column m is differenced with the step h = eps^(1/5) * min(|z_m|, distance
+    from z_m to its nearest other zero), eps being the precision of the
+    zeros: the zeros of one configuration can span eight orders of magnitude
+    or cluster far below 1, and one absolute step would swamp the small ones.
+    No zero is 0: the series has constant term 1. The flow is holomorphic in
+    each coordinate away from collisions, so the real-axis and
+    imaginary-axis difference quotients must agree on the same complex
+    derivative, and the h^2 terms of the two cancel in their average, which
+    is returned. Its error is O(h^4) truncation plus O(eps/h) round-off,
+    smallest at h ~ eps^(1/5). A ConsistencyWarning is raised when the
+    quotients disagree beyond 1e-6 relative.
     """
-    zs = list(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
+    zs = tuple(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
+    _check_separation(zs)
     n_count = len(zs)
-
-    def quotients(m: int, step: float):
-        """Real-axis and imaginary-axis central quotients for column m."""
-        base = zs[m]
-        zs[m] = base + step
-        f_plus = flow_rhs(tuple(zs), params)
-        zs[m] = base - step
-        f_minus = flow_rhs(tuple(zs), params)
-        zs[m] = base + 1j * step
-        f_iplus = flow_rhs(tuple(zs), params)
-        zs[m] = base - 1j * step
-        f_iminus = flow_rhs(tuple(zs), params)
-        zs[m] = base
-        col_re = [(fp - fm) / (2 * step) for fp, fm in zip(f_plus, f_minus)]
-        col_im = [(fp - fm) / (2j * step) for fp, fm in zip(f_iplus, f_iminus)]
-        return col_re, col_im
+    q = params.q
+    terms = velocity_terms(params)
+    qk = {k: q**k for k, _, _ in terms}
+    # weight[n][k]: sum of c z_n^e over the addends of shift k
+    weight = []
+    for zn in zs:
+        w = dict.fromkeys(qk, 0)
+        for k, c, e in terms:
+            w[k] = w[k] + (c * zn if e else c)
+        weight.append(w)
+    left_out = [{k: _left_out_products(zn, zs, n, qk[k]) for k in qk} for n, zn in enumerate(zs)]
+    rel_step = context_of(zs[0]).eps ** 0.2
 
     cols = []
     worst_conjugate = 0.0
-    for m in range(n_count):
-        reach = min([abs(zs[m])] + [abs(zs[m] - zl) for l, zl in enumerate(zs) if l != m])
-        h = FD_REL_STEP * float(reach)
-        col_re, col_im = quotients(m, h)
-        col_re2, col_im2 = quotients(m, 2 * h)
+    for m, zm in enumerate(zs):
+        others = [n for n in range(n_count) if n != m]
+        # (P_n, Q_n) of each row n != m: velocity_n = (P_n - Q_n z)/(z_n - z)
+        pq = {}
+        for n in others:
+            p_acc = q_acc = 0
+            for k, w in weight[n].items():
+                wl = w * left_out[n][k][m]
+                p_acc = p_acc + wl * qk[k]
+                q_acc = q_acc + wl
+            pq[n] = (zs[n] * p_acc, q_acc)
+
+        def velocities(z):
+            """All velocities with z_m moved to z."""
+            out = [(pq[n][0] - pq[n][1] * z) / (zs[n] - z) for n in others]
+            out.insert(m, _velocity(terms, m, zs[:m] + (z,) + zs[m + 1 :], q))
+            return out
+
+        reach = min([abs(zm)] + [abs(zm - zs[n]) for n in others])
+        h = rel_step * float(reach)
+        col_re, col_im = _central_quotients(velocities, zm, h)
+        col_re2, col_im2 = _central_quotients(velocities, zm, 2 * h)
         col = []
         for a, b, a2, b2 in zip(col_re, col_im, col_re2, col_im2):
             col.append((a + b) / 2)

@@ -131,11 +131,6 @@ def _operator_route(p: Poly, params: ParamSet, zs: Sequence) -> List:
     return out
 
 
-def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
-    """Normalized annihilation residual of the operator route at each sample point."""
-    return [value / max(scale, TINY) for value, scale in _operator_route(p, params, zs)]
-
-
 def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
     """The expanded q-difference equation as (k, w, e) triples.
 
@@ -163,11 +158,12 @@ def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
 
 def _expanded_terms(p: Poly, terms, q, z):
     """Sum of the qde_terms addends at z and the largest addend magnitude."""
+    values = {k: eval_poly(p, z * q**k) for k in {t[0] for t in terms}}
     total = 0
     largest = 0.0
     for k, w, e in terms:
         weight = w * z if e else w
-        addend = weight * eval_poly(p, z * q**k)
+        addend = weight * values[k]
         total = total + addend
         largest = max(largest, abs(addend))
     return total, largest
@@ -185,6 +181,24 @@ def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
     return out
 
 
+def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[float]]:
+    """qde_residual and qde_expanded_agreement at each point, from one pass of
+    the operator route."""
+    orient = (-1) ** (params.s + 1)
+    terms = qde_terms(params)
+    residuals, agreements = [], []
+    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs)):
+        residuals.append(op_val / max(op_scale, TINY))
+        exp_val, exp_scale = _expanded_terms(p, terms, params.q, z)
+        agreements.append(abs(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
+    return residuals, agreements
+
+
+def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
+    """Normalized annihilation residual of the operator route at each sample point."""
+    return qde_checks(p, params, zs)[0]
+
+
 def qde_expanded_agreement(p: Poly, params: ParamSet, zs: Sequence) -> List[float]:
     """Defect between the operator route and the expanded route at each point.
 
@@ -192,10 +206,4 @@ def qde_expanded_agreement(p: Poly, params: ParamSet, zs: Sequence) -> List[floa
     polynomials in z; the defect is the raw difference over a scale shared by
     both routes, so it measures pure floating round-off.
     """
-    orient = (-1) ** (params.s + 1)
-    terms = qde_terms(params)
-    out = []
-    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs)):
-        exp_val, exp_scale = _expanded_terms(p, terms, params.q, z)
-        out.append(abs(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
-    return out
+    return qde_checks(p, params, zs)[1]

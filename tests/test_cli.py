@@ -196,6 +196,8 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     assert run("verify", cfg, "--precision", "extended", "--out", str(out)) == 0
     byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
     assert byname["prop1_residual_max"] < 1e-40
+    # an eps^(1/5) step brings the difference Jacobian to the extended level
+    assert byname["jacobian_defect"] < 1e-30
 
 
 def test_module_entry_point(tmp_path):

@@ -21,8 +21,10 @@ from qzeros.flow import (
     integrate_flow,
     jacobian_fd,
 )
+from qzeros import isospectral, zero_algebra
 from qzeros.isospectral import build_M, mu_closed
-from qzeros.params import ParamSet
+from qzeros.params import ParamSet, in_context
+from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 
 from conftest import zeros_of
@@ -191,6 +193,52 @@ def test_jacobian_matches_M(suite):
             J = jacobian_fd(params, zset)
             M = build_M(zset.zeros, params)
             assert _matrix_gap(J, M) < 1e-5
+
+
+def _flow_rhs_jacobian(params, zs):
+    """Real/imaginary average of central differences of flow_rhs, at
+    jacobian_fd's step eps^(1/5) * min(|z_m|, nearest distance)."""
+    zs = list(zs)
+    rel_step = context_of(zs[0]).eps ** 0.2
+    cols = []
+    for m, zm in enumerate(zs):
+        h = rel_step * float(min([abs(zm)] + [abs(zm - zl) for l, zl in enumerate(zs) if l != m]))
+
+        def at(z):
+            return flow_rhs(tuple(zs[:m] + [z] + zs[m + 1 :]), params)
+
+        re = [(a - b) / (2 * h) for a, b in zip(at(zm + h), at(zm - h))]
+        im = [(a - b) / (2j * h) for a, b in zip(at(zm + 1j * h), at(zm - 1j * h))]
+        cols.append([(a + b) / 2 for a, b in zip(re, im)])
+    return [[cols[m][n] for m in range(len(zs))] for n in range(len(zs))]
+
+
+@pytest.mark.parametrize("ctx, tol", [(F64, 1e-9), (extended(), 1e-40)])
+def test_jacobian_is_the_difference_of_flow_rhs(suite, ctx, tol):
+    # moving one coordinate at a time must difference the same velocity
+    # formula that flow_rhs sums over the full configuration
+    for index in (3, 7, 9, 14):
+        params = in_context(suite[index], ctx)
+        _, zset = zeros_of(params)
+        J = jacobian_fd(params, zset)
+        ref = _flow_rhs_jacobian(params, zset.zeros)
+        scale = max(abs(v) for row in ref for v in row)
+        gap = max(abs(a - b) for rj, rr in zip(J, ref) for a, b in zip(rj, rr))
+        assert gap < tol * scale
+
+
+def test_jacobian_reads_neither_kernel_cache_nor_M(suite, monkeypatch):
+    # jacobian_defect checks build_M against the flow; the difference must
+    # not lean on the matrix assembly it judges
+    def forbidden(*args, **kwargs):
+        raise AssertionError("jacobian_fd must not read the matrix assembly")
+
+    monkeypatch.setattr(zero_algebra, "KernelCache", forbidden)
+    monkeypatch.setattr(isospectral, "build_M", forbidden)
+    params = suite[9]
+    _, zset = zeros_of(params)
+    J = jacobian_fd(params, zset)
+    assert len(J) == params.N
 
 
 def test_jacobian_n1_hand_case():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -392,7 +393,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns a
+    fresh namespace on every call, so no parsed state carries over."""
     parser = argparse.ArgumentParser(
         prog="qzeros",
         description="numerical checks for zeros of generalized basic hypergeometric polynomials",

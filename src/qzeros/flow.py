@@ -43,7 +43,7 @@ from .isospectral import mu_n
 from .params import ParamSet
 from .precision import TINY, context_of
 from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import _prop1_terms, _shift_products, decancelled_size, f_n, velocity_terms
+from .zero_algebra import _left_out_products, decancelled_size, f_n, velocity_terms
 
 COLLISION_TOL = 1e-10
 
@@ -214,43 +214,6 @@ def equilibrium_residual(zeros, params: ParamSet) -> float:
     return worst
 
 
-def flow_rhs_from_products(state, params: ParamSet) -> List:
-    """Dual route: the n-th velocity is (-1)^s times the n-th zero identity,
-    built from shifted full products over the configuration, divided by
-    z_n prod_{l != n} (z_n - z_l). Algebraically identical to flow_rhs."""
-    zs = state.z if isinstance(state, FlowState) else tuple(state)
-    sign = (-1) ** params.s
-    out = []
-    for n, zn in enumerate(zs):
-        terms = _prop1_terms(zs, n, params)
-        prods = _shift_products(zs, n, params.q, [k for _, k in terms])
-        total = 0
-        for coef, k in terms:
-            total = total + coef * prods[k]
-        denom = zn
-        for l, zl in enumerate(zs):
-            if l != n:
-                denom = denom * (zn - zl)
-        out.append(sign * total / denom)
-    return out
-
-
-def _left_out_products(zn, zs, n: int, qp) -> List:
-    """For each m, prod_{l != n, m} (q^k z_n - z_l)/(z_n - z_l): f_n(k) with
-    the factor of z_m left out (all of f_n(k) at m = n). Built from prefix
-    and suffix products, never by dividing f_n(k) by a factor, since a
-    geometric chain puts q^k z_n exactly on another zero."""
-    factors = [1 if l == n else (qp * zn - zl) / (zn - zl) for l, zl in enumerate(zs)]
-    suffix = [1] * (len(zs) + 1)
-    for l in range(len(zs) - 1, -1, -1):
-        suffix[l] = factors[l] * suffix[l + 1]
-    out, prefix = [], 1
-    for l, factor in enumerate(factors):
-        out.append(prefix * suffix[l + 1])
-        prefix = prefix * factor
-    return out
-
-
 def _central_quotients(velocities, base, step: float):
     """Real-axis and imaginary-axis central quotients of velocities at base."""
     f_plus, f_minus = velocities(base + step), velocities(base - step)
@@ -300,7 +263,7 @@ def jacobian_fd(params: ParamSet, zeros):
         for k, c, e in terms:
             w[k] = w[k] + (c * zn if e else c)
         weight.append(w)
-    left_out = [{k: _left_out_products(zn, zs, n, qk[k]) for k in qk} for n, zn in enumerate(zs)]
+    left_out = [{k: _left_out_products(zs, n, qk[k]) for k in qk} for n in range(n_count)]
     rel_step = context_of(zs[0]).eps ** 0.2
 
     cols = []

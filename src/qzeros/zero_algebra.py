@@ -14,7 +14,8 @@ the same family:
 
 A KernelCache precomputes all values over the contiguous shift range the
 matrix assembly reads (min(1, s-r) .. s+1), since the matrix reuses each
-O(N^2) times.
+O(N^2) times. It builds every f_nm(p) of one row n from the prefix and
+suffix products of f_n(p) (_left_out_products), O(N^2) per shift.
 
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
@@ -57,12 +58,33 @@ def f_nm(p: int, n: int, m: int, zeros: Sequence, q):
         raise IndexCollision(f"kernel excluding two indices needs n != m, got n = m = {n}")
     if p == 0:
         return 1 + 0 * q
-    qp = q**p
+    return _left_out_products(zeros, n, q**p)[m]
+
+
+def _left_out_products(zeros: Sequence, n: int, qp) -> List:
+    """f_n(p) with the factor of each z_m left out, for m = 0..N-1, qp = q^p:
+
+        out[m] = prod_{l != n, m} (q^p z_n - z_l)/(z_n - z_l),  m != n,
+        out[n] = f_n(p), the full product, equal to f_n's value bit for bit.
+
+    Built from prefix and suffix products in O(N), never by dividing f_n(p)
+    by a factor, since a geometric chain puts q^p z_n exactly on another
+    zero. The one home of these products: f_nm, KernelCache and
+    flow.jacobian_fd read them.
+    """
     zn = zeros[n]
-    out = 1 + 0 * q
-    for l, zl in enumerate(zeros):
-        if l != n and l != m:
-            out = out * (qp * zn - zl) / (zn - zl)
+    pairs = [(qp * zn - zl, zn - zl) for zl in zeros]
+    suffix = [1] * (len(pairs) + 1)
+    for l in range(len(pairs) - 1, -1, -1):
+        num, den = pairs[l]
+        suffix[l] = suffix[l + 1] if l == n else num / den * suffix[l + 1]
+    out, prefix = [], 1
+    for l, (num, den) in enumerate(pairs):
+        out.append(prefix * suffix[l + 1])
+        if l != n:
+            # the rounding order of f_n, so that out[n] equals it bit for bit
+            prefix = prefix * num / den
+    out[n] = prefix
     return out
 
 
@@ -96,12 +118,13 @@ class KernelCache:
         self.fnm: Dict[int, List[List]] = {}
         self.g: Dict[int, List] = {}
         for p in shift_range(r, s):
-            self.f[p] = [f_n(p, n, self.zeros, q) for n in range(n_count)]
-            table = [[None] * n_count for _ in range(n_count)]
-            for n in range(n_count):
-                for m in range(n_count):
-                    if m != n:
-                        table[n][m] = f_nm(p, n, m, self.zeros, q)
+            if p == 0:
+                self.f[p] = [1 + 0 * q] * n_count
+                table = [[1 + 0 * q] * n_count for _ in range(n_count)]
+            else:
+                qp = q**p
+                table = [_left_out_products(self.zeros, n, qp) for n in range(n_count)]
+                self.f[p] = [table[n][n] for n in range(n_count)]
             self.fnm[p] = table
             gvals = []
             for n in range(n_count):

@@ -2,12 +2,14 @@
 
 The matrix assemblies for (r, s) = (1, 1), (2, 1), (2, 2) are separate code
 paths that pin the sign conventions of the general build_M;
-prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity.
+prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
+flow_rhs_from_products is the zero flow built from the zero identities.
 """
 
 from typing import List, Sequence
 
 from qzeros.errors import DegreeMismatch
+from qzeros.flow import FlowState
 from qzeros.isospectral import IsoMatrix
 from qzeros.params import ParamSet
 from qzeros.precision import TINY
@@ -154,3 +156,24 @@ def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
     for coef, k in terms:
         largest = max(largest, float(abs(coef)) * mags[k])
     return largest
+
+
+def flow_rhs_from_products(state, params: ParamSet) -> List:
+    """Dual route: the n-th velocity is (-1)^s times the n-th zero identity,
+    built from shifted full products over the configuration, divided by
+    z_n prod_{l != n} (z_n - z_l). Algebraically identical to flow_rhs."""
+    zs = state.z if isinstance(state, FlowState) else tuple(state)
+    sign = (-1) ** params.s
+    out = []
+    for n, zn in enumerate(zs):
+        terms = _prop1_terms(zs, n, params)
+        prods = _shift_products(zs, n, params.q, [k for _, k in terms])
+        total = 0
+        for coef, k in terms:
+            total = total + coef * prods[k]
+        denom = zn
+        for l, zl in enumerate(zs):
+            if l != n:
+                denom = denom * (zn - zl)
+        out.append(sign * total / denom)
+    return out

@@ -8,7 +8,7 @@ import sys
 import mpmath
 import pytest
 
-from qzeros.cli import main
+from qzeros.cli import DEFAULT_THRESHOLDS, build_parser, main
 
 BASE = {
     "r": 1,
@@ -78,6 +78,17 @@ def test_verify_passes_and_is_deterministic(tmp_path):
 def test_verify_tol_override_fails(tmp_path):
     cfg = write_config(tmp_path)
     assert run("verify", cfg, "--tol", "1e-15", "--out", str(tmp_path / "r.json")) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("verify", cfg, "--tol", "1e-30", "--out", str(out1)) == 1
+    assert run("verify", cfg, "--out", str(out2)) == 0
+    assert {c["threshold"] for c in load_report(out1)["checks"]} == {1e-30}
+    for check in load_report(out2)["checks"]:
+        assert check["threshold"] == DEFAULT_THRESHOLDS[check["name"]]
 
 
 def test_config_errors_exit_2(tmp_path):

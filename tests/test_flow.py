@@ -17,7 +17,6 @@ from qzeros.flow import (
     evolve_coeffs,
     fixed_point,
     flow_rhs,
-    flow_rhs_from_products,
     integrate_flow,
     jacobian_fd,
 )
@@ -28,6 +27,7 @@ from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 
 from conftest import zeros_of
+from oracles import flow_rhs_from_products
 
 CONTRACTIVE = ParamSet(r=0, s=1, N=6, q=0.45, alpha=(), beta=(1.3 - 0.4j,))
 

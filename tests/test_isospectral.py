@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from qzeros import isospectral
 from qzeros.errors import LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     IsoMatrix,
@@ -19,8 +21,9 @@ from qzeros.isospectral import (
     mu_closed_exact,
 )
 from qzeros.params import ParamSet, validate
+from qzeros.precision import extended
 
-from conftest import zeros_of
+from conftest import suite_cases, zeros_of
 from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2
 
 
@@ -226,3 +229,68 @@ def test_reduction_retains_alpha2_factor():
     )
     assert diff > 1e-2
     assert not match_spectrum(lam, mu_closed(reduced)).is_match
+
+
+EPS64 = 2.0**-52
+# the suite cases whose binary64 eigenvalue certificate of M fails
+ESCALATING = (19, 26, 38)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that each call's result is recorded."""
+    original = getattr(module, name)
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, counted)
+    return results
+
+
+def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
+    eig_calls = _counting(monkeypatch, mpmath, "eig")
+    refined = _counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    for params in suite:
+        _, lam = certified_spectrum(params, zeros_of(params)[1].zeros)
+        assert match_spectrum(lam, mu_closed(params)).is_match
+    assert len(refined) == len(ESCALATING)
+    assert all(vals is not None for vals in refined)
+    assert eig_calls == []
+
+
+def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
+    for index in ESCALATING:
+        params = suite[index]
+        zeros = zeros_of(params)[1].zeros
+        _, lam = certified_spectrum(params, zeros)
+        with monkeypatch.context() as patch:
+            patch.setattr(isospectral, "_refined_eigenvalues", lambda rows: None)
+            _, ref = certified_spectrum(params, zeros)
+        nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in lam]
+        assert sorted(nearest) == list(range(len(ref))), index
+        for v, j in zip(lam, nearest):
+            assert abs(v - ref[j]) <= 4 * EPS64 * abs(ref[j]), index
+
+
+def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):
+    # r = 1, s = 0, N = 10 at q = -0.224: eigenvalue condition about 1e12,
+    # bordered-matrix condition about 1e16, beyond binary64 corrections
+    params = suite_cases(200)[199]
+    refined = _counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    _, lam = certified_spectrum(params)
+    assert refined == [None] and len(fallback) == 1
+    assert lam == [complex(v) for v in fallback[0]]
+    assert match_spectrum(lam, mu_closed(params)).is_match
+
+
+def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
+    # eigenvalues 1 +- 1e-30: binary64 sees a double eigenvalue 1, and the
+    # two starts cannot be refined to two certified, separated eigenvalues
+    ctx = extended(40)
+    rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
+    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    got = isospectral._eig_escalated(rows)
+    assert len(fallback) == 1 and got is fallback[0]

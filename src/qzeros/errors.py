@@ -29,14 +29,6 @@ class InvalidDegree(QZerosError):
     """Polynomial degree N < 1."""
 
 
-class ReductionMismatch(QZerosError):
-    """Trailing alpha/beta pairs requested for cancellation are not equal."""
-
-
-class ReductionTooDeep(QZerosError):
-    """Cancellation depth u would leave fewer than one alpha or beta."""
-
-
 class OverflowRisk(QZerosError):
     """An intermediate magnitude left the safe binary64 range; extended precision advised."""
 

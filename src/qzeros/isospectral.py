@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
-from .precision import TINY, PrecisionContext, context_of, extended
+from .precision import F64, TINY, PrecisionContext, context_of, extended
 from .qseries import coeffs_P, eval_poly_deriv, to_monic
 from .rootfind import ZeroSet, find_zeros
 from .zero_algebra import KernelCache, velocity_terms
@@ -133,7 +133,8 @@ def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: 
 # reached 5.7 times the estimate on benchmark-stream companion matrices)
 EIG_TARGET = 1e-9
 # Newton corrections per eigenpair before _refined_eigenvalues gives up; no
-# pair it certifies on the first 625 benchmark stream cases takes more than 4
+# pair it certifies on the first 625 benchmark stream cases takes more than 4,
+# nor more than 3 to reach 50 digits on the 175 N <= 5 ones
 REFINE_STEPS = 6
 
 
@@ -185,16 +186,20 @@ def _eig_with_bound(arr):
     return vals, worst
 
 
-def _refined_eigenvalues(rows) -> List | None:
+def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
-    eigenpairs, or None when they cannot be certified that way.
+    eigenpairs, or None when they cannot be certified that way. eps_out is
+    the eps of the precision the caller returns them in: eps64 when they
+    are rounded to binary64, the entries' own eps when they are kept.
 
     Newton on (x, lambda) with x normalised to 1 at its largest component s
     (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
     residual r = M x - lambda x is computed in the digits of the entries,
     one fdot per row, and the correction solves, in binary64, the bordered
     matrix A - lambda I with column s replaced by -x, A being M rounded to
-    binary64. The bordered matrix is rebuilt at each correction: with one
+    binary64. Each correction gains about as many digits as binary64
+    holds, less the eigenvalue's condition, so two or three reach 50
+    digits. The bordered matrix is rebuilt at each correction: with one
     factorisation the iteration converges only linearly, at a rate set by
     the start's eigenvalue error times the eigenvalue's condition, which
     on suite case 19 takes eight corrections to reach EIG_TARGET where
@@ -203,14 +208,14 @@ def _refined_eigenvalues(rows) -> List | None:
     lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
     it lies within ||r|| ||y|| / |y^H x| of one of M's, y being the binary64
     left eigenvector. That certificate stops a pair once it reaches
-    eps64 |lambda| (the eigenvalues are returned rounded to binary64), once
-    it stops decreasing, or after REFINE_STEPS corrections; it may rise at
-    the first correction, since the binary64 start has a backward-stable
-    residual but a poor eigenvector when the eigenvalue is ill-conditioned.
-    The result is accepted only if every certificate is below
-    EIG_TARGET |lambda| and every two eigenvalues lie farther apart than the
-    sum of their certificates, so that no two starts converged to one
-    eigenvalue of M.
+    eps_out |lambda|, once it stops decreasing, or after REFINE_STEPS
+    corrections; it may rise at the first correction, since the binary64
+    start has a backward-stable residual but a poor eigenvector when the
+    eigenvalue is ill-conditioned. The result is accepted only if every
+    certificate is below EIG_TARGET (eps_out / eps64) |lambda|, the margin
+    above round-off that EIG_TARGET gives binary64, and every two
+    eigenvalues lie farther apart than the sum of their certificates, so
+    that no two starts converged to one eigenvalue of M.
     """
     ctx = context_of(rows[0][0])
     fdot = ctx.mp.fdot
@@ -220,7 +225,7 @@ def _refined_eigenvalues(rows) -> List | None:
         vals, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
     except np.linalg.LinAlgError:
         return None
-    eps = float(np.finfo(float).eps)
+    target = EIG_TARGET * (eps_out / F64.eps)
     lams, certs = [], []
     for i in range(n):
         y = vl[:, i]
@@ -241,7 +246,7 @@ def _refined_eigenvalues(rows) -> List | None:
             if step > 1 and cert >= prev:
                 break
             prev = cert
-            if cert <= eps * abs(complex(lam)) or step == REFINE_STEPS:
+            if cert <= eps_out * abs(complex(lam)) or step == REFINE_STEPS:
                 break
             bordered = arr - complex(lam) * np.eye(n)
             bordered[:, s] = -x64
@@ -253,23 +258,26 @@ def _refined_eigenvalues(rows) -> List | None:
             delta[s] = 0
             x = [v + ctx.convert(d) for v, d in zip(x, delta)]
         cert, lam = best
-        if not cert <= EIG_TARGET * abs(complex(lam)):
+        if not cert <= target * abs(complex(lam)):
             return None
         lams.append(lam)
         certs.append(cert)
     for i in range(n):
         for j in range(i + 1, n):
-            if not abs(complex(lams[i]) - complex(lams[j])) > certs[i] + certs[j]:
+            if not float(abs(lams[i] - lams[j])) > certs[i] + certs[j]:
                 return None
     return lams
 
 
-def _eig_escalated(rows) -> List:
+def _eig_escalated(rows, eps_out: float | None = None) -> List:
     """Eigenvalues of the extended matrix rows: refined from binary64
-    eigenpairs when that certifies, else mpmath.eig at the entries' digits."""
-    vals = _refined_eigenvalues(rows)
+    eigenpairs when that certifies, else mpmath.eig at the entries' digits.
+    eps_out is the eps of the precision they are returned in, by default
+    that of the entries."""
+    ctx = context_of(rows[0][0])
+    vals = _refined_eigenvalues(rows, ctx.eps if eps_out is None else eps_out)
     if vals is None:
-        vals = _eig_extended(rows, context_of(rows[0][0]))
+        vals = _eig_extended(rows, ctx)
     return vals
 
 
@@ -310,13 +318,18 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
 
 def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     """Matrix and eigenvalues for the spectrum identity, with the
-    eigenvalues certified below EIG_TARGET relative forward error (up to
-    the dimension constant _eig_with_bound leaves out).
+    eigenvalues certified below EIG_TARGET relative forward error in
+    binary64 and EIG_TARGET (eps / eps64) at extended digits (first-order
+    estimates, which leave out the backward error's dimension constant).
 
     The precision is that of params.q. zeros is the caller's zero set of
     params, found in that precision; when omitted, the zeros are found
-    here. With extended params the matrix and its eigenvalues are computed
-    at their digits from those zeros.
+    here. With extended params the matrix is built at their digits from
+    those zeros, and its eigenvalues are refined from its binary64
+    eigenpairs to the eps of those digits (_refined_eigenvalues, each
+    certified below EIG_TARGET (eps / eps64) |lambda|); mpmath.eig solves
+    it only when that fails (none of the 175 N <= 5 benchmark stream
+    cases).
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
@@ -326,15 +339,15 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     covers the decision: when it exceeds EIG_TARGET, the zeros are refined
     in extended digits and the matrix rebuilt there. Its eigenvalues are
     then refined by Newton from the binary64 eigenpairs of that matrix,
-    with the residuals in the extended digits (_refined_eigenvalues); only
-    when that cannot certify them does mpmath.eig solve it at those digits
-    (1 of the 19 escalations of the first 625 benchmark stream cases). The
-    decision never consults the closed-form spectrum, so escalation is a
-    property of the assembled matrix alone. M is not balanced the way
-    eigenvalues_dense balances: over the first 625 benchmark stream cases
-    its certificate fails 19 times with balancing and 19 times without, and
-    an escalation rebuilds M in extended digits, where the scaling would
-    have to follow.
+    with the residuals in the extended digits, to the binary64 eps they
+    are returned in (_refined_eigenvalues); only when that cannot certify
+    them does mpmath.eig solve it at those digits (1 of the 19 escalations
+    of the first 625 benchmark stream cases). The decision never consults
+    the closed-form spectrum, so escalation is a property of the assembled
+    matrix alone. M is not balanced the way eigenvalues_dense balances:
+    over the first 625 benchmark stream cases its certificate fails 19
+    times with balancing and 19 times without, and an escalation rebuilds
+    M in extended digits, where the scaling would have to follow.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
     (its consumers, the entrywise and trace checks, are well conditioned);
@@ -345,7 +358,7 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     M = build_M(zeros, params)
     ctx = context_of(params.q)
     if ctx.mp is not None:
-        return M, _eig_extended(M.entries, ctx)
+        return M, _eig_escalated(M.entries)
     vals, worst = _eig_with_bound(_dense(M.entries))
     if worst > EIG_TARGET:
         # six Newton sweeps refine the zeros to the escalated digits: binary64
@@ -363,7 +376,7 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
                 val, der = eval_poly_deriv(pe, z)
                 refined.append(z - val / der if der != 0 else z)
             zs = refined
-        vals = _eig_escalated(build_M(zs, ext_params).entries)
+        vals = _eig_escalated(build_M(zs, ext_params).entries, F64.eps)
     return M, [complex(v) for v in vals]
 
 

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
-from .errors import (
-    InvalidDegree,
-    NonGenericParameter,
-    ReductionMismatch,
-    ReductionTooDeep,
-)
+from .errors import InvalidDegree, NonGenericParameter
 
 # absolute tolerance (after scaling by the local pole magnitude) below which a
 # parameter counts as sitting on a pole
@@ -122,35 +117,3 @@ def elem_sym(params: ParamSet) -> SymFuncs:
     full products prod(alpha_j), prod(beta_k).
     """
     return SymFuncs(a=_elementary(params.alpha), b=_elementary(params.beta))
-
-
-def reduce(params: ParamSet, u: int) -> ParamSet:
-    """Drop u trailing alpha/beta pairs that are equal (they cancel in every
-    coefficient, so the reduced tuple generates the identical polynomial).
-
-    u = 0 is the identity for any params. Otherwise requires u <= min(r-1, s-1)
-    and alpha[r-u+i] == beta[s-u+i] within GENERICITY_TOL for i = 0..u-1.
-    """
-    if u < 0:
-        raise ValueError(f"u must be nonnegative, got {u}")
-    if u == 0:
-        return params
-    if u > min(params.r - 1, params.s - 1):
-        raise ReductionTooDeep(
-            f"u={u} would leave r={params.r - u} or s={params.s - u} below 1"
-        )
-    for i in range(u):
-        av = params.alpha[params.r - u + i]
-        bv = params.beta[params.s - u + i]
-        if abs(av - bv) > GENERICITY_TOL * max(1.0, abs(av)):
-            raise ReductionMismatch(
-                f"alpha_{params.r - u + i + 1} = {av!r} != beta_{params.s - u + i + 1} = {bv!r}"
-            )
-    return ParamSet(
-        r=params.r - u,
-        s=params.s - u,
-        N=params.N,
-        q=params.q,
-        alpha=params.alpha[: params.r - u],
-        beta=params.beta[: params.s - u],
-    )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import DegreeMismatch, NoConvergence, OverflowRisk, ZeroLeadingCoefficient
+from .errors import OverflowRisk, ZeroLeadingCoefficient
 from .params import ParamSet
 from .precision import context_of
 
@@ -121,61 +121,6 @@ def eval_poly_deriv(p: Poly, z):
         dacc = dacc * z + acc
         acc = acc * z + c
     return acc, dacc
-
-
-MAX_SERIES_TERMS = 10000
-
-
-def eval_phi(alphas_full, params: ParamSet, z, tol: float):
-    """Truncated series evaluation with numerator parameters alphas_full
-    (length r+1; the extra leading entry plays the terminating role when it
-    equals q^{-N} exactly).
-
-    Terminates when three consecutive term magnitudes fall below tol * |partial
-    sum| (or exactly, when a term ratio vanishes). Requires |q| < 1 for decay
-    unless the series terminates.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if len(alphas_full) != params.r + 1:
-        raise DegreeMismatch(
-            f"expected {params.r + 1} numerator parameters, got {len(alphas_full)}"
-        )
-    q = params.q
-    terminating = alphas_full[0] == q ** (-params.N)
-    if abs(q) >= 1 and not terminating:
-        raise ValueError("series evaluation requires |q| < 1 unless it terminates")
-
-    diff = params.s - params.r
-    total = 1.0 + 0.0 * q
-    term = total
-    qpow = 1.0 + 0.0 * q  # q^{p-1} while forming term p
-    small_streak = 0
-    for p in range(1, MAX_SERIES_TERMS + 1):
-        if terminating and p > params.N:
-            # the (alphas_full[0]; q)_p factor vanishes from here on
-            return total
-        num = 1.0 + 0.0 * q
-        for a in alphas_full:
-            num = num * (1 - a * qpow)
-        den = 1 - qpow * q
-        for b in params.beta:
-            den = den * (1 - b * qpow)
-        ratio = (num / den) * z
-        if diff:
-            ratio = ratio * (-qpow) ** diff
-        if ratio == 0:
-            return total
-        term = term * ratio
-        total = total + term
-        qpow = qpow * q
-        if abs(term) < tol * abs(total):
-            small_streak += 1
-            if small_streak == 3:
-                return total
-        else:
-            small_streak = 0
-    raise NoConvergence(f"series did not settle within {MAX_SERIES_TERMS} terms")
 
 
 def monic_prefactor(params: ParamSet):

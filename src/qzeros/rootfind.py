@@ -3,11 +3,13 @@
 find_zeros runs the Aberth-Ehrlich simultaneous iteration (cubic local
 convergence) from a geometric-spiral initial configuration tuned to the
 quasi-geometric spread of this polynomial family's zeros, then polishes each
-root with one Newton step. companion_zeros is the independent cross-check
-oracle: eigenvalues of the companion matrix through the dense eigensolver
-(isospectral.eigenvalues_dense), which balances the matrix and then
-certifies, and if need be escalates, on the balanced matrix. The two routes
-share no code beyond polynomial evaluation.
+root with one Newton step. With extended coefficients the spiral start is
+first solved in binary64, and the extended sweeps only finish from there.
+companion_zeros is the independent cross-check oracle: eigenvalues of the
+companion matrix through the dense eigensolver (isospectral.eigenvalues_dense),
+which balances the matrix and then certifies, and if need be escalates, on
+the balanced matrix. The two routes share no code beyond polynomial
+evaluation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import List, Tuple
 
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
-from .precision import TINY, PrecisionContext, context_of
+from .precision import F64, TINY, PrecisionContext, context_of
 from .qseries import Poly, eval_poly_deriv
 
 MAX_SWEEPS = 500
@@ -107,42 +109,15 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
     return out
 
 
-def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
-    """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration,
-    in the precision of its coefficients.
-
-    Converged when the largest relative correction drops below the context's
-    step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; one Newton
-    polish per root afterwards; output canonically ordered by (magnitude,
-    phase) so repeated runs are deterministic.
-    """
-    if not p.monic:
-        raise ValueError("find_zeros expects a monic polynomial")
-    N = p.degree
-    if N < 1:
-        raise ValueError("degree must be at least 1")
-    ctx = context_of(p.coeffs[0])
-    if ctx.mp is None:
-        if N > F64_DEGREE_CAP:
-            raise OverflowRisk(
-                f"degree {N} above the binary64 desk-scale cap {F64_DEGREE_CAP};"
-                " use extended precision"
-            )
-        if N > F64_DEGREE_WARN:
-            warnings.warn(
-                f"degree {N} above {F64_DEGREE_WARN}: binary64 coefficient dynamic"
-                " range degrades zero accuracy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    zs = _spiral_init(p, params.q, N, ctx)
-    if N == 1:
-        zs = [-p.coeffs[0]]
-        return _certify(_canonical_order(zs), p)
-
+def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
+    """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, then one
+    Newton polish per root; raises NoConvergence when the budget runs out."""
+    zs = list(zs)
+    N = len(zs)
     tol = ctx.root_step_tol
-    abs_coeffs = [float(abs(c)) for c in p.coeffs]
+    # magnitudes in the scalar type: an extended coefficient beyond the
+    # binary64 range would make a float floor inf and settle every root
+    abs_coeffs = [abs(c) for c in p.coeffs]
     # a root is settled once |p(z)| sits at the Horner rounding floor; past
     # that point further corrections only shuffle noise (clustered zeros of
     # high-N small-|q| polynomials never reach the step tolerance otherwise)
@@ -193,8 +168,72 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
         val, der = eval_poly_deriv(p, zs[n])
         if der != 0 and abs(val) > noise_floor(zs[n]):
             zs[n] = zs[n] - val / der
+    return zs
 
-    return _certify(_canonical_order(zs), p)
+
+def _binary64_start(p: Poly, spiral: List) -> List | None:
+    """Zeros of p rounded to binary64, found from the spiral, as a start for
+    the extended sweeps; None when they cannot serve as one (coefficients
+    or zeros that are not finite, no convergence, or two zeros closer than
+    SEPARATION_FLOOR, which the extended 1 / (z_n - z_m) cannot pull apart)."""
+    p64 = Poly(tuple(complex(c) for c in p.coeffs), monic=True)
+    if not all(cmath.isfinite(c) for c in p64.coeffs):
+        return None
+    try:
+        zs = _aberth(p64, [complex(z) for z in spiral], F64)
+    except NoConvergence:
+        return None
+    if not all(cmath.isfinite(z) for z in zs) or relative_separation(zs) <= SEPARATION_FLOOR:
+        return None
+    return zs
+
+
+def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
+    """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration,
+    in the precision of its coefficients.
+
+    Converged when the largest relative correction drops below the context's
+    step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; one Newton
+    polish per root afterwards; output canonically ordered by (magnitude,
+    phase) so repeated runs are deterministic.
+
+    Extended coefficients are first rounded to binary64 and solved there
+    from the spiral; the sweeps at the extended digits then start from
+    those zeros, which the cubic convergence carries to the extended step
+    tolerance in two or three sweeps (the float start, multiprecision
+    finish of MPSolve; Bini & Fiorentino, Numer. Algorithms 23, 2000). When
+    the binary64 zeros cannot serve as a start, the extended sweeps start
+    from the spiral, as binary64 does.
+    """
+    if not p.monic:
+        raise ValueError("find_zeros expects a monic polynomial")
+    N = p.degree
+    if N < 1:
+        raise ValueError("degree must be at least 1")
+    ctx = context_of(p.coeffs[0])
+    if ctx.mp is None:
+        if N > F64_DEGREE_CAP:
+            raise OverflowRisk(
+                f"degree {N} above the binary64 desk-scale cap {F64_DEGREE_CAP};"
+                " use extended precision"
+            )
+        if N > F64_DEGREE_WARN:
+            warnings.warn(
+                f"degree {N} above {F64_DEGREE_WARN}: binary64 coefficient dynamic"
+                " range degrades zero accuracy",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    zs = _spiral_init(p, params.q, N, ctx)
+    if N == 1:
+        zs = [-p.coeffs[0]]
+        return _certify(_canonical_order(zs), p)
+    if ctx.mp is not None:
+        start = _binary64_start(p, zs)
+        if start is not None:
+            zs = [ctx.convert(z) for z in start]
+    return _certify(_canonical_order(_aberth(p, zs, ctx)), p)
 
 
 def companion_zeros(p: Poly) -> List:

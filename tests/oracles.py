@@ -3,15 +3,18 @@
 The matrix assemblies for (r, s) = (1, 1), (2, 1), (2, 2) are separate code
 paths that pin the sign conventions of the general build_M;
 prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
-flow_rhs_from_products is the zero flow built from the zero identities.
+flow_rhs_from_products is the zero flow built from the zero identities;
+eval_phi sums the hypergeometric series itself, an oracle for the
+coefficient recurrence of coeffs_P; reduce cancels equal trailing
+alpha/beta pairs, which leaves the polynomial unchanged.
 """
 
 from typing import List, Sequence
 
-from qzeros.errors import DegreeMismatch
+from qzeros.errors import DegreeMismatch, NoConvergence, QZerosError
 from qzeros.flow import FlowState
 from qzeros.isospectral import IsoMatrix
-from qzeros.params import ParamSet
+from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import TINY
 from qzeros.zero_algebra import (
     KernelCache,
@@ -177,3 +180,98 @@ def flow_rhs_from_products(state, params: ParamSet) -> List:
                 denom = denom * (zn - zl)
         out.append(sign * total / denom)
     return out
+
+
+MAX_SERIES_TERMS = 10000
+
+
+def eval_phi(alphas_full, params: ParamSet, z, tol: float):
+    """Truncated series evaluation with numerator parameters alphas_full
+    (length r+1; the extra leading entry plays the terminating role when it
+    equals q^{-N} exactly).
+
+    Terminates when three consecutive term magnitudes fall below tol * |partial
+    sum| (or exactly, when a term ratio vanishes). Requires |q| < 1 for decay
+    unless the series terminates.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if len(alphas_full) != params.r + 1:
+        raise DegreeMismatch(
+            f"expected {params.r + 1} numerator parameters, got {len(alphas_full)}"
+        )
+    q = params.q
+    terminating = alphas_full[0] == q ** (-params.N)
+    if abs(q) >= 1 and not terminating:
+        raise ValueError("series evaluation requires |q| < 1 unless it terminates")
+
+    diff = params.s - params.r
+    total = 1.0 + 0.0 * q
+    term = total
+    qpow = 1.0 + 0.0 * q  # q^{p-1} while forming term p
+    small_streak = 0
+    for p in range(1, MAX_SERIES_TERMS + 1):
+        if terminating and p > params.N:
+            # the (alphas_full[0]; q)_p factor vanishes from here on
+            return total
+        num = 1.0 + 0.0 * q
+        for a in alphas_full:
+            num = num * (1 - a * qpow)
+        den = 1 - qpow * q
+        for b in params.beta:
+            den = den * (1 - b * qpow)
+        ratio = (num / den) * z
+        if diff:
+            ratio = ratio * (-qpow) ** diff
+        if ratio == 0:
+            return total
+        term = term * ratio
+        total = total + term
+        qpow = qpow * q
+        if abs(term) < tol * abs(total):
+            small_streak += 1
+            if small_streak == 3:
+                return total
+        else:
+            small_streak = 0
+    raise NoConvergence(f"series did not settle within {MAX_SERIES_TERMS} terms")
+
+
+class ReductionMismatch(QZerosError):
+    """Trailing alpha/beta pairs requested for cancellation are not equal."""
+
+
+class ReductionTooDeep(QZerosError):
+    """Cancellation depth u would leave fewer than one alpha or beta."""
+
+
+def reduce(params: ParamSet, u: int) -> ParamSet:
+    """Drop u trailing alpha/beta pairs that are equal (they cancel in every
+    coefficient, so the reduced tuple generates the identical polynomial).
+
+    u = 0 is the identity for any params. Otherwise requires u <= min(r-1, s-1)
+    and alpha[r-u+i] == beta[s-u+i] within GENERICITY_TOL for i = 0..u-1.
+    """
+    if u < 0:
+        raise ValueError(f"u must be nonnegative, got {u}")
+    if u == 0:
+        return params
+    if u > min(params.r - 1, params.s - 1):
+        raise ReductionTooDeep(
+            f"u={u} would leave r={params.r - u} or s={params.s - u} below 1"
+        )
+    for i in range(u):
+        av = params.alpha[params.r - u + i]
+        bv = params.beta[params.s - u + i]
+        if abs(av - bv) > GENERICITY_TOL * max(1.0, abs(av)):
+            raise ReductionMismatch(
+                f"alpha_{params.r - u + i + 1} = {av!r} != beta_{params.s - u + i + 1} = {bv!r}"
+            )
+    return ParamSet(
+        r=params.r - u,
+        s=params.s - u,
+        N=params.N,
+        q=params.q,
+        alpha=params.alpha[: params.r - u],
+        beta=params.beta[: params.s - u],
+    )

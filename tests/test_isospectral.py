@@ -1,5 +1,6 @@
 """Matrix assembly, spectra, closed-form eigenvalues, exact rational path."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 
 from qzeros import isospectral
+from qzeros.cli import main
 from qzeros.errors import LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     IsoMatrix,
@@ -20,8 +22,10 @@ from qzeros.isospectral import (
     mu_closed,
     mu_closed_exact,
 )
-from qzeros.params import ParamSet, validate
+from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import extended
+from qzeros.qseries import coeffs_P, to_monic
+from qzeros.rootfind import find_zeros
 
 from conftest import suite_cases, zeros_of
 from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2
@@ -266,7 +270,7 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
         zeros = zeros_of(params)[1].zeros
         _, lam = certified_spectrum(params, zeros)
         with monkeypatch.context() as patch:
-            patch.setattr(isospectral, "_refined_eigenvalues", lambda rows: None)
+            patch.setattr(isospectral, "_refined_eigenvalues", lambda rows, eps_out: None)
             _, ref = certified_spectrum(params, zeros)
         nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in lam]
         assert sorted(nearest) == list(range(len(ref))), index
@@ -294,3 +298,56 @@ def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
     fallback = _counting(monkeypatch, isospectral, "_eig_extended")
     got = isospectral._eig_escalated(rows)
     assert len(fallback) == 1 and got is fallback[0]
+
+
+def _extended_verify_report(tmp_path, params):
+    cfg = {
+        "r": params.r,
+        "s": params.s,
+        "N": params.N,
+        "q": [params.q.real, params.q.imag],
+        "alpha": [[a.real, a.imag] for a in params.alpha],
+        "beta": [[b.real, b.imag] for b in params.beta],
+    }
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["verify", "--config", str(path), "--precision", "extended", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch):
+    eig_calls = _counting(monkeypatch, mpmath, "eig")
+    small = [params for params in suite if params.N <= 5]
+    assert len(small) == 25
+    for params in small:
+        code, report = _extended_verify_report(tmp_path, params)
+        gap = {c["name"]: c["value"] for c in report["checks"]}["spectrum_gap_max"]
+        assert code == 0 and gap <= 1e-40, (params, gap)
+    assert eig_calls == []
+
+
+def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):
+    ctx = extended()
+    for index in (1, 3, 4):
+        params = in_context(suite[index], ctx)
+        zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
+        M, lam = certified_spectrum(params, zeros)
+        ref = isospectral._eig_extended(M.entries, extended(ctx.mp.dps + 20))
+        assert len(lam) == params.N == len(ref), index
+        for v in lam:
+            gap = min(abs(v - r) / abs(r) for r in ref)
+            assert gap <= 8 * ctx.eps, (index, gap)
+
+
+def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypatch):
+    # the extended branch of certified_spectrum refines before it calls
+    # mpmath.eig; the near-defective pair must still reach mpmath.eig
+    ctx = extended()
+    rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
+    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: IsoMatrix(entries=rows))
+    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    params = in_context(suite[1], ctx)
+    assert params.N == 2
+    _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])
+    assert len(fallback) == 1 and lam is fallback[0]
+    assert sorted(abs(v - 1) for v in lam) == pytest.approx([1e-30, 1e-30], rel=1e-12)

@@ -9,15 +9,13 @@ from qzeros import (
     InvalidDegree,
     NonGenericParameter,
     ParamSet,
-    ReductionMismatch,
-    ReductionTooDeep,
     coeffs_P,
     elem_sym,
-    reduce,
     validate,
 )
 
 from conftest import suite_cases
+from oracles import ReductionMismatch, ReductionTooDeep, reduce
 
 
 def test_validate_accepts_bare_00():

@@ -8,13 +8,14 @@ from qzeros import (
     Poly,
     ZeroLeadingCoefficient,
     coeffs_P,
-    eval_phi,
     eval_poly,
     monic_prefactor,
     qpochhammer,
     to_monic,
     validate,
 )
+
+from oracles import eval_phi
 
 
 def test_qpochhammer_hand_cases():

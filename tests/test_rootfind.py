@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from qzeros import isospectral
-from qzeros.errors import DegenerateZeros, OverflowRisk
+from qzeros import isospectral, rootfind
+from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import extended
 from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
@@ -178,3 +178,81 @@ def test_extended_context_lifts_cap():
     got = sorted((abs(complex(z)) for z in zset.zeros), reverse=True)
     for n, mag in enumerate(got, start=1):
         assert abs(mag - 0.8**n) < 1e-10
+
+
+def _extended_case(suite, index):
+    params = in_context(suite[index], extended())
+    return to_monic(coeffs_P(params)), params
+
+
+def _spiral_only(p, params, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(rootfind, "_binary64_start", lambda p, spiral: None)
+        return find_zeros(p, params).zeros
+
+
+def _assert_same_zeros(got, ref, tol):
+    assert len(got) == len(ref)
+    for z, w in zip(got, ref):
+        assert abs(z - w) <= tol * abs(w)
+
+
+def _recording_start(monkeypatch):
+    starts = []
+    original = rootfind._binary64_start
+
+    def recorded(p, spiral):
+        starts.append(original(p, spiral))
+        return starts[-1]
+
+    monkeypatch.setattr(rootfind, "_binary64_start", recorded)
+    return starts
+
+
+def test_extended_zeros_equal_the_spiral_only_run(suite, monkeypatch):
+    p, params = _extended_case(suite, 3)
+    ref = _spiral_only(p, params, monkeypatch)
+    starts = _recording_start(monkeypatch)
+    got = find_zeros(p, params).zeros
+    assert len(starts) == 1 and starts[0] is not None
+    _assert_same_zeros(got, ref, 1e-45)
+
+
+def test_coefficients_beyond_binary64_start_from_the_spiral(monkeypatch):
+    # z^2 - (1e400 + 1e-100) z + 1e300: the z coefficient rounds to inf
+    ctx = extended(60)
+    big, small = ctx.mp.mpf("1e400"), ctx.mp.mpf("1e-100")
+    p = Poly((ctx.convert(big * small), ctx.convert(-(big + small)), ctx.convert(1)), monic=True)
+    starts = _recording_start(monkeypatch)
+    zset = find_zeros(p, ParamSet(r=0, s=0, N=2, q=0.5, alpha=(), beta=()))
+    assert starts == [None]
+    _assert_same_zeros(zset.zeros, (small, big), 1e-55)
+
+
+def _coincident(zs):
+    return [zs[0], zs[0]] + list(zs[2:])
+
+
+def _not_finite(zs):
+    return [complex("nan")] + list(zs[1:])
+
+
+def _no_convergence(zs):
+    raise NoConvergence("sweep budget exhausted")
+
+
+@pytest.mark.parametrize("spoil", [_coincident, _not_finite, _no_convergence])
+def test_unusable_binary64_start_falls_back_to_the_spiral(suite, monkeypatch, spoil):
+    p, params = _extended_case(suite, 3)
+    ref = _spiral_only(p, params, monkeypatch)
+    original = rootfind._aberth
+
+    def spoiled(p, zs, ctx):
+        out = original(p, zs, ctx)
+        return spoil(out) if ctx.mp is None else out
+
+    monkeypatch.setattr(rootfind, "_aberth", spoiled)
+    starts = _recording_start(monkeypatch)
+    got = find_zeros(p, params).zeros
+    assert starts == [None]
+    _assert_same_zeros(got, ref, 0.0)

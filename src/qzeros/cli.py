@@ -170,19 +170,18 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
     monic = _monic(params)
     zset = rootfind.find_zeros(monic, params)
     companions = rootfind.companion_zeros(monic)
-    gap = 0.0
-    for a, b in zip(zset.zeros, companions):
-        a, b = complex(a), complex(b)
-        gap = max(gap, abs(a - b) / max(1.0, abs(b)))
-    recon = [1 + 0j]
+    # both gaps in the precision of the zeros, as _jacobian_defect compares:
+    # rounding to binary64 first would hide any extended gap below 1e-16
+    gap = max(
+        float(abs(a - b) / max(1.0, abs(b))) for a, b in zip(zset.zeros, companions)
+    )
+    recon = [1]
     for z in zset.zeros:
-        zc = complex(z)
-        recon = [0j] + recon
+        recon = [0] + recon
         for i in range(len(recon) - 1):
-            recon[i] = recon[i] - zc * recon[i + 1]
+            recon[i] = recon[i] - z * recon[i + 1]
     recon_gap = max(
-        abs(rc - complex(mc)) / max(1.0, abs(rc))
-        for rc, mc in zip(recon, monic.coeffs)
+        float(abs(rc - mc) / max(1.0, abs(rc))) for rc, mc in zip(recon, monic.coeffs)
     )
     checks = [
         _check("companion_gap", gap, tol),

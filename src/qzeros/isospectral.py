@@ -188,9 +188,10 @@ def _eig_with_bound(arr):
 
 def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
-    eigenpairs, or None when they cannot be certified that way. eps_out is
-    the eps of the precision the caller returns them in: eps64 when they
-    are rounded to binary64, the entries' own eps when they are kept.
+    eigenpairs, or None when they cannot be certified that way, or when
+    the entries rounded to binary64 are not finite. eps_out is the eps of
+    the precision the caller returns them in: eps64 when they are rounded
+    to binary64, the entries' own eps when they are kept.
 
     Newton on (x, lambda) with x normalised to 1 at its largest component s
     (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
@@ -220,6 +221,8 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     ctx = context_of(rows[0][0])
     fdot = ctx.mp.fdot
     arr = _dense(rows)
+    if not np.isfinite(arr).all():
+        return None
     n = len(rows)
     try:
         vals, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
@@ -273,7 +276,11 @@ def _eig_escalated(rows, eps_out: float | None = None) -> List:
     """Eigenvalues of the extended matrix rows: refined from binary64
     eigenpairs when that certifies, else mpmath.eig at the entries' digits.
     eps_out is the eps of the precision they are returned in, by default
-    that of the entries."""
+    that of the entries.
+
+    Every extended solve goes through here: M's escalated and extended
+    solves (certified_spectrum) and the companion matrix's
+    (eigenvalues_dense). mpmath.eig runs only as this fallback."""
     ctx = context_of(rows[0][0])
     vals = _refined_eigenvalues(rows, ctx.eps if eps_out is None else eps_out)
     if vals is None:
@@ -290,29 +297,43 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     """All eigenvalues of a dense matrix given as nested rows, in the
     precision of its entries.
 
-    The f64 path first balances the matrix (scipy.linalg.matrix_balance
+    Both precisions first balance the matrix (scipy.linalg.matrix_balance
     without permutation, LAPACK zgebal; Parlett & Reinsch 1969): B = D^-1 A D
-    with D diagonal of exact powers of two, so B is A's spectrum exactly and
-    the _eig_with_bound certificate on B holds for A as well. Like every
-    _eig_with_bound certificate it is an estimate that leaves out the
-    backward error's dimension constant, not a strict bound. For the
-    companion matrices of rootfind.companion_zeros, whose coefficients span
-    dozens of decades, it is far tighter (Edelman & Murakami 1995): over the
-    50 suite cases 2 certificates exceed EIG_TARGET instead of 21. When the
-    certificate still fails, the solve is redone on B in just enough extra
-    digits that the same bound lands below it. The digits are derived from
-    B's bound, so the escalation must solve B too: at those digits the
-    unbalanced A can misplace its smallest eigenvalues.
+    with D diagonal of exact powers of two, so B is A's spectrum exactly.
+    For the companion matrices of rootfind.companion_zeros, whose
+    coefficients span dozens of decades, that is what makes binary64
+    eigenpairs of B good enough to certify or to refine (Edelman & Murakami
+    1995).
 
-    Extended entries are solved as given, at their digits.
+    In binary64 the _eig_with_bound certificate on B holds for A as well.
+    Like every _eig_with_bound certificate it is an estimate that leaves out
+    the backward error's dimension constant, not a strict bound. Over the 50
+    suite cases 2 certificates exceed EIG_TARGET instead of 21 unbalanced.
+    When the certificate still fails, B is taken to just enough extra digits
+    that the same bound lands below it, and its eigenvalues are refined
+    there from binary64 eigenpairs to eps64 (_eig_escalated). The digits are
+    derived from B's bound, so the escalation must solve B too: at those
+    digits the unbalanced A can misplace its smallest eigenvalues.
+
+    Extended entries are scaled by the D that balances their binary64
+    rounding, which is exact at any digits, and B's eigenvalues are refined
+    to the entries' eps (_eig_escalated). Unbalanced, the refinement fails
+    on 14 of the 45 suite companion matrices with N > 1. Entries whose
+    rounding is not finite are solved as given.
     """
     ctx = context_of(rows[0][0])
+    arr = _dense(rows)
     if ctx.mp is not None:
-        return _eig_extended(rows, ctx)
-    balanced, _ = scipy.linalg.matrix_balance(_dense(rows), permute=False)
+        if np.isfinite(arr).all():
+            _, (scale, _) = scipy.linalg.matrix_balance(arr, permute=False, separate=True)
+            d = [ctx.convert(v) for v in scale]
+            rows = [[v * d[j] / d[i] for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        return _eig_escalated(rows)
+    balanced, _ = scipy.linalg.matrix_balance(arr, permute=False)
     vals, worst = _eig_with_bound(balanced)
     if worst > EIG_TARGET:
-        vals = _eig_extended(balanced, _escalated(worst))
+        ext = _escalated(worst)
+        vals = _eig_escalated([[ext.convert(v) for v in row] for row in balanced], F64.eps)
     return [complex(v) for v in vals]
 
 

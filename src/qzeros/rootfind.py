@@ -8,8 +8,10 @@ first solved in binary64, and the extended sweeps only finish from there.
 companion_zeros is the independent cross-check oracle: eigenvalues of the
 companion matrix through the dense eigensolver (isospectral.eigenvalues_dense),
 which balances the matrix and then certifies, and if need be escalates, on
-the balanced matrix. The two routes share no code beyond polynomial
-evaluation.
+the balanced matrix. An escalation, and every extended solve, refines the
+binary64 eigenpairs of the balanced matrix by Newton at the extended digits;
+mpmath.eig is only the fallback. The two routes share no code beyond
+polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def _certify(zs, p: Poly) -> ZeroSet:
         for j in range(i + 1, n):
             gap = abs(zs[i] - zs[j]) - 2.0 * (steps[i] + steps[j])
             certified = min(certified, float(gap / max(scale, TINY)))
-    if certified <= SEPARATION_FLOOR:
+    # written so that NaN zeros, whose separation compares false, fail too
+    if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros(
             f"certified relative zero separation {certified:.3e} <="
             f" {SEPARATION_FLOOR:.0e}; near-coincident zeros are rejected,"
@@ -99,7 +102,9 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
     mag0 = abs(p.coeffs[0])
     if mag0 < TINY:
         mag0 = max(abs(c) for c in p.coeffs[:-1]) + 1.0
-    rho = float(mag0) ** (1.0 / N)
+    # the root in the scalar type: an extended constant term beyond the
+    # binary64 range would make rho inf and every start NaN
+    rho = float(mag0 ** (1.0 / N))
     absq = float(abs(q))
     out = []
     for n in range(1, N + 1):

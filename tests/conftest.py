@@ -72,6 +72,19 @@ def zeros_of(params):
     return _zero_cache[key]
 
 
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call's result is recorded."""
+    original = getattr(module, name)
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, counted)
+    return results
+
+
 @pytest.fixture(scope="session")
 def suite():
     return suite_cases()

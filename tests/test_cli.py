@@ -211,6 +211,25 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     assert byname["jacobian_defect"] < 1e-30
 
 
+def test_extended_zeros_checks_at_the_extended_level(tmp_path, suite):
+    # rounding the zeros to binary64 would hold both gaps at ~1e-16
+    params = suite[3]
+    cfg = write_config(
+        tmp_path,
+        r=params.r,
+        s=params.s,
+        N=params.N,
+        q=[params.q.real, params.q.imag],
+        alpha=[[a.real, a.imag] for a in params.alpha],
+        beta=[[b.real, b.imag] for b in params.beta],
+    )
+    out = tmp_path / "rep.json"
+    assert run("zeros", cfg, "--precision", "extended", "--out", str(out)) == 0
+    byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
+    assert byname["companion_gap"] < 1e-40
+    assert byname["reconstruction_gap"] < 1e-40
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, r=0, s=0, N=2, q=2.0, alpha=[], beta=[])
     proc = subprocess.run(

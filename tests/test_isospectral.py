@@ -27,7 +27,7 @@ from qzeros.precision import extended
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 
-from conftest import suite_cases, zeros_of
+from conftest import counting, suite_cases, zeros_of
 from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2
 
 
@@ -240,22 +240,9 @@ EPS64 = 2.0**-52
 ESCALATING = (19, 26, 38)
 
 
-def _counting(monkeypatch, module, name):
-    """Wrap module.name so that each call's result is recorded."""
-    original = getattr(module, name)
-    results = []
-
-    def counted(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(module, name, counted)
-    return results
-
-
 def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
-    eig_calls = _counting(monkeypatch, mpmath, "eig")
-    refined = _counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for params in suite:
         _, lam = certified_spectrum(params, zeros_of(params)[1].zeros)
         assert match_spectrum(lam, mu_closed(params)).is_match
@@ -282,8 +269,8 @@ def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):
     # r = 1, s = 0, N = 10 at q = -0.224: eigenvalue condition about 1e12,
     # bordered-matrix condition about 1e16, beyond binary64 corrections
     params = suite_cases(200)[199]
-    refined = _counting(monkeypatch, isospectral, "_refined_eigenvalues")
-    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     _, lam = certified_spectrum(params)
     assert refined == [None] and len(fallback) == 1
     assert lam == [complex(v) for v in fallback[0]]
@@ -295,7 +282,7 @@ def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
     # two starts cannot be refined to two certified, separated eigenvalues
     ctx = extended(40)
     rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
-    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     got = isospectral._eig_escalated(rows)
     assert len(fallback) == 1 and got is fallback[0]
 
@@ -316,7 +303,7 @@ def _extended_verify_report(tmp_path, params):
 
 
 def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch):
-    eig_calls = _counting(monkeypatch, mpmath, "eig")
+    eig_calls = counting(monkeypatch, mpmath, "eig")
     small = [params for params in suite if params.N <= 5]
     assert len(small) == 25
     for params in small:
@@ -345,7 +332,7 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     ctx = extended()
     rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
     monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: IsoMatrix(entries=rows))
-    fallback = _counting(monkeypatch, isospectral, "_eig_extended")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
     _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])

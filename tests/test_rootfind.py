@@ -2,16 +2,19 @@
 
 import warnings
 
+import mpmath
+import numpy as np
 import pytest
+import scipy.linalg
 
 from qzeros import isospectral, rootfind
 from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
 from qzeros.params import ParamSet, in_context
-from qzeros.precision import extended
+from qzeros.precision import F64, extended
 from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
-from conftest import zeros_of
+from conftest import counting, zeros_of
 
 
 def _pair_off(found, oracle):
@@ -110,6 +113,82 @@ def test_companion_escalations_on_suite(suite, monkeypatch):
         p, _ = zeros_of(params)
         companion_zeros(p)
     assert len(calls) <= 2
+
+
+EPS64 = 2.0**-52
+
+
+def _companion_rows(p):
+    n = p.degree
+    zero = p.coeffs[0] * 0
+    rows = [[zero + (1 if j == i - 1 else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -p.coeffs[i]
+    return rows
+
+
+def _assert_near(got, ref, tol):
+    nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in got]
+    assert sorted(nearest) == list(range(len(ref)))
+    for v, j in zip(got, nearest):
+        assert abs(v - ref[j]) <= tol * abs(ref[j]), (v, ref[j])
+
+
+def test_companion_escalations_refine_without_mpmath_eig(suite, monkeypatch):
+    # the two suite companion matrices whose balanced certificate fails
+    for index in (26, 38):
+        p, _ = zeros_of(suite[index])
+        balanced, _ = scipy.linalg.matrix_balance(
+            np.array(_companion_rows(p), dtype=complex), permute=False
+        )
+        _, worst = isospectral._eig_with_bound(balanced)
+        ref = isospectral._eig_extended(balanced, isospectral._escalated(worst))
+        with monkeypatch.context() as patch:
+            eig_calls = counting(patch, mpmath, "eig")
+            refined = counting(patch, isospectral, "_refined_eigenvalues")
+            got = companion_zeros(p)
+        assert eig_calls == [] and len(refined) == 1 and refined[0] is not None, index
+        _assert_near(got, ref, 4 * EPS64)
+
+
+def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
+    ctx = extended(50)
+    small = [in_context(params, ctx) for params in suite if params.N <= 5]
+    assert len(small) == 25
+    polys = [to_monic(coeffs_P(params)) for params in small]
+    refs = [isospectral._eig_extended(_companion_rows(p), extended(70)) for p in polys]
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    for p, ref in zip(polys, refs):
+        _assert_near(companion_zeros(p), ref, 1e-45)
+    assert eig_calls == []
+
+
+def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
+    # 1e400 rounds to inf in binary64, which scipy's eig rejects
+    ctx = extended(60)
+    big = ctx.mp.mpf("1e400")
+    rows = ((ctx.convert(big), ctx.convert(1)), (ctx.convert(0), ctx.convert(2)))
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
+    got = isospectral._eig_escalated(rows)
+    assert len(fallback) == 1 and got is fallback[0]
+    _assert_near(got, [big, 2], 1e-55)
+
+
+def test_constant_term_beyond_binary64_starts_a_finite_spiral():
+    # z^2 - (1e400 + 3) z + 3e400: the spiral radius is the root of 3e400
+    ctx = extended(60)
+    big = ctx.mp.mpf("1e400")
+    p = Poly((ctx.convert(3 * big), ctx.convert(-(big + 3)), ctx.convert(1)), monic=True)
+    zset = find_zeros(p, ParamSet(r=0, s=0, N=2, q=0.5, alpha=(), beta=()))
+    _assert_same_zeros(zset.zeros, (3, big), 1e-55)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(60)])
+def test_nan_zeros_are_not_certified(ctx):
+    p = Poly((ctx.convert(2), ctx.convert(-3), ctx.convert(1)), monic=True)
+    nan = ctx.convert(complex("nan"))
+    with pytest.raises(DegenerateZeros):
+        rootfind._certify([nan, nan], p)
 
 
 def test_residual_bound_on_suite(suite):

@@ -170,10 +170,11 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
     monic = _monic(params)
     zset = rootfind.find_zeros(monic, params)
     companions = rootfind.companion_zeros(monic)
+    size = context_of(params.q).size
     # both gaps in the precision of the zeros, as _jacobian_defect compares:
     # rounding to binary64 first would hide any extended gap below 1e-16
     gap = max(
-        float(abs(a - b) / max(1.0, abs(b))) for a, b in zip(zset.zeros, companions)
+        float(size(a - b) / max(1.0, size(b))) for a, b in zip(zset.zeros, companions)
     )
     recon = [1]
     for z in zset.zeros:
@@ -181,7 +182,7 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
         for i in range(len(recon) - 1):
             recon[i] = recon[i] - z * recon[i + 1]
     recon_gap = max(
-        float(abs(rc - mc) / max(1.0, abs(rc))) for rc, mc in zip(recon, monic.coeffs)
+        float(size(rc - mc) / max(1.0, size(rc))) for rc, mc in zip(recon, monic.coeffs)
     )
     checks = [
         _check("companion_gap", gap, tol),
@@ -206,11 +207,12 @@ def _jacobian_defect(params: ParamSet, zeros, M: isospectral.IsoMatrix) -> float
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
     jac = zero_flow.jacobian_fd(params, zeros)
+    size = context_of(params.q).size
     worst = 0.0
     for i in range(M.n):
         for j in range(M.n):
             a, b = jac[i][j], M.entries[i][j]
-            worst = max(worst, float(abs(a - b) / max(1.0, abs(b))))
+            worst = max(worst, float(size(a - b) / max(1.0, size(b))))
     return worst
 
 
@@ -218,11 +220,12 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
     monic = _monic(params)
     zeros = rootfind.find_zeros(monic, params).zeros
 
-    points = [context_of(params.q).convert(z) for z in _sample_points(zeros, rng)]
+    ctx = context_of(params.q)
+    points = [ctx.convert(z) for z in _sample_points(zeros, rng)]
     prop1 = zero_algebra.prop1_residuals(zeros, params)
     qde, agreement = qdiff.qde_checks(monic, params, points)
     checks = [
-        _check("qde_residual_max", max(abs(v) for v in qde), tol),
+        _check("qde_residual_max", max(ctx.size(v) for v in qde), tol),
         _check("qde_expanded_agreement_max", max(agreement), tol),
         _check("prop1_residual_max", max(prop1), tol),
         _check("prop1_dual_gap", _prop1_dual_gap(prop1, zeros, params, monic), tol),

@@ -43,7 +43,7 @@ from .isospectral import mu_n
 from .params import ParamSet
 from .precision import TINY, context_of
 from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import _left_out_products, decancelled_size, f_n, velocity_terms
+from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, f_n, velocity_terms
 
 COLLISION_TOL = 1e-10
 
@@ -180,10 +180,10 @@ def _check_separation(zs) -> None:
         )
 
 
-def _velocity(terms, n: int, zs, q):
-    """velocity_n = sum c z_n^e f_n(k) over the (k, c, e) addends of terms."""
+def _velocity(terms, n: int, zs, q, inv):
+    """velocity_n = sum c z_n^e f_n(k) over the (k, c, e) addends of terms; inv as for f_n."""
     zn = zs[n]
-    f = {k: f_n(k, n, zs, q) for k in {t[0] for t in terms}}
+    f = {k: f_n(k, n, zs, q, inv) for k in {t[0] for t in terms}}
     total = 0
     for k, c, e in terms:
         total = total + (c * zn if e else c) * f[k]
@@ -195,7 +195,7 @@ def flow_rhs(state, params: ParamSet) -> List:
     zs = state.z if isinstance(state, FlowState) else tuple(state)
     _check_separation(zs)
     terms = velocity_terms(params)
-    return [_velocity(terms, n, zs, params.q) for n in range(len(zs))]
+    return [_velocity(terms, n, zs, params.q, _reciprocals(zs, n)) for n in range(len(zs))]
 
 
 def equilibrium_residual(zeros, params: ParamSet) -> float:
@@ -218,8 +218,11 @@ def _central_quotients(velocities, base, step: float):
     """Real-axis and imaginary-axis central quotients of velocities at base."""
     f_plus, f_minus = velocities(base + step), velocities(base - step)
     f_iplus, f_iminus = velocities(base + 1j * step), velocities(base - 1j * step)
-    col_re = [(fp - fm) / (2 * step) for fp, fm in zip(f_plus, f_minus)]
-    col_im = [(fp - fm) / (2j * step) for fp, fm in zip(f_iplus, f_iminus)]
+    # 1/(2 step) in the scalar type: a float would round extended quotients to binary64
+    inv = (1 / context_of(base).convert(2 * step)).real
+    inv_im = -1j * inv
+    col_re = [(fp - fm) * inv for fp, fm in zip(f_plus, f_minus)]
+    col_im = [(fp - fm) * inv_im for fp, fm in zip(f_iplus, f_iminus)]
     return col_re, col_im
 
 
@@ -263,8 +266,9 @@ def jacobian_fd(params: ParamSet, zeros):
         for k, c, e in terms:
             w[k] = w[k] + (c * zn if e else c)
         weight.append(w)
-    left_out = [{k: _left_out_products(zs, n, qk[k]) for k in qk} for n in range(n_count)]
-    rel_step = context_of(zs[0]).eps ** 0.2
+    inv = [_reciprocals(zs, n) for n in range(n_count)]
+    left_out = [{k: _left_out_products(zs, n, qk[k], inv[n]) for k in qk} for n in range(n_count)]
+    rel_step, size = context_of(zs[0]).eps ** 0.2, context_of(zs[0]).size
 
     cols = []
     worst_conjugate = 0.0
@@ -281,12 +285,14 @@ def jacobian_fd(params: ParamSet, zeros):
             pq[n] = (zs[n] * p_acc, q_acc)
 
         def velocities(z):
-            """All velocities with z_m moved to z."""
-            out = [(pq[n][0] - pq[n][1] * z) / (zs[n] - z) for n in others]
-            out.insert(m, _velocity(terms, m, zs[:m] + (z,) + zs[m + 1 :], q))
+            """All velocities with z_m moved to z; 1/(z_n - z) is -inv_m[n]."""
+            moved = zs[:m] + (z,) + zs[m + 1 :]
+            inv_m = _reciprocals(moved, m)
+            out = [(pq[n][1] * z - pq[n][0]) * inv_m[n] for n in others]
+            out.insert(m, _velocity(terms, m, moved, q, inv_m))
             return out
 
-        reach = min([abs(zm)] + [abs(zm - zs[n]) for n in others])
+        reach = min([size(zm)] + [size(zm - zs[n]) for n in others])
         h = rel_step * float(reach)
         col_re, col_im = _central_quotients(velocities, zm, h)
         col_re2, col_im2 = _central_quotients(velocities, zm, 2 * h)
@@ -301,7 +307,7 @@ def jacobian_fd(params: ParamSet, zeros):
             v_2h = (a2 - b2) / 2
             conj_part = (4 * v_h - v_2h) / 3
             worst_conjugate = max(
-                worst_conjugate, float(abs(conj_part) / max(1.0, abs(col[-1])))
+                worst_conjugate, float(size(conj_part) / max(1.0, size(col[-1])))
             )
         cols.append(col)
     if worst_conjugate > 1e-6:
@@ -352,19 +358,16 @@ def integrate_flow(
 
     steps = max(1, int(np.ceil(abs(t_end - t0) / dt_max)))
     t_eval = np.linspace(t0, t_end, steps + 1)
-    try:
-        sol = solve_ivp(
-            rhs,
-            (t0, t_end),
-            y0,
-            method="RK45",
-            t_eval=t_eval,
-            rtol=rtol,
-            atol=rtol * max(1.0, float(np.max(np.abs(y0)))),
-            events=separation_event,
-        )
-    except CollisionDetected:
-        raise
+    sol = solve_ivp(
+        rhs,
+        (t0, t_end),
+        y0,
+        method="RK45",
+        t_eval=t_eval,
+        rtol=rtol,
+        atol=rtol * max(1.0, float(np.max(np.abs(y0)))),
+        events=separation_event,
+    )
     if sol.status == 1:
         raise CollisionDetected(
             f"pairwise separation crossed {COLLISION_TOL:.0e} at t = {sol.t_events[0][0]:.6g}"

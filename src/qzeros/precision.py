@@ -3,7 +3,8 @@
 All numerical kernels in this package are written against plain arithmetic
 (+, -, *, /, integer **, abs) so the same code runs on binary64 complex and
 on mpmath arbitrary-precision complex. A PrecisionContext carries the scalar
-constructor and the machine epsilon.
+constructor, the machine epsilon and size, the magnitude that scales,
+normalisers and relative-gap denominators are taken with.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -16,6 +17,7 @@ reads it from a value); the command line converts q, alpha and beta once
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -39,9 +41,21 @@ class PrecisionContext:
         return self.mp.mpc(x)
 
     @property
+    def size(self):
+        """|x| for scales, which need a few digits, not 50: builtin abs in
+        binary64; for extended x, |x| as a float where binary64 holds it,
+        else in the scalar type, so that 1e400 stays 1e400."""
+        return abs if self.mp is None else _extended_size
+
+    @property
     def root_step_tol(self) -> float:
         # 1e-14 at binary64, scaled with eps elsewhere
         return 1e-14 * (self.eps / _F64_EPS)
+
+
+def _extended_size(x):
+    mag = abs(complex(x))
+    return mag if TINY <= mag < math.inf else abs(x)
 
 
 F64 = PrecisionContext(eps=_F64_EPS)

@@ -27,12 +27,13 @@ agreement check exported as qde_expanded_agreement).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
-from .precision import TINY
+from .precision import TINY, context_of
 from .qseries import Poly, eval_poly
 
 
@@ -81,43 +82,36 @@ def _operator_sides(p: Poly, params: ParamSet):
     coefficient.
     """
     q = params.q
+    size = context_of(q).size
 
-    def grow(scale, side):
-        for m, c in enumerate(side.coeffs):
-            mag = abs(c)
-            if mag > scale[m]:
-                scale[m] = mag
+    def cascade(side, gammas):
+        scale = [size(c) for c in side.coeffs]
+        for gamma in gammas:
+            side = apply_Delta(DilationOp(gamma), side, q)
+            scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
+        return side, scale
 
-    a_side = p
-    a_scale = [abs(c) for c in p.coeffs]
-    a_side = apply_Delta(DilationOp(1 + 0 * q), a_side, q)
-    grow(a_scale, a_side)
-    for b in params.beta:
-        a_side = apply_Delta(DilationOp(b / q), a_side, q)
-        grow(a_scale, a_side)
-
-    b_side = apply_delta(p, q ** (params.s - params.r))
-    b_scale = [abs(c) for c in b_side.coeffs]
-    b_side = apply_Delta(DilationOp(q ** (-params.N)), b_side, q)
-    grow(b_scale, b_side)
-    for a in params.alpha:
-        b_side = apply_Delta(DilationOp(a), b_side, q)
-        grow(b_scale, b_side)
+    a_side, a_scale = cascade(p, [1 + 0 * q] + [b / q for b in params.beta])
+    b_dilated = apply_delta(p, q ** (params.s - params.r))
+    b_side, b_scale = cascade(b_dilated, [q ** (-params.N), *params.alpha])
     return a_side, a_scale, b_side, b_scale
 
 
-def _horner_terms(poly: Poly, z, shift: int, scales):
-    """Value of poly(z)*z^shift with the largest intermediate-term magnitude."""
+def _horner_terms(poly: Poly, z, shift: int, scales, size):
+    """Value of poly(z)*z^shift and its largest intermediate-term magnitude, from size(z)."""
     value = eval_poly(poly, z) * z**shift if shift else eval_poly(poly, z)
-    zpow = z**shift if shift else 1 + 0 * z
-    largest = 0.0
-    for s in scales:
-        largest = max(largest, s * abs(zpow))
-        zpow = zpow * z
+    for f in (size, abs):  # abs once float powers overflow
+        mag = f(z)
+        largest, power = 0.0, mag**shift
+        for s in scales:
+            largest = max(largest, s * power)
+            power = power * mag
+        if largest < math.inf:
+            break
     return value, largest
 
 
-def _operator_route(p: Poly, params: ParamSet, zs: Sequence) -> List:
+def _operator_route(p: Poly, params: ParamSet, zs: Sequence, size) -> List:
     """(value, largest intermediate-term magnitude) of the operator-route
     residual A(z) - z*B(z) at each sample point."""
     if p.degree != params.N:
@@ -125,8 +119,8 @@ def _operator_route(p: Poly, params: ParamSet, zs: Sequence) -> List:
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
     out = []
     for z in zs:
-        a_val, a_scale = _horner_terms(a_side, z, 0, a_marks)
-        b_val, b_scale = _horner_terms(b_side, z, 1, b_marks)
+        a_val, a_scale = _horner_terms(a_side, z, 0, a_marks, size)
+        b_val, b_scale = _horner_terms(b_side, z, 1, b_marks, size)
         out.append((a_val - b_val, max(a_scale, b_scale)))
     return out
 
@@ -156,16 +150,16 @@ def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
     return terms
 
 
-def _expanded_terms(p: Poly, terms, q, z):
-    """Sum of the qde_terms addends at z and the largest addend magnitude."""
-    values = {k: eval_poly(p, z * q**k) for k in {t[0] for t in terms}}
+def _expanded_terms(p: Poly, terms, qk, z, size):
+    """Sum of the qde_terms addends at z and the largest addend magnitude (qk[k] = q^k)."""
+    values = {k: eval_poly(p, z * qp) for k, qp in qk.items()}
     total = 0
     largest = 0.0
     for k, w, e in terms:
         weight = w * z if e else w
         addend = weight * values[k]
         total = total + addend
-        largest = max(largest, abs(addend))
+        largest = max(largest, size(addend))
     return total, largest
 
 
@@ -173,10 +167,12 @@ def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
     """Normalized residual of the expanded shifted-argument route at each sample point."""
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    size = context_of(params.q).size
     terms = qde_terms(params)
+    qk = {k: params.q**k for k, _, _ in terms}
     out = []
     for z in zs:
-        total, largest = _expanded_terms(p, terms, params.q, z)
+        total, largest = _expanded_terms(p, terms, qk, z, size)
         out.append(total / max(largest, TINY))
     return out
 
@@ -184,13 +180,15 @@ def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
 def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[float]]:
     """qde_residual and qde_expanded_agreement at each point, from one pass of
     the operator route."""
+    size = context_of(params.q).size
     orient = (-1) ** (params.s + 1)
     terms = qde_terms(params)
+    qk = {k: params.q**k for k, _, _ in terms}
     residuals, agreements = [], []
-    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs)):
+    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs, size)):
         residuals.append(op_val / max(op_scale, TINY))
-        exp_val, exp_scale = _expanded_terms(p, terms, params.q, z)
-        agreements.append(abs(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
+        exp_val, exp_scale = _expanded_terms(p, terms, qk, z, size)
+        agreements.append(size(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
     return residuals, agreements
 
 

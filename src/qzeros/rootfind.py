@@ -17,6 +17,7 @@ polynomial evaluation.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -57,33 +58,35 @@ def relative_separation(zs) -> float:
     n = len(zs)
     if n < 2:
         return float("inf")
-    scale = max(abs(z) for z in zs)
+    size = context_of(zs[0]).size
+    scale = max(size(z) for z in zs)
     best = float("inf")
     for i in range(n):
         for j in range(i + 1, n):
-            best = min(best, abs(zs[i] - zs[j]))
+            best = min(best, size(zs[i] - zs[j]))
     return float(best / max(scale, TINY))
 
 
 def _certify(zs, p: Poly) -> ZeroSet:
     sep = relative_separation(zs)
+    size = context_of(p.coeffs[0]).size
     steps = []
     worst = 0.0
     for z in zs:
         val, der = eval_poly_deriv(p, z)
-        step = abs(val) / max(abs(der), TINY)
+        step = size(val) / max(size(der), TINY)
         steps.append(float(step))
-        worst = max(worst, float(step / max(1.0, abs(z))))
+        worst = max(worst, float(step / max(1.0, size(z))))
     # a point of an unresolved cluster carries an error of about twice its
     # Newton correction (the correction contracts linearly with factor 1/2
     # toward a double zero), so the certifiable part of each pair gap is the
     # computed gap minus both points' error bounds
-    scale = max((abs(z) for z in zs), default=1.0)
+    scale = max((size(z) for z in zs), default=1.0)
     certified = sep
     n = len(zs)
     for i in range(n):
         for j in range(i + 1, n):
-            gap = abs(zs[i] - zs[j]) - 2.0 * (steps[i] + steps[j])
+            gap = size(zs[i] - zs[j]) - 2.0 * (steps[i] + steps[j])
             certified = min(certified, float(gap / max(scale, TINY)))
     # written so that NaN zeros, whose separation compares false, fail too
     if not certified > SEPARATION_FLOOR:
@@ -120,20 +123,23 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
     zs = list(zs)
     N = len(zs)
     tol = ctx.root_step_tol
-    # magnitudes in the scalar type: an extended coefficient beyond the
-    # binary64 range would make a float floor inf and settle every root
-    abs_coeffs = [abs(c) for c in p.coeffs]
+    size = ctx.size
+    # sizes keep coefficients beyond the binary64 range in the scalar type,
+    # or a float floor would be inf and settle every root
+    abs_coeffs = [size(c) for c in p.coeffs]
     # a root is settled once |p(z)| sits at the Horner rounding floor; past
     # that point further corrections only shuffle noise (clustered zeros of
     # high-N small-|q| polynomials never reach the step tolerance otherwise)
     noise_factor = 4.0 * N * ctx.eps
 
     def noise_floor(z) -> float:
-        mag = abs(z)
-        bound, power = 0.0, 1.0
-        for cm in abs_coeffs:
-            bound += cm * power
-            power *= mag
+        for f in (size, abs):  # abs once float powers overflow
+            mag, bound, power = f(z), 0.0, 1.0
+            for cm in abs_coeffs:
+                bound += cm * power
+                power *= mag
+            if bound < math.inf:
+                break
         return noise_factor * bound
 
     converged = False
@@ -142,7 +148,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
         all_settled = True
         for n in range(N):
             val, der = eval_poly_deriv(p, zs[n])
-            if abs(val) <= noise_floor(zs[n]):
+            if size(val) <= noise_floor(zs[n]):
                 continue
             if der == 0:
                 zs[n] = zs[n] * (1 + 1e-8) + 1e-8
@@ -157,7 +163,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
             denom = 1 - w * rep
             corr = w if denom == 0 else w / denom
             zs[n] = zs[n] - corr
-            step = float(abs(corr) / max(1.0, abs(zs[n])))
+            step = float(size(corr) / max(1.0, size(zs[n])))
             max_step = max(max_step, step)
             if step >= tol:
                 all_settled = False
@@ -171,7 +177,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
 
     for n in range(N):
         val, der = eval_poly_deriv(p, zs[n])
-        if der != 0 and abs(val) > noise_floor(zs[n]):
+        if der != 0 and size(val) > noise_floor(zs[n]):
             zs[n] = zs[n] - val / der
     return zs
 

@@ -14,8 +14,9 @@ the same family:
 
 A KernelCache precomputes all values over the contiguous shift range the
 matrix assembly reads (min(1, s-r) .. s+1), since the matrix reuses each
-O(N^2) times. It builds every f_nm(p) of one row n from the prefix and
-suffix products of f_n(p) (_left_out_products), O(N^2) per shift.
+O(N^2) times. It inverts each z_n - z_l once (_reciprocals) and builds every
+f_nm(p) of one row n from the prefix and suffix products of the factors of
+f_n(p) (_left_out_products), O(N^2) per shift.
 
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
@@ -36,19 +37,28 @@ from .errors import DegreeMismatch, IndexCollision
 from .params import ParamSet
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
-from .precision import TINY
+from .precision import TINY, context_of
 
 
-def f_n(p: int, n: int, zeros: Sequence, q):
-    """prod over l != n of (q^p z_n - z_l)/(z_n - z_l); 1 for N = 1 (0-based n)."""
+def _reciprocals(zeros: Sequence, n: int) -> List:
+    """1/(z_n - z_l) for each l (0 at l = n), inverted once, not per shift; the
+    kernels take them factor by factor, so binary64 cannot overflow at N = 16."""
+    zn = zeros[n]
+    return [0 if l == n else 1 / (zn - zl) for l, zl in enumerate(zeros)]
+
+
+def f_n(p: int, n: int, zeros: Sequence, q, inv: Sequence | None = None):
+    """prod over l != n of (q^p z_n - z_l)/(z_n - z_l); 1 for N = 1 (0-based n).
+    inv is _reciprocals(zeros, n), passed where the caller holds it."""
     if p == 0:
         return 1 + 0 * q
+    inv = _reciprocals(zeros, n) if inv is None else inv
     qp = q**p
     zn = zeros[n]
     out = 1 + 0 * q
     for l, zl in enumerate(zeros):
         if l != n:
-            out = out * (qp * zn - zl) / (zn - zl)
+            out = out * ((qp * zn - zl) * inv[l])
     return out
 
 
@@ -58,11 +68,12 @@ def f_nm(p: int, n: int, m: int, zeros: Sequence, q):
         raise IndexCollision(f"kernel excluding two indices needs n != m, got n = m = {n}")
     if p == 0:
         return 1 + 0 * q
-    return _left_out_products(zeros, n, q**p)[m]
+    return _left_out_products(zeros, n, q**p, _reciprocals(zeros, n))[m]
 
 
-def _left_out_products(zeros: Sequence, n: int, qp) -> List:
-    """f_n(p) with the factor of each z_m left out, for m = 0..N-1, qp = q^p:
+def _left_out_products(zeros: Sequence, n: int, qp, inv: Sequence) -> List:
+    """f_n(p) with the factor of each z_m left out, for m = 0..N-1, qp = q^p
+    and inv = _reciprocals(zeros, n):
 
         out[m] = prod_{l != n, m} (q^p z_n - z_l)/(z_n - z_l),  m != n,
         out[n] = f_n(p), the full product, equal to f_n's value bit for bit.
@@ -73,17 +84,16 @@ def _left_out_products(zeros: Sequence, n: int, qp) -> List:
     flow.jacobian_fd read them.
     """
     zn = zeros[n]
-    pairs = [(qp * zn - zl, zn - zl) for zl in zeros]
-    suffix = [1] * (len(pairs) + 1)
-    for l in range(len(pairs) - 1, -1, -1):
-        num, den = pairs[l]
-        suffix[l] = suffix[l + 1] if l == n else num / den * suffix[l + 1]
+    factors = [0 if l == n else (qp * zn - zl) * inv[l] for l, zl in enumerate(zeros)]
+    suffix = [1] * (len(factors) + 1)
+    for l in range(len(factors) - 1, -1, -1):
+        suffix[l] = suffix[l + 1] if l == n else factors[l] * suffix[l + 1]
     out, prefix = [], 1
-    for l, (num, den) in enumerate(pairs):
+    for l, factor in enumerate(factors):
         out.append(prefix * suffix[l + 1])
         if l != n:
             # the rounding order of f_n, so that out[n] equals it bit for bit
-            prefix = prefix * num / den
+            prefix = prefix * factor
     out[n] = prefix
     return out
 
@@ -107,13 +117,16 @@ def shift_range(r: int, s: int) -> range:
 class KernelCache:
     """All f_n, f_nm, g_n values for one configuration over shift_range(r, s).
 
-    Immutable after construction; reads are index lookups.
+    Immutable after construction; reads are index lookups. inv_sq[n][m] = 1/(z_n - z_m)^2.
     """
 
     def __init__(self, zeros: Sequence, q, r: int, s: int):
         self.zeros = tuple(zeros)
         self.q = q
         n_count = len(self.zeros)
+        inv = [_reciprocals(self.zeros, n) for n in range(n_count)]
+        self.inv_sq = [[v * v for v in row] for row in inv]
+        g_weights = [[zk * v for zk, v in zip(self.zeros, row)] for row in self.inv_sq]
         self.f: Dict[int, List] = {}
         self.fnm: Dict[int, List[List]] = {}
         self.g: Dict[int, List] = {}
@@ -123,16 +136,15 @@ class KernelCache:
                 table = [[1 + 0 * q] * n_count for _ in range(n_count)]
             else:
                 qp = q**p
-                table = [_left_out_products(self.zeros, n, qp) for n in range(n_count)]
+                table = [_left_out_products(self.zeros, n, qp, inv[n]) for n in range(n_count)]
                 self.f[p] = [table[n][n] for n in range(n_count)]
             self.fnm[p] = table
             gvals = []
             for n in range(n_count):
                 acc = 0 * q
-                zn = self.zeros[n]
                 for k in range(n_count):
                     if k != n:
-                        acc = acc + table[n][k] * self.zeros[k] / (zn - self.zeros[k]) ** 2
+                        acc = acc + table[n][k] * g_weights[n][k]
                 gvals.append(acc)
             self.g[p] = gvals
 
@@ -163,13 +175,14 @@ def decancelled_size(zk, zs):
     a normalized residual into 0/0 noise at true zeros; the fully factor-wise
     bound prod(|zk| + |z_l|) errs the other way, hiding genuine perturbations
     behind the compounded looseness of every factor."""
-    mags = [abs(zk - zl) for zl in zs]
+    size = context_of(zk).size
+    mags = [size(zk - zl) for zl in zs]
     i_min = min(range(len(mags)), key=mags.__getitem__)
     rest = 1.0
     for i, m in enumerate(mags):
         if i != i_min:
             rest *= m
-    return max(rest * mags[i_min], (abs(zk) + abs(zs[i_min])) * rest)
+    return max(rest * mags[i_min], (size(zk) + size(zs[i_min])) * rest)
 
 
 def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
@@ -178,12 +191,11 @@ def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict
     return {k: float(decancelled_size(zn * q**k, zeros)) for k in set(powers)}
 
 
-def _prop1_terms(zeros: Sequence, n: int, params: ParamSet) -> List:
-    """(coefficient, shift) pairs of the n-th zero identity, sum over pairs of
-    coefficient * [shifted product at q^shift]: the qde_terms addends at
-    z = z_n, less the constant p(z) addend, which vanishes there."""
-    zn = zeros[n]
-    return [(w * zn if e else w, k) for k, w, e in qde_terms(params) if (k, e) != (0, 0)]
+def _prop1_terms(terms, zn) -> List:
+    """(coefficient, shift) pairs of the zero identity at z_n, sum over pairs
+    of coefficient * [shifted product at q^shift]: the qde_terms addends
+    (terms) at z = z_n, less the constant p(z) addend, which vanishes there."""
+    return [(w * zn if e else w, k) for k, w, e in terms if (k, e) != (0, 0)]
 
 
 def velocity_terms(params: ParamSet) -> List:
@@ -200,13 +212,13 @@ def velocity_terms(params: ParamSet) -> List:
     return [(k, sign * w * (q**k - 1), e) for k, w, e in qde_terms(params) if k != 0]
 
 
-def _normalized(terms, values, magnitudes) -> float:
+def _normalized(terms, values, magnitudes, size) -> float:
     total = 0
     largest = TINY
     for coef, k in terms:
         total = total + coef * values[k]
-        largest = max(largest, float(abs(coef)) * magnitudes[k])
-    return float(abs(total) / largest)
+        largest = max(largest, float(size(coef)) * magnitudes[k])
+    return float(size(total) / largest)
 
 
 def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
@@ -223,13 +235,15 @@ def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
     if len(zs) != params.N:
         raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
     q = params.q
+    size = context_of(q).size
+    all_terms = qde_terms(params)
     out = []
     for n in range(len(zs)):
-        terms = _prop1_terms(zs, n, params)
+        terms = _prop1_terms(all_terms, zs[n])
         powers = [k for _, k in terms]
         prods = _shift_products(zs, n, q, powers)
         mags = _shift_magnitudes(zs, n, q, powers)
-        out.append(_normalized(terms, prods, mags))
+        out.append(_normalized(terms, prods, mags, size))
     return out
 
 
@@ -244,19 +258,22 @@ def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly | None = None
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     q = params.q
+    size = context_of(q).size
+    all_terms = qde_terms(params)
+    qk = {k: q**k for k, _, _ in all_terms}
     out = []
     for n in range(len(zs)):
         zn = zs[n]
-        terms = _prop1_terms(zs, n, params)
+        terms = _prop1_terms(all_terms, zn)
         values, mags = {}, {}
         for k in {k for _, k in terms}:
-            zk = zn * q**k
+            zk = zn * qk[k]
             val, der = eval_poly_deriv(p, zk)
             values[k] = val
             # same sensitivity scale as the product route: p' near a zero
             # is the de-cancelled product, and the zero being cancelled
             # against sits at |z| ~ |zk|, so its order-one move has size
             # 2|zk| |p'(zk)|
-            mags[k] = float(max(abs(val), 2.0 * abs(zk) * abs(der)))
-        out.append(_normalized(terms, values, mags))
+            mags[k] = float(max(size(val), 2.0 * size(zk) * size(der)))
+        out.append(_normalized(terms, values, mags, size))
     return out

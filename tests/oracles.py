@@ -6,16 +6,20 @@ prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
 flow_rhs_from_products is the zero flow built from the zero identities;
 eval_phi sums the hypergeometric series itself, an oracle for the
 coefficient recurrence of coeffs_P; reduce cancels equal trailing
-alpha/beta pairs, which leaves the polynomial unchanged.
+alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
+adds to match_spectrum's pairs the trace, power-trace and determinant gaps.
 """
 
+import cmath
+from types import SimpleNamespace
 from typing import List, Sequence
 
 from qzeros.errors import DegreeMismatch, NoConvergence, QZerosError
 from qzeros.flow import FlowState
-from qzeros.isospectral import IsoMatrix
+from qzeros.isospectral import IsoMatrix, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import TINY
+from qzeros.qdiff import qde_terms
 from qzeros.zero_algebra import (
     KernelCache,
     _prop1_terms,
@@ -153,7 +157,7 @@ def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
     """Largest term-magnitude bound of the n-th identity (the normalization
     scale used by prop1_residuals)."""
     zs = tuple(zeros)
-    terms = _prop1_terms(zs, n, params)
+    terms = _prop1_terms(qde_terms(params), zs[n])
     mags = _shift_magnitudes(zs, n, params.q, [k for _, k in terms])
     largest = TINY
     for coef, k in terms:
@@ -169,7 +173,7 @@ def flow_rhs_from_products(state, params: ParamSet) -> List:
     sign = (-1) ** params.s
     out = []
     for n, zn in enumerate(zs):
-        terms = _prop1_terms(zs, n, params)
+        terms = _prop1_terms(qde_terms(params), zs[n])
         prods = _shift_products(zs, n, params.q, [k for _, k in terms])
         total = 0
         for coef, k in terms:
@@ -274,4 +278,33 @@ def reduce(params: ParamSet, u: int) -> ParamSet:
         q=params.q,
         alpha=params.alpha[: params.r - u],
         beta=params.beta[: params.s - u],
+    )
+
+
+MATCH_TOL = 1e-6
+
+
+def spectrum_match(numerical, closed) -> SimpleNamespace:
+    """match_spectrum's pairs with the aggregate gaps the tests judge a
+    spectrum by: the trace, the power traces p = 1..3 and the determinant
+    (accumulated in log space from the per-pair ratios to dodge product
+    overflow), all with the max(1, |.|) denominator guard. is_match holds
+    when every pair gap and every aggregate gap is below MATCH_TOL."""
+    pairs = match_spectrum(numerical, closed).matched_pairs
+    lam, mu = list(numerical), list(closed)
+
+    def rel_gap(a, b):
+        return float(abs(a - b) / max(1.0, abs(b)))
+
+    trace_gap = rel_gap(sum(lam), sum(mu))
+    power_gaps = tuple(rel_gap(sum(v**p for v in lam), sum(v**p for v in mu)) for p in (1, 2, 3))
+    log_ratio = sum(cmath.log(complex(lv) / complex(mv)) for lv, mv, _, _ in pairs)
+    det_gap = float(abs(cmath.exp(log_ratio) - 1.0))
+    gaps = [pair[3] for pair in pairs] + [trace_gap, det_gap, *power_gaps]
+    return SimpleNamespace(
+        matched_pairs=pairs,
+        trace_gap=trace_gap,
+        det_gap=det_gap,
+        power_trace_gaps=power_gaps,
+        is_match=all(g < MATCH_TOL for g in gaps),
     )

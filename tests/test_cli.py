@@ -207,6 +207,11 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     assert run("verify", cfg, "--precision", "extended", "--out", str(out)) == 0
     byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
     assert byname["prop1_residual_max"] < 1e-40
+    # scales are taken in binary64 (ctx.size), the values at 50 digits: a
+    # binary64 rounding of a value would hold these at ~1e-16
+    assert byname["qde_residual_max"] < 1e-40
+    assert byname["qde_expanded_agreement_max"] < 1e-40
+    assert byname["prop1_dual_gap"] < 1e-40
     # an eps^(1/5) step brings the difference Jacobian to the extended level
     assert byname["jacobian_defect"] < 1e-30
 

@@ -28,7 +28,7 @@ from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2
+from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2, spectrum_match
 
 
 def test_build_M_n1_hand_case():
@@ -110,19 +110,19 @@ def test_eigenvalues_hand_cases():
 
 def test_match_spectrum_identity_and_permutation():
     vals = [1.0 + 2.0j, 3.0 - 1.0j, 0.5 + 0.0j, -2.2 + 0.4j]
-    rep = match_spectrum(vals, list(vals))
+    rep = spectrum_match(vals, list(vals))
     assert rep.is_match
     assert all(pair[2] == 0.0 for pair in rep.matched_pairs)
     assert rep.trace_gap == 0.0 and rep.det_gap < 1e-15
 
     perm = [vals[2], vals[0], vals[3], vals[1]]
-    rep = match_spectrum(vals, perm)
+    rep = spectrum_match(vals, perm)
     assert rep.is_match
     assert all(pair[2] == 0.0 for pair in rep.matched_pairs)
     assert rep.trace_gap < 1e-15 and max(rep.power_trace_gaps) < 1e-14
 
     wrong = [v * 1.01 for v in vals]
-    assert not match_spectrum(vals, wrong).is_match
+    assert not spectrum_match(vals, wrong).is_match
 
     with pytest.raises(LengthMismatch):
         match_spectrum(vals, vals[:2])
@@ -131,7 +131,7 @@ def test_match_spectrum_identity_and_permutation():
 def test_spectrum_identity_on_small_suite(small_suite):
     for params in small_suite:
         _, lam = certified_spectrum(params)
-        rep = match_spectrum(lam, mu_closed(params))
+        rep = spectrum_match(lam, mu_closed(params))
         assert rep.is_match, (params.r, params.s, params.N)
         assert max(pair[3] for pair in rep.matched_pairs) < 1e-6
 
@@ -172,7 +172,7 @@ def test_beta_perturbation_keeps_spectrum():
                 except NonGenericParameter:
                     continue
             Mp, lam = certified_spectrum(pert)
-            rep = match_spectrum(lam, mus)
+            rep = spectrum_match(lam, mus)
             assert rep.is_match
             norm0 = max(sum(abs(v) for v in row) for row in M0.entries)
             drift = max(
@@ -188,12 +188,12 @@ def test_diophantine_rational_case():
     exact = mu_closed_exact(q, alphas, 5, 1, 1)
     params = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(1.3 - 0.4j,))
     _, lam = certified_spectrum(params)
-    rep = match_spectrum(lam, [complex(Fraction(v)) for v in exact])
+    rep = spectrum_match(lam, [complex(Fraction(v)) for v in exact])
     assert rep.is_match
     # the rationals do not depend on beta
     other = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(0.6 + 0.2j,))
     _, lam2 = certified_spectrum(other)
-    assert match_spectrum(lam2, [complex(v) for v in exact]).is_match
+    assert spectrum_match(lam2, [complex(v) for v in exact]).is_match
 
 
 def test_closed_trace_forms(small_suite):
@@ -223,7 +223,7 @@ def test_reduction_retains_alpha2_factor():
     full = ParamSet(r=2, s=2, N=5, q=q, alpha=(a1, a2), beta=(1.3 - 0.4j, a2))
     reduced = ParamSet(r=1, s=1, N=5, q=q, alpha=(a1,), beta=(1.3 - 0.4j,))
     _, lam = certified_spectrum(full)
-    rep = match_spectrum(lam, mu_closed(full))
+    rep = spectrum_match(lam, mu_closed(full))
     assert rep.is_match
     # the mu of the full set retain (alpha_2 q^{N-n} - 1); they differ from
     # the reduced set's mu by that factor
@@ -232,7 +232,7 @@ def test_reduction_retains_alpha2_factor():
         for a, b in zip(mu_closed(full), mu_closed(reduced))
     )
     assert diff > 1e-2
-    assert not match_spectrum(lam, mu_closed(reduced)).is_match
+    assert not spectrum_match(lam, mu_closed(reduced)).is_match
 
 
 EPS64 = 2.0**-52
@@ -245,7 +245,7 @@ def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for params in suite:
         _, lam = certified_spectrum(params, zeros_of(params)[1].zeros)
-        assert match_spectrum(lam, mu_closed(params)).is_match
+        assert spectrum_match(lam, mu_closed(params)).is_match
     assert len(refined) == len(ESCALATING)
     assert all(vals is not None for vals in refined)
     assert eig_calls == []
@@ -274,7 +274,7 @@ def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):
     _, lam = certified_spectrum(params)
     assert refined == [None] and len(fallback) == 1
     assert lam == [complex(v) for v in fallback[0]]
-    assert match_spectrum(lam, mu_closed(params)).is_match
+    assert spectrum_match(lam, mu_closed(params)).is_match
 
 
 def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
@@ -300,6 +300,17 @@ def _extended_verify_report(tmp_path, params):
     path.write_text(json.dumps(cfg))
     code = main(["verify", "--config", str(path), "--precision", "extended", "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
+    # binary64 zeros are ~1e-11 off; the second correction is already at
+    # the escalated eps, so no third sweep runs (six were always taken)
+    for index in (19, 26, 38):
+        params = suite[index]
+        evaluations = counting(monkeypatch, isospectral, "eval_poly_deriv")
+        _, lam = certified_spectrum(params)
+        assert len(evaluations) == 2 * params.N, index
+        assert spectrum_match(lam, mu_closed(params)).is_match
 
 
 def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch):

@@ -17,6 +17,8 @@ from qzeros import (
 )
 from qzeros.params import in_context
 from qzeros.precision import F64, extended
+from qzeros.qdiff import _horner_terms
+from qzeros.qseries import Poly
 
 THIRD_30 = "0." + "3" * 30
 
@@ -59,3 +61,38 @@ def test_no_public_function_takes_a_context():
         obj = getattr(qzeros, name)
         if inspect.isfunction(obj):
             assert "ctx" not in inspect.signature(obj).parameters, name
+
+
+def test_binary64_size_is_abs():
+    assert F64.size is abs
+    for x in (0j, -3.5 + 4j, complex(1e-310, 0), complex("inf"), 1e300 + 1e300j):
+        assert F64.size(x) == abs(x)
+
+
+def test_extended_size_in_range_is_the_float_magnitude():
+    ctx = extended(50)
+    ulp = 2.0**-52
+    for x in (ctx.convert(1) / 3 + 7j, ctx.convert(-2.5e-200 + 1e-201j), ctx.convert(1.7e300)):
+        got = ctx.size(x)
+        assert type(got) is float
+        ref = float(abs(x))
+        assert abs(got - ref) <= 4 * ulp * ref
+
+
+def test_extended_size_out_of_range_stays_in_the_scalar_type():
+    ctx = extended(50)
+    for text in ("1e400", "1e-400"):
+        x = ctx.convert(ctx.mp.mpf(text))
+        got = ctx.size(x)
+        assert got.context is ctx.mp
+        assert abs(got - ctx.mp.mpf(text)) <= ctx.eps * ctx.mp.mpf(text)
+
+
+def test_horner_scales_past_binary64_are_taken_in_the_scalar_type():
+    # |z|^2 = 1e400: float powers of size(z) would make the scale inf and
+    # every residual normalised by it 0
+    ctx = extended(50)
+    z = ctx.convert(ctx.mp.mpf("1e200"))
+    poly = Poly(tuple(ctx.convert(1) for _ in range(3)), monic=True)
+    _, largest = _horner_terms(poly, z, 1, [1.0, 1.0, 1.0], ctx.size)
+    assert abs(largest - ctx.mp.mpf("1e600")) <= ctx.eps * ctx.mp.mpf("1e600")

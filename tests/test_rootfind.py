@@ -174,6 +174,27 @@ def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
     _assert_near(got, [big, 2], 1e-55)
 
 
+def test_companion_rows_beyond_binary64_keep_the_small_zeros():
+    # z^2 - (1e400 + 3) z + 3e400: no diagonal scaling brings the entry
+    # 1e400 + 3 into binary64 range, and mpmath.eig at 60 digits returns 0
+    # for the zero 3 unless it is given the digits the solve loses
+    ctx = extended(60)
+    big = ctx.mp.mpf("1e400")
+    p = Poly((ctx.convert(3 * big), ctx.convert(-(big + 3)), ctx.convert(1)), monic=True)
+    _assert_same_zeros(companion_zeros(p), (3, big), ctx.eps)
+
+
+def test_zeros_whose_powers_leave_binary64_settle_at_the_extended_level():
+    # z^2 - 1e200 z + 1: at the zero 1e200 the Horner noise floor is 1e400,
+    # beyond binary64, so float powers of |z| alone would make it inf and
+    # settle that zero wherever the sweeps first reach it
+    ctx = extended(60)
+    big = ctx.mp.mpf("1e200")
+    p = Poly((ctx.convert(1), ctx.convert(-big), ctx.convert(1)), monic=True)
+    zset = find_zeros(p, ParamSet(r=0, s=0, N=2, q=0.5, alpha=(), beta=()))
+    _assert_same_zeros(zset.zeros, (1 / big, big), 1e-55)
+
+
 def test_constant_term_beyond_binary64_starts_a_finite_spiral():
     # z^2 - (1e400 + 3) z + 3e400: the spiral radius is the root of 3e400
     ctx = extended(60)

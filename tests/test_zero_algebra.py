@@ -4,6 +4,7 @@ import pytest
 
 from qzeros.errors import DegreeMismatch, IndexCollision
 from qzeros.params import ParamSet
+from qzeros.qdiff import qde_terms
 from qzeros.zero_algebra import (
     KernelCache,
     _prop1_terms,
@@ -171,7 +172,7 @@ def test_vanishing_terms_for_r_above_s(suite):
         zs = zset.zeros
         for n in range(params.N):
             assert _shift_products(zs, n, params.q, [0])[0] == 0
-        zero_shift = [c for c, k in _prop1_terms(zs, 0, params) if k == 0]
+        zero_shift = [c for c, k in _prop1_terms(qde_terms(params), zs[0]) if k == 0]
         assert zero_shift
 
 
@@ -185,7 +186,8 @@ def test_r1s1_specialized_form(suite):
         for zs in (zset.zeros, tuple(z * (1 + 1e-2) for z in zset.zeros)):
             special = prop1_residuals_r1s1(zs, params)
             for n in range(params.N):
-                general = sum(c * _shift_products(zs, n, params.q, [k])[k] for c, k in _prop1_terms(zs, n, params))
+                terms = _prop1_terms(qde_terms(params), zs[n])
+                general = sum(c * _shift_products(zs, n, params.q, [k])[k] for c, k in terms)
                 scale = prop1_scale(zs, params, n)
                 assert abs(general + special[n]) < 1e-12 * scale
 

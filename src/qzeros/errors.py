@@ -74,4 +74,4 @@ class StepUnderflow(QZerosError):
 
 
 class ConsistencyWarning(UserWarning):
-    """Real- and imaginary-axis difference quotients disagree beyond tolerance."""
+    """A difference Jacobian implies a conjugate-direction dependence beyond tolerance."""

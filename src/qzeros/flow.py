@@ -17,16 +17,18 @@ summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
 the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Its equilibria are
 the true zeros and its linearization there is the spectral matrix. jacobian_fd
-checks that against build_M by finite differences of this velocity, moving one
-zero at a time: with z_m moved, every other row changes through a single
-factor of its kernels, so the whole Jacobian costs O(N^2) per shift, as much
-as one flow_rhs call. Its step is eps^(1/5) times the moved zero's reach, eps
-being the precision of the zeros.
+checks that against build_M by differencing this velocity, moving one zero at
+a time: with z_m moved, every other row changes through a single factor of its
+kernels, so the whole Jacobian costs O(N^2) per sample, as much as one
+flow_rhs call. It samples K points on a circle of radius eps^(1/(K+1)) times
+the moved zero's reach, eps being the precision of the zeros and K even, 6 in
+binary64 and 4 at 50 digits.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -41,11 +43,13 @@ from .errors import (
 )
 from .isospectral import mu_n
 from .params import ParamSet
-from .precision import TINY, context_of
+from .precision import TINY, PrecisionContext, context_of
 from .rootfind import ZeroSet, relative_separation
 from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, f_n, velocity_terms
 
 COLLISION_TOL = 1e-10
+# relative conjugate-direction dependence at which jacobian_fd warns
+CONJUGATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -214,44 +218,46 @@ def equilibrium_residual(zeros, params: ParamSet) -> float:
     return worst
 
 
-def _central_quotients(velocities, base, step: float):
-    """Real-axis and imaginary-axis central quotients of velocities at base."""
-    f_plus, f_minus = velocities(base + step), velocities(base - step)
-    f_iplus, f_iminus = velocities(base + 1j * step), velocities(base - 1j * step)
-    # 1/(2 step) in the scalar type: a float would round extended quotients to binary64
-    inv = (1 / context_of(base).convert(2 * step)).real
-    inv_im = -1j * inv
-    col_re = [(fp - fm) * inv for fp, fm in zip(f_plus, f_minus)]
-    col_im = [(fp - fm) * inv_im for fp, fm in zip(f_iplus, f_iminus)]
-    return col_re, col_im
+@functools.cache
+def _contour(ctx: PrecisionContext):
+    """K, the relative radius eps^(1/(K+1)) and w^-j, w^j for j < K/2
+    (w = e^(2 pi i/K) in the scalar type) of jacobian_fd's circle rule. K is
+    the least even K >= 4 whose conjugate truncation eps^((K-2)/(K+1)) is
+    100x below CONJUGATE_TOL: 6 in binary64, 4 at 50 digits, 12 at most."""
+    k = 4
+    while k < 12 and ctx.eps ** ((k - 2) / (k + 1)) > CONJUGATE_TOL / 100:
+        k += 2
+    if ctx.mp is None:
+        up = [cmath.exp(2j * cmath.pi * j / k) for j in range(k // 2)]
+    else:
+        up = ctx.mp.unitroots(k)[: k // 2]
+    return k, ctx.eps ** (1 / (k + 1)), tuple(w.conjugate() for w in up), tuple(up)
 
 
 def jacobian_fd(params: ParamSet, zeros):
-    """Central-difference Jacobian of the flow velocity at the given
-    configuration.
+    """Jacobian of the flow velocity at the given configuration, by the
+    K-point trapezoidal rule on a circle around each zero.
 
     Column m moves z_m alone, and only the factor (q^k z_n - z_m)/(z_n - z_m)
     of each f_n(k), n != m, depends on it. So the velocity terms, the powers
     q^k, the collision check and, for every m, the products f_n(k) with that
     factor left out are computed once per call; each moved velocity
     n != m is then (P_n - Q_n z)/(z_n - z) with P_n, Q_n summed once per
-    column, and only row m is evaluated in full (f_n at the moved point).
-    Per shift, a column then costs O(N) on top of the O(N^2) shared
-    products, where a full flow_rhs per move cost O(N^2), O(N^3) in all. The
-    velocity formula is the one flow_rhs sums, and neither KernelCache nor
-    build_M is read, so the check against M stays independent.
+    column, and only row m is evaluated in full (f_n at the moved point):
+    O(N) per sample on top of the O(N^2) shared products. The velocity
+    formula is the one flow_rhs sums, and neither KernelCache nor build_M
+    is read, so the check against M stays independent.
 
-    Column m is differenced with the step h = eps^(1/5) * min(|z_m|, distance
-    from z_m to its nearest other zero), eps being the precision of the
-    zeros: the zeros of one configuration can span eight orders of magnitude
-    or cluster far below 1, and one absolute step would swamp the small ones.
-    No zero is 0: the series has constant term 1. The flow is holomorphic in
-    each coordinate away from collisions, so the real-axis and
-    imaginary-axis difference quotients must agree on the same complex
-    derivative, and the h^2 terms of the two cancel in their average, which
-    is returned. Its error is O(h^4) truncation plus O(eps/h) round-off,
-    smallest at h ~ eps^(1/5). A ConsistencyWarning is raised when the
-    quotients disagree beyond 1e-6 relative.
+    Column m samples the moved velocities F_j at z_m + h w^j, j < K, with
+    w = e^(2 pi i/K) and h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to
+    its nearest other zero), eps being the precision of the zeros: the zeros
+    of one configuration can span eight orders of magnitude, and no zero is
+    0. The flow is holomorphic in z_m away from collisions, so
+    (1/(K h)) sum w^-j F_j is the derivative to O(h^K) truncation plus
+    O(eps/h) round-off, and (1/(K h)) sum w^j F_j, the derivative in
+    conj(z_m), is 0 up to O(h^(K-2)) (Lyness & Moler 1967); a
+    ConsistencyWarning is raised when it exceeds CONJUGATE_TOL relative.
+    The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
     zs = tuple(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
     _check_separation(zs)
@@ -268,7 +274,9 @@ def jacobian_fd(params: ParamSet, zeros):
         weight.append(w)
     inv = [_reciprocals(zs, n) for n in range(n_count)]
     left_out = [{k: _left_out_products(zs, n, qk[k], inv[n]) for k in qk} for n in range(n_count)]
-    rel_step, size = context_of(zs[0]).eps ** 0.2, context_of(zs[0]).size
+    ctx = context_of(zs[0])
+    size = ctx.size
+    samples, rel_step, down, up = _contour(ctx)
 
     cols = []
     worst_conjugate = 0.0
@@ -294,29 +302,21 @@ def jacobian_fd(params: ParamSet, zeros):
 
         reach = min([size(zm)] + [size(zm - zs[n]) for n in others])
         h = rel_step * float(reach)
-        col_re, col_im = _central_quotients(velocities, zm, h)
-        col_re2, col_im2 = _central_quotients(velocities, zm, 2 * h)
+        # 1/(K h) in the scalar type: a float would round extended quotients to binary64
+        scale = (1 / ctx.convert(samples * h)).real
+        halves = []
+        for w in up:
+            plus, minus = velocities(zm + h * w), velocities(zm - h * w)
+            halves.append([(a - b) * scale for a, b in zip(plus, minus)])
         col = []
-        for a, b, a2, b2 in zip(col_re, col_im, col_re2, col_im2):
-            col.append((a + b) / 2)
-            # half the quotient disagreement estimates dF/d(conj z); it carries
-            # an O(h^2) truncation term even for a holomorphic RHS, so the h
-            # and 2h estimates are Richardson-combined to cancel it before
-            # judging complex-linearity
-            v_h = (a - b) / 2
-            v_2h = (a2 - b2) / 2
-            conj_part = (4 * v_h - v_2h) / 3
-            worst_conjugate = max(
-                worst_conjugate, float(size(conj_part) / max(1.0, size(col[-1])))
-            )
+        for d in zip(*halves):
+            col.append(sum((dj * wj for dj, wj in zip(d[1:], down[1:])), d[0]))
+            conj_part = sum((dj * wj for dj, wj in zip(d[1:], up[1:])), d[0])
+            worst_conjugate = max(worst_conjugate, float(size(conj_part) / max(1.0, size(col[-1]))))
         cols.append(col)
-    if worst_conjugate > 1e-6:
-        warnings.warn(
-            f"real/imaginary difference quotients imply a conjugate-direction "
-            f"dependence of {worst_conjugate:.3e}",
-            ConsistencyWarning,
-            stacklevel=2,
-        )
+    if worst_conjugate > CONJUGATE_TOL:
+        msg = f"the circle rule implies a conjugate-direction dependence of {worst_conjugate:.3e}"
+        warnings.warn(msg, ConsistencyWarning, stacklevel=2)
     return tuple(tuple(cols[m][n] for m in range(n_count)) for n in range(n_count))
 
 

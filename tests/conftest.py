@@ -22,6 +22,7 @@ from qzeros import (
     to_monic,
     validate,
 )
+from qzeros.precision import context_of
 
 RS_COMBOS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 SUITE_SEED = 20260815
@@ -64,8 +65,9 @@ _zero_cache = {}
 
 
 def zeros_of(params):
-    """Monic polynomial and its zeros, memoized on the parameter tuple."""
-    key = (params.r, params.s, params.N, params.q, params.alpha, params.beta)
+    """Monic polynomial and its zeros, memoized on the parameter tuple and
+    its precision (a real binary64 q equals and hashes as its mpmath copy)."""
+    key = (context_of(params.q), params.r, params.s, params.N, params.q, params.alpha, params.beta)
     if key not in _zero_cache:
         p = to_monic(coeffs_P(params))
         _zero_cache[key] = (p, find_zeros(p, params))

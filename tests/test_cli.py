@@ -212,7 +212,8 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     assert byname["qde_residual_max"] < 1e-40
     assert byname["qde_expanded_agreement_max"] < 1e-40
     assert byname["prop1_dual_gap"] < 1e-40
-    # an eps^(1/5) step brings the difference Jacobian to the extended level
+    # a step of eps^(1/(K+1)), K = 4 at 50 digits, brings the difference
+    # Jacobian to the extended level
     assert byname["jacobian_defect"] < 1e-30
 
 

@@ -20,13 +20,13 @@ from qzeros.flow import (
     integrate_flow,
     jacobian_fd,
 )
-from qzeros import isospectral, zero_algebra
+from qzeros import flow, isospectral, zero_algebra
 from qzeros.isospectral import build_M, mu_closed
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 
-from conftest import zeros_of
+from conftest import counting, zeros_of
 from oracles import flow_rhs_from_products
 
 CONTRACTIVE = ParamSet(r=0, s=1, N=6, q=0.45, alpha=(), beta=(1.3 - 0.4j,))
@@ -195,22 +195,31 @@ def test_jacobian_matches_M(suite):
             assert _matrix_gap(J, M) < 1e-5
 
 
-def _flow_rhs_jacobian(params, zs):
-    """Real/imaginary average of central differences of flow_rhs, at
-    jacobian_fd's step eps^(1/5) * min(|z_m|, nearest distance)."""
+def _flow_rhs_jacobian(params, zs, samples):
+    """jacobian_fd's circle rule summed over full flow_rhs calls: column m is
+    (1/(K h)) sum_j w^-j flow_rhs(z_m + h w^j), w = e^(2 pi i/K), at the
+    step eps^(1/(K+1)) * min(|z_m|, nearest distance)."""
     zs = list(zs)
-    rel_step = context_of(zs[0]).eps ** 0.2
+    ctx = context_of(zs[0])
+    if ctx.mp is None:
+        roots = [cmath.exp(2j * cmath.pi * j / samples) for j in range(samples)]
+    else:
+        roots = ctx.mp.unitroots(samples)
+    rel_step = ctx.eps ** (1 / (samples + 1))
     cols = []
     for m, zm in enumerate(zs):
         h = rel_step * float(min([abs(zm)] + [abs(zm - zl) for l, zl in enumerate(zs) if l != m]))
-
-        def at(z):
-            return flow_rhs(tuple(zs[:m] + [z] + zs[m + 1 :]), params)
-
-        re = [(a - b) / (2 * h) for a, b in zip(at(zm + h), at(zm - h))]
-        im = [(a - b) / (2j * h) for a, b in zip(at(zm + 1j * h), at(zm - 1j * h))]
-        cols.append([(a + b) / 2 for a, b in zip(re, im)])
+        total = [0] * len(zs)
+        for w in roots:
+            moved = flow_rhs(tuple(zs[:m] + [zm + h * w] + zs[m + 1 :]), params)
+            total = [t + v * w.conjugate() for t, v in zip(total, moved)]
+        cols.append([t / ctx.convert(samples * h) for t in total])
     return [[cols[m][n] for m in range(len(zs))] for n in range(len(zs))]
+
+
+# jacobian_fd's circle size K, as derived from eps: the least even K >= 4
+# with eps^((K-2)/(K+1)) <= 1e-8
+SAMPLES = {F64: 6, extended(): 4}
 
 
 @pytest.mark.parametrize("ctx, tol", [(F64, 1e-9), (extended(), 1e-40)])
@@ -221,10 +230,48 @@ def test_jacobian_is_the_difference_of_flow_rhs(suite, ctx, tol):
         params = in_context(suite[index], ctx)
         _, zset = zeros_of(params)
         J = jacobian_fd(params, zset)
-        ref = _flow_rhs_jacobian(params, zset.zeros)
+        ref = _flow_rhs_jacobian(params, zset.zeros, SAMPLES[ctx])
         scale = max(abs(v) for row in ref for v in row)
         gap = max(abs(a - b) for rj, rr in zip(J, ref) for a, b in zip(rj, rr))
         assert gap < tol * scale
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_jacobian_samples_one_circle_per_column(suite, monkeypatch, ctx):
+    # K velocity evaluations of the moved row per column; a second radius
+    # would double them
+    params = in_context(suite[9], ctx)
+    _, zset = zeros_of(params)
+    calls = counting(monkeypatch, flow, "_velocity")
+    jacobian_fd(params, zset)
+    assert len(calls) == SAMPLES[ctx] * params.N
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
+    # row m gains amplitude * conj(z_m - zero_m): the warning reads
+    # amplitude / max(1, |M_mm|) at its largest, here the relative level
+    params = in_context(suite[3], ctx)
+    _, zset = zeros_of(params)
+    M = build_M(zset.zeros, params)
+    weight = min(max(1.0, float(abs(M.entries[m][m]))) for m in range(params.N))
+    original = flow._velocity
+    for relative, warns in ((1e-3, True), (2e-6, True), (5e-7, False)):
+
+        def skewed(terms, n, zs, q, inv, amplitude=relative * weight):
+            conj = (zs[n] - zset.zeros[n]).conjugate()
+            return original(terms, n, zs, q, inv) + amplitude * conj
+
+        monkeypatch.setattr(flow, "_velocity", skewed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            J = jacobian_fd(params, zset)
+        assert [w.category for w in caught] == ([ConsistencyWarning] if warns else [])
+        if warns:
+            level = float(str(caught[0].message).rsplit(" ", 1)[1])
+            assert level == pytest.approx(relative, rel=1e-2)
+        # the w^-j mode cancels the conjugate term: J still matches M
+        assert _matrix_gap(J, M) < 1e-5
 
 
 def test_jacobian_reads_neither_kernel_cache_nor_M(suite, monkeypatch):

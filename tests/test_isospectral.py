@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -317,11 +318,17 @@ def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch
     eig_calls = counting(monkeypatch, mpmath, "eig")
     small = [params for params in suite if params.N <= 5]
     assert len(small) == 25
+    caught = []
     for params in small:
-        code, report = _extended_verify_report(tmp_path, params)
-        gap = {c["name"]: c["value"] for c in report["checks"]}["spectrum_gap_max"]
-        assert code == 0 and gap <= 1e-40, (params, gap)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            code, report = _extended_verify_report(tmp_path, params)
+        caught += [(params, str(w.message)) for w in records]
+        values = {c["name"]: c["value"] for c in report["checks"]}
+        gap, defect = values["spectrum_gap_max"], values["jacobian_defect"]
+        assert code == 0 and gap <= 1e-40 and defect <= 1e-38, (params, gap, defect)
     assert eig_calls == []
+    assert caught == []
 
 
 def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):

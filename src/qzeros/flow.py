@@ -16,13 +16,13 @@ themselves obey the rational flow
 summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
 the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Its equilibria are
-the true zeros and its linearization there is the spectral matrix. jacobian_fd
-checks that against build_M by differencing this velocity, moving one zero at
-a time: with z_m moved, every other row changes through a single factor of its
-kernels, so the whole Jacobian costs O(N^2) per sample, as much as one
-flow_rhs call. It samples K points on a circle of radius eps^(1/(K+1)) times
-the moved zero's reach, eps being the precision of the zeros and K even, 6 in
-binary64 and 4 at 50 digits.
+the true zeros and its linearization there is the spectral matrix. Velocities
+are arrays in the dtype of the zeros' context (complex128, or object holding
+mpc): _moved_velocity places each zero at an array of points, the others fixed.
+jacobian_fd checks the linearization against build_M in one pass over K points
+per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
+precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
+one factor of its kernels: all K N^2 samples cost as much as K flow_rhs calls.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import cmath
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .isospectral import mu_n
 from .params import ParamSet
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, f_n, velocity_terms
+from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, velocity_terms
 
 COLLISION_TOL = 1e-10
 # relative conjugate-direction dependence at which jacobian_fd warns
@@ -184,22 +184,34 @@ def _check_separation(zs) -> None:
         )
 
 
-def _velocity(terms, n: int, zs, q, inv):
-    """velocity_n = sum c z_n^e f_n(k) over the (k, c, e) addends of terms; inv as for f_n."""
-    zn = zs[n]
-    f = {k: f_n(k, n, zs, q, inv) for k in {t[0] for t in terms}}
-    total = 0
+def _others(a):
+    """Rows a[i] without entry i, N x (N-1); a vector counts as N copies of it."""
+    n = len(a)
+    return np.broadcast_to(a, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+def _moved_velocity(terms, others, q, z, inv):
+    """Velocity of zero i placed at each z[i, j], the zeros others[i] fixed:
+    sum c z^e f_i(k) over the (k, c, e) addends of terms, each f_i(k) a product
+    of factors as f_n takes it; inv[i, l, j] = 1/(z[i, j] - others[i, l])."""
+    f = {}
+    for k in {t[0] for t in terms}:
+        f[k] = ((z[:, None, :] * q**k - others[..., None]) * inv).prod(axis=1)
+    total = np.zeros_like(z)
     for k, c, e in terms:
-        total = total + (c * zn if e else c) * f[k]
+        total = total + f[k] * (z * c if e else c)
     return total
 
 
 def flow_rhs(state, params: ParamSet) -> List:
-    """Velocities of all zeros at the given configuration."""
-    zs = state.z if isinstance(state, FlowState) else tuple(state)
-    _check_separation(zs)
-    terms = velocity_terms(params)
-    return [_velocity(terms, n, zs, params.q, _reciprocals(zs, n)) for n in range(len(zs))]
+    """Velocities of all zeros at the given configuration (a FlowState, or a
+    sequence or array of zeros), as builtin complex or mpc scalars."""
+    zs = state.z if isinstance(state, FlowState) else state
+    zs = np.asarray(zs, dtype=context_of(zs[0]).dtype)
+    _check_separation(zs.tolist())
+    others, z = _others(zs), zs[:, None]
+    inv = 1 / (z[:, None, :] - others[..., None])
+    return _moved_velocity(velocity_terms(params), others, params.q, z, inv)[:, 0].tolist()
 
 
 def equilibrium_residual(zeros, params: ParamSet) -> float:
@@ -220,10 +232,10 @@ def equilibrium_residual(zeros, params: ParamSet) -> float:
 
 @functools.cache
 def _contour(ctx: PrecisionContext):
-    """K, the relative radius eps^(1/(K+1)) and w^-j, w^j for j < K/2
-    (w = e^(2 pi i/K) in the scalar type) of jacobian_fd's circle rule. K is
-    the least even K >= 4 whose conjugate truncation eps^((K-2)/(K+1)) is
-    100x below CONJUGATE_TOL: 6 in binary64, 4 at 50 digits, 12 at most."""
+    """K, radius eps^(1/(K+1)), w^-j for j < K/2 and circle w^j for j < K
+    (w = e^(2 pi i/K) in the scalar type, w^(j+K/2) = -w^j) of jacobian_fd.
+    K is the least even K >= 4 whose conjugate truncation eps^((K-2)/(K+1))
+    is 100x below CONJUGATE_TOL: 6 in binary64, 4 at 50 digits, 12 at most."""
     k = 4
     while k < 12 and ctx.eps ** ((k - 2) / (k + 1)) > CONJUGATE_TOL / 100:
         k += 2
@@ -231,28 +243,27 @@ def _contour(ctx: PrecisionContext):
         up = [cmath.exp(2j * cmath.pi * j / k) for j in range(k // 2)]
     else:
         up = ctx.mp.unitroots(k)[: k // 2]
-    return k, ctx.eps ** (1 / (k + 1)), tuple(w.conjugate() for w in up), tuple(up)
+    down = tuple(w.conjugate() for w in up)
+    return k, ctx.eps ** (1 / (k + 1)), down, tuple(up + [-w for w in up])
 
 
 def jacobian_fd(params: ParamSet, zeros):
     """Jacobian of the flow velocity at the given configuration, by the
-    K-point trapezoidal rule on a circle around each zero.
+    K-point trapezoidal rule on a circle around each zero, in one array pass.
 
-    Column m moves z_m alone, and only the factor (q^k z_n - z_m)/(z_n - z_m)
-    of each f_n(k), n != m, depends on it. So the velocity terms, the powers
-    q^k, the collision check and, for every m, the products f_n(k) with that
-    factor left out are computed once per call; each moved velocity
-    n != m is then (P_n - Q_n z)/(z_n - z) with P_n, Q_n summed once per
-    column, and only row m is evaluated in full (f_n at the moved point):
-    O(N) per sample on top of the O(N^2) shared products. The velocity
-    formula is the one flow_rhs sums, and neither KernelCache nor build_M
-    is read, so the check against M stays independent.
+    Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
+    each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
+    with P, Q summed once per call from the products that leave it out, and
+    row m is _moved_velocity. The K samples of all N columns form one array
+    F[m, n, j] in the dtype of the zeros' context; both contour sums reduce
+    over j. The velocity formula is the one flow_rhs sums, and neither
+    KernelCache nor build_M is read, so the check against M stays independent.
 
-    Column m samples the moved velocities F_j at z_m + h w^j, j < K, with
-    w = e^(2 pi i/K) and h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to
-    its nearest other zero), eps being the precision of the zeros: the zeros
-    of one configuration can span eight orders of magnitude, and no zero is
-    0. The flow is holomorphic in z_m away from collisions, so
+    Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
+    h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
+    zero), eps being the precision of the zeros: the zeros of one
+    configuration can span eight orders of magnitude, and no zero is 0. The
+    flow is holomorphic in z_m away from collisions, so
     (1/(K h)) sum w^-j F_j is the derivative to O(h^K) truncation plus
     O(eps/h) round-off, and (1/(K h)) sum w^j F_j, the derivative in
     conj(z_m), is 0 up to O(h^(K-2)) (Lyness & Moler 1967); a
@@ -261,63 +272,46 @@ def jacobian_fd(params: ParamSet, zeros):
     """
     zs = tuple(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
     _check_separation(zs)
-    n_count = len(zs)
-    q = params.q
-    terms = velocity_terms(params)
-    qk = {k: q**k for k, _, _ in terms}
-    # weight[n][k]: sum of c z_n^e over the addends of shift k
-    weight = []
-    for zn in zs:
-        w = dict.fromkeys(qk, 0)
-        for k, c, e in terms:
-            w[k] = w[k] + (c * zn if e else c)
-        weight.append(w)
-    inv = [_reciprocals(zs, n) for n in range(n_count)]
-    left_out = [{k: _left_out_products(zs, n, qk[k], inv[n]) for k in qk} for n in range(n_count)]
     ctx = context_of(zs[0])
-    size = ctx.size
-    samples, rel_step, down, up = _contour(ctx)
+    n_count = len(zs)
+    terms = velocity_terms(params)
+    qk = {k: params.q**k for k, _, _ in terms}
+    inv = [_reciprocals(zs, n) for n in range(n_count)]
+    zarr = np.asarray(zs, dtype=ctx.dtype)
+    others = _others(zarr)
+    # weight[k][n]: sum of c z_n^e over the addends of shift k
+    weight = {k: np.zeros_like(zarr) for k in qk}
+    for k, c, e in terms:
+        weight[k] = weight[k] + (zarr * c if e else c)
+    # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
+    p_sum = q_sum = 0
+    for k, w in weight.items():
+        left_out = [_left_out_products(zs, n, qk[k], inv[n]) for n in range(n_count)]
+        wl = _others(w) * _others(np.array(left_out, dtype=ctx.dtype).T)
+        p_sum = p_sum + wl * qk[k]
+        q_sum = q_sum + wl
 
-    cols = []
-    worst_conjugate = 0.0
-    for m, zm in enumerate(zs):
-        others = [n for n in range(n_count) if n != m]
-        # (P_n, Q_n) of each row n != m: velocity_n = (P_n - Q_n z)/(z_n - z)
-        pq = {}
-        for n in others:
-            p_acc = q_acc = 0
-            for k, w in weight[n].items():
-                wl = w * left_out[n][k][m]
-                p_acc = p_acc + wl * qk[k]
-                q_acc = q_acc + wl
-            pq[n] = (zs[n] * p_acc, q_acc)
-
-        def velocities(z):
-            """All velocities with z_m moved to z; 1/(z_n - z) is -inv_m[n]."""
-            moved = zs[:m] + (z,) + zs[m + 1 :]
-            inv_m = _reciprocals(moved, m)
-            out = [(pq[n][1] * z - pq[n][0]) * inv_m[n] for n in others]
-            out.insert(m, _velocity(terms, m, moved, q, inv_m))
-            return out
-
-        reach = min([size(zm)] + [size(zm - zs[n]) for n in others])
-        h = rel_step * float(reach)
-        # 1/(K h) in the scalar type: a float would round extended quotients to binary64
-        scale = (1 / ctx.convert(samples * h)).real
-        halves = []
-        for w in up:
-            plus, minus = velocities(zm + h * w), velocities(zm - h * w)
-            halves.append([(a - b) * scale for a, b in zip(plus, minus)])
-        col = []
-        for d in zip(*halves):
-            col.append(sum((dj * wj for dj, wj in zip(d[1:], down[1:])), d[0]))
-            conj_part = sum((dj * wj for dj, wj in zip(d[1:], up[1:])), d[0])
-            worst_conjugate = max(worst_conjugate, float(size(conj_part) / max(1.0, size(col[-1]))))
-        cols.append(col)
+    samples, rel_step, down, circle = _contour(ctx)
+    h = [rel_step * float(min(map(ctx.size, [zm, *(others[m] - zm)]))) for m, zm in enumerate(zs)]
+    z = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
+    inv_at = 1 / (z[:, None, :] - others[..., None])
+    velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
+    diagonal = np.eye(n_count, dtype=bool)
+    velocities[diagonal] = _moved_velocity(terms, others, params.q, z, inv_at)
+    rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
+    velocities[~diagonal] = rows.reshape(-1, samples)
+    # 1/(K h) in the scalar type: a float would round extended quotients to binary64
+    scale = np.array([(1 / ctx.convert(samples * hm)).real for hm in h], dtype=ctx.dtype)
+    half = samples // 2
+    diffs = (velocities[..., :half] - velocities[..., half:]) * scale[:, None, None]
+    # deriv[m, n] = d F_n / d z_m; conj[m, n], its conj(z_m) counterpart
+    deriv = (diffs * np.array(down, dtype=ctx.dtype)).sum(axis=-1)
+    conj = (diffs * np.array(circle[:half], dtype=ctx.dtype)).sum(axis=-1)
+    worst_conjugate = float((np.abs(conj) / np.maximum(1.0, np.abs(deriv))).max())
     if worst_conjugate > CONJUGATE_TOL:
         msg = f"the circle rule implies a conjugate-direction dependence of {worst_conjugate:.3e}"
         warnings.warn(msg, ConsistencyWarning, stacklevel=2)
-    return tuple(tuple(cols[m][n] for m in range(n_count)) for n in range(n_count))
+    return tuple(map(tuple, deriv.T.tolist()))
 
 
 def integrate_flow(
@@ -347,7 +341,7 @@ def integrate_flow(
     y0 = np.array([complex(z) for z in zs0], dtype=complex)
 
     def rhs(_t, y):
-        return np.array(flow_rhs(tuple(y), params), dtype=complex)
+        return np.array(flow_rhs(y, params))
 
     def separation_event(_t, y):
         sep = relative_separation(tuple(y))

@@ -2,9 +2,10 @@
 
 All numerical kernels in this package are written against plain arithmetic
 (+, -, *, /, integer **, abs) so the same code runs on binary64 complex and
-on mpmath arbitrary-precision complex. A PrecisionContext carries the scalar
-constructor, the machine epsilon and size, the magnitude that scales,
-normalisers and relative-gap denominators are taken with.
+on mpmath arbitrary-precision complex, and on NumPy arrays of either. A
+PrecisionContext carries the scalar constructor, the array dtype, the machine
+epsilon and size, the magnitude that scales, normalisers and relative-gap
+denominators are taken with.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -46,6 +47,11 @@ class PrecisionContext:
         binary64; for extended x, |x| as a float where binary64 holds it,
         else in the scalar type, so that 1e400 stays 1e400."""
         return abs if self.mp is None else _extended_size
+
+    @property
+    def dtype(self):
+        """NumPy dtype of arrays of this context's scalars (object: mpc)."""
+        return complex if self.mp is None else object
 
     @property
     def root_step_tol(self) -> float:

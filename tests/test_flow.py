@@ -1,6 +1,8 @@
 """Coefficient-space evolution and the zero-space flow."""
 
 import cmath
+import dataclasses
+import random
 import warnings
 
 import numpy as np
@@ -21,12 +23,13 @@ from qzeros.flow import (
     jacobian_fd,
 )
 from qzeros import flow, isospectral, zero_algebra
+from qzeros.cli import _jacobian_defect
 from qzeros.isospectral import build_M, mu_closed
-from qzeros.params import ParamSet, in_context
+from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 
-from conftest import counting, zeros_of
+from conftest import make_case, zeros_of
 from oracles import flow_rhs_from_products
 
 CONTRACTIVE = ParamSet(r=0, s=1, N=6, q=0.45, alpha=(), beta=(1.3 - 0.4j,))
@@ -242,7 +245,15 @@ def test_jacobian_samples_one_circle_per_column(suite, monkeypatch, ctx):
     # would double them
     params = in_context(suite[9], ctx)
     _, zset = zeros_of(params)
-    calls = counting(monkeypatch, flow, "_velocity")
+    calls = []
+    original = flow._moved_velocity
+
+    def counted(terms, others, q, z, inv):
+        # one entry per moved-row sample point
+        calls.extend(z.flat)
+        return original(terms, others, q, z, inv)
+
+    monkeypatch.setattr(flow, "_moved_velocity", counted)
     jacobian_fd(params, zset)
     assert len(calls) == SAMPLES[ctx] * params.N
 
@@ -255,14 +266,15 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
     _, zset = zeros_of(params)
     M = build_M(zset.zeros, params)
     weight = min(max(1.0, float(abs(M.entries[m][m]))) for m in range(params.N))
-    original = flow._velocity
+    original = flow._moved_velocity
     for relative, warns in ((1e-3, True), (2e-6, True), (5e-7, False)):
 
-        def skewed(terms, n, zs, q, inv, amplitude=relative * weight):
-            conj = (zs[n] - zset.zeros[n]).conjugate()
-            return original(terms, n, zs, q, inv) + amplitude * conj
+        def skewed(terms, others, q, z, inv, amplitude=relative * weight):
+            # z[m, j] is zero m moved
+            conj = np.conjugate(z - np.asarray(zset.zeros, dtype=z.dtype)[:, None])
+            return original(terms, others, q, z, inv) + amplitude * conj
 
-        monkeypatch.setattr(flow, "_velocity", skewed)
+        monkeypatch.setattr(flow, "_moved_velocity", skewed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             J = jacobian_fd(params, zset)
@@ -272,6 +284,36 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
             assert level == pytest.approx(relative, rel=1e-2)
         # the w^-j mode cancels the conjugate term: J still matches M
         assert _matrix_gap(J, M) < 1e-5
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_array_pass_returns_scalars_of_the_context(suite, ctx):
+    # NumPy scalars leaking out of the array pass would slow every caller
+    params = in_context(suite[9], ctx)
+    _, zset = zeros_of(params)
+    J = jacobian_fd(params, zset)
+    velocities = [flow_rhs(zset.zeros, params), flow_rhs(np.array(zset.zeros, dtype=ctx.dtype), params)]
+    assert type(J) is tuple and all(type(row) is tuple for row in J)
+    assert all(type(v) is list for v in velocities)
+    scalar = complex if ctx is F64 else context_of(zset.zeros[0]).mp.mpc
+    assert {type(v) for row in J + tuple(velocities) for v in row} == {scalar}
+
+
+def test_jacobian_at_n16_is_finite_and_silent():
+    # binary64 cannot overflow at N = 16: factors are taken one by one
+    rng = random.Random(4242)
+    draws = [make_case(rng, i) for i in range(12)]
+    params = validate(dataclasses.replace(draws[11], N=16))
+    assert (params.r, params.s) == (2, 2)
+    with warnings.catch_warnings():
+        # the root finder's own note on degrees above 12
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, zset = zeros_of(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = jacobian_fd(params, zset)
+    assert all(cmath.isfinite(v) for row in J for v in row)
+    assert _jacobian_defect(params, zset.zeros, build_M(zset.zeros, params)) <= 1e-11
 
 
 def test_jacobian_reads_neither_kernel_cache_nor_M(suite, monkeypatch):

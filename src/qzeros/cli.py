@@ -37,7 +37,7 @@ from .errors import (
     QZerosError,
 )
 from .params import ParamSet
-from .precision import F64, context_of, extended
+from .precision import F64, context_of, extended, rel_gap
 
 CONFIG_FIELDS = {"r", "s", "N", "q", "alpha", "beta", "sweep_k", "t_end", "perturb"}
 
@@ -170,20 +170,15 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
     monic = _monic(params)
     zset = rootfind.find_zeros(monic, params)
     companions = rootfind.companion_zeros(monic)
-    size = context_of(params.q).size
     # both gaps in the precision of the zeros, as _jacobian_defect compares:
     # rounding to binary64 first would hide any extended gap below 1e-16
-    gap = max(
-        float(size(a - b) / max(1.0, size(b))) for a, b in zip(zset.zeros, companions)
-    )
+    gap = max(rel_gap(a, b) for a, b in zip(zset.zeros, companions))
     recon = [1]
     for z in zset.zeros:
         recon = [0] + recon
         for i in range(len(recon) - 1):
             recon[i] = recon[i] - z * recon[i + 1]
-    recon_gap = max(
-        float(size(rc - mc) / max(1.0, size(rc))) for rc, mc in zip(recon, monic.coeffs)
-    )
+    recon_gap = max(rel_gap(mc, rc) for rc, mc in zip(recon, monic.coeffs))
     checks = [
         _check("companion_gap", gap, tol),
         _check("max_residual", zset.max_residual, tol),
@@ -207,13 +202,7 @@ def _jacobian_defect(params: ParamSet, zeros, M: isospectral.IsoMatrix) -> float
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
     jac = zero_flow.jacobian_fd(params, zeros)
-    size = context_of(params.q).size
-    worst = 0.0
-    for i in range(M.n):
-        for j in range(M.n):
-            a, b = jac[i][j], M.entries[i][j]
-            worst = max(worst, float(size(a - b) / max(1.0, size(b))))
-    return worst
+    return max(rel_gap(a, b) for jrow, mrow in zip(jac, M.entries) for a, b in zip(jrow, mrow))
 
 
 def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
@@ -237,23 +226,17 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
     checks.append(
         _check("spectrum_gap_max", max(rel for _, _, _, rel in report.matched_pairs), tol)
     )
-    mu_c = [complex(m) for m in mus]
     traces = {p: isospectral.matrix_power_trace(M, p) for p in (1, 2, 3)}
     for p, tr in traces.items():
-        target = sum(m**p for m in mu_c)
-        gap = abs(tr - target) / max(1.0, abs(target))
-        checks.append(_check(f"trace_gap_p{p}", gap, tol))
-    tr_closed = complex(isospectral.closed_trace(params))
-    tr_matrix = traces[1]
-    checks.append(
-        _check("closed_trace_gap", abs(tr_matrix - tr_closed) / max(1.0, abs(tr_closed)), tol)
-    )
+        checks.append(_check(f"trace_gap_p{p}", rel_gap(tr, sum(m**p for m in mus)), tol))
+    tr_closed = isospectral.closed_trace(params)
+    checks.append(_check("closed_trace_gap", rel_gap(traces[1], tr_closed), tol))
     checks.append(_check("det_gap", isospectral.logdet_gap(M, mus), tol))
     checks.append(_check("jacobian_defect", _jacobian_defect(params, zeros, M), tol))
 
     result = {
         "zeros": [_pair(z) for z in zeros],
-        "mu_closed": [_pair(m) for m in mu_c],
+        "mu_closed": [_pair(m) for m in mus],
         "matched_pairs": [
             [_pair(lam), _pair(mu), float(rel)]
             for lam, mu, _absgap, rel in report.matched_pairs
@@ -264,7 +247,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
 
 def _prop1_dual_gap(prod_form, zeros, params: ParamSet, monic: qseries.Poly) -> float:
     qde_form = zero_algebra.prop1_residuals_qde(zeros, params, monic)
-    return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(prod_form, qde_form))
+    return max(rel_gap(a, b) for a, b in zip(prod_form, qde_form))
 
 
 def _matrix_inf_norm(rows) -> float:
@@ -357,11 +340,7 @@ def cmd_flow(
         return checks, {"error": str(exc)}
 
     if perturb == 0.0:
-        drift = max(
-            abs(z - z_ref) / max(1.0, abs(z_ref))
-            for state in states
-            for z, z_ref in zip(state.z, zeta)
-        )
+        drift = max(rel_gap(z, z_ref) for state in states for z, z_ref in zip(state.z, zeta))
         checks.append(_check("endpoint_drift", drift, tol))
 
     if traj_path is not None:

@@ -16,11 +16,14 @@ expanded q-difference equation, qdiff.qde_terms) times the derivatives of
 the shift kernels. mu_n is the one home of the closed form; mu_closed,
 mu_closed_exact, closed_trace and the coefficient flow's build_C all
 evaluate it.
+
+The trace and determinant checks read M in its own scalars, never rounded to
+binary64: matrix_power_trace on an array in the context's dtype, logdet_gap
+from the pivots of the one elimination (_eliminate), which _lost_digits reads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +35,9 @@ import scipy.linalg
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
-from .precision import F64, TINY, PrecisionContext, context_of, extended
-from .qseries import coeffs_P, eval_poly_deriv, to_monic
-from .rootfind import ZeroSet, find_zeros
+from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_gap
+from .qseries import coeffs_P, to_monic
+from .rootfind import ZeroSet, _aberth, find_zeros
 from .zero_algebra import KernelCache, velocity_terms
 
 
@@ -287,19 +290,35 @@ def _escalated(worst: float) -> PrecisionContext:
     return extended(max(16 + int(math.ceil(math.log10(worst / EIG_TARGET))) + 8, 24))
 
 
+def _eliminate(rows) -> Tuple[List, bool]:
+    """Pivots of partial-pivoting elimination of the square matrix rows (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 9) in its scalars, and
+    the parity of the row swaps: det = (-1)^odd prod(pivots), 0 where a column
+    has nothing left to pivot on."""
+    ctx = context_of(rows[0][0])
+    a = np.array(rows, dtype=ctx.dtype)
+    pivots, odd = [], False
+    for i in range(len(a)):
+        k = max(range(i, len(a)), key=lambda j: ctx.size(a[j, i]))
+        if k != i:
+            a[[i, k]] = a[[k, i]]
+            odd = not odd
+        pivots.append(a[i, i])
+        if a[i, i] != 0:
+            a[i + 1 :, i + 1 :] -= np.outer(a[i + 1 :, i] / a[i, i], a[i, i + 1 :])
+    return pivots, odd
+
+
 def _lost_digits(rows, ctx: PrecisionContext) -> int:
     """Digits a backward-stable eigensolve of A = rows loses from its smallest
-    eigenvalue, log10(||A||^N / |det A|) at most (0 for a singular A), det A by
-    partial pivoting, which keeps the small pivots mpmath's det zeroes."""
-    a, mag, det_bits = [list(row) for row in rows], ctx.mp.mag, 0
-    for i in range(len(a)):
-        a[i:] = sorted(a[i:], key=lambda row: -mag(row[i]))
-        if a[i][i] == 0:
-            return 0
-        det_bits += mag(a[i][i])
-        a[i + 1 :] = [[x - row[i] / a[i][i] * y for x, y in zip(row, a[i])] for row in a[i + 1 :]]
+    eigenvalue, log10(||A||^N / |det A|) at most (0 for a singular A), det A
+    from the pivots of _eliminate, which keeps the small pivots mpmath's det
+    zeroes."""
+    pivots, mag = _eliminate(rows)[0], ctx.mp.mag
+    if not all(pivots):
+        return 0
     norm_bits = max(mag(v) for row in rows for v in row) + len(rows).bit_length()
-    return max(0, math.ceil((len(rows) * norm_bits - det_bits) * math.log10(2)))
+    return max(0, math.ceil((len(rows) * norm_bits - sum(mag(v) for v in pivots)) * math.log10(2)))
 
 
 def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
@@ -395,29 +414,16 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
         return M, _eig_escalated(M.entries)
     vals, worst = _eig_with_bound(_dense(M.entries))
     if worst > EIG_TARGET:
-        # up to six Newton sweeps, until a relative correction is at the eps,
-        # refine the zeros to the escalated digits: binary64 zeros sit ~1e-11
-        # relative from the true ones, far inside the basin since neighboring
-        # zeros are never that close for generic parameters
+        # Aberth sweeps finish the binary64 zeros at the escalated digits, as in
+        # extended find_zeros; they sit ~1e-11 off, where the sweeps converge cubically
         ext = _escalated(worst)
         # q, alpha and beta in the escalated digits too, or binary64 roundings
         # of the q powers re-contaminate the matrix
         ext_params = in_context(params, ext)
         pe = to_monic(coeffs_P(ext_params))
-        zs = [ext.convert(z) for z in _zero_list(zeros)]
-        for _ in range(6):
-            pairs = [eval_poly_deriv(pe, z) for z in zs]
-            steps = [val / der if der != 0 else 0 * val for val, der in pairs]
-            zs = [z - step for z, step in zip(zs, steps)]
-            if max(ext.size(s) / max(ext.size(z), TINY) for z, s in zip(zs, steps)) <= ext.eps:
-                break
+        zs = _aberth(pe, [ext.convert(z) for z in _zero_list(zeros)], ext)
         vals = _eig_escalated(build_M(zs, ext_params).entries, F64.eps)
     return M, [complex(v) for v in vals]
-
-
-def _rel_gap(a, b) -> float:
-    size = context_of(b).size
-    return float(size(a - b) / max(1.0, size(b)))
 
 
 def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
@@ -443,35 +449,33 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
     pairs = []
     for i in order:
         lv, mv = lam[row_ind[i]], mu[col_ind[i]]
-        pairs.append((lv, mv, float(abs(lv - mv)), _rel_gap(lv, mv)))
+        pairs.append((lv, mv, float(abs(lv - mv)), rel_gap(lv, mv)))
     return SpectrumReport(matched_pairs=tuple(pairs))
 
 
 def matrix_power_trace(M: IsoMatrix, p: int):
-    """Trace of M^p computed from the matrix itself (independent of eigenvalues)."""
-    arr = _dense(M.entries)
-    acc = arr
-    for _ in range(p - 1):
-        acc = acc @ arr
-    return complex(np.trace(acc))
-
-
-def matrix_logdet(M: IsoMatrix):
-    """log |det M| and phase, via LU (sign, logabsdet) plus angle accumulation."""
-    sign, logabs = np.linalg.slogdet(_dense(M.entries))
-    return float(logabs), cmath.phase(complex(sign))
+    """tr(M^p) = sum_ij (M^{p-1})_ij M_ji from the entries of M in their own
+    scalars (independent of the eigenvalues): no product for p = 2, one for 3."""
+    ctx = context_of(M.entries[0][0])
+    arr = np.array(M.entries, dtype=ctx.dtype)
+    if p == 1:
+        return ctx.convert(arr.trace())
+    return ctx.convert((np.linalg.matrix_power(arr, p - 1) * arr.T).sum())
 
 
 def logdet_gap(M: IsoMatrix, closed: Sequence) -> float:
-    """|exp(log det M - sum log mu) - 1|, the scale-free determinant defect."""
-    logabs, phase = matrix_logdet(M)
-    target = 0.0 + 0.0j
-    for mv in closed:
-        target += cmath.log(complex(mv))
-    diff = complex(logabs, phase) - target
-    # collapse the phase to the principal branch before exponentiating
-    wrapped = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
-    return float(abs(cmath.exp(wrapped) - 1.0))
+    """|exp(log det M - sum log mu) - 1|, the scale-free determinant defect, in
+    the scalars of M: log det M sums the logs of the pivots of _eliminate, plus
+    i pi for an odd swap count, so it stays in log space; the branch is wrapped
+    before exponentiating. A zero pivot, det M = 0, is a defect of 1."""
+    ctx = context_of(M.entries[0][0])
+    fn = ctx.elementary
+    pivots, odd = _eliminate(M.entries)
+    if not all(pivots):
+        return 1.0
+    diff = sum(fn.log(v) for v in pivots) - sum(fn.log(m) for m in closed) + odd * 1j * fn.pi
+    turns = round(float(diff.imag / (2 * fn.pi)))
+    return float(ctx.size(fn.exp(diff - turns * 2j * fn.pi) - 1))
 
 
 def closed_trace(params: ParamSet):

@@ -3,9 +3,9 @@
 All numerical kernels in this package are written against plain arithmetic
 (+, -, *, /, integer **, abs) so the same code runs on binary64 complex and
 on mpmath arbitrary-precision complex, and on NumPy arrays of either. A
-PrecisionContext carries the scalar constructor, the array dtype, the machine
-epsilon and size, the magnitude that scales, normalisers and relative-gap
-denominators are taken with.
+PrecisionContext carries the scalar constructor, the array dtype, the complex
+elementary functions, the machine epsilon and size, the magnitude that
+scales, normalisers and relative gaps (rel_gap) are taken with.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -17,6 +17,7 @@ reads it from a value); the command line converts q, alpha and beta once
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -54,6 +55,11 @@ class PrecisionContext:
         return complex if self.mp is None else object
 
     @property
+    def elementary(self):
+        """log, exp and pi of this context's scalars: cmath, or the mpmath context."""
+        return cmath if self.mp is None else self.mp
+
+    @property
     def root_step_tol(self) -> float:
         # 1e-14 at binary64, scaled with eps elsewhere
         return 1e-14 * (self.eps / _F64_EPS)
@@ -67,15 +73,18 @@ def _extended_size(x):
 F64 = PrecisionContext(eps=_F64_EPS)
 
 
-# one context per dps: contexts are never mutated, and building a fresh mpmath
-# context on every escalation is slow and leaves cyclic garbage behind
-@functools.cache
 def extended(dps: int = 50) -> PrecisionContext:
-    """Context whose scalars carry dps significant digits."""
+    """Context whose scalars carry dps significant digits, one per dps."""
+    return _extended(dps)
+
+
+# cached on dps alone, not on the call form, so extended() is extended(50); a
+# fresh mpmath context per escalation is slow and leaves cyclic garbage behind
+@functools.cache
+def _extended(dps: int) -> PrecisionContext:
     private = mpmath.MPContext()
     private.dps = dps
-    eps = float(private.power(10, 1 - dps))
-    return PrecisionContext(eps=eps, mp=private)
+    return PrecisionContext(eps=float(private.power(10, 1 - dps)), mp=private)
 
 
 def context_of(x) -> PrecisionContext:
@@ -83,3 +92,10 @@ def context_of(x) -> PrecisionContext:
     scalar of dps digits, F64 for any other number."""
     mp = getattr(x, "context", None)
     return F64 if mp is None else extended(mp.dps)
+
+
+def rel_gap(a, b) -> float:
+    """The gap of a from b, size(a - b) / max(1, size(b)), in a - b's precision."""
+    d = a - b
+    size = context_of(d).size
+    return float(size(d) / max(1.0, size(b)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qzeros import isospectral
+from qzeros import isospectral, rootfind
 from qzeros.cli import main
 from qzeros.errors import LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
@@ -24,7 +24,7 @@ from qzeros.isospectral import (
     mu_closed_exact,
 )
 from qzeros.params import ParamSet, in_context, validate
-from qzeros.precision import extended
+from qzeros.precision import F64, extended
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 
@@ -146,6 +146,23 @@ def test_corollary_traces_and_det(small_suite):
             rhs = sum(v**p for v in mus)
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
         assert logdet_gap(M, mus) < 1e-6
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_logdet_gap_reads_the_swap_parity_and_stays_in_log_space(ctx):
+    def matrix(rows):
+        return IsoMatrix(entries=tuple(tuple(ctx.convert(v) for v in row) for row in rows))
+
+    # one row swap: det = -6 = 3 * (-2), the product of the eigenvalues
+    swapped = matrix([[0, 2], [3, 1]])
+    assert logdet_gap(swapped, [ctx.convert(3), ctx.convert(-2)]) <= 4 * ctx.eps
+    assert logdet_gap(swapped, [ctx.convert(3), ctx.convert(2)]) == pytest.approx(2.0)
+    # det = 1e400, beyond binary64 range even when the entries are not
+    big = matrix([[1e200, 0], [0, 1e200]])
+    assert logdet_gap(big, [ctx.convert(1e200), ctx.convert(1e200)]) <= 4 * ctx.eps
+    assert logdet_gap(big, [ctx.convert(1e200), ctx.convert(2e200)]) == pytest.approx(0.5)
+    # a zero pivot is det M = 0: a defect of 1, with no log of 0 taken
+    assert logdet_gap(matrix([[1, 2], [2, 4]]), [ctx.convert(5), ctx.convert(0)]) == 1.0
 
 
 def test_beta_perturbation_keeps_spectrum():
@@ -304,13 +321,14 @@ def _extended_verify_report(tmp_path, params):
 
 
 def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
-    # binary64 zeros are ~1e-11 off; the second correction is already at
-    # the escalated eps, so no third sweep runs (six were always taken)
+    # binary64 zeros are ~1e-11 off; the first Aberth sweep brings them to
+    # the escalated eps, the second confirms it, and one polish follows
     for index in (19, 26, 38):
         params = suite[index]
-        evaluations = counting(monkeypatch, isospectral, "eval_poly_deriv")
-        _, lam = certified_spectrum(params)
-        assert len(evaluations) == 2 * params.N, index
+        zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
+        evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
+        _, lam = certified_spectrum(params, zeros)
+        assert len(evaluations) == 3 * params.N, index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
 
@@ -327,6 +345,9 @@ def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch
         values = {c["name"]: c["value"] for c in report["checks"]}
         gap, defect = values["spectrum_gap_max"], values["jacobian_defect"]
         assert code == 0 and gap <= 1e-40 and defect <= 1e-38, (params, gap, defect)
+        # the matrix-side checks run in the scalars of M, not rounded to binary64
+        for name in ("trace_gap_p1", "trace_gap_p2", "trace_gap_p3", "closed_trace_gap", "det_gap"):
+            assert values[name] <= 1e-30, (params, name, values[name])
     assert eig_calls == []
     assert caught == []
 

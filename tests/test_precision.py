@@ -16,7 +16,7 @@ from qzeros import (
     to_monic,
 )
 from qzeros.params import in_context
-from qzeros.precision import F64, extended
+from qzeros.precision import F64, context_of, extended
 from qzeros.qdiff import _horner_terms
 from qzeros.qseries import Poly
 
@@ -31,6 +31,11 @@ def test_extended_context_is_private():
     assert mpmath.nstr(third.real, 30) == THIRD_30
     # a binary64 third is off from the 17th digit on
     assert mpmath.nstr(ctx.convert(F64.convert(1) / 3).real, 30) != THIRD_30
+
+
+def test_extended_default_is_the_context_of_its_values():
+    assert extended() is extended(50)
+    assert context_of(extended().convert(1)) is extended()
 
 
 def _outputs(params):

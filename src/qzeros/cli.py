@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -169,16 +170,15 @@ def cmd_poly(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dic
 def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     monic = _monic(params)
     zset = rootfind.find_zeros(monic, params)
-    companions = rootfind.companion_zeros(monic)
-    # both gaps in the precision of the zeros, as _jacobian_defect compares:
-    # rounding to binary64 first would hide any extended gap below 1e-16
-    gap = max(rel_gap(a, b) for a, b in zip(zset.zeros, companions))
-    recon = [1]
-    for z in zset.zeros:
-        recon = [0] + recon
-        for i in range(len(recon) - 1):
-            recon[i] = recon[i] - z * recon[i + 1]
-    recon_gap = max(rel_gap(mc, rc) for rc, mc in zip(recon, monic.coeffs))
+    # the two routes' zeros compared as multisets, paired nearest first: two
+    # sorted lists can order a conjugate pair differently. Both gaps are in
+    # the precision of the zeros, as _jacobian_defect compares: rounding to
+    # binary64 first would hide any extended gap below 1e-16
+    report = isospectral.match_spectrum(zset.zeros, rootfind.companion_zeros(monic))
+    gap = max(rel for _, _, _, rel in report.matched_pairs)
+    # prod (z - z_n) = sum_k e_k(-z_1, ..., -z_N) z^(N - k), by Vieta
+    recon = (1,) + params_mod._elementary([-z for z in zset.zeros])
+    recon_gap = max(rel_gap(mc, rc) for rc, mc in zip(reversed(recon), monic.coeffs))
     checks = [
         _check("companion_gap", gap, tol),
         _check("max_residual", zset.max_residual, tol),
@@ -274,13 +274,8 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
         pert = None
         for _attempt in range(SWEEP_REDRAW_LIMIT):
             factors = rng.uniform(0.5, 2.0, size=params.s)
-            candidate = ParamSet(
-                r=params.r,
-                s=params.s,
-                N=params.N,
-                q=params.q,
-                alpha=params.alpha,
-                beta=tuple(b * f for b, f in zip(params.beta, factors)),
+            candidate = dataclasses.replace(
+                params, beta=tuple(b * f for b, f in zip(params.beta, factors))
             )
             try:
                 pert = params_mod.validate(candidate)

@@ -42,7 +42,7 @@ from .errors import (
     StepUnderflow,
 )
 from .isospectral import mu_n
-from .params import ParamSet
+from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import ZeroSet, relative_separation
 from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, velocity_terms
@@ -89,16 +89,13 @@ class TriangularC:
 def build_C(params: ParamSet) -> TriangularC:
     """Assemble the diagonal (closed-form eigenvalues) and subdiagonal weights,
     in the precision of params.q."""
-    ctx = context_of(params.q)
-    q = ctx.convert(params.q)
-    alpha = [ctx.convert(a) for a in params.alpha]
-    beta = [ctx.convert(b) for b in params.beta]
-    N, diff = params.N, params.s - params.r
+    params = in_context(params, context_of(params.q))
+    q, N, diff = params.q, params.N, params.s - params.r
     diag, sub = [], []
     for n in range(1, N + 1):
-        diag.append(mu_n(n, q, alpha, N, diff))
+        diag.append(mu_n(n, q, params.alpha, N, diff))
         sval = q ** (N - n + 1) - 1
-        for b in beta:
+        for b in params.beta:
             sval = sval * (b * q ** (N - n) - 1)
         sub.append(sval)
     scale = max(max(abs(d) for d in diag), 1.0)

@@ -52,7 +52,7 @@ class IsoMatrix:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Hungarian-matched (numerical, closed-form) pairs with scale-guarded gaps."""
+    """Nearest-first matched (numerical, closed-form) pairs with scale-guarded gaps."""
 
     matched_pairs: Tuple  # (numerical, closed, abs_gap, rel_gap) per row
 
@@ -110,11 +110,9 @@ def mu_n(n: int, q, alphas: Sequence, N: int, diff: int):
 
 def mu_closed(params: ParamSet) -> List:
     """Closed-form eigenvalues mu_n, n = 1..N, in the precision of params.q."""
-    ctx = context_of(params.q)
-    q = ctx.convert(params.q)
-    alpha = [ctx.convert(a) for a in params.alpha]
+    params = in_context(params, context_of(params.q))
     diff = params.s - params.r
-    return [mu_n(n, q, alpha, params.N, diff) for n in range(1, params.N + 1)]
+    return [mu_n(n, params.q, params.alpha, params.N, diff) for n in range(1, params.N + 1)]
 
 
 def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: int) -> List[Fraction]:
@@ -325,9 +323,12 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     """All eigenvalues of a dense matrix given as nested rows, in the
     precision of its entries.
 
-    Both precisions first balance the matrix (scipy.linalg.matrix_balance
-    without permutation, LAPACK zgebal; Parlett & Reinsch 1969): B = D^-1 A D
-    with D diagonal of exact powers of two, so B is A's spectrum exactly.
+    Both precisions first balance the matrix (Parlett & Reinsch 1969):
+    B = D^-1 A D, D the powers of two that scipy.linalg.matrix_balance
+    (LAPACK zgebal, no permutation) picks for A's binary64 rounding, applied
+    to an array of A's own scalars. That is exact at any digits, so B has
+    A's spectrum exactly (in binary64, B is LAPACK's balanced matrix bit for
+    bit).
     For the companion matrices of rootfind.companion_zeros, whose
     coefficients span dozens of decades, that is what makes binary64
     eigenpairs of B good enough to certify or to refine (Edelman & Murakami
@@ -343,25 +344,23 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     derived from B's bound, so the escalation must solve B too: at those
     digits the unbalanced A can misplace its smallest eigenvalues.
 
-    Extended entries are scaled by the D that balances their binary64
-    rounding, which is exact at any digits, and B's eigenvalues are refined
-    to the entries' eps (_eig_escalated). Unbalanced, the refinement fails
-    on 14 of the 45 suite companion matrices with N > 1. Entries whose
-    rounding is not finite are solved by mpmath.eig with _lost_digits added:
-    no scaling brings a diagonal entry into range, and without them it
-    returns 0 for the zero 3 of z^2 - (1e400 + 3) z + 3e400.
+    Extended B's eigenvalues are refined to the entries' eps
+    (_eig_escalated); unbalanced, the refinement fails on 14 of the 45 suite
+    companion matrices with N > 1. Entries whose rounding is not finite are
+    solved by mpmath.eig with _lost_digits added: no scaling brings a
+    diagonal entry into range, and without them it returns 0 for the zero 3
+    of z^2 - (1e400 + 3) z + 3e400.
     """
     ctx = context_of(rows[0][0])
     arr = _dense(rows)
+    if ctx.mp is not None and not np.isfinite(arr).all():
+        wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
+        return [ctx.convert(v) for v in _eig_extended(rows, wide)]
+    _, (scale, _) = scipy.linalg.matrix_balance(arr, permute=False, separate=True)
+    d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
+    balanced = np.array(rows, dtype=ctx.dtype) * d / d[:, None]
     if ctx.mp is not None:
-        if not np.isfinite(arr).all():
-            wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
-            return [ctx.convert(v) for v in _eig_extended(rows, wide)]
-        _, (scale, _) = scipy.linalg.matrix_balance(arr, permute=False, separate=True)
-        d = [ctx.convert(v) for v in scale]
-        rows = [[v * d[j] / d[i] for j, v in enumerate(row)] for i, row in enumerate(rows)]
-        return _eig_escalated(rows)
-    balanced, _ = scipy.linalg.matrix_balance(arr, permute=False)
+        return _eig_escalated(balanced)
     vals, worst = _eig_with_bound(balanced)
     if worst > EIG_TARGET:
         ext = _escalated(worst)
@@ -427,29 +426,32 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
 
 
 def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
-    """Minimum-total-distance bijection between the two eigenvalue lists.
+    """Nearest pairs first: a bijection between the two value lists.
 
-    Complex spectra admit no stable total order, so pairing is by assignment
-    on the |lambda_i - mu_j| cost matrix, never by sorting. Relative gaps
-    use the max(1, |.|) denominator guard.
+    Complex values admit no stable total order (a conjugate pair has equal
+    moduli to the last bit), so the lists are never sorted. The N^2
+    distances |lambda_i - mu_j| of the binary64 roundings are visited in
+    increasing order, an exact tie by the lower numerical, then closed
+    index, and each pair is taken while both its ends are free. That is the
+    minimum-total-distance assignment whenever each value lies closer to
+    its partner than half the distance between any two closed values. Pairs
+    come in the order of closed, with the gaps of the values themselves
+    (rel_gap, with its max(1, |.|) guard).
     """
     lam = list(numerical)
     mu = list(closed)
     if len(lam) != len(mu):
         raise LengthMismatch(f"{len(lam)} numerical vs {len(mu)} closed eigenvalues")
     n = len(lam)
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            cost[i, j] = abs(complex(lam[i]) - complex(mu[j]))
-    row_ind, col_ind = linear_sum_assignment(cost)
-    order = sorted(range(n), key=lambda i: col_ind[i])
-    pairs = []
-    for i in order:
-        lv, mv = lam[row_ind[i]], mu[col_ind[i]]
-        pairs.append((lv, mv, float(abs(lv - mv)), rel_gap(lv, mv)))
+    dist = np.abs(np.subtract.outer(np.array(lam, dtype=complex), np.array(mu, dtype=complex)))
+    partner, free = [None] * n, [True] * n
+    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if free[i] and partner[j] is None:
+            free[i], partner[j] = False, i
+            if None not in partner:
+                break
+    pairs = [(lam[i], mv, float(abs(lam[i] - mv)), rel_gap(lam[i], mv)) for mv, i in zip(mu, partner)]
     return SpectrumReport(matched_pairs=tuple(pairs))
 
 

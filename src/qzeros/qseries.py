@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import OverflowRisk, ZeroLeadingCoefficient
-from .params import ParamSet
+from .params import ParamSet, in_context
 from .precision import context_of
 
 OVERFLOW_LIMIT = 1e280
@@ -63,10 +63,8 @@ def coeffs_P(params: ParamSet) -> Poly:
     """Coefficient vector of P_N via the consecutive-term ratio recurrence,
     in the precision of params.q."""
     ctx = context_of(params.q)
-    q = ctx.convert(params.q)
-    alpha = [ctx.convert(a) for a in params.alpha]
-    beta = [ctx.convert(b) for b in params.beta]
-    N, diff = params.N, params.s - params.r
+    params = in_context(params, ctx)
+    q, N, diff = params.q, params.N, params.s - params.r
 
     term = ctx.convert(1.0)
     coeffs = [term]
@@ -75,9 +73,9 @@ def coeffs_P(params: ParamSet) -> Poly:
     for m in range(1, N + 1):
         num = 1 - qpow * q_minus_N
         den = 1 - q**m
-        for a in alpha:
+        for a in params.alpha:
             num = num * (1 - a * qpow)
-        for b in beta:
+        for b in params.beta:
             den = den * (1 - b * qpow)
         ratio = num / den
         if diff:

@@ -68,8 +68,17 @@ def relative_separation(zs) -> float:
 
 
 def _certify(zs, p: Poly) -> ZeroSet:
-    sep = relative_separation(zs)
+    """The ZeroSet of zs; DegenerateZeros when a zero is not finite (builtin
+    min and max skip a NaN unless it comes first) or two zeros cannot be
+    certified apart. A point of an unresolved cluster carries an error of
+    about twice its Newton correction (which contracts by 1/2 toward a
+    double zero), so a pair's certified gap is its gap less both bounds.
+    One pass over the pairs takes the smallest raw gap (min_separation)
+    and the smallest certified gap, each divided once by the largest zero
+    magnitude."""
     size = context_of(p.coeffs[0]).size
+    if not all(size(z) < math.inf for z in zs):
+        raise DegenerateZeros("a zero is not finite; the zero set is not resolved")
     steps = []
     worst = 0.0
     for z in zs:
@@ -77,25 +86,21 @@ def _certify(zs, p: Poly) -> ZeroSet:
         step = size(val) / max(size(der), TINY)
         steps.append(float(step))
         worst = max(worst, float(step / max(1.0, size(z))))
-    # a point of an unresolved cluster carries an error of about twice its
-    # Newton correction (the correction contracts linearly with factor 1/2
-    # toward a double zero), so the certifiable part of each pair gap is the
-    # computed gap minus both points' error bounds
-    scale = max((size(z) for z in zs), default=1.0)
-    certified = sep
-    n = len(zs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = size(zs[i] - zs[j]) - 2.0 * (steps[i] + steps[j])
-            certified = min(certified, float(gap / max(scale, TINY)))
-    # written so that NaN zeros, whose separation compares false, fail too
+    scale = max(max(size(z) for z in zs), TINY)
+    raw = certified = math.inf
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            gap = size(zs[i] - zs[j])
+            raw = min(raw, gap)
+            certified = min(certified, gap - 2.0 * (steps[i] + steps[j]))
+    certified = float(certified / scale)
     if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros(
             f"certified relative zero separation {certified:.3e} <="
             f" {SEPARATION_FLOOR:.0e}; near-coincident zeros are rejected,"
             " not resolved"
         )
-    return ZeroSet(zeros=tuple(zs), min_separation=sep, max_residual=worst)
+    return ZeroSet(zeros=tuple(zs), min_separation=float(raw / scale), max_residual=worst)
 
 
 def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import mpmath
 import pytest
 
 from qzeros.cli import DEFAULT_THRESHOLDS, build_parser, main
+
+from conftest import RS_COMBOS, SUITE_SEED
 
 BASE = {
     "r": 1,
@@ -30,6 +33,40 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def write_params(tmp_path, params):
+    """The config of a ParamSet, with every scalar as a [re, im] pair."""
+    return write_config(
+        tmp_path,
+        r=params.r,
+        s=params.s,
+        N=params.N,
+        q=[params.q.real, params.q.imag],
+        alpha=[[a.real, a.imag] for a in params.alpha],
+        beta=[[b.real, b.imag] for b in params.beta],
+    )
+
+
+def real_configs(count, max_degree):
+    """Configs drawn like conftest.make_case, but with real q, alpha and beta:
+    case i takes (r, s) = RS_COMBOS[i % 6] and N = i % max_degree + 1, q is
+    +-uniform(0.2, 0.9) and every alpha and beta uniform(0.3, 2.0)."""
+    rng = random.Random(SUITE_SEED)
+    out = []
+    for i in range(count):
+        r, s = RS_COMBOS[i % len(RS_COMBOS)]
+        out.append(
+            {
+                "r": r,
+                "s": s,
+                "N": i % max_degree + 1,
+                "q": rng.choice((-1, 1)) * rng.uniform(0.2, 0.9),
+                "alpha": [rng.uniform(0.3, 2.0) for _ in range(r)],
+                "beta": [rng.uniform(0.3, 2.0) for _ in range(s)],
+            }
+        )
+    return out
 
 
 def run(cmd, cfg, *extra):
@@ -194,15 +231,7 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     # binary64 q, alpha and beta would hold the residuals at ~1e-16
     params = suite[3]
     assert params.N <= 5 and params.r + params.s > 0
-    cfg = write_config(
-        tmp_path,
-        r=params.r,
-        s=params.s,
-        N=params.N,
-        q=[params.q.real, params.q.imag],
-        alpha=[[a.real, a.imag] for a in params.alpha],
-        beta=[[b.real, b.imag] for b in params.beta],
-    )
+    cfg = write_params(tmp_path, params)
     out = tmp_path / "rep.json"
     assert run("verify", cfg, "--precision", "extended", "--out", str(out)) == 0
     byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
@@ -219,21 +248,41 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
 
 def test_extended_zeros_checks_at_the_extended_level(tmp_path, suite):
     # rounding the zeros to binary64 would hold both gaps at ~1e-16
-    params = suite[3]
-    cfg = write_config(
-        tmp_path,
-        r=params.r,
-        s=params.s,
-        N=params.N,
-        q=[params.q.real, params.q.imag],
-        alpha=[[a.real, a.imag] for a in params.alpha],
-        beta=[[b.real, b.imag] for b in params.beta],
-    )
+    cfg = write_params(tmp_path, suite[3])
     out = tmp_path / "rep.json"
     assert run("zeros", cfg, "--precision", "extended", "--out", str(out)) == 0
     byname = {c["name"]: c["value"] for c in load_report(out)["checks"]}
     assert byname["companion_gap"] < 1e-40
     assert byname["reconstruction_gap"] < 1e-40
+
+
+@pytest.mark.parametrize("precision, count, max_degree", [("f64", 40, 10), ("extended", 10, 5)])
+def test_zeros_fails_only_where_verify_fails_on_real_parameters(tmp_path, precision, count, max_degree):
+    # the zeros of a real polynomial come in conjugate pairs of equal moduli,
+    # so two lists sorted by modulus can hold z where the other holds its
+    # conjugate: the companion check must pair them as multisets
+    out = str(tmp_path / "rep.json")
+    for i, cfg in enumerate(real_configs(count, max_degree)):
+        path = tmp_path / f"real{i}.json"
+        path.write_text(json.dumps(cfg))
+        codes = [run(cmd, str(path), "--precision", precision, "--out", out) for cmd in ("zeros", "verify")]
+        assert codes[0] == codes[1], (cfg, codes)
+
+
+def test_commands_leave_scipy_optimize_unimported(tmp_path, suite):
+    # the matcher pairs without scipy.optimize, whose import adds about
+    # 20 MB and a tenth of a second to a fresh process
+    cfg = write_params(tmp_path, suite[3])
+    script = (
+        "import json, sys\n"
+        "from qzeros.cli import main\n"
+        f"codes = [main([c, '--config', {cfg!r}, '--out', {str(tmp_path / 'r.json')!r}])"
+        " for c in ('zeros', 'verify', 'sweep')]\n"
+        "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
 
 
 def test_module_entry_point(tmp_path):

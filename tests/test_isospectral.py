@@ -129,6 +129,36 @@ def test_match_spectrum_identity_and_permutation():
         match_spectrum(vals, vals[:2])
 
 
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_match_spectrum_pairs_nearest_first(ctx):
+    # a conjugate pair listed in opposite orders pairs z with z, not with its
+    # conjugate; pairs come in the order of the closed list, gaps in the
+    # values' own precision
+    delta = ctx.convert(1e-40 if ctx.mp else 1e-14)
+    lam = [ctx.convert(v) for v in (1 + 2j, 1 - 2j, 0.5)]
+    mu = [lam[1] + delta, lam[0] + delta, lam[2] + delta]
+    pairs = match_spectrum(lam, mu).matched_pairs
+    assert [(lv, mv) for lv, mv, _, _ in pairs] == [(lam[1], mu[0]), (lam[0], mu[1]), (lam[2], mu[2])]
+    assert max(rel for _, _, _, rel in pairs) < (1e-39 if ctx.mp else 1e-13)
+
+    # a permutation pairs every value with itself
+    perm = [lam[2], lam[0], lam[1]]
+    pairs = match_spectrum(lam, perm).matched_pairs
+    assert [(lv, mv) for lv, mv, _, _ in pairs] == [(v, v) for v in perm]
+    assert all(absgap == 0.0 and rel == 0.0 for _, _, absgap, rel in pairs)
+
+
+def test_match_spectrum_breaks_exact_ties_by_index():
+    # both bijections have the same total distance here, so only the tie
+    # rule decides: 1 and -1 both lie 1 from 0, the lower numerical index
+    # takes it
+    pairs = match_spectrum([1.0, -1.0], [0.0, 5j]).matched_pairs
+    assert [(lv, mv) for lv, mv, _, _ in pairs] == [(1.0, 0.0), (-1.0, 5j)]
+    # 0 lies 1 from both 1 and -1: the lower closed index takes it
+    pairs = match_spectrum([0.0, 5j], [1.0, -1.0]).matched_pairs
+    assert [(lv, mv) for lv, mv, _, _ in pairs] == [(0.0, 1.0), (5j, -1.0)]
+
+
 def test_spectrum_identity_on_small_suite(small_suite):
     for params in small_suite:
         _, lam = certified_spectrum(params)

@@ -184,7 +184,9 @@ def _check_separation(zs) -> None:
 def _others(a):
     """Rows a[i] without entry i, N x (N-1); a vector counts as N copies of it."""
     n = len(a)
-    return np.broadcast_to(a, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    # the flattened square without its first entry, in rows of n + 1, holds
+    # a diagonal entry at the end of each row
+    return np.broadcast_to(a, (n, n)).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
 
 
 def _moved_velocity(terms, others, q, z, inv):

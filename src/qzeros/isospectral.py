@@ -31,7 +31,6 @@ from typing import List, Sequence, Tuple
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
@@ -154,39 +153,65 @@ def _eig_extended(rows, ctx: PrecisionContext) -> List:
     return [ctx.convert(v) for v in vals]
 
 
+def _eigenpairs(arr):
+    """Binary64 eigenvalues of arr, its unit right eigenvectors (the columns
+    of V), V^-1 and the norms of the rows of V^-1.
+
+    Row i of V^-1 is y_i^H for the left eigenvector y_i scaled to
+    y_i^H x_i = 1 (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2; Golub
+    & Van Loan, Matrix Computations, 7.2.2), so its norm is the condition of
+    eigenvalue i, ||x_i|| ||y_i|| / |y_i^H x_i|. When V is singular, or so
+    nearly singular that a row norm overflows (a defective matrix, such as
+    a nilpotent Jordan block), there is no first-order certificate and
+    V^-1 and the norms are None. Raises EigenNoConvergence when the QR
+    iteration does not converge.
+    """
+    try:
+        vals, right = np.linalg.eig(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigenNoConvergence(str(exc)) from exc
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return vals, right, None, None
+    with np.errstate(over="ignore"):
+        cond = np.linalg.norm(left, axis=1)
+    if not np.isfinite(cond).all():
+        return vals, right, None, None
+    return vals, right, left, cond
+
+
 def _eig_with_bound(arr):
     """Binary64 eigenvalues plus the worst relative forward error estimate.
 
     QR iteration is backward stable (exact for a perturbation of size
     O(eps ||M||)), and the forward error of eigenvalue i is that backward
-    error amplified by 1 / |y_i^H x_i| (first order, simple eigenvalues).
-    The estimate takes the backward error as exactly eps ||M||_2 and leaves
-    out the modest dimension-dependent constant of the rigorous bound, so
-    it is not a strict upper bound: on the benchmark-stream companion
-    matrices the true error reached 5.7 times it. EIG_TARGET sits 1000x
-    below the 1e-6 spectrum_gap_max threshold to cover that. The estimate
-    is a property of the matrix alone; no reference values enter.
+    error amplified by the eigenvalue's condition, the norm of row i of V^-1
+    (_eigenpairs; first order, simple eigenvalues). The estimate takes the
+    backward error as exactly eps ||M||_2 and leaves out the modest
+    dimension-dependent constant of the rigorous bound, so it is not a
+    strict upper bound: on the benchmark-stream companion matrices the true
+    error reached 5.7 times it. EIG_TARGET sits 1000x below the 1e-6
+    spectrum_gap_max threshold to cover that. Without a condition (a
+    singular V) the estimate is infinite. It is a property of the matrix
+    alone; no reference values enter.
     """
-    try:
-        vals, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
-    except np.linalg.LinAlgError as exc:
-        raise EigenNoConvergence(str(exc)) from exc
-    norm = float(np.linalg.norm(arr, 2))
-    eps = float(np.finfo(float).eps)
-    worst = 0.0
-    for i in range(len(vals)):
-        align = abs(np.vdot(vl[:, i], vr[:, i]))
-        err = eps * norm / max(align, TINY)
-        worst = max(worst, err / max(abs(vals[i]), TINY))
-    return vals, worst
+    vals, _, _, cond = _eigenpairs(arr)
+    if cond is None:
+        return vals, math.inf
+    with np.errstate(over="ignore"):
+        err = F64.eps * np.linalg.norm(arr, 2) * cond
+        return vals, float((err / np.maximum(np.abs(vals), TINY)).max())
 
 
 def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
-    eigenpairs, or None when they cannot be certified that way, or when
-    the entries rounded to binary64 are not finite. eps_out is the eps of
-    the precision the caller returns them in: eps64 when they are rounded
-    to binary64, the entries' own eps when they are kept.
+    eigenpairs, or None when they cannot be certified that way: when the
+    entries rounded to binary64 are not finite, when the binary64 QR
+    iteration does not converge or its eigenvectors V are singular, or when
+    a certificate fails. eps_out is the eps of the precision the caller
+    returns them in: eps64 when they are rounded to binary64, the entries'
+    own eps when they are kept.
 
     Newton on (x, lambda) with x normalised to 1 at its largest component s
     (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
@@ -202,9 +227,10 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     Newton takes three.
 
     lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
-    it lies within ||r|| ||y|| / |y^H x| of one of M's, y being the binary64
-    left eigenvector. That certificate stops a pair once it reaches
-    eps_out |lambda|, once it stops decreasing, or after REFINE_STEPS
+    it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H being row i of
+    V^-1 (_eigenpairs), the binary64 left eigenvector (the certificate does
+    not depend on how y is scaled). That certificate stops a pair once it
+    reaches eps_out |lambda|, once it stops decreasing, or after REFINE_STEPS
     corrections; it may rise at the first correction, since the binary64
     start has a backward-stable residual but a poor eigenvector when the
     eigenvalue is ill-conditioned. The result is accepted only if every
@@ -220,14 +246,15 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         return None
     n = len(rows)
     try:
-        vals, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
-    except np.linalg.LinAlgError:
+        vals, vr, left, cond = _eigenpairs(arr)
+    except EigenNoConvergence:
+        return None
+    if cond is None:
         return None
     target = EIG_TARGET * (eps_out / F64.eps)
     lams, certs = [], []
     for i in range(n):
-        y = vl[:, i]
-        y_norm = float(np.linalg.norm(y))
+        y_h, y_norm = left[i], float(cond[i])
         s = int(np.argmax(np.abs(vr[:, i])))
         lam = ctx.convert(vals[i])
         x = [ctx.convert(v) for v in vr[:, i] / vr[s, i]]
@@ -238,7 +265,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
                 [complex(fdot(list(zip(row, x)) + [(-lam, x[j])])) for j, row in enumerate(rows)]
             )
             x64 = np.array([complex(v) for v in x])
-            cert = float(np.linalg.norm(res)) * y_norm / max(abs(np.vdot(y, x64)), TINY)
+            cert = float(np.linalg.norm(res)) * y_norm / max(abs(y_h @ x64), TINY)
             if best is None or cert < best[0]:
                 best = (cert, lam)
             if step > 1 and cert >= prev:
@@ -284,8 +311,10 @@ def _eig_escalated(rows, eps_out: float | None = None) -> List:
 
 
 def _escalated(worst: float) -> PrecisionContext:
-    # digits that bring the conditioning bound under the target, plus slack
-    return extended(max(16 + int(math.ceil(math.log10(worst / EIG_TARGET))) + 8, 24))
+    # digits that bring the conditioning bound under the target, plus slack;
+    # an infinite bound (a defective matrix) takes the 1/TINY cap
+    excess = min(worst / EIG_TARGET, 1 / TINY)
+    return extended(max(16 + int(math.ceil(math.log10(excess))) + 8, 24))
 
 
 def _eliminate(rows) -> Tuple[List, bool]:
@@ -325,7 +354,8 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
 
     Both precisions first balance the matrix (Parlett & Reinsch 1969):
     B = D^-1 A D, D the powers of two that scipy.linalg.matrix_balance
-    (LAPACK zgebal, no permutation) picks for A's binary64 rounding, applied
+    (LAPACK zgebal, no permutation; the only scipy.linalg routine the
+    package calls, imported here) picks for A's binary64 rounding, applied
     to an array of A's own scalars. That is exact at any digits, so B has
     A's spectrum exactly (in binary64, B is LAPACK's balanced matrix bit for
     bit).
@@ -334,7 +364,9 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     eigenpairs of B good enough to certify or to refine (Edelman & Murakami
     1995).
 
-    In binary64 the _eig_with_bound certificate on B holds for A as well.
+    In binary64 the _eig_with_bound certificate on B holds for A as well;
+    it reads the left eigenvectors of B as the rows of V^-1, V the right
+    ones from numpy.linalg.eig, not as a separate LAPACK solve.
     Like every _eig_with_bound certificate it is an estimate that leaves out
     the backward error's dimension constant, not a strict bound. Over the 50
     suite cases 2 certificates exceed EIG_TARGET instead of 21 unbalanced.
@@ -356,7 +388,9 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     if ctx.mp is not None and not np.isfinite(arr).all():
         wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
         return [ctx.convert(v) for v in _eig_extended(rows, wide)]
-    _, (scale, _) = scipy.linalg.matrix_balance(arr, permute=False, separate=True)
+    from scipy.linalg import matrix_balance  # loaded by the companion oracle only
+
+    _, (scale, _) = matrix_balance(arr, permute=False, separate=True)
     d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
     balanced = np.array(rows, dtype=ctx.dtype) * d / d[:, None]
     if ctx.mp is not None:

@@ -7,12 +7,18 @@ flow_rhs_from_products is the zero flow built from the zero identities;
 eval_phi sums the hypergeometric series itself, an oracle for the
 coefficient recurrence of coeffs_P; reduce cancels equal trailing
 alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
-adds to match_spectrum's pairs the trace, power-trace and determinant gaps.
+adds to match_spectrum's pairs the trace, power-trace and determinant gaps;
+companion_rows is the companion matrix of a monic polynomial and
+eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
+from LAPACK's own left eigenvectors, one pair of unit vectors at a time.
 """
 
 import cmath
 from types import SimpleNamespace
 from typing import List, Sequence
+
+import numpy as np
+import scipy.linalg
 
 from qzeros.errors import DegreeMismatch, NoConvergence, QZerosError
 from qzeros.flow import FlowState
@@ -308,3 +314,28 @@ def spectrum_match(numerical, closed) -> SimpleNamespace:
         power_trace_gaps=power_gaps,
         is_match=all(g < MATCH_TOL for g in gaps),
     )
+
+
+def companion_rows(p):
+    """Rows of the companion matrix of the monic p, in its scalars."""
+    n = p.degree
+    zero = p.coeffs[0] * 0
+    rows = [[zero + (1 if j == i - 1 else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -p.coeffs[i]
+    return rows
+
+
+def eig_bound_lapack(arr):
+    """Eigenvalues of the binary64 array arr and the worst relative forward
+    error estimate eps ||arr||_2 / (|y_i^H x_i| |lambda_i|), x_i and y_i the
+    unit right and left eigenvectors LAPACK returns (scipy.linalg.eig)."""
+    vals, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
+    norm = float(np.linalg.norm(arr, 2))
+    eps = float(np.finfo(float).eps)
+    worst = 0.0
+    for i in range(len(vals)):
+        align = abs(np.vdot(vl[:, i], vr[:, i]))
+        err = eps * norm / max(align, TINY)
+        worst = max(worst, err / max(abs(vals[i]), TINY))
+    return vals, worst

@@ -270,19 +270,25 @@ def test_zeros_fails_only_where_verify_fails_on_real_parameters(tmp_path, precis
 
 
 def test_commands_leave_scipy_optimize_unimported(tmp_path, suite):
-    # the matcher pairs without scipy.optimize, whose import adds about
-    # 20 MB and a tenth of a second to a fresh process
+    # poly, verify and sweep run on numpy.linalg alone, so a fresh process
+    # never pays for scipy's import (about 0.2 s); zeros balances its
+    # companion matrix with scipy.linalg, and nothing loads scipy.optimize,
+    # whose import adds about 20 MB and a tenth of a second more
     cfg = write_params(tmp_path, suite[3])
+    out = str(tmp_path / "r.json")
     script = (
         "import json, sys\n"
         "from qzeros.cli import main\n"
-        f"codes = [main([c, '--config', {cfg!r}, '--out', {str(tmp_path / 'r.json')!r}])"
-        " for c in ('zeros', 'verify', 'sweep')]\n"
-        "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n"
+        f"codes = [main([c, '--config', {cfg!r}, '--precision', p, '--out', {out!r}])"
+        " for c in ('poly', 'verify', 'sweep') for p in ('f64', 'extended')]\n"
+        "light = 'scipy' in sys.modules\n"
+        f"codes.append(main(['zeros', '--config', {cfg!r}, '--out', {out!r}]))\n"
+        "loaded = [m in sys.modules for m in ('scipy.linalg', 'scipy.optimize')]\n"
+        "print(json.dumps([codes, light] + loaded))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0], False]
+    assert json.loads(proc.stdout) == [[0] * 7, False, True, False]
 
 
 def test_module_entry_point(tmp_path):

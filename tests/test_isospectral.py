@@ -6,12 +6,15 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+import scipy.linalg
 
 from qzeros import isospectral, rootfind
 from qzeros.cli import main
-from qzeros.errors import LengthMismatch, NonGenericParameter
+from qzeros.errors import EigenNoConvergence, LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
+    EIG_TARGET,
     IsoMatrix,
     build_M,
     certified_spectrum,
@@ -29,7 +32,14 @@ from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import build_M_r1s1, build_M_r2s1, build_M_r2s2, spectrum_match
+from oracles import (
+    build_M_r1s1,
+    build_M_r2s1,
+    build_M_r2s2,
+    companion_rows,
+    eig_bound_lapack,
+    spectrum_match,
+)
 
 
 def test_build_M_n1_hand_case():
@@ -286,6 +296,67 @@ def test_reduction_retains_alpha2_factor():
 EPS64 = 2.0**-52
 # the suite cases whose binary64 eigenvalue certificate of M fails
 ESCALATING = (19, 26, 38)
+
+
+def test_eig_with_bound_matches_the_lapack_left_vector_estimate(suite):
+    # the conditions read from the rows of V^-1 are those of LAPACK's own
+    # left eigenvectors, on M and on the balanced companion matrices alike.
+    # Both carry rounding errors of order n eps kappa_2(V), V the right
+    # eigenvectors: about 1e-15 where V is well conditioned, 1e-4 on M of
+    # suite case 19, where kappa_2(V) is 8.5e11 (at most 0.47 of that level)
+    failing = {"M": [], "companion": []}
+    for index, params in enumerate(suite):
+        p, zeros = zeros_of(params)
+        companion = np.array(companion_rows(p), dtype=complex)
+        matrices = {
+            "M": isospectral._dense(build_M(zeros.zeros, params).entries),
+            "companion": scipy.linalg.matrix_balance(companion, permute=False)[0],
+        }
+        for name, arr in matrices.items():
+            _, worst = isospectral._eig_with_bound(arr)
+            _, ref = eig_bound_lapack(arr)
+            level = len(arr) * F64.eps * np.linalg.cond(np.linalg.eig(arr)[1])
+            assert abs(worst - ref) <= level * ref, (index, name)
+            if worst > EIG_TARGET:
+                failing[name].append(index)
+    assert failing == {"M": list(ESCALATING), "companion": [26, 38]}
+
+
+def test_defective_matrix_fails_the_certificates_without_raising():
+    # the Jordan block has one eigenvector, which binary64 eig returns twice:
+    # V is singular to working precision and the conditions near 1/eps64
+    jordan = ((1, 1), (0, 1))
+    ctx = extended(50)
+    rows = tuple(tuple(ctx.convert(v) for v in row) for row in jordan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, worst = isospectral._eig_with_bound(np.array(jordan, dtype=complex))
+        assert list(vals) == [1, 1] and worst > EIG_TARGET
+        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+        # with no certificate at all the nilpotent block escalates to mpmath.eig
+        nilpotent = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+        assert all(abs(v) < 1e-50 for v in eigenvalues_dense(nilpotent))
+
+
+def test_singular_eigenvectors_fail_the_certificates_not_the_solve(monkeypatch):
+    ctx = extended(50)
+    diagonal = ((1, 0), (0, 2))
+    rows = tuple(tuple(ctx.convert(v) for v in row) for row in diagonal)
+    arr = np.array(diagonal, dtype=complex)
+
+    def fails(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", fails)
+        vals, worst = isospectral._eig_with_bound(arr)
+        assert sorted(vals.real) == [1, 2] and worst == float("inf")
+        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+    # a QR iteration that does not converge is an error of the solve
+    monkeypatch.setattr(np.linalg, "eig", fails)
+    with pytest.raises(EigenNoConvergence):
+        isospectral._eig_with_bound(arr)
+    assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
 
 
 def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):

@@ -15,6 +15,7 @@ from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, zeros_of
+from oracles import companion_rows
 
 
 def _pair_off(found, oracle):
@@ -118,15 +119,6 @@ def test_companion_escalations_on_suite(suite, monkeypatch):
 EPS64 = 2.0**-52
 
 
-def _companion_rows(p):
-    n = p.degree
-    zero = p.coeffs[0] * 0
-    rows = [[zero + (1 if j == i - 1 else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        rows[i][n - 1] = -p.coeffs[i]
-    return rows
-
-
 def _assert_near(got, ref, tol):
     nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in got]
     assert sorted(nearest) == list(range(len(ref)))
@@ -139,7 +131,7 @@ def test_companion_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     for index in (26, 38):
         p, _ = zeros_of(suite[index])
         balanced, _ = scipy.linalg.matrix_balance(
-            np.array(_companion_rows(p), dtype=complex), permute=False
+            np.array(companion_rows(p), dtype=complex), permute=False
         )
         _, worst = isospectral._eig_with_bound(balanced)
         ref = isospectral._eig_extended(balanced, isospectral._escalated(worst))
@@ -156,7 +148,7 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
     small = [in_context(params, ctx) for params in suite if params.N <= 5]
     assert len(small) == 25
     polys = [to_monic(coeffs_P(params)) for params in small]
-    refs = [isospectral._eig_extended(_companion_rows(p), extended(70)) for p in polys]
+    refs = [isospectral._eig_extended(companion_rows(p), extended(70)) for p in polys]
     eig_calls = counting(monkeypatch, mpmath, "eig")
     for p, ref in zip(polys, refs):
         _assert_near(companion_zeros(p), ref, 1e-45)
@@ -164,7 +156,7 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
 
 
 def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
-    # 1e400 rounds to inf in binary64, which scipy's eig rejects
+    # 1e400 rounds to inf in binary64, where no binary64 eigenpairs exist to refine
     ctx = extended(60)
     big = ctx.mp.mpf("1e400")
     rows = ((ctx.convert(big), ctx.convert(1)), (ctx.convert(0), ctx.convert(2)))

@@ -45,7 +45,7 @@ from .isospectral import mu_n
 from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import _left_out_products, _reciprocals, decancelled_size, velocity_terms
+from .zero_algebra import decancelled_size, left_out_products, reciprocal_table, velocity_terms
 
 COLLISION_TOL = 1e-10
 # relative conjugate-direction dependence at which jacobian_fd warns
@@ -252,10 +252,12 @@ def jacobian_fd(params: ParamSet, zeros):
 
     Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
     each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
-    with P, Q summed once per call from the products that leave it out, and
-    row m is _moved_velocity. The K samples of all N columns form one array
-    F[m, n, j] in the dtype of the zeros' context; both contour sums reduce
-    over j. The velocity formula is the one flow_rhs sums, and neither
+    with P, Q summed once per call from the products that leave it out
+    (zero_algebra.left_out_products), and row m is _moved_velocity. The K
+    samples of all N columns form one array F[m, n, j] in the dtype of the
+    zeros' context; both contour sums reduce over j. The velocity formula is
+    the one flow_rhs sums, and the derivative comes from the samples, never
+    from the kernel derivative identities that build_M assembles: neither
     KernelCache nor build_M is read, so the check against M stays independent.
 
     Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
@@ -275,8 +277,8 @@ def jacobian_fd(params: ParamSet, zeros):
     n_count = len(zs)
     terms = velocity_terms(params)
     qk = {k: params.q**k for k, _, _ in terms}
-    inv = [_reciprocals(zs, n) for n in range(n_count)]
     zarr = np.asarray(zs, dtype=ctx.dtype)
+    inv = reciprocal_table(zarr)
     others = _others(zarr)
     # weight[k][n]: sum of c z_n^e over the addends of shift k
     weight = {k: np.zeros_like(zarr) for k in qk}
@@ -285,8 +287,7 @@ def jacobian_fd(params: ParamSet, zeros):
     # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
     p_sum = q_sum = 0
     for k, w in weight.items():
-        left_out = [_left_out_products(zs, n, qk[k], inv[n]) for n in range(n_count)]
-        wl = _others(w) * _others(np.array(left_out, dtype=ctx.dtype).T)
+        wl = _others(w) * _others(left_out_products(zarr, qk[k], inv).T)
         p_sum = p_sum + wl * qk[k]
         q_sum = q_sum + wl
 

@@ -60,7 +60,7 @@ def _zero_list(zeros) -> Tuple:
     return tuple(zeros.zeros) if isinstance(zeros, ZeroSet) else tuple(zeros)
 
 
-def build_M(zeros, params: ParamSet, cache: KernelCache | None = None) -> IsoMatrix:
+def build_M(zeros, params: ParamSet) -> IsoMatrix:
     """General assembly of the spectral matrix from a certified zero set.
 
     M is the Jacobian of the zero flow velocity_n = sum c z_n^e f_n(k) over
@@ -68,32 +68,27 @@ def build_M(zeros, params: ParamSet, cache: KernelCache | None = None) -> IsoMat
     (zero_algebra), with d = c (q^k - 1),
 
         M_nm = z_n / (z_n - z_m)^2 sum d z_n^e f_nm(k),   m != n,
-        M_nn = sum [e c f_n(k) - d z_n^e g_n(k)].
+        M_nn = sum [e c f_n(k) - d z_n^e g_n(k)],
+
+    each sum one array accumulation per addend over the KernelCache tables,
+    in the dtype of the zeros' context; the entries leave as builtin complex
+    or mpc scalars.
     """
     zs = _zero_list(zeros)
     q = params.q
-    if cache is None:
-        cache = KernelCache(zs, q, params.r, params.s)
-    terms = [(k, c, e, c * (q**k - 1)) for k, c, e in velocity_terms(params)]
-    rows = []
-    for n, zn in enumerate(zs):
-        scaled = [(k, d * zn if e else d) for k, _, e, d in terms]
-        diag = 0
-        for (k, c, e, _), (_, w) in zip(terms, scaled):
-            diag = diag - w * cache.g[k][n]
-            if e:
-                diag = diag + c * cache.f[k][n]
-        row = []
-        for m, zm in enumerate(zs):
-            if m == n:
-                row.append(diag)
-                continue
-            acc = 0
-            for k, w in scaled:
-                acc = acc + w * cache.fnm[k][n][m]
-            row.append(zn * cache.inv_sq[n][m] * acc)
-        rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows))
+    cache = KernelCache(zs, q, params.r, params.s)
+    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)[:, None]
+    off = diag = 0
+    for k, c, e in velocity_terms(params):
+        # array on the left: an mpc on the left of an object array is slow
+        w = z * (c * (q**k - 1)) if e else c * (q**k - 1)
+        off = off + cache.fnm[k] * w
+        diag = diag - cache.g[k][:, None] * w
+        if e:
+            diag = diag + cache.f[k][:, None] * c
+    M = z * cache.inv_sq * off
+    M[np.eye(len(zs), dtype=bool)] = diag[:, 0]
+    return IsoMatrix(entries=tuple(map(tuple, M.tolist())))
 
 
 def mu_n(n: int, q, alphas: Sequence, N: int, diff: int):

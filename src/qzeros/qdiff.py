@@ -21,8 +21,9 @@ shifted-argument values p(z q^k). Its weights live in one table, qde_terms,
 which the zero identities (zero_algebra), the zero flow (flow) and the
 spectral matrix (isospectral) read as well. The expanded route sums that
 table; up to an overall (-1)^{s+1} it is algebraically identical to the
-operator route, which never reads the table and so certifies it (the
-agreement check exported as qde_expanded_agreement).
+operator route, which never reads the table and so certifies it. qde_checks
+evaluates both routes in one pass and returns the operator-route residual
+(qde_residual) and the defect between the routes (qde_expanded_agreement).
 """
 
 from __future__ import annotations
@@ -161,20 +162,6 @@ def _expanded_terms(p: Poly, terms, qk, z, size):
         total = total + addend
         largest = max(largest, size(addend))
     return total, largest
-
-
-def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
-    """Normalized residual of the expanded shifted-argument route at each sample point."""
-    if p.degree != params.N:
-        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
-    size = context_of(params.q).size
-    terms = qde_terms(params)
-    qk = {k: params.q**k for k, _, _ in terms}
-    out = []
-    for z in zs:
-        total, largest = _expanded_terms(p, terms, qk, z, size)
-        out.append(total / max(largest, TINY))
-    return out
 
 
 def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[float]]:

@@ -12,11 +12,13 @@ the same family:
     d f_n / d z_n = (1 - q^p) g_n(p)
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
-A KernelCache precomputes all values over the contiguous shift range the
-matrix assembly reads (min(1, s-r) .. s+1), since the matrix reuses each
-O(N^2) times. It inverts each z_n - z_l once (_reciprocals) and builds every
-f_nm(p) of one row n from the prefix and suffix products of the factors of
-f_n(p) (_left_out_products), O(N^2) per shift.
+A KernelCache holds all values over the contiguous shift range the matrix
+assembly reads (min(1, s-r) .. s+1) as arrays in the dtype of the zeros'
+context (complex128, or object holding mpc), since the matrix reuses each
+O(N^2) times. reciprocal_table inverts each z_n - z_l once, and
+left_out_products builds the whole f_nm(p) table of one shift, f_n(p) on its
+diagonal, from prefix and suffix products along the rows of factors: O(N^2)
+per shift, in array passes, with no division by a factor.
 
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
@@ -33,78 +35,49 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from .errors import DegreeMismatch, IndexCollision
+import numpy as np
+
+from .errors import DegreeMismatch
 from .params import ParamSet
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
 from .precision import TINY, context_of
 
 
-def _reciprocals(zeros: Sequence, n: int) -> List:
-    """1/(z_n - z_l) for each l (0 at l = n), inverted once, not per shift; the
-    kernels take them factor by factor, so binary64 cannot overflow at N = 16."""
-    zn = zeros[n]
-    return [0 if l == n else 1 / (zn - zl) for l, zl in enumerate(zeros)]
+def reciprocal_table(z):
+    """1/(z_n - z_l) over the array z of zeros, 0 on the diagonal: each
+    difference inverted once, not per shift, and taken factor by factor by
+    left_out_products, so binary64 cannot overflow at N = 16."""
+    diagonal = np.eye(len(z), dtype=bool)
+    diff = z[:, None] - z[None, :]
+    diff[diagonal] = 1
+    inv = 1 / diff
+    inv[diagonal] = 0
+    return inv
 
 
-def f_n(p: int, n: int, zeros: Sequence, q, inv: Sequence | None = None):
-    """prod over l != n of (q^p z_n - z_l)/(z_n - z_l); 1 for N = 1 (0-based n).
-    inv is _reciprocals(zeros, n), passed where the caller holds it."""
-    if p == 0:
-        return 1 + 0 * q
-    inv = _reciprocals(zeros, n) if inv is None else inv
-    qp = q**p
-    zn = zeros[n]
-    out = 1 + 0 * q
-    for l, zl in enumerate(zeros):
-        if l != n:
-            out = out * ((qp * zn - zl) * inv[l])
-    return out
+def left_out_products(z, qp, inv):
+    """The N x N array of f_n(p) with the factor of each z_m left out,
+    qp = q^p and inv = reciprocal_table(z):
 
+        out[n, m] = prod_{l != n, m} (q^p z_n - z_l)/(z_n - z_l),  m != n,
+        out[n, n] = f_n(p), the full product in the order of l.
 
-def f_nm(p: int, n: int, m: int, zeros: Sequence, q):
-    """Same product excluding both n and m (0-based); 1 for N = 2."""
-    if n == m:
-        raise IndexCollision(f"kernel excluding two indices needs n != m, got n = m = {n}")
-    if p == 0:
-        return 1 + 0 * q
-    return _left_out_products(zeros, n, q**p, _reciprocals(zeros, n))[m]
-
-
-def _left_out_products(zeros: Sequence, n: int, qp, inv: Sequence) -> List:
-    """f_n(p) with the factor of each z_m left out, for m = 0..N-1, qp = q^p
-    and inv = _reciprocals(zeros, n):
-
-        out[m] = prod_{l != n, m} (q^p z_n - z_l)/(z_n - z_l),  m != n,
-        out[n] = f_n(p), the full product, equal to f_n's value bit for bit.
-
-    Built from prefix and suffix products in O(N), never by dividing f_n(p)
-    by a factor, since a geometric chain puts q^p z_n exactly on another
-    zero. The one home of these products: f_nm, KernelCache and
-    flow.jacobian_fd read them.
+    Row n multiplies its factors with a 1 in place of the l = n factor;
+    prefix and suffix products (np.multiply.accumulate) give every left-out
+    product without dividing f_n(p) by a factor, since a geometric chain puts
+    q^p z_n exactly on another zero. The one home of these products:
+    KernelCache and flow.jacobian_fd read them.
     """
-    zn = zeros[n]
-    factors = [0 if l == n else (qp * zn - zl) * inv[l] for l, zl in enumerate(zeros)]
-    suffix = [1] * (len(factors) + 1)
-    for l in range(len(factors) - 1, -1, -1):
-        suffix[l] = suffix[l + 1] if l == n else factors[l] * suffix[l + 1]
-    out, prefix = [], 1
-    for l, factor in enumerate(factors):
-        out.append(prefix * suffix[l + 1])
-        if l != n:
-            # the rounding order of f_n, so that out[n] equals it bit for bit
-            prefix = prefix * factor
-    out[n] = prefix
-    return out
-
-
-def g_n(p: int, n: int, zeros: Sequence, q):
-    """sum over k != n of f_nk(p) z_k/(z_n - z_k)^2; 0 for N = 1 (0-based n)."""
-    zn = zeros[n]
-    out = 0 * q
-    for k, zk in enumerate(zeros):
-        if k != n:
-            out = out + f_nm(p, n, k, zeros, q) * zk / (zn - zk) ** 2
+    diagonal = np.eye(len(z), dtype=bool)
+    # z * qp, never qp * z: an mpc on the left of an object array is slow
+    factors = (z[:, None] * qp - z[None, :]) * inv
+    factors[diagonal] = 1
+    ones = np.ones((len(z), 1), dtype=z.dtype)
+    forward = np.multiply.accumulate(factors, axis=1)
+    backward = np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1]
+    out = np.hstack([ones, forward[:, :-1]]) * np.hstack([backward[:, 1:], ones])
+    out[diagonal] = forward[:, -1]
     return out
 
 
@@ -117,36 +90,27 @@ def shift_range(r: int, s: int) -> range:
 class KernelCache:
     """All f_n, f_nm, g_n values for one configuration over shift_range(r, s).
 
-    Immutable after construction; reads are index lookups. inv_sq[n][m] = 1/(z_n - z_m)^2.
+    Arrays in the dtype of the zeros' context, immutable after construction:
+    fnm[p][n, m] = f_nm(p) off the diagonal and f_n(p) on it (the
+    left_out_products table), f[p][n] = f_n(p), g[p][n] = g_n(p) and
+    inv_sq[n, m] = 1/(z_n - z_m)^2, 0 on the diagonal.
     """
 
     def __init__(self, zeros: Sequence, q, r: int, s: int):
-        self.zeros = tuple(zeros)
-        self.q = q
-        n_count = len(self.zeros)
-        inv = [_reciprocals(self.zeros, n) for n in range(n_count)]
-        self.inv_sq = [[v * v for v in row] for row in inv]
-        g_weights = [[zk * v for zk, v in zip(self.zeros, row)] for row in self.inv_sq]
-        self.f: Dict[int, List] = {}
-        self.fnm: Dict[int, List[List]] = {}
-        self.g: Dict[int, List] = {}
+        z = np.asarray(zeros, dtype=context_of(zeros[0]).dtype)
+        inv = reciprocal_table(z)
+        self.inv_sq = inv * inv
+        # g_weights[n, k] = z_k/(z_n - z_k)^2, 0 at k = n
+        g_weights = self.inv_sq * z
+        self.f: Dict[int, np.ndarray] = {}
+        self.fnm: Dict[int, np.ndarray] = {}
+        self.g: Dict[int, np.ndarray] = {}
         for p in shift_range(r, s):
-            if p == 0:
-                self.f[p] = [1 + 0 * q] * n_count
-                table = [[1 + 0 * q] * n_count for _ in range(n_count)]
-            else:
-                qp = q**p
-                table = [_left_out_products(self.zeros, n, qp, inv[n]) for n in range(n_count)]
-                self.f[p] = [table[n][n] for n in range(n_count)]
+            # f(0) = 1 exactly; the factors (z_n - z_l)/(z_n - z_l) would round
+            table = np.ones_like(inv) if p == 0 else left_out_products(z, q**p, inv)
             self.fnm[p] = table
-            gvals = []
-            for n in range(n_count):
-                acc = 0 * q
-                for k in range(n_count):
-                    if k != n:
-                        acc = acc + table[n][k] * g_weights[n][k]
-                gvals.append(acc)
-            self.g[p] = gvals
+            self.f[p] = table.diagonal()
+            self.g[p] = (table * g_weights).sum(axis=1)
 
 
 def _shift_products(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:

@@ -1,7 +1,10 @@
 """Test-only oracles: specialised forms of general formulas.
 
-The matrix assemblies for (r, s) = (1, 1), (2, 1), (2, 2) are separate code
-paths that pin the sign conventions of the general build_M;
+f_n, f_nm and g_n are the shift kernels as direct products and sums, one
+factor at a time, the oracle for KernelCache's array tables; the matrix
+assemblies for (r, s) = (1, 1), (2, 1), (2, 2) read them, and are separate
+code paths that pin the sign conventions of the general build_M;
+expanded_residual is the expanded q-difference route on its own;
 prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
 flow_rhs_from_products is the zero flow built from the zero identities;
 eval_phi sums the hypergeometric series itself, an oracle for the
@@ -20,25 +23,54 @@ from typing import List, Sequence
 import numpy as np
 import scipy.linalg
 
-from qzeros.errors import DegreeMismatch, NoConvergence, QZerosError
+from qzeros.errors import DegreeMismatch, IndexCollision, NoConvergence, QZerosError
 from qzeros.flow import FlowState
 from qzeros.isospectral import IsoMatrix, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
-from qzeros.precision import TINY
-from qzeros.qdiff import qde_terms
-from qzeros.zero_algebra import (
-    KernelCache,
-    _prop1_terms,
-    _shift_magnitudes,
-    _shift_products,
-)
+from qzeros.precision import TINY, context_of
+from qzeros.qdiff import _expanded_terms, qde_terms
+from qzeros.qseries import Poly
+from qzeros.zero_algebra import _prop1_terms, _shift_magnitudes, _shift_products
+
+
+def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):
+    """prod over l not in left_out of (q^p z_n - z_l)/(z_n - z_l); 1 at p = 0."""
+    out = 1 + 0 * q
+    if p == 0:
+        return out
+    qp, zn = q**p, zeros[n]
+    for l, zl in enumerate(zeros):
+        if l not in left_out:
+            out = out * ((qp * zn - zl) / (zn - zl))
+    return out
+
+
+def f_n(p: int, n: int, zeros: Sequence, q):
+    """prod over l != n of (q^p z_n - z_l)/(z_n - z_l); 1 for N = 1 (0-based n)."""
+    return _kernel_product(p, n, {n}, zeros, q)
+
+
+def f_nm(p: int, n: int, m: int, zeros: Sequence, q):
+    """Same product excluding both n and m (0-based); 1 for N = 2."""
+    if n == m:
+        raise IndexCollision(f"kernel excluding two indices needs n != m, got n = m = {n}")
+    return _kernel_product(p, n, {n, m}, zeros, q)
+
+
+def g_n(p: int, n: int, zeros: Sequence, q):
+    """sum over k != n of f_nk(p) z_k/(z_n - z_k)^2; 0 for N = 1 (0-based n)."""
+    zn = zeros[n]
+    out = 0 * q
+    for k, zk in enumerate(zeros):
+        if k != n:
+            out = out + f_nm(p, n, k, zeros, q) * zk / (zn - zk) ** 2
+    return out
 
 
 def build_M_r1s1(zeros, params: ParamSet) -> IsoMatrix:
     zs = tuple(zeros)
     q, N = params.q, params.N
     a1, b1 = params.alpha[0], params.beta[0]
-    cache = KernelCache(zs, q, 1, 1)
     qN = q ** (-N)
     rows = []
     for n in range(N):
@@ -46,18 +78,16 @@ def build_M_r1s1(zeros, params: ParamSet) -> IsoMatrix:
         row = []
         for m in range(N):
             if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (-1 - b1 / q + zn * (qN + a1)) + (
-                    q**2 - 1
-                ) ** 2 * cache.g[2][n] * (b1 / q - zn * a1 * qN)
-                val = val + (q - 1) * cache.f[1][n] * (-qN - a1) + (q**2 - 1) * cache.f[2][
-                    n
-                ] * a1 * qN
+                val = (q - 1) ** 2 * g_n(1, n, zs, q) * (-1 - b1 / q + zn * (qN + a1))
+                val = val + (q**2 - 1) ** 2 * g_n(2, n, zs, q) * (b1 / q - zn * a1 * qN)
+                val = val + (q - 1) * f_n(1, n, zs, q) * (-qN - a1)
+                val = val + (q**2 - 1) * f_n(2, n, zs, q) * a1 * qN
                 row.append(val)
             else:
                 pref = zn / (zn - zs[m]) ** 2
                 val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (1 + b1 / q - zn * (qN + a1))
-                    + (q**2 - 1) ** 2 * cache.fnm[2][n][m] * (-b1 / q + zn * a1 * qN)
+                    (q - 1) ** 2 * f_nm(1, n, m, zs, q) * (1 + b1 / q - zn * (qN + a1))
+                    + (q**2 - 1) ** 2 * f_nm(2, n, m, zs, q) * (-b1 / q + zn * a1 * qN)
                 )
                 row.append(val)
         rows.append(tuple(row))
@@ -70,7 +100,6 @@ def build_M_r2s1(zeros, params: ParamSet) -> IsoMatrix:
     a1 = params.alpha[0] + params.alpha[1]
     a2 = params.alpha[0] * params.alpha[1]
     b1 = params.beta[0]
-    cache = KernelCache(zs, q, 2, 1)
     qN = q ** (-N)
     rows = []
     for n in range(N):
@@ -78,19 +107,19 @@ def build_M_r2s1(zeros, params: ParamSet) -> IsoMatrix:
         row = []
         for m in range(N):
             if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (-1 - b1 / q + zn * (a1 * qN + a2))
-                val = val + (q**2 - 1) ** 2 * cache.g[2][n] * (b1 / q - zn * a2 * qN)
-                val = val + (q ** (-1) - 1) ** 2 * cache.g[-1][n] * zn
-                val = val - (q ** (-1) - 1) * cache.f[-1][n]
-                val = val + (q - 1) * cache.f[1][n] * (-a1 * qN - a2)
-                val = val + (q**2 - 1) * cache.f[2][n] * a2 * qN
+                val = (q - 1) ** 2 * g_n(1, n, zs, q) * (-1 - b1 / q + zn * (a1 * qN + a2))
+                val = val + (q**2 - 1) ** 2 * g_n(2, n, zs, q) * (b1 / q - zn * a2 * qN)
+                val = val + (q ** (-1) - 1) ** 2 * g_n(-1, n, zs, q) * zn
+                val = val - (q ** (-1) - 1) * f_n(-1, n, zs, q)
+                val = val + (q - 1) * f_n(1, n, zs, q) * (-a1 * qN - a2)
+                val = val + (q**2 - 1) * f_n(2, n, zs, q) * a2 * qN
                 row.append(val)
             else:
                 pref = zn / (zn - zs[m]) ** 2
                 val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (1 + b1 / q - zn * (a1 * qN + a2))
-                    + (q**2 - 1) ** 2 * cache.fnm[2][n][m] * (-b1 / q + zn * a2 * qN)
-                    - (q ** (-1) - 1) ** 2 * cache.fnm[-1][n][m] * zn
+                    (q - 1) ** 2 * f_nm(1, n, m, zs, q) * (1 + b1 / q - zn * (a1 * qN + a2))
+                    + (q**2 - 1) ** 2 * f_nm(2, n, m, zs, q) * (-b1 / q + zn * a2 * qN)
+                    - (q ** (-1) - 1) ** 2 * f_nm(-1, n, m, zs, q) * zn
                 )
                 row.append(val)
         rows.append(tuple(row))
@@ -104,7 +133,6 @@ def build_M_r2s2(zeros, params: ParamSet) -> IsoMatrix:
     a2 = params.alpha[0] * params.alpha[1]
     b1 = params.beta[0] + params.beta[1]
     b2 = params.beta[0] * params.beta[1]
-    cache = KernelCache(zs, q, 2, 2)
     qN = q ** (-N)
     rows = []
     for n in range(N):
@@ -112,23 +140,23 @@ def build_M_r2s2(zeros, params: ParamSet) -> IsoMatrix:
         row = []
         for m in range(N):
             if m == n:
-                val = (q - 1) ** 2 * cache.g[1][n] * (1 + b1 / q - zn * (qN + a1))
-                val = val + (q**2 - 1) ** 2 * cache.g[2][n] * (
+                val = (q - 1) ** 2 * g_n(1, n, zs, q) * (1 + b1 / q - zn * (qN + a1))
+                val = val + (q**2 - 1) ** 2 * g_n(2, n, zs, q) * (
                     -b1 / q - b2 / q**2 + zn * (qN * a1 + a2)
                 )
-                val = val + (q**3 - 1) ** 2 * cache.g[3][n] * (b2 / q**2 - zn * a2 * qN)
-                val = val + (q - 1) * cache.f[1][n] * (qN + a1)
-                val = val + (q**2 - 1) * cache.f[2][n] * (-a1 * qN - a2)
-                val = val + (q**3 - 1) * cache.f[3][n] * a2 * qN
+                val = val + (q**3 - 1) ** 2 * g_n(3, n, zs, q) * (b2 / q**2 - zn * a2 * qN)
+                val = val + (q - 1) * f_n(1, n, zs, q) * (qN + a1)
+                val = val + (q**2 - 1) * f_n(2, n, zs, q) * (-a1 * qN - a2)
+                val = val + (q**3 - 1) * f_n(3, n, zs, q) * a2 * qN
                 row.append(val)
             else:
                 pref = zn / (zn - zs[m]) ** 2
                 val = pref * (
-                    (q - 1) ** 2 * cache.fnm[1][n][m] * (-1 - b1 / q + zn * (qN + a1))
+                    (q - 1) ** 2 * f_nm(1, n, m, zs, q) * (-1 - b1 / q + zn * (qN + a1))
                     + (q**2 - 1) ** 2
-                    * cache.fnm[2][n][m]
+                    * f_nm(2, n, m, zs, q)
                     * (b1 / q + b2 / q**2 - zn * (a1 * qN + a2))
-                    + (q**3 - 1) ** 2 * cache.fnm[3][n][m] * (-b2 / q**2 + zn * a2 * qN)
+                    + (q**3 - 1) ** 2 * f_nm(3, n, m, zs, q) * (-b2 / q**2 + zn * a2 * qN)
                 )
                 row.append(val)
         rows.append(tuple(row))
@@ -189,6 +217,20 @@ def flow_rhs_from_products(state, params: ParamSet) -> List:
             if l != n:
                 denom = denom * (zn - zl)
         out.append(sign * total / denom)
+    return out
+
+
+def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
+    """Normalized residual of the expanded shifted-argument route at each sample point."""
+    if p.degree != params.N:
+        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    size = context_of(params.q).size
+    terms = qde_terms(params)
+    qk = {k: params.q**k for k, _, _ in terms}
+    out = []
+    for z in zs:
+        total, largest = _expanded_terms(p, terms, qk, z, size)
+        out.append(total / max(largest, TINY))
     return out
 
 

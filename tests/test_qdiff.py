@@ -12,13 +12,13 @@ from qzeros.qdiff import (
     DilationOp,
     apply_delta,
     apply_Delta,
-    expanded_residual,
     qde_expanded_agreement,
     qde_residual,
 )
 from qzeros.qseries import Poly, coeffs_P, to_monic
 
 from conftest import zeros_of
+from oracles import expanded_residual
 
 
 def _sample_points(params, rng, count=20):

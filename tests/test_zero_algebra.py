@@ -3,22 +3,20 @@
 import pytest
 
 from qzeros.errors import DegreeMismatch, IndexCollision
-from qzeros.params import ParamSet
+from qzeros.params import ParamSet, in_context
+from qzeros.precision import F64, extended
 from qzeros.qdiff import qde_terms
 from qzeros.zero_algebra import (
     KernelCache,
     _prop1_terms,
     _shift_products,
-    f_n,
-    f_nm,
-    g_n,
     prop1_residuals,
     prop1_residuals_qde,
     shift_range,
 )
 
 from conftest import zeros_of
-from oracles import prop1_residuals_r1s1, prop1_scale
+from oracles import f_n, f_nm, g_n, prop1_residuals_r1s1, prop1_scale
 
 
 def test_f_n_hand_cases():
@@ -112,20 +110,28 @@ def test_derivative_identity_other_zero(small_suite):
     assert checked > 10
 
 
-def test_kernel_cache_matches_direct():
+@pytest.mark.parametrize("ctx, tol", [(F64, 1e-12), (extended(50), 1e-40)], ids=["f64", "ext50"])
+def test_kernel_cache_matches_direct(ctx, tol):
+    # the array tables against the kernels taken one factor at a time
     params = ParamSet(r=2, s=1, N=5, q=0.45, alpha=(0.7 + 0.2j, 1.1), beta=(1.3 - 0.4j,))
+    params = in_context(params, ctx)
     _, zset = zeros_of(params)
-    zs = zset.zeros
-    cache = KernelCache(zs, params.q, params.r, params.s)
+    zs, q = zset.zeros, params.q
+    cache = KernelCache(zs, q, params.r, params.s)
     shifts = list(shift_range(params.r, params.s))
     assert min(shifts) < 0  # r > s exercises negative dilation shifts
+
+    def close(a, b):
+        assert abs(a - b) <= tol * max(1.0, abs(b))
+
     for p in shifts:
         for n in range(params.N):
-            assert cache.f[p][n] == f_n(p, n, zs, params.q)
-            assert abs(cache.g[p][n] - g_n(p, n, zs, params.q)) < 1e-12
+            close(cache.f[p][n], f_n(p, n, zs, q))
+            close(cache.g[p][n], g_n(p, n, zs, q))
             for m in range(params.N):
                 if m != n:
-                    assert cache.fnm[p][n][m] == f_nm(p, n, m, zs, params.q)
+                    close(cache.fnm[p][n][m], f_nm(p, n, m, zs, q))
+                    close(cache.inv_sq[n][m], 1 / (zs[n] - zs[m]) ** 2)
 
 
 def test_kernel_cache_f0_is_one(small_suite):

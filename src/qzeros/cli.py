@@ -198,11 +198,11 @@ def _sample_points(zeros, rng, count: int = QDE_SAMPLE_COUNT) -> List[complex]:
     return [scale * rho * complex(np.cos(th), np.sin(th)) for rho, th in zip(radii, phases)]
 
 
-def _jacobian_defect(params: ParamSet, zeros, M: isospectral.IsoMatrix) -> float:
+def _jacobian_defect(params: ParamSet, zeros, M: np.ndarray) -> float:
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
     jac = zero_flow.jacobian_fd(params, zeros)
-    return max(rel_gap(a, b) for jrow, mrow in zip(jac, M.entries) for a, b in zip(jrow, mrow))
+    return max(rel_gap(a, b) for jrow, mrow in zip(jac, M.tolist()) for a, b in zip(jrow, mrow))
 
 
 def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
@@ -265,7 +265,7 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
     zeros = rootfind.find_zeros(_monic(params), params).zeros
     M_base = isospectral.build_M(zeros, params)
     mus = isospectral.mu_closed(params)
-    base_norm = _matrix_inf_norm(M_base.entries)
+    base_norm = _matrix_inf_norm(M_base)
 
     drift_max = 0.0
     matrix_drift_min = float("inf")
@@ -290,10 +290,7 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
         M_p, lam_p = isospectral.certified_spectrum(pert)
         report = isospectral.match_spectrum(lam_p, mus)
         drift_max = max(drift_max, max(rel for _, _, _, rel in report.matched_pairs))
-        delta = [
-            [complex(a) - complex(b) for a, b in zip(row_p, row_b)]
-            for row_p, row_b in zip(M_p.entries, M_base.entries)
-        ]
+        delta = M_p.astype(complex) - M_base.astype(complex)
         matrix_drift_min = min(matrix_drift_min, _matrix_inf_norm(delta) / base_norm)
 
     checks = [

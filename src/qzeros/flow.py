@@ -15,10 +15,12 @@ themselves obey the rational flow
 
 summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
-the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Its equilibria are
-the true zeros and its linearization there is the spectral matrix. Velocities
-are arrays in the dtype of the zeros' context (complex128, or object holding
-mpc): _moved_velocity places each zero at an array of points, the others fixed.
+the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Grouped by shift
+(zero_algebra.velocity_weights) it reads zdot_n = sum_k (a_k + b_k z_n) f_n(k),
+one kernel product a shift. Its equilibria are the true zeros and its
+linearization there is the spectral matrix. Velocities are arrays in the
+dtype of the zeros' context (complex128, or object holding mpc):
+_moved_velocity places each zero at an array of points, the others fixed.
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
@@ -44,8 +46,14 @@ from .errors import (
 from .isospectral import mu_n
 from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
-from .rootfind import ZeroSet, relative_separation
-from .zero_algebra import decancelled_size, left_out_products, reciprocal_table, velocity_terms
+from .rootfind import relative_separation
+from .zero_algebra import (
+    decancelled_size,
+    left_out_products,
+    reciprocal_table,
+    velocity_terms,
+    velocity_weights,
+)
 
 COLLISION_TOL = 1e-10
 # relative conjugate-direction dependence at which jacobian_fd warns
@@ -189,16 +197,15 @@ def _others(a):
     return np.broadcast_to(a, (n, n)).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
 
 
-def _moved_velocity(terms, others, q, z, inv):
+def _moved_velocity(weights, others, q, z, inv):
     """Velocity of zero i placed at each z[i, j], the zeros others[i] fixed:
-    sum c z^e f_i(k) over the (k, c, e) addends of terms, each f_i(k) a product
-    of factors as f_n takes it; inv[i, l, j] = 1/(z[i, j] - others[i, l])."""
-    f = {}
-    for k in {t[0] for t in terms}:
-        f[k] = ((z[:, None, :] * q**k - others[..., None]) * inv).prod(axis=1)
+    sum_k (a_k + b_k z) f_i(k) over the velocity_weights items (k, (a_k, b_k)),
+    each f_i(k) a product of factors as f_n takes it;
+    inv[i, l, j] = 1/(z[i, j] - others[i, l])."""
     total = np.zeros_like(z)
-    for k, c, e in terms:
-        total = total + f[k] * (z * c if e else c)
+    for k, (a, b) in weights.items():
+        f = ((z[:, None, :] * q**k - others[..., None]) * inv).prod(axis=1)
+        total = total + f * (z * b + a)
     return total
 
 
@@ -210,13 +217,15 @@ def flow_rhs(state, params: ParamSet) -> List:
     _check_separation(zs.tolist())
     others, z = _others(zs), zs[:, None]
     inv = 1 / (z[:, None, :] - others[..., None])
-    return _moved_velocity(velocity_terms(params), others, params.q, z, inv)[:, 0].tolist()
+    return _moved_velocity(velocity_weights(params), others, params.q, z, inv)[:, 0].tolist()
 
 
 def equilibrium_residual(zeros, params: ParamSet) -> float:
     """max_n |velocity_n| / velocity-scale, the scale being the largest
-    factor-wise term bound in the n-th sum: a scale-free stall check."""
-    zs = zeros.zeros if isinstance(zeros, ZeroSet) else tuple(zeros)
+    factor-wise term bound in the n-th sum: a scale-free stall check. The
+    bound is taken per velocity_terms addend, not per shift: a grouped
+    weight can cancel, and the scale would then move with it."""
+    zs = tuple(zeros)
     terms = velocity_terms(params)
     shifts = {t[0] for t in terms}
     worst = 0.0
@@ -252,13 +261,14 @@ def jacobian_fd(params: ParamSet, zeros):
 
     Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
     each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
-    with P, Q summed once per call from the products that leave it out
-    (zero_algebra.left_out_products), and row m is _moved_velocity. The K
-    samples of all N columns form one array F[m, n, j] in the dtype of the
-    zeros' context; both contour sums reduce over j. The velocity formula is
-    the one flow_rhs sums, and the derivative comes from the samples, never
-    from the kernel derivative identities that build_M assembles: neither
-    KernelCache nor build_M is read, so the check against M stays independent.
+    with P, Q summed once per call, one shift of velocity_weights at a time,
+    from the products that leave it out (zero_algebra.left_out_products),
+    and row m is _moved_velocity. The K samples of all N columns form one
+    array F[m, n, j] in the dtype of the zeros' context; both contour sums
+    reduce over j. The velocity formula is the one flow_rhs sums, and the
+    derivative comes from the samples, never from the kernel derivative
+    identities that build_M assembles: neither KernelCache nor build_M is
+    read, so the check against M stays independent.
 
     Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
     h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
@@ -271,24 +281,20 @@ def jacobian_fd(params: ParamSet, zeros):
     ConsistencyWarning is raised when it exceeds CONJUGATE_TOL relative.
     The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
-    zs = tuple(zeros.zeros if isinstance(zeros, ZeroSet) else zeros)
+    zs = tuple(zeros)
     _check_separation(zs)
     ctx = context_of(zs[0])
     n_count = len(zs)
-    terms = velocity_terms(params)
-    qk = {k: params.q**k for k, _, _ in terms}
+    weights = velocity_weights(params)
     zarr = np.asarray(zs, dtype=ctx.dtype)
     inv = reciprocal_table(zarr)
     others = _others(zarr)
-    # weight[k][n]: sum of c z_n^e over the addends of shift k
-    weight = {k: np.zeros_like(zarr) for k in qk}
-    for k, c, e in terms:
-        weight[k] = weight[k] + (zarr * c if e else c)
     # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
     p_sum = q_sum = 0
-    for k, w in weight.items():
-        wl = _others(w) * _others(left_out_products(zarr, qk[k], inv).T)
-        p_sum = p_sum + wl * qk[k]
+    for k, (a, b) in weights.items():
+        qk = params.q**k
+        wl = _others(zarr * b + a) * _others(left_out_products(zarr, qk, inv).T)
+        p_sum = p_sum + wl * qk
         q_sum = q_sum + wl
 
     samples, rel_step, down, circle = _contour(ctx)
@@ -297,7 +303,7 @@ def jacobian_fd(params: ParamSet, zeros):
     inv_at = 1 / (z[:, None, :] - others[..., None])
     velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
     diagonal = np.eye(n_count, dtype=bool)
-    velocities[diagonal] = _moved_velocity(terms, others, params.q, z, inv_at)
+    velocities[diagonal] = _moved_velocity(weights, others, params.q, z, inv_at)
     rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
     velocities[~diagonal] = rows.reshape(-1, samples)
     # 1/(K h) in the scalar type: a float would round extended quotients to binary64

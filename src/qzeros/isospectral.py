@@ -1,7 +1,8 @@
 """The spectral matrix over a zero configuration and its closed-form spectrum.
 
-build_M assembles the dense N x N matrix whose linearization role is verified
-in the flow module and whose spectrum is claimed in closed form:
+build_M assembles the dense N x N matrix, one array in the dtype of the
+zeros' context, whose linearization role is verified in the flow module and
+whose spectrum is claimed in closed form:
 
     mu_n = -q^{(s-r)(N-n)} (q^{-n} - 1) prod_j (alpha_j q^{N-n} - 1),  n = 1..N.
 
@@ -11,15 +12,16 @@ alphas the spectrum is exactly rational (the exact path uses
 fractions.Fraction end to end).
 
 The matrix is the Jacobian of the zero flow, so its entries carry the flow's
-weights (zero_algebra.velocity_terms, read from the one table of the
+weights (zero_algebra.velocity_weights, read from the one table of the
 expanded q-difference equation, qdiff.qde_terms) times the derivatives of
-the shift kernels. mu_n is the one home of the closed form; mu_closed,
-mu_closed_exact, closed_trace and the coefficient flow's build_C all
-evaluate it.
+the shift kernels, one kernel table a shift. mu_n is the one home of the
+closed form; mu_closed, mu_closed_exact, closed_trace and the coefficient
+flow's build_C all evaluate it.
 
-The trace and determinant checks read M in its own scalars, never rounded to
-binary64: matrix_power_trace on an array in the context's dtype, logdet_gap
-from the pivots of the one elimination (_eliminate), which _lost_digits reads.
+Every check reads that array. The trace and determinant checks read it in
+its own scalars, never rounded to binary64: matrix_power_trace by array
+products, logdet_gap from the pivots of the one elimination (_eliminate),
+which _lost_digits reads.
 """
 
 from __future__ import annotations
@@ -36,17 +38,8 @@ from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
 from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_gap
 from .qseries import coeffs_P, to_monic
-from .rootfind import ZeroSet, _aberth, find_zeros
-from .zero_algebra import KernelCache, velocity_terms
-
-
-@dataclass(frozen=True)
-class IsoMatrix:
-    entries: Tuple  # row-major tuple of N tuples
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+from .rootfind import _aberth, find_zeros
+from .zero_algebra import KernelCache, velocity_weights
 
 
 @dataclass(frozen=True)
@@ -56,39 +49,38 @@ class SpectrumReport:
     matched_pairs: Tuple  # (numerical, closed, abs_gap, rel_gap) per row
 
 
-def _zero_list(zeros) -> Tuple:
-    return tuple(zeros.zeros) if isinstance(zeros, ZeroSet) else tuple(zeros)
+def build_M(zeros, params: ParamSet) -> np.ndarray:
+    """General assembly of the spectral matrix from a zero set, as an N x N
+    array in the dtype of the zeros' context (complex128, or object holding
+    mpc).
 
+    M is the Jacobian of the zero flow velocity_n = sum_k (a_k + b_k z_n) f_n(k)
+    over the shifts k of velocity_weights. By the kernel derivative
+    identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) T_k,
+    T_k the left_out_products table of shift k (one KernelCache table a
+    shift),
 
-def build_M(zeros, params: ParamSet) -> IsoMatrix:
-    """General assembly of the spectral matrix from a certified zero set.
+        M_nm = z_n S_nm / (z_n - z_m)^2,   m != n,
+        M_nn = sum_k b_k f_n(k) - sum_{m != n} z_m S_nm / (z_n - z_m)^2,
 
-    M is the Jacobian of the zero flow velocity_n = sum c z_n^e f_n(k) over
-    the velocity_terms addends (k, c, e). By the kernel derivative identities
-    (zero_algebra), with d = c (q^k - 1),
-
-        M_nm = z_n / (z_n - z_m)^2 sum d z_n^e f_nm(k),   m != n,
-        M_nn = sum [e c f_n(k) - d z_n^e g_n(k)],
-
-    each sum one array accumulation per addend over the KernelCache tables,
-    in the dtype of the zeros' context; the entries leave as builtin complex
-    or mpc scalars.
+    the second sum being the g_n(k) of each shift against its weight,
+    regrouped into one product with z and never divided by z_n.
     """
-    zs = _zero_list(zeros)
+    zs = tuple(zeros)
     q = params.q
-    cache = KernelCache(zs, q, params.r, params.s)
-    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)[:, None]
-    off = diag = 0
-    for k, c, e in velocity_terms(params):
-        # array on the left: an mpc on the left of an object array is slow
-        w = z * (c * (q**k - 1)) if e else c * (q**k - 1)
-        off = off + cache.fnm[k] * w
-        diag = diag - cache.g[k][:, None] * w
-        if e:
-            diag = diag + cache.f[k][:, None] * c
-    M = z * cache.inv_sq * off
-    M[np.eye(len(zs), dtype=bool)] = diag[:, 0]
-    return IsoMatrix(entries=tuple(map(tuple, M.tolist())))
+    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)
+    weights = velocity_weights(params)
+    cache = KernelCache(z, q, weights)
+    S = own = 0
+    for k, (a, b) in weights.items():
+        table = cache.fnm[k]
+        # arrays on the left: an mpc on the left of an object array is slow
+        S = S + table * ((z * b + a) * (q**k - 1))[:, None]
+        own = own + table.diagonal() * b
+    W = cache.inv * cache.inv * S
+    M = W * z[:, None]
+    M[np.eye(len(zs), dtype=bool)] = own - W @ z
+    return M
 
 
 def mu_n(n: int, q, alphas: Sequence, N: int, diff: int):
@@ -125,10 +117,6 @@ EIG_TARGET = 1e-9
 # pair it certifies on the first 625 benchmark stream cases takes more than 4,
 # nor more than 3 to reach 50 digits on the 175 N <= 5 ones
 REFINE_STEPS = 6
-
-
-def _dense(rows) -> np.ndarray:
-    return np.array([[complex(v) for v in row] for row in rows], dtype=complex)
 
 
 def _eig_extended(rows, ctx: PrecisionContext) -> List:
@@ -236,7 +224,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """
     ctx = context_of(rows[0][0])
     fdot = ctx.mp.fdot
-    arr = _dense(rows)
+    arr = np.array(rows, dtype=complex)
     if not np.isfinite(arr).all():
         return None
     n = len(rows)
@@ -379,7 +367,7 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     of z^2 - (1e400 + 3) z + 3e400.
     """
     ctx = context_of(rows[0][0])
-    arr = _dense(rows)
+    arr = np.array(rows, dtype=complex)
     if ctx.mp is not None and not np.isfinite(arr).all():
         wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
         return [ctx.convert(v) for v in _eig_extended(rows, wide)]
@@ -439,8 +427,8 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     M = build_M(zeros, params)
     ctx = context_of(params.q)
     if ctx.mp is not None:
-        return M, _eig_escalated(M.entries)
-    vals, worst = _eig_with_bound(_dense(M.entries))
+        return M, _eig_escalated(M)
+    vals, worst = _eig_with_bound(M)
     if worst > EIG_TARGET:
         # Aberth sweeps finish the binary64 zeros at the escalated digits, as in
         # extended find_zeros; they sit ~1e-11 off, where the sweeps converge cubically
@@ -449,8 +437,8 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
         # of the q powers re-contaminate the matrix
         ext_params = in_context(params, ext)
         pe = to_monic(coeffs_P(ext_params))
-        zs = _aberth(pe, [ext.convert(z) for z in _zero_list(zeros)], ext)
-        vals = _eig_escalated(build_M(zs, ext_params).entries, F64.eps)
+        zs = _aberth(pe, [ext.convert(z) for z in zeros], ext)
+        vals = _eig_escalated(build_M(zs, ext_params), F64.eps)
     return M, [complex(v) for v in vals]
 
 
@@ -484,24 +472,24 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
     return SpectrumReport(matched_pairs=tuple(pairs))
 
 
-def matrix_power_trace(M: IsoMatrix, p: int):
-    """tr(M^p) = sum_ij (M^{p-1})_ij M_ji from the entries of M in their own
-    scalars (independent of the eigenvalues): no product for p = 2, one for 3."""
-    ctx = context_of(M.entries[0][0])
-    arr = np.array(M.entries, dtype=ctx.dtype)
+def matrix_power_trace(M: np.ndarray, p: int):
+    """tr(M^p) = sum_ij (M^{p-1})_ij M_ji from the entries of the array M in
+    their own scalars (independent of the eigenvalues): no product for p = 2,
+    one for 3."""
+    ctx = context_of(M[0, 0])
     if p == 1:
-        return ctx.convert(arr.trace())
-    return ctx.convert((np.linalg.matrix_power(arr, p - 1) * arr.T).sum())
+        return ctx.convert(M.trace())
+    return ctx.convert((np.linalg.matrix_power(M, p - 1) * M.T).sum())
 
 
-def logdet_gap(M: IsoMatrix, closed: Sequence) -> float:
+def logdet_gap(M: np.ndarray, closed: Sequence) -> float:
     """|exp(log det M - sum log mu) - 1|, the scale-free determinant defect, in
     the scalars of M: log det M sums the logs of the pivots of _eliminate, plus
     i pi for an odd swap count, so it stays in log space; the branch is wrapped
     before exponentiating. A zero pivot, det M = 0, is a defect of 1."""
-    ctx = context_of(M.entries[0][0])
+    ctx = context_of(M[0, 0])
     fn = ctx.elementary
-    pivots, odd = _eliminate(M.entries)
+    pivots, odd = _eliminate(M)
     if not all(pivots):
         return 1.0
     diff = sum(fn.log(v) for v in pivots) - sum(fn.log(m) for m in closed) + odd * 1j * fn.pi

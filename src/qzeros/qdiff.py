@@ -29,20 +29,12 @@ evaluates both routes in one pass and returns the operator-route residual
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
 from .precision import TINY, context_of
 from .qseries import Poly, eval_poly
-
-
-@dataclass(frozen=True)
-class DilationOp:
-    """The gamma of a shifted dilation operator Delta_gamma = gamma*delta - 1."""
-
-    gamma: object
 
 
 def apply_delta(p: Poly, q) -> Poly:
@@ -55,9 +47,9 @@ def apply_delta(p: Poly, q) -> Poly:
     return Poly(coeffs=tuple(out), monic=False)
 
 
-def apply_Delta(op: DilationOp, p: Poly, q) -> Poly:
-    """Shifted dilation: coefficient m picks up (gamma q^m - 1)."""
-    gamma = op.gamma
+def apply_Delta(gamma, p: Poly, q) -> Poly:
+    """Shifted dilation Delta_gamma = gamma*delta - 1: coefficient m picks up
+    (gamma q^m - 1)."""
     qpow = 1 + 0 * q
     out = []
     for c in p.coeffs:
@@ -88,7 +80,7 @@ def _operator_sides(p: Poly, params: ParamSet):
     def cascade(side, gammas):
         scale = [size(c) for c in side.coeffs]
         for gamma in gammas:
-            side = apply_Delta(DilationOp(gamma), side, q)
+            side = apply_Delta(gamma, side, q)
             scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
         return side, scale
 

@@ -48,6 +48,9 @@ class ZeroSet:
     def __len__(self):
         return len(self.zeros)
 
+    def __iter__(self):
+        return iter(self.zeros)
+
 
 def _canonical_order(zs) -> List:
     return sorted(zs, key=lambda z: (abs(z), cmath.phase(complex(z))))

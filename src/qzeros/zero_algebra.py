@@ -12,17 +12,19 @@ the same family:
     d f_n / d z_n = (1 - q^p) g_n(p)
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
-A KernelCache holds all values over the contiguous shift range the matrix
-assembly reads (min(1, s-r) .. s+1) as arrays in the dtype of the zeros'
-context (complex128, or object holding mpc), since the matrix reuses each
-O(N^2) times. reciprocal_table inverts each z_n - z_l once, and
-left_out_products builds the whole f_nm(p) table of one shift, f_n(p) on its
-diagonal, from prefix and suffix products along the rows of factors: O(N^2)
-per shift, in array passes, with no division by a factor.
+A KernelCache holds, for each shift of the zero flow (velocity_weights), the
+left_out_products table as an array in the dtype of the zeros' context
+(complex128, or object holding mpc), since the matrix reuses each entry.
+reciprocal_table inverts each z_n - z_l once, and left_out_products builds
+the whole f_nm(p) table of one shift, f_n(p) on its diagonal, from prefix
+and suffix products along the rows of factors: O(N^2) per shift, in array
+passes, with no division by a factor. g_n(p) is never tabled: the matrix
+assembly sums it against the flow weights (isospectral.build_M).
 
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
-the zero flow and the spectral matrix, through velocity_terms).
+the zero flow and the spectral matrix, through velocity_terms and its
+grouping by shift, velocity_weights).
 prop1_residuals evaluates them in the product form built directly from the
 configuration; prop1_residuals_qde is the dual route through
 shifted-argument evaluations of the monic polynomial. Residuals are
@@ -33,7 +35,7 @@ even when the shifted products all collapse simultaneously.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +69,7 @@ def left_out_products(z, qp, inv):
     prefix and suffix products (np.multiply.accumulate) give every left-out
     product without dividing f_n(p) by a factor, since a geometric chain puts
     q^p z_n exactly on another zero. The one home of these products:
-    KernelCache and flow.jacobian_fd read them.
+    KernelCache (for build_M) and flow.jacobian_fd read them.
     """
     diagonal = np.eye(len(z), dtype=bool)
     # z * qp, never qp * z: an mpc on the left of an object array is slow
@@ -81,36 +83,15 @@ def left_out_products(z, qp, inv):
     return out
 
 
-def shift_range(r: int, s: int) -> range:
-    """All integer shifts the matrix assembly and the flow read: the union of
-    {1..s+1} and {s-r..s+1} is the contiguous range min(1, s-r)..s+1."""
-    return range(min(1, s - r), s + 2)
-
-
 class KernelCache:
-    """All f_n, f_nm, g_n values for one configuration over shift_range(r, s).
+    """The kernel tables of one configuration z (an array in its context's
+    dtype) over the given shifts, immutable after construction:
+    inv = reciprocal_table(z), and fnm[p] = left_out_products(z, q^p, inv),
+    f_nm(p) off the diagonal and f_n(p) on it."""
 
-    Arrays in the dtype of the zeros' context, immutable after construction:
-    fnm[p][n, m] = f_nm(p) off the diagonal and f_n(p) on it (the
-    left_out_products table), f[p][n] = f_n(p), g[p][n] = g_n(p) and
-    inv_sq[n, m] = 1/(z_n - z_m)^2, 0 on the diagonal.
-    """
-
-    def __init__(self, zeros: Sequence, q, r: int, s: int):
-        z = np.asarray(zeros, dtype=context_of(zeros[0]).dtype)
-        inv = reciprocal_table(z)
-        self.inv_sq = inv * inv
-        # g_weights[n, k] = z_k/(z_n - z_k)^2, 0 at k = n
-        g_weights = self.inv_sq * z
-        self.f: Dict[int, np.ndarray] = {}
-        self.fnm: Dict[int, np.ndarray] = {}
-        self.g: Dict[int, np.ndarray] = {}
-        for p in shift_range(r, s):
-            # f(0) = 1 exactly; the factors (z_n - z_l)/(z_n - z_l) would round
-            table = np.ones_like(inv) if p == 0 else left_out_products(z, q**p, inv)
-            self.fnm[p] = table
-            self.f[p] = table.diagonal()
-            self.g[p] = (table * g_weights).sum(axis=1)
+    def __init__(self, z, q, shifts):
+        self.inv = reciprocal_table(z)
+        self.fnm: Dict[int, np.ndarray] = {p: left_out_products(z, q**p, self.inv) for p in shifts}
 
 
 def _shift_products(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
@@ -174,6 +155,17 @@ def velocity_terms(params: ParamSet) -> List:
     q = params.q
     sign = (-1) ** params.s
     return [(k, sign * w * (q**k - 1), e) for k, w, e in qde_terms(params) if k != 0]
+
+
+def velocity_weights(params: ParamSet) -> Dict[int, Tuple]:
+    """The velocity_terms addends grouped by shift, {k: (a_k, b_k)}, so that
+    velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow, its
+    Jacobian check and the matrix assembly read, one kernel table a shift."""
+    out: Dict[int, Tuple] = {}
+    for k, c, e in velocity_terms(params):
+        a, b = out.get(k, (0, 0))
+        out[k] = (a, b + c) if e else (a + c, b)
+    return out
 
 
 def _normalized(terms, values, magnitudes, size) -> float:

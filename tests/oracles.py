@@ -1,9 +1,11 @@
 """Test-only oracles: specialised forms of general formulas.
 
 f_n, f_nm and g_n are the shift kernels as direct products and sums, one
-factor at a time, the oracle for KernelCache's array tables; the matrix
-assemblies for (r, s) = (1, 1), (2, 1), (2, 2) read them, and are separate
-code paths that pin the sign conventions of the general build_M;
+factor at a time, the oracle for KernelCache's array tables; build_M_addends
+assembles the spectral matrix from them one velocity_terms addend at a time,
+with a g_n sum per shift, and the matrix assemblies for (r, s) = (1, 1),
+(2, 1), (2, 2) read them too: separate code paths that pin the general
+build_M, which groups the addends by shift and never tables g_n;
 expanded_residual is the expanded q-difference route on its own;
 prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
 flow_rhs_from_products is the zero flow built from the zero identities;
@@ -25,12 +27,12 @@ import scipy.linalg
 
 from qzeros.errors import DegreeMismatch, IndexCollision, NoConvergence, QZerosError
 from qzeros.flow import FlowState
-from qzeros.isospectral import IsoMatrix, match_spectrum
+from qzeros.isospectral import match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import TINY, context_of
 from qzeros.qdiff import _expanded_terms, qde_terms
 from qzeros.qseries import Poly
-from qzeros.zero_algebra import _prop1_terms, _shift_magnitudes, _shift_products
+from qzeros.zero_algebra import _prop1_terms, _shift_magnitudes, _shift_products, velocity_terms
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):
@@ -67,7 +69,35 @@ def g_n(p: int, n: int, zeros: Sequence, q):
     return out
 
 
-def build_M_r1s1(zeros, params: ParamSet) -> IsoMatrix:
+def build_M_addends(zeros, params: ParamSet):
+    """Rows of the spectral matrix summed over the velocity_terms addends
+    (k, c, e) with d = c (q^k - 1) z_n^e:
+
+        M_nm = z_n / (z_n - z_m)^2 sum d f_nm(k),   m != n,
+        M_nn = sum [e c f_n(k) - d g_n(k)].
+    """
+    zs = tuple(zeros)
+    q = params.q
+    terms = velocity_terms(params)
+    rows = []
+    for n, zn in enumerate(zs):
+        row = []
+        for m, zm in enumerate(zs):
+            val = 0
+            for k, c, e in terms:
+                d = c * (q**k - 1) * zn if e else c * (q**k - 1)
+                if m != n:
+                    val = val + d * f_nm(k, n, m, zs, q) * zn / (zn - zm) ** 2
+                else:
+                    val = val - d * g_n(k, n, zs, q)
+                    if e:
+                        val = val + c * f_n(k, n, zs, q)
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def build_M_r1s1(zeros, params: ParamSet):
     zs = tuple(zeros)
     q, N = params.q, params.N
     a1, b1 = params.alpha[0], params.beta[0]
@@ -91,10 +121,10 @@ def build_M_r1s1(zeros, params: ParamSet) -> IsoMatrix:
                 )
                 row.append(val)
         rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows))
+    return tuple(rows)
 
 
-def build_M_r2s1(zeros, params: ParamSet) -> IsoMatrix:
+def build_M_r2s1(zeros, params: ParamSet):
     zs = tuple(zeros)
     q, N = params.q, params.N
     a1 = params.alpha[0] + params.alpha[1]
@@ -123,10 +153,10 @@ def build_M_r2s1(zeros, params: ParamSet) -> IsoMatrix:
                 )
                 row.append(val)
         rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows))
+    return tuple(rows)
 
 
-def build_M_r2s2(zeros, params: ParamSet) -> IsoMatrix:
+def build_M_r2s2(zeros, params: ParamSet):
     zs = tuple(zeros)
     q, N = params.q, params.N
     a1 = params.alpha[0] + params.alpha[1]
@@ -160,7 +190,7 @@ def build_M_r2s2(zeros, params: ParamSet) -> IsoMatrix:
                 )
                 row.append(val)
         rows.append(tuple(row))
-    return IsoMatrix(entries=tuple(rows))
+    return tuple(rows)
 
 
 def prop1_residuals_r1s1(zeros: Sequence, params: ParamSet) -> List:

@@ -128,7 +128,7 @@ def test_criterion_05_isospectral_beta_sweep():
     rng = random.Random(505)
     mus = mu_closed(params)
     M0, _ = certified_spectrum(params)
-    norm0 = max(sum(abs(v) for v in row) for row in M0.entries)
+    norm0 = max(sum(abs(v) for v in row) for row in M0)
     worst_spec = 0.0
     least_move = float("inf")
     for _ in range(8):
@@ -151,7 +151,7 @@ def test_criterion_05_isospectral_beta_sweep():
         worst_spec = max(worst_spec, max(pair[3] for pair in rep.matched_pairs))
         move = max(
             sum(abs(a - b) for a, b in zip(ra, rb))
-            for ra, rb in zip(Mp.entries, M0.entries)
+            for ra, rb in zip(Mp, M0)
         )
         least_move = min(least_move, move / norm0)
     ok = worst_spec < 1e-6 and least_move > 1e-3
@@ -206,7 +206,7 @@ def test_criterion_07_linearization_is_M():
     worst_entry = 0.0
     for n in range(params.N):
         for m in range(params.N):
-            gap = abs(J[n][m] - M.entries[n][m]) / max(1.0, abs(M.entries[n][m]))
+            gap = abs(J[n][m] - M[n, m]) / max(1.0, abs(M[n, m]))
             worst_entry = max(worst_entry, gap)
     elapsed = time.perf_counter() - t0
 
@@ -223,7 +223,7 @@ def test_criterion_07_linearization_is_M():
             vp = flow_rhs(tuple(plus), params)
             vm = flow_rhs(tuple(minus), params)
             for n in range(params.N):
-                worst = max(worst, abs((vp[n] - vm[n]) / (2 * h) - M.entries[n][m]))
+                worst = max(worst, abs((vp[n] - vm[n]) / (2 * h) - M[n, m]))
         return worst
 
     h0 = 1e-2 * scale

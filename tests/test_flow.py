@@ -179,9 +179,9 @@ def test_dual_route_velocities(small_suite):
 def _matrix_gap(J, M):
     num = max(
         sum(abs(a - b) for a, b in zip(rj, rm))
-        for rj, rm in zip(J, M.entries)
+        for rj, rm in zip(J, M)
     )
-    den = max(sum(abs(v) for v in row) for row in M.entries)
+    den = max(sum(abs(v) for v in row) for row in M)
     return num / den
 
 
@@ -265,7 +265,7 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
     params = in_context(suite[3], ctx)
     _, zset = zeros_of(params)
     M = build_M(zset.zeros, params)
-    weight = min(max(1.0, float(abs(M.entries[m][m]))) for m in range(params.N))
+    weight = min(max(1.0, float(abs(M[m, m]))) for m in range(params.N))
     original = flow._moved_velocity
     for relative, warns in ((1e-3, True), (2e-6, True), (5e-7, False)):
 
@@ -359,7 +359,7 @@ def test_single_axis_quotient_is_second_order():
             vm = flow_rhs(tuple(minus), params)
             for n in range(n_count):
                 quot = (vp[n] - vm[n]) / (2 * h)
-                worst = max(worst, abs(quot - M.entries[n][m]))
+                worst = max(worst, abs(quot - M[n, m]))
         return worst
 
     h0 = 1e-2 * scale
@@ -381,9 +381,7 @@ def test_integrate_holds_equilibrium():
 def test_integrate_perturbation_follows_linearization():
     _, zset = zeros_of(CONTRACTIVE)
     N = CONTRACTIVE.N
-    M = np.array(
-        [[complex(v) for v in row] for row in build_M(zset.zeros, CONTRACTIVE).entries]
-    )
+    M = build_M(zset.zeros, CONTRACTIVE)
     xi0 = np.array(
         [1e-4 * cmath.exp(2j * cmath.pi * (n + 0.2) / N) * abs(zset.zeros[n]) for n in range(N)]
     )

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qzeros import isospectral, rootfind
+from qzeros import isospectral, rootfind, zero_algebra
 from qzeros.cli import main
 from qzeros.errors import EigenNoConvergence, LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     EIG_TARGET,
-    IsoMatrix,
     build_M,
     certified_spectrum,
     closed_trace,
@@ -30,9 +29,11 @@ from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, extended
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
+from qzeros.zero_algebra import velocity_terms, velocity_weights
 
 from conftest import counting, suite_cases, zeros_of
 from oracles import (
+    build_M_addends,
     build_M_r1s1,
     build_M_r2s1,
     build_M_r2s2,
@@ -47,13 +48,13 @@ def test_build_M_n1_hand_case():
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
     _, zset = zeros_of(params)
     M = build_M(zset.zeros, params)
-    assert M.n == 1
-    assert abs(M.entries[0][0] - (q - 1) / q) < 1e-12
-    assert abs(M.entries[0][0] - mu_closed(params)[0]) < 1e-12
+    assert M.shape == (1, 1)
+    assert abs(M[0, 0] - (q - 1) / q) < 1e-12
+    assert abs(M[0, 0] - mu_closed(params)[0]) < 1e-12
 
 
 def _entrywise_close(A, B, tol):
-    for ra, rb in zip(A.entries, B.entries):
+    for ra, rb in zip(A, B):
         for a, b in zip(ra, rb):
             assert abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
@@ -62,17 +63,35 @@ def _entrywise_close(A, B, tol):
     "ctx, max_degree, tol", [(F64, 10, 1e-12), (extended(50), 5, 1e-40)], ids=["f64", "ext50"]
 )
 def test_specialized_builders_match_general(suite, ctx, max_degree, tol):
+    # build_M against the addend-by-addend assembly on every (r, s), and
+    # against the printed forms where the suite has one
     builders = {(1, 1): build_M_r1s1, (2, 1): build_M_r2s1, (2, 2): build_M_r2s2}
     seen = set()
     for params in suite:
-        key = (params.r, params.s)
-        if key not in builders or params.N > max_degree:
+        if params.N > max_degree:
             continue
+        key = (params.r, params.s)
         seen.add(key)
         params = in_context(params, ctx)
         _, zset = zeros_of(params)
-        _entrywise_close(build_M(zset.zeros, params), builders[key](zset.zeros, params), tol)
-    assert seen == set(builders)
+        M = build_M(zset.zeros, params)
+        assert M.dtype == ctx.dtype
+        _entrywise_close(M, build_M_addends(zset.zeros, params), tol)
+        if key in builders:
+            _entrywise_close(M, builders[key](zset.zeros, params), tol)
+    assert seen == {(0, 0), (1, 0), (0, 1), *builders}
+
+
+def test_build_M_takes_one_kernel_table_per_shift(suite, monkeypatch):
+    tables = counting(monkeypatch, zero_algebra, "left_out_products")
+    addends = 0
+    for params in suite[:6]:  # one case of each (r, s)
+        _, zset = zeros_of(params)
+        tables.clear()
+        build_M(zset.zeros, params)
+        assert len(tables) == len(velocity_weights(params)), (params.r, params.s)
+        addends += len(velocity_terms(params))
+    assert addends > sum(len(velocity_weights(params)) for params in suite[:6])
 
 
 def test_mu_closed_hand_forms():
@@ -115,12 +134,9 @@ def test_eigenvalues_hand_cases():
         assert abs(g - r) < 1e-12
 
     companion = ((0.0, -2.0), (1.0, 3.0))
-    got = sorted(eigenvalues_dense(companion), key=lambda v: v.real)
-    assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
-
-    M = IsoMatrix(entries=companion)
-    got = sorted(eigenvalues_dense(M.entries), key=lambda v: v.real)
-    assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
+    for rows in (companion, np.array(companion, dtype=complex)):
+        got = sorted(eigenvalues_dense(rows), key=lambda v: v.real)
+        assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
 
 
 def test_match_spectrum_identity_and_permutation():
@@ -195,7 +211,7 @@ def test_corollary_traces_and_det(small_suite):
 @pytest.mark.parametrize("ctx", [F64, extended()])
 def test_logdet_gap_reads_the_swap_parity_and_stays_in_log_space(ctx):
     def matrix(rows):
-        return IsoMatrix(entries=tuple(tuple(ctx.convert(v) for v in row) for row in rows))
+        return np.array([[ctx.convert(v) for v in row] for row in rows], dtype=ctx.dtype)
 
     # one row swap: det = -6 = 3 * (-2), the product of the eigenvalues
     swapped = matrix([[0, 2], [3, 1]])
@@ -236,10 +252,10 @@ def test_beta_perturbation_keeps_spectrum():
             Mp, lam = certified_spectrum(pert)
             rep = spectrum_match(lam, mus)
             assert rep.is_match
-            norm0 = max(sum(abs(v) for v in row) for row in M0.entries)
+            norm0 = max(sum(abs(v) for v in row) for row in M0)
             drift = max(
                 sum(abs(a - b) for a, b in zip(ra, rb))
-                for ra, rb in zip(Mp.entries, M0.entries)
+                for ra, rb in zip(Mp, M0)
             )
             assert drift / norm0 > 1e-3
 
@@ -313,7 +329,7 @@ def test_eig_with_bound_matches_the_lapack_left_vector_estimate(suite):
         p, zeros = zeros_of(params)
         companion = np.array(companion_rows(p), dtype=complex)
         matrices = {
-            "M": isospectral._dense(build_M(zeros.zeros, params).entries),
+            "M": build_M(zeros, params),
             "companion": scipy.linalg.matrix_balance(companion, permute=False)[0],
         }
         for name, arr in matrices.items():
@@ -463,7 +479,7 @@ def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):
         params = in_context(suite[index], ctx)
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
         M, lam = certified_spectrum(params, zeros)
-        ref = isospectral._eig_extended(M.entries, extended(ctx.mp.dps + 20))
+        ref = isospectral._eig_extended(M, extended(ctx.mp.dps + 20))
         assert len(lam) == params.N == len(ref), index
         for v in lam:
             gap = min(abs(v - r) / abs(r) for r in ref)
@@ -474,8 +490,9 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     # the extended branch of certified_spectrum refines before it calls
     # mpmath.eig; the near-defective pair must still reach mpmath.eig
     ctx = extended()
-    rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
-    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: IsoMatrix(entries=rows))
+    one, tiny = ctx.convert(1), ctx.mp.mpf("1e-60")
+    rows = np.array([[one, one], [tiny, one]], dtype=ctx.dtype)
+    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: rows)
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2

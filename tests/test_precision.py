@@ -41,12 +41,14 @@ def test_extended_default_is_the_context_of_its_values():
 def _outputs(params):
     p = to_monic(coeffs_P(params))
     M, lam = certified_spectrum(params)
+    # M is one array in the dtype of the context, its entries that context's scalars
+    assert M.dtype == context_of(params.q).dtype
     C = build_C(params)
     return [
         *p.coeffs,
         *find_zeros(p, params).zeros,
         *companion_zeros(p),
-        *(v for row in M.entries for v in row),
+        *(v for row in M.tolist() for v in row),
         *lam,
         *mu_closed(params),
         *C.diag,

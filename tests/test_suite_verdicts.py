@@ -26,7 +26,7 @@ from conftest import suite_cases
 STREAMS = {
     "zeros": ("zeros", "f64", 500, 10),
     "verify": ("verify", "f64", 625, 10),
-    "verify-ext": ("verify", "extended", 60, 5),
+    "verify-ext": ("verify", "extended", 175, 5),
     "sweep": ("sweep", "f64", 120, 10),
 }
 

@@ -1,5 +1,6 @@
 """Kernels f_n, f_nm, g_n and the N-equation zero identities."""
 
+import numpy as np
 import pytest
 
 from qzeros.errors import DegreeMismatch, IndexCollision
@@ -12,7 +13,7 @@ from qzeros.zero_algebra import (
     _shift_products,
     prop1_residuals,
     prop1_residuals_qde,
-    shift_range,
+    velocity_weights,
 )
 
 from conftest import zeros_of
@@ -43,7 +44,7 @@ def test_f_nm_relation_to_f_n(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in shift_range(params.r, params.s):
+        for p in velocity_weights(params):
             for n in range(min(params.N, 3)):
                 for m in range(params.N):
                     if m == n:
@@ -78,9 +79,7 @@ def test_derivative_identity_own_zero(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in shift_range(params.r, params.s):
-            if p == 0:
-                continue
+        for p in velocity_weights(params):
             for n in range(min(params.N, 2)):
                 fd = _fd_partial(lambda c: f_n(p, n, c, q), zs, n)
                 closed = (1 - q**p) * g_n(p, n, zs, q)
@@ -98,9 +97,7 @@ def test_derivative_identity_other_zero(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in shift_range(params.r, params.s):
-            if p == 0:
-                continue
+        for p in velocity_weights(params):
             n = 0
             for m in range(1, min(params.N, 3)):
                 fd = _fd_partial(lambda c: f_n(p, n, c, q), zs, m)
@@ -117,29 +114,21 @@ def test_kernel_cache_matches_direct(ctx, tol):
     params = in_context(params, ctx)
     _, zset = zeros_of(params)
     zs, q = zset.zeros, params.q
-    cache = KernelCache(zs, q, params.r, params.s)
-    shifts = list(shift_range(params.r, params.s))
+    shifts = list(velocity_weights(params))
     assert min(shifts) < 0  # r > s exercises negative dilation shifts
+    cache = KernelCache(np.asarray(zs, dtype=ctx.dtype), q, shifts)
+    assert set(cache.fnm) == set(shifts)
 
     def close(a, b):
         assert abs(a - b) <= tol * max(1.0, abs(b))
 
     for p in shifts:
         for n in range(params.N):
-            close(cache.f[p][n], f_n(p, n, zs, q))
-            close(cache.g[p][n], g_n(p, n, zs, q))
+            close(cache.fnm[p][n, n], f_n(p, n, zs, q))
             for m in range(params.N):
                 if m != n:
-                    close(cache.fnm[p][n][m], f_nm(p, n, m, zs, q))
-                    close(cache.inv_sq[n][m], 1 / (zs[n] - zs[m]) ** 2)
-
-
-def test_kernel_cache_f0_is_one(small_suite):
-    for params in small_suite[:6]:
-        _, zset = zeros_of(params)
-        cache = KernelCache(zset.zeros, params.q, params.r, params.s)
-        if 0 in cache.f:
-            assert all(v == 1 for v in cache.f[0])
+                    close(cache.fnm[p][n, m], f_nm(p, n, m, zs, q))
+                    close(cache.inv[n, m], 1 / (zs[n] - zs[m]))
 
 
 def test_prop1_true_zeros_on_suite(suite):

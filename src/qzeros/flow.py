@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     CollisionDetected,
     ConsistencyWarning,
+    OverflowRisk,
     RepeatedEigenvalue,
     StepUnderflow,
 )
@@ -145,7 +146,9 @@ def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
 
     The affine system is shifted to the fixed point, the deviation is expanded
     in the triangular eigenbasis by forward substitution, each mode carries
-    exp(mu_n (t - t0)), and the fixed point is added back.
+    exp(mu_n (t - t0)), and the fixed point is added back. Raises OverflowRisk
+    when a mode's exponential leaves binary64 (Re mu_n (t - t0) above about
+    709).
     """
     if len(c0.c) != C.n:
         raise ValueError(f"state has {len(c0.c)} coefficients, matrix order is {C.n}")
@@ -161,7 +164,16 @@ def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
     dt = t - c0.t
     out = list(star)
     for n in range(C.n):
-        factor = eta[n] * cmath.exp(complex(C.diag[n]) * dt) if abs(dt) > 0 else eta[n]
+        factor = eta[n]
+        if abs(dt) > 0:
+            rate = complex(C.diag[n]) * dt
+            try:
+                factor = factor * cmath.exp(rate)
+            except OverflowError:
+                raise OverflowRisk(
+                    f"mode {n + 1}: exp(mu_{n + 1} (t - t0)) overflows binary64 at"
+                    f" t = {t}, Re mu_{n + 1} (t - t0) = {rate.real:.4g}"
+                ) from None
         for m in range(n, C.n):
             out[m] = out[m] + factor * vecs[n][m]
     return CoeffState(c=tuple(out), t=float(t))

@@ -335,53 +335,45 @@ def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
     """All eigenvalues of a dense matrix given as nested rows, in the
     precision of its entries.
 
-    Both precisions first balance the matrix (Parlett & Reinsch 1969):
-    B = D^-1 A D, D the powers of two that scipy.linalg.matrix_balance
-    (LAPACK zgebal, no permutation; the only scipy.linalg routine the
-    package calls, imported here) picks for A's binary64 rounding, applied
-    to an array of A's own scalars. That is exact at any digits, so B has
-    A's spectrum exactly (in binary64, B is LAPACK's balanced matrix bit for
-    bit).
-    For the companion matrices of rootfind.companion_zeros, whose
-    coefficients span dozens of decades, that is what makes binary64
-    eigenpairs of B good enough to certify or to refine (Edelman & Murakami
+    The caller balances: rootfind.companion_zeros passes its companion
+    matrix already scaled by LAPACK zgebal's powers of two
+    (rootfind.balanced_companion), which keeps the spectrum exactly and, for
+    coefficients that span dozens of decades, is what makes binary64
+    eigenpairs good enough to certify or to refine (Edelman & Murakami
     1995).
 
-    In binary64 the _eig_with_bound certificate on B holds for A as well;
-    it reads the left eigenvectors of B as the rows of V^-1, V the right
-    ones from numpy.linalg.eig, not as a separate LAPACK solve.
+    In binary64 the _eig_with_bound certificate reads the left
+    eigenvectors as the rows of V^-1, V the right ones from
+    numpy.linalg.eig, not as a separate LAPACK solve.
     Like every _eig_with_bound certificate it is an estimate that leaves out
     the backward error's dimension constant, not a strict bound. Over the 50
-    suite cases 2 certificates exceed EIG_TARGET instead of 21 unbalanced.
-    When the certificate still fails, B is taken to just enough extra digits
-    that the same bound lands below it, and its eigenvalues are refined
-    there from binary64 eigenpairs to eps64 (_eig_escalated). The digits are
-    derived from B's bound, so the escalation must solve B too: at those
-    digits the unbalanced A can misplace its smallest eigenvalues.
+    suite cases 2 balanced companion certificates exceed EIG_TARGET instead
+    of 21 unbalanced.
+    When the certificate fails, the matrix is taken to just enough extra
+    digits that the same bound lands below it, and its eigenvalues are
+    refined there from binary64 eigenpairs to eps64 (_eig_escalated). The
+    digits are derived from the given matrix's bound, so the escalation
+    solves that matrix too: at those digits the unbalanced companion matrix
+    can misplace its smallest eigenvalues.
 
-    Extended B's eigenvalues are refined to the entries' eps
-    (_eig_escalated); unbalanced, the refinement fails on 14 of the 45 suite
-    companion matrices with N > 1. Entries whose rounding is not finite are
-    solved by mpmath.eig with _lost_digits added: no scaling brings a
-    diagonal entry into range, and without them it returns 0 for the zero 3
-    of z^2 - (1e400 + 3) z + 3e400.
+    Extended eigenvalues are refined to the entries' eps (_eig_escalated);
+    unbalanced, the refinement fails on 14 of the 45 suite companion
+    matrices with N > 1. Entries whose rounding is not finite are solved by
+    mpmath.eig with _lost_digits added: no scaling brings a diagonal entry
+    into range, and without them it returns 0 for the zero 3 of
+    z^2 - (1e400 + 3) z + 3e400.
     """
     ctx = context_of(rows[0][0])
     arr = np.array(rows, dtype=complex)
-    if ctx.mp is not None and not np.isfinite(arr).all():
-        wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
-        return [ctx.convert(v) for v in _eig_extended(rows, wide)]
-    from scipy.linalg import matrix_balance  # loaded by the companion oracle only
-
-    _, (scale, _) = matrix_balance(arr, permute=False, separate=True)
-    d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
-    balanced = np.array(rows, dtype=ctx.dtype) * d / d[:, None]
     if ctx.mp is not None:
-        return _eig_escalated(balanced)
-    vals, worst = _eig_with_bound(balanced)
+        if not np.isfinite(arr).all():
+            wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
+            return [ctx.convert(v) for v in _eig_extended(rows, wide)]
+        return _eig_escalated(rows)
+    vals, worst = _eig_with_bound(arr)
     if worst > EIG_TARGET:
         ext = _escalated(worst)
-        vals = _eig_escalated([[ext.convert(v) for v in row] for row in balanced], F64.eps)
+        vals = _eig_escalated([[ext.convert(v) for v in row] for row in arr], F64.eps)
     return [complex(v) for v in vals]
 
 

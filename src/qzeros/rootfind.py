@@ -6,12 +6,14 @@ quasi-geometric spread of this polynomial family's zeros, then polishes each
 root with one Newton step. With extended coefficients the spiral start is
 first solved in binary64, and the extended sweeps only finish from there.
 companion_zeros is the independent cross-check oracle: eigenvalues of the
-companion matrix through the dense eigensolver (isospectral.eigenvalues_dense),
-which balances the matrix and then certifies, and if need be escalates, on
-the balanced matrix. An escalation, and every extended solve, refines the
-binary64 eigenpairs of the balanced matrix by Newton at the extended digits;
-mpmath.eig is only the fallback. The two routes share no code beyond
-polynomial evaluation.
+balanced companion matrix through the dense eigensolver
+(isospectral.eigenvalues_dense), which certifies, and if need be escalates,
+on that matrix. balanced_companion builds it from the powers of two of
+LAPACK zgebal's scaling loop, ported to the companion matrix's 2N - 1
+nonzeros (_balancing_scale), so zeros needs no scipy. An escalation, and
+every extended solve, refines the binary64 eigenpairs of the balanced
+matrix by Newton at the extended digits; mpmath.eig is only the fallback.
+The two routes share no code beyond polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
@@ -255,18 +259,137 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     return _certify(_canonical_order(_aberth(p, zs, ctx)), p)
 
 
-def companion_zeros(p: Poly) -> List:
-    """Eigenvalues of the companion matrix (independent oracle for find_zeros),
-    in the precision of the coefficients."""
-    from .isospectral import eigenvalues_dense
+# LAPACK zgebal's limits for binary64: SFMIN1 = dlamch('S') / dlamch('P')
+# = 2^-1022 / 2^-52, SFMIN2 = SFMIN1 times the radix, SFMAX = 1 / SFMIN
+_SFMIN1 = 2.0**-970
+_SFMAX1 = 2.0**970
+_SFMIN2 = 2.0**-969
+_SFMAX2 = 2.0**969
 
+
+def _balancing_scale(low: Sequence[complex]) -> List[float]:
+    """The powers of two d_i that LAPACK zgebal (job 'S', no permutation)
+    picks for the companion matrix with last column -low, low the finite
+    binary64 coefficients c_0..c_{N-1} of a monic polynomial.
+
+    The scaling loop of zgebal verbatim (Parlett & Reinsch, Numer. Math. 13,
+    1969, in the form LAPACK has used since 3.5; James, Langou & Lowery,
+    arXiv:1401.5766): radix 2; the 2-norms c and r of column and row i,
+    diagonal included (DZNRM2); ca and ra the moduli of their entries of
+    largest |re| + |im|, the first on a tie (IZAMAX); the SFMIN/SFMAX guards;
+    and the scaling kept only when it brings c + r below 0.95 of its old
+    value. The entries are scaled in place, row i by 1/f and then column i
+    by f, each part of an entry on its own (ZDSCAL), as LAPACK does. The
+    matrix has 2N - 1 nonzeros: B[i, i - 1], held in sub[i], is the one entry
+    of column i - 1, and row i holds it and B[i, N - 1], held in re[i] and
+    im[i], only; so a visit costs O(1), the last column's O(N), and a
+    sweep O(N). Those entries are finite, and so are their norms' sums,
+    which makes zgebal's NaN exit unreachable.
+    """
+    n = len(low)
+    sub = [1.0] * n  # sub[0] is no entry of the matrix
+    re = [-c.real for c in low]
+    im = [-c.imag for c in low]
+    scale = [1.0] * n
+    noconv = True
+    while noconv:
+        noconv = False
+        for i in range(n):
+            if i < n - 1:
+                c = ca = sub[i + 1]
+            else:
+                c = math.hypot(*re, *im)
+                sizes = [abs(x) + abs(y) for x, y in zip(re, im)]
+                k = sizes.index(max(sizes))
+                ca = abs(complex(re[k], im[k]))
+            if i == 0:
+                r = math.hypot(re[0], im[0])
+                ra = abs(complex(re[0], im[0]))
+            else:
+                r = math.hypot(sub[i], re[i], im[i])
+                if sub[i] >= abs(re[i]) + abs(im[i]):
+                    ra = sub[i]
+                else:
+                    ra = abs(complex(re[i], im[i]))
+            if c == 0 or r == 0:
+                continue
+            g = r / 2
+            f = 1.0
+            s = c + r
+            # MAX(F, C, CA) < SFMAX2 and MIN(R, G, RA) > SFMIN2, spelt out
+            while (
+                c < g
+                and f < _SFMAX2 and c < _SFMAX2 and ca < _SFMAX2
+                and r > _SFMIN2 and g > _SFMIN2 and ra > _SFMIN2
+            ):
+                f *= 2
+                c *= 2
+                ca *= 2
+                r /= 2
+                g /= 2
+                ra /= 2
+            g = c / 2
+            while (
+                g >= r
+                and r < _SFMAX2 and ra < _SFMAX2
+                and f > _SFMIN2 and c > _SFMIN2 and g > _SFMIN2 and ca > _SFMIN2
+            ):
+                f /= 2
+                c /= 2
+                g /= 2
+                ca /= 2
+                r *= 2
+                ra *= 2
+            if c + r >= 0.95 * s:
+                continue
+            if f < 1 and scale[i] < 1 and f * scale[i] <= _SFMIN1:
+                continue
+            if f > 1 and scale[i] > 1 and scale[i] >= _SFMAX1 / f:
+                continue
+            g = 1 / f
+            scale[i] *= f
+            noconv = True
+            sub[i] *= g
+            re[i] *= g
+            im[i] *= g
+            if i < n - 1:
+                sub[i + 1] *= f
+            else:
+                re = [v * f for v in re]
+                im = [v * f for v in im]
+    return scale
+
+
+def balanced_companion(p: Poly) -> np.ndarray:
+    """The companion matrix A of the monic p balanced, B = D^-1 A D, as an
+    N x N array in the dtype of the coefficients' context.
+
+    D holds the powers of two of _balancing_scale for the binary64 rounding
+    of the coefficients, and B is built from its 2N - 1 nonzeros in the
+    coefficients' own scalars: B[i, i - 1] = d_{i-1} / d_i and
+    B[i, N - 1] = -c_i d_{N-1} / d_i. Powers of two scale exactly, in
+    binary64 while the products stay in the normal range, so B has A's
+    spectrum exactly; in binary64 it is then LAPACK's balanced matrix bit for
+    bit. A polynomial whose coefficients do not round to finite binary64
+    numbers is left unbalanced (D = I): no scaling brings such an entry into
+    range.
+    """
     if not p.monic:
-        raise ValueError("companion_zeros expects a monic polynomial")
+        raise ValueError("balanced_companion expects a monic polynomial")
     N = p.degree
     ctx = context_of(p.coeffs[0])
-    rows = [[ctx.convert(0.0) for _ in range(N)] for _ in range(N)]
-    for i in range(1, N):
-        rows[i][i - 1] = ctx.convert(1.0)
-    for i in range(N):
-        rows[i][N - 1] = -ctx.convert(p.coeffs[i])
-    return _canonical_order(eigenvalues_dense(rows))
+    low = [complex(c) for c in p.coeffs[:-1]]
+    scale = _balancing_scale(low) if all(cmath.isfinite(c) for c in low) else [1.0] * N
+    d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
+    out = np.full((N, N), ctx.convert(0.0), dtype=ctx.dtype)
+    out[range(1, N), range(N - 1)] = d[:-1] / d[1:]
+    out[:, -1] = np.array([-ctx.convert(c) for c in p.coeffs[:-1]], dtype=ctx.dtype) * d[-1] / d
+    return out
+
+
+def companion_zeros(p: Poly) -> List:
+    """Eigenvalues of the balanced companion matrix (independent oracle for
+    find_zeros), in the precision of the coefficients."""
+    from .isospectral import eigenvalues_dense
+
+    return _canonical_order(eigenvalues_dense(balanced_companion(p)))

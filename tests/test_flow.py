@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qzeros.errors import CollisionDetected, ConsistencyWarning, RepeatedEigenvalue
+from qzeros.errors import CollisionDetected, ConsistencyWarning, OverflowRisk, RepeatedEigenvalue
 from qzeros.flow import (
     CoeffState,
     FlowState,
@@ -115,6 +115,16 @@ def test_evolve_n1_hand_solution():
     out = evolve_coeffs(C, CoeffState(c=(c_init,), t=0.0), t)
     ref = star + (c_init - star) * cmath.exp(mu * t)
     assert abs(out.c[0] - ref) < 1e-13 * max(1.0, abs(ref))
+
+
+def test_evolve_overflow_raises_overflow_risk(suite):
+    # suite case 19 has Re mu_1 = 1.5e5, so exp(mu_1 t) leaves binary64 once
+    # t passes 709 / 1.5e5: a library error the CLI maps to exit 1, not the
+    # builtin OverflowError
+    C = build_C(suite[19])
+    c0 = CoeffState(c=tuple(1.01 * v for v in fixed_point(C)), t=0.0)
+    with pytest.raises(OverflowRisk, match=r"mode 1: .* t = 0\.01,"):
+        evolve_coeffs(C, c0, 0.01)
 
 
 def test_evolve_against_expm_oracle():

@@ -14,7 +14,7 @@ from qzeros.precision import F64, extended
 from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
-from conftest import counting, zeros_of
+from conftest import counting, suite_cases, zeros_of
 from oracles import companion_rows
 
 
@@ -130,9 +130,7 @@ def test_companion_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     # the two suite companion matrices whose balanced certificate fails
     for index in (26, 38):
         p, _ = zeros_of(suite[index])
-        balanced, _ = scipy.linalg.matrix_balance(
-            np.array(companion_rows(p), dtype=complex), permute=False
-        )
+        balanced = rootfind.balanced_companion(p)
         _, worst = isospectral._eig_with_bound(balanced)
         ref = isospectral._eig_extended(balanced, isospectral._escalated(worst))
         with monkeypatch.context() as patch:
@@ -141,6 +139,76 @@ def test_companion_escalations_refine_without_mpmath_eig(suite, monkeypatch):
             got = companion_zeros(p)
         assert eig_calls == [] and len(refined) == 1 and refined[0] is not None, index
         _assert_near(got, ref, 4 * EPS64)
+
+
+def _lapack_balanced(p):
+    """The binary64 companion matrix of p, and scipy.linalg.matrix_balance's
+    (LAPACK zgebal, no permutation) balanced matrix and powers of two."""
+    arr = np.array(companion_rows(p), dtype=complex)
+    with warnings.catch_warnings():
+        # scipy casts zgebal's scale array to int for the permutation it
+        # does not use here, which warns once a power of two passes 2^63
+        warnings.simplefilter("ignore", RuntimeWarning)
+        balanced, (scale, _) = scipy.linalg.matrix_balance(arr, permute=False, separate=True)
+    return arr, balanced, scale
+
+
+def test_balanced_companion_is_lapacks_on_the_zeros_stream():
+    # every companion matrix of the 500-case zeros-f64 stream, bit for bit
+    for index, params in enumerate(suite_cases(500)):
+        p = to_monic(coeffs_P(params))
+        _, ref, _ = _lapack_balanced(p)
+        assert rootfind.balanced_companion(p).tobytes() == ref.tobytes(), index
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0.45,),
+        (-0.7 + 0.4j,),
+        (0j,),
+        (2.0, -3.0),
+        (1e-3 - 2j, 5 + 1j),
+        (0j, 1e-6 + 1j),
+        (1e-9j, 1e6),
+        (1e8, -1e-4),
+        (-3e-12 + 1e-12j, 4e5j),
+    ],
+)
+def test_balanced_companion_is_lapacks_at_degrees_one_and_two(coeffs):
+    # equal as numbers: the sign of a zero imaginary part is not compared,
+    # since NumPy's complex product (re + 0j)(d + 0j) can give +0 where
+    # zgebal's part-wise scaling keeps -0
+    p = Poly(tuple(complex(c) for c in coeffs) + (1 + 0j,), monic=True)
+    _, ref, _ = _lapack_balanced(p)
+    assert np.array_equal(rootfind.balanced_companion(p), ref)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1e-300, 1.0, 1e300),
+        (1e300, 1e-300),
+        (1e-300, 1e-300, 1e-300, 1e-300),
+        (1e300j, 1e300, 1e300),
+        (1e300, 1e-300j, 1.0, 1e-300, 1e300),
+        # removing the SFMAX1 test on the accumulated scale changes D here
+        (0.0, 0.0, 1e-150),
+        # and removing the SFMIN2 test on r, g and ra in the first loop here
+        (5e-324, 1e300, 1e300, 1e300, 1e-300),
+    ],
+)
+def test_balanced_companion_keeps_lapacks_guards(coeffs):
+    # coefficients near the ends of the binary64 range, where zgebal's
+    # SFMIN/SFMAX guards stop the scaling. zgebal scales its matrix in place
+    # one power of two at a time, so an entry it scales below the normal
+    # range loses bits or becomes 0. B is formed once from D instead, as
+    # eigenvalues_dense formed it from scipy's D before, and is compared with
+    # that product of scipy's powers of two
+    p = Poly(tuple(complex(c) for c in coeffs) + (1 + 0j,), monic=True)
+    arr, _, scale = _lapack_balanced(p)
+    d = scale.astype(complex)
+    assert rootfind.balanced_companion(p).tobytes() == (arr * d / d[:, None]).tobytes()
 
 
 def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):

@@ -174,8 +174,8 @@ def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
     # sorted lists can order a conjugate pair differently. Both gaps are in
     # the precision of the zeros, as _jacobian_defect compares: rounding to
     # binary64 first would hide any extended gap below 1e-16
-    report = isospectral.match_spectrum(zset.zeros, rootfind.companion_zeros(monic))
-    gap = max(rel for _, _, _, rel in report.matched_pairs)
+    pairs = isospectral.match_spectrum(zset.zeros, rootfind.companion_zeros(monic))
+    gap = max(rel for _, _, _, rel in pairs)
     # prod (z - z_n) = sum_k e_k(-z_1, ..., -z_N) z^(N - k), by Vieta
     recon = (1,) + params_mod._elementary([-z for z in zset.zeros])
     recon_gap = max(rel_gap(mc, rc) for rc, mc in zip(reversed(recon), monic.coeffs))
@@ -222,10 +222,8 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
 
     M, lam = isospectral.certified_spectrum(params, zeros)
     mus = isospectral.mu_closed(params)
-    report = isospectral.match_spectrum(lam, mus)
-    checks.append(
-        _check("spectrum_gap_max", max(rel for _, _, _, rel in report.matched_pairs), tol)
-    )
+    pairs = isospectral.match_spectrum(lam, mus)
+    checks.append(_check("spectrum_gap_max", max(rel for _, _, _, rel in pairs), tol))
     traces = {p: isospectral.matrix_power_trace(M, p) for p in (1, 2, 3)}
     for p, tr in traces.items():
         checks.append(_check(f"trace_gap_p{p}", rel_gap(tr, sum(m**p for m in mus)), tol))
@@ -239,7 +237,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
         "mu_closed": [_pair(m) for m in mus],
         "matched_pairs": [
             [_pair(lam), _pair(mu), float(rel)]
-            for lam, mu, _absgap, rel in report.matched_pairs
+            for lam, mu, _absgap, rel in pairs
         ],
     }
     return checks, result
@@ -288,8 +286,8 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
                 f"could not draw a generic β perturbation in {SWEEP_REDRAW_LIMIT} tries"
             )
         M_p, lam_p = isospectral.certified_spectrum(pert)
-        report = isospectral.match_spectrum(lam_p, mus)
-        drift_max = max(drift_max, max(rel for _, _, _, rel in report.matched_pairs))
+        pairs = isospectral.match_spectrum(lam_p, mus)
+        drift_max = max(drift_max, max(rel for _, _, _, rel in pairs))
         delta = M_p.astype(complex) - M_base.astype(complex)
         matrix_drift_min = min(matrix_drift_min, _matrix_inf_norm(delta) / base_norm)
 

@@ -27,9 +27,8 @@ which _lost_digits reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -40,13 +39,6 @@ from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_ga
 from .qseries import coeffs_P, to_monic
 from .rootfind import _aberth, find_zeros
 from .zero_algebra import KernelCache, velocity_weights
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Nearest-first matched (numerical, closed-form) pairs with scale-guarded gaps."""
-
-    matched_pairs: Tuple  # (numerical, closed, abs_gap, rel_gap) per row
 
 
 def build_M(zeros, params: ParamSet) -> np.ndarray:
@@ -120,14 +112,21 @@ REFINE_STEPS = 6
 
 
 def _eig_extended(rows, ctx: PrecisionContext) -> List:
-    """Eigenvalues at the digits of the extended context ctx, as its scalars.
+    """Eigenvalues by mpmath.eig at the digits of the extended context ctx,
+    as its scalars; entries that do not round to finite binary64 numbers
+    add the digits the solve loses (_lost_digits): no diagonal scaling
+    brings such an entry into range, and without them mpmath.eig returns 0
+    for the zero 3 of z^2 - (1e400 + 3) z + 3e400.
 
     The one use of mpmath's own global context, scoped by workdps.
     """
     if len(rows) == 1:
         # mpmath.eig returns (E, ER, EL) for 1 x 1 input, whatever left/right say
         return [ctx.convert(rows[0][0])]
-    with mpmath.workdps(ctx.mp.dps):
+    dps = ctx.mp.dps
+    if not np.isfinite(np.array(rows, dtype=complex)).all():
+        dps += _lost_digits(rows, ctx)
+    with mpmath.workdps(dps):
         mat = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in rows])
         try:
             vals = mpmath.eig(mat, left=False, right=False)
@@ -277,22 +276,6 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     return lams
 
 
-def _eig_escalated(rows, eps_out: float | None = None) -> List:
-    """Eigenvalues of the extended matrix rows: refined from binary64
-    eigenpairs when that certifies, else mpmath.eig at the entries' digits.
-    eps_out is the eps of the precision they are returned in, by default
-    that of the entries.
-
-    Every extended solve goes through here: M's escalated and extended
-    solves (certified_spectrum) and the companion matrix's
-    (eigenvalues_dense). mpmath.eig runs only as this fallback."""
-    ctx = context_of(rows[0][0])
-    vals = _refined_eigenvalues(rows, ctx.eps if eps_out is None else eps_out)
-    if vals is None:
-        vals = _eig_extended(rows, ctx)
-    return vals
-
-
 def _escalated(worst: float) -> PrecisionContext:
     # digits that bring the conditioning bound under the target, plus slack;
     # an infinite bound (a defective matrix) takes the 1/TINY cap
@@ -331,84 +314,56 @@ def _lost_digits(rows, ctx: PrecisionContext) -> int:
     return max(0, math.ceil((len(rows) * norm_bits - sum(mag(v) for v in pivots)) * math.log10(2)))
 
 
-def eigenvalues_dense(rows: Sequence[Sequence]) -> List:
-    """All eigenvalues of a dense matrix given as nested rows, in the
-    precision of its entries.
+def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None = None) -> List:
+    """All eigenvalues of the square matrix A (an array or nested rows), in
+    the precision of its entries, each certified below EIG_TARGET relative
+    forward error in binary64 and EIG_TARGET (eps / eps64) at extended
+    digits (first-order estimates, which leave out the backward error's
+    dimension constant): the one eigensolve, of M and of the companion
+    matrix.
 
-    The caller balances: rootfind.companion_zeros passes its companion
-    matrix already scaled by LAPACK zgebal's powers of two
-    (rootfind.balanced_companion), which keeps the spectrum exactly and, for
-    coefficients that span dozens of decades, is what makes binary64
-    eigenpairs good enough to certify or to refine (Edelman & Murakami
-    1995).
-
-    In binary64 the _eig_with_bound certificate reads the left
-    eigenvectors as the rows of V^-1, V the right ones from
-    numpy.linalg.eig, not as a separate LAPACK solve.
-    Like every _eig_with_bound certificate it is an estimate that leaves out
-    the backward error's dimension constant, not a strict bound. Over the 50
-    suite cases 2 balanced companion certificates exceed EIG_TARGET instead
-    of 21 unbalanced.
-    When the certificate fails, the matrix is taken to just enough extra
-    digits that the same bound lands below it, and its eigenvalues are
-    refined there from binary64 eigenpairs to eps64 (_eig_escalated). The
-    digits are derived from the given matrix's bound, so the escalation
-    solves that matrix too: at those digits the unbalanced companion matrix
-    can misplace its smallest eigenvalues.
-
-    Extended eigenvalues are refined to the entries' eps (_eig_escalated);
-    unbalanced, the refinement fails on 14 of the 45 suite companion
-    matrices with N > 1. Entries whose rounding is not finite are solved by
-    mpmath.eig with _lost_digits added: no scaling brings a diagonal entry
-    into range, and without them it returns 0 for the zero 3 of
-    z^2 - (1e400 + 3) z + 3e400.
+    Binary64: when the _eig_with_bound estimate exceeds EIG_TARGET, the
+    matrix is taken to the digits that bring that bound below it
+    (_escalated), formed there by rebuild(ext) or else by converting A's
+    entries, and its eigenvalues are refined there to eps64. The digits
+    come from A's bound, so the escalated matrix must be conditioned as A
+    is: at those digits an unbalanced companion matrix can misplace its
+    smallest eigenvalues. Extended: they are refined to the entries' eps.
+    Where the refinement cannot certify them (_refined_eigenvalues),
+    mpmath.eig solves the matrix at its entries' digits (_eig_extended).
     """
-    ctx = context_of(rows[0][0])
-    arr = np.array(rows, dtype=complex)
-    if ctx.mp is not None:
-        if not np.isfinite(arr).all():
-            wide = extended(ctx.mp.dps + _lost_digits(rows, ctx))
-            return [ctx.convert(v) for v in _eig_extended(rows, wide)]
-        return _eig_escalated(rows)
-    vals, worst = _eig_with_bound(arr)
-    if worst > EIG_TARGET:
+    ctx = context_of(A[0][0])
+    eps = ctx.eps
+    if ctx.mp is None:
+        arr = np.asarray(A, dtype=complex)
+        vals, worst = _eig_with_bound(arr)
+        if not worst > EIG_TARGET:
+            return [complex(v) for v in vals]
         ext = _escalated(worst)
-        vals = _eig_escalated([[ext.convert(v) for v in row] for row in arr], F64.eps)
-    return [complex(v) for v in vals]
+        A = rebuild(ext) if rebuild else [[ext.convert(v) for v in row] for row in arr]
+    vals = _refined_eigenvalues(A, eps)
+    if vals is None:
+        vals = _eig_extended(A, context_of(A[0][0]))
+    return vals if ctx.mp is not None else [complex(v) for v in vals]
 
 
 def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
-    """Matrix and eigenvalues for the spectrum identity, with the
-    eigenvalues certified below EIG_TARGET relative forward error in
-    binary64 and EIG_TARGET (eps / eps64) at extended digits (first-order
-    estimates, which leave out the backward error's dimension constant).
+    """Matrix and eigenvalues for the spectrum identity, the eigenvalues
+    from certified_eigenvalues in the precision of params.q.
 
-    The precision is that of params.q. zeros is the caller's zero set of
-    params, found in that precision; when omitted, the zeros are found
-    here. With extended params the matrix is built at their digits from
-    those zeros, and its eigenvalues are refined from its binary64
-    eigenpairs to the eps of those digits (_refined_eigenvalues, each
-    certified below EIG_TARGET (eps / eps64) |lambda|); mpmath.eig solves
-    it only when that fails (none of the 175 N <= 5 benchmark stream
-    cases).
+    zeros is the caller's zero set of params, found in that precision; when
+    omitted, the zeros are found here.
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
     from rounding the series coefficients (the computed zeros are near-exact
-    roots of an already-rounded polynomial). Both are amplified by the same
-    per-eigenvalue condition numbers, so one _eig_with_bound certificate
-    covers the decision: when it exceeds EIG_TARGET, the zeros are refined
-    in extended digits and the matrix rebuilt there. Its eigenvalues are
-    then refined by Newton from the binary64 eigenpairs of that matrix,
-    with the residuals in the extended digits, to the binary64 eps they
-    are returned in (_refined_eigenvalues); only when that cannot certify
-    them does mpmath.eig solve it at those digits (1 of the 19 escalations
-    of the first 625 benchmark stream cases). The decision never consults
-    the closed-form spectrum, so escalation is a property of the assembled
-    matrix alone. M is not balanced the way eigenvalues_dense balances:
-    over the first 625 benchmark stream cases its certificate fails 19
-    times with balancing and 19 times without, and an escalation rebuilds
-    M in extended digits, where the scaling would have to follow.
+    roots of an already-rounded polynomial). The same per-eigenvalue
+    conditions amplify both, so one _eig_with_bound certificate covers the
+    decision, and an escalation rebuilds M at the escalated digits instead
+    of converting its entries. The decision never consults the closed-form
+    spectrum. M is not balanced: over the first 625 benchmark stream cases
+    its certificate fails 19 times with balancing and 19 times without, and
+    the scaling would have to follow the rebuild.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
     (its consumers, the entrywise and trace checks, are well conditioned);
@@ -416,25 +371,21 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     """
     if zeros is None:
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
-    M = build_M(zeros, params)
-    ctx = context_of(params.q)
-    if ctx.mp is not None:
-        return M, _eig_escalated(M)
-    vals, worst = _eig_with_bound(M)
-    if worst > EIG_TARGET:
-        # Aberth sweeps finish the binary64 zeros at the escalated digits, as in
-        # extended find_zeros; they sit ~1e-11 off, where the sweeps converge cubically
-        ext = _escalated(worst)
+
+    def rebuild(ext: PrecisionContext) -> np.ndarray:
         # q, alpha and beta in the escalated digits too, or binary64 roundings
         # of the q powers re-contaminate the matrix
         ext_params = in_context(params, ext)
+        # Aberth sweeps finish the binary64 zeros at the escalated digits, as in
+        # extended find_zeros; they sit ~1e-11 off, where the sweeps converge cubically
         pe = to_monic(coeffs_P(ext_params))
-        zs = _aberth(pe, [ext.convert(z) for z in zeros], ext)
-        vals = _eig_escalated(build_M(zs, ext_params), F64.eps)
-    return M, [complex(v) for v in vals]
+        return build_M(_aberth(pe, [ext.convert(z) for z in zeros], ext), ext_params)
+
+    M = build_M(zeros, params)
+    return M, certified_eigenvalues(M, rebuild)
 
 
-def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
+def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
     """Nearest pairs first: a bijection between the two value lists.
 
     Complex values admit no stable total order (a conjugate pair has equal
@@ -445,7 +396,8 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
     minimum-total-distance assignment whenever each value lies closer to
     its partner than half the distance between any two closed values. Pairs
     come in the order of closed, with the gaps of the values themselves
-    (rel_gap, with its max(1, |.|) guard).
+    (rel_gap, with its max(1, |.|) guard): a tuple of (numerical, closed,
+    abs_gap, rel_gap) rows.
     """
     lam = list(numerical)
     mu = list(closed)
@@ -460,8 +412,7 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> SpectrumReport:
             free[i], partner[j] = False, i
             if None not in partner:
                 break
-    pairs = [(lam[i], mv, float(abs(lam[i] - mv)), rel_gap(lam[i], mv)) for mv, i in zip(mu, partner)]
-    return SpectrumReport(matched_pairs=tuple(pairs))
+    return tuple((lam[i], mv, float(abs(lam[i] - mv)), rel_gap(lam[i], mv)) for mv, i in zip(mu, partner))
 
 
 def matrix_power_trace(M: np.ndarray, p: int):

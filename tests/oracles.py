@@ -368,7 +368,7 @@ def spectrum_match(numerical, closed) -> SimpleNamespace:
     (accumulated in log space from the per-pair ratios to dodge product
     overflow), all with the max(1, |.|) denominator guard. is_match holds
     when every pair gap and every aggregate gap is below MATCH_TOL."""
-    pairs = match_spectrum(numerical, closed).matched_pairs
+    pairs = match_spectrum(numerical, closed)
     lam, mu = list(numerical), list(closed)
 
     def rel_gap(a, b):

@@ -48,8 +48,8 @@ def test_criterion_01_spectrum_identity(suite):
     worst = 0.0
     for params in suite:
         _, lam = certified_spectrum(params)
-        rep = match_spectrum(lam, mu_closed(params))
-        worst = max(worst, max(pair[3] for pair in rep.matched_pairs))
+        pairs = match_spectrum(lam, mu_closed(params))
+        worst = max(worst, max(pair[3] for pair in pairs))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 30.0
     assert _report(
@@ -147,8 +147,8 @@ def test_criterion_05_isospectral_beta_sweep():
             except NonGenericParameter:
                 continue
         Mp, lam = certified_spectrum(pert)
-        rep = match_spectrum(lam, mus)
-        worst_spec = max(worst_spec, max(pair[3] for pair in rep.matched_pairs))
+        pairs = match_spectrum(lam, mus)
+        worst_spec = max(worst_spec, max(pair[3] for pair in pairs))
         move = max(
             sum(abs(a - b) for a, b in zip(ra, rb))
             for ra, rb in zip(Mp, M0)
@@ -187,8 +187,8 @@ def test_criterion_06_diophantine_rational_spectrum():
             except NonGenericParameter:
                 continue
         _, lam = certified_spectrum(params)
-        rep = match_spectrum(lam, targets)
-        worst = max(worst, max(pair[3] for pair in rep.matched_pairs))
+        pairs = match_spectrum(lam, targets)
+        worst = max(worst, max(pair[3] for pair in pairs))
     ok = worst < 1e-6
     assert _report(
         "6 Diophantine rational eigenvalues",
@@ -274,8 +274,8 @@ def test_criterion_09_reduction():
     )
 
     _, lam = certified_spectrum(full)
-    rep = match_spectrum(lam, mu_closed(full))
-    spec_gap = max(pair[3] for pair in rep.matched_pairs)
+    pairs = match_spectrum(lam, mu_closed(full))
+    spec_gap = max(pair[3] for pair in pairs)
     factor_gap = 0.0
     for n, (mf, mr) in enumerate(zip(mu_closed(full), mu_closed(reduced)), start=1):
         retained = a2 * q ** (N - n) - 1

@@ -15,9 +15,9 @@ from qzeros.errors import EigenNoConvergence, LengthMismatch, NonGenericParamete
 from qzeros.isospectral import (
     EIG_TARGET,
     build_M,
+    certified_eigenvalues,
     certified_spectrum,
     closed_trace,
-    eigenvalues_dense,
     logdet_gap,
     match_spectrum,
     matrix_power_trace,
@@ -122,18 +122,18 @@ def test_mu_closed_exact_hand_cases():
 
 
 def test_eigenvalues_hand_cases():
-    got = eigenvalues_dense(((0.7 - 0.4j,),))
+    got = certified_eigenvalues(((0.7 - 0.4j,),))
     assert len(got) == 1 and abs(got[0] - (0.7 - 0.4j)) < 1e-14
 
     diag = ((2.0, 0.0, 0.0), (0.0, -1.0 + 1.0j, 0.0), (0.0, 0.0, 0.25))
-    got = sorted(eigenvalues_dense(diag), key=lambda v: v.real)
+    got = sorted(certified_eigenvalues(diag), key=lambda v: v.real)
     ref = sorted([2.0, -1.0 + 1.0j, 0.25], key=lambda v: (v if isinstance(v, float) else v.real))
     for g, r in zip(got, sorted([complex(-1.0, 1.0), complex(0.25), complex(2.0)], key=lambda v: v.real)):
         assert abs(g - r) < 1e-12
 
     companion = ((0.0, -2.0), (1.0, 3.0))
     for rows in (companion, np.array(companion, dtype=complex)):
-        got = sorted(eigenvalues_dense(rows), key=lambda v: v.real)
+        got = sorted(certified_eigenvalues(rows), key=lambda v: v.real)
         assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] - 2.0) < 1e-10
 
 
@@ -165,13 +165,13 @@ def test_match_spectrum_pairs_nearest_first(ctx):
     delta = ctx.convert(1e-40 if ctx.mp else 1e-14)
     lam = [ctx.convert(v) for v in (1 + 2j, 1 - 2j, 0.5)]
     mu = [lam[1] + delta, lam[0] + delta, lam[2] + delta]
-    pairs = match_spectrum(lam, mu).matched_pairs
+    pairs = match_spectrum(lam, mu)
     assert [(lv, mv) for lv, mv, _, _ in pairs] == [(lam[1], mu[0]), (lam[0], mu[1]), (lam[2], mu[2])]
     assert max(rel for _, _, _, rel in pairs) < (1e-39 if ctx.mp else 1e-13)
 
     # a permutation pairs every value with itself
     perm = [lam[2], lam[0], lam[1]]
-    pairs = match_spectrum(lam, perm).matched_pairs
+    pairs = match_spectrum(lam, perm)
     assert [(lv, mv) for lv, mv, _, _ in pairs] == [(v, v) for v in perm]
     assert all(absgap == 0.0 and rel == 0.0 for _, _, absgap, rel in pairs)
 
@@ -180,10 +180,10 @@ def test_match_spectrum_breaks_exact_ties_by_index():
     # both bijections have the same total distance here, so only the tie
     # rule decides: 1 and -1 both lie 1 from 0, the lower numerical index
     # takes it
-    pairs = match_spectrum([1.0, -1.0], [0.0, 5j]).matched_pairs
+    pairs = match_spectrum([1.0, -1.0], [0.0, 5j])
     assert [(lv, mv) for lv, mv, _, _ in pairs] == [(1.0, 0.0), (-1.0, 5j)]
     # 0 lies 1 from both 1 and -1: the lower closed index takes it
-    pairs = match_spectrum([0.0, 5j], [1.0, -1.0]).matched_pairs
+    pairs = match_spectrum([0.0, 5j], [1.0, -1.0])
     assert [(lv, mv) for lv, mv, _, _ in pairs] == [(0.0, 1.0), (5j, -1.0)]
 
 
@@ -352,7 +352,7 @@ def test_defective_matrix_fails_the_certificates_without_raising():
         assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
         # with no certificate at all the nilpotent block escalates to mpmath.eig
         nilpotent = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-        assert all(abs(v) < 1e-50 for v in eigenvalues_dense(nilpotent))
+        assert all(abs(v) < 1e-50 for v in certified_eigenvalues(nilpotent))
 
 
 def test_singular_eigenvectors_fail_the_certificates_not_the_solve(monkeypatch):
@@ -419,7 +419,7 @@ def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
     ctx = extended(40)
     rows = ((ctx.convert(1), ctx.convert(1)), (ctx.mp.mpf("1e-60"), ctx.convert(1)))
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    got = isospectral._eig_escalated(rows)
+    got = certified_eigenvalues(rows)
     assert len(fallback) == 1 and got is fallback[0]
 
 
@@ -496,3 +496,24 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])
     assert len(fallback) == 1 and lam is fallback[0]
     assert sorted(abs(v - 1) for v in lam) == pytest.approx([1e-30, 1e-30], rel=1e-12)
+
+
+def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, monkeypatch):
+    # M with the companion rows of z^2 - (1e400 + 3) z + 3e400: 1e400 rounds
+    # to inf in binary64, so there are no eigenpairs to refine, and mpmath.eig
+    # at 50 digits returns 0 for the eigenvalue 3 unless it is given the
+    # digits the solve loses
+    ctx = extended()
+    big = ctx.mp.mpf("1e400")
+    rows = np.array([[ctx.convert(0), ctx.convert(-3 * big)], [ctx.convert(1), ctx.convert(big + 3)]])
+    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: rows)
+    lost = counting(monkeypatch, isospectral, "_lost_digits")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
+    params = in_context(suite[1], ctx)
+    assert params.N == 2
+    _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])
+    assert len(fallback) == 1 and lam is fallback[0]
+    assert len(lost) == 1 and lost[0] > 0
+    small, large = sorted(lam, key=abs)
+    assert abs(small - 3) <= 3 * ctx.eps and abs(large - big) <= big * ctx.eps
+

@@ -1,6 +1,9 @@
 """Zero finding against the companion-matrix oracle."""
 
+import math
+import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -176,12 +179,11 @@ def test_balanced_companion_is_lapacks_on_the_zeros_stream():
     ],
 )
 def test_balanced_companion_is_lapacks_at_degrees_one_and_two(coeffs):
-    # equal as numbers: the sign of a zero imaginary part is not compared,
-    # since NumPy's complex product (re + 0j)(d + 0j) can give +0 where
-    # zgebal's part-wise scaling keeps -0
+    # bit for bit, the sign of a zero part included: the last column is
+    # scaled part by part, as zgebal scales it
     p = Poly(tuple(complex(c) for c in coeffs) + (1 + 0j,), monic=True)
     _, ref, _ = _lapack_balanced(p)
-    assert np.array_equal(rootfind.balanced_companion(p), ref)
+    assert rootfind.balanced_companion(p).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -202,13 +204,40 @@ def test_balanced_companion_keeps_lapacks_guards(coeffs):
     # coefficients near the ends of the binary64 range, where zgebal's
     # SFMIN/SFMAX guards stop the scaling. zgebal scales its matrix in place
     # one power of two at a time, so an entry it scales below the normal
-    # range loses bits or becomes 0. B is formed once from D instead, as
-    # eigenvalues_dense formed it from scipy's D before, and is compared with
-    # that product of scipy's powers of two
+    # range loses bits or becomes 0. B is formed once from D instead, and is
+    # compared with scipy's powers of two applied once: the subdiagonal as
+    # their product, the last column rounded from its exact value
     p = Poly(tuple(complex(c) for c in coeffs) + (1 + 0j,), monic=True)
     arr, _, scale = _lapack_balanced(p)
     d = scale.astype(complex)
-    assert rootfind.balanced_companion(p).tobytes() == (arr * d / d[:, None]).tobytes()
+    ref = arr * d / d[:, None]
+    ref[:, -1] = _exact_last_column(p, scale)
+    assert rootfind.balanced_companion(p).tobytes() == ref.tobytes()
+
+
+def _exact_last_column(p, scale):
+    """-c_i d_{N-1} / d_i for the powers of two d of scale, each part rounded
+    once from its exact value, with its sign (zgebal scales part by part)."""
+    column = []
+    for c, d in zip(p.coeffs[:-1], scale):
+        ratio = Fraction(scale[-1]) / Fraction(d)
+        column.append(complex(*(math.copysign(float(Fraction(-x) * ratio), -x) for x in (c.real, c.imag))))
+    return np.array(column)
+
+
+def test_balanced_companion_last_column_is_correctly_rounded(monkeypatch):
+    # random monic polynomials with parts in 1e+-300. Formed as
+    # (-c_i d_{N-1}) / d_i, about 0.4 % of the parts whose exact value is
+    # normal came out wrong: the product left the normal range before the
+    # division brought it back
+    rng = random.Random(6000)
+    scales = counting(monkeypatch, rootfind, "_balancing_scale")
+    for _ in range(2000):
+        N = rng.randint(1, 10)
+        parts = [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2 * N)]
+        p = Poly(tuple(complex(*parts[i : i + 2]) for i in range(0, 2 * N, 2)) + (1 + 0j,), monic=True)
+        got = rootfind.balanced_companion(p)[:, -1]
+        assert got.tobytes() == _exact_last_column(p, scales[-1]).tobytes(), p.coeffs
 
 
 def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
@@ -229,7 +258,7 @@ def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
     big = ctx.mp.mpf("1e400")
     rows = ((ctx.convert(big), ctx.convert(1)), (ctx.convert(0), ctx.convert(2)))
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    got = isospectral._eig_escalated(rows)
+    got = isospectral.certified_eigenvalues(rows)
     assert len(fallback) == 1 and got is fallback[0]
     _assert_near(got, [big, 2], 1e-55)
 

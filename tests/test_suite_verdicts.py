@@ -7,19 +7,24 @@ passing, except the cases in KNOWN_FAILURES, which fail for reasons still
 open (see ROADMAP). The streams are prefixes of the bench streams at
 SUITE_SEED (conftest.suite_cases is bench/cases.suite, asserted in
 bench/test_bench.py), taken by position, never by verdict; their first 50
-cases are the test suite. Exit codes and failing-check names are pinned, not
-values: binary64 results move in the last bits with NumPy's SIMD dispatch.
+cases are the test suite. The high-degree streams are the N = 11 to 16 draws
+of HIGH_SEED, taken by position too. Exit codes and failing-check names are
+pinned, not values: binary64 results move in the last bits with NumPy's SIMD
+dispatch.
 """
 
+import dataclasses
 import json
 import os
+import random
 import warnings
 
 import pytest
 
 from qzeros.cli import main
+from qzeros.rootfind import F64_DEGREE_WARN
 
-from conftest import suite_cases
+from conftest import make_case, suite_cases
 
 # stream: (command, precision, case count, largest N); the stream is the
 # first count suite cases with N at most the largest N
@@ -28,6 +33,16 @@ STREAMS = {
     "verify": ("verify", "f64", 625, 10),
     "verify-ext": ("verify", "extended", 175, 5),
     "sweep": ("sweep", "f64", 120, 10),
+}
+
+# high-degree stream: (command, precision, draw count); the stream is the
+# first count draws of high_degree_cases
+HIGH_SEED = 4242
+HIGH_STREAMS = {
+    "zeros-high": ("zeros", "f64", 60),
+    "verify-high": ("verify", "f64", 60),
+    "zeros-high-ext": ("zeros", "extended", 6),
+    "verify-high-ext": ("verify", "extended", 6),
 }
 
 # (stream, position in the stream): (exit code, sorted failing checks); an
@@ -47,6 +62,24 @@ KNOWN_FAILURES = {
     # there is open: ROADMAP item 2
     ("sweep", 26): (1, ("matrix_drift_min",)),
     ("sweep", 32): (1, ("matrix_drift_min",)),
+    # DegenerateZeros in both precisions, certified separations 2.8e-9 to
+    # 8.0e-9: ROADMAP item 6
+    ("zeros-high", 2): (1, ()),
+    ("zeros-high", 5): (1, ()),
+    ("zeros-high", 39): (1, ()),
+    ("zeros-high-ext", 2): (1, ()),
+    ("zeros-high-ext", 5): (1, ()),
+    ("verify-high", 2): (1, ()),
+    ("verify-high", 5): (1, ()),
+    ("verify-high", 39): (1, ()),
+    ("verify-high-ext", 2): (1, ()),
+    ("verify-high-ext", 5): (1, ()),
+    # prop1_dual_gap from the forward error of the binary64 zeros: ROADMAP
+    # item 6
+    ("verify-high", 45): (1, ("prop1_dual_gap",)),
+    # the escalated mpmath.eig solve under-resolves the eigenvalues (4.2e-4
+    # at 31 digits): ROADMAP item 8
+    ("verify-high", 22): (1, ("spectrum_gap_max",)),
 }
 
 
@@ -54,13 +87,17 @@ def _pair(z):
     return [z.real, z.imag]
 
 
-@pytest.fixture(scope="module")
-def stream_configs(tmp_path_factory):
-    """Config paths and degrees of the first 625 suite cases, which hold
-    every stream."""
-    directory = tmp_path_factory.mktemp("suite")
+def high_degree_cases(count):
+    """Draw i of make_case over random.Random(HIGH_SEED) with N replaced
+    by 11 + i mod 6."""
+    rng = random.Random(HIGH_SEED)
+    return [dataclasses.replace(make_case(rng, i), N=11 + i % 6) for i in range(count)]
+
+
+def _write_configs(directory, cases):
+    """Config paths and degrees of cases, written to directory."""
     configs = []
-    for i, params in enumerate(suite_cases(max(s[2] for s in STREAMS.values()))):
+    for i, params in enumerate(cases):
         cfg = {
             "r": params.r,
             "s": params.s,
@@ -75,14 +112,27 @@ def stream_configs(tmp_path_factory):
     return configs
 
 
-@pytest.mark.parametrize("stream", list(STREAMS))
-def test_suite_exit_codes(stream, stream_configs, tmp_path):
-    command, precision, count, max_degree = STREAMS[stream]
-    paths = [path for path, degree in stream_configs if degree <= max_degree][:count]
-    assert len(paths) == count
-    out = str(tmp_path / "report.json")
-    got, expected, caught = {}, {}, []
-    for i, cfg in enumerate(paths):
+@pytest.fixture(scope="module")
+def stream_configs(tmp_path_factory):
+    """Config paths and degrees of the first 625 suite cases, which hold
+    every stream."""
+    count = max(s[2] for s in STREAMS.values())
+    return _write_configs(tmp_path_factory.mktemp("suite"), suite_cases(count))
+
+
+@pytest.fixture(scope="module")
+def high_configs(tmp_path_factory):
+    """Config paths and degrees of the high-degree draws."""
+    count = max(s[2] for s in HIGH_STREAMS.values())
+    return _write_configs(tmp_path_factory.mktemp("high"), high_degree_cases(count))
+
+
+def _assert_verdicts(stream, command, precision, configs, out):
+    """Each case's exit code and sorted failing checks are KNOWN_FAILURES'
+    (exit 0, none, by default). The one warning is the root finder's note on
+    binary64 degrees above F64_DEGREE_WARN, once a run."""
+    got, expected, caught, notes = {}, {}, [], []
+    for i, (cfg, degree) in enumerate(configs):
         if os.path.exists(out):
             os.remove(out)
         with warnings.catch_warnings(record=True) as records:
@@ -93,8 +143,24 @@ def test_suite_exit_codes(stream, stream_configs, tmp_path):
             with open(out, encoding="utf-8") as fh:
                 checks = json.load(fh)["checks"]
             failing = tuple(sorted(c["name"] for c in checks if not c["pass"]))
-        caught += [(i, str(w.message)) for w in records]
+        caught += [(i, w.category, str(w.message).split(":")[0]) for w in records]
+        if precision == "f64" and degree > F64_DEGREE_WARN:
+            notes.append((i, RuntimeWarning, f"degree {degree} above {F64_DEGREE_WARN}"))
         got[i] = (code, failing)
         expected[i] = KNOWN_FAILURES.get((stream, i), (0, ()))
     assert got == expected
-    assert caught == []
+    assert caught == notes
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_suite_exit_codes(stream, stream_configs, tmp_path):
+    command, precision, count, max_degree = STREAMS[stream]
+    configs = [(path, degree) for path, degree in stream_configs if degree <= max_degree][:count]
+    assert len(configs) == count
+    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("stream", list(HIGH_STREAMS))
+def test_high_degree_exit_codes(stream, high_configs, tmp_path):
+    command, precision, count = HIGH_STREAMS[stream]
+    _assert_verdicts(stream, command, precision, high_configs[:count], str(tmp_path / "report.json"))

@@ -32,6 +32,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import mpmath
 import numpy as np
+from mpmath.libmp import fzero, from_man_exp
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
@@ -186,6 +187,53 @@ def _eig_with_bound(arr):
         return vals, float((err / np.maximum(np.abs(vals), TINY)).max())
 
 
+def _round(m: int, e: int, prec: int) -> Tuple[int, int]:
+    """m 2^e rounded to prec significant bits, to nearest, ties to even, as
+    mpmath rounds: (m', e') with m' 2^e' the rounded value."""
+    shift = m.bit_length() - prec
+    if shift <= 0:
+        return m, e
+    q = m >> shift
+    rest = m - (q << shift)
+    half = 1 << (shift - 1)
+    if rest > half or (rest == half and q & 1):
+        q += 1
+    return q, e + shift
+
+
+def _binary(v: float) -> Tuple[int, int]:
+    """The binary64 v as the binary number (m, e), m 2^e."""
+    n, den = v.as_integer_ratio()
+    return n, 1 - den.bit_length()
+
+
+def _plus(a: Tuple[int, int], d: float, prec: int) -> Tuple[int, int]:
+    """The binary number a = (m, e) plus the binary64 d, exactly, then
+    rounded to prec bits: what the context's addition returns."""
+    n, de = _binary(d)
+    if not n:
+        return a
+    m, e = a
+    if e > de:
+        return _round((m << (e - de)) + n, de, prec)
+    return _round(m + (n << (de - e)), e, prec)
+
+
+def _float(m: int, e: int) -> float:
+    """m 2^e rounded once to binary64, +-inf beyond its range."""
+    try:
+        return m / (1 << -e) if e < 0 else float(m << e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+def _aligned(values) -> Tuple[np.ndarray, int]:
+    """The binary numbers (m, e) of values as integers over their smallest
+    exponent E: an object array of m 2^(e - E), and E."""
+    E = min((e for m, e in values if m), default=0)
+    return np.array([m << (e - E) if m else 0 for m, e in values], dtype=object), E
+
+
 def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
     eigenpairs, or None when they cannot be certified that way: when the
@@ -197,16 +245,29 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
 
     Newton on (x, lambda) with x normalised to 1 at its largest component s
     (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
-    residual r = M x - lambda x is computed in the digits of the entries,
-    one fdot per row, and the correction solves, in binary64, the bordered
-    matrix A - lambda I with column s replaced by -x, A being M rounded to
-    binary64. Each correction gains about as many digits as binary64
-    holds, less the eigenvalue's condition, so two or three reach 50
-    digits. The bordered matrix is rebuilt at each correction: with one
-    factorisation the iteration converges only linearly, at a rate set by
-    the start's eigenvalue error times the eigenvalue's condition, which
-    on suite case 19 takes eight corrections to reach EIG_TARGET where
-    Newton takes three.
+    residual r = M x - lambda x is exact and rounded once to binary64, and
+    the correction solves, in binary64, the bordered matrix A - lambda I
+    with column s replaced by -x, A being M rounded to binary64. Each
+    correction gains about as many digits as binary64 holds, less the
+    eigenvalue's condition, so two or three reach 50 digits. The bordered
+    matrix is rebuilt at each correction: with one factorisation the
+    iteration converges only linearly, at a rate set by the start's
+    eigenvalue error times the eigenvalue's condition, which on suite case
+    19 takes eight corrections to reach EIG_TARGET where Newton takes
+    three.
+
+    The arithmetic is on Python integers, not on mpmath scalars: without
+    gmpy2, mpmath runs on its pure-Python backend, which builds an object
+    and rounds at every product. M's entries are read once, as Gaussian
+    integers over one power of two, and x and lambda are held as binary
+    numbers (m, e), m 2^e. Each Newton step forms R = M X - X Lambda for all
+    the pairs still refining in one exact integer product (fdot's exact
+    products, summed exactly), and each residual component is rounded once,
+    to binary64, the only form the certificate and the correction read.
+    Each correction is added exactly and rounded to the entries' precision,
+    to nearest, ties to even, which is what the context's addition does, so
+    x and lambda are the mpc values the same corrections would give. A
+    residual beyond binary64 range fails the certificate.
 
     lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
     it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H being row i of
@@ -222,7 +283,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     that no two starts converged to one eigenvalue of M.
     """
     ctx = context_of(rows[0][0])
-    fdot = ctx.mp.fdot
+    mp, prec = ctx.mp, ctx.mp.prec
     arr = np.array(rows, dtype=complex)
     if not np.isfinite(arr).all():
         return None
@@ -231,49 +292,85 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         vals, vr, left, cond = _eigenpairs(arr)
     except EigenNoConvergence:
         return None
-    if cond is None:
-        return None
+    with np.errstate(over="ignore"):
+        if cond is None or not (np.isfinite(np.abs(vals)).all() and np.isfinite(vr).all()):
+            return None
+    parts = []
+    for row in rows:
+        for v in row:
+            v = mp.convert(v)
+            parts += v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
+    A, eA = _aligned([(-man if sign else man, exp) for sign, man, exp, _ in parts])
+    A_re, A_im = A[0::2].reshape(n, n), A[1::2].reshape(n, n)
     target = EIG_TARGET * (eps_out / F64.eps)
-    lams, certs = [], []
+    # per pair: the pivot s, lambda and x as binary numbers, part by part
+    # (x[2j], x[2j + 1] the parts of x_j), the best (certificate, lambda)
+    # and the last certificate
+    pivots, lams, xs = [], [], []
     for i in range(n):
-        y_h, y_norm = left[i], float(cond[i])
         s = int(np.argmax(np.abs(vr[:, i])))
-        lam = ctx.convert(vals[i])
-        x = [ctx.convert(v) for v in vr[:, i] / vr[s, i]]
-        x[s] = ctx.convert(1)
-        best = prev = None
-        for step in range(REFINE_STEPS + 1):
-            res = np.array(
-                [complex(fdot(list(zip(row, x)) + [(-lam, x[j])])) for j, row in enumerate(rows)]
-            )
-            x64 = np.array([complex(v) for v in x])
-            cert = float(np.linalg.norm(res)) * y_norm / max(abs(y_h @ x64), TINY)
-            if best is None or cert < best[0]:
-                best = (cert, lam)
-            if step > 1 and cert >= prev:
-                break
-            prev = cert
-            if cert <= eps_out * abs(complex(lam)) or step == REFINE_STEPS:
-                break
-            bordered = arr - complex(lam) * np.eye(n)
+        x = vr[:, i] / vr[s, i]
+        x[s] = 1
+        pivots.append(s)
+        lams.append([_binary(p) for p in (vals[i].real, vals[i].imag)])
+        xs.append([_binary(p) for v in x for p in (v.real, v.imag)])
+    best, prev = [None] * n, [None] * n
+    active = list(range(n))
+    for step in range(REFINE_STEPS + 1):
+        X, eX = _aligned([p for i in active for p in xs[i]])
+        X = X.reshape(len(active), n, 2)
+        X_re, X_im = X[:, :, 0].T, X[:, :, 1].T
+        L, eL = _aligned([p for i in active for p in lams[i]])
+        E = min(eA, eL)
+        L_re, L_im = L[0::2] << (eL - E), L[1::2] << (eL - E)
+        M_re, M_im = A_re << (eA - E), A_im << (eA - E)
+        R_re = M_re @ X_re - M_im @ X_im - X_re * L_re + X_im * L_im
+        R_im = M_re @ X_im + M_im @ X_re - X_im * L_re - X_re * L_im
+        res = np.array(
+            [complex(_float(a, E + eX), _float(b, E + eX)) for a, b in zip(R_re.flat, R_im.flat)]
+        ).reshape(n, len(active))
+        if not np.isfinite(res).all():
+            return None
+        refining = []
+        for c, i in enumerate(active):
+            s, x = pivots[i], xs[i]
+            x64 = np.array([complex(_float(*x[2 * j]), _float(*x[2 * j + 1])) for j in range(n)])
+            lam64 = complex(_float(*lams[i][0]), _float(*lams[i][1]))
+            cert = float(np.linalg.norm(res[:, c])) * float(cond[i]) / max(abs(left[i] @ x64), TINY)
+            if best[i] is None or cert < best[i][0]:
+                best[i] = (cert, lams[i])
+            if step > 1 and cert >= prev[i]:
+                continue
+            prev[i] = cert
+            if cert <= eps_out * abs(lam64) or step == REFINE_STEPS:
+                continue
+            bordered = arr - lam64 * np.eye(n)
             bordered[:, s] = -x64
             try:
-                delta = np.linalg.solve(bordered, -res)
+                delta = np.linalg.solve(bordered, -res[:, c])
             except np.linalg.LinAlgError:
-                break
-            lam = lam + ctx.convert(delta[s])
+                continue
+            if not np.isfinite(delta).all():
+                continue
+            lams[i] = [_plus(p, d, prec) for p, d in zip(lams[i], (delta[s].real, delta[s].imag))]
             delta[s] = 0
-            x = [v + ctx.convert(d) for v, d in zip(x, delta)]
-        cert, lam = best
-        if not cert <= target * abs(complex(lam)):
+            xs[i] = [_plus(p, d, prec) for p, d in zip(x, (d for v in delta for d in (v.real, v.imag)))]
+            refining.append(i)
+        active = refining
+        if not active:
+            break
+    out, certs = [], []
+    for cert, lam in best:
+        value = mp.make_mpc(tuple(from_man_exp(m, e) for m, e in lam))
+        if not cert <= target * abs(complex(value)):
             return None
-        lams.append(lam)
+        out.append(value)
         certs.append(cert)
     for i in range(n):
         for j in range(i + 1, n):
-            if not float(abs(lams[i] - lams[j])) > certs[i] + certs[j]:
+            if not float(abs(out[i] - out[j])) > certs[i] + certs[j]:
                 return None
-    return lams
+    return out
 
 
 def _escalated(worst: float) -> PrecisionContext:
@@ -366,8 +463,11 @@ def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
     the scaling would have to follow the rebuild.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
-    (its consumers, the entrywise and trace checks, are well conditioned);
-    lam may come from the escalated rebuild.
+    and lam may come from the escalated rebuild. The entrywise and trace
+    checks read that M well conditioned, but det_gap reads it too, and the
+    relative condition of det M is kappa_1(M), which need not be small: on
+    an (r, s) = (3, 0) parameter set whose mu_n span 9.8e3 to 6.8e12,
+    eps kappa_1(M) is 5.6e-1 and the binary64 det_gap reads 1.1.
     """
     if zeros is None:
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros

@@ -37,6 +37,7 @@ from oracles import (
     build_M_r2s1,
     build_M_r2s2,
     eig_bound_lapack,
+    refined_eigenvalues_fdot,
     spectrum_match,
 )
 
@@ -399,6 +400,117 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
         assert sorted(nearest) == list(range(len(ref))), index
         for v, j in zip(lam, nearest):
             assert abs(v - ref[j]) <= 4 * EPS64 * abs(ref[j]), index
+
+
+def _escalated_inputs(suite, monkeypatch):
+    """The (rows, eps_out) each escalation hands _refined_eigenvalues: M
+    rebuilt for the ESCALATING suite cases and the balanced companion
+    matrices of suite cases 26 and 38, at the digits _escalated derives."""
+    captured = []
+    refine = isospectral._refined_eigenvalues
+
+    def recorded(rows, eps_out):
+        captured.append((rows, eps_out))
+        return refine(rows, eps_out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(isospectral, "_refined_eigenvalues", recorded)
+        for index in ESCALATING:
+            certified_spectrum(suite[index], zeros_of(suite[index])[1].zeros)
+        for index in (26, 38):
+            rootfind.companion_zeros(zeros_of(suite[index])[0])
+    assert len(captured) == 5 and all(eps_out == F64.eps for _, eps_out in captured)
+    return captured
+
+
+def test_refined_eigenvalues_equal_the_fdot_refinement(suite, monkeypatch):
+    # the exact residual rounded once and the state rounded as the context
+    # adds give the eigenvalues of the refinement in mpmath scalars bit for
+    # bit, and the same None decisions
+    ctx = extended(50)
+    mp = ctx.mp
+    inputs = []
+    for params in suite:
+        params = in_context(params, ctx)
+        inputs.append((build_M(zeros_of(params)[1].zeros, params), ctx.eps))
+    inputs += _escalated_inputs(suite, monkeypatch)
+    big, small = mp.ldexp(1, 830), mp.ldexp(1, -830)
+    for rows in (
+        # real entries: a Jordan block, a diagonal, a near-defective pair
+        ((1, 1), (0, 1)),
+        ((1, 0), (0, 2)),
+        ((1, 1), (mp.mpf("1e-60"), 1)),
+        # entries from 1.4e-250 to 7.2e249
+        ((big, 1, small), (small, 3, 2), (small, 1, 7)),
+    ):
+        inputs.append(([[mp.mpf(v) for v in row] for row in rows], ctx.eps))
+    failed = []
+    for index, (rows, eps_out) in enumerate(inputs):
+        got = isospectral._refined_eigenvalues(rows, eps_out)
+        ref = refined_eigenvalues_fdot(rows, eps_out)
+        if ref is None:
+            assert got is None, index
+            failed.append(index)
+        else:
+            assert len(got) == len(ref) and all(g == r for g, r in zip(got, ref)), index
+    # suite case 19, whose ill-conditioned eigenvalues gain about five digits
+    # a correction and miss the target after REFINE_STEPS; the Jordan block;
+    # the near-defective pair
+    assert failed == [19, len(inputs) - 4, len(inputs) - 2]
+
+
+def test_refinement_never_calls_fdot(suite, monkeypatch):
+    # every extended and escalated eigensolve of M and of the companion
+    # matrix refines without the context's fdot
+    def refused(*args, **kwargs):
+        raise AssertionError("fdot called")
+
+    monkeypatch.setattr(mpmath.ctx_mp.MPContext, "fdot", refused)
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    for index in ESCALATING:
+        certified_spectrum(suite[index], zeros_of(suite[index])[1].zeros)
+    for index in (26, 38):
+        rootfind.companion_zeros(zeros_of(suite[index])[0])
+    for index in (1, 3, 4):
+        params = in_context(suite[index], extended())
+        p, zeros = zeros_of(params)
+        certified_spectrum(params, zeros.zeros)
+        rootfind.companion_zeros(p)
+    assert len(refined) == 11 and all(vals is not None for vals in refined)
+
+
+def test_state_update_rounds_as_the_context_adds():
+    # a binary number of the entries' precision plus a binary64 correction,
+    # rounded to that precision: the mpf sum, to nearest, ties to even,
+    # over random pairs whose exponents lie up to 300 bits apart and over
+    # exact ties, half a unit in the last place either way
+    rng = random.Random(5)
+    for dps in (24, 50):
+        mp = extended(dps).mp
+        pairs = []
+        for _ in range(2000):
+            m = rng.choice((-1, 1)) * rng.getrandbits(mp.prec)
+            d = rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-300, 300)
+            pairs.append(((m, rng.randint(-400, 200)), d))
+        for m in (2 ** (mp.prec - 1) + 1, 2 ** (mp.prec - 1) + 2, -(2 ** mp.prec) + 1):
+            pairs += [((m, -mp.prec), sign * 2.0 ** (-mp.prec - 1)) for sign in (-1, 1)]
+        for (m, e), d in pairs:
+            want = mp.mpf(mpmath.libmp.from_man_exp(m, e)) + mp.mpf(d)
+            got = mp.mpf(mpmath.libmp.from_man_exp(*isospectral._plus((m, e), d, mp.prec)))
+            assert got == want, (m, e, d)
+
+
+def test_residual_beyond_binary64_fails_the_certificate(monkeypatch):
+    # a start whose residual M x - lambda x leaves the binary64 range: the
+    # first residual component is 2e308
+    ctx = extended(50)
+    rows = [[ctx.mp.mpf("1e308")] * 2] * 2
+    eye = np.eye(2, dtype=complex)
+    start = (np.array([-1e308, 0], dtype=complex), eye, eye, np.ones(2))
+    monkeypatch.setattr(isospectral, "_eigenpairs", lambda arr: start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
 
 
 def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):

@@ -32,7 +32,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import mpmath
 import numpy as np
-from mpmath.libmp import fzero, from_man_exp
+from mpmath.libmp import from_float, fzero, mpf_add, round_nearest
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, in_context
@@ -187,38 +187,6 @@ def _eig_with_bound(arr):
         return vals, float((err / np.maximum(np.abs(vals), TINY)).max())
 
 
-def _round(m: int, e: int, prec: int) -> Tuple[int, int]:
-    """m 2^e rounded to prec significant bits, to nearest, ties to even, as
-    mpmath rounds: (m', e') with m' 2^e' the rounded value."""
-    shift = m.bit_length() - prec
-    if shift <= 0:
-        return m, e
-    q = m >> shift
-    rest = m - (q << shift)
-    half = 1 << (shift - 1)
-    if rest > half or (rest == half and q & 1):
-        q += 1
-    return q, e + shift
-
-
-def _binary(v: float) -> Tuple[int, int]:
-    """The binary64 v as the binary number (m, e), m 2^e."""
-    n, den = v.as_integer_ratio()
-    return n, 1 - den.bit_length()
-
-
-def _plus(a: Tuple[int, int], d: float, prec: int) -> Tuple[int, int]:
-    """The binary number a = (m, e) plus the binary64 d, exactly, then
-    rounded to prec bits: what the context's addition returns."""
-    n, de = _binary(d)
-    if not n:
-        return a
-    m, e = a
-    if e > de:
-        return _round((m << (e - de)) + n, de, prec)
-    return _round(m + (n << (de - e)), e, prec)
-
-
 def _float(m: int, e: int) -> float:
     """m 2^e rounded once to binary64, +-inf beyond its range."""
     try:
@@ -227,11 +195,19 @@ def _float(m: int, e: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def _aligned(values) -> Tuple[np.ndarray, int]:
-    """The binary numbers (m, e) of values as integers over their smallest
-    exponent E: an object array of m 2^(e - E), and E."""
-    E = min((e for m, e in values if m), default=0)
-    return np.array([m << (e - E) if m else 0 for m, e in values], dtype=object), E
+def _complexes(re, im, e: int) -> np.ndarray:
+    """(re + i im) 2^e for the integer arrays re and im, each part rounded
+    once to binary64, as one flat complex array."""
+    return np.array([complex(_float(a, e), _float(b, e)) for a, b in zip(re.flat, im.flat)])
+
+
+def _aligned(parts) -> Tuple[np.ndarray, int]:
+    """The finite raw mpf values parts, (sign, man, exp, bc), as integers
+    over their smallest exponent E: an object array of +-man 2^(exp - E),
+    and E."""
+    E = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [(-man if sign else man) << (exp - E) if man else 0 for sign, man, exp, _ in parts]
+    return np.array(ints, dtype=object), E
 
 
 def _refined_eigenvalues(rows, eps_out: float) -> List | None:
@@ -259,15 +235,17 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     The arithmetic is on Python integers, not on mpmath scalars: without
     gmpy2, mpmath runs on its pure-Python backend, which builds an object
     and rounds at every product. M's entries are read once, as Gaussian
-    integers over one power of two, and x and lambda are held as binary
-    numbers (m, e), m 2^e. Each Newton step forms R = M X - X Lambda for all
-    the pairs still refining in one exact integer product (fdot's exact
+    integers over one power of two, and the parts of x and lambda are held
+    as raw mpf values. Each Newton step forms R = M X - X Lambda for all the
+    pairs still refining in one exact integer product (fdot's exact
     products, summed exactly), and each residual component is rounded once,
     to binary64, the only form the certificate and the correction read.
-    Each correction is added exactly and rounded to the entries' precision,
-    to nearest, ties to even, which is what the context's addition does, so
-    x and lambda are the mpc values the same corrections would give. A
-    residual beyond binary64 range fails the certificate.
+    Each correction is added by mpmath's raw addition at the entries'
+    precision, to nearest, which is the context's addition without the mpc
+    objects, so x and lambda are the mpc values the same corrections would
+    give. A pair whose residual leaves the binary64 range stops refining
+    and keeps the best certificate it had; at the start, where it has none,
+    the certificate fails.
 
     lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
     it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H being row i of
@@ -300,10 +278,14 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         for v in row:
             v = mp.convert(v)
             parts += v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
-    A, eA = _aligned([(-man if sign else man, exp) for sign, man, exp, _ in parts])
+    A, eA = _aligned(parts)
     A_re, A_im = A[0::2].reshape(n, n), A[1::2].reshape(n, n)
     target = EIG_TARGET * (eps_out / F64.eps)
-    # per pair: the pivot s, lambda and x as binary numbers, part by part
+
+    def plus(p, d: float):
+        return mpf_add(p, from_float(d), prec, round_nearest)
+
+    # per pair: the pivot s, lambda and x as raw mpf values, part by part
     # (x[2j], x[2j + 1] the parts of x_j), the best (certificate, lambda)
     # and the last certificate
     pivots, lams, xs = [], [], []
@@ -312,8 +294,8 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         x = vr[:, i] / vr[s, i]
         x[s] = 1
         pivots.append(s)
-        lams.append([_binary(p) for p in (vals[i].real, vals[i].imag)])
-        xs.append([_binary(p) for v in x for p in (v.real, v.imag)])
+        lams.append([from_float(p) for p in (vals[i].real, vals[i].imag)])
+        xs.append([from_float(p) for v in x for p in (v.real, v.imag)])
     best, prev = [None] * n, [None] * n
     active = list(range(n))
     for step in range(REFINE_STEPS + 1):
@@ -321,21 +303,21 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         X = X.reshape(len(active), n, 2)
         X_re, X_im = X[:, :, 0].T, X[:, :, 1].T
         L, eL = _aligned([p for i in active for p in lams[i]])
+        x64s = _complexes(X_re, X_im, eX).reshape(n, len(active))
+        lam64s = _complexes(L[0::2], L[1::2], eL)
         E = min(eA, eL)
         L_re, L_im = L[0::2] << (eL - E), L[1::2] << (eL - E)
         M_re, M_im = A_re << (eA - E), A_im << (eA - E)
         R_re = M_re @ X_re - M_im @ X_im - X_re * L_re + X_im * L_im
         R_im = M_re @ X_im + M_im @ X_re - X_im * L_re - X_re * L_im
-        res = np.array(
-            [complex(_float(a, E + eX), _float(b, E + eX)) for a, b in zip(R_re.flat, R_im.flat)]
-        ).reshape(n, len(active))
-        if not np.isfinite(res).all():
-            return None
+        res = _complexes(R_re, R_im, E + eX).reshape(n, len(active))
         refining = []
         for c, i in enumerate(active):
-            s, x = pivots[i], xs[i]
-            x64 = np.array([complex(_float(*x[2 * j]), _float(*x[2 * j + 1])) for j in range(n)])
-            lam64 = complex(_float(*lams[i][0]), _float(*lams[i][1]))
+            if not np.isfinite(res[:, c]).all():
+                if best[i] is None:
+                    return None
+                continue
+            s, x, x64, lam64 = pivots[i], xs[i], x64s[:, c], lam64s[c]
             cert = float(np.linalg.norm(res[:, c])) * float(cond[i]) / max(abs(left[i] @ x64), TINY)
             if best[i] is None or cert < best[i][0]:
                 best[i] = (cert, lams[i])
@@ -352,16 +334,16 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
                 continue
             if not np.isfinite(delta).all():
                 continue
-            lams[i] = [_plus(p, d, prec) for p, d in zip(lams[i], (delta[s].real, delta[s].imag))]
+            lams[i] = [plus(p, d) for p, d in zip(lams[i], (delta[s].real, delta[s].imag))]
             delta[s] = 0
-            xs[i] = [_plus(p, d, prec) for p, d in zip(x, (d for v in delta for d in (v.real, v.imag)))]
+            xs[i] = [plus(p, d) for p, d in zip(x, (d for v in delta for d in (v.real, v.imag)))]
             refining.append(i)
         active = refining
         if not active:
             break
     out, certs = [], []
     for cert, lam in best:
-        value = mp.make_mpc(tuple(from_man_exp(m, e) for m, e in lam))
+        value = mp.make_mpc(tuple(lam))
         if not cert <= target * abs(complex(value)):
             return None
         out.append(value)

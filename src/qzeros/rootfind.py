@@ -265,45 +265,30 @@ _SFMIN2 = 2.0**-969
 _SFMAX2 = 2.0**969
 
 
-def _passes_up(x: float) -> int:
-    """Doublings of the positive x before x >= SFMAX2 = 2^969 stops them."""
-    return max(0, 970 - math.frexp(x)[1])
-
-
-def _passes_down(x: float) -> int:
-    """Halvings of the positive x before x <= SFMIN2 = 2^-969 stops them."""
-    m, e = math.frexp(x)
-    return max(0, e + 968 + (m > 0.5))
-
-
 def _balancing_scale(low: Sequence[complex]) -> List[float]:
     """The powers of two d_i that LAPACK zgebal (job 'S', no permutation)
     picks for the companion matrix with last column -low, low the finite
     binary64 coefficients c_0..c_{N-1} of a monic polynomial.
 
-    The scaling loop of zgebal (Parlett & Reinsch, Numer. Math. 13, 1969,
-    in the form LAPACK has used since 3.5; James, Langou & Lowery,
+    The scaling loop of zgebal verbatim (Parlett & Reinsch, Numer. Math. 13,
+    1969, in the form LAPACK has used since 3.5; James, Langou & Lowery,
     arXiv:1401.5766): radix 2; the 2-norms c and r of column and row i,
     diagonal included (DZNRM2); ca and ra the moduli of their entries of
     largest |re| + |im|, the first on a tie (IZAMAX); the SFMIN/SFMAX guards;
     and the scaling kept only when it brings c + r below 0.95 of its old
-    value. zgebal's two inner loops move f one power of two a pass; here
-    each loop's pass count is read from the exponents of c and r, with each
-    guard a bound on it, so a visit costs O(1) whatever the ratio of c to r
-    (the loops themselves are the tests' oracle). The entries are scaled in
-    place, row i by 1/f and then column i by f, each part of an entry on
-    its own (ZDSCAL), as LAPACK does. The matrix has 2N - 1 nonzeros:
-    B[i, i - 1], held in sub[i], is the one entry of column i - 1, and row i
-    holds it and B[i, N - 1], held in re[i] and im[i], only; so a visit
-    costs O(1), the last column's O(N), and a sweep O(N). Those entries are
-    finite, so no norm is NaN, which makes zgebal's NaN exit unreachable.
+    value. The entries are scaled in place, row i by 1/f and then column i
+    by f, each part of an entry on its own (ZDSCAL), as LAPACK does. The
+    matrix has 2N - 1 nonzeros: B[i, i - 1], held in sub[i], is the one entry
+    of column i - 1, and row i holds it and B[i, N - 1], held in re[i] and
+    im[i], only; so a visit costs O(1), the last column's O(N), and a
+    sweep O(N). Those entries are finite, and so are their norms' sums,
+    which makes zgebal's NaN exit unreachable.
     """
     n = len(low)
     sub = [1.0] * n  # sub[0] is no entry of the matrix
     re = [-c.real for c in low]
     im = [-c.imag for c in low]
     scale = [1.0] * n
-    frexp, ldexp = math.frexp, math.ldexp
     noconv = True
     while noconv:
         noconv = False
@@ -324,33 +309,35 @@ def _balancing_scale(low: Sequence[complex]) -> List[float]:
                     ra = sub[i]
                 else:
                     ra = abs(complex(re[i], im[i]))
-            if c == 0 or r == 0 or math.isinf(c) or math.isinf(r) or r / 2 <= c and c / 2 < r:
-                # neither of zgebal's loops would run (c >= g = r / 2, then
-                # g = c / 2 < r), or an infinite norm would stay infinite:
-                # either way c + r >= 0.95 s
+            if c == 0 or r == 0:
                 continue
+            g = r / 2
+            f = 1.0
             s = c + r
-            # each pass of a loop scales by 2 exactly, since the guards keep
-            # every value normal, so the pass count is read from the frexp
-            # exponents: the passes that close the gap between c and r, unless
-            # a guard stops the loop first (MAX(F, C, CA) < SFMAX2 and
-            # MIN(R, G, RA) > SFMIN2 in the first loop, MAX(R, RA) < SFMAX2
-            # and MIN(F, C, G, CA) > SFMIN2 in the second; f = 1 meets either
-            # after 969 passes)
-            (mc, ec), (mr, er) = frexp(c), frexp(r)
-            if c < r / 2:
-                # f, c and ca double and r, g = r / 2 and ra halve while c < g
-                t = -((ec - er + 1 - (mr > mc)) // 2)
-                if t >= 969 or max(c, ca) >= ldexp(_SFMAX2, -t) or min(r / 2, ra) <= ldexp(_SFMIN2, t):
-                    t = min(t, 969, _passes_up(c), _passes_up(ca), _passes_down(r / 2), _passes_down(ra))
-            else:
-                # f, c, g = c / 2 and ca halve and r and ra double while g >= r
-                t = -((er - ec + 1 - (mc >= mr)) // 2)
-                if t >= 969 or max(r, ra) >= ldexp(_SFMAX2, -t) or min(c / 2, ca) <= ldexp(_SFMIN2, t):
-                    t = min(t, 969, _passes_up(r), _passes_up(ra), _passes_down(c / 2), _passes_down(ca))
-                t = -t
-            f = ldexp(1.0, t)
-            c, r = ldexp(c, t), ldexp(r, -t)
+            # MAX(F, C, CA) < SFMAX2 and MIN(R, G, RA) > SFMIN2, spelt out
+            while (
+                c < g
+                and f < _SFMAX2 and c < _SFMAX2 and ca < _SFMAX2
+                and r > _SFMIN2 and g > _SFMIN2 and ra > _SFMIN2
+            ):
+                f *= 2
+                c *= 2
+                ca *= 2
+                r /= 2
+                g /= 2
+                ra /= 2
+            g = c / 2
+            while (
+                g >= r
+                and r < _SFMAX2 and ra < _SFMAX2
+                and f > _SFMIN2 and c > _SFMIN2 and g > _SFMIN2 and ca > _SFMIN2
+            ):
+                f /= 2
+                c /= 2
+                g /= 2
+                ca /= 2
+                r *= 2
+                ra *= 2
             if c + r >= 0.95 * s:
                 continue
             if f < 1 and scale[i] < 1 and f * scale[i] <= _SFMIN1:

@@ -15,15 +15,12 @@ alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
 adds to match_spectrum's pairs the trace, power-trace and determinant gaps;
 companion_rows is the companion matrix of a monic polynomial and
 eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
-from LAPACK's own left eigenvectors, one pair of unit vectors at a time;
-refined_eigenvalues_fdot is the Newton refinement of _refined_eigenvalues
-in mpmath scalars, one fdot per residual component, and
-balancing_scale_loop the balancing of _balancing_scale with zgebal's inner
-loops run one power of two at a time.
+from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
+and refined_eigenvalues_fdot is the Newton refinement of
+_refined_eigenvalues in mpmath scalars, one fdot per residual component.
 """
 
 import cmath
-import math
 from types import SimpleNamespace
 from typing import List, Sequence
 
@@ -37,7 +34,6 @@ from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, context_of
 from qzeros.qdiff import _expanded_terms, qde_terms
 from qzeros.qseries import Poly
-from qzeros.rootfind import _SFMAX1 as SFMAX1, _SFMAX2 as SFMAX2, _SFMIN1 as SFMIN1, _SFMIN2 as SFMIN2
 from qzeros.zero_algebra import _prop1_terms, _shift_magnitudes, _shift_products, velocity_terms
 
 
@@ -477,80 +473,3 @@ def refined_eigenvalues_fdot(rows, eps_out: float):
             if not float(abs(lams[i] - lams[j])) > certs[i] + certs[j]:
                 return None
     return lams
-
-
-def balancing_scale_loop(low):
-    """rootfind._balancing_scale with zgebal's two inner loops as loops, one
-    power of two per pass, instead of counts read from the exponents."""
-    n = len(low)
-    sub = [1.0] * n  # sub[0] is no entry of the matrix
-    re = [-c.real for c in low]
-    im = [-c.imag for c in low]
-    scale = [1.0] * n
-    noconv = True
-    while noconv:
-        noconv = False
-        for i in range(n):
-            if i < n - 1:
-                c = ca = sub[i + 1]
-            else:
-                c = math.hypot(*re, *im)
-                sizes = [abs(x) + abs(y) for x, y in zip(re, im)]
-                k = sizes.index(max(sizes))
-                ca = abs(complex(re[k], im[k]))
-            if i == 0:
-                r = math.hypot(re[0], im[0])
-                ra = abs(complex(re[0], im[0]))
-            else:
-                r = math.hypot(sub[i], re[i], im[i])
-                if sub[i] >= abs(re[i]) + abs(im[i]):
-                    ra = sub[i]
-                else:
-                    ra = abs(complex(re[i], im[i]))
-            if c == 0 or r == 0:
-                continue
-            g = r / 2
-            f = 1.0
-            s = c + r
-            # MAX(F, C, CA) < SFMAX2 and MIN(R, G, RA) > SFMIN2, spelt out
-            while (
-                c < g
-                and f < SFMAX2 and c < SFMAX2 and ca < SFMAX2
-                and r > SFMIN2 and g > SFMIN2 and ra > SFMIN2
-            ):
-                f *= 2
-                c *= 2
-                ca *= 2
-                r /= 2
-                g /= 2
-                ra /= 2
-            g = c / 2
-            while (
-                g >= r
-                and r < SFMAX2 and ra < SFMAX2
-                and f > SFMIN2 and c > SFMIN2 and g > SFMIN2 and ca > SFMIN2
-            ):
-                f /= 2
-                c /= 2
-                g /= 2
-                ca /= 2
-                r *= 2
-                ra *= 2
-            if c + r >= 0.95 * s:
-                continue
-            if f < 1 and scale[i] < 1 and f * scale[i] <= SFMIN1:
-                continue
-            if f > 1 and scale[i] > 1 and scale[i] >= SFMAX1 / f:
-                continue
-            g = 1 / f
-            scale[i] *= f
-            noconv = True
-            sub[i] *= g
-            re[i] *= g
-            im[i] *= g
-            if i < n - 1:
-                sub[i + 1] *= f
-            else:
-                re = [v * f for v in re]
-                im = [v * f for v in im]
-    return scale

@@ -30,6 +30,7 @@ from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 from qzeros.zero_algebra import velocity_terms, velocity_weights
 
+import oracles
 from conftest import counting, suite_cases, zeros_of
 from oracles import (
     build_M_addends,
@@ -479,27 +480,6 @@ def test_refinement_never_calls_fdot(suite, monkeypatch):
     assert len(refined) == 11 and all(vals is not None for vals in refined)
 
 
-def test_state_update_rounds_as_the_context_adds():
-    # a binary number of the entries' precision plus a binary64 correction,
-    # rounded to that precision: the mpf sum, to nearest, ties to even,
-    # over random pairs whose exponents lie up to 300 bits apart and over
-    # exact ties, half a unit in the last place either way
-    rng = random.Random(5)
-    for dps in (24, 50):
-        mp = extended(dps).mp
-        pairs = []
-        for _ in range(2000):
-            m = rng.choice((-1, 1)) * rng.getrandbits(mp.prec)
-            d = rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-300, 300)
-            pairs.append(((m, rng.randint(-400, 200)), d))
-        for m in (2 ** (mp.prec - 1) + 1, 2 ** (mp.prec - 1) + 2, -(2 ** mp.prec) + 1):
-            pairs += [((m, -mp.prec), sign * 2.0 ** (-mp.prec - 1)) for sign in (-1, 1)]
-        for (m, e), d in pairs:
-            want = mp.mpf(mpmath.libmp.from_man_exp(m, e)) + mp.mpf(d)
-            got = mp.mpf(mpmath.libmp.from_man_exp(*isospectral._plus((m, e), d, mp.prec)))
-            assert got == want, (m, e, d)
-
-
 def test_residual_beyond_binary64_fails_the_certificate(monkeypatch):
     # a start whose residual M x - lambda x leaves the binary64 range: the
     # first residual component is 2e308
@@ -511,6 +491,29 @@ def test_residual_beyond_binary64_fails_the_certificate(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+
+
+def test_residual_leaving_binary64_after_a_step_keeps_the_best_certificate(monkeypatch):
+    # the first pair of diag(1, 4) starts 1e-12 off, within EIG_TARGET, and
+    # its correction (made here by the solve) sends x_2 to 1e308, so the
+    # residual of its next step is 3e308: that pair stops with the
+    # certificate of its start, which is accepted, as the fdot refinement
+    # accepts it
+    ctx = extended(50)
+    mp = ctx.mp
+    rows = [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(4)]]
+    eye = np.eye(2, dtype=complex)
+    start = (np.array([1 + 1e-12, 4], dtype=complex), eye, eye, np.ones(2))
+    monkeypatch.setattr(isospectral, "_eigenpairs", lambda arr: start)
+    monkeypatch.setattr(oracles, "_eigenpairs", lambda arr: start)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0, 1e308], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = isospectral._refined_eigenvalues(rows, F64.eps)
+    assert got == [mp.mpc(1 + 1e-12), mp.mpc(4)]
+    with np.errstate(all="ignore"):
+        # the fdot refinement runs on with infinite x_2
+        assert got == oracles.refined_eigenvalues_fdot(rows, F64.eps)
 
 
 def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):

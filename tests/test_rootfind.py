@@ -1,6 +1,5 @@
 """Zero finding against the companion-matrix oracle."""
 
-import functools
 import math
 import random
 import warnings
@@ -19,7 +18,7 @@ from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import balancing_scale_loop, companion_rows
+from oracles import companion_rows
 
 
 def _pair_off(found, oracle):
@@ -157,24 +156,10 @@ def _lapack_balanced(p):
     return arr, balanced, scale
 
 
-@functools.cache
-def _stream_polynomials():
-    """The monic polynomials of the 500-case zeros-f64 stream."""
-    return [to_monic(coeffs_P(params)) for params in suite_cases(500)]
-
-
-def _wide_polynomials():
-    """2000 random monic polynomials of degree 1 to 10 with parts in 1e+-300."""
-    rng = random.Random(6000)
-    for _ in range(2000):
-        N = rng.randint(1, 10)
-        parts = [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2 * N)]
-        yield Poly(tuple(complex(*parts[i : i + 2]) for i in range(0, 2 * N, 2)) + (1 + 0j,), monic=True)
-
-
 def test_balanced_companion_is_lapacks_on_the_zeros_stream():
     # every companion matrix of the 500-case zeros-f64 stream, bit for bit
-    for index, p in enumerate(_stream_polynomials()):
+    for index, params in enumerate(suite_cases(500)):
+        p = to_monic(coeffs_P(params))
         _, ref, _ = _lapack_balanced(p)
         assert rootfind.balanced_companion(p).tobytes() == ref.tobytes(), index
 
@@ -245,32 +230,14 @@ def test_balanced_companion_last_column_is_correctly_rounded(monkeypatch):
     # (-c_i d_{N-1}) / d_i, about 0.4 % of the parts whose exact value is
     # normal came out wrong: the product left the normal range before the
     # division brought it back
+    rng = random.Random(6000)
     scales = counting(monkeypatch, rootfind, "_balancing_scale")
-    for p in _wide_polynomials():
+    for _ in range(2000):
+        N = rng.randint(1, 10)
+        parts = [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2 * N)]
+        p = Poly(tuple(complex(*parts[i : i + 2]) for i in range(0, 2 * N, 2)) + (1 + 0j,), monic=True)
         got = rootfind.balanced_companion(p)[:, -1]
         assert got.tobytes() == _exact_last_column(p, scales[-1]).tobytes(), p.coeffs
-
-
-def test_balancing_scale_equals_zgebals_loops():
-    # the pass counts read from the exponents give the powers of two of
-    # zgebal's inner loops run one pass at a time, bit for bit: on the
-    # zeros-f64 stream, on parts in 1e+-300, and on parts anywhere in the
-    # binary64 range up to 2^1000, a third of them zero, subnormal or at a
-    # guard's threshold
-    rng = random.Random(1074)
-    edges = (0.0, 5e-324, 2.0**-1022, 2.0**-970, 2.0**-969, 2.0**969, 2.0**970, 1.0)
-    extreme = []
-    for _ in range(500):
-        N = rng.randint(1, 10)
-        parts = [
-            rng.choice((-1, 1)) * (rng.choice(edges) if rng.random() < 0.3 else 2 ** rng.uniform(-1074, 1000))
-            for _ in range(2 * N)
-        ]
-        extreme.append(Poly(tuple(complex(*parts[i : i + 2]) for i in range(0, 2 * N, 2)) + (1 + 0j,), monic=True))
-    for p in [*_stream_polynomials(), *_wide_polynomials(), *extreme]:
-        low = [complex(c) for c in p.coeffs[:-1]]
-        got = np.array(rootfind._balancing_scale(low))
-        assert got.tobytes() == np.array(balancing_scale_loop(low)).tobytes(), p.coeffs
 
 
 def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):

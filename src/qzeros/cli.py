@@ -37,6 +37,7 @@ from .errors import (
     NonGenericParameter,
     QZerosError,
 )
+from .isospectral import Case
 from .params import ParamSet
 from .precision import F64, context_of, extended, rel_gap
 
@@ -150,15 +151,11 @@ def _check(name: str, value: float, tol_override, direction: str = "below") -> d
     return {"name": name, "value": value, "threshold": float(threshold), "pass": bool(ok)}
 
 
-def _monic(params: ParamSet) -> qseries.Poly:
-    return qseries.to_monic(qseries.coeffs_P(params))
-
-
-def cmd_poly(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
-    p = qseries.coeffs_P(params)
+def cmd_poly(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    p = qseries.coeffs_P(case.params)
     monic = qseries.to_monic(p)
     lead = complex(p.coeffs[-1])
-    prefactor = complex(qseries.monic_prefactor(params))
+    prefactor = complex(qseries.monic_prefactor(case.params))
     checks = [_check("prefactor_gap", abs(prefactor * lead - 1), tol)]
     result = {
         "P_coeffs": [_pair(c) for c in p.coeffs],
@@ -167,9 +164,8 @@ def cmd_poly(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dic
     return checks, result
 
 
-def cmd_zeros(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
-    monic = _monic(params)
-    zset = rootfind.find_zeros(monic, params)
+def cmd_zeros(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    monic, zset = case.monic, case.zeroset
     # the two routes' zeros compared as multisets, paired nearest first: two
     # sorted lists can order a conjugate pair differently. Both gaps are in
     # the precision of the zeros, as _jacobian_defect compares: rounding to
@@ -198,30 +194,30 @@ def _sample_points(zeros, rng, count: int = QDE_SAMPLE_COUNT) -> List[complex]:
     return [scale * rho * complex(np.cos(th), np.sin(th)) for rho, th in zip(radii, phases)]
 
 
-def _jacobian_defect(params: ParamSet, zeros, M: np.ndarray) -> float:
+def _jacobian_defect(case: Case) -> float:
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
-    jac = zero_flow.jacobian_fd(params, zeros)
-    return max(rel_gap(a, b) for jrow, mrow in zip(jac, M.tolist()) for a, b in zip(jrow, mrow))
+    jac = zero_flow.jacobian_fd(case.params, case.zeros)
+    return max(rel_gap(a, b) for jrow, mrow in zip(jac, case.M.tolist()) for a, b in zip(jrow, mrow))
 
 
-def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
-    monic = _monic(params)
-    zeros = rootfind.find_zeros(monic, params).zeros
+def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    params, monic, zeros = case.params, case.monic, case.zeros
 
     ctx = context_of(params.q)
     points = [ctx.convert(z) for z in _sample_points(zeros, rng)]
     prop1 = zero_algebra.prop1_residuals(zeros, params)
     qde, agreement = qdiff.qde_checks(monic, params, points)
+    prop1_qde = zero_algebra.prop1_residuals_qde(zeros, params, monic)
     checks = [
         _check("qde_residual_max", max(ctx.size(v) for v in qde), tol),
         _check("qde_expanded_agreement_max", max(agreement), tol),
         _check("prop1_residual_max", max(prop1), tol),
-        _check("prop1_dual_gap", _prop1_dual_gap(prop1, zeros, params, monic), tol),
+        _check("prop1_dual_gap", max(rel_gap(a, b) for a, b in zip(prop1, prop1_qde)), tol),
     ]
 
-    M, lam = isospectral.certified_spectrum(params, zeros)
-    mus = isospectral.mu_closed(params)
+    M, lam = isospectral.certified_spectrum(case)
+    mus = case.mu
     pairs = isospectral.match_spectrum(lam, mus)
     checks.append(_check("spectrum_gap_max", max(rel for _, _, _, rel in pairs), tol))
     traces = {p: isospectral.matrix_power_trace(M, p) for p in (1, 2, 3)}
@@ -230,7 +226,7 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
     tr_closed = isospectral.closed_trace(params)
     checks.append(_check("closed_trace_gap", rel_gap(traces[1], tr_closed), tol))
     checks.append(_check("det_gap", isospectral.logdet_gap(M, mus), tol))
-    checks.append(_check("jacobian_defect", _jacobian_defect(params, zeros, M), tol))
+    checks.append(_check("jacobian_defect", _jacobian_defect(case), tol))
 
     result = {
         "zeros": [_pair(z) for z in zeros],
@@ -243,27 +239,19 @@ def cmd_verify(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], d
     return checks, result
 
 
-def _prop1_dual_gap(prod_form, zeros, params: ParamSet, monic: qseries.Poly) -> float:
-    qde_form = zero_algebra.prop1_residuals_qde(zeros, params, monic)
-    return max(rel_gap(a, b) for a, b in zip(prod_form, qde_form))
-
-
 def _matrix_inf_norm(rows) -> float:
     return max(sum(abs(complex(v)) for v in row) for row in rows)
 
 
-def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], dict]:
-    k = options["sweep_k"]
+def cmd_sweep(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
+    params, k = case.params, options["sweep_k"]
     if params.s == 0:
         return [], {"note": "no β parameters", "perturbations": 0}
     if params.N == 1:
         return [], {"note": "N = 1: the 1 x 1 matrix is μ_1, β-free by construction", "perturbations": 0}
     if k == 0:
         return [], {"note": "empty sweep", "perturbations": 0}
-    zeros = rootfind.find_zeros(_monic(params), params).zeros
-    M_base = isospectral.build_M(zeros, params)
-    mus = isospectral.mu_closed(params)
-    base_norm = _matrix_inf_norm(M_base)
+    base_norm = _matrix_inf_norm(case.M)
 
     drift_max = 0.0
     matrix_drift_min = float("inf")
@@ -285,10 +273,10 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
             raise ConfigError(
                 f"could not draw a generic β perturbation in {SWEEP_REDRAW_LIMIT} tries"
             )
-        M_p, lam_p = isospectral.certified_spectrum(pert)
-        pairs = isospectral.match_spectrum(lam_p, mus)
+        M_p, lam_p = isospectral.certified_spectrum(Case(pert))
+        pairs = isospectral.match_spectrum(lam_p, case.mu)
         drift_max = max(drift_max, max(rel for _, _, _, rel in pairs))
-        delta = M_p.astype(complex) - M_base.astype(complex)
+        delta = M_p.astype(complex) - case.M.astype(complex)
         matrix_drift_min = min(matrix_drift_min, _matrix_inf_norm(delta) / base_norm)
 
     checks = [
@@ -300,11 +288,11 @@ def cmd_sweep(params: ParamSet, options: dict, tol, rng) -> Tuple[List[dict], di
 
 
 def cmd_flow(
-    params: ParamSet, options: dict, tol, rng, traj_path: str | None = None
+    case: Case, options: dict, tol, rng, traj_path: str | None = None
 ) -> Tuple[List[dict], dict]:
-    zeta = [complex(z) for z in rootfind.find_zeros(_monic(params), params).zeros]
-    # integrate_flow steps in binary64, so the flow checks read binary64 params
-    params = params_mod.in_context(params, F64)
+    # integrate_flow steps in binary64, so the flow checks read the case in binary64
+    case = Case(params_mod.in_context(case.params, F64), [complex(z) for z in case.zeros])
+    params, zeta = case.params, case.zeros
     t_end = options["t_end"]
     perturb = options["perturb"]
 
@@ -317,8 +305,7 @@ def cmd_flow(
         ]
 
     checks = [_check("equilibrium_residual", zero_flow.equilibrium_residual(zeta, params), tol)]
-    M = isospectral.build_M(tuple(zeta), params)
-    checks.append(_check("jacobian_defect", _jacobian_defect(params, tuple(zeta), M), tol))
+    checks.append(_check("jacobian_defect", _jacobian_defect(case), tol))
 
     dt_max = abs(t_end) / FLOW_SAMPLES if t_end != 0.0 else 1.0
     try:
@@ -405,13 +392,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         raw, params, options = load_config(args.config)
-        # every command computes in the precision of the params it is given
-        params = params_mod.in_context(params, extended() if args.precision == "extended" else F64)
+        # every command computes in the precision of the case it is given
+        case = Case(params_mod.in_context(params, extended() if args.precision == "extended" else F64))
         rng = np.random.default_rng(args.seed)
         if args.command == "flow":
-            checks, result = cmd_flow(params, options, args.tol, rng, args.traj)
+            checks, result = cmd_flow(case, options, args.tol, rng, args.traj)
         else:
-            checks, result = COMMANDS[args.command](params, options, args.tol, rng)
+            checks, result = COMMANDS[args.command](case, options, args.tol, rng)
     except (ConfigError, NonGenericParameter, InvalidDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,9 @@ The matrix is the Jacobian of the zero flow, so its entries carry the flow's
 weights (zero_algebra.velocity_weights, read from the one table of the
 expanded q-difference equation, qdiff.qde_terms) times the derivatives of
 the shift kernels, one kernel table a shift. mu_n is the one home of the
-closed form; mu_closed, mu_closed_exact, closed_trace and the coefficient
-flow's build_C all evaluate it.
+closed form; mu_closed, mu_closed_exact and the coefficient flow's build_C
+evaluate it; closed_trace sums it over n without evaluating it. A Case holds
+one parameter set's stages, each computed once, and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
 its own scalars, never rounded to binary64: matrix_power_trace by array
@@ -26,6 +27,7 @@ which _lost_digits reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any, Callable, List, Sequence, Tuple
@@ -35,10 +37,10 @@ import numpy as np
 from mpmath.libmp import from_float, fzero, mpf_add, round_nearest
 
 from .errors import EigenNoConvergence, LengthMismatch
-from .params import ParamSet, in_context
+from .params import ParamSet, _elementary, in_context
 from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_gap
-from .qseries import coeffs_P, to_monic
-from .rootfind import _aberth, find_zeros
+from .qseries import Poly, coeffs_P, to_monic
+from .rootfind import ZeroSet, _aberth, find_zeros
 from .zero_algebra import KernelCache, velocity_weights
 
 
@@ -210,6 +212,16 @@ def _aligned(parts) -> Tuple[np.ndarray, int]:
     return np.array(ints, dtype=object), E
 
 
+def _norm(v) -> float:
+    """||v||_2 of the binary64 vector v, scaled by its largest part only where
+    the squared parts leave the binary64 range and np.linalg.norm reads 0 or inf."""
+    norm = float(np.linalg.norm(v))
+    scale = float(np.abs(np.concatenate([v.real, v.imag])).max())
+    if norm in (0, math.inf) and 0 < scale < math.inf:
+        return scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
     eigenpairs, or None when they cannot be certified that way: when the
@@ -318,7 +330,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
                     return None
                 continue
             s, x, x64, lam64 = pivots[i], xs[i], x64s[:, c], lam64s[c]
-            cert = float(np.linalg.norm(res[:, c])) * float(cond[i]) / max(abs(left[i] @ x64), TINY)
+            cert = _norm(res[:, c]) * float(cond[i]) / max(abs(left[i] @ x64), TINY)
             if best[i] is None or cert < best[i][0]:
                 best[i] = (cert, lams[i])
             if step > 1 and cert >= prev[i]:
@@ -426,45 +438,73 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
     return vals if ctx.mp is not None else [complex(v) for v in vals]
 
 
-def certified_spectrum(params: ParamSet, zeros: Sequence | None = None):
-    """Matrix and eigenvalues for the spectrum identity, the eigenvalues
-    from certified_eigenvalues in the precision of params.q.
+class Case:
+    """One parameter set in the precision of params.q and the stages of its
+    verdict, each computed on first use: the monic polynomial, its zeros
+    (zeroset, or the caller's zeros, found in that precision), M over them
+    and the closed-form spectrum mu."""
 
-    zeros is the caller's zero set of params, found in that precision; when
-    omitted, the zeros are found here.
+    def __init__(self, params: ParamSet, zeros: Sequence | None = None):
+        self.params = params
+        if zeros is not None:
+            self.zeros = tuple(zeros)
+
+    @functools.cached_property
+    def monic(self) -> Poly:
+        return to_monic(coeffs_P(self.params))
+
+    @functools.cached_property
+    def zeroset(self) -> ZeroSet:
+        return find_zeros(self.monic, self.params)
+
+    @functools.cached_property
+    def zeros(self) -> Tuple:
+        return self.zeroset.zeros
+
+    @functools.cached_property
+    def M(self) -> np.ndarray:
+        return build_M(self.zeros, self.params)
+
+    @functools.cached_property
+    def mu(self) -> List:
+        return mu_closed(self.params)
+
+    def at(self, ctx: PrecisionContext) -> "Case":
+        """The same case at ctx's digits, q, alpha and beta included (binary64
+        q powers would re-contaminate M), its zeros this case's finished by
+        Aberth sweeps, as in extended find_zeros: binary64 zeros sit ~1e-11
+        off, where the sweeps converge cubically."""
+        case = Case(in_context(self.params, ctx))
+        case.zeros = tuple(_aberth(case.monic, [ctx.convert(z) for z in self.zeros], ctx))
+        return case
+
+
+def certified_spectrum(case: Case | ParamSet):
+    """Matrix and eigenvalues for the spectrum identity: case.M and its
+    eigenvalues from certified_eigenvalues in the precision of the case. A
+    bare ParamSet is taken as Case(params).
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
     from rounding the series coefficients (the computed zeros are near-exact
     roots of an already-rounded polynomial). The same per-eigenvalue
     conditions amplify both, so one _eig_with_bound certificate covers the
-    decision, and an escalation rebuilds M at the escalated digits instead
-    of converting its entries. The decision never consults the closed-form
+    decision, and an escalation takes M from case.at(ext) instead of
+    converting its entries. The decision never consults the closed-form
     spectrum. M is not balanced: over the first 625 benchmark stream cases
     its certificate fails 19 times with balancing and 19 times without, and
-    the scaling would have to follow the rebuild.
+    the scaling would have to follow the escalated case.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
-    and lam may come from the escalated rebuild. The entrywise and trace
+    and lam may come from the escalated case. The entrywise and trace
     checks read that M well conditioned, but det_gap reads it too, and the
     relative condition of det M is kappa_1(M), which need not be small: on
     an (r, s) = (3, 0) parameter set whose mu_n span 9.8e3 to 6.8e12,
     eps kappa_1(M) is 5.6e-1 and the binary64 det_gap reads 1.1.
     """
-    if zeros is None:
-        zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
-
-    def rebuild(ext: PrecisionContext) -> np.ndarray:
-        # q, alpha and beta in the escalated digits too, or binary64 roundings
-        # of the q powers re-contaminate the matrix
-        ext_params = in_context(params, ext)
-        # Aberth sweeps finish the binary64 zeros at the escalated digits, as in
-        # extended find_zeros; they sit ~1e-11 off, where the sweeps converge cubically
-        pe = to_monic(coeffs_P(ext_params))
-        return build_M(_aberth(pe, [ext.convert(z) for z in zeros], ext), ext_params)
-
-    M = build_M(zeros, params)
-    return M, certified_eigenvalues(M, rebuild)
+    if isinstance(case, ParamSet):
+        case = Case(case)
+    return case.M, certified_eigenvalues(case.M, lambda ext: case.at(ext).M)
 
 
 def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
@@ -523,33 +563,23 @@ def logdet_gap(M: np.ndarray, closed: Sequence) -> float:
 
 
 def closed_trace(params: ParamSet):
-    """Closed-form trace: explicit formulas for (r, s) = (1, 1) and (2, 1),
-    the eigenvalue sum otherwise (valid for every case).
+    """Closed-form trace, a sum of r + 1 terms, with d = s - r:
 
-    Works over complex scalars and exact Fractions alike.
+        sum_n mu_n = -sum_{k=0}^{r} c_k [q^(-N) G(q^(d+k+1)) - G(q^(d+k))],
+
+    c_k = (-1)^(r-k) e_k(alpha) the coefficients of prod_j (alpha_j x - 1),
+    expanded in mu_n at x = q^(N-n), and G(x) = (1 - x^N)/(1 - x), G(1) = N,
+    the sum of the geometric series. Generic over the scalar type, exact
+    Fractions included; mu_n is never evaluated.
     """
-    q = params.q
-    N = params.N
-    if (params.r, params.s) == (1, 1):
-        a1 = params.alpha[0]
-        return (
-            -a1 * q ** (N + 2) / (q**2 - 1) * (1 - q ** (-2 * N - 2))
-            + (q + a1 * q ** (N + 1)) / (q - 1) * (1 - q ** (-N - 1))
-            - N
-            - 1
-        )
-    if (params.r, params.s) == (2, 1):
-        a1, a2 = params.alpha
-        return (
-            q ** (-N)
-            / (q**2 - 1)
-            * (
-                -N * (q**2 - 1) * (1 + q**N * (a1 + a2))
-                + (q**N - 1)
-                * (q**2 + a1 + a2 - a1 * a2 + q ** (1 + N) * a1 * a2 + q * (1 + a1 + a2))
-            )
-        )
+    q, N, r = params.q, params.N, params.r
+    d = params.s - r
+
+    def G(x):
+        return N if x == 1 else (1 - x**N) / (1 - x)
+
     total = 0
-    for n in range(1, N + 1):
-        total = total + mu_n(n, q, params.alpha, N, params.s - params.r)
+    for k, e_k in enumerate((1,) + _elementary(params.alpha)):
+        c_k = (-1) ** (r - k) * e_k
+        total = total - c_k * (q ** (-N) * G(q ** (d + k + 1)) - G(q ** (d + k)))
     return total

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DegreeMismatch
 from .params import ParamSet
 from .qdiff import qde_terms
-from .qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
+from .qseries import Poly, eval_poly_deriv
 from .precision import TINY, context_of
 
 
@@ -203,14 +203,12 @@ def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
     return out
 
 
-def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly | None = None) -> List[float]:
+def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly) -> List[float]:
     """Dual route: the same identities with each shifted product replaced by a
-    polynomial evaluation p(z_n q^k) of the monic coefficient vector."""
+    polynomial evaluation p(z_n q^k) of the monic coefficient vector p."""
     zs = tuple(zeros)
     if len(zs) != params.N:
         raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
-    if p is None:
-        p = to_monic(coeffs_P(params))
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     q = params.q

@@ -8,6 +8,8 @@ with a g_n sum per shift, and the matrix assemblies for (r, s) = (1, 1),
 build_M, which groups the addends by shift and never tables g_n;
 expanded_residual is the expanded q-difference route on its own;
 prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
+closed_trace_r1s1 and closed_trace_r2s1 are the explicit trace formulas
+for (r, s) = (1, 1) and (2, 1) that closed_trace's general sum replaced;
 flow_rhs_from_products is the zero flow built from the zero identities;
 eval_phi sums the hypergeometric series itself, an oracle for the
 coefficient recurrence of coeffs_P; reduce cancels equal trailing
@@ -29,7 +31,7 @@ import scipy.linalg
 
 from qzeros.errors import DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
 from qzeros.flow import FlowState
-from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, match_spectrum
+from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, context_of
 from qzeros.qdiff import _expanded_terms, qde_terms
@@ -217,6 +219,31 @@ def prop1_residuals_r1s1(zeros: Sequence, params: ParamSet) -> List:
         ) * prods[2]
         out.append(lhs)
     return out
+
+
+def closed_trace_r1s1(params: ParamSet):
+    """sum_n mu_n for (r, s) = (1, 1), in the scalars of params."""
+    q, N, a1 = params.q, params.N, params.alpha[0]
+    return (
+        -a1 * q ** (N + 2) / (q**2 - 1) * (1 - q ** (-2 * N - 2))
+        + (q + a1 * q ** (N + 1)) / (q - 1) * (1 - q ** (-N - 1))
+        - N
+        - 1
+    )
+
+
+def closed_trace_r2s1(params: ParamSet):
+    """sum_n mu_n for (r, s) = (2, 1), in the scalars of params."""
+    q, N = params.q, params.N
+    a1, a2 = params.alpha
+    return (
+        q ** (-N)
+        / (q**2 - 1)
+        * (
+            -N * (q**2 - 1) * (1 + q**N * (a1 + a2))
+            + (q**N - 1) * (q**2 + a1 + a2 - a1 * a2 + q ** (1 + N) * a1 * a2 + q * (1 + a1 + a2))
+        )
+    )
 
 
 def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
@@ -446,7 +473,7 @@ def refined_eigenvalues_fdot(rows, eps_out: float):
                 [complex(fdot(list(zip(row, x)) + [(-lam, x[j])])) for j, row in enumerate(rows)]
             )
             x64 = np.array([complex(v) for v in x])
-            cert = float(np.linalg.norm(res)) * y_norm / max(abs(y_h @ x64), TINY)
+            cert = _norm(res) * y_norm / max(abs(y_h @ x64), TINY)
             if best is None or cert < best[0]:
                 best = (cert, lam)
             if step > 1 and cert >= prev:

@@ -1,5 +1,6 @@
 """Command-line surface: configs, reports, exit codes."""
 
+import collections
 import csv
 import json
 import random
@@ -10,6 +11,7 @@ import mpmath
 import pytest
 
 from qzeros.cli import DEFAULT_THRESHOLDS, build_parser, main
+from qzeros.precision import F64, context_of, extended
 
 from conftest import RS_COMBOS, SUITE_SEED
 
@@ -286,6 +288,55 @@ def test_commands_leave_scipy_unimported(tmp_path, suite):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0] * 8, False]
+
+
+STAGES = (
+    ("qzeros.qseries", "coeffs_P"),
+    ("qzeros.rootfind", "find_zeros"),
+    ("qzeros.isospectral", "build_M"),
+    ("qzeros.isospectral", "mu_closed"),
+)
+
+
+def _count_stages(monkeypatch):
+    """Every qzeros binding of each stage in STAGES wrapped to count its
+    calls by (stage, parameter set, precision); the parameter set is each
+    stage's last argument."""
+    calls = collections.Counter()
+    for home, name in STAGES:
+        original = getattr(sys.modules[home], name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name, args[-1], context_of(args[-1].q)] += 1
+            return _original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key == "qzeros" or key.startswith("qzeros."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("precision", ["f64", "extended"])
+def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, monkeypatch, precision):
+    # suite case 19 escalates M in binary64 and case 3 sweeps eight beta
+    # perturbations; each command reads every stage through one case
+    calls = _count_stages(monkeypatch)
+    home = extended() if precision == "extended" else F64
+    out = str(tmp_path / "report.json")
+    for index in (3, 7, 19):
+        path = write_params(tmp_path, suite[index])
+        for command in ("poly", "zeros", "verify", "sweep"):
+            calls.clear()
+            assert main([command, "--config", path, "--out", out, "--precision", precision]) == 0
+            assert set(calls.values()) <= {1}, (index, command, calls)
+            if command == "sweep" and index == 3:
+                assert sum(stage == "build_M" for stage, _, _ in calls) >= 9
+            if command == "verify":
+                assert {stage for stage, _, _ in calls} == {name for _, name in STAGES}
+                escalated = {ctx for stage, _, ctx in calls if stage == "build_M"} - {home}
+                assert len(escalated) == (index == 19 and precision == "f64"), index
 
 
 def test_module_entry_point(tmp_path):

@@ -24,7 +24,7 @@ from qzeros.flow import (
 )
 from qzeros import flow, isospectral, zero_algebra
 from qzeros.cli import _jacobian_defect
-from qzeros.isospectral import build_M, mu_closed
+from qzeros.isospectral import Case, build_M, mu_closed
 from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
@@ -323,7 +323,7 @@ def test_jacobian_at_n16_is_finite_and_silent():
         warnings.simplefilter("error")
         J = jacobian_fd(params, zset)
     assert all(cmath.isfinite(v) for row in J for v in row)
-    assert _jacobian_defect(params, zset.zeros, build_M(zset.zeros, params)) <= 1e-11
+    assert _jacobian_defect(Case(params, zset.zeros)) <= 1e-11
 
 
 def test_jacobian_reads_neither_kernel_cache_nor_M(suite, monkeypatch):

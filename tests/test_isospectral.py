@@ -14,6 +14,7 @@ from qzeros.cli import main
 from qzeros.errors import EigenNoConvergence, LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     EIG_TARGET,
+    Case,
     build_M,
     certified_eigenvalues,
     certified_spectrum,
@@ -37,6 +38,8 @@ from oracles import (
     build_M_r1s1,
     build_M_r2s1,
     build_M_r2s2,
+    closed_trace_r1s1,
+    closed_trace_r2s1,
     eig_bound_lapack,
     refined_eigenvalues_fdot,
     spectrum_match,
@@ -191,7 +194,7 @@ def test_match_spectrum_breaks_exact_ties_by_index():
 
 def test_spectrum_identity_on_small_suite(small_suite):
     for params in small_suite:
-        _, lam = certified_spectrum(params)
+        _, lam = certified_spectrum(Case(params))
         rep = spectrum_match(lam, mu_closed(params))
         assert rep.is_match, (params.r, params.s, params.N)
         assert max(pair[3] for pair in rep.matched_pairs) < 1e-6
@@ -199,7 +202,7 @@ def test_spectrum_identity_on_small_suite(small_suite):
 
 def test_corollary_traces_and_det(small_suite):
     for params in small_suite:
-        M, _ = certified_spectrum(params)
+        M, _ = certified_spectrum(Case(params))
         mus = mu_closed(params)
         for p in (1, 2, 3):
             lhs = matrix_power_trace(M, p)
@@ -233,7 +236,7 @@ def test_beta_perturbation_keeps_spectrum():
     ]
     for params in cases:
         mus = mu_closed(params)
-        M0, _ = certified_spectrum(params)
+        M0, _ = certified_spectrum(Case(params))
         for _ in range(2):
             while True:
                 pert = ParamSet(
@@ -249,7 +252,7 @@ def test_beta_perturbation_keeps_spectrum():
                     break
                 except NonGenericParameter:
                     continue
-            Mp, lam = certified_spectrum(pert)
+            Mp, lam = certified_spectrum(Case(pert))
             rep = spectrum_match(lam, mus)
             assert rep.is_match
             norm0 = max(sum(abs(v) for v in row) for row in M0)
@@ -265,12 +268,12 @@ def test_diophantine_rational_case():
     alphas = (Fraction(3, 4),)
     exact = mu_closed_exact(q, alphas, 5, 1, 1)
     params = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(1.3 - 0.4j,))
-    _, lam = certified_spectrum(params)
+    _, lam = certified_spectrum(Case(params))
     rep = spectrum_match(lam, [complex(Fraction(v)) for v in exact])
     assert rep.is_match
     # the rationals do not depend on beta
     other = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(0.6 + 0.2j,))
-    _, lam2 = certified_spectrum(other)
+    _, lam2 = certified_spectrum(Case(other))
     assert spectrum_match(lam2, [complex(v) for v in exact]).is_match
 
 
@@ -294,13 +297,41 @@ def test_closed_trace_21_exact_rational():
     assert closed_trace(params) == sum(mu_closed_exact(q, alphas, 5, 2, 1))
 
 
+def test_closed_trace_equals_the_eigenvalue_sum_exactly():
+    # the general sum against sum_n mu_n and, at (1, 1) and (2, 1), against
+    # the explicit formulas it replaced, all in exact rationals
+    q = Fraction(2, 3)
+    alphas = (Fraction(3, 4), Fraction(5, 3), Fraction(-7, 2))
+    betas = (Fraction(7, 5), Fraction(1, 9), Fraction(-4, 3))
+    for r, s in ((0, 0), (1, 1), (2, 1), (2, 2), (0, 3), (3, 0), (1, 2)):
+        for N in (1, 2, 5, 9):
+            params = ParamSet(r=r, s=s, N=N, q=q, alpha=alphas[:r], beta=betas[:s])
+            trace = closed_trace(params)
+            assert isinstance(trace, Fraction), (r, s, N)
+            assert trace == sum(mu_closed_exact(q, alphas[:r], N, r, s)), (r, s, N)
+            special = {(1, 1): closed_trace_r1s1, (2, 1): closed_trace_r2s1}.get((r, s))
+            if special is not None:
+                assert trace == special(params), (r, s, N)
+
+
+def test_closed_trace_never_reads_mu_n(suite, monkeypatch):
+    # closed_trace_gap is a check of its own only if closed_trace does not
+    # sum the eigenvalues that trace_gap_p1 compares against
+    def refused(*args):
+        raise AssertionError("mu_n called")
+
+    monkeypatch.setattr(isospectral, "mu_n", refused)
+    for params in suite:
+        closed_trace(params)
+
+
 def test_reduction_retains_alpha2_factor():
     # beta_2 = alpha_2 cancels in the polynomial but not in the spectrum
     q = 0.45
     a1, a2 = 0.7 + 0.2j, 1.5 - 0.3j
     full = ParamSet(r=2, s=2, N=5, q=q, alpha=(a1, a2), beta=(1.3 - 0.4j, a2))
     reduced = ParamSet(r=1, s=1, N=5, q=q, alpha=(a1,), beta=(1.3 - 0.4j,))
-    _, lam = certified_spectrum(full)
+    _, lam = certified_spectrum(Case(full))
     rep = spectrum_match(lam, mu_closed(full))
     assert rep.is_match
     # the mu of the full set retain (alpha_2 q^{N-n} - 1); they differ from
@@ -382,7 +413,7 @@ def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     eig_calls = counting(monkeypatch, mpmath, "eig")
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for params in suite:
-        _, lam = certified_spectrum(params, zeros_of(params)[1].zeros)
+        _, lam = certified_spectrum(Case(params, zeros_of(params)[1].zeros))
         assert spectrum_match(lam, mu_closed(params)).is_match
     assert len(refined) == len(ESCALATING)
     assert all(vals is not None for vals in refined)
@@ -393,10 +424,10 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
     for index in ESCALATING:
         params = suite[index]
         zeros = zeros_of(params)[1].zeros
-        _, lam = certified_spectrum(params, zeros)
+        _, lam = certified_spectrum(Case(params, zeros))
         with monkeypatch.context() as patch:
             patch.setattr(isospectral, "_refined_eigenvalues", lambda rows, eps_out: None)
-            _, ref = certified_spectrum(params, zeros)
+            _, ref = certified_spectrum(Case(params, zeros))
         nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in lam]
         assert sorted(nearest) == list(range(len(ref))), index
         for v, j in zip(lam, nearest):
@@ -417,7 +448,7 @@ def _escalated_inputs(suite, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(isospectral, "_refined_eigenvalues", recorded)
         for index in ESCALATING:
-            certified_spectrum(suite[index], zeros_of(suite[index])[1].zeros)
+            certified_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
         for index in (26, 38):
             rootfind.companion_zeros(zeros_of(suite[index])[0])
     assert len(captured) == 5 and all(eps_out == F64.eps for _, eps_out in captured)
@@ -469,13 +500,13 @@ def test_refinement_never_calls_fdot(suite, monkeypatch):
     monkeypatch.setattr(mpmath.ctx_mp.MPContext, "fdot", refused)
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for index in ESCALATING:
-        certified_spectrum(suite[index], zeros_of(suite[index])[1].zeros)
+        certified_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
     for index in (26, 38):
         rootfind.companion_zeros(zeros_of(suite[index])[0])
     for index in (1, 3, 4):
         params = in_context(suite[index], extended())
         p, zeros = zeros_of(params)
-        certified_spectrum(params, zeros.zeros)
+        certified_spectrum(Case(params, zeros.zeros))
         rootfind.companion_zeros(p)
     assert len(refined) == 11 and all(vals is not None for vals in refined)
 
@@ -516,13 +547,26 @@ def test_residual_leaving_binary64_after_a_step_keeps_the_best_certificate(monke
         assert got == oracles.refined_eigenvalues_fdot(rows, F64.eps)
 
 
+def test_residual_below_the_squared_binary64_range_is_not_certified_at_0():
+    # the binary64 start of the eigenvalue 5 2^-830 is 0, its residual parts
+    # near 1e-250, whose squares underflow: an unscaled 2-norm read 0 there
+    # and certified that start at 0
+    ctx = extended(50)
+    mp = ctx.mp
+    big, small = mp.ldexp(1, 830), mp.ldexp(1, -830)
+    rows = [[mp.mpf(v) for v in row] for row in ((big, 1, 0), (0, 3, small), (0, 0, 5 * small))]
+    vals = certified_eigenvalues(rows)
+    for exact in (big, 3, 5 * small):
+        assert min(abs(v - exact) for v in vals) <= ctx.eps * abs(exact), exact
+
+
 def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):
     # r = 1, s = 0, N = 10 at q = -0.224: eigenvalue condition about 1e12,
     # bordered-matrix condition about 1e16, beyond binary64 corrections
     params = suite_cases(200)[199]
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    _, lam = certified_spectrum(params)
+    _, lam = certified_spectrum(Case(params))
     assert refined == [None] and len(fallback) == 1
     assert lam == [complex(v) for v in fallback[0]]
     assert spectrum_match(lam, mu_closed(params)).is_match
@@ -560,7 +604,7 @@ def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
         params = suite[index]
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
         evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
-        _, lam = certified_spectrum(params, zeros)
+        _, lam = certified_spectrum(Case(params, zeros))
         assert len(evaluations) == 3 * params.N, index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
@@ -590,7 +634,7 @@ def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):
     for index in (1, 3, 4):
         params = in_context(suite[index], ctx)
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
-        M, lam = certified_spectrum(params, zeros)
+        M, lam = certified_spectrum(Case(params, zeros))
         ref = isospectral._eig_extended(M, extended(ctx.mp.dps + 20))
         assert len(lam) == params.N == len(ref), index
         for v in lam:
@@ -608,7 +652,7 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
-    _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])
+    _, lam = certified_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
     assert len(fallback) == 1 and lam is fallback[0]
     assert sorted(abs(v - 1) for v in lam) == pytest.approx([1e-30, 1e-30], rel=1e-12)
 
@@ -626,7 +670,7 @@ def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, 
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
-    _, lam = certified_spectrum(params, [ctx.convert(1), ctx.convert(2)])
+    _, lam = certified_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
     assert len(fallback) == 1 and lam is fallback[0]
     assert len(lost) == 1 and lost[0] > 0
     small, large = sorted(lam, key=abs)

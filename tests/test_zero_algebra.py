@@ -7,6 +7,7 @@ from qzeros.errors import DegreeMismatch, IndexCollision
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
 from qzeros.qdiff import qde_terms
+from qzeros.qseries import coeffs_P, to_monic
 from qzeros.zero_algebra import (
     KernelCache,
     _prop1_terms,
@@ -192,7 +193,7 @@ def test_degree_and_shape_errors():
     with pytest.raises(DegreeMismatch):
         prop1_residuals((1.0, 2.0), params)
     with pytest.raises(DegreeMismatch):
-        prop1_residuals_qde((1.0, 2.0), params)
+        prop1_residuals_qde((1.0, 2.0), params, to_monic(coeffs_P(params)))
     wrong = ParamSet(r=2, s=1, N=2, q=0.5, alpha=(0.7, 1.1), beta=(1.4,))
     with pytest.raises(DegreeMismatch):
         prop1_residuals_r1s1((1.0, 2.0), wrong)

@@ -49,9 +49,9 @@ from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import relative_separation
 from .zero_algebra import (
-    decancelled_size,
     left_out_products,
     reciprocal_table,
+    shifted_products,
     velocity_terms,
     velocity_weights,
 )
@@ -180,18 +180,15 @@ def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
 
 
 def _f_bound(p: int, n: int, zs, q) -> float:
-    """Sensitivity scale for |f_n(p)|: decancelled_size of its numerator
-    product over |prod_{l != n} (z_n - z_l)|. |f_n(p)| itself collapses when
+    """Sensitivity scale for |f_n(p)|: the shifted_products scale of its
+    numerator over |prod_{l != n} (z_n - z_l)|. |f_n(p)| itself collapses when
     q^p z_n lands on another zero (e.g. the chain q, .., q^N at r = s = 0);
     the scale tracks how much f_n(p) moves under an O(delta) displacement."""
     if len(zs) == 1:
         return 1.0
-    zn = zs[n]
-    others = [zl for l, zl in enumerate(zs) if l != n]
-    den = 1.0
-    for zl in others:
-        den *= abs(zn - zl)
-    return float(decancelled_size(zn * q**p, others) / den)
+    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)
+    products, scales = shifted_products(np.array([z[n] * q**p, z[n]], dtype=z.dtype), np.delete(z, n))
+    return float(scales[0] / abs(products[1]))
 
 
 def _check_separation(zs) -> None:

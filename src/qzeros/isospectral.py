@@ -108,10 +108,11 @@ def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: 
 # dimension constant the _eig_with_bound estimate leaves out (the true error
 # reached 5.7 times the estimate on benchmark-stream companion matrices)
 EIG_TARGET = 1e-9
-# Newton corrections per eigenpair before _refined_eigenvalues gives up; no
-# pair it certifies on the first 625 benchmark stream cases takes more than 4,
-# nor more than 3 to reach 50 digits on the 175 N <= 5 ones
-REFINE_STEPS = 6
+# Newton corrections per eigenpair before _refined_eigenvalues gives up; on
+# the first 625 benchmark stream cases case 199's pairs near 3.17e6 take 9
+# (slow, then quadratic contraction), every other pair it certifies at most 4,
+# and at most 3 to reach 50 digits on the 175 N <= 5 ones
+REFINE_STEPS = 10
 
 
 def _eig_extended(rows, ctx: PrecisionContext) -> List:
@@ -369,8 +370,8 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
 
 def _escalated(worst: float) -> PrecisionContext:
     # digits that bring the conditioning bound under the target, plus slack;
-    # an infinite bound (a defective matrix) takes the 1/TINY cap
-    excess = min(worst / EIG_TARGET, 1 / TINY)
+    # an infinite or NaN bound (a defective matrix, an overflow) takes the cap
+    excess = worst / EIG_TARGET if worst / EIG_TARGET < 1 / TINY else 1 / TINY
     return extended(max(16 + int(math.ceil(math.log10(excess))) + 8, 24))
 
 
@@ -428,7 +429,7 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
     if ctx.mp is None:
         arr = np.asarray(A, dtype=complex)
         vals, worst = _eig_with_bound(arr)
-        if not worst > EIG_TARGET:
+        if worst <= EIG_TARGET:
             return [complex(v) for v in vals]
         ext = _escalated(worst)
         A = rebuild(ext) if rebuild else [[ext.convert(v) for v in row] for row in arr]

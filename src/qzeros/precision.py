@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 _F64_EPS = 2.220446049250313e-16
 
@@ -48,6 +49,20 @@ class PrecisionContext:
         binary64; for extended x, |x| as a float where binary64 holds it,
         else in the scalar type, so that 1e400 stays 1e400."""
         return abs if self.mp is None else _extended_size
+
+    def sizes(self, values) -> np.ndarray:
+        """size of each entry of the array values: a float array (binary64
+        moduli that overflow read inf), an object array where a nonzero
+        extended size leaves binary64 range."""
+        mags = np.abs(np.asarray(values, dtype=complex))
+        if self.mp is None:
+            return mags
+        far = ~((mags >= TINY) & (mags < math.inf))
+        if far.any():
+            exact = [abs(v) for v in values[far]]
+            mags = mags.astype(object) if any(exact) else mags
+            mags[far] = exact
+        return mags
 
     @property
     def dtype(self):

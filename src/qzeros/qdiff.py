@@ -22,14 +22,21 @@ which the zero identities (zero_algebra), the zero flow (flow) and the
 spectral matrix (isospectral) read as well. The expanded route sums that
 table; up to an overall (-1)^{s+1} it is algebraically identical to the
 operator route, which never reads the table and so certifies it. qde_checks
-evaluates both routes in one pass and returns the operator-route residual
-(qde_residual) and the defect between the routes (qde_expanded_agreement).
+evaluates both routes and returns the operator-route residual (qde_residual)
+and the defect between the routes (qde_expanded_agreement), each route one
+array pass over all sample points in the dtype of the context (complex128,
+or object holding mpc): the operator route one Horner pass of the residual
+polynomial A(z) - z B(z), the expanded route one Horner pass of p over every
+point times every shift, the table grouped by shift (shift_groups) into
+sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero identities read too.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
@@ -90,34 +97,6 @@ def _operator_sides(p: Poly, params: ParamSet):
     return a_side, a_scale, b_side, b_scale
 
 
-def _horner_terms(poly: Poly, z, shift: int, scales, size):
-    """Value of poly(z)*z^shift and its largest intermediate-term magnitude, from size(z)."""
-    value = eval_poly(poly, z) * z**shift if shift else eval_poly(poly, z)
-    for f in (size, abs):  # abs once float powers overflow
-        mag = f(z)
-        largest, power = 0.0, mag**shift
-        for s in scales:
-            largest = max(largest, s * power)
-            power = power * mag
-        if largest < math.inf:
-            break
-    return value, largest
-
-
-def _operator_route(p: Poly, params: ParamSet, zs: Sequence, size) -> List:
-    """(value, largest intermediate-term magnitude) of the operator-route
-    residual A(z) - z*B(z) at each sample point."""
-    if p.degree != params.N:
-        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
-    a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
-    out = []
-    for z in zs:
-        a_val, a_scale = _horner_terms(a_side, z, 0, a_marks, size)
-        b_val, b_scale = _horner_terms(b_side, z, 1, b_marks, size)
-        out.append((a_val - b_val, max(a_scale, b_scale)))
-    return out
-
-
 def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
     """The expanded q-difference equation as (k, w, e) triples.
 
@@ -143,32 +122,68 @@ def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
     return terms
 
 
-def _expanded_terms(p: Poly, terms, qk, z, size):
-    """Sum of the qde_terms addends at z and the largest addend magnitude (qk[k] = q^k)."""
-    values = {k: eval_poly(p, z * qp) for k, qp in qk.items()}
-    total = 0
-    largest = 0.0
+def shift_groups(terms, ctx):
+    """The (k, w, e) addends grouped by shift, summing to sum_k (a_k + b_k z) v_k:
+    the shifts, arrays of a_k and b_k (the e = 0 and e = 1 weight sums) in
+    ctx's dtype, and float arrays of the largest |w| in each of them."""
+    ks = sorted({k for k, _, _ in terms})
+    col = {k: i for i, k in enumerate(ks)}
+    sums = [[0] * len(ks), [0] * len(ks)]
+    largest = [[0.0] * len(ks), [0.0] * len(ks)]
     for k, w, e in terms:
-        weight = w * z if e else w
-        addend = weight * values[k]
-        total = total + addend
-        largest = max(largest, size(addend))
-    return total, largest
+        i = col[k]
+        sums[e][i] = sums[e][i] + w
+        largest[e][i] = max(largest[e][i], ctx.size(w))
+    return ks, *(np.array(v, dtype=ctx.dtype) for v in sums), *map(np.array, largest)
 
 
+def shift_sum(groups, z, zmag, values, mags):
+    """sum_k (a_k + b_k z) values[:, k] at each entry of the array z over the
+    shift_groups groups, and its largest addend |w| |z|^e mags[:, k], mags
+    being the sizes taken for values and zmag those of z."""
+    _, a, b, wa, wb = groups
+    total = ((z[:, None] * b + a) * values).sum(axis=1)
+    return total, np.fmax.reduce(np.fmax(mags * wa, mags * zmag[:, None] * wb), axis=1)
+
+
+def _horner_scale(marks, z, zmag, ctx):
+    """max_m marks[m] |z|^m at each entry of the array z (zmag its sizes):
+    the largest term of a Horner pass, in floats, and in the scalar type
+    where a float power leaves the binary64 range."""
+    largest, power = 0 * zmag, 1 + 0 * zmag
+    for mark in marks:
+        largest = np.fmax(largest, power * mark)
+        power = power * zmag
+    far = largest == math.inf
+    if ctx.mp is not None and far.any():
+        largest = largest.astype(object)
+        largest[far] = _horner_scale(marks, z[far], np.array([abs(v) for v in z[far]], dtype=object), ctx)
+    return largest
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[float]]:
-    """qde_residual and qde_expanded_agreement at each point, from one pass of
-    the operator route."""
-    size = context_of(params.q).size
-    orient = (-1) ** (params.s + 1)
-    terms = qde_terms(params)
-    qk = {k: params.q**k for k, _, _ in terms}
-    residuals, agreements = [], []
-    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs, size)):
-        residuals.append(op_val / max(op_scale, TINY))
-        exp_val, exp_scale = _expanded_terms(p, terms, qk, z, size)
-        agreements.append(size(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
-    return residuals, agreements
+    """qde_residual and qde_expanded_agreement at each point of zs: the
+    operator route over the largest intermediate term of either side, the
+    expanded route over its largest addend, each one array pass over all
+    the points in the dtype of params.q's context."""
+    if p.degree != params.N:
+        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    ctx = context_of(params.q)
+    z = np.asarray(zs, dtype=ctx.dtype)
+    zmag = ctx.sizes(z)
+    a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
+    sides = zip([*a_side.coeffs, 0], [0, *b_side.coeffs])
+    op_val = eval_poly(Poly(tuple(a - b for a, b in sides)), z)
+    marks = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
+    op_scale = _horner_scale(marks, z, zmag, ctx)
+
+    groups = shift_groups(qde_terms(params), ctx)
+    values = eval_poly(p, z[:, None] * np.array([params.q**k for k in groups[0]], dtype=ctx.dtype))
+    exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
+    defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
+    agreements = defect / np.maximum(np.maximum(op_scale, exp_scale), 1.0)
+    return (op_val / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
 
 
 def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
@@ -177,10 +192,6 @@ def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
 
 
 def qde_expanded_agreement(p: Poly, params: ParamSet, zs: Sequence) -> List[float]:
-    """Defect between the operator route and the expanded route at each point.
-
-    The operator route equals (-1)^{s+1} times the expanded route as
-    polynomials in z; the defect is the raw difference over a scale shared by
-    both routes, so it measures pure floating round-off.
-    """
+    """Defect between the operator route and (-1)^{s+1} times the expanded
+    route, equal as polynomials in z, over a scale shared by both: round-off."""
     return qde_checks(p, params, zs)[1]

@@ -104,20 +104,22 @@ def to_monic(p: Poly) -> Poly:
 
 
 def eval_poly(p: Poly, z):
-    """Horner evaluation from the highest coefficient down."""
+    """Horner evaluation from the highest coefficient down, at a scalar or at
+    every entry of an array z, which stays on the left of each product: an
+    mpc on the left of an object array is slow."""
     acc = p.coeffs[-1]
     for c in reversed(p.coeffs[:-1]):
-        acc = acc * z + c
+        acc = z * acc + c
     return acc
 
 
 def eval_poly_deriv(p: Poly, z):
-    """Value and first derivative in one Horner pass."""
+    """Value and first derivative in one Horner pass, as eval_poly."""
     acc = p.coeffs[-1]
     dacc = 0 * acc
     for c in reversed(p.coeffs[:-1]):
-        dacc = dacc * z + acc
-        acc = acc * z + c
+        dacc = z * dacc + acc
+        acc = z * acc + c
     return acc, dacc
 
 

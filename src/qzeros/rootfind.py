@@ -54,8 +54,16 @@ class ZeroSet:
         return iter(self.zeros)
 
 
+def _modulus(z):
+    """|z|; inf where a binary64 modulus overflows, as DLAPY2 reads it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _canonical_order(zs) -> List:
-    return sorted(zs, key=lambda z: (abs(z), cmath.phase(complex(z))))
+    return sorted(zs, key=lambda z: (_modulus(z), cmath.phase(complex(z))))
 
 
 def relative_separation(zs) -> float:
@@ -299,16 +307,16 @@ def _balancing_scale(low: Sequence[complex]) -> List[float]:
                 c = math.hypot(*re, *im)
                 sizes = [abs(x) + abs(y) for x, y in zip(re, im)]
                 k = sizes.index(max(sizes))
-                ca = abs(complex(re[k], im[k]))
+                ca = _modulus(complex(re[k], im[k]))
             if i == 0:
                 r = math.hypot(re[0], im[0])
-                ra = abs(complex(re[0], im[0]))
+                ra = _modulus(complex(re[0], im[0]))
             else:
                 r = math.hypot(sub[i], re[i], im[i])
                 if sub[i] >= abs(re[i]) + abs(im[i]):
                     ra = sub[i]
                 else:
-                    ra = abs(complex(re[i], im[i]))
+                    ra = _modulus(complex(re[i], im[i]))
             if c == 0 or r == 0:
                 continue
             g = r / 2

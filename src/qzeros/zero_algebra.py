@@ -24,13 +24,16 @@ assembly sums it against the flow weights (isospectral.build_M).
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
 the zero flow and the spectral matrix, through velocity_terms and its
-grouping by shift, velocity_weights).
-prop1_residuals evaluates them in the product form built directly from the
-configuration; prop1_residuals_qde is the dual route through
-shifted-argument evaluations of the monic polynomial. Residuals are
-normalized by the largest term sensitivity scale (see decancelled_size), so a true configuration scores at
-the zeros' own forward error and an O(delta) perturbation scores at O(delta)
-even when the shifted products all collapse simultaneously.
+grouping by shift, velocity_weights), grouped by shift as qdiff.shift_groups
+groups them. prop1_residuals evaluates them in the product form built
+directly from the configuration, every zero's products at every shift one
+N x S x N array (shifted_products); prop1_residuals_qde is the dual route
+through shifted-argument evaluations of the monic polynomial, one Horner
+pass over the N x S grid z_n q^k. Both are array passes in the dtype of the
+context. Residuals are normalized by the largest term sensitivity scale
+(see shifted_products), so a true configuration scores at the zeros' own
+forward error and an O(delta) perturbation scores at O(delta) even when the
+shifted products all collapse simultaneously.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import DegreeMismatch
 from .params import ParamSet
-from .qdiff import qde_terms
+from .qdiff import qde_terms, shift_groups, shift_sum
 from .qseries import Poly, eval_poly_deriv
 from .precision import TINY, context_of
 
@@ -94,24 +97,12 @@ class KernelCache:
         self.fnm: Dict[int, np.ndarray] = {p: left_out_products(z, q**p, self.inv) for p in shifts}
 
 
-def _shift_products(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
-    """prod_m (z_n q^k - z_m) over the full configuration, for each power k."""
-    zn = zeros[n]
-    out = {}
-    for k in set(powers):
-        acc = 1 + 0 * q
-        zk = zn * q**k
-        for zm in zeros:
-            acc = acc * (zk - zm)
-        out[k] = acc
-    return out
+def shifted_products(zk, zs):
+    """prod_l (zk - z_l) at each entry of the array zk over the array zs of
+    zeros, and the sensitivity scale of each product.
 
-
-def decancelled_size(zk, zs):
-    """Sensitivity scale of the product prod_l (zk - z_l).
-
-    Defined as max(|product|, |product with its single most-cancelling factor
-    replaced by |zk| + |z_l*||): the size the product takes under an
+    The scale is max(|product|, |product with its single most-cancelling
+    factor replaced by |zk| + |z_l*||): the size the product takes under an
     order-one relative move of the zero it is most nearly cancelling against.
     This is the scale on which residuals built from such products respond to
     single-zero perturbations. The plain |product| would collapse in the
@@ -120,27 +111,35 @@ def decancelled_size(zk, zs):
     a normalized residual into 0/0 noise at true zeros; the fully factor-wise
     bound prod(|zk| + |z_l|) errs the other way, hiding genuine perturbations
     behind the compounded looseness of every factor."""
-    size = context_of(zk).size
-    mags = [size(zk - zl) for zl in zs]
-    i_min = min(range(len(mags)), key=mags.__getitem__)
-    rest = 1.0
-    for i, m in enumerate(mags):
-        if i != i_min:
-            rest *= m
-    return max(rest * mags[i_min], (size(zk) + size(zs[i_min])) * rest)
+    ctx = context_of(zs[0])
+    factors = zk[..., None] - zs
+    mags = ctx.sizes(factors)
+    i_min = mags.argmin(axis=-1)[..., None]
+    low = np.take_along_axis(mags, i_min, axis=-1)[..., 0]
+    np.put_along_axis(mags, i_min, 1.0, axis=-1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rest = mags.prod(axis=-1)
+        near = ctx.sizes(zk) + ctx.sizes(zs)[i_min[..., 0]]
+        return factors.prod(axis=-1), np.fmax(rest * low, near * rest)
 
 
-def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
-    """decancelled_size of each shifted product prod_m (z_n q^k - z_m)."""
-    zn = zeros[n]
-    return {k: float(decancelled_size(zn * q**k, zeros)) for k in set(powers)}
+def _at_shifts(zeros: Sequence, params: ParamSet):
+    """The context, the zeros as an array z, the qde_terms addends grouped by
+    shift less p(z)'s, which vanishes at a zero, and the grid z_n q^k."""
+    if len(zeros) != params.N:
+        raise DegreeMismatch(f"got {len(zeros)} zeros for N = {params.N}")
+    ctx = context_of(params.q)
+    z = np.asarray(zeros, dtype=ctx.dtype)
+    groups = shift_groups([t for t in qde_terms(params) if t[0] or t[2]], ctx)
+    grid = z[:, None] * np.array([params.q**k for k in groups[0]], dtype=ctx.dtype)
+    return ctx, z, groups, grid
 
 
-def _prop1_terms(terms, zn) -> List:
-    """(coefficient, shift) pairs of the zero identity at z_n, sum over pairs
-    of coefficient * [shifted product at q^shift]: the qde_terms addends
-    (terms) at z = z_n, less the constant p(z) addend, which vanishes there."""
-    return [(w * zn if e else w, k) for k, w, e in terms if (k, e) != (0, 0)]
+def _residuals(ctx, groups, z, values, mags) -> List[float]:
+    """Each zero identity from values[n, k], zero n's shifted product at
+    shift k, over its largest addend, mags[n, k] being values[n, k]'s scale."""
+    total, largest = shift_sum(groups, z, ctx.sizes(z), values, mags)
+    return (ctx.sizes(total) / np.maximum(largest, TINY)).astype(float).tolist()
 
 
 def velocity_terms(params: ParamSet) -> List:
@@ -168,66 +167,33 @@ def velocity_weights(params: ParamSet) -> Dict[int, Tuple]:
     return out
 
 
-def _normalized(terms, values, magnitudes, size) -> float:
-    total = 0
-    largest = TINY
-    for coef, k in terms:
-        total = total + coef * values[k]
-        largest = max(largest, float(size(coef)) * magnitudes[k])
-    return float(size(total) / largest)
-
-
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
     """Normalized residuals of the N zero identities, product form.
 
     Each identity is evaluated with full-configuration products
-    prod_m (z_n q^k - z_m) and normalized by the largest term magnitude,
-    with each term's magnitude bounded factor-wise (see _shift_magnitudes).
-    At a true zero set every residual is round-off small, and perturbing any
-    single zero lifts some residual by orders of magnitude (the sensitivity
-    the acceptance suite probes).
+    prod_m (z_n q^k - z_m), formed for every zero and shift in one N x S x N
+    array, and normalized by the largest term magnitude, each term's taken
+    from its product's shifted_products scale. At a true zero set every
+    residual is round-off small, and perturbing any single zero lifts some
+    residual by orders of magnitude (the sensitivity the acceptance suite
+    probes).
     """
-    zs = tuple(zeros)
-    if len(zs) != params.N:
-        raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
-    q = params.q
-    size = context_of(q).size
-    all_terms = qde_terms(params)
-    out = []
-    for n in range(len(zs)):
-        terms = _prop1_terms(all_terms, zs[n])
-        powers = [k for _, k in terms]
-        prods = _shift_products(zs, n, q, powers)
-        mags = _shift_magnitudes(zs, n, q, powers)
-        out.append(_normalized(terms, prods, mags, size))
-    return out
+    ctx, z, groups, grid = _at_shifts(zeros, params)
+    return _residuals(ctx, groups, z, *shifted_products(grid, z))
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly) -> List[float]:
     """Dual route: the same identities with each shifted product replaced by a
-    polynomial evaluation p(z_n q^k) of the monic coefficient vector p."""
-    zs = tuple(zeros)
-    if len(zs) != params.N:
-        raise DegreeMismatch(f"got {len(zs)} zeros for N = {params.N}")
+    polynomial evaluation p(z_n q^k) of the monic coefficient vector p, one
+    Horner pass over every zero and shift."""
+    ctx, z, groups, grid = _at_shifts(zeros, params)
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
-    q = params.q
-    size = context_of(q).size
-    all_terms = qde_terms(params)
-    qk = {k: q**k for k, _, _ in all_terms}
-    out = []
-    for n in range(len(zs)):
-        zn = zs[n]
-        terms = _prop1_terms(all_terms, zn)
-        values, mags = {}, {}
-        for k in {k for _, k in terms}:
-            zk = zn * qk[k]
-            val, der = eval_poly_deriv(p, zk)
-            values[k] = val
-            # same sensitivity scale as the product route: p' near a zero
-            # is the de-cancelled product, and the zero being cancelled
-            # against sits at |z| ~ |zk|, so its order-one move has size
-            # 2|zk| |p'(zk)|
-            mags[k] = float(max(size(val), 2.0 * size(zk) * size(der)))
-        out.append(_normalized(terms, values, mags, size))
-    return out
+    values, der = eval_poly_deriv(p, grid)
+    # same sensitivity scale as the product route: p' near a zero is the
+    # de-cancelled product, and the zero being cancelled against sits at
+    # |z| ~ |zk|, so its order-one move has size 2|zk| |p'(zk)|
+    mags = np.fmax(ctx.sizes(values), 2.0 * ctx.sizes(grid) * ctx.sizes(der))
+    return _residuals(ctx, groups, z, values, mags)

@@ -20,11 +20,20 @@ eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
 from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
 and refined_eigenvalues_fdot is the Newton refinement of
 _refined_eigenvalues in mpmath scalars, one fdot per residual component.
+qde_checks_scalar, prop1_residuals_scalar and prop1_residuals_qde_scalar
+are the two identity families checked one point, zero, shift and qde_terms
+addend at a time with the scalar eval_poly, the oracles of the array passes
+qdiff.qde_checks and zero_algebra.prop1_residuals(_qde): _horner_terms,
+_operator_route and _expanded_terms take the two q-difference routes at one
+point, _shift_products, decancelled_size and _shift_magnitudes the shifted
+products of one zero and their scales, _prop1_terms and _normalized one
+zero identity.
 """
 
 import cmath
+import math
 from types import SimpleNamespace
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -34,9 +43,9 @@ from qzeros.flow import FlowState
 from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, context_of
-from qzeros.qdiff import _expanded_terms, qde_terms
-from qzeros.qseries import Poly
-from qzeros.zero_algebra import _prop1_terms, _shift_magnitudes, _shift_products, velocity_terms
+from qzeros.qdiff import _operator_sides, qde_terms
+from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
+from qzeros.zero_algebra import velocity_terms
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):
@@ -500,3 +509,141 @@ def refined_eigenvalues_fdot(rows, eps_out: float):
             if not float(abs(lams[i] - lams[j])) > certs[i] + certs[j]:
                 return None
     return lams
+
+
+def _horner_terms(poly: Poly, z, shift: int, scales, size):
+    """Value of poly(z)*z^shift and its largest intermediate-term magnitude, from size(z)."""
+    value = eval_poly(poly, z) * z**shift if shift else eval_poly(poly, z)
+    for f in (size, abs):  # abs once float powers overflow
+        mag = f(z)
+        largest, power = 0.0, mag**shift
+        for s in scales:
+            largest = max(largest, s * power)
+            power = power * mag
+        if largest < math.inf:
+            break
+    return value, largest
+
+
+def _operator_route(p: Poly, params: ParamSet, zs: Sequence, size) -> List:
+    """(value, largest intermediate-term magnitude) of the operator-route
+    residual A(z) - z*B(z) at each sample point."""
+    if p.degree != params.N:
+        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
+    out = []
+    for z in zs:
+        a_val, a_scale = _horner_terms(a_side, z, 0, a_marks, size)
+        b_val, b_scale = _horner_terms(b_side, z, 1, b_marks, size)
+        out.append((a_val - b_val, max(a_scale, b_scale)))
+    return out
+
+
+def _expanded_terms(p: Poly, terms, qk, z, size):
+    """Sum of the qde_terms addends at z and the largest addend magnitude (qk[k] = q^k)."""
+    values = {k: eval_poly(p, z * qp) for k, qp in qk.items()}
+    total = 0
+    largest = 0.0
+    for k, w, e in terms:
+        weight = w * z if e else w
+        addend = weight * values[k]
+        total = total + addend
+        largest = max(largest, size(addend))
+    return total, largest
+
+
+def qde_checks_scalar(p: Poly, params: ParamSet, zs: Sequence):
+    """qdiff.qde_checks one point at a time: the operator route by two
+    Horner passes, A(z) and z B(z), the expanded route addend by addend."""
+    size = context_of(params.q).size
+    orient = (-1) ** (params.s + 1)
+    terms = qde_terms(params)
+    qk = {k: params.q**k for k, _, _ in terms}
+    residuals, agreements = [], []
+    for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs, size)):
+        residuals.append(op_val / max(op_scale, TINY))
+        exp_val, exp_scale = _expanded_terms(p, terms, qk, z, size)
+        agreements.append(size(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
+    return residuals, agreements
+
+
+def _shift_products(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
+    """prod_m (z_n q^k - z_m) over the full configuration, for each power k."""
+    zn = zeros[n]
+    out = {}
+    for k in set(powers):
+        acc = 1 + 0 * q
+        zk = zn * q**k
+        for zm in zeros:
+            acc = acc * (zk - zm)
+        out[k] = acc
+    return out
+
+
+def decancelled_size(zk, zs):
+    """The scale of zero_algebra.shifted_products for the one product
+    prod_l (zk - z_l): max(|product|, |product with its most-cancelling
+    factor replaced by |zk| + |z_l*||)."""
+    size = context_of(zk).size
+    mags = [size(zk - zl) for zl in zs]
+    i_min = min(range(len(mags)), key=mags.__getitem__)
+    rest = 1.0
+    for i, m in enumerate(mags):
+        if i != i_min:
+            rest *= m
+    return max(rest * mags[i_min], (size(zk) + size(zs[i_min])) * rest)
+
+
+def _shift_magnitudes(zeros: Sequence, n: int, q, powers: Sequence[int]) -> Dict:
+    """decancelled_size of each shifted product prod_m (z_n q^k - z_m)."""
+    zn = zeros[n]
+    return {k: float(decancelled_size(zn * q**k, zeros)) for k in set(powers)}
+
+
+def _prop1_terms(terms, zn) -> List:
+    """(coefficient, shift) pairs of the zero identity at z_n, sum over pairs
+    of coefficient * [shifted product at q^shift]: the qde_terms addends
+    (terms) at z = z_n, less the constant p(z) addend, which vanishes there."""
+    return [(w * zn if e else w, k) for k, w, e in terms if (k, e) != (0, 0)]
+
+
+def _normalized(terms, values, magnitudes, size) -> float:
+    total = 0
+    largest = TINY
+    for coef, k in terms:
+        total = total + coef * values[k]
+        largest = max(largest, float(size(coef)) * magnitudes[k])
+    return float(size(total) / largest)
+
+
+def prop1_residuals_scalar(zeros: Sequence, params: ParamSet) -> List[float]:
+    """zero_algebra.prop1_residuals one zero, shift and addend at a time."""
+    zs = tuple(zeros)
+    size = context_of(params.q).size
+    out = []
+    for n in range(len(zs)):
+        terms = _prop1_terms(qde_terms(params), zs[n])
+        powers = [k for _, k in terms]
+        prods = _shift_products(zs, n, params.q, powers)
+        mags = _shift_magnitudes(zs, n, params.q, powers)
+        out.append(_normalized(terms, prods, mags, size))
+    return out
+
+
+def prop1_residuals_qde_scalar(zeros: Sequence, params: ParamSet, p: Poly) -> List[float]:
+    """zero_algebra.prop1_residuals_qde one zero, shift and addend at a time,
+    by the scalar eval_poly_deriv."""
+    zs = tuple(zeros)
+    q = params.q
+    size = context_of(q).size
+    out = []
+    for zn in zs:
+        terms = _prop1_terms(qde_terms(params), zn)
+        values, mags = {}, {}
+        for k in {k for _, k in terms}:
+            zk = zn * q**k
+            val, der = eval_poly_deriv(p, zk)
+            values[k] = val
+            mags[k] = float(max(size(val), 2.0 * size(zk) * size(der)))
+        out.append(_normalized(terms, values, mags, size))
+    return out

@@ -1,6 +1,7 @@
 """Matrix assembly, spectra, closed-form eigenvalues, exact rational path."""
 
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -560,16 +561,31 @@ def test_residual_below_the_squared_binary64_range_is_not_certified_at_0():
         assert min(abs(v - exact) for v in vals) <= ctx.eps * abs(exact), exact
 
 
-def test_stream_case_199_certifies_through_mpmath_eig(monkeypatch):
-    # r = 1, s = 0, N = 10 at q = -0.224: eigenvalue condition about 1e12,
-    # bordered-matrix condition about 1e16, beyond binary64 corrections
+def test_stream_case_199_certifies_by_refinement(monkeypatch):
+    # r = 1, s = 0, N = 10 at q = -0.224: eigenvalue condition about 1e12;
+    # the pairs of 3168819.2 and 3168894.2 contract slowly, then
+    # quadratically, and reach EIG_TARGET |lambda| after about 9 corrections
     params = suite_cases(200)[199]
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     _, lam = certified_spectrum(Case(params))
-    assert refined == [None] and len(fallback) == 1
-    assert lam == [complex(v) for v in fallback[0]]
+    assert len(refined) == 1 and refined[0] is not None and fallback == []
+    assert lam == [complex(v) for v in refined[0]]
     assert spectrum_match(lam, mu_closed(params)).is_match
+
+
+def test_overflowing_binary64_solve_escalates_instead_of_returning_nan():
+    # LAPACK overflows on entries near 1.5e308 and returns NaN eigenvalues,
+    # whose NaN certificate once passed as certified
+    c = -1.5e308 * (1 + 1j)
+    assert isospectral._escalated(math.nan) is isospectral._escalated(math.inf)
+    got = certified_eigenvalues([[0, c], [1, -1]])
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(1 + 4 * mpmath.mpc(c))
+        exact = [(-1 + root) / 2, (-1 - root) / 2]
+    assert len(got) == 2
+    for v in exact:
+        assert min(abs(g - v) for g in got) <= 1e-15 * abs(v)
 
 
 def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):

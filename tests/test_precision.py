@@ -4,6 +4,7 @@ globals, and every function computes in the precision of its inputs."""
 import inspect
 
 import mpmath
+import numpy as np
 
 import qzeros
 from qzeros import (
@@ -18,8 +19,7 @@ from qzeros import (
 from qzeros.isospectral import Case
 from qzeros.params import in_context
 from qzeros.precision import F64, context_of, extended
-from qzeros.qdiff import _horner_terms
-from qzeros.qseries import Poly
+from qzeros.qdiff import _horner_scale
 
 THIRD_30 = "0." + "3" * 30
 
@@ -97,10 +97,12 @@ def test_extended_size_out_of_range_stays_in_the_scalar_type():
 
 
 def test_horner_scales_past_binary64_are_taken_in_the_scalar_type():
-    # |z|^2 = 1e400: float powers of size(z) would make the scale inf and
-    # every residual normalised by it 0
+    # z (1 + z + z^2) at z = 1e200 has terms up to |z|^3 = 1e600: float
+    # powers of size(z) would make the scale inf and every residual
+    # normalised by it 0
     ctx = extended(50)
-    z = ctx.convert(ctx.mp.mpf("1e200"))
-    poly = Poly(tuple(ctx.convert(1) for _ in range(3)), monic=True)
-    _, largest = _horner_terms(poly, z, 1, [1.0, 1.0, 1.0], ctx.size)
-    assert abs(largest - ctx.mp.mpf("1e600")) <= ctx.eps * ctx.mp.mpf("1e600")
+    z = np.array([ctx.convert(ctx.mp.mpf("1e200")), ctx.convert(2)], dtype=object)
+    with np.errstate(over="ignore"):  # as qde_checks calls it
+        largest = _horner_scale([0.0, 1.0, 1.0, 1.0], z, ctx.sizes(z), ctx)
+    assert abs(largest[0] - ctx.mp.mpf("1e600")) <= ctx.eps * ctx.mp.mpf("1e600")
+    assert largest[1] == 8.0

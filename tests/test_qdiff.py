@@ -4,20 +4,24 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qzeros import qdiff, qseries, zero_algebra
 from qzeros.errors import DegreeMismatch
-from qzeros.params import ParamSet
+from qzeros.params import ParamSet, in_context
+from qzeros.precision import F64, extended
 from qzeros.qdiff import (
     apply_delta,
     apply_Delta,
+    qde_checks,
     qde_expanded_agreement,
     qde_residual,
 )
 from qzeros.qseries import Poly, coeffs_P, to_monic
 
 from conftest import zeros_of
-from oracles import expanded_residual
+from oracles import expanded_residual, qde_checks_scalar
 
 
 def _sample_points(params, rng, count=20):
@@ -147,3 +151,47 @@ def test_degree_mismatch_raised():
         expanded_residual(short, params, [1.0])
     with pytest.raises(DegreeMismatch):
         qde_expanded_agreement(short, params, [1.0])
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_array_pass_equals_the_scalar_oracle(suite, ctx):
+    # both routes are Horner sums over their largest term, whose rounding
+    # error is at most gamma_2N = 2N eps / (1 - 2N eps) of that term
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 5.1); the
+    # array pass and the oracle round differently, each within that
+    rng = random.Random(408)
+    for params in suite:
+        params = in_context(params, ctx)
+        p = to_monic(coeffs_P(params))
+        pts = [ctx.convert(z) for z in _sample_points(params, rng, count=8)]
+        got, want = qde_checks(p, params, pts), qde_checks_scalar(p, params, pts)
+        for route, ref in zip(got, want):
+            assert len(route) == len(ref)
+            for a, b in zip(route, ref):
+                assert abs(a - b) <= 64 * ctx.eps
+
+
+def test_checks_evaluate_once_per_route_never_per_point(monkeypatch, small_suite):
+    # eval_poly and eval_poly_deriv take each route's points as one array
+    calls = []
+    for name in ("eval_poly", "eval_poly_deriv"):
+        original = getattr(qseries, name)
+
+        def recorded(p, z, name=name, original=original):
+            calls.append((name, type(z)))
+            return original(p, z)
+
+        for module in (qseries, qdiff, zero_algebra):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
+    for params in small_suite:
+        p, zset = zeros_of(params)
+        pts = list(zset.zeros) + [0.5 + 0.25j]
+        for check, want in (
+            (lambda: qde_checks(p, params, pts), [("eval_poly", np.ndarray)] * 2),
+            (lambda: zero_algebra.prop1_residuals(zset.zeros, params), []),
+            (lambda: zero_algebra.prop1_residuals_qde(zset.zeros, params, p), [("eval_poly_deriv", np.ndarray)]),
+        ):
+            calls.clear()
+            check()
+            assert calls == want

@@ -102,6 +102,19 @@ def test_companion_escalates_on_the_balanced_matrix():
         assert abs(z - w) <= 1e-9 * abs(z)
 
 
+def test_companion_zeros_where_moduli_overflow():
+    # z^2 + z + 1.5e308 (1 + i): finite parts whose moduli leave binary64,
+    # read as inf by balancing and by the canonical order, where abs raises
+    c = 1.5e308 * (1 + 1j)
+    got = companion_zeros(Poly((c, 1.0, 1.0), monic=True))
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(1 - 4 * mpmath.mpc(c))
+        exact = [(-1 + root) / 2, (-1 - root) / 2]
+    assert len(got) == 2
+    for v in exact:
+        assert min(abs(g - v) for g in got) <= 1e-15 * abs(v)
+
+
 def test_companion_escalations_on_suite(suite, monkeypatch):
     # balancing leaves 2 of the 50 suite certificates above EIG_TARGET
     # (21 on the unbalanced companion matrices)

@@ -10,15 +10,25 @@ from qzeros.qdiff import qde_terms
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.zero_algebra import (
     KernelCache,
-    _prop1_terms,
-    _shift_products,
     prop1_residuals,
     prop1_residuals_qde,
+    shifted_products,
     velocity_weights,
 )
 
 from conftest import zeros_of
-from oracles import f_n, f_nm, g_n, prop1_residuals_r1s1, prop1_scale
+from oracles import (
+    _prop1_terms,
+    _shift_products,
+    decancelled_size,
+    f_n,
+    f_nm,
+    g_n,
+    prop1_residuals_qde_scalar,
+    prop1_residuals_r1s1,
+    prop1_residuals_scalar,
+    prop1_scale,
+)
 
 
 def test_f_n_hand_cases():
@@ -155,6 +165,46 @@ def test_prop1_dual_route_agreement(suite):
         qde_route = prop1_residuals_qde(zset.zeros, params, p)
         for a, b in zip(prod_route, qde_route):
             assert abs(a - b) < 1e-10 * max(1.0, a, b)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_array_passes_equal_the_scalar_oracles(suite, ctx):
+    # the product route: N-factor products and their scales, a few ulps
+    # each; the evaluation route: Horner, whose rounding error is at most
+    # gamma_2N sum_m |c_m| |z|^m (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 5.1), kappa times the scale of the value
+    for params in suite if ctx is F64 else suite[:24]:
+        params = in_context(params, ctx)
+        p, zset = zeros_of(params)
+        zs = zset.zeros
+        for a, b in zip(prop1_residuals(zs, params), prop1_residuals_scalar(zs, params), strict=True):
+            assert abs(a - b) <= 64 * ctx.eps
+        kappa = 1.0
+        for zn in zs:
+            for _, k in _prop1_terms(qde_terms(params), zn):
+                zk = zn * params.q**k
+                terms = sum(abs(c) * abs(zk) ** m for m, c in enumerate(p.coeffs))
+                value = sum(c * zk**m for m, c in enumerate(p.coeffs))
+                deriv = sum(m * c * zk ** (m - 1) for m, c in enumerate(p.coeffs) if m)
+                kappa = max(kappa, float(terms / max(abs(value), 2 * abs(zk) * abs(deriv))))
+        got = prop1_residuals_qde(zs, params, p)
+        for a, b in zip(got, prop1_residuals_qde_scalar(zs, params, p), strict=True):
+            assert abs(a - b) <= 64 * ctx.eps * kappa
+
+
+def test_shifted_products_match_the_scalar_products(suite):
+    for params in suite[:12]:
+        _, zset = zeros_of(params)
+        z = np.asarray(zset.zeros)
+        shifts = [-1, 0, 1, 2]
+        grid = z[:, None] * np.array([params.q**k for k in shifts])
+        products, scales = shifted_products(grid, z)
+        for n in range(params.N):
+            ref = _shift_products(zset.zeros, n, params.q, shifts)
+            for i, k in enumerate(shifts):
+                assert abs(products[n, i] - ref[k]) <= 1e-13 * abs(scales[n, i])
+                want = decancelled_size(zset.zeros[n] * params.q**k, zset.zeros)
+                assert abs(scales[n, i] - want) <= 1e-13 * want
 
 
 def test_vanishing_terms_for_r_above_s(suite):

@@ -16,11 +16,13 @@ themselves obey the rational flow
 summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
 the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Grouped by shift
-(zero_algebra.velocity_weights) it reads zdot_n = sum_k (a_k + b_k z_n) f_n(k),
-one kernel product a shift. Its equilibria are the true zeros and its
-linearization there is the spectral matrix. Velocities are arrays in the
-dtype of the zeros' context (complex128, or object holding mpc):
-_moved_velocity places each zero at an array of points, the others fixed.
+(zero_algebra.velocity_weights, formed once per parameter set by
+ParamSet.stage) it reads zdot_n = sum_k (a_k + b_k z_n) f_n(k), one kernel
+product a shift. Its equilibria are the true zeros and its linearization
+there is the spectral matrix. Velocities are arrays in the dtype of the
+zeros' context (complex128, or object holding mpc): _moved_velocity places
+each zero at an array of points, the others fixed, and multiplies its sum
+over the shifts by the product of the reciprocals 1/(z - z_l) once.
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
@@ -209,13 +211,13 @@ def _others(a):
 def _moved_velocity(weights, others, q, z, inv):
     """Velocity of zero i placed at each z[i, j], the zeros others[i] fixed:
     sum_k (a_k + b_k z) f_i(k) over the velocity_weights items (k, (a_k, b_k)),
-    each f_i(k) a product of factors as f_n takes it;
-    inv[i, l, j] = 1/(z[i, j] - others[i, l])."""
+    f_i(k) = prod_l (q^k z - others[i, l]) times the product of the
+    inv[i, l, j] = 1/(z[i, j] - others[i, l]) over l, which no shift changes
+    and so multiplies the sum once."""
     total = np.zeros_like(z)
     for k, (a, b) in weights.items():
-        f = ((z[:, None, :] * q**k - others[..., None]) * inv).prod(axis=1)
-        total = total + f * (z * b + a)
-    return total
+        total = total + (z[:, None, :] * q**k - others[..., None]).prod(axis=1) * (z * b + a)
+    return total * inv.prod(axis=1)
 
 
 def flow_rhs(state, params: ParamSet) -> List:
@@ -226,7 +228,7 @@ def flow_rhs(state, params: ParamSet) -> List:
     _check_separation(zs.tolist())
     others, z = _others(zs), zs[:, None]
     inv = 1 / (z[:, None, :] - others[..., None])
-    return _moved_velocity(velocity_weights(params), others, params.q, z, inv)[:, 0].tolist()
+    return _moved_velocity(params.stage(velocity_weights), others, params.q, z, inv)[:, 0].tolist()
 
 
 def equilibrium_residual(zeros, params: ParamSet) -> float:
@@ -274,10 +276,12 @@ def jacobian_fd(params: ParamSet, zeros):
     from the products that leave it out (zero_algebra.left_out_products),
     and row m is _moved_velocity. The K samples of all N columns form one
     array F[m, n, j] in the dtype of the zeros' context; both contour sums
-    reduce over j. The velocity formula is the one flow_rhs sums, and the
-    derivative comes from the samples, never from the kernel derivative
-    identities that build_M assembles: neither KernelCache nor build_M is
-    read, so the check against M stays independent.
+    reduce over j, and 1/(K h) scales each sum, not each sample: in the
+    scalar type for the derivative, in floats for the conj(z_m) sum, of
+    which only the size is read. The velocity formula is the one flow_rhs
+    sums, and the derivative comes from the samples, never from the kernel
+    derivative identities that build_M assembles: neither KernelCache nor
+    build_M is read, so the check against M stays independent.
 
     Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
     h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
@@ -294,7 +298,7 @@ def jacobian_fd(params: ParamSet, zeros):
     _check_separation(zs)
     ctx = context_of(zs[0])
     n_count = len(zs)
-    weights = velocity_weights(params)
+    weights = params.stage(velocity_weights)
     zarr = np.asarray(zs, dtype=ctx.dtype)
     inv = reciprocal_table(zarr)
     others = _others(zarr)
@@ -315,14 +319,16 @@ def jacobian_fd(params: ParamSet, zeros):
     velocities[diagonal] = _moved_velocity(weights, others, params.q, z, inv_at)
     rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
     velocities[~diagonal] = rows.reshape(-1, samples)
-    # 1/(K h) in the scalar type: a float would round extended quotients to binary64
-    scale = np.array([(1 / ctx.convert(samples * hm)).real for hm in h], dtype=ctx.dtype)
     half = samples // 2
-    diffs = (velocities[..., :half] - velocities[..., half:]) * scale[:, None, None]
-    # deriv[m, n] = d F_n / d z_m; conj[m, n], its conj(z_m) counterpart
-    deriv = (diffs * np.array(down, dtype=ctx.dtype)).sum(axis=-1)
-    conj = (diffs * np.array(circle[:half], dtype=ctx.dtype)).sum(axis=-1)
-    worst_conjugate = float((np.abs(conj) / np.maximum(1.0, np.abs(deriv))).max())
+    diffs = velocities[..., :half] - velocities[..., half:]
+    # deriv[m, n] = d F_n / d z_m, times 1/(K h) after the sum and in the
+    # scalar type: a float would round extended quotients to binary64
+    scale = np.array([(1 / ctx.convert(samples * hm)).real for hm in h], dtype=ctx.dtype)
+    deriv = (diffs * np.array(down, dtype=ctx.dtype)).sum(axis=-1) * scale[:, None]
+    # its conj(z_m) counterpart feeds one float comparison: sized, then scaled in floats
+    conj = ctx.sizes((diffs * np.array(circle[:half], dtype=ctx.dtype)).sum(axis=-1))
+    conj = conj / (samples * np.array(h))[:, None]
+    worst_conjugate = float((conj / np.maximum(1.0, ctx.sizes(deriv))).max())
     if worst_conjugate > CONJUGATE_TOL:
         msg = f"the circle rule implies a conjugate-direction dependence of {worst_conjugate:.3e}"
         warnings.warn(msg, ConsistencyWarning, stacklevel=2)

@@ -20,7 +20,7 @@ evaluate it; closed_trace sums it over n without evaluating it. A Case holds
 one parameter set's stages, each computed once, and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
-its own scalars, never rounded to binary64: matrix_power_trace by array
+its own scalars, never rounded to binary64: matrix_power_traces by array
 products, logdet_gap from the pivots of the one elimination (_eliminate),
 which _lost_digits reads.
 """
@@ -64,7 +64,7 @@ def build_M(zeros, params: ParamSet) -> np.ndarray:
     zs = tuple(zeros)
     q = params.q
     z = np.asarray(zs, dtype=context_of(zs[0]).dtype)
-    weights = velocity_weights(params)
+    weights = params.stage(velocity_weights)
     cache = KernelCache(z, q, weights)
     S = own = 0
     for k, (a, b) in weights.items():
@@ -363,7 +363,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         certs.append(cert)
     for i in range(n):
         for j in range(i + 1, n):
-            if not float(abs(out[i] - out[j])) > certs[i] + certs[j]:
+            if not ctx.size(out[i] - out[j]) > certs[i] + certs[j]:
                 return None
     return out
 
@@ -538,14 +538,13 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
     return tuple((lam[i], mv, float(abs(lam[i] - mv)), rel_gap(lam[i], mv)) for mv, i in zip(mu, partner))
 
 
-def matrix_power_trace(M: np.ndarray, p: int):
-    """tr(M^p) = sum_ij (M^{p-1})_ij M_ji from the entries of the array M in
-    their own scalars (independent of the eigenvalues): no product for p = 2,
-    one for 3."""
+def matrix_power_traces(M: np.ndarray) -> List:
+    """tr M, tr M^2 and tr M^3 from the entries of the array M in their own
+    scalars (independent of the eigenvalues), with one product M M: its
+    diagonal sums tr M^2 = sum_ij M_ij M_ji, and tr M^3 = sum_ij (M^2)_ij M_ji."""
     ctx = context_of(M[0, 0])
-    if p == 1:
-        return ctx.convert(M.trace())
-    return ctx.convert((np.linalg.matrix_power(M, p - 1) * M.T).sum())
+    square = M @ M
+    return [ctx.convert(v) for v in (M.trace(), square.trace(), (square * M.T).sum())]
 
 
 def logdet_gap(M: np.ndarray, closed: Sequence) -> float:

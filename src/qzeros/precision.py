@@ -81,7 +81,10 @@ class PrecisionContext:
 
 
 def _extended_size(x):
-    mag = abs(complex(x))
+    try:
+        mag = abs(complex(x))
+    except OverflowError:  # both parts finite, the modulus beyond binary64
+        return abs(x)
     return mag if TINY <= mag < math.inf else abs(x)
 
 

@@ -19,7 +19,8 @@ _operator_sides) so the pass threshold is scale-free.
 Expanding the operators gives the same equation as a weighted sum of
 shifted-argument values p(z q^k). Its weights live in one table, qde_terms,
 which the zero identities (zero_algebra), the zero flow (flow) and the
-spectral matrix (isospectral) read as well. The expanded route sums that
+spectral matrix (isospectral) read as well, formed once per parameter set
+and precision (ParamSet.stage). The expanded route sums that
 table; up to an overall (-1)^{s+1} it is algebraically identical to the
 operator route, which never reads the table and so certifies it. qde_checks
 evaluates both routes and returns the operator-route residual (qde_residual)
@@ -27,8 +28,9 @@ and the defect between the routes (qde_expanded_agreement), each route one
 array pass over all sample points in the dtype of the context (complex128,
 or object holding mpc): the operator route one Horner pass of the residual
 polynomial A(z) - z B(z), the expanded route one Horner pass of p over every
-point times every shift, the table grouped by shift (shift_groups) into
-sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero identities read too.
+point times every shift (shift_grid), the table grouped by shift
+(shift_groups) into sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero
+identities read too.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .qseries import Poly, eval_poly
 
 
 def apply_delta(p: Poly, q) -> Poly:
-    """Pure dilation: coefficient m picks up q^m."""
-    qpow = 1 + 0 * q
+    """Pure dilation: coefficient m picks up q^m (q^0 the exact 1, which
+    costs no product)."""
+    qpow = 1
     out = []
     for c in p.coeffs:
         out.append(c * qpow)
@@ -56,8 +59,8 @@ def apply_delta(p: Poly, q) -> Poly:
 
 def apply_Delta(gamma, p: Poly, q) -> Poly:
     """Shifted dilation Delta_gamma = gamma*delta - 1: coefficient m picks up
-    (gamma q^m - 1)."""
-    qpow = 1 + 0 * q
+    (gamma q^m - 1), q^0 the exact 1 as in apply_delta."""
+    qpow = 1
     out = []
     for c in p.coeffs:
         out.append(c * (gamma * qpow - 1))
@@ -91,7 +94,7 @@ def _operator_sides(p: Poly, params: ParamSet):
             scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
         return side, scale
 
-    a_side, a_scale = cascade(p, [1 + 0 * q] + [b / q for b in params.beta])
+    a_side, a_scale = cascade(p, [1] + [b / q for b in params.beta])
     b_dilated = apply_delta(p, q ** (params.s - params.r))
     b_side, b_scale = cascade(b_dilated, [q ** (-params.N), *params.alpha])
     return a_side, a_scale, b_side, b_scale
@@ -137,6 +140,12 @@ def shift_groups(terms, ctx):
     return ks, *(np.array(v, dtype=ctx.dtype) for v in sums), *map(np.array, largest)
 
 
+def shift_grid(z, q, ks):
+    """z q^k at each entry of the array z (rows) and each shift k in ks
+    (columns); q^0 is the exact 1, so the k = 0 column costs no product."""
+    return z[:, None] * np.array([q**k if k else 1 for k in ks], dtype=z.dtype)
+
+
 def shift_sum(groups, z, zmag, values, mags):
     """sum_k (a_k + b_k z) values[:, k] at each entry of the array z over the
     shift_groups groups, and its largest addend |w| |z|^e mags[:, k], mags
@@ -178,8 +187,8 @@ def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[floa
     marks = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
     op_scale = _horner_scale(marks, z, zmag, ctx)
 
-    groups = shift_groups(qde_terms(params), ctx)
-    values = eval_poly(p, z[:, None] * np.array([params.q**k for k in groups[0]], dtype=ctx.dtype))
+    groups = shift_groups(params.stage(qde_terms), ctx)
+    values = eval_poly(p, shift_grid(z, params.q, groups[0]))
     exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
     defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
     agreements = defect / np.maximum(np.maximum(op_scale, exp_scale), 1.0)

@@ -15,7 +15,9 @@ built here by the consecutive-term ratio
 which costs O(N(r+s)) and never recomputes a Pochhammer product. The monic
 form divides by the leading coefficient; monic_prefactor is the closed form
 of that rescale, an independent oracle for the leading coefficient (the poly
-command checks one against the other).
+command checks one against the other). eval_poly and eval_poly_deriv are
+Horner's rule at a scalar or an array; a monic polynomial starts at
+z + c_{N-1}, without the product by its leading 1.
 """
 
 from __future__ import annotations
@@ -106,18 +108,27 @@ def to_monic(p: Poly) -> Poly:
 def eval_poly(p: Poly, z):
     """Horner evaluation from the highest coefficient down, at a scalar or at
     every entry of an array z, which stays on the left of each product: an
-    mpc on the left of an object array is slow."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+    mpc on the left of an object array is slow. A monic p starts at
+    z + c_{N-1}, its leading 1 applied by no product: the same value bit for
+    bit at finite z, since z * 1 is z."""
+    if p.monic and p.degree:
+        acc, rest = z + p.coeffs[-2], p.coeffs[-3::-1]
+    else:
+        acc, rest = p.coeffs[-1], p.coeffs[-2::-1]
+    for c in rest:
         acc = z * acc + c
     return acc
 
 
 def eval_poly_deriv(p: Poly, z):
-    """Value and first derivative in one Horner pass, as eval_poly."""
-    acc = p.coeffs[-1]
-    dacc = 0 * acc
-    for c in reversed(p.coeffs[:-1]):
+    """Value and first derivative in one Horner pass, as eval_poly; a monic
+    p's derivative starts at its leading 1, the value of z * 0 + 1, so a
+    linear monic p's derivative is that scalar 1 at every entry of z."""
+    if p.monic and p.degree:
+        acc, dacc, rest = z + p.coeffs[-2], p.coeffs[-1], p.coeffs[-3::-1]
+    else:
+        acc, dacc, rest = p.coeffs[-1], 0 * p.coeffs[-1], p.coeffs[-2::-1]
+    for c in rest:
         dacc = z * dacc + acc
         acc = z * acc + c
     return acc, dacc

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DegreeMismatch
 from .params import ParamSet
-from .qdiff import qde_terms, shift_groups, shift_sum
+from .qdiff import qde_terms, shift_grid, shift_groups, shift_sum
 from .qseries import Poly, eval_poly_deriv
 from .precision import TINY, context_of
 
@@ -130,8 +130,8 @@ def _at_shifts(zeros: Sequence, params: ParamSet):
         raise DegreeMismatch(f"got {len(zeros)} zeros for N = {params.N}")
     ctx = context_of(params.q)
     z = np.asarray(zeros, dtype=ctx.dtype)
-    groups = shift_groups([t for t in qde_terms(params) if t[0] or t[2]], ctx)
-    grid = z[:, None] * np.array([params.q**k for k in groups[0]], dtype=ctx.dtype)
+    groups = shift_groups([t for t in params.stage(qde_terms) if t[0] or t[2]], ctx)
+    grid = shift_grid(z, params.q, groups[0])
     return ctx, z, groups, grid
 
 
@@ -153,13 +153,14 @@ def velocity_terms(params: ParamSet) -> List:
     """
     q = params.q
     sign = (-1) ** params.s
-    return [(k, sign * w * (q**k - 1), e) for k, w, e in qde_terms(params) if k != 0]
+    return [(k, sign * w * (q**k - 1), e) for k, w, e in params.stage(qde_terms) if k != 0]
 
 
 def velocity_weights(params: ParamSet) -> Dict[int, Tuple]:
     """The velocity_terms addends grouped by shift, {k: (a_k, b_k)}, so that
     velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow, its
-    Jacobian check and the matrix assembly read, one kernel table a shift."""
+    Jacobian check and the matrix assembly read, one kernel table a shift,
+    each through params.stage(velocity_weights), formed once per ParamSet."""
     out: Dict[int, Tuple] = {}
     for k, c, e in velocity_terms(params):
         a, b = out.get(k, (0, 0))

@@ -27,7 +27,9 @@ qdiff.qde_checks and zero_algebra.prop1_residuals(_qde): _horner_terms,
 _operator_route and _expanded_terms take the two q-difference routes at one
 point, _shift_products, decancelled_size and _shift_magnitudes the shifted
 products of one zero and their scales, _prop1_terms and _normalized one
-zero identity.
+zero identity. horner and horner_deriv are Horner's rule from the leading
+coefficient whatever it is, the oracle of the monic start of
+qseries.eval_poly and eval_poly_deriv.
 """
 
 import cmath
@@ -46,6 +48,24 @@ from qzeros.precision import F64, TINY, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
 from qzeros.zero_algebra import velocity_terms
+
+
+def horner(p: Poly, z):
+    """p(z) by Horner's rule from the leading coefficient, a monic p's 1 too."""
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = z * acc + c
+    return acc
+
+
+def horner_deriv(p: Poly, z):
+    """p(z) and p'(z) in one Horner pass from the leading coefficient."""
+    acc = p.coeffs[-1]
+    dacc = 0 * acc
+    for c in reversed(p.coeffs[:-1]):
+        dacc = z * dacc + acc
+        acc = z * acc + c
+    return acc, dacc
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):

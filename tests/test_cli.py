@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import mpmath
+import mpmath.ctx_mp_python
 import pytest
 
 from qzeros.cli import DEFAULT_THRESHOLDS, build_parser, main
@@ -295,6 +296,8 @@ STAGES = (
     ("qzeros.rootfind", "find_zeros"),
     ("qzeros.isospectral", "build_M"),
     ("qzeros.isospectral", "mu_closed"),
+    ("qzeros.qdiff", "qde_terms"),
+    ("qzeros.zero_algebra", "velocity_weights"),
 )
 
 
@@ -337,6 +340,28 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
                 assert {stage for stage, _, _ in calls} == {name for _, name in STAGES}
                 escalated = {ctx for stage, _, ctx in calls if stage == "build_M"} - {home}
                 assert len(escalated) == (index == 19 and precision == "f64"), index
+
+
+# full 50-digit mpc x mpc products (mpmath's mpc_mul, about 8.5 us each on
+# its pure-Python backend) of one extended verify of three N = 5 suite
+# cases, one per (r, s) class and q style: a count, not a clock, so the
+# budget is exact
+MPC_MUL_BUDGET = {4: 2969, 14: 2171, 24: 1709}
+
+
+@pytest.mark.parametrize("index", sorted(MPC_MUL_BUDGET))
+def test_extended_verify_stays_within_its_product_budget(tmp_path, suite, monkeypatch, index):
+    products = [0]
+    original = mpmath.ctx_mp_python.mpc_mul
+
+    def counted(*args):
+        products[0] += 1
+        return original(*args)
+
+    path = write_params(tmp_path, suite[index])
+    monkeypatch.setattr(mpmath.ctx_mp_python, "mpc_mul", counted)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
+    assert products[0] <= MPC_MUL_BUDGET[index]
 
 
 def test_module_entry_point(tmp_path):

@@ -96,6 +96,17 @@ def test_extended_size_out_of_range_stays_in_the_scalar_type():
         assert abs(got - ctx.mp.mpf(text)) <= ctx.eps * ctx.mp.mpf(text)
 
 
+def test_extended_size_past_the_binary64_modulus_stays_in_the_scalar_type():
+    # both parts finite in binary64, the modulus 2.12e308 not: abs(complex(x))
+    # overflows, and the size is taken in the scalar type as sizes takes it
+    ctx = extended(50)
+    x = ctx.convert(complex(1.5e308, 1.5e308))
+    got = ctx.size(x)
+    assert got.context is ctx.mp
+    assert abs(got - abs(x)) <= ctx.eps * abs(x)
+    assert ctx.sizes(np.array([x], dtype=object))[0] == got
+
+
 def test_horner_scales_past_binary64_are_taken_in_the_scalar_type():
     # z (1 + z + z^2) at z = 1e200 has terms up to |z|^3 = 1e600: float
     # powers of size(z) would make the scale inf and every residual

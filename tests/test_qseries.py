@@ -1,5 +1,6 @@
 """q-Pochhammer products, P_N coefficients, monic rescale, series evaluation."""
 
+import numpy as np
 import pytest
 
 from qzeros import (
@@ -9,13 +10,19 @@ from qzeros import (
     ZeroLeadingCoefficient,
     coeffs_P,
     eval_poly,
+    eval_poly_deriv,
     monic_prefactor,
     qpochhammer,
     to_monic,
     validate,
 )
 
-from oracles import eval_phi
+from qzeros.cli import _sample_points
+from qzeros.params import in_context
+from qzeros.precision import F64, extended
+
+from conftest import zeros_of
+from oracles import eval_phi, horner, horner_deriv
 
 
 def test_qpochhammer_hand_cases():
@@ -103,6 +110,34 @@ def test_eval_poly_hand_cases():
     assert eval_poly(Poly(coeffs=(-q, 1.0), monic=True), q) == 0
     p = Poly(coeffs=(3.0 + 1j, 2.0, 1.0), monic=True)
     assert eval_poly(p, 0) == p.coeffs[0]
+
+
+def _bits(values):
+    """The exact binary form of each value: signed-zero and NaN aware."""
+    return [v._mpc_ if hasattr(v, "_mpc_") else (v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_monic_horner_start_is_bitwise_the_generic_loop(suite, ctx):
+    # the monic start drops the product by the leading 1 (and the first
+    # derivative step's product by 0); at finite points nothing else moves
+    for params in suite:
+        p, zset = zeros_of(in_context(params, ctx))
+        assert p.monic and p.coeffs[-1] == 1
+        points = list(zset.zeros)
+        points += [ctx.convert(z) for z in _sample_points(points, np.random.default_rng(params.N))]
+        # the array pass against the loop over the same array (NumPy's
+        # complex128 loops may round unlike builtin complex), then per point
+        grid = np.array(points, dtype=ctx.dtype)
+        value, deriv = eval_poly_deriv(p, grid)
+        expected = horner_deriv(p, grid)
+        assert _bits(eval_poly(p, grid).tolist()) == _bits(horner(p, grid).tolist())
+        assert _bits(value.tolist()) == _bits(expected[0].tolist())
+        # a linear monic p's derivative is one scalar 1 for the whole array
+        assert _bits(np.broadcast_to(deriv, grid.shape).tolist()) == _bits(expected[1].tolist())
+        for z in points:
+            assert _bits([eval_poly(p, z)]) == _bits([horner(p, z)])
+            assert _bits(eval_poly_deriv(p, z)) == _bits(horner_deriv(p, z))
 
 
 def test_eval_phi_partial_sum_oracle():

@@ -182,7 +182,8 @@ def cmd_zeros(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     ]
     result = {
         "zeros": [_pair(z) for z in zset.zeros],
-        "min_separation": float(zset.min_separation),
+        # null for one zero: JSON has no Infinity
+        "min_separation": zset.min_separation if len(zset) > 1 else None,
     }
     return checks, result
 

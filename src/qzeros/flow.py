@@ -49,7 +49,7 @@ from .errors import (
 from .isospectral import mu_n
 from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
-from .rootfind import relative_separation
+from .rootfind import pairwise_gaps, relative_separation
 from .zero_algebra import (
     left_out_products,
     reciprocal_table,
@@ -110,13 +110,13 @@ def build_C(params: ParamSet) -> TriangularC:
             sval = sval * (b * q ** (N - n) - 1)
         sub.append(sval)
     scale = max(max(abs(d) for d in diag), 1.0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if abs(diag[i] - diag[j]) < 1e-12 * scale:
-                raise RepeatedEigenvalue(
-                    f"eigenvalues {i + 1} and {j + 1} coincide within 1e-12; "
-                    "the eigenvector basis degenerates (non-generic q)"
-                )
+    close = np.argwhere(~(pairwise_gaps(diag) >= 1e-12 * scale))
+    if len(close):
+        i, j = close[0]
+        raise RepeatedEigenvalue(
+            f"eigenvalues {i + 1} and {j + 1} coincide within 1e-12; "
+            "the eigenvector basis degenerates (non-generic q)"
+        )
     return TriangularC(diag=tuple(diag), sub=tuple(sub))
 
 
@@ -193,11 +193,12 @@ def _f_bound(p: int, n: int, zs, q) -> float:
     return float(scales[0] / abs(products[1]))
 
 
-def _check_separation(zs) -> None:
-    if relative_separation(zs) < COLLISION_TOL:
-        raise CollisionDetected(
-            f"pairwise relative separation below {COLLISION_TOL:.0e}"
-        )
+def _check_separation(zs) -> np.ndarray:
+    """pairwise_gaps(zs); CollisionDetected below COLLISION_TOL or at a NaN."""
+    gaps = pairwise_gaps(zs)
+    if not relative_separation(zs, gaps) >= COLLISION_TOL:
+        raise CollisionDetected(f"pairwise relative separation below {COLLISION_TOL:.0e}")
+    return gaps
 
 
 def _others(a):
@@ -225,7 +226,7 @@ def flow_rhs(state, params: ParamSet) -> List:
     sequence or array of zeros), as builtin complex or mpc scalars."""
     zs = state.z if isinstance(state, FlowState) else state
     zs = np.asarray(zs, dtype=context_of(zs[0]).dtype)
-    _check_separation(zs.tolist())
+    _check_separation(zs)
     others, z = _others(zs), zs[:, None]
     inv = 1 / (z[:, None, :] - others[..., None])
     return _moved_velocity(params.stage(velocity_weights), others, params.q, z, inv)[:, 0].tolist()
@@ -295,7 +296,7 @@ def jacobian_fd(params: ParamSet, zeros):
     The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
     zs = tuple(zeros)
-    _check_separation(zs)
+    gaps = _check_separation(zs)
     ctx = context_of(zs[0])
     n_count = len(zs)
     weights = params.stage(velocity_weights)
@@ -311,7 +312,7 @@ def jacobian_fd(params: ParamSet, zeros):
         q_sum = q_sum + wl
 
     samples, rel_step, down, circle = _contour(ctx)
-    h = [rel_step * float(min(map(ctx.size, [zm, *(others[m] - zm)]))) for m, zm in enumerate(zs)]
+    h = rel_step * np.asarray(np.minimum(ctx.sizes(zarr), gaps.min(axis=1)), dtype=float)
     z = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
     inv_at = 1 / (z[:, None, :] - others[..., None])
     velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
@@ -327,7 +328,7 @@ def jacobian_fd(params: ParamSet, zeros):
     deriv = (diffs * np.array(down, dtype=ctx.dtype)).sum(axis=-1) * scale[:, None]
     # its conj(z_m) counterpart feeds one float comparison: sized, then scaled in floats
     conj = ctx.sizes((diffs * np.array(circle[:half], dtype=ctx.dtype)).sum(axis=-1))
-    conj = conj / (samples * np.array(h))[:, None]
+    conj = conj / (samples * h)[:, None]
     worst_conjugate = float((conj / np.maximum(1.0, ctx.sizes(deriv))).max())
     if worst_conjugate > CONJUGATE_TOL:
         msg = f"the circle rule implies a conjugate-direction dependence of {worst_conjugate:.3e}"
@@ -350,8 +351,7 @@ def integrate_flow(
     """
     zs0 = tuple(z0.z if isinstance(z0, FlowState) else z0)
     t0 = float(z0.t) if isinstance(z0, FlowState) else 0.0
-    if relative_separation(zs0) < COLLISION_TOL:
-        raise CollisionDetected("initial configuration already below the collision threshold")
+    _check_separation(zs0)
     if t_end == t0:
         return [FlowState(z=zs0, t=t0)]
     if dt_max <= 0:
@@ -365,8 +365,7 @@ def integrate_flow(
         return np.array(flow_rhs(y, params))
 
     def separation_event(_t, y):
-        sep = relative_separation(tuple(y))
-        return min(sep, 1.0) - COLLISION_TOL
+        return min(relative_separation(y), 1.0) - COLLISION_TOL
 
     separation_event.terminal = True
     separation_event.direction = -1

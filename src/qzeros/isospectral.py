@@ -40,7 +40,7 @@ from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, _elementary, in_context
 from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_gap
 from .qseries import Poly, coeffs_P, to_monic
-from .rootfind import ZeroSet, _aberth, find_zeros
+from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
 from .zero_algebra import KernelCache, velocity_weights
 
 
@@ -354,18 +354,10 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         active = refining
         if not active:
             break
-    out, certs = [], []
-    for cert, lam in best:
-        value = mp.make_mpc(tuple(lam))
-        if not cert <= target * abs(complex(value)):
-            return None
-        out.append(value)
-        certs.append(cert)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not ctx.size(out[i] - out[j]) > certs[i] + certs[j]:
-                return None
-    return out
+    out = [mp.make_mpc(tuple(lam)) for _, lam in best]
+    certs = np.array([cert for cert, _ in best])
+    accepted = (certs <= target * np.abs(np.array(out, dtype=complex))).all()
+    return out if accepted and (pairwise_gaps(out) > certs[:, None] + certs).all() else None
 
 
 def _escalated(worst: float) -> PrecisionContext:

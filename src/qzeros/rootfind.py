@@ -11,12 +11,14 @@ balanced companion matrix through the package's one eigensolve
 escalates, on that matrix. balanced_companion builds it from the powers of
 two of LAPACK zgebal's scaling loop, ported to the companion matrix's 2N - 1
 nonzeros (_balancing_scale), so zeros needs no scipy. The two routes share
-no code beyond polynomial evaluation.
+no code beyond polynomial evaluation. pairwise_gaps is the one array
+every separation test of the package reads, of zeros and of eigenvalues.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,54 +68,59 @@ def _canonical_order(zs) -> List:
     return sorted(zs, key=lambda z: (_modulus(z), cmath.phase(complex(z))))
 
 
-def relative_separation(zs) -> float:
-    """Smallest pairwise distance over the largest zero magnitude."""
-    n = len(zs)
-    if n < 2:
-        return float("inf")
-    size = context_of(zs[0]).size
-    scale = max(size(z) for z in zs)
-    best = float("inf")
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, size(zs[i] - zs[j]))
-    return float(best / max(scale, TINY))
+@functools.cache
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs i < j of n values and the n x n index of
+    each entry's pair, n (n - 1) / 2 on the diagonal; np.triu_indices: 30 us."""
+    i, j = np.triu_indices(n, 1)
+    slots = np.full((n, n), len(i))
+    slots[i, j] = slots[j, i] = range(len(i))
+    return i, j, slots
+
+
+def pairwise_gaps(values) -> np.ndarray:
+    """ctx.sizes of one difference v_i - v_j per unordered pair of the
+    values, as a symmetric N x N array with inf on the diagonal: the array
+    every separation test reads, each written so that a NaN gap fails it."""
+    ctx = context_of(values[0])
+    values = np.asarray(values, dtype=ctx.dtype)
+    i, j, slots = _pairs(len(values))
+    return np.concatenate((ctx.sizes(values[i] - values[j]), [math.inf]))[slots]
+
+
+def relative_separation(zs, gaps=None) -> float:
+    """Smallest entry of gaps (default pairwise_gaps(zs)) over the largest
+    zero size: inf for one zero, NaN at a NaN zero wherever it sits (taken
+    in floats: the minimum of an object array skips a NaN unless it is first)."""
+    ctx = context_of(zs[0])
+    scale = max(ctx.sizes(np.asarray(zs, dtype=ctx.dtype)).max(), TINY)
+    return float(np.asarray((pairwise_gaps(zs) if gaps is None else gaps) / scale, dtype=float).min())
 
 
 def _certify(zs, p: Poly) -> ZeroSet:
-    """The ZeroSet of zs; DegenerateZeros when a zero is not finite (builtin
-    min and max skip a NaN unless it comes first) or two zeros cannot be
-    certified apart. A point of an unresolved cluster carries an error of
-    about twice its Newton correction (which contracts by 1/2 toward a
-    double zero), so a pair's certified gap is its gap less both bounds.
-    One pass over the pairs takes the smallest raw gap (min_separation)
-    and the smallest certified gap, each divided once by the largest zero
-    magnitude."""
-    size = context_of(p.coeffs[0]).size
-    if not all(size(z) < math.inf for z in zs):
+    """The ZeroSet of zs; DegenerateZeros when a zero is not finite or two
+    zeros cannot be certified apart. A point of an unresolved cluster
+    carries an error of about twice its Newton correction (which contracts
+    by 1/2 toward a double zero), so a pair's certified gap is its gap less
+    both bounds, gap_ij - 2 (step_i + step_j), from one pairwise_gaps; a NaN
+    step (binary64 only) stays NaN in the minimum, its gaps being floats."""
+    ctx = context_of(p.coeffs[0])
+    z = np.asarray(zs, dtype=ctx.dtype)
+    mags = ctx.sizes(z)
+    if not (mags < math.inf).all():
         raise DegenerateZeros("a zero is not finite; the zero set is not resolved")
-    steps = []
-    worst = 0.0
-    for z in zs:
-        val, der = eval_poly_deriv(p, z)
-        step = size(val) / max(size(der), TINY)
-        steps.append(float(step))
-        worst = max(worst, float(step / max(1.0, size(z))))
-    scale = max(max(size(z) for z in zs), TINY)
-    raw = certified = math.inf
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            gap = size(zs[i] - zs[j])
-            raw = min(raw, gap)
-            certified = min(certified, gap - 2.0 * (steps[i] + steps[j]))
-    certified = float(certified / scale)
+    val, der = eval_poly_deriv(p, z)
+    steps = np.asarray(ctx.sizes(val) / np.maximum(ctx.sizes(der), TINY), dtype=float)
+    gaps, scale = pairwise_gaps(z), max(mags.max(), TINY)
+    certified = float((gaps - 2.0 * (steps[:, None] + steps)).min() / scale)
     if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros(
             f"certified relative zero separation {certified:.3e} <="
             f" {SEPARATION_FLOOR:.0e}; near-coincident zeros are rejected,"
             " not resolved"
         )
-    return ZeroSet(zeros=tuple(zs), min_separation=float(raw / scale), max_residual=worst)
+    worst = float((steps / np.maximum(mags, 1.0)).max())
+    return ZeroSet(tuple(zs), min_separation=float(gaps.min() / scale), max_residual=worst)
 
 
 def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
@@ -212,7 +219,7 @@ def _binary64_start(p: Poly, spiral: List) -> List | None:
         zs = _aberth(p64, [complex(z) for z in spiral], F64)
     except NoConvergence:
         return None
-    if not all(cmath.isfinite(z) for z in zs) or relative_separation(zs) <= SEPARATION_FLOOR:
+    if not all(cmath.isfinite(z) for z in zs) or not relative_separation(zs) > SEPARATION_FLOOR:
         return None
     return zs
 

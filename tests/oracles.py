@@ -29,7 +29,10 @@ point, _shift_products, decancelled_size and _shift_magnitudes the shifted
 products of one zero and their scales, _prop1_terms and _normalized one
 zero identity. horner and horner_deriv are Horner's rule from the leading
 coefficient whatever it is, the oracle of the monic start of
-qseries.eval_poly and eval_poly_deriv.
+qseries.eval_poly and eval_poly_deriv. relative_separation_pairs and
+certify_pairs take the separations of rootfind.relative_separation and
+rootfind._certify one pair at a time, the oracles of their one
+pairwise_gaps array.
 """
 
 import cmath
@@ -40,13 +43,14 @@ from typing import Dict, List, Sequence
 import numpy as np
 import scipy.linalg
 
-from qzeros.errors import DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
+from qzeros.errors import DegenerateZeros, DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
 from qzeros.flow import FlowState
 from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
+from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet
 from qzeros.zero_algebra import velocity_terms
 
 
@@ -66,6 +70,47 @@ def horner_deriv(p: Poly, z):
         dacc = z * dacc + acc
         acc = z * acc + c
     return acc, dacc
+
+
+def relative_separation_pairs(zs) -> float:
+    """Smallest pairwise distance over the largest zero magnitude, one pair
+    at a time; builtin min skips a NaN unless it comes first."""
+    n = len(zs)
+    if n < 2:
+        return float("inf")
+    size = context_of(zs[0]).size
+    scale = max(size(z) for z in zs)
+    best = float("inf")
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = min(best, size(zs[i] - zs[j]))
+    return float(best / max(scale, TINY))
+
+
+def certify_pairs(zs, p: Poly) -> ZeroSet:
+    """rootfind._certify one zero and one pair at a time: the smallest raw
+    gap and the smallest certified gap, gap less twice both Newton steps,
+    each over the largest zero magnitude; DegenerateZeros as _certify."""
+    size = context_of(p.coeffs[0]).size
+    if not all(size(z) < math.inf for z in zs):
+        raise DegenerateZeros("a zero is not finite")
+    steps = []
+    worst = 0.0
+    for z in zs:
+        val, der = eval_poly_deriv(p, z)
+        step = size(val) / max(size(der), TINY)
+        steps.append(float(step))
+        worst = max(worst, float(step / max(1.0, size(z))))
+    scale = max(max(size(z) for z in zs), TINY)
+    raw = certified = math.inf
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            gap = size(zs[i] - zs[j])
+            raw = min(raw, gap)
+            certified = min(certified, gap - 2.0 * (steps[i] + steps[j]))
+    if not float(certified / scale) > SEPARATION_FLOOR:
+        raise DegenerateZeros("near-coincident zeros")
+    return ZeroSet(zeros=tuple(zs), min_separation=float(raw / scale), max_residual=worst)
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):

@@ -11,7 +11,7 @@ import mpmath
 import mpmath.ctx_mp_python
 import pytest
 
-from qzeros.cli import DEFAULT_THRESHOLDS, build_parser, main
+from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, build_parser, main
 from qzeros.precision import F64, context_of, extended
 
 from conftest import RS_COMBOS, SUITE_SEED
@@ -228,6 +228,20 @@ def test_extended_precision_mode(tmp_path):
         with mpmath.workdps(15):
             assert run("verify", cfg, "--precision", "extended", "--out", str(tmp_path / "r.json")) == 0
             assert mpmath.mp.dps == 15
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("precision", ["f64", "extended"])
+def test_every_report_at_one_zero_is_strict_json(tmp_path, precision):
+    # one zero has no pair: min_separation must not be written as Infinity
+    cfg = write_config(tmp_path, N=1)
+    for cmd in COMMANDS:
+        out = tmp_path / f"{cmd}.json"
+        assert run(cmd, cfg, "--precision", precision, "--out", str(out)) == 0
+        json.loads(out.read_text(encoding="utf-8"), parse_constant=_not_json)
 
 
 def test_extended_verify_reads_extended_params(tmp_path, suite):

@@ -28,6 +28,7 @@ from qzeros.isospectral import Case, build_M, mu_closed
 from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
+from qzeros.rootfind import relative_separation
 
 from conftest import make_case, zeros_of
 from oracles import flow_rhs_from_products
@@ -168,6 +169,22 @@ def test_flow_rhs_collision_detected():
     params = ParamSet(r=0, s=0, N=3, q=0.45, alpha=(), beta=())
     with pytest.raises(CollisionDetected):
         flow_rhs((0.5, 0.5 * (1 + 1e-11), 1.2), params)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_a_nan_zero_is_a_collision_wherever_it_sits(ctx):
+    # builtin min skips a NaN unless it comes first: a pair loop read
+    # [1, nan, 2] as 0.5 apart and let flow_rhs return NaN velocities
+    params = in_context(ParamSet(r=0, s=0, N=3, q=0.45, alpha=(), beta=()), ctx)
+    for k in range(3):
+        zs = [ctx.convert(z) for z in (1.0, 2.0)]
+        zs.insert(k, ctx.convert(complex("nan")))
+        assert cmath.isnan(relative_separation(zs))
+        for call in (flow_rhs, lambda zs, params: jacobian_fd(params, zs)):
+            with pytest.raises(CollisionDetected):
+                call(zs, params)
+    with pytest.raises(CollisionDetected):
+        integrate_flow(params, [1.0, complex("nan"), 2.0], 1.0, 0.1)
 
 
 def test_dual_route_velocities(small_suite):

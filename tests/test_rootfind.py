@@ -18,7 +18,7 @@ from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import companion_rows
+from oracles import certify_pairs, companion_rows, relative_separation_pairs
 
 
 def _pair_off(found, oracle):
@@ -346,6 +346,37 @@ def test_separation_certificate_on_suite(suite):
         _, zset = zeros_of(params)
         assert zset.min_separation > 1e-8
         assert len(zset.zeros) == params.N
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)])
+def test_pairwise_gaps_decide_as_the_pair_loops(suite, ctx):
+    # the one gap array against one pair at a time: the same DegenerateZeros
+    # decisions and min_separation to a few ulps, on the suite's zeros, a
+    # coincident and a near-coincident pair, one zero and a NaN anywhere
+    def scalars(*zs):
+        return [ctx.convert(z) for z in zs]
+
+    def monic(*zs):
+        return Poly(tuple(scalars(*np.poly(zs)[::-1])), monic=True)
+
+    nan = complex("nan")
+    sets = []
+    for params in suite:
+        p, zset = zeros_of(in_context(params, ctx))
+        sets.append((zset.zeros, p))
+    sets += [(scalars(*zs), monic(*zs)) for zs in ([1, 1], [1, 1 + 1e-10], [0.5])]
+    sets += [(scalars(*zs), monic(1, 2, 3)) for zs in ([nan, 1, 2], [1, nan, 2], [1, 2, nan])]
+    for zs, p in sets:
+        try:
+            want = certify_pairs(zs, p)
+        except DegenerateZeros:
+            with pytest.raises(DegenerateZeros):
+                rootfind._certify(zs, p)
+            continue
+        got = rootfind._certify(zs, p)
+        assert got.min_separation == pytest.approx(want.min_separation, rel=4 * F64.eps, abs=0)
+        want_sep = relative_separation_pairs(zs)
+        assert rootfind.relative_separation(zs) == pytest.approx(want_sep, rel=4 * F64.eps, abs=0)
 
 
 def test_deterministic_output_order():

@@ -198,7 +198,7 @@ def _sample_points(zeros, rng, count: int = QDE_SAMPLE_COUNT) -> List[complex]:
 def _jacobian_defect(case: Case) -> float:
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
-    jac = zero_flow.jacobian_fd(case.params, case.zeros)
+    jac = zero_flow.jacobian_fd(case)
     return max(rel_gap(a, b) for jrow, mrow in zip(jac, case.M.tolist()) for a, b in zip(jrow, mrow))
 
 

@@ -26,7 +26,8 @@ over the shifts by the product of the reciprocals 1/(z - z_l) once.
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
-one factor of its kernels: all K N^2 samples cost as much as K flow_rhs calls.
+one factor of its kernels, read from the case's kernel tables (Case.kernels,
+the ones build_M reads): all K N^2 samples cost as much as K flow_rhs calls.
 """
 
 from __future__ import annotations
@@ -46,19 +47,16 @@ from .errors import (
     RepeatedEigenvalue,
     StepUnderflow,
 )
-from .isospectral import mu_n
+from .isospectral import Case, mu_n
 from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import pairwise_gaps, relative_separation
-from .zero_algebra import (
-    left_out_products,
-    reciprocal_table,
-    shifted_products,
-    velocity_terms,
-    velocity_weights,
-)
+from .zero_algebra import shifted_products, velocity_terms, velocity_weights
 
 COLLISION_TOL = 1e-10
+# integrate_flow's RK45 relative tolerance; its absolute tolerance is this
+# times max(1, largest starting |z_n|)
+FLOW_RTOL = 1e-12
 # relative conjugate-direction dependence at which jacobian_fd warns
 CONJUGATE_TOL = 1e-6
 
@@ -221,10 +219,9 @@ def _moved_velocity(weights, others, q, z, inv):
     return total * inv.prod(axis=1)
 
 
-def flow_rhs(state, params: ParamSet) -> List:
-    """Velocities of all zeros at the given configuration (a FlowState, or a
-    sequence or array of zeros), as builtin complex or mpc scalars."""
-    zs = state.z if isinstance(state, FlowState) else state
+def flow_rhs(zs, params: ParamSet) -> List:
+    """Velocities of all zeros at the configuration zs (a sequence or array of
+    zeros), as builtin complex or mpc scalars."""
     zs = np.asarray(zs, dtype=context_of(zs[0]).dtype)
     _check_separation(zs)
     others, z = _others(zs), zs[:, None]
@@ -267,22 +264,23 @@ def _contour(ctx: PrecisionContext):
     return k, ctx.eps ** (1 / (k + 1)), down, tuple(up + [-w for w in up])
 
 
-def jacobian_fd(params: ParamSet, zeros):
-    """Jacobian of the flow velocity at the given configuration, by the
-    K-point trapezoidal rule on a circle around each zero, in one array pass.
+def jacobian_fd(case: Case):
+    """Jacobian of the flow velocity at the case's zeros, by the K-point
+    trapezoidal rule on a circle around each zero, in one array pass.
 
     Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
     each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
     with P, Q summed once per call, one shift of velocity_weights at a time,
-    from the products that leave it out (zero_algebra.left_out_products),
-    and row m is _moved_velocity. The K samples of all N columns form one
-    array F[m, n, j] in the dtype of the zeros' context; both contour sums
-    reduce over j, and 1/(K h) scales each sum, not each sample: in the
-    scalar type for the derivative, in floats for the conj(z_m) sum, of
-    which only the size is read. The velocity formula is the one flow_rhs
-    sums, and the derivative comes from the samples, never from the kernel
-    derivative identities that build_M assembles: neither KernelCache nor
-    build_M is read, so the check against M stays independent.
+    from the products that leave it out (the case's kernel tables,
+    Case.kernels), and row m is _moved_velocity. The K samples of all N
+    columns form one array F[m, n, j] in the dtype of the zeros' context;
+    both contour sums reduce over j, and 1/(K h) scales each sum, not each
+    sample: in the scalar type for the derivative, in floats for the
+    conj(z_m) sum, of which only the size is read. The velocity formula is
+    the one flow_rhs sums, and the derivative is formed from the contour
+    samples, never from the kernel derivative identities that build_M
+    assembles, so the check against M stays independent: the kernel tables
+    the two share are products of the zeros, not derivatives.
 
     Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
     h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
@@ -295,19 +293,19 @@ def jacobian_fd(params: ParamSet, zeros):
     ConsistencyWarning is raised when it exceeds CONJUGATE_TOL relative.
     The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
-    zs = tuple(zeros)
-    gaps = _check_separation(zs)
-    ctx = context_of(zs[0])
-    n_count = len(zs)
+    params = case.params
+    gaps = _check_separation(case.zeros)
+    kernels = case.kernels
+    zarr = kernels.z
+    ctx = context_of(zarr[0])
+    n_count = len(zarr)
     weights = params.stage(velocity_weights)
-    zarr = np.asarray(zs, dtype=ctx.dtype)
-    inv = reciprocal_table(zarr)
     others = _others(zarr)
     # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
     p_sum = q_sum = 0
     for k, (a, b) in weights.items():
         qk = params.q**k
-        wl = _others(zarr * b + a) * _others(left_out_products(zarr, qk, inv).T)
+        wl = _others(zarr * b + a) * _others(kernels.fnm[k].T)
         p_sum = p_sum + wl * qk
         q_sum = q_sum + wl
 
@@ -336,24 +334,20 @@ def jacobian_fd(params: ParamSet, zeros):
     return tuple(map(tuple, deriv.T.tolist()))
 
 
-def integrate_flow(
-    params: ParamSet,
-    z0,
-    t_end: float,
-    dt_max: float,
-    rtol: float = 1e-12,
-) -> List[FlowState]:
-    """Adaptive embedded Runge-Kutta trajectory, sampled at most every dt_max.
+def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[FlowState]:
+    """Adaptive embedded Runge-Kutta trajectory from the zeros z0 at t = 0 to
+    t_end, sampled at most every dt_max.
 
-    Aborts with CollisionDetected the moment any pairwise relative separation
-    crosses the collision threshold; StepUnderflow if the integrator stalls.
+    Aborts with CollisionDetected as soon as a right-hand side is evaluated
+    at a configuration whose pairwise relative separation is below
+    COLLISION_TOL (flow_rhs's check, which RK45 meets at each step's end
+    point before accepting it); StepUnderflow if the integrator stalls.
     Always steps in binary64.
     """
-    zs0 = tuple(z0.z if isinstance(z0, FlowState) else z0)
-    t0 = float(z0.t) if isinstance(z0, FlowState) else 0.0
+    zs0 = tuple(z0)
     _check_separation(zs0)
-    if t_end == t0:
-        return [FlowState(z=zs0, t=t0)]
+    if t_end == 0:
+        return [FlowState(z=zs0, t=0.0)]
     if dt_max <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
@@ -364,28 +358,16 @@ def integrate_flow(
     def rhs(_t, y):
         return np.array(flow_rhs(y, params))
 
-    def separation_event(_t, y):
-        return min(relative_separation(y), 1.0) - COLLISION_TOL
-
-    separation_event.terminal = True
-    separation_event.direction = -1
-
-    steps = max(1, int(np.ceil(abs(t_end - t0) / dt_max)))
-    t_eval = np.linspace(t0, t_end, steps + 1)
+    steps = max(1, int(np.ceil(abs(t_end) / dt_max)))
     sol = solve_ivp(
         rhs,
-        (t0, t_end),
+        (0.0, t_end),
         y0,
         method="RK45",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=rtol * max(1.0, float(np.max(np.abs(y0)))),
-        events=separation_event,
+        t_eval=np.linspace(0.0, t_end, steps + 1),
+        rtol=FLOW_RTOL,
+        atol=FLOW_RTOL * max(1.0, float(np.max(np.abs(y0)))),
     )
-    if sol.status == 1:
-        raise CollisionDetected(
-            f"pairwise separation crossed {COLLISION_TOL:.0e} at t = {sol.t_events[0][0]:.6g}"
-        )
     if not sol.success:
         raise StepUnderflow(sol.message)
     return [

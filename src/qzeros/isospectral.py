@@ -17,7 +17,8 @@ expanded q-difference equation, qdiff.qde_terms) times the derivatives of
 the shift kernels, one kernel table a shift. mu_n is the one home of the
 closed form; mu_closed, mu_closed_exact and the coefficient flow's build_C
 evaluate it; closed_trace sums it over n without evaluating it. A Case holds
-one parameter set's stages, each computed once, and Case.at(ctx) at more digits.
+one parameter set's stages, each computed once, the kernel tables that M and
+the flow's Jacobian check share among them, and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
 its own scalars, never rounded to binary64: matrix_power_traces by array
@@ -44,15 +45,15 @@ from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
 from .zero_algebra import KernelCache, velocity_weights
 
 
-def build_M(zeros, params: ParamSet) -> np.ndarray:
-    """General assembly of the spectral matrix from a zero set, as an N x N
-    array in the dtype of the zeros' context (complex128, or object holding
-    mpc).
+def build_M(case: Case) -> np.ndarray:
+    """General assembly of the spectral matrix over the case's zeros, as an
+    N x N array in the dtype of the zeros' context (complex128, or object
+    holding mpc).
 
     M is the Jacobian of the zero flow velocity_n = sum_k (a_k + b_k z_n) f_n(k)
     over the shifts k of velocity_weights. By the kernel derivative
     identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) T_k,
-    T_k the left_out_products table of shift k (one KernelCache table a
+    T_k the left_out_products table of shift k (case.kernels, one table a
     shift),
 
         M_nm = z_n S_nm / (z_n - z_m)^2,   m != n,
@@ -61,20 +62,17 @@ def build_M(zeros, params: ParamSet) -> np.ndarray:
     the second sum being the g_n(k) of each shift against its weight,
     regrouped into one product with z and never divided by z_n.
     """
-    zs = tuple(zeros)
-    q = params.q
-    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)
-    weights = params.stage(velocity_weights)
-    cache = KernelCache(z, q, weights)
+    params, cache = case.params, case.kernels
+    q, z = params.q, cache.z
     S = own = 0
-    for k, (a, b) in weights.items():
+    for k, (a, b) in params.stage(velocity_weights).items():
         table = cache.fnm[k]
         # arrays on the left: an mpc on the left of an object array is slow
         S = S + table * ((z * b + a) * (q**k - 1))[:, None]
         own = own + table.diagonal() * b
     W = cache.inv * cache.inv * S
     M = W * z[:, None]
-    M[np.eye(len(zs), dtype=bool)] = own - W @ z
+    M[np.eye(len(z), dtype=bool)] = own - W @ z
     return M
 
 
@@ -434,8 +432,9 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
 class Case:
     """One parameter set in the precision of params.q and the stages of its
     verdict, each computed on first use: the monic polynomial, its zeros
-    (zeroset, or the caller's zeros, found in that precision), M over them
-    and the closed-form spectrum mu."""
+    (zeroset, or the caller's zeros, found in that precision), the kernel
+    tables over them (kernels, which M and flow.jacobian_fd read), M and
+    the closed-form spectrum mu."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
@@ -455,8 +454,13 @@ class Case:
         return self.zeroset.zeros
 
     @functools.cached_property
+    def kernels(self) -> KernelCache:
+        z = np.asarray(self.zeros, dtype=context_of(self.zeros[0]).dtype)
+        return KernelCache(z, self.params.q, self.params.stage(velocity_weights))
+
+    @functools.cached_property
     def M(self) -> np.ndarray:
-        return build_M(self.zeros, self.params)
+        return build_M(self)
 
     @functools.cached_property
     def mu(self) -> List:

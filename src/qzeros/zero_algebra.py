@@ -13,13 +13,16 @@ the same family:
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
 A KernelCache holds, for each shift of the zero flow (velocity_weights), the
-left_out_products table as an array in the dtype of the zeros' context
-(complex128, or object holding mpc), since the matrix reuses each entry.
-reciprocal_table inverts each z_n - z_l once, and left_out_products builds
-the whole f_nm(p) table of one shift, f_n(p) on its diagonal, from prefix
-and suffix products along the rows of factors: O(N^2) per shift, in array
-passes, with no division by a factor. g_n(p) is never tabled: the matrix
-assembly sums it against the flow weights (isospectral.build_M).
+left_out_products table as a read-only array in the dtype of the zeros'
+context (complex128, or object holding mpc). It is the one builder of these
+tables: a Case builds it once (isospectral.Case.kernels), and the matrix
+assembly (isospectral.build_M) and the flow's Jacobian check
+(flow.jacobian_fd) both read it. reciprocal_table inverts each z_n - z_l
+once, and left_out_products builds the whole f_nm(p) table of one shift,
+f_n(p) on its diagonal, from prefix and suffix products along the rows of
+factors: O(N^2) per shift, in array passes, with no division by a factor.
+g_n(p) is never tabled: the matrix assembly sums it against the flow
+weights.
 
 The N algebraic identities satisfied by the true zeros are the q-difference
 equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
@@ -71,8 +74,8 @@ def left_out_products(z, qp, inv):
     Row n multiplies its factors with a 1 in place of the l = n factor;
     prefix and suffix products (np.multiply.accumulate) give every left-out
     product without dividing f_n(p) by a factor, since a geometric chain puts
-    q^p z_n exactly on another zero. The one home of these products:
-    KernelCache (for build_M) and flow.jacobian_fd read them.
+    q^p z_n exactly on another zero. The one home of these products, and
+    KernelCache its one caller.
     """
     diagonal = np.eye(len(z), dtype=bool)
     # z * qp, never qp * z: an mpc on the left of an object array is slow
@@ -88,13 +91,17 @@ def left_out_products(z, qp, inv):
 
 class KernelCache:
     """The kernel tables of one configuration z (an array in its context's
-    dtype) over the given shifts, immutable after construction:
-    inv = reciprocal_table(z), and fnm[p] = left_out_products(z, q^p, inv),
-    f_nm(p) off the diagonal and f_n(p) on it."""
+    dtype) over the given shifts: z itself, inv = reciprocal_table(z), and
+    fnm[p] = left_out_products(z, q^p, inv), f_nm(p) off the diagonal and
+    f_n(p) on it. Every array is read-only, since each reader of a Case
+    shares them."""
 
     def __init__(self, z, q, shifts):
+        self.z = z
         self.inv = reciprocal_table(z)
         self.fnm: Dict[int, np.ndarray] = {p: left_out_products(z, q**p, self.inv) for p in shifts}
+        for table in (z, self.inv, *self.fnm.values()):
+            table.flags.writeable = False
 
 
 def shifted_products(zk, zs):

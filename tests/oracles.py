@@ -44,7 +44,6 @@ import numpy as np
 import scipy.linalg
 
 from qzeros.errors import DegenerateZeros, DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
-from qzeros.flow import FlowState
 from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, context_of
@@ -332,11 +331,11 @@ def prop1_scale(zeros: Sequence, params: ParamSet, n: int) -> float:
     return largest
 
 
-def flow_rhs_from_products(state, params: ParamSet) -> List:
+def flow_rhs_from_products(zs, params: ParamSet) -> List:
     """Dual route: the n-th velocity is (-1)^s times the n-th zero identity,
     built from shifted full products over the configuration, divided by
     z_n prod_{l != n} (z_n - z_l). Algebraically identical to flow_rhs."""
-    zs = state.z if isinstance(state, FlowState) else tuple(state)
+    zs = tuple(zs)
     sign = (-1) ** params.s
     out = []
     for n, zn in enumerate(zs):

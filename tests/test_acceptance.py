@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from qzeros.flow import (
-    FlowState,
     equilibrium_residual,
     flow_rhs,
     integrate_flow,
@@ -202,8 +201,9 @@ def test_criterion_07_linearization_is_M():
     params = ParamSet(r=1, s=1, N=8, q=0.45, alpha=(0.8 + 0.1j,), beta=(1.4 - 0.3j,))
     t0 = time.perf_counter()
     _, zset = zeros_of(params)
-    M = build_M(zset.zeros, params)
-    J = jacobian_fd(params, zset)
+    case = Case(params, zset.zeros)
+    M = build_M(case)
+    J = jacobian_fd(case)
     worst_entry = 0.0
     for n in range(params.N):
         for m in range(params.N):
@@ -248,7 +248,7 @@ def test_criterion_08_equilibrium(suite):
 
     _, zset = zeros_of(CONTRACTIVE)
     scale = max(abs(z) for z in zset.zeros)
-    states = integrate_flow(CONTRACTIVE, FlowState(z=zset.zeros, t=0.0), 1.0, 0.2)
+    states = integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.2)
     drift = max(
         abs(z - ref) / max(1.0, abs(ref))
         for st in states

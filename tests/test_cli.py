@@ -191,6 +191,17 @@ def test_flow_perturbed_run(tmp_path):
     assert "endpoint_drift" not in {c["name"] for c in rep["checks"]}
 
 
+def test_flow_reports_a_collision_as_its_only_failing_check(tmp_path, suite):
+    # two zeros of suite case 19 meet under the flow before t_end: the
+    # equilibrium and Jacobian checks still pass, and the run stops at
+    # flow_rhs's separation check
+    out = tmp_path / "rep.json"
+    assert run("flow", write_params(tmp_path, suite[19]), "--out", str(out)) == 1
+    rep = load_report(out)
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["no_collision"]
+    assert "separation below 1e-10" in rep["result"]["error"]
+
+
 def test_sweep_vacuous_cases(tmp_path):
     s0 = write_config(tmp_path, "s0.json", r=0, s=0, N=4, alpha=[], beta=[])
     out = tmp_path / "r1.json"
@@ -308,6 +319,8 @@ def test_commands_leave_scipy_unimported(tmp_path, suite):
 STAGES = (
     ("qzeros.qseries", "coeffs_P"),
     ("qzeros.rootfind", "find_zeros"),
+    ("qzeros.zero_algebra", "KernelCache"),
+    ("qzeros.zero_algebra", "left_out_products"),
     ("qzeros.isospectral", "build_M"),
     ("qzeros.isospectral", "mu_closed"),
     ("qzeros.qdiff", "qde_terms"),
@@ -315,16 +328,27 @@ STAGES = (
 )
 
 
+def _stage_key(name, args):
+    """(stage, input, precision) of one call. The kernel tables are keyed by
+    their configuration and q (KernelCache) or q^p (left_out_products, one
+    shift), every other stage by its parameter set, its last argument or
+    that Case's params."""
+    if name in ("KernelCache", "left_out_products"):
+        z, q = args[0], args[1]
+        return name, (tuple(z.tolist()), q), context_of(q)
+    params = getattr(args[-1], "params", args[-1])
+    return name, params, context_of(params.q)
+
+
 def _count_stages(monkeypatch):
     """Every qzeros binding of each stage in STAGES wrapped to count its
-    calls by (stage, parameter set, precision); the parameter set is each
-    stage's last argument."""
+    calls by _stage_key."""
     calls = collections.Counter()
     for home, name in STAGES:
         original = getattr(sys.modules[home], name)
 
         def counted(*args, _original=original, _name=name):
-            calls[_name, args[-1], context_of(args[-1].q)] += 1
+            calls[_stage_key(_name, args)] += 1
             return _original(*args)
 
         for key, module in list(sys.modules.items()):
@@ -338,7 +362,10 @@ def _count_stages(monkeypatch):
 @pytest.mark.parametrize("precision", ["f64", "extended"])
 def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, monkeypatch, precision):
     # suite case 19 escalates M in binary64 and case 3 sweeps eight beta
-    # perturbations; each command reads every stage through one case
+    # perturbations; each command reads every stage through one case, and
+    # build_M and the Jacobian check read one set of kernel tables: one
+    # KernelCache per configuration and precision, one left_out_products
+    # table per shift of it
     calls = _count_stages(monkeypatch)
     home = extended() if precision == "extended" else F64
     out = str(tmp_path / "report.json")
@@ -354,6 +381,7 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
                 assert {stage for stage, _, _ in calls} == {name for _, name in STAGES}
                 escalated = {ctx for stage, _, ctx in calls if stage == "build_M"} - {home}
                 assert len(escalated) == (index == 19 and precision == "f64"), index
+                assert sum(stage == "KernelCache" for stage, _, _ in calls) == 1 + len(escalated), index
 
 
 # full 50-digit mpc x mpc products (mpmath's mpc_mul, about 8.5 us each on

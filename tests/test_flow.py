@@ -22,7 +22,7 @@ from qzeros.flow import (
     integrate_flow,
     jacobian_fd,
 )
-from qzeros import flow, isospectral, zero_algebra
+from qzeros import flow, isospectral
 from qzeros.cli import _jacobian_defect
 from qzeros.isospectral import Case, build_M, mu_closed
 from qzeros.params import ParamSet, in_context, validate
@@ -180,7 +180,7 @@ def test_a_nan_zero_is_a_collision_wherever_it_sits(ctx):
         zs = [ctx.convert(z) for z in (1.0, 2.0)]
         zs.insert(k, ctx.convert(complex("nan")))
         assert cmath.isnan(relative_separation(zs))
-        for call in (flow_rhs, lambda zs, params: jacobian_fd(params, zs)):
+        for call in (flow_rhs, lambda zs, params: jacobian_fd(Case(params, zs))):
             with pytest.raises(CollisionDetected):
                 call(zs, params)
     with pytest.raises(CollisionDetected):
@@ -220,8 +220,8 @@ def test_jacobian_matches_M(suite):
         warnings.simplefilter("error", ConsistencyWarning)
         for params in suite[:18] + [suite[19], suite[26], suite[38]]:
             _, zset = zeros_of(params)
-            J = jacobian_fd(params, zset)
-            M = build_M(zset.zeros, params)
+            case = Case(params, zset.zeros)
+            J, M = jacobian_fd(case), build_M(case)
             assert _matrix_gap(J, M) < 1e-5
 
 
@@ -259,7 +259,7 @@ def test_jacobian_is_the_difference_of_flow_rhs(suite, ctx, tol):
     for index in (3, 7, 9, 14):
         params = in_context(suite[index], ctx)
         _, zset = zeros_of(params)
-        J = jacobian_fd(params, zset)
+        J = jacobian_fd(Case(params, zset.zeros))
         ref = _flow_rhs_jacobian(params, zset.zeros, SAMPLES[ctx])
         scale = max(abs(v) for row in ref for v in row)
         gap = max(abs(a - b) for rj, rr in zip(J, ref) for a, b in zip(rj, rr))
@@ -281,7 +281,7 @@ def test_jacobian_samples_one_circle_per_column(suite, monkeypatch, ctx):
         return original(terms, others, q, z, inv)
 
     monkeypatch.setattr(flow, "_moved_velocity", counted)
-    jacobian_fd(params, zset)
+    jacobian_fd(Case(params, zset.zeros))
     assert len(calls) == SAMPLES[ctx] * params.N
 
 
@@ -291,7 +291,7 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
     # amplitude / max(1, |M_mm|) at its largest, here the relative level
     params = in_context(suite[3], ctx)
     _, zset = zeros_of(params)
-    M = build_M(zset.zeros, params)
+    M = build_M(Case(params, zset.zeros))
     weight = min(max(1.0, float(abs(M[m, m]))) for m in range(params.N))
     original = flow._moved_velocity
     for relative, warns in ((1e-3, True), (2e-6, True), (5e-7, False)):
@@ -304,7 +304,7 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
         monkeypatch.setattr(flow, "_moved_velocity", skewed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            J = jacobian_fd(params, zset)
+            J = jacobian_fd(Case(params, zset.zeros))
         assert [w.category for w in caught] == ([ConsistencyWarning] if warns else [])
         if warns:
             level = float(str(caught[0].message).rsplit(" ", 1)[1])
@@ -318,7 +318,7 @@ def test_array_pass_returns_scalars_of_the_context(suite, ctx):
     # NumPy scalars leaking out of the array pass would slow every caller
     params = in_context(suite[9], ctx)
     _, zset = zeros_of(params)
-    J = jacobian_fd(params, zset)
+    J = jacobian_fd(Case(params, zset.zeros))
     velocities = [flow_rhs(zset.zeros, params), flow_rhs(np.array(zset.zeros, dtype=ctx.dtype), params)]
     assert type(J) is tuple and all(type(row) is tuple for row in J)
     assert all(type(v) is list for v in velocities)
@@ -338,30 +338,31 @@ def test_jacobian_at_n16_is_finite_and_silent():
         _, zset = zeros_of(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        J = jacobian_fd(params, zset)
+        J = jacobian_fd(Case(params, zset.zeros))
     assert all(cmath.isfinite(v) for row in J for v in row)
     assert _jacobian_defect(Case(params, zset.zeros)) <= 1e-11
 
 
-def test_jacobian_reads_neither_kernel_cache_nor_M(suite, monkeypatch):
-    # jacobian_defect checks build_M against the flow; the difference must
-    # not lean on the matrix assembly it judges
+def test_jacobian_reads_the_kernel_tables_but_not_M(suite, monkeypatch):
+    # jacobian_defect checks build_M against the flow; the difference shares
+    # the case's kernel tables, products of the zeros, but must not lean on
+    # the matrix assembly it judges
     def forbidden(*args, **kwargs):
         raise AssertionError("jacobian_fd must not read the matrix assembly")
 
-    monkeypatch.setattr(zero_algebra, "KernelCache", forbidden)
     monkeypatch.setattr(isospectral, "build_M", forbidden)
     params = suite[9]
-    _, zset = zeros_of(params)
-    J = jacobian_fd(params, zset)
+    case = Case(params, zeros_of(params)[1].zeros)
+    J = jacobian_fd(case)
     assert len(J) == params.N
+    assert "kernels" in vars(case) and "M" not in vars(case)
 
 
 def test_jacobian_n1_hand_case():
     q = 0.45
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
     _, zset = zeros_of(params)
-    J = jacobian_fd(params, zset)
+    J = jacobian_fd(Case(params, zset.zeros))
     assert abs(J[0][0] - (q - 1) / q) < 1e-8
 
 
@@ -371,7 +372,7 @@ def test_single_axis_quotient_is_second_order():
     params = ParamSet(r=1, s=1, N=4, q=0.45, alpha=(0.8,), beta=(1.4,))
     _, zset = zeros_of(params)
     zs = list(zset.zeros)
-    M = build_M(zset.zeros, params)
+    M = build_M(Case(params, zset.zeros))
     scale = max(abs(z) for z in zs)
 
     def defect(h):
@@ -398,7 +399,7 @@ def test_single_axis_quotient_is_second_order():
 def test_integrate_holds_equilibrium():
     _, zset = zeros_of(CONTRACTIVE)
     scale = max(abs(z) for z in zset.zeros)
-    states = integrate_flow(CONTRACTIVE, FlowState(z=zset.zeros, t=0.0), 1.0, 0.25)
+    states = integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.25)
     assert len(states) >= 4
     for st in states:
         drift = max(abs(a - b) for a, b in zip(st.z, zset.zeros))
@@ -408,12 +409,12 @@ def test_integrate_holds_equilibrium():
 def test_integrate_perturbation_follows_linearization():
     _, zset = zeros_of(CONTRACTIVE)
     N = CONTRACTIVE.N
-    M = build_M(zset.zeros, CONTRACTIVE)
+    M = build_M(Case(CONTRACTIVE, zset.zeros))
     xi0 = np.array(
         [1e-4 * cmath.exp(2j * cmath.pi * (n + 0.2) / N) * abs(zset.zeros[n]) for n in range(N)]
     )
     z0 = tuple(z + d for z, d in zip(zset.zeros, xi0))
-    states = integrate_flow(CONTRACTIVE, FlowState(z=z0, t=0.0), 0.5, 0.1)
+    states = integrate_flow(CONTRACTIVE, z0, 0.5, 0.1)
     for st in states[1:]:
         dev = np.array([a - b for a, b in zip(st.z, zset.zeros)])
         pred = scipy.linalg.expm(M * st.t) @ xi0
@@ -422,17 +423,15 @@ def test_integrate_perturbation_follows_linearization():
 
 def test_integrate_zero_horizon():
     _, zset = zeros_of(CONTRACTIVE)
-    st0 = FlowState(z=zset.zeros, t=0.0)
-    out = integrate_flow(CONTRACTIVE, st0, 0.0, 0.1)
-    assert len(out) == 1
-    assert out[0].z == zset.zeros and out[0].t == 0.0
+    out = integrate_flow(CONTRACTIVE, zset.zeros, 0.0, 0.1)
+    assert out == [FlowState(z=zset.zeros, t=0.0)]
 
 
 def test_integrate_rejects_collided_start():
     params = ParamSet(r=0, s=0, N=2, q=0.45, alpha=(), beta=())
     z0 = (0.7, 0.7 * (1 + 1e-11))
     with pytest.raises(CollisionDetected):
-        integrate_flow(params, FlowState(z=z0, t=0.0), 1.0, 0.1)
+        integrate_flow(params, z0, 1.0, 0.1)
 
 
 def test_two_representations_agree():
@@ -445,7 +444,7 @@ def test_two_representations_agree():
     C = build_C(params)
     start = _monic_from_zeros(z0)
     c0 = CoeffState(c=tuple(start[params.N - m] for m in range(1, params.N + 1)), t=0.0)
-    states = integrate_flow(params, FlowState(z=z0, t=0.0), 0.5, 0.1)
+    states = integrate_flow(params, z0, 0.5, 0.1)
     for st in states:
         via_zeros = _monic_from_zeros(st.z)
         via_coeffs = evolve_coeffs(C, c0, st.t)

@@ -51,7 +51,7 @@ def test_build_M_n1_hand_case():
     q = 0.45
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
     _, zset = zeros_of(params)
-    M = build_M(zset.zeros, params)
+    M = build_M(Case(params, zset.zeros))
     assert M.shape == (1, 1)
     assert abs(M[0, 0] - (q - 1) / q) < 1e-12
     assert abs(M[0, 0] - mu_closed(params)[0]) < 1e-12
@@ -78,7 +78,7 @@ def test_specialized_builders_match_general(suite, ctx, max_degree, tol):
         seen.add(key)
         params = in_context(params, ctx)
         _, zset = zeros_of(params)
-        M = build_M(zset.zeros, params)
+        M = build_M(Case(params, zset.zeros))
         assert M.dtype == ctx.dtype
         _entrywise_close(M, build_M_addends(zset.zeros, params), tol)
         if key in builders:
@@ -92,10 +92,21 @@ def test_build_M_takes_one_kernel_table_per_shift(suite, monkeypatch):
     for params in suite[:6]:  # one case of each (r, s)
         _, zset = zeros_of(params)
         tables.clear()
-        build_M(zset.zeros, params)
+        build_M(Case(params, zset.zeros))
         assert len(tables) == len(velocity_weights(params)), (params.r, params.s)
         addends += len(velocity_terms(params))
     assert addends > sum(len(velocity_weights(params)) for params in suite[:6])
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()], ids=["f64", "ext"])
+def test_case_kernel_tables_are_read_only(suite, ctx):
+    # build_M and jacobian_fd read one Case's tables: an in-place write by
+    # either would change what the other reads
+    params = in_context(suite[3], ctx)
+    kernels = Case(params, zeros_of(params)[1].zeros).kernels
+    for table in (kernels.z, kernels.inv, *kernels.fnm.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2
 
 
 def test_mu_closed_hand_forms():
@@ -359,7 +370,7 @@ def test_eig_with_bound_matches_the_lapack_left_vector_estimate(suite):
     for index, params in enumerate(suite):
         p, zeros = zeros_of(params)
         matrices = {
-            "M": build_M(zeros, params),
+            "M": build_M(Case(params, zeros)),
             "companion": rootfind.balanced_companion(p),
         }
         for name, arr in matrices.items():
@@ -464,7 +475,7 @@ def test_refined_eigenvalues_equal_the_fdot_refinement(suite, monkeypatch):
     inputs = []
     for params in suite:
         params = in_context(params, ctx)
-        inputs.append((build_M(zeros_of(params)[1].zeros, params), ctx.eps))
+        inputs.append((build_M(Case(params, zeros_of(params)[1].zeros)), ctx.eps))
     inputs += _escalated_inputs(suite, monkeypatch)
     big, small = mp.ldexp(1, 830), mp.ldexp(1, -830)
     for rows in (
@@ -663,7 +674,7 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     ctx = extended()
     one, tiny = ctx.convert(1), ctx.mp.mpf("1e-60")
     rows = np.array([[one, one], [tiny, one]], dtype=ctx.dtype)
-    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: rows)
+    monkeypatch.setattr(isospectral, "build_M", lambda case: rows)
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
@@ -680,7 +691,7 @@ def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, 
     ctx = extended()
     big = ctx.mp.mpf("1e400")
     rows = np.array([[ctx.convert(0), ctx.convert(-3 * big)], [ctx.convert(1), ctx.convert(big + 3)]])
-    monkeypatch.setattr(isospectral, "build_M", lambda zeros, params: rows)
+    monkeypatch.setattr(isospectral, "build_M", lambda case: rows)
     lost = counting(monkeypatch, isospectral, "_lost_digits")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)

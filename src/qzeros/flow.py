@@ -338,10 +338,13 @@ def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[Fl
     """Adaptive embedded Runge-Kutta trajectory from the zeros z0 at t = 0 to
     t_end, sampled at most every dt_max.
 
-    Aborts with CollisionDetected as soon as a right-hand side is evaluated
-    at a configuration whose pairwise relative separation is below
-    COLLISION_TOL (flow_rhs's check, which RK45 meets at each step's end
-    point before accepting it); StepUnderflow if the integrator stalls.
+    Aborts with OverflowRisk, naming t, as soon as a state or velocity it
+    evaluates is not finite (the state checked before flow_rhs runs, so an
+    overflow is never read as a collision); with CollisionDetected as soon
+    as a right-hand side is evaluated at a configuration whose pairwise
+    relative separation is below COLLISION_TOL (flow_rhs's check, which
+    RK45 meets at each step's end point before accepting it); StepUnderflow
+    if the integrator stalls. A start that is not finite is a collision.
     Always steps in binary64.
     """
     zs0 = tuple(z0)
@@ -355,8 +358,15 @@ def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[Fl
 
     y0 = np.array([complex(z) for z in zs0], dtype=complex)
 
-    def rhs(_t, y):
-        return np.array(flow_rhs(y, params))
+    def rhs(t, y):
+        if not np.isfinite(y).all():
+            raise OverflowRisk(f"the flow state is not finite at t = {t:.6g}")
+        # an overflow is reported as OverflowRisk below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            velocity = np.array(flow_rhs(y, params))
+        if not np.isfinite(velocity).all():
+            raise OverflowRisk(f"the flow velocity is not finite at t = {t:.6g}")
+        return velocity
 
     steps = max(1, int(np.ceil(abs(t_end) / dt_max)))
     sol = solve_ivp(

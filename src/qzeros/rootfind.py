@@ -144,7 +144,10 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
 
 def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
     """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, then one
-    Newton polish per root; raises NoConvergence when the budget runs out."""
+    Newton polish per root that the last sweep did not find at its noise
+    floor (a root found there has not moved since, so its polish would
+    evaluate p at the same point and skip the step); raises NoConvergence
+    when the budget runs out."""
     zs = list(zs)
     N = len(zs)
     tol = ctx.root_step_tol
@@ -171,10 +174,12 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
     for _ in range(MAX_SWEEPS):
         max_step = 0.0
         all_settled = True
+        moving = []
         for n in range(N):
             val, der = eval_poly_deriv(p, zs[n])
             if size(val) <= noise_floor(zs[n]):
                 continue
+            moving.append(n)
             if der == 0:
                 zs[n] = zs[n] * (1 + 1e-8) + 1e-8
                 max_step = float("inf")
@@ -200,7 +205,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
             f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted (last step {max_step:.3e})"
         )
 
-    for n in range(N):
+    for n in moving:
         val, der = eval_poly_deriv(p, zs[n])
         if der != 0 and size(val) > noise_floor(zs[n]):
             zs[n] = zs[n] - val / der

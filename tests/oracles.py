@@ -32,7 +32,8 @@ coefficient whatever it is, the oracle of the monic start of
 qseries.eval_poly and eval_poly_deriv. relative_separation_pairs and
 certify_pairs take the separations of rootfind.relative_separation and
 rootfind._certify one pair at a time, the oracles of their one
-pairwise_gaps array.
+pairwise_gaps array. sample_points_loop forms the verify command's sample
+points one at a time, the oracle of cli._sample_points' one array pass.
 """
 
 import cmath
@@ -69,6 +70,15 @@ def horner_deriv(p: Poly, z):
         dacc = z * dacc + acc
         acc = z * acc + c
     return acc, dacc
+
+
+def sample_points_loop(zeros, rng, count: int = 20) -> List[complex]:
+    """The points of cli._sample_points, each its scale times its radius
+    times the complex unit of its phase, from np.cos and np.sin of it."""
+    scale = max(1.0, max(abs(complex(z)) for z in zeros))
+    radii = rng.uniform(0.3, 1.7, size=count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return [scale * rho * complex(np.cos(th), np.sin(th)) for rho, th in zip(radii, phases)]
 
 
 def relative_separation_pairs(zs) -> float:

@@ -4,17 +4,21 @@ import collections
 import csv
 import json
 import random
+import re
 import subprocess
 import sys
 
 import mpmath
 import mpmath.ctx_mp_python
+import numpy as np
 import pytest
 
-from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, build_parser, main
+from qzeros import flow
+from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, _sample_points, build_parser, main
 from qzeros.precision import F64, context_of, extended
 
 from conftest import RS_COMBOS, SUITE_SEED
+from oracles import sample_points_loop
 
 BASE = {
     "r": 1,
@@ -202,6 +206,24 @@ def test_flow_reports_a_collision_as_its_only_failing_check(tmp_path, suite):
     assert "separation below 1e-10" in rep["result"]["error"]
 
 
+def test_flow_reports_an_overflow_as_its_only_failing_check(tmp_path, monkeypatch):
+    # the integrator's velocities (flow_rhs of its state array) are inf; the
+    # equilibrium check reads flow_rhs of the zeros themselves
+    original = flow.flow_rhs
+
+    def overflowing(zs, params):
+        velocity = original(zs, params)
+        return [complex("inf")] * len(zs) if isinstance(zs, np.ndarray) else velocity
+
+    monkeypatch.setattr(flow, "flow_rhs", overflowing)
+    out = tmp_path / "rep.json"
+    assert run("flow", write_config(tmp_path), "--out", str(out)) == 1
+    rep = load_report(out)
+    failing = [c for c in rep["checks"] if not c["pass"]]
+    assert failing == [{"name": "no_overflow", "value": 1.0, "threshold": 0.5, "pass": False}]
+    assert "not finite at t = 0" in rep["result"]["error"]
+
+
 def test_sweep_vacuous_cases(tmp_path):
     s0 = write_config(tmp_path, "s0.json", r=0, s=0, N=4, alpha=[], beta=[])
     out = tmp_path / "r1.json"
@@ -245,14 +267,39 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON (RFC 8259)")
 
 
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', text)
+
+
 @pytest.mark.parametrize("precision", ["f64", "extended"])
-def test_every_report_at_one_zero_is_strict_json(tmp_path, precision):
-    # one zero has no pair: min_separation must not be written as Infinity
+def test_every_report_at_one_zero_is_strict_json(tmp_path, capsys, precision):
+    # one zero has no pair: min_separation must not be written as Infinity.
+    # A report is one line through json's C encoder, a JSON Lines record,
+    # and the one written through --out is the one written to stdout
     cfg = write_config(tmp_path, N=1)
     for cmd in COMMANDS:
         out = tmp_path / f"{cmd}.json"
         assert run(cmd, cfg, "--precision", precision, "--out", str(out)) == 0
-        json.loads(out.read_text(encoding="utf-8"), parse_constant=_not_json)
+        written = out.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run(cmd, cfg, "--precision", precision) == 0
+        printed = capsys.readouterr().out
+        for text in (written, printed):
+            assert text.endswith("\n") and text.count("\n") == 1, (cmd, text)
+            json.loads(text, parse_constant=_not_json)
+        assert _without_wall_time(written) == _without_wall_time(printed), cmd
+
+
+def test_sample_points_are_the_per_point_loop_bit_for_bit():
+    # one array pass, r cos + 1j (r sin) with r = scale * radius, against
+    # scale * radius * complex(cos, sin) point by point
+    for seed in range(300):
+        zeros = [complex(10.0 ** (seed % 9 - 4), 0.5)]
+        got = _sample_points(zeros, np.random.default_rng(seed))
+        ref = sample_points_loop(zeros, np.random.default_rng(seed))
+        assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
+            (z.real.hex(), z.imag.hex()) for z in map(complex, ref)
+        ], seed
 
 
 def test_extended_verify_reads_extended_params(tmp_path, suite):
@@ -388,7 +435,7 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
 # its pure-Python backend) of one extended verify of three N = 5 suite
 # cases, one per (r, s) class and q style: a count, not a clock, so the
 # budget is exact
-MPC_MUL_BUDGET = {4: 2969, 14: 2171, 24: 1709}
+MPC_MUL_BUDGET = {4: 2725, 14: 1995, 24: 1601}
 
 
 @pytest.mark.parametrize("index", sorted(MPC_MUL_BUDGET))

@@ -434,6 +434,15 @@ def test_integrate_rejects_collided_start():
         integrate_flow(params, z0, 1.0, 0.1)
 
 
+def test_a_velocity_that_is_not_finite_is_an_overflow(monkeypatch):
+    # checked before flow_rhs's separation test, which would read the NaN
+    # state of the next step as a collision
+    _, zset = zeros_of(CONTRACTIVE)
+    monkeypatch.setattr(flow, "flow_rhs", lambda zs, params: [complex("inf")] * len(zs))
+    with pytest.raises(OverflowRisk, match="velocity is not finite at t = 0"):
+        integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.1)
+
+
 def test_two_representations_agree():
     params = ParamSet(r=0, s=1, N=5, q=0.45, alpha=(), beta=(1.3,))
     _, zset = zeros_of(params)

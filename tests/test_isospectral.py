@@ -625,13 +625,14 @@ def _extended_verify_report(tmp_path, params):
 
 def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
     # binary64 zeros are ~1e-11 off; the first Aberth sweep brings them to
-    # the escalated eps, the second confirms it, and one polish follows
+    # the escalated eps, and the second finds each at its noise floor, where
+    # a polish would leave it unchanged, so none follows
     for index in (19, 26, 38):
         params = suite[index]
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
         evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
         _, lam = certified_spectrum(Case(params, zeros))
-        assert len(evaluations) == 3 * params.N, index
+        assert len(evaluations) == 2 * params.N, index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
 

@@ -5,6 +5,7 @@ import inspect
 
 import mpmath
 import numpy as np
+import pytest
 
 import qzeros
 from qzeros import (
@@ -18,7 +19,7 @@ from qzeros import (
 )
 from qzeros.isospectral import Case
 from qzeros.params import in_context
-from qzeros.precision import F64, context_of, extended
+from qzeros.precision import F64, context_of, extended, rel_gap, rel_gaps
 from qzeros.qdiff import _horner_scale
 
 THIRD_30 = "0." + "3" * 30
@@ -117,3 +118,44 @@ def test_horner_scales_past_binary64_are_taken_in_the_scalar_type():
         largest = _horner_scale([0.0, 1.0, 1.0, 1.0], z, ctx.sizes(z), ctx)
     assert abs(largest[0] - ctx.mp.mpf("1e600")) <= ctx.eps * ctx.mp.mpf("1e600")
     assert largest[1] == 8.0
+
+
+def _gap_pairs(ctx, rng, count=2000):
+    """count pairs (a, b) over 80 decades, half of them close, and the
+    special pairs: zeros, NaNs, infinite binary64 values, and at 50 digits
+    moduli past binary64 range, by a part or by the modulus alone."""
+    def draw():
+        mags = np.exp(rng.uniform(-90, 90, (2, count)))
+        return mags[0] * np.exp(1j * rng.uniform(-np.pi, np.pi, count)) + 1j * mags[1] * 1e-3
+
+    a, b = draw(), draw()
+    a[: count // 2] = b[: count // 2] * (1 + 1e-9 * rng.standard_normal(count // 2))
+    nan, inf = complex("nan"), complex("inf")
+    special = [(0j, 0j), (0j, 2 + 1j), (3j, 0j), (nan, 1), (1, nan), (nan, nan), (inf, 1), (1, inf), (-inf, 0.5j)]
+    pairs = [(ctx.convert(x), ctx.convert(y)) for x, y in [*zip(a.tolist(), b.tolist()), *special]]
+    if ctx.mp is not None:
+        far = [ctx.mp.mpf("1e400"), ctx.mp.mpf("1e-400"), ctx.convert(complex(1.5e308, 1.5e308))]
+        pairs += [(ctx.convert(x), ctx.convert(y)) for x in far for y in (*far, 1, 0)]
+    return pairs
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)])
+def test_rel_gaps_is_rel_gap_bit_for_bit(ctx):
+    pairs = _gap_pairs(ctx, np.random.default_rng(7))
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    ref = [rel_gap(x, y) for x, y in pairs]
+    assert _bits(rel_gaps(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype))) == _bits(ref)
+    # an N x N table (the Jacobian check) and a row of references broadcast
+    # against the rows of states (the flow's endpoint drift)
+    table = np.array(a[:400], dtype=ctx.dtype).reshape(20, 20)
+    row = np.array(b[:20], dtype=ctx.dtype)
+    got = rel_gaps(table, row)
+    assert got.shape == (20, 20)
+    assert _bits(got.ravel()) == _bits(rel_gap(x, y) for line in table for x, y in zip(line, row))
+    # binary64 real gaps, as the two zero-identity routes give them
+    reals = [abs(x) for x in np.array(a[:50], dtype=complex)]
+    assert _bits(rel_gaps(reals, reals[::-1])) == _bits(rel_gap(x, y) for x, y in zip(reals, reals[::-1]))

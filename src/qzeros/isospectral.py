@@ -21,8 +21,9 @@ one parameter set's stages, each computed once, the kernel tables that M and
 the flow's Jacobian check share among them, and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
-its own scalars, never rounded to binary64: matrix_power_traces by array
-products, logdet_gap from the pivots of the one elimination (_eliminate),
+its own scalars, never rounded to binary64: matrix_power_traces by exact
+array products (precision.Dyadic at extended digits), each trace rounded
+once, logdet_gap from the pivots of the one elimination (_eliminate),
 which _lost_digits reads.
 """
 
@@ -39,7 +40,7 @@ from mpmath.libmp import from_float, fzero, mpf_add, round_nearest
 
 from .errors import EigenNoConvergence, LengthMismatch
 from .params import ParamSet, _elementary, in_context
-from .precision import F64, TINY, PrecisionContext, context_of, extended, rel_gap
+from .precision import F64, TINY, PrecisionContext, _aligned, _float, context_of, extended, rel_gap
 from .qseries import Poly, coeffs_P, to_monic
 from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
 from .zero_algebra import KernelCache, velocity_weights
@@ -188,26 +189,15 @@ def _eig_with_bound(arr):
         return vals, float((err / np.maximum(np.abs(vals), TINY)).max())
 
 
-def _float(m: int, e: int) -> float:
-    """m 2^e rounded once to binary64, +-inf beyond its range."""
-    try:
-        return m / (1 << -e) if e < 0 else float(m << e)
-    except OverflowError:
-        return math.inf if m > 0 else -math.inf
-
-
 def _complexes(re, im, e: int) -> np.ndarray:
     """(re + i im) 2^e for the integer arrays re and im, each part rounded
     once to binary64, as one flat complex array."""
     return np.array([complex(_float(a, e), _float(b, e)) for a, b in zip(re.flat, im.flat)])
 
 
-def _aligned(parts) -> Tuple[np.ndarray, int]:
-    """The finite raw mpf values parts, (sign, man, exp, bc), as integers
-    over their smallest exponent E: an object array of +-man 2^(exp - E),
-    and E."""
-    E = min((exp for _, man, exp, _ in parts if man), default=0)
-    ints = [(-man if sign else man) << (exp - E) if man else 0 for sign, man, exp, _ in parts]
+def _aligned_array(parts) -> Tuple[np.ndarray, int]:
+    """precision._aligned's integers as an object array, and their exponent."""
+    ints, E = _aligned(parts)
     return np.array(ints, dtype=object), E
 
 
@@ -289,7 +279,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         for v in row:
             v = mp.convert(v)
             parts += v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
-    A, eA = _aligned(parts)
+    A, eA = _aligned_array(parts)
     A_re, A_im = A[0::2].reshape(n, n), A[1::2].reshape(n, n)
     target = EIG_TARGET * (eps_out / F64.eps)
 
@@ -310,10 +300,10 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     best, prev = [None] * n, [None] * n
     active = list(range(n))
     for step in range(REFINE_STEPS + 1):
-        X, eX = _aligned([p for i in active for p in xs[i]])
+        X, eX = _aligned_array([p for i in active for p in xs[i]])
         X = X.reshape(len(active), n, 2)
         X_re, X_im = X[:, :, 0].T, X[:, :, 1].T
-        L, eL = _aligned([p for i in active for p in lams[i]])
+        L, eL = _aligned_array([p for i in active for p in lams[i]])
         x64s = _complexes(X_re, X_im, eX).reshape(n, len(active))
         lam64s = _complexes(L[0::2], L[1::2], eL)
         E = min(eA, eL)
@@ -537,8 +527,11 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
 def matrix_power_traces(M: np.ndarray) -> List:
     """tr M, tr M^2 and tr M^3 from the entries of the array M in their own
     scalars (independent of the eigenvalues), with one product M M: its
-    diagonal sums tr M^2 = sum_ij M_ij M_ji, and tr M^3 = sum_ij (M^2)_ij M_ji."""
+    diagonal sums tr M^2 = sum_ij M_ij M_ji, and tr M^3 = sum_ij (M^2)_ij M_ji.
+    The products are exact (PrecisionContext.exact), so at extended digits
+    each trace is M's entries' exact value rounded once."""
     ctx = context_of(M[0, 0])
+    M = ctx.exact(M)
     square = M @ M
     return [ctx.convert(v) for v in (M.trace(), square.trace(), (square * M.T).sum())]
 

@@ -6,7 +6,17 @@ on mpmath arbitrary-precision complex, and on NumPy arrays of either. A
 PrecisionContext carries the scalar constructor, the array dtype, the complex
 elementary functions, the machine epsilon and size, the magnitude that
 scales, normalisers and relative gaps (rel_gap, and rel_gaps over arrays)
-are taken with.
+are taken with. Every binary64 modulus is the C hypot of the two parts, as
+builtin abs of a complex takes it, so sizes equals size value by value.
+
+A third scalar type, Dyadic, holds an extended value exactly: Gaussian
+integers over a power of two, with exact +, - and * and no division.
+ctx.exact reads an array of extended values into it (in binary64 it
+returns the complex array unchanged), and ctx.convert rounds a Dyadic back
+once. The division-free checks (qdiff.qde_checks, the zero identities of
+zero_algebra and isospectral.matrix_power_traces) evaluate their
+polynomials in it, so at extended digits they round only their inputs and
+what they return.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -22,9 +32,11 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, from_man_exp, fzero, round_nearest
 
 _F64_EPS = 2.220446049250313e-16
 
@@ -39,10 +51,42 @@ class PrecisionContext:
     mp: mpmath.MPContext | None = None
 
     def convert(self, x):
-        """Coerce an arbitrary numeric into this context's scalar type."""
+        """Coerce an arbitrary numeric into this context's scalar type; a
+        Dyadic is rounded once, each part to nearest."""
         if self.mp is None:
             return complex(x)
+        if type(x) is Dyadic:
+            prec = self.mp.prec
+            return self.mp.make_mpc(tuple(from_man_exp(m, x.exp, prec, round_nearest) for m in (x.re, x.im)))
         return self.mp.mpc(x)
+
+    def exact(self, values) -> np.ndarray:
+        """The array values in exact arithmetic: the complex array in
+        binary64, whose arithmetic stays as it is; at extended digits an
+        object array of Dyadic, each value read from its raw mpf parts."""
+        if self.mp is None:
+            return np.asarray(values, dtype=complex)
+        values = np.asarray(values, dtype=object)
+        return np.array([self._dyadic(v) for v in values.flat], dtype=object).reshape(values.shape)
+
+    def rounded(self, values) -> np.ndarray:
+        """The array values back in this context's scalars: unchanged in
+        binary64, each Dyadic rounded once by convert at extended digits."""
+        if self.mp is None:
+            return values
+        return np.array([self.convert(v) for v in values.flat], dtype=object).reshape(values.shape)
+
+    def _dyadic(self, x) -> Dyadic:
+        if type(x) is Dyadic:
+            return x
+        parts = getattr(x, "_mpc_", None)
+        if parts is None and isinstance(x, complex):  # binary64, read exactly
+            parts = (from_float(x.real), from_float(x.imag))
+        elif parts is None:
+            x = self.mp.convert(x)
+            parts = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
+        (re, im), exp = _aligned(parts)
+        return Dyadic(re, im, exp, self.mp)
 
     @property
     def size(self):
@@ -52,22 +96,18 @@ class PrecisionContext:
         return abs if self.mp is None else _extended_size
 
     def sizes(self, values) -> np.ndarray:
-        """size of each entry of the array values: a float array (binary64
-        moduli that overflow read inf), an object array where a nonzero
-        extended size leaves binary64 range."""
-        return self._exact_far(np.abs(np.asarray(values, dtype=complex)), values)
-
-    def _hypot_sizes(self, values) -> np.ndarray:
-        """sizes with the binary64 moduli np.hypot of the parts, as builtin
-        abs takes them."""
+        """size of each entry of the array values, equal to it bit for bit:
+        a float array (binary64 moduli that overflow read inf), an object
+        array where a nonzero extended size leaves binary64 range. The
+        binary64 moduli are np.hypot of the parts, not np.abs: builtin abs
+        of a complex is the C hypot, and NumPy's vectorised complex abs
+        differs from it in the last bit on about a fifth of random inputs."""
         parts = np.asarray(values, dtype=complex)
-        return self._exact_far(np.hypot(parts.real, parts.imag), values)
-
-    def _exact_far(self, mags, values) -> np.ndarray:
-        """mags, the binary64 moduli of the values, with each extended
-        modulus outside [TINY, inf) taken again in the scalar type."""
         if self.mp is None:
-            return mags
+            return np.hypot(parts.real, parts.imag)
+        with np.errstate(over="ignore"):  # such a modulus is taken again below
+            mags = np.hypot(parts.real, parts.imag)
+        # each extended modulus outside [TINY, inf) again in the scalar type
         far = ~((mags >= TINY) & (mags < math.inf))
         if far.any():
             exact = [abs(v) for v in np.asarray(values)[far]]
@@ -95,8 +135,111 @@ def _extended_size(x):
     try:
         mag = abs(complex(x))
     except OverflowError:  # both parts finite, the modulus beyond binary64
-        return abs(x)
-    return mag if TINY <= mag < math.inf else abs(x)
+        mag = math.inf
+    return mag if TINY <= mag < math.inf else abs(context_of(x).convert(x))
+
+
+def _aligned(parts) -> Tuple[List[int], int]:
+    """The raw mpf values parts, (sign, man, exp, bc), as integers over their
+    smallest exponent E: a list of +-man 2^(exp - E), and E. The one reader
+    of mpf values as integers; inf and nan, which have no integer form (their
+    man is 0), raise ValueError."""
+    E = min([exp for _, man, exp, _ in parts if man], default=0)
+    ints = []
+    for sign, man, exp, _ in parts:
+        if exp and not man:
+            raise ValueError("an infinite or NaN mpf value has no integer form")
+        ints.append((-man if sign else man) << (exp - E) if man else 0)
+    return ints, E
+
+
+def _float(m: int, e: int) -> float:
+    """m 2^e rounded once to binary64, +-inf beyond its range."""
+    try:
+        return m / (1 << -e) if e < 0 else float(m << e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+class Dyadic:
+    """The exact value (re + i im) 2^exp of an extended context, re and im
+    Python integers: +, - and * (with Dyadic and int operands) and integer
+    powers >= 0 are exact, and division raises TypeError, since it would
+    round. complex() rounds each part once to binary64, abs is the context's
+    size, and context is the mpmath context of the values it was read from,
+    so context_of and ctx.sizes read it as they read those values.
+
+    Kernels take their inputs through ctx.exact once, run their generic
+    code, and leave with sizes or with ctx.convert, one rounding each. The
+    integers grow with every product (Kulisch, Computer Arithmetic and
+    Validity, 2008: an exact dot product rounded once), which for the short
+    Horner passes and products of this package costs less than an mpmath
+    product rounded at every step on its pure-Python backend."""
+
+    __slots__ = ("re", "im", "exp", "context")
+
+    def __init__(self, re: int, im: int, exp: int, context):
+        self.re, self.im, self.exp, self.context = re, im, exp, context
+
+    def _int(self, other):
+        """An int operand as a Dyadic, None for any other non-Dyadic type."""
+        return Dyadic(other, 0, 0, self.context) if isinstance(other, int) else None
+
+    def __add__(self, other):
+        if type(other) is not Dyadic and (other := self._int(other)) is None:
+            return NotImplemented
+        shift = self.exp - other.exp
+        if shift >= 0:
+            return Dyadic((self.re << shift) + other.re, (self.im << shift) + other.im, other.exp, self.context)
+        return Dyadic(self.re + (other.re << -shift), self.im + (other.im << -shift), self.exp, self.context)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dyadic(-self.re, -self.im, self.exp, self.context)
+
+    def __sub__(self, other):
+        if type(other) is not Dyadic and (other := self._int(other)) is None:
+            return NotImplemented
+        return self + Dyadic(-other.re, -other.im, other.exp, self.context)
+
+    def __rsub__(self, other):
+        if (other := self._int(other)) is None:
+            return NotImplemented
+        return other + Dyadic(-self.re, -self.im, self.exp, self.context)
+
+    def __mul__(self, other):
+        if type(other) is not Dyadic:
+            if not isinstance(other, int):
+                return NotImplemented
+            return Dyadic(self.re * other, self.im * other, self.exp, self.context)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Dyadic(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise TypeError(f"a Dyadic power must be an integer >= 0, not {n!r}")
+        out, base = Dyadic(1, 0, 0, self.context), self
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
+        return out
+
+    def __truediv__(self, other):
+        raise TypeError("Dyadic arithmetic is exact and has no division; round with ctx.convert first")
+
+    __rtruediv__ = __truediv__
+
+    def __complex__(self) -> complex:
+        return complex(_float(self.re, self.exp), _float(self.im, self.exp))
+
+    __abs__ = _extended_size
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.re}, {self.im}, {self.exp})"
 
 
 F64 = PrecisionContext(eps=_F64_EPS)
@@ -133,14 +276,10 @@ def rel_gap(a, b) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def rel_gaps(a, b) -> np.ndarray:
     """rel_gap of each entry of the array a from the entry of b broadcast
-    against it, as a float array equal to rel_gap entry by entry, bit for bit.
-
-    The binary64 moduli are np.hypot of the parts, not np.abs: builtin abs
-    of a complex is the C hypot, and NumPy's vectorised complex abs differs
-    from it in the last bit on about a fifth of random inputs. As in
-    rel_gap, a NaN size of b counts as 1 (np.fmax is builtin max(1.0, x)),
-    and an extended modulus outside [TINY, inf) is taken in the scalar
-    type, the quotient too."""
+    against it, as a float array equal to rel_gap entry by entry, bit for bit
+    (sizes is size entry by entry). As in rel_gap, a NaN size of b counts
+    as 1 (np.fmax is builtin max(1.0, x)), and an extended modulus outside
+    [TINY, inf) is taken in the scalar type, the quotient too."""
     d = np.subtract(a, b)
     ctx = context_of(d.flat[0])
-    return np.asarray(ctx._hypot_sizes(d) / np.fmax(ctx._hypot_sizes(b), 1.0), dtype=float)
+    return np.asarray(ctx.sizes(d) / np.fmax(ctx.sizes(b), 1.0), dtype=float)

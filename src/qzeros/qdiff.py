@@ -25,12 +25,17 @@ table; up to an overall (-1)^{s+1} it is algebraically identical to the
 operator route, which never reads the table and so certifies it. qde_checks
 evaluates both routes and returns the operator-route residual (qde_residual)
 and the defect between the routes (qde_expanded_agreement), each route one
-array pass over all sample points in the dtype of the context (complex128,
-or object holding mpc): the operator route one Horner pass of the residual
-polynomial A(z) - z B(z), the expanded route one Horner pass of p over every
-point times every shift (shift_grid), the table grouped by shift
-(shift_groups) into sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero
-identities read too.
+array pass over all sample points in the context's exact arithmetic
+(PrecisionContext.exact: complex128 in binary64, object holding
+precision.Dyadic at extended digits, whose +, - and * are exact): the
+operator route one Horner pass of the residual polynomial A(z) - z B(z),
+the expanded route one Horner pass of p over every point times every shift
+(shift_grid), the table grouped by shift (shift_groups) into
+sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero identities read
+too. Neither route divides, so at extended digits they round only their
+inputs (the points, the coefficients, the powers of q and the grouped
+weights, which qde_terms and _operator_sides form in mpc, since they
+divide) and what they return: sizes, and the operator-route values.
 """
 
 from __future__ import annotations
@@ -127,8 +132,9 @@ def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
 
 def shift_groups(terms, ctx):
     """The (k, w, e) addends grouped by shift, summing to sum_k (a_k + b_k z) v_k:
-    the shifts, arrays of a_k and b_k (the e = 0 and e = 1 weight sums) in
-    ctx's dtype, and float arrays of the largest |w| in each of them."""
+    the shifts, arrays of a_k and b_k (the e = 0 and e = 1 weight sums, each
+    summed in the scalars of w) in ctx's exact arithmetic (ctx.exact), and
+    float arrays of the largest |w| in each of them."""
     ks = sorted({k for k, _, _ in terms})
     col = {k: i for i, k in enumerate(ks)}
     sums = [[0] * len(ks), [0] * len(ks)]
@@ -137,13 +143,15 @@ def shift_groups(terms, ctx):
         i = col[k]
         sums[e][i] = sums[e][i] + w
         largest[e][i] = max(largest[e][i], ctx.size(w))
-    return ks, *(np.array(v, dtype=ctx.dtype) for v in sums), *map(np.array, largest)
+    return ks, *map(ctx.exact, sums), *map(np.array, largest)
 
 
 def shift_grid(z, q, ks):
     """z q^k at each entry of the array z (rows) and each shift k in ks
-    (columns); q^0 is the exact 1, so the k = 0 column costs no product."""
-    return z[:, None] * np.array([q**k if k else 1 for k in ks], dtype=z.dtype)
+    (columns), the powers q^k taken in q's scalars and multiplied in q's
+    context's exact arithmetic (ctx.exact); q^0 is the exact 1, so the
+    k = 0 column is z itself."""
+    return z[:, None] * context_of(q).exact([q**k if k else 1 for k in ks])
 
 
 def shift_sum(groups, z, zmag, values, mags):
@@ -175,24 +183,27 @@ def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[floa
     """qde_residual and qde_expanded_agreement at each point of zs: the
     operator route over the largest intermediate term of either side, the
     expanded route over its largest addend, each one array pass over all
-    the points in the dtype of params.q's context."""
+    the points in the exact arithmetic of params.q's context (ctx.exact):
+    the points, the coefficients of p and of both operator sides, the
+    powers of q and the grouped weights are read once, and only the sizes
+    and the operator-route values leave it, each rounded once."""
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     ctx = context_of(params.q)
-    z = np.asarray(zs, dtype=ctx.dtype)
+    z = ctx.exact(zs)
     zmag = ctx.sizes(z)
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
-    sides = zip([*a_side.coeffs, 0], [0, *b_side.coeffs])
+    sides = zip([*ctx.exact(a_side.coeffs), 0], [0, *ctx.exact(b_side.coeffs)])
     op_val = eval_poly(Poly(tuple(a - b for a, b in sides)), z)
     marks = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
     op_scale = _horner_scale(marks, z, zmag, ctx)
 
     groups = shift_groups(params.stage(qde_terms), ctx)
-    values = eval_poly(p, shift_grid(z, params.q, groups[0]))
+    values = eval_poly(Poly(ctx.exact(p.coeffs), p.monic), shift_grid(z, params.q, groups[0]))
     exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
     defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
     agreements = defect / np.maximum(np.maximum(op_scale, exp_scale), 1.0)
-    return (op_val / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
+    return (ctx.rounded(op_val) / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
 
 
 def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:

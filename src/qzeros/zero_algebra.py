@@ -32,11 +32,13 @@ groups them. prop1_residuals evaluates them in the product form built
 directly from the configuration, every zero's products at every shift one
 N x S x N array (shifted_products); prop1_residuals_qde is the dual route
 through shifted-argument evaluations of the monic polynomial, one Horner
-pass over the N x S grid z_n q^k. Both are array passes in the dtype of the
-context. Residuals are normalized by the largest term sensitivity scale
-(see shifted_products), so a true configuration scores at the zeros' own
-forward error and an O(delta) perturbation scores at O(delta) even when the
-shifted products all collapse simultaneously.
+pass over the N x S grid z_n q^k. Both are array passes in the context's
+exact arithmetic (PrecisionContext.exact: precision.Dyadic at extended
+digits), so they round only their inputs and the sizes they return.
+Residuals are normalized by the largest term sensitivity scale (see
+shifted_products), so a true configuration scores at the zeros' own forward
+error and an O(delta) perturbation scores at O(delta) even when the shifted
+products all collapse simultaneously.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _at_shifts(zeros: Sequence, params: ParamSet):
     if len(zeros) != params.N:
         raise DegreeMismatch(f"got {len(zeros)} zeros for N = {params.N}")
     ctx = context_of(params.q)
-    z = np.asarray(zeros, dtype=ctx.dtype)
+    z = ctx.exact(zeros)
     groups = shift_groups([t for t in params.stage(qde_terms) if t[0] or t[2]], ctx)
     grid = shift_grid(z, params.q, groups[0])
     return ctx, z, groups, grid
@@ -199,7 +201,7 @@ def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly) -> List[floa
     ctx, z, groups, grid = _at_shifts(zeros, params)
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
-    values, der = eval_poly_deriv(p, grid)
+    values, der = eval_poly_deriv(Poly(ctx.exact(p.coeffs), p.monic), grid)
     # same sensitivity scale as the product route: p' near a zero is the
     # de-cancelled product, and the zero being cancelled against sits at
     # |z| ~ |zk|, so its order-one move has size 2|zk| |p'(zk)|

@@ -34,20 +34,30 @@ certify_pairs take the separations of rootfind.relative_separation and
 rootfind._certify one pair at a time, the oracles of their one
 pairwise_gaps array. sample_points_loop forms the verify command's sample
 points one at a time, the oracle of cli._sample_points' one array pass.
+Gaussian is x + iy with Fraction parts, gaussian the exact value of a
+kernel scalar (Dyadic, mpc, mpf, complex or int), and rounded_once and
+size64 its one rounding to mpc and to a binary64 modulus: exact_qde_routes,
+exact_prop1_totals and exact_traces evaluate the division-free checks
+(qdiff.qde_checks, zero_algebra.prop1_residuals(_qde) and
+isospectral.matrix_power_traces) in those Gaussian rationals, from the same
+values the kernels read, by power sums and triple sums instead of Horner
+passes and matrix products.
 """
 
 import cmath
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, List, Sequence
 
 import numpy as np
 import scipy.linalg
+from mpmath.libmp import from_rational, round_nearest
 
 from qzeros.errors import DegenerateZeros, DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
 from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
-from qzeros.precision import F64, TINY, context_of
+from qzeros.precision import F64, TINY, Dyadic, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
 from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet
@@ -721,3 +731,136 @@ def prop1_residuals_qde_scalar(zeros: Sequence, params: ParamSet, p: Poly) -> Li
             mags[k] = float(max(size(val), 2.0 * size(zk) * size(der)))
         out.append(_normalized(terms, values, mags, size))
     return out
+
+
+class Gaussian:
+    """x + iy with Fraction parts: exact +, - and *, and == on the value."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        other = gaussian(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = gaussian(other)
+        return Gaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return gaussian(other) - self
+
+    def __mul__(self, other):
+        other = gaussian(other)
+        return Gaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = gaussian(other)
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __repr__(self):
+        return f"Gaussian({self.re}, {self.im})"
+
+
+def _fraction(part) -> Fraction:
+    """The finite raw mpf value part, (sign, man, exp, bc), as a Fraction."""
+    sign, man, exp, _ = part
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def gaussian(x) -> Gaussian:
+    """The exact value of a Gaussian, Dyadic, mpc, mpf, complex or int."""
+    if isinstance(x, Gaussian):
+        return x
+    if isinstance(x, Dyadic):
+        return Gaussian(x.re * Fraction(2) ** x.exp, x.im * Fraction(2) ** x.exp)
+    if hasattr(x, "_mpc_"):
+        return Gaussian(*map(_fraction, x._mpc_))
+    if hasattr(x, "_mpf_"):
+        return Gaussian(_fraction(x._mpf_))
+    x = complex(x)
+    return Gaussian(x.real, x.imag)
+
+
+def rounded_once(g: Gaussian, ctx):
+    """g rounded once to ctx's mpc, each part to nearest."""
+    prec = ctx.mp.prec
+    return ctx.mp.make_mpc(tuple(from_rational(v.numerator, v.denominator, prec, round_nearest) for v in (g.re, g.im)))
+
+
+def size64(g: Gaussian) -> float:
+    """|g| from the binary64 roundings of its parts (each correctly rounded)."""
+    return abs(complex(float(g.re), float(g.im)))
+
+
+def _power_sum(coeffs, z: Gaussian) -> Gaussian:
+    """sum_m coeffs[m] z^m, power by power."""
+    total, power = Gaussian(0), Gaussian(1)
+    for c in coeffs:
+        total, power = total + c * power, power * z
+    return total
+
+
+def _grouped(params: ParamSet, terms):
+    """The addends (k, w, e) summed per (k, e) in the scalars of w, in their
+    order, as Gaussians, and the powers q^k in q's scalars as Gaussians:
+    the weights and powers the kernels read."""
+    sums = {}
+    for k, w, e in terms:
+        sums[k, e] = sums.get((k, e), 0) + w
+    powers = {k: gaussian(params.q**k if k else 1) for k, _ in sums}
+    return {key: gaussian(w) for key, w in sums.items()}, powers
+
+
+def exact_qde_routes(p: Poly, params: ParamSet, zs: Sequence):
+    """The operator route A(z) - z B(z) and the expanded route
+    sum_k (a_k + b_k z) p(z q^k) of qdiff.qde_checks at each point of zs,
+    in exact Gaussian rationals of the operator sides' coefficients, p's,
+    the grouped qde_terms weights and the powers of q."""
+    a_side, _, b_side, _ = _operator_sides(p, params)
+    a, b, coeffs = ([gaussian(c) for c in side.coeffs] for side in (a_side, b_side, p))
+    weights, powers = _grouped(params, qde_terms(params))
+    ops, expanded = [], []
+    for z in map(gaussian, zs):
+        ops.append(_power_sum(a, z) - z * _power_sum(b, z))
+        expanded.append(sum((w * z if e else w) * _power_sum(coeffs, z * powers[k]) for (k, e), w in weights.items()))
+    return ops, expanded
+
+
+def exact_prop1_totals(zeros: Sequence, params: ParamSet, p: Poly):
+    """The N zero identities of zero_algebra.prop1_residuals and
+    prop1_residuals_qde before normalisation, sum_k (a_k + b_k z_n) v_k with
+    v_k = prod_l (z_n q^k - z_l) and with v_k = p(z_n q^k), in exact
+    Gaussian rationals of the zeros, p's coefficients, the grouped weights
+    (less p(z)'s) and the powers of q."""
+    weights, powers = _grouped(params, [t for t in qde_terms(params) if t[0] or t[2]])
+    zs = [gaussian(z) for z in zeros]
+    coeffs = [gaussian(c) for c in p.coeffs]
+    products, evaluations = [], []
+    for zn in zs:
+        prods, values = {}, {}
+        for k, qk in powers.items():
+            zk = zn * qk
+            prods[k] = math.prod((zk - zl for zl in zs), start=Gaussian(1))
+            values[k] = _power_sum(coeffs, zk)
+        for out, v in ((products, prods), (evaluations, values)):
+            out.append(sum((w * zn if e else w) * v[k] for (k, e), w in weights.items()))
+    return products, evaluations
+
+
+def exact_traces(M) -> List[Gaussian]:
+    """tr M, tr M^2 and tr M^3 of the array M in exact Gaussian rationals of
+    its entries, as sums over index pairs and triples."""
+    E = [[gaussian(v) for v in row] for row in M.tolist()]
+    n = range(len(E))
+    return [
+        sum(E[i][i] for i in n),
+        sum(E[i][j] * E[j][i] for i in n for j in n),
+        sum(E[i][j] * E[j][k] * E[k][i] for i in n for j in n for k in n),
+    ]

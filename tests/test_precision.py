@@ -6,6 +6,8 @@ import inspect
 import mpmath
 import numpy as np
 import pytest
+from conftest import counting
+from oracles import Gaussian, exact_prop1_totals, exact_qde_routes, exact_traces, gaussian, rounded_once, size64
 
 import qzeros
 from qzeros import (
@@ -14,12 +16,16 @@ from qzeros import (
     coeffs_P,
     companion_zeros,
     find_zeros,
+    isospectral,
     mu_closed,
+    qdiff,
     to_monic,
+    zero_algebra,
 )
+from qzeros.cli import _sample_points
 from qzeros.isospectral import Case
 from qzeros.params import in_context
-from qzeros.precision import F64, context_of, extended, rel_gap, rel_gaps
+from qzeros.precision import F64, TINY, Dyadic, context_of, extended, rel_gap, rel_gaps
 from qzeros.qdiff import _horner_scale
 
 THIRD_30 = "0." + "3" * 30
@@ -159,3 +165,112 @@ def test_rel_gaps_is_rel_gap_bit_for_bit(ctx):
     # binary64 real gaps, as the two zero-identity routes give them
     reals = [abs(x) for x in np.array(a[:50], dtype=complex)]
     assert _bits(rel_gaps(reals, reals[::-1])) == _bits(rel_gap(x, y) for x, y in zip(reals, reals[::-1]))
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)])
+def test_sizes_is_size_bit_for_bit(ctx):
+    # one modulus rule: sizes of an array, size of each value, and at 50
+    # digits abs of each value read exactly
+    values = [x for pair in _gap_pairs(ctx, np.random.default_rng(11)) for x in pair]
+    want = _bits(ctx.size(v) for v in values)
+    assert _bits(ctx.sizes(np.array(values, dtype=ctx.dtype))) == want
+    if ctx.mp is not None:
+        finite = [v for v in values if mpmath.isfinite(v)]
+        exact = ctx.exact(finite)
+        assert _bits(ctx.sizes(exact)) == _bits(ctx.size(v) for v in finite)
+        assert _bits(abs(d) for d in exact) == _bits(ctx.size(v) for v in finite)
+
+
+def test_exact_is_the_identity_in_binary64():
+    values = np.random.default_rng(3).standard_normal(12).view(complex)
+    got = F64.exact(values)
+    assert got.dtype == complex and got.tobytes() == values.tobytes()
+    assert F64.exact([1, 2.5, 1j]).tolist() == [1, 2.5, 1j]
+
+
+def test_exact_reads_values_exactly_and_convert_rounds_them_once():
+    ctx = extended(50)
+    mp = ctx.mp
+    third = ctx.convert(1) / 3
+    values = [third + 1e-30j, mp.mpf(third.real) * 2**-700, 7, 0.1, -2.5 + 0.5j, mp.mpc(0), 2**200 + 1]
+    exact = ctx.exact(values)
+    assert exact.shape == (len(values),) and all(type(d) is Dyadic and context_of(d) is ctx for d in exact)
+    for v, d in zip(values, exact):
+        assert gaussian(d) == gaussian(mp.convert(v))
+        assert ctx.convert(d) == rounded_once(gaussian(d), ctx)
+        assert complex(d) == complex(mp.convert(v))
+    assert ctx.exact(np.array(values[:6], dtype=object).reshape(2, 3)).shape == (2, 3)
+    # +, -, * and powers are exact; convert rounds the result once
+    x, y, z = exact[:3]
+    got = (x * y - z) ** 3 + 1 - x
+    want = (gaussian(x) * gaussian(y) - gaussian(z)) * (gaussian(x) * gaussian(y) - gaussian(z))
+    want = want * (gaussian(x) * gaussian(y) - gaussian(z)) + 1 - gaussian(x)
+    assert gaussian(got) == want
+    assert ctx.convert(got) == rounded_once(want, ctx)
+    assert gaussian(x ** 0) == Gaussian(1)
+
+
+def test_infinite_and_nan_values_have_no_exact_form():
+    ctx = extended(50)
+    for bad in (mpmath.mpf("inf"), mpmath.mpf("-inf"), mpmath.mpf("nan"), complex("inf"), complex(1, float("nan"))):
+        with pytest.raises(ValueError):
+            ctx.exact([1, bad])
+
+
+def test_dyadic_has_no_division():
+    # a kernel edit that divides an exact value must fail, not round silently
+    ctx = extended(50)
+    d, mpc = ctx.exact([ctx.convert(2 + 1j)])[0], ctx.convert(3)
+    for divide in (
+        lambda: d / d,
+        lambda: d / 2,
+        lambda: 2 / d,
+        lambda: d / 2.0,
+        lambda: mpc / d,
+        lambda: np.array([d], dtype=object) / d,
+        lambda: np.array([d], dtype=object) / 3.0,
+        lambda: d**-1,
+    ):
+        with pytest.raises(TypeError):
+            divide()
+    # nor does it mix with rounding scalars
+    for mix in (lambda: d * mpc, lambda: mpc + d, lambda: d * 0.5):
+        with pytest.raises(TypeError):
+            mix()
+
+
+def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypatch):
+    # the two q-difference routes, the two zero-identity routes and the
+    # traces at 50 digits compute the exact Gaussian rationals of the values
+    # they read, and each leaves that arithmetic rounded once: to mpc, or to
+    # the binary64 modulus of a size
+    ctx = extended(50)
+    horner_scales = counting(monkeypatch, qdiff, "_horner_scale")
+    qde_values = counting(monkeypatch, qdiff, "eval_poly")
+    qde_sums = counting(monkeypatch, qdiff, "shift_sum")
+    prop1_sums = counting(monkeypatch, zero_algebra, "shift_sum")
+    cases = [(i, params) for i, params in enumerate(suite) if params.N <= 5]
+    assert len(cases) == 25
+    for index, params in cases:
+        case = Case(in_context(params, ctx))
+        params, p, zeros = case.params, case.monic, case.zeros
+        points = [*zeros, *_sample_points(zeros, np.random.default_rng(index), count=4)]
+        residuals, agreements = qdiff.qde_checks(p, params, points)
+        ops, expanded = exact_qde_routes(p, params, points)
+        assert [gaussian(v) for v in qde_values[-2]] == ops
+        assert [gaussian(v) for v in qde_sums[-1][0]] == expanded
+        op_scale, exp_scale = horner_scales[-1], qde_sums[-1][1]
+        sign = (-1) ** (params.s + 1)
+        assert residuals == [rounded_once(v, ctx) / max(s, TINY) for v, s in zip(ops, op_scale)]
+        want = [size64(v - w * sign) / max(s, t, 1.0) for v, w, s, t in zip(ops, expanded, op_scale, exp_scale)]
+        assert agreements == want
+        products, evaluations = exact_prop1_totals(zeros, params, p)
+        for route, totals in (
+            (lambda: zero_algebra.prop1_residuals(zeros, params), products),
+            (lambda: zero_algebra.prop1_residuals_qde(zeros, params, p), evaluations),
+        ):
+            got = route()
+            total, largest = prop1_sums[-1]
+            assert [gaussian(v) for v in total] == totals
+            assert got == [size64(v) / max(s, TINY) for v, s in zip(totals, largest)]
+        assert isospectral.matrix_power_traces(case.M) == [rounded_once(t, ctx) for t in exact_traces(case.M)]

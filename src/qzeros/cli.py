@@ -75,16 +75,18 @@ SWEEP_REDRAW_LIMIT = 100
 FLOW_SAMPLES = 100
 
 
+def _number(value) -> bool:
+    # json.load also reads NaN, Infinity and literals such as 1e400 (as inf),
+    # none of which RFC 8259 allows: abs(value) <= max fails on each, and on
+    # an integer beyond binary64, which float() would overflow
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _as_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"field '{field}' must be a number or a [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(map(_number, parts)):
+        raise ConfigError(f"field '{field}' must be a finite number or a [re, im] pair, got {value!r}")
+    return complex(*map(float, parts))
 
 
 def _as_int(value, field: str) -> int:
@@ -94,8 +96,8 @@ def _as_int(value, field: str) -> int:
 
 
 def _as_real(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{field}' must be a real number, got {value!r}")
+    if not _number(value):
+        raise ConfigError(f"field '{field}' must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -191,10 +193,10 @@ def cmd_zeros(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     return checks, result
 
 
-def _sample_points(zeros, rng, count: int = QDE_SAMPLE_COUNT) -> np.ndarray:
+def _sample_points(zeros, rng) -> np.ndarray:
     scale = max(1.0, max(abs(complex(z)) for z in zeros))
-    radii = scale * rng.uniform(0.3, 1.7, size=count)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    radii = scale * rng.uniform(0.3, 1.7, size=QDE_SAMPLE_COUNT)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=QDE_SAMPLE_COUNT)
     return radii * np.cos(phases) + 1j * (radii * np.sin(phases))
 
 
@@ -205,15 +207,13 @@ def _jacobian_defect(case: Case) -> float:
 
 
 def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
-    params, monic, zeros = case.params, case.monic, case.zeros
-
-    ctx = context_of(params.q)
-    prop1 = zero_algebra.prop1_residuals(zeros, params)
-    # binary64 points, which qde_checks reads exactly in ctx's arithmetic
-    qde, agreement = qdiff.qde_checks(monic, params, _sample_points(zeros, rng))
-    prop1_qde = zero_algebra.prop1_residuals_qde(zeros, params, monic)
+    size = context_of(case.params.q).size
+    prop1 = zero_algebra.prop1_residuals(case)
+    # binary64 points, which qde_checks reads exactly in the case's arithmetic
+    qde, agreement = qdiff.qde_checks(case, _sample_points(case.zeros, rng))
+    prop1_qde = zero_algebra.prop1_residuals_qde(case)
     checks = [
-        _check("qde_residual_max", max(ctx.size(v) for v in qde), tol),
+        _check("qde_residual_max", max(size(v) for v in qde), tol),
         _check("qde_expanded_agreement_max", max(agreement), tol),
         _check("prop1_residual_max", max(prop1), tol),
         _check("prop1_dual_gap", rel_gaps(prop1, prop1_qde).max(), tol),
@@ -226,13 +226,13 @@ def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     traces = dict(enumerate(isospectral.matrix_power_traces(M), start=1))
     for p, tr in traces.items():
         checks.append(_check(f"trace_gap_p{p}", rel_gap(tr, sum(m**p for m in mus)), tol))
-    tr_closed = isospectral.closed_trace(params)
+    tr_closed = isospectral.closed_trace(case.params)
     checks.append(_check("closed_trace_gap", rel_gap(traces[1], tr_closed), tol))
     checks.append(_check("det_gap", isospectral.logdet_gap(M, mus), tol))
     checks.append(_check("jacobian_defect", _jacobian_defect(case), tol))
 
     result = {
-        "zeros": [_pair(z) for z in zeros],
+        "zeros": [_pair(z) for z in case.zeros],
         "mu_closed": [_pair(m) for m in mus],
         "matched_pairs": [
             [_pair(lam), _pair(mu), float(rel)]
@@ -295,24 +295,19 @@ def cmd_flow(
 ) -> Tuple[List[dict], dict]:
     # integrate_flow steps in binary64, so the flow checks read the case in binary64
     case = Case(params_mod.in_context(case.params, F64), [complex(z) for z in case.zeros])
-    params, zeta = case.params, case.zeros
-    t_end = options["t_end"]
-    perturb = options["perturb"]
+    zeta, t_end, perturb = case.zeros, options["t_end"], options["perturb"]
 
-    z0 = list(zeta)
+    z0 = zeta
     if perturb != 0.0:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=params.N)
-        z0 = [
-            z * (1 + perturb * complex(np.cos(th), np.sin(th)))
-            for z, th in zip(zeta, phases)
-        ]
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=len(zeta))
+        z0 = tuple(z * (1 + perturb * complex(np.cos(th), np.sin(th))) for z, th in zip(zeta, phases))
 
-    checks = [_check("equilibrium_residual", zero_flow.equilibrium_residual(zeta, params), tol)]
+    checks = [_check("equilibrium_residual", zero_flow.equilibrium_residual(case), tol)]
     checks.append(_check("jacobian_defect", _jacobian_defect(case), tol))
 
     dt_max = abs(t_end) / FLOW_SAMPLES if t_end != 0.0 else 1.0
     try:
-        states = zero_flow.integrate_flow(params, tuple(z0), t_end, dt_max)
+        states = zero_flow.integrate_flow(case, z0, t_end, dt_max)
     except (CollisionDetected, OverflowRisk) as exc:
         name = "no_collision" if isinstance(exc, CollisionDetected) else "no_overflow"
         checks.append(
@@ -325,18 +320,12 @@ def cmd_flow(
         checks.append(_check("endpoint_drift", drift, tol))
 
     if traj_path is not None:
-        header = ["t"]
-        for n in range(1, params.N + 1):
-            header += [f"re_z{n}", f"im_z{n}"]
         with open(traj_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(["t"] + [f"{part}_z{n}" for n in range(1, len(zeta) + 1) for part in ("re", "im")])
             for state in states:
-                row = [repr(float(state.t))]
-                for z in state.z:
-                    zc = complex(z)
-                    row += [repr(zc.real), repr(zc.imag)]
-                writer.writerow(row)
+                parts = [p for z in map(complex, state.z) for p in (z.real, z.imag)]
+                writer.writerow([repr(x) for x in (float(state.t), *parts)])
 
     result = {
         "t_end": float(t_end),
@@ -355,6 +344,13 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed: a usage error, not a failed check
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args returns a
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON run configuration")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed, a nonnegative integer (default 0)")
         p.add_argument(
             "--tol", type=float, default=None, help="override every check threshold"
         )
@@ -402,10 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         case = Case(params_mod.in_context(params, extended() if args.precision == "extended" else F64))
         # poly and zeros draw nothing from the seed's stream
         rng = np.random.default_rng(args.seed) if args.command in ("verify", "sweep", "flow") else None
-        if args.command == "flow":
-            checks, result = cmd_flow(case, options, args.tol, rng, args.traj)
-        else:
-            checks, result = COMMANDS[args.command](case, options, args.tol, rng)
+        extra = (args.traj,) if args.command == "flow" else ()
+        checks, result = COMMANDS[args.command](case, options, args.tol, rng, *extra)
     except (ConfigError, NonGenericParameter, InvalidDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

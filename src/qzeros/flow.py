@@ -16,13 +16,13 @@ themselves obey the rational flow
 summed over the addends (k_i, w_i, e_i) of the expanded q-difference equation
 (qdiff.qde_terms, turned into flow weights by zero_algebra.velocity_terms):
 the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Grouped by shift
-(zero_algebra.velocity_weights, formed once per parameter set by
-ParamSet.stage) it reads zdot_n = sum_k (a_k + b_k z_n) f_n(k), one kernel
-product a shift. Its equilibria are the true zeros and its linearization
-there is the spectral matrix. Velocities are arrays in the dtype of the
-zeros' context (complex128, or object holding mpc): _moved_velocity places
-each zero at an array of points, the others fixed, and multiplies its sum
-over the shifts by the product of the reciprocals 1/(z - z_l) once.
+(zero_algebra.velocity_weights, a stage of the case) it reads
+zdot_n = sum_k (a_k + b_k z_n) f_n(k), one kernel product a shift. Its
+equilibria are the true zeros and its linearization there is the spectral
+matrix. Velocities are arrays in the dtype of the zeros' context
+(complex128, or object holding mpc): _moved_velocity places each zero at an
+array of points, the others fixed, and multiplies its sum over the shifts
+by the product of the reciprocals 1/(z - z_l) once.
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
@@ -51,7 +51,7 @@ from .isospectral import Case, mu_n
 from .params import ParamSet, in_context
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import pairwise_gaps, relative_separation
-from .zero_algebra import shifted_products, velocity_terms, velocity_weights
+from .zero_algebra import shifted_products, velocity_terms
 
 COLLISION_TOL = 1e-10
 # integrate_flow's RK45 relative tolerance; its absolute tolerance is this
@@ -179,18 +179,6 @@ def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
     return CoeffState(c=tuple(out), t=float(t))
 
 
-def _f_bound(p: int, n: int, zs, q) -> float:
-    """Sensitivity scale for |f_n(p)|: the shifted_products scale of its
-    numerator over |prod_{l != n} (z_n - z_l)|. |f_n(p)| itself collapses when
-    q^p z_n lands on another zero (e.g. the chain q, .., q^N at r = s = 0);
-    the scale tracks how much f_n(p) moves under an O(delta) displacement."""
-    if len(zs) == 1:
-        return 1.0
-    z = np.asarray(zs, dtype=context_of(zs[0]).dtype)
-    products, scales = shifted_products(np.array([z[n] * q**p, z[n]], dtype=z.dtype), np.delete(z, n))
-    return float(scales[0] / abs(products[1]))
-
-
 def _check_separation(zs) -> np.ndarray:
     """pairwise_gaps(zs); CollisionDetected below COLLISION_TOL or at a NaN."""
     gaps = pairwise_gaps(zs)
@@ -219,32 +207,42 @@ def _moved_velocity(weights, others, q, z, inv):
     return total * inv.prod(axis=1)
 
 
-def flow_rhs(zs, params: ParamSet) -> List:
+def flow_rhs(zs, case: Case) -> List:
     """Velocities of all zeros at the configuration zs (a sequence or array of
-    zeros), as builtin complex or mpc scalars."""
+    zeros) under the case's flow, as builtin complex or mpc scalars."""
     zs = np.asarray(zs, dtype=context_of(zs[0]).dtype)
     _check_separation(zs)
     others, z = _others(zs), zs[:, None]
     inv = 1 / (z[:, None, :] - others[..., None])
-    return _moved_velocity(params.stage(velocity_weights), others, params.q, z, inv)[:, 0].tolist()
+    return _moved_velocity(case.velocity_weights, others, case.params.q, z, inv)[:, 0].tolist()
 
 
-def equilibrium_residual(zeros, params: ParamSet) -> float:
-    """max_n |velocity_n| / velocity-scale, the scale being the largest
-    factor-wise term bound in the n-th sum: a scale-free stall check. The
-    bound is taken per velocity_terms addend, not per shift: a grouped
-    weight can cancel, and the scale would then move with it."""
-    zs = tuple(zeros)
-    terms = velocity_terms(params)
-    shifts = {t[0] for t in terms}
-    worst = 0.0
-    for n, (zn, velocity) in enumerate(zip(zs, flow_rhs(zs, params))):
-        bound = {k: _f_bound(k, n, zs, params.q) for k in shifts}
-        largest = TINY
-        for k, c, e in terms:
-            largest = max(largest, float(abs(c * zn if e else c)) * bound[k])
-        worst = max(worst, float(abs(velocity) / largest))
-    return worst
+def equilibrium_residual(case: Case) -> float:
+    """max_n |velocity_n| / velocity-scale at the case's zeros, the scale
+    being the largest factor-wise term bound in the n-th sum, taken per
+    velocity_terms addend (a grouped weight can cancel): a scale-free stall
+    check. |f_n(k)| is bounded by the shifted_products scale of its
+    numerator, all in one call, over |prod_{l != n} (z_n - z_l)|: f_n(k)
+    itself vanishes where q^k z_n lands on another zero (the chain q, ..,
+    q^N at r = s = 0), and the scale tracks how it moves."""
+    ctx = context_of(case.zeros[0])
+    z = np.asarray(case.zeros, dtype=ctx.dtype)
+    # the products of the scalars themselves, in object arrays: NumPy's
+    # complex128 loops round some products unlike builtin complex
+    column = np.array(case.zeros, dtype=object)[:, None]
+    ks, cs, es = zip(*velocity_terms(case))
+    shifts = sorted(set(ks))
+    bound = np.ones((len(z), len(shifts)))
+    if len(z) > 1:
+        qk = np.array([case.params.q**k for k in shifts], dtype=object)
+        points = np.hstack([column * qk, column]).astype(ctx.dtype)
+        products, scales = shifted_products(points, _others(z)[:, None, :])
+        bound = scales[:, :-1] / ctx.sizes(products[:, -1:])
+    c = np.array(cs, dtype=object)
+    sizes = np.where(es, ctx.sizes((column * c).astype(ctx.dtype)), ctx.sizes(c.astype(ctx.dtype)))
+    largest = np.fmax.reduce(sizes * bound[:, [shifts.index(k) for k in ks]], axis=1, initial=TINY)
+    velocity = ctx.sizes(np.asarray(flow_rhs(case.zeros, case), dtype=ctx.dtype))
+    return float(np.fmax.reduce(velocity / largest, initial=0.0))
 
 
 @functools.cache
@@ -299,7 +297,7 @@ def jacobian_fd(case: Case):
     zarr = kernels.z
     ctx = context_of(zarr[0])
     n_count = len(zarr)
-    weights = params.stage(velocity_weights)
+    weights = case.velocity_weights
     others = _others(zarr)
     # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
     p_sum = q_sum = 0
@@ -334,9 +332,9 @@ def jacobian_fd(case: Case):
     return tuple(map(tuple, deriv.T.tolist()))
 
 
-def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[FlowState]:
-    """Adaptive embedded Runge-Kutta trajectory from the zeros z0 at t = 0 to
-    t_end, sampled at most every dt_max.
+def integrate_flow(case: Case, z0, t_end: float, dt_max: float) -> List[FlowState]:
+    """Adaptive embedded Runge-Kutta trajectory of the case's flow from the
+    zeros z0 at t = 0 to t_end, sampled at most every dt_max.
 
     Aborts with OverflowRisk, naming t, as soon as a state or velocity it
     evaluates is not finite (the state checked before flow_rhs runs, so an
@@ -363,7 +361,7 @@ def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[Fl
             raise OverflowRisk(f"the flow state is not finite at t = {t:.6g}")
         # an overflow is reported as OverflowRisk below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            velocity = np.array(flow_rhs(y, params))
+            velocity = np.array(flow_rhs(y, case))
         if not np.isfinite(velocity).all():
             raise OverflowRisk(f"the flow velocity is not finite at t = {t:.6g}")
         return velocity
@@ -380,6 +378,4 @@ def integrate_flow(params: ParamSet, z0, t_end: float, dt_max: float) -> List[Fl
     )
     if not sol.success:
         raise StepUnderflow(sol.message)
-    return [
-        FlowState(z=tuple(sol.y[:, i]), t=float(sol.t[i])) for i in range(sol.t.size)
-    ]
+    return [FlowState(z=tuple(y), t=float(t)) for y, t in zip(sol.y.T, sol.t)]

@@ -38,12 +38,13 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_float, fzero, mpf_add, round_nearest
 
-from .errors import EigenNoConvergence, LengthMismatch
+from .errors import DegreeMismatch, EigenNoConvergence, LengthMismatch
 from .params import ParamSet, _elementary, in_context
 from .precision import F64, TINY, PrecisionContext, _aligned, _float, context_of, extended, rel_gap
+from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
 from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
-from .zero_algebra import KernelCache, velocity_weights
+from .zero_algebra import KernelCache, identity_grid, velocity_weights
 
 
 def build_M(case: Case) -> np.ndarray:
@@ -66,7 +67,7 @@ def build_M(case: Case) -> np.ndarray:
     params, cache = case.params, case.kernels
     q, z = params.q, cache.z
     S = own = 0
-    for k, (a, b) in params.stage(velocity_weights).items():
+    for k, (a, b) in case.velocity_weights.items():
         table = cache.fnm[k]
         # arrays on the left: an mpc on the left of an object array is slow
         S = S + table * ((z * b + a) * (q**k - 1))[:, None]
@@ -420,20 +421,36 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
 
 
 class Case:
-    """One parameter set in the precision of params.q and the stages of its
-    verdict, each computed on first use: the monic polynomial, its zeros
-    (zeroset, or the caller's zeros, found in that precision), the kernel
-    tables over them (kernels, which M and flow.jacobian_fd read), M and
-    the closed-form spectrum mu."""
+    """One parameter set in the precision of params.q, the one memo of its
+    verdict: each stage computed on first use and held on the case, not
+    keyed on values (mpc(0.5) at 30 digits equals mpc(0.5) at 50). The
+    monic polynomial, its zeros (zeroset, or the caller's N zeros), the
+    qde_terms table, its flow weights, both zero-identity routes' shift
+    grid, the kernel tables (read by M and flow.jacobian_fd), M and the
+    closed-form spectrum mu. A check of another polynomial sets monic."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
         if zeros is not None:
+            if len(zeros) != params.N:
+                raise DegreeMismatch(f"got {len(zeros)} zeros for N = {params.N}")
             self.zeros = tuple(zeros)
 
     @functools.cached_property
     def monic(self) -> Poly:
         return to_monic(coeffs_P(self.params))
+
+    @functools.cached_property
+    def qde_terms(self) -> List:
+        return qde_terms(self.params)
+
+    @functools.cached_property
+    def velocity_weights(self) -> dict:
+        return velocity_weights(self)
+
+    @functools.cached_property
+    def identity_grid(self) -> Tuple:
+        return identity_grid(self)
 
     @functools.cached_property
     def zeroset(self) -> ZeroSet:
@@ -446,7 +463,7 @@ class Case:
     @functools.cached_property
     def kernels(self) -> KernelCache:
         z = np.asarray(self.zeros, dtype=context_of(self.zeros[0]).dtype)
-        return KernelCache(z, self.params.q, self.params.stage(velocity_weights))
+        return KernelCache(z, self.params.q, self.velocity_weights)
 
     @functools.cached_property
     def M(self) -> np.ndarray:

@@ -44,17 +44,6 @@ class ParamSet:
         if len(self.beta) != self.s:
             raise ValueError(f"beta has {len(self.beta)} entries, expected s={self.s}")
 
-    def stage(self, compute):
-        """compute(self), run once per instance and held on it, for the
-        tables every check of one case reads (qdiff.qde_terms,
-        zero_algebra.velocity_weights). Held on the instance, not keyed on
-        its values: mpc(0.5) at 30 digits equals mpc(0.5) at 50, and each
-        precision needs its own table."""
-        held = self.__dict__.setdefault("_stages", {})
-        if compute not in held:
-            held[compute] = compute(self)
-        return held[compute]
-
 
 @dataclass(frozen=True)
 class SymFuncs:

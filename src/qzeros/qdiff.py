@@ -19,36 +19,35 @@ _operator_sides) so the pass threshold is scale-free.
 Expanding the operators gives the same equation as a weighted sum of
 shifted-argument values p(z q^k). Its weights live in one table, qde_terms,
 which the zero identities (zero_algebra), the zero flow (flow) and the
-spectral matrix (isospectral) read as well, formed once per parameter set
-and precision (ParamSet.stage). The expanded route sums that
-table; up to an overall (-1)^{s+1} it is algebraically identical to the
-operator route, which never reads the table and so certifies it. qde_checks
-evaluates both routes and returns the operator-route residual (qde_residual)
-and the defect between the routes (qde_expanded_agreement), each route one
-array pass over all sample points in the context's exact arithmetic
-(PrecisionContext.exact: complex128 in binary64, object holding
-precision.Dyadic at extended digits, whose +, - and * are exact): the
-operator route one Horner pass of the residual polynomial A(z) - z B(z),
-the expanded route one Horner pass of p over every point times every shift
-(shift_grid), the table grouped by shift (shift_groups) into
-sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the zero identities read
-too. Neither route divides, so at extended digits they round only their
-inputs (the points, the coefficients, the powers of q and the grouped
-weights, which qde_terms and _operator_sides form in mpc, since they
-divide) and what they return: sizes, and the operator-route values.
+spectral matrix (isospectral) read as well, formed once per case (a stage
+of isospectral.Case). The expanded route sums that table; up to an overall
+(-1)^{s+1} it is algebraically identical to the operator route, which never
+reads the table and so certifies it. qde_checks evaluates both routes and
+returns the operator-route residual (qde_residual) and the defect between
+the routes (qde_expanded_agreement), each route one array pass over all
+sample points in the context's exact arithmetic (PrecisionContext.exact:
+complex128 in binary64, precision.Dyadic at extended digits, whose +, -
+and * are exact): one Horner pass of A(z) - z B(z), and one of p over every
+point times every shift (shift_grid), the table grouped by shift
+(shift_groups) into sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the
+zero identities read too. Neither route divides, so at extended digits
+they round only their inputs (the points, the coefficients, the powers of
+q and the grouped weights, which divide in mpc) and what they return.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegreeMismatch
 from .params import ParamSet, elem_sym
 from .precision import TINY, context_of
 from .qseries import Poly, eval_poly
+
+if TYPE_CHECKING:
+    from .isospectral import Case
 
 
 def apply_delta(p: Poly, q) -> Poly:
@@ -179,16 +178,16 @@ def _horner_scale(marks, z, zmag, ctx):
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[float]]:
-    """qde_residual and qde_expanded_agreement at each point of zs: the
-    operator route over the largest intermediate term of either side, the
-    expanded route over its largest addend, each one array pass over all
-    the points in the exact arithmetic of params.q's context (ctx.exact):
-    the points, the coefficients of p and of both operator sides, the
-    powers of q and the grouped weights are read once, and only the sizes
-    and the operator-route values leave it, each rounded once."""
-    if p.degree != params.N:
-        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+def qde_checks(case: Case, zs: Sequence) -> Tuple[List, List[float]]:
+    """qde_residual and qde_expanded_agreement of the case's monic
+    polynomial p at each point of zs: the operator route over the largest
+    intermediate term of either side, the expanded route over its largest
+    addend (the case's qde_terms), each one array pass over all the points
+    in the exact arithmetic of params.q's context (ctx.exact): the points,
+    the coefficients of p and of both operator sides, the powers of q and
+    the grouped weights are read once, and only the sizes and the
+    operator-route values leave it, each rounded once."""
+    params, p = case.params, case.monic
     ctx = context_of(params.q)
     z = ctx.exact(zs)
     zmag = ctx.sizes(z)
@@ -198,7 +197,7 @@ def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[floa
     marks = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
     op_scale = _horner_scale(marks, z, zmag, ctx)
 
-    groups = shift_groups(params.stage(qde_terms), ctx)
+    groups = shift_groups(case.qde_terms, ctx)
     values = eval_poly(Poly(ctx.exact(p.coeffs), p.monic), shift_grid(z, params.q, groups[0]))
     exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
     defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
@@ -206,12 +205,12 @@ def qde_checks(p: Poly, params: ParamSet, zs: Sequence) -> Tuple[List, List[floa
     return (ctx.rounded(op_val) / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
 
 
-def qde_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:
+def qde_residual(case: Case, zs: Sequence) -> List:
     """Normalized annihilation residual of the operator route at each sample point."""
-    return qde_checks(p, params, zs)[0]
+    return qde_checks(case, zs)[0]
 
 
-def qde_expanded_agreement(p: Poly, params: ParamSet, zs: Sequence) -> List[float]:
+def qde_expanded_agreement(case: Case, zs: Sequence) -> List[float]:
     """Defect between the operator route and (-1)^{s+1} times the expanded
     route, equal as polynomials in z, over a scale shared by both: round-off."""
-    return qde_checks(p, params, zs)[1]
+    return qde_checks(case, zs)[1]

@@ -25,33 +25,34 @@ g_n(p) is never tabled: the matrix assembly sums it against the flow
 weights.
 
 The N algebraic identities satisfied by the true zeros are the q-difference
-equation at z = z_n, its weights read from qdiff.qde_terms (as are those of
-the zero flow and the spectral matrix, through velocity_terms and its
-grouping by shift, velocity_weights), grouped by shift as qdiff.shift_groups
-groups them. prop1_residuals evaluates them in the product form built
-directly from the configuration, every zero's products at every shift one
-N x S x N array (shifted_products); prop1_residuals_qde is the dual route
-through shifted-argument evaluations of the monic polynomial, one Horner
-pass over the N x S grid z_n q^k. Both are array passes in the context's
-exact arithmetic (PrecisionContext.exact: precision.Dyadic at extended
-digits), so they round only their inputs and the sizes they return.
-Residuals are normalized by the largest term sensitivity scale (see
-shifted_products), so a true configuration scores at the zeros' own forward
-error and an O(delta) perturbation scores at O(delta) even when the shifted
-products all collapse simultaneously.
+equation at z = z_n, its weights read from the case's qdiff.qde_terms table
+(as are those of the zero flow and the spectral matrix, through
+velocity_terms and its grouping by shift, velocity_weights), grouped by
+shift as qdiff.shift_groups groups them. Both routes read one shift grid
+z_n q^k, a stage of the case (identity_grid): prop1_residuals forms every
+zero's products at every shift as one N x S x N array (shifted_products),
+prop1_residuals_qde evaluates the monic polynomial over the grid in one
+Horner pass. Both are array passes in the context's exact arithmetic
+(PrecisionContext.exact: precision.Dyadic at extended digits), so they
+round only their inputs and the sizes they return. Residuals are
+normalized by the largest term sensitivity scale (see shifted_products),
+so a true configuration scores at the zeros' own forward error and an
+O(delta) perturbation scores at O(delta) even when the shifted products
+all collapse simultaneously.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DegreeMismatch
-from .params import ParamSet
-from .qdiff import qde_terms, shift_grid, shift_groups, shift_sum
+from .qdiff import shift_grid, shift_groups, shift_sum
 from .qseries import Poly, eval_poly_deriv
 from .precision import TINY, context_of
+
+if TYPE_CHECKING:
+    from .isospectral import Case
 
 
 def reciprocal_table(z):
@@ -108,7 +109,9 @@ class KernelCache:
 
 def shifted_products(zk, zs):
     """prod_l (zk - z_l) at each entry of the array zk over the array zs of
-    zeros, and the sensitivity scale of each product.
+    zeros, and the sensitivity scale of each product. zs is either one set
+    of zeros for every entry or per-row zeros, whose leading axes broadcast
+    against zk's (flow.equilibrium_residual: row n the zeros other than z_n).
 
     The scale is max(|product|, |product with its single most-cancelling
     factor replaced by |zk| + |z_l*||): the size the product takes under an
@@ -120,28 +123,28 @@ def shifted_products(zk, zs):
     a normalized residual into 0/0 noise at true zeros; the fully factor-wise
     bound prod(|zk| + |z_l|) errs the other way, hiding genuine perturbations
     behind the compounded looseness of every factor."""
-    ctx = context_of(zs[0])
+    ctx = context_of(zs.flat[0])
     factors = zk[..., None] - zs
     mags = ctx.sizes(factors)
     i_min = mags.argmin(axis=-1)[..., None]
     low = np.take_along_axis(mags, i_min, axis=-1)[..., 0]
     np.put_along_axis(mags, i_min, 1.0, axis=-1)
+    nearest = np.take_along_axis(np.broadcast_to(ctx.sizes(zs), mags.shape), i_min, axis=-1)[..., 0]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rest = mags.prod(axis=-1)
-        near = ctx.sizes(zk) + ctx.sizes(zs)[i_min[..., 0]]
+        near = ctx.sizes(zk) + nearest
         return factors.prod(axis=-1), np.fmax(rest * low, near * rest)
 
 
-def _at_shifts(zeros: Sequence, params: ParamSet):
-    """The context, the zeros as an array z, the qde_terms addends grouped by
-    shift less p(z)'s, which vanishes at a zero, and the grid z_n q^k."""
-    if len(zeros) != params.N:
-        raise DegreeMismatch(f"got {len(zeros)} zeros for N = {params.N}")
-    ctx = context_of(params.q)
-    z = ctx.exact(zeros)
-    groups = shift_groups([t for t in params.stage(qde_terms) if t[0] or t[2]], ctx)
-    grid = shift_grid(z, params.q, groups[0])
-    return ctx, z, groups, grid
+def identity_grid(case: Case) -> Tuple:
+    """The inputs both zero-identity routes read (Case.identity_grid): the
+    context, the zeros as an array z in its exact arithmetic, the qde_terms
+    addends grouped by shift less p(z)'s, which vanishes at a zero, and the
+    grid z_n q^k."""
+    ctx = context_of(case.params.q)
+    z = ctx.exact(case.zeros)
+    groups = shift_groups([t for t in case.qde_terms if t[0] or t[2]], ctx)
+    return ctx, z, groups, shift_grid(z, case.params.q, groups[0])
 
 
 def _residuals(ctx, groups, z, values, mags) -> List[float]:
@@ -151,7 +154,7 @@ def _residuals(ctx, groups, z, values, mags) -> List[float]:
     return (ctx.sizes(total) / np.maximum(largest, TINY)).astype(float).tolist()
 
 
-def velocity_terms(params: ParamSet) -> List:
+def velocity_terms(case: Case) -> List:
     """(k, c, e) addends of the zero flow, velocity_n = sum c z_n^e f_n(k),
     with c = (-1)^s w (q^k - 1) for each qde_terms addend (k, w, e).
 
@@ -160,25 +163,25 @@ def velocity_terms(params: ParamSet) -> List:
     product prod_l (q^k z_n - z_l) to (q^k - 1) f_n(k). Shift-0 addends drop
     out, since q^0 - 1 = 0.
     """
-    q = params.q
-    sign = (-1) ** params.s
-    return [(k, sign * w * (q**k - 1), e) for k, w, e in params.stage(qde_terms) if k != 0]
+    q = case.params.q
+    sign = (-1) ** case.params.s
+    return [(k, sign * w * (q**k - 1), e) for k, w, e in case.qde_terms if k != 0]
 
 
-def velocity_weights(params: ParamSet) -> Dict[int, Tuple]:
+def velocity_weights(case: Case) -> Dict[int, Tuple]:
     """The velocity_terms addends grouped by shift, {k: (a_k, b_k)}, so that
     velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow, its
     Jacobian check and the matrix assembly read, one kernel table a shift,
-    each through params.stage(velocity_weights), formed once per ParamSet."""
+    each through the case's stage (Case.velocity_weights), formed once."""
     out: Dict[int, Tuple] = {}
-    for k, c, e in velocity_terms(params):
+    for k, c, e in velocity_terms(case):
         a, b = out.get(k, (0, 0))
         out[k] = (a, b + c) if e else (a + c, b)
     return out
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
+def prop1_residuals(case: Case) -> List[float]:
     """Normalized residuals of the N zero identities, product form.
 
     Each identity is evaluated with full-configuration products
@@ -189,18 +192,17 @@ def prop1_residuals(zeros: Sequence, params: ParamSet) -> List[float]:
     residual by orders of magnitude (the sensitivity the acceptance suite
     probes).
     """
-    ctx, z, groups, grid = _at_shifts(zeros, params)
+    ctx, z, groups, grid = case.identity_grid
     return _residuals(ctx, groups, z, *shifted_products(grid, z))
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def prop1_residuals_qde(zeros: Sequence, params: ParamSet, p: Poly) -> List[float]:
+def prop1_residuals_qde(case: Case) -> List[float]:
     """Dual route: the same identities with each shifted product replaced by a
-    polynomial evaluation p(z_n q^k) of the monic coefficient vector p, one
-    Horner pass over every zero and shift."""
-    ctx, z, groups, grid = _at_shifts(zeros, params)
-    if p.degree != params.N:
-        raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    polynomial evaluation p(z_n q^k) of the case's monic polynomial p, one
+    Horner pass over every zero and shift of the same grid."""
+    ctx, z, groups, grid = case.identity_grid
+    p = case.monic
     values, der = eval_poly_deriv(Poly(ctx.exact(p.coeffs), p.monic), grid)
     # same sensitivity scale as the product route: p' near a zero is the
     # de-cancelled product, and the zero being cancelled against sits at

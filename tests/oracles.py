@@ -55,7 +55,7 @@ import scipy.linalg
 from mpmath.libmp import from_rational, round_nearest
 
 from qzeros.errors import DegenerateZeros, DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
-from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, _eigenpairs, _norm, match_spectrum
+from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, match_spectrum
 from qzeros.params import GENERICITY_TOL, ParamSet
 from qzeros.precision import F64, TINY, Dyadic, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
@@ -175,7 +175,7 @@ def build_M_addends(zeros, params: ParamSet):
     """
     zs = tuple(zeros)
     q = params.q
-    terms = velocity_terms(params)
+    terms = velocity_terms(Case(params))
     rows = []
     for n, zn in enumerate(zs):
         row = []

@@ -29,7 +29,7 @@ from qzeros.isospectral import (
 from qzeros.params import ParamSet, validate
 from qzeros.errors import NonGenericParameter
 from qzeros.qdiff import qde_expanded_agreement, qde_residual
-from qzeros.qseries import coeffs_P, to_monic
+from qzeros.qseries import coeffs_P
 from qzeros.rootfind import companion_zeros, find_zeros
 from qzeros.zero_algebra import prop1_residuals
 
@@ -62,11 +62,11 @@ def test_criterion_02_prop1_residuals(suite):
     weakest_probe = float("inf")
     for params in suite:
         _, zset = zeros_of(params)
-        worst_true = max(worst_true, max(prop1_residuals(zset.zeros, params)))
+        worst_true = max(worst_true, max(prop1_residuals(Case(params, zset.zeros))))
         for idx in range(params.N):
             bumped = list(zset.zeros)
             bumped[idx] = bumped[idx] * (1 + 1e-3)
-            weakest_probe = min(weakest_probe, max(prop1_residuals(bumped, params)))
+            weakest_probe = min(weakest_probe, max(prop1_residuals(Case(params, bumped))))
     ok = worst_true < 1e-8 and weakest_probe > 1e-5
     assert _report(
         "2 zero identities",
@@ -80,14 +80,14 @@ def test_criterion_03_qde_annihilation(suite):
     worst_res = 0.0
     worst_agree = 0.0
     for params in suite:
-        p = to_monic(coeffs_P(params))
+        case = Case(params)
         lim = max(1.0, abs(params.q) ** (-params.N))
         pts = [
             rng.uniform(0.05, 1.0) * lim * cmath.exp(1j * rng.uniform(-3.1, 3.1))
             for _ in range(20)
         ]
-        worst_res = max(worst_res, max(abs(v) for v in qde_residual(p, params, pts)))
-        worst_agree = max(worst_agree, max(qde_expanded_agreement(p, params, pts)))
+        worst_res = max(worst_res, max(abs(v) for v in qde_residual(case, pts)))
+        worst_agree = max(worst_agree, max(qde_expanded_agreement(case, pts)))
     ok = worst_res < 1e-9 and worst_agree < 1e-10
     assert _report(
         "3 q-difference annihilation",
@@ -221,8 +221,8 @@ def test_criterion_07_linearization_is_M():
             plus, minus = list(zs), list(zs)
             plus[m] = zs[m] + h
             minus[m] = zs[m] - h
-            vp = flow_rhs(tuple(plus), params)
-            vm = flow_rhs(tuple(minus), params)
+            vp = flow_rhs(tuple(plus), case)
+            vm = flow_rhs(tuple(minus), case)
             for n in range(params.N):
                 worst = max(worst, abs((vp[n] - vm[n]) / (2 * h) - M[n, m]))
         return worst
@@ -244,11 +244,11 @@ def test_criterion_08_equilibrium(suite):
     worst_velocity = 0.0
     for params in suite:
         _, zset = zeros_of(params)
-        worst_velocity = max(worst_velocity, equilibrium_residual(zset, params))
+        worst_velocity = max(worst_velocity, equilibrium_residual(Case(params, zset.zeros)))
 
     _, zset = zeros_of(CONTRACTIVE)
     scale = max(abs(z) for z in zset.zeros)
-    states = integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.2)
+    states = integrate_flow(Case(CONTRACTIVE), zset.zeros, 1.0, 0.2)
     drift = max(
         abs(z - ref) / max(1.0, abs(ref))
         for st in states

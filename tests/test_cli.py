@@ -15,6 +15,8 @@ import pytest
 
 from qzeros import flow
 from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, _sample_points, build_parser, main
+from qzeros.isospectral import Case
+from qzeros.params import ParamSet
 from qzeros.precision import F64, context_of, extended
 
 from conftest import RS_COMBOS, SUITE_SEED
@@ -154,6 +156,32 @@ def test_config_errors_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("poly", str(broken)) == 2
+
+    # json.load reads NaN, Infinity and literals beyond binary64 such as
+    # 1e400 (as inf), none of which RFC 8259 allows; q and the alphas are
+    # read by every command, t_end and perturb by flow
+    for i, text in enumerate(("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)):
+        for command, field, value in (
+            ("verify", "q", "@"),
+            ("verify", "q", ["@", 0.0]),
+            ("zeros", "alpha", [[0.7, "@"]]),
+            ("flow", "t_end", "@"),
+            ("flow", "perturb", "@"),
+        ):
+            path = tmp_path / f"nonfinite{i}.json"
+            path.write_text(json.dumps({**BASE, field: value}).replace('"@"', text))
+            assert run(command, str(path)) == 2, (text, field, value)
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy's generators take no negative seed; poly and zeros draw nothing,
+    # but take the same option
+    cfg = write_config(tmp_path)
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            run(command, cfg, "--seed", "-1")
+        assert exc.value.code == 2, command
+        assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_bad_out_path_exits_2(tmp_path):
@@ -372,18 +400,19 @@ STAGES = (
     ("qzeros.isospectral", "mu_closed"),
     ("qzeros.qdiff", "qde_terms"),
     ("qzeros.zero_algebra", "velocity_weights"),
+    ("qzeros.zero_algebra", "identity_grid"),
 )
 
 
 def _stage_key(name, args):
     """(stage, input, precision) of one call. The kernel tables are keyed by
     their configuration and q (KernelCache) or q^p (left_out_products, one
-    shift), every other stage by its parameter set, its last argument or
-    that Case's params."""
+    shift), every other stage by its parameter set: its ParamSet argument,
+    or its Case argument's params, wherever it sits in the call."""
     if name in ("KernelCache", "left_out_products"):
         z, q = args[0], args[1]
         return name, (tuple(z.tolist()), q), context_of(q)
-    params = getattr(args[-1], "params", args[-1])
+    [params] = [getattr(a, "params", a) for a in args if isinstance(a, (Case, ParamSet))]
     return name, params, context_of(params.q)
 
 
@@ -409,10 +438,11 @@ def _count_stages(monkeypatch):
 @pytest.mark.parametrize("precision", ["f64", "extended"])
 def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, monkeypatch, precision):
     # suite case 19 escalates M in binary64 and case 3 sweeps eight beta
-    # perturbations; each command reads every stage through one case, and
-    # build_M and the Jacobian check read one set of kernel tables: one
-    # KernelCache per configuration and precision, one left_out_products
-    # table per shift of it
+    # perturbations; each command reads every stage through one case: the
+    # two zero-identity routes one shift grid, the q-difference checks, the
+    # flow weights and the grid one qde_terms table, and build_M and the
+    # Jacobian check one set of kernel tables: one KernelCache per
+    # configuration and precision, one left_out_products table per shift of it
     calls = _count_stages(monkeypatch)
     home = extended() if precision == "extended" else F64
     out = str(tmp_path / "report.json")

@@ -153,22 +153,22 @@ def test_flow_rhs_n1_hand_formula():
     q = 0.45
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
     for z in (0.7, 0.2 - 0.4j, 1.9 + 0.1j):
-        vel = flow_rhs((z,), params)[0]
+        vel = flow_rhs((z,), Case(params))[0]
         ref = (q - 1) * (z / q - 1)
         assert abs(vel - ref) < 1e-14 * max(1.0, abs(ref))
-    assert abs(flow_rhs((q,), params)[0]) < 1e-14
+    assert abs(flow_rhs((q,), Case(params))[0]) < 1e-14
 
 
 def test_equilibrium_residual_on_suite(suite):
     for params in suite:
         _, zset = zeros_of(params)
-        assert equilibrium_residual(zset, params) < 1e-8
+        assert equilibrium_residual(Case(params, zset.zeros)) < 1e-8
 
 
 def test_flow_rhs_collision_detected():
     params = ParamSet(r=0, s=0, N=3, q=0.45, alpha=(), beta=())
     with pytest.raises(CollisionDetected):
-        flow_rhs((0.5, 0.5 * (1 + 1e-11), 1.2), params)
+        flow_rhs((0.5, 0.5 * (1 + 1e-11), 1.2), Case(params))
 
 
 @pytest.mark.parametrize("ctx", [F64, extended()])
@@ -180,11 +180,11 @@ def test_a_nan_zero_is_a_collision_wherever_it_sits(ctx):
         zs = [ctx.convert(z) for z in (1.0, 2.0)]
         zs.insert(k, ctx.convert(complex("nan")))
         assert cmath.isnan(relative_separation(zs))
-        for call in (flow_rhs, lambda zs, params: jacobian_fd(Case(params, zs))):
+        for call in (lambda zs: flow_rhs(zs, Case(params)), lambda zs: jacobian_fd(Case(params, zs))):
             with pytest.raises(CollisionDetected):
-                call(zs, params)
+                call(zs)
     with pytest.raises(CollisionDetected):
-        integrate_flow(params, [1.0, complex("nan"), 2.0], 1.0, 0.1)
+        integrate_flow(Case(params), [1.0, complex("nan"), 2.0], 1.0, 0.1)
 
 
 def test_dual_route_velocities(small_suite):
@@ -197,7 +197,7 @@ def test_dual_route_velocities(small_suite):
         )
         configs.append(twisted)
         for zs in configs:
-            a = flow_rhs(zs, params)
+            a = flow_rhs(zs, Case(params))
             b = flow_rhs_from_products(zs, params)
             for va, vb in zip(a, b):
                 assert abs(va - vb) < 1e-10 * max(1.0, abs(va), abs(vb))
@@ -236,12 +236,13 @@ def _flow_rhs_jacobian(params, zs, samples):
     else:
         roots = ctx.mp.unitroots(samples)
     rel_step = ctx.eps ** (1 / (samples + 1))
+    case = Case(params)
     cols = []
     for m, zm in enumerate(zs):
         h = rel_step * float(min([abs(zm)] + [abs(zm - zl) for l, zl in enumerate(zs) if l != m]))
         total = [0] * len(zs)
         for w in roots:
-            moved = flow_rhs(tuple(zs[:m] + [zm + h * w] + zs[m + 1 :]), params)
+            moved = flow_rhs(tuple(zs[:m] + [zm + h * w] + zs[m + 1 :]), case)
             total = [t + v * w.conjugate() for t, v in zip(total, moved)]
         cols.append([t / ctx.convert(samples * h) for t in total])
     return [[cols[m][n] for m in range(len(zs))] for n in range(len(zs))]
@@ -318,8 +319,9 @@ def test_array_pass_returns_scalars_of_the_context(suite, ctx):
     # NumPy scalars leaking out of the array pass would slow every caller
     params = in_context(suite[9], ctx)
     _, zset = zeros_of(params)
-    J = jacobian_fd(Case(params, zset.zeros))
-    velocities = [flow_rhs(zset.zeros, params), flow_rhs(np.array(zset.zeros, dtype=ctx.dtype), params)]
+    case = Case(params, zset.zeros)
+    J = jacobian_fd(case)
+    velocities = [flow_rhs(zset.zeros, case), flow_rhs(np.array(zset.zeros, dtype=ctx.dtype), case)]
     assert type(J) is tuple and all(type(row) is tuple for row in J)
     assert all(type(v) is list for v in velocities)
     scalar = complex if ctx is F64 else context_of(zset.zeros[0]).mp.mpc
@@ -372,7 +374,8 @@ def test_single_axis_quotient_is_second_order():
     params = ParamSet(r=1, s=1, N=4, q=0.45, alpha=(0.8,), beta=(1.4,))
     _, zset = zeros_of(params)
     zs = list(zset.zeros)
-    M = build_M(Case(params, zset.zeros))
+    case = Case(params, zset.zeros)
+    M = build_M(case)
     scale = max(abs(z) for z in zs)
 
     def defect(h):
@@ -383,8 +386,8 @@ def test_single_axis_quotient_is_second_order():
             minus = list(zs)
             plus[m] = zs[m] + h
             minus[m] = zs[m] - h
-            vp = flow_rhs(tuple(plus), params)
-            vm = flow_rhs(tuple(minus), params)
+            vp = flow_rhs(tuple(plus), case)
+            vm = flow_rhs(tuple(minus), case)
             for n in range(n_count):
                 quot = (vp[n] - vm[n]) / (2 * h)
                 worst = max(worst, abs(quot - M[n, m]))
@@ -399,7 +402,7 @@ def test_single_axis_quotient_is_second_order():
 def test_integrate_holds_equilibrium():
     _, zset = zeros_of(CONTRACTIVE)
     scale = max(abs(z) for z in zset.zeros)
-    states = integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.25)
+    states = integrate_flow(Case(CONTRACTIVE), zset.zeros, 1.0, 0.25)
     assert len(states) >= 4
     for st in states:
         drift = max(abs(a - b) for a, b in zip(st.z, zset.zeros))
@@ -414,7 +417,7 @@ def test_integrate_perturbation_follows_linearization():
         [1e-4 * cmath.exp(2j * cmath.pi * (n + 0.2) / N) * abs(zset.zeros[n]) for n in range(N)]
     )
     z0 = tuple(z + d for z, d in zip(zset.zeros, xi0))
-    states = integrate_flow(CONTRACTIVE, z0, 0.5, 0.1)
+    states = integrate_flow(Case(CONTRACTIVE), z0, 0.5, 0.1)
     for st in states[1:]:
         dev = np.array([a - b for a, b in zip(st.z, zset.zeros)])
         pred = scipy.linalg.expm(M * st.t) @ xi0
@@ -423,7 +426,7 @@ def test_integrate_perturbation_follows_linearization():
 
 def test_integrate_zero_horizon():
     _, zset = zeros_of(CONTRACTIVE)
-    out = integrate_flow(CONTRACTIVE, zset.zeros, 0.0, 0.1)
+    out = integrate_flow(Case(CONTRACTIVE), zset.zeros, 0.0, 0.1)
     assert out == [FlowState(z=zset.zeros, t=0.0)]
 
 
@@ -431,16 +434,16 @@ def test_integrate_rejects_collided_start():
     params = ParamSet(r=0, s=0, N=2, q=0.45, alpha=(), beta=())
     z0 = (0.7, 0.7 * (1 + 1e-11))
     with pytest.raises(CollisionDetected):
-        integrate_flow(params, z0, 1.0, 0.1)
+        integrate_flow(Case(params), z0, 1.0, 0.1)
 
 
 def test_a_velocity_that_is_not_finite_is_an_overflow(monkeypatch):
     # checked before flow_rhs's separation test, which would read the NaN
     # state of the next step as a collision
     _, zset = zeros_of(CONTRACTIVE)
-    monkeypatch.setattr(flow, "flow_rhs", lambda zs, params: [complex("inf")] * len(zs))
+    monkeypatch.setattr(flow, "flow_rhs", lambda zs, case: [complex("inf")] * len(zs))
     with pytest.raises(OverflowRisk, match="velocity is not finite at t = 0"):
-        integrate_flow(CONTRACTIVE, zset.zeros, 1.0, 0.1)
+        integrate_flow(Case(CONTRACTIVE), zset.zeros, 1.0, 0.1)
 
 
 def test_two_representations_agree():
@@ -453,7 +456,7 @@ def test_two_representations_agree():
     C = build_C(params)
     start = _monic_from_zeros(z0)
     c0 = CoeffState(c=tuple(start[params.N - m] for m in range(1, params.N + 1)), t=0.0)
-    states = integrate_flow(params, z0, 0.5, 0.1)
+    states = integrate_flow(Case(params), z0, 0.5, 0.1)
     for st in states:
         via_zeros = _monic_from_zeros(st.z)
         via_coeffs = evolve_coeffs(C, c0, st.t)

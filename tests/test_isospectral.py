@@ -92,10 +92,11 @@ def test_build_M_takes_one_kernel_table_per_shift(suite, monkeypatch):
     for params in suite[:6]:  # one case of each (r, s)
         _, zset = zeros_of(params)
         tables.clear()
-        build_M(Case(params, zset.zeros))
-        assert len(tables) == len(velocity_weights(params)), (params.r, params.s)
-        addends += len(velocity_terms(params))
-    assert addends > sum(len(velocity_weights(params)) for params in suite[:6])
+        case = Case(params, zset.zeros)
+        build_M(case)
+        assert len(tables) == len(case.velocity_weights), (params.r, params.s)
+        addends += len(velocity_terms(case))
+    assert addends > sum(len(velocity_weights(Case(params))) for params in suite[:6])
 
 
 @pytest.mark.parametrize("ctx", [F64, extended()], ids=["f64", "ext"])

@@ -254,8 +254,8 @@ def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypat
     for index, params in cases:
         case = Case(in_context(params, ctx))
         params, p, zeros = case.params, case.monic, case.zeros
-        points = [*zeros, *_sample_points(zeros, np.random.default_rng(index), count=4)]
-        residuals, agreements = qdiff.qde_checks(p, params, points)
+        points = [*zeros, *_sample_points(zeros, np.random.default_rng(index))[:4]]
+        residuals, agreements = qdiff.qde_checks(case, points)
         ops, expanded = exact_qde_routes(p, params, points)
         assert [gaussian(v) for v in qde_values[-2]] == ops
         assert [gaussian(v) for v in qde_sums[-1][0]] == expanded
@@ -266,8 +266,8 @@ def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypat
         assert agreements == want
         products, evaluations = exact_prop1_totals(zeros, params, p)
         for route, totals in (
-            (lambda: zero_algebra.prop1_residuals(zeros, params), products),
-            (lambda: zero_algebra.prop1_residuals_qde(zeros, params, p), evaluations),
+            (lambda: zero_algebra.prop1_residuals(case), products),
+            (lambda: zero_algebra.prop1_residuals_qde(case), evaluations),
         ):
             got = route()
             total, largest = prop1_sums[-1]

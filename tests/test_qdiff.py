@@ -9,6 +9,7 @@ import pytest
 
 from qzeros import qdiff, qseries, zero_algebra
 from qzeros.errors import DegreeMismatch
+from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
 from qzeros.qdiff import (
@@ -91,18 +92,16 @@ def test_commutation_float_to_rounding():
 def test_annihilation_on_suite(suite):
     rng = random.Random(405)
     for params in suite:
-        p = to_monic(coeffs_P(params))
         pts = _sample_points(params, rng)
-        res = qde_residual(p, params, pts)
+        res = qde_residual(Case(params), pts)
         assert max(abs(v) for v in res) < 1e-9
 
 
 def test_expanded_form_equivalence(suite):
     rng = random.Random(406)
     for params in suite:
-        p = to_monic(coeffs_P(params))
         pts = _sample_points(params, rng)
-        gaps = qde_expanded_agreement(p, params, pts)
+        gaps = qde_expanded_agreement(Case(params), pts)
         assert max(gaps) < 1e-10
 
 
@@ -119,8 +118,9 @@ def test_expanded_residual_matches_operator_route(small_suite):
 
 def test_monomial_alone_is_not_annihilated():
     params = ParamSet(r=1, s=1, N=3, q=0.45, alpha=(0.7 + 0.2j,), beta=(1.3 - 0.4j,))
-    p = Poly((0.0, 0.0, 0.0, 1.0), monic=True)
-    res = qde_residual(p, params, [0.8 + 0.3j, -0.5j, 1.1])
+    case = Case(params)
+    case.monic = Poly((0.0, 0.0, 0.0, 1.0), monic=True)
+    res = qde_residual(case, [0.8 + 0.3j, -0.5j, 1.1])
     assert max(abs(v) for v in res) > 1e-3
 
 
@@ -129,28 +129,29 @@ def test_linear_case_cancels_by_hand():
     # same, so the residual is pure round-off from computing q^{-1} q.
     q = 0.45
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
-    p = Poly((-q, 1.0), monic=True)
-    res = qde_residual(p, params, [0.3, -1.7 + 0.2j, 5.0j])
+    case = Case(params)
+    case.monic = Poly((-q, 1.0), monic=True)
+    res = qde_residual(case, [0.3, -1.7 + 0.2j, 5.0j])
     assert max(abs(v) for v in res) < 1e-13
 
 
 def test_true_zeros_annihilate(small_suite):
     # The defining property at the zeros themselves: both routes vanish.
     for params in small_suite:
-        p, zset = zeros_of(params)
-        res = qde_residual(p, params, zset.zeros)
+        _, zset = zeros_of(params)
+        res = qde_residual(Case(params, zset.zeros), zset.zeros)
         assert max(abs(v) for v in res) < 1e-9
 
 
 def test_degree_mismatch_raised():
+    # the checks read the case's monic polynomial, of degree N by
+    # construction; a case given zeros checks their count once
     params = ParamSet(r=0, s=1, N=2, q=0.5, beta=(1.4,))
     short = Poly((1.0, 1.0), monic=True)
     with pytest.raises(DegreeMismatch):
-        qde_residual(short, params, [1.0])
+        Case(params, [1.0])
     with pytest.raises(DegreeMismatch):
         expanded_residual(short, params, [1.0])
-    with pytest.raises(DegreeMismatch):
-        qde_expanded_agreement(short, params, [1.0])
 
 
 @pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
@@ -162,9 +163,9 @@ def test_array_pass_equals_the_scalar_oracle(suite, ctx):
     rng = random.Random(408)
     for params in suite:
         params = in_context(params, ctx)
-        p = to_monic(coeffs_P(params))
+        case = Case(params)
         pts = [ctx.convert(z) for z in _sample_points(params, rng, count=8)]
-        got, want = qde_checks(p, params, pts), qde_checks_scalar(p, params, pts)
+        got, want = qde_checks(case, pts), qde_checks_scalar(case.monic, params, pts)
         for route, ref in zip(got, want):
             assert len(route) == len(ref)
             for a, b in zip(route, ref):
@@ -185,12 +186,13 @@ def test_checks_evaluate_once_per_route_never_per_point(monkeypatch, small_suite
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recorded)
     for params in small_suite:
-        p, zset = zeros_of(params)
+        _, zset = zeros_of(params)
+        case = Case(params, zset.zeros)
         pts = list(zset.zeros) + [0.5 + 0.25j]
         for check, want in (
-            (lambda: qde_checks(p, params, pts), [("eval_poly", np.ndarray)] * 2),
-            (lambda: zero_algebra.prop1_residuals(zset.zeros, params), []),
-            (lambda: zero_algebra.prop1_residuals_qde(zset.zeros, params, p), [("eval_poly_deriv", np.ndarray)]),
+            (lambda: qde_checks(case, pts), [("eval_poly", np.ndarray)] * 2),
+            (lambda: zero_algebra.prop1_residuals(case), []),
+            (lambda: zero_algebra.prop1_residuals_qde(case), [("eval_poly_deriv", np.ndarray)]),
         ):
             calls.clear()
             check()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qzeros.errors import DegreeMismatch, IndexCollision
+from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
 from qzeros.qdiff import qde_terms
-from qzeros.qseries import coeffs_P, to_monic
 from qzeros.zero_algebra import (
     KernelCache,
     prop1_residuals,
@@ -55,7 +55,7 @@ def test_f_nm_relation_to_f_n(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in velocity_weights(params):
+        for p in velocity_weights(Case(params)):
             for n in range(min(params.N, 3)):
                 for m in range(params.N):
                     if m == n:
@@ -90,7 +90,7 @@ def test_derivative_identity_own_zero(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in velocity_weights(params):
+        for p in velocity_weights(Case(params)):
             for n in range(min(params.N, 2)):
                 fd = _fd_partial(lambda c: f_n(p, n, c, q), zs, n)
                 closed = (1 - q**p) * g_n(p, n, zs, q)
@@ -108,7 +108,7 @@ def test_derivative_identity_other_zero(small_suite):
         _, zset = zeros_of(params)
         zs = zset.zeros
         q = params.q
-        for p in velocity_weights(params):
+        for p in velocity_weights(Case(params)):
             n = 0
             for m in range(1, min(params.N, 3)):
                 fd = _fd_partial(lambda c: f_n(p, n, c, q), zs, m)
@@ -125,7 +125,7 @@ def test_kernel_cache_matches_direct(ctx, tol):
     params = in_context(params, ctx)
     _, zset = zeros_of(params)
     zs, q = zset.zeros, params.q
-    shifts = list(velocity_weights(params))
+    shifts = list(velocity_weights(Case(params)))
     assert min(shifts) < 0  # r > s exercises negative dilation shifts
     cache = KernelCache(np.asarray(zs, dtype=ctx.dtype), q, shifts)
     assert set(cache.fnm) == set(shifts)
@@ -145,7 +145,7 @@ def test_kernel_cache_matches_direct(ctx, tol):
 def test_prop1_true_zeros_on_suite(suite):
     for params in suite:
         _, zset = zeros_of(params)
-        res = prop1_residuals(zset.zeros, params)
+        res = prop1_residuals(Case(params, zset.zeros))
         assert len(res) == params.N
         assert max(res) < 1e-8
 
@@ -155,14 +155,15 @@ def test_prop1_perturbation_sensitivity(suite):
         _, zset = zeros_of(params)
         bumped = list(zset.zeros)
         bumped[0] = bumped[0] * (1 + 1e-3)
-        assert max(prop1_residuals(bumped, params)) > 1e-5
+        assert max(prop1_residuals(Case(params, bumped))) > 1e-5
 
 
 def test_prop1_dual_route_agreement(suite):
     for params in suite:
-        p, zset = zeros_of(params)
-        prod_route = prop1_residuals(zset.zeros, params)
-        qde_route = prop1_residuals_qde(zset.zeros, params, p)
+        _, zset = zeros_of(params)
+        case = Case(params, zset.zeros)
+        prod_route = prop1_residuals(case)
+        qde_route = prop1_residuals_qde(case)
         for a, b in zip(prod_route, qde_route):
             assert abs(a - b) < 1e-10 * max(1.0, a, b)
 
@@ -177,7 +178,8 @@ def test_array_passes_equal_the_scalar_oracles(suite, ctx):
         params = in_context(params, ctx)
         p, zset = zeros_of(params)
         zs = zset.zeros
-        for a, b in zip(prop1_residuals(zs, params), prop1_residuals_scalar(zs, params), strict=True):
+        case = Case(params, zs)
+        for a, b in zip(prop1_residuals(case), prop1_residuals_scalar(zs, params), strict=True):
             assert abs(a - b) <= 64 * ctx.eps
         kappa = 1.0
         for zn in zs:
@@ -187,7 +189,7 @@ def test_array_passes_equal_the_scalar_oracles(suite, ctx):
                 value = sum(c * zk**m for m, c in enumerate(p.coeffs))
                 deriv = sum(m * c * zk ** (m - 1) for m, c in enumerate(p.coeffs) if m)
                 kappa = max(kappa, float(terms / max(abs(value), 2 * abs(zk) * abs(deriv))))
-        got = prop1_residuals_qde(zs, params, p)
+        got = prop1_residuals_qde(case)
         for a, b in zip(got, prop1_residuals_qde_scalar(zs, params, p), strict=True):
             assert abs(a - b) <= 64 * ctx.eps * kappa
 
@@ -239,11 +241,10 @@ def test_r1s1_specialized_form(suite):
 
 
 def test_degree_and_shape_errors():
+    # both routes read a case, which checks the count of its zeros once
     params = ParamSet(r=1, s=1, N=3, q=0.5, alpha=(0.7,), beta=(1.4,))
     with pytest.raises(DegreeMismatch):
-        prop1_residuals((1.0, 2.0), params)
-    with pytest.raises(DegreeMismatch):
-        prop1_residuals_qde((1.0, 2.0), params, to_monic(coeffs_P(params)))
+        Case(params, (1.0, 2.0))
     wrong = ParamSet(r=2, s=1, N=2, q=0.5, alpha=(0.7, 1.1), beta=(1.4,))
     with pytest.raises(DegreeMismatch):
         prop1_residuals_r1s1((1.0, 2.0), wrong)

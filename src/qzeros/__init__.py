@@ -1,135 +1,9 @@
 """Numerical verification laboratory for the zeros of generalized basic
 hypergeometric polynomials: algebraic identities satisfied by the zeros, the
 isospectral matrix whose eigenvalues are known in closed form, and the
-dynamical system whose equilibria are the zeros themselves."""
+dynamical system whose equilibria are the zeros themselves.
 
-from .errors import (
-    CollisionDetected,
-    ConfigError,
-    ConsistencyWarning,
-    DegenerateZeros,
-    DegreeMismatch,
-    EigenNoConvergence,
-    IndexCollision,
-    InvalidDegree,
-    LengthMismatch,
-    NoConvergence,
-    NonGenericParameter,
-    OverflowRisk,
-    QZerosError,
-    RepeatedEigenvalue,
-    StepUnderflow,
-    ZeroLeadingCoefficient,
-)
-from .flow import (
-    CoeffState,
-    FlowState,
-    TriangularC,
-    build_C,
-    equilibrium_residual,
-    evolve_coeffs,
-    fixed_point,
-    flow_rhs,
-    integrate_flow,
-    jacobian_fd,
-)
-from .isospectral import (
-    Case,
-    build_M,
-    certified_spectrum,
-    closed_trace,
-    logdet_gap,
-    match_spectrum,
-    matrix_power_traces,
-    mu_closed,
-    mu_closed_exact,
-)
-from .params import ParamSet, SymFuncs, elem_sym, validate
-from .precision import F64, PrecisionContext, extended
-from .qdiff import (
-    apply_Delta,
-    apply_delta,
-    qde_checks,
-    qde_expanded_agreement,
-    qde_residual,
-)
-from .qseries import (
-    Poly,
-    coeffs_P,
-    eval_poly,
-    eval_poly_deriv,
-    monic_prefactor,
-    qpochhammer,
-    to_monic,
-)
-from .rootfind import ZeroSet, companion_zeros, find_zeros
-from .zero_algebra import (
-    KernelCache,
-    prop1_residuals,
-    prop1_residuals_qde,
-)
+The modules are the API (from qzeros.isospectral import Case); importing
+the package alone loads none of them."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Case",
-    "CoeffState",
-    "CollisionDetected",
-    "ConfigError",
-    "ConsistencyWarning",
-    "DegenerateZeros",
-    "DegreeMismatch",
-    "EigenNoConvergence",
-    "F64",
-    "FlowState",
-    "IndexCollision",
-    "InvalidDegree",
-    "KernelCache",
-    "LengthMismatch",
-    "NoConvergence",
-    "NonGenericParameter",
-    "OverflowRisk",
-    "ParamSet",
-    "Poly",
-    "PrecisionContext",
-    "QZerosError",
-    "RepeatedEigenvalue",
-    "StepUnderflow",
-    "SymFuncs",
-    "TriangularC",
-    "ZeroLeadingCoefficient",
-    "ZeroSet",
-    "apply_Delta",
-    "apply_delta",
-    "build_C",
-    "build_M",
-    "certified_spectrum",
-    "closed_trace",
-    "coeffs_P",
-    "companion_zeros",
-    "elem_sym",
-    "equilibrium_residual",
-    "eval_poly",
-    "eval_poly_deriv",
-    "evolve_coeffs",
-    "extended",
-    "find_zeros",
-    "fixed_point",
-    "flow_rhs",
-    "integrate_flow",
-    "jacobian_fd",
-    "logdet_gap",
-    "match_spectrum",
-    "matrix_power_traces",
-    "monic_prefactor",
-    "mu_closed",
-    "mu_closed_exact",
-    "prop1_residuals",
-    "prop1_residuals_qde",
-    "qde_checks",
-    "qde_expanded_agreement",
-    "qde_residual",
-    "qpochhammer",
-    "to_monic",
-    "validate",
-]

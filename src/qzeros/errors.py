@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-Every failure mode named in an operation contract maps to one class here so
-callers (and the CLI exit-code mapping) can dispatch on type alone.
+Every failure mode a command can meet maps to one class here so callers (and
+the CLI exit-code mapping) can dispatch on type alone. The test oracles
+(tests/oracles.py) define their own failures on top of QZerosError.
 """
 
 
@@ -49,20 +50,12 @@ class DegreeMismatch(QZerosError):
     """Polynomial degree does not match the parameter tuple's N."""
 
 
-class IndexCollision(QZerosError):
-    """Kernel excluding two indices was called with n == m."""
-
-
 class EigenNoConvergence(QZerosError):
     """The dense eigensolver failed to converge."""
 
 
 class LengthMismatch(QZerosError):
     """Spectrum matching called with lists of different lengths."""
-
-
-class RepeatedEigenvalue(QZerosError):
-    """Two closed-form eigenvalues coincide; the eigenvector basis degenerates."""
 
 
 class CollisionDetected(QZerosError):

@@ -1,15 +1,11 @@
-"""Zero-flow dynamics and the coefficient-space linear evolution.
+"""Zero-flow dynamics.
 
-The monic polynomial psi(z, t) = prod (z - z_n(t)) = z^N + sum c_m(t) z^{N-m}
-evolves so that its coefficients obey a lower-bidiagonal affine system
-
-    cdot_m = S_m c_{m-1} + mu_m c_m,   c_0 = 1 (forcing on m = 1),
-    S_m  = (q^{N-m+1} - 1) prod_k (beta_k q^{N-m} - 1),
-    mu_m = -q^{(s-r)(N-m)} (q^{-m} - 1) prod_j (alpha_j q^{N-m} - 1),
-
-whose fixed point is exactly the coefficient vector of the equilibrium
-polynomial (an independent oracle for the coefficient pipeline). The zeros
-themselves obey the rational flow
+The monic polynomial psi(z, t) = prod (z - z_n(t)) moves with its zeros; its
+coefficients then obey a lower-bidiagonal affine system whose diagonal is
+the closed-form spectrum and whose fixed point is the equilibrium
+polynomial (PAPER.md's equivalent coefficient-space linear flow). No command
+reads that system, so it lives in tests/oracles.py (build_C, fixed_point,
+evolve_coeffs). The zeros themselves obey the rational flow
 
     zdot_n = (-1)^s sum_i w_i z_n^{e_i} (q^{k_i} - 1) f_n(k_i),
 
@@ -40,15 +36,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import (
-    CollisionDetected,
-    ConsistencyWarning,
-    OverflowRisk,
-    RepeatedEigenvalue,
-    StepUnderflow,
-)
-from .isospectral import Case, mu_n
-from .params import ParamSet, in_context
+from .errors import CollisionDetected, ConsistencyWarning, OverflowRisk, StepUnderflow
+from .isospectral import Case
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import pairwise_gaps, relative_separation
 from .zero_algebra import shifted_products, velocity_terms
@@ -62,121 +51,11 @@ CONJUGATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class CoeffState:
-    """Coefficients c_1..c_N at time t (c_0 = 1 is implicit, never stored)."""
-
-    c: Tuple
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class FlowState:
     """Zero positions at time t."""
 
     z: Tuple
     t: float = 0.0
-
-
-@dataclass(frozen=True)
-class TriangularC:
-    """Lower-bidiagonal coefficient-evolution matrix plus its eigen machinery.
-
-    diag[n-1] is the eigenvalue mu_n; sub[n-1] is S_n (sub[0] is the c_0 = 1
-    forcing on the first equation). Eigenvectors come from forward
-    substitution: u^(n) has u_n = 1 and u_m = S_m u_{m-1} / (mu_n - mu_m) for
-    m > n.
-    """
-
-    diag: Tuple
-    sub: Tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-
-def build_C(params: ParamSet) -> TriangularC:
-    """Assemble the diagonal (closed-form eigenvalues) and subdiagonal weights,
-    in the precision of params.q."""
-    params = in_context(params, context_of(params.q))
-    q, N, diff = params.q, params.N, params.s - params.r
-    diag, sub = [], []
-    for n in range(1, N + 1):
-        diag.append(mu_n(n, q, params.alpha, N, diff))
-        sval = q ** (N - n + 1) - 1
-        for b in params.beta:
-            sval = sval * (b * q ** (N - n) - 1)
-        sub.append(sval)
-    scale = max(max(abs(d) for d in diag), 1.0)
-    close = np.argwhere(~(pairwise_gaps(diag) >= 1e-12 * scale))
-    if len(close):
-        i, j = close[0]
-        raise RepeatedEigenvalue(
-            f"eigenvalues {i + 1} and {j + 1} coincide within 1e-12; "
-            "the eigenvector basis degenerates (non-generic q)"
-        )
-    return TriangularC(diag=tuple(diag), sub=tuple(sub))
-
-
-def fixed_point(C: TriangularC) -> Tuple:
-    """Stationary coefficients: c*_m = -S_m c*_{m-1} / mu_m with c*_0 = 1.
-
-    Equals the z^{N-m} coefficients of the equilibrium monic polynomial.
-    """
-    out = []
-    prev = 1
-    for m in range(C.n):
-        cur = -C.sub[m] * prev / C.diag[m]
-        out.append(cur)
-        prev = cur
-    return tuple(out)
-
-
-def _eigenvector(C: TriangularC, n: int) -> List:
-    # forward substitution; component indices are 0-based, eigen index n 0-based
-    vec = [0 * C.diag[0] for _ in range(C.n)]
-    vec[n] = 1 + 0 * C.diag[0]
-    for m in range(n + 1, C.n):
-        vec[m] = C.sub[m] * vec[m - 1] / (C.diag[n] - C.diag[m])
-    return vec
-
-
-def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
-    """Exact evolution via eigen decomposition (no time stepping).
-
-    The affine system is shifted to the fixed point, the deviation is expanded
-    in the triangular eigenbasis by forward substitution, each mode carries
-    exp(mu_n (t - t0)), and the fixed point is added back. Raises OverflowRisk
-    when a mode's exponential leaves binary64 (Re mu_n (t - t0) above about
-    709).
-    """
-    if len(c0.c) != C.n:
-        raise ValueError(f"state has {len(c0.c)} coefficients, matrix order is {C.n}")
-    star = fixed_point(C)
-    dev = [c0.c[m] - star[m] for m in range(C.n)]
-    vecs = [_eigenvector(C, n) for n in range(C.n)]
-    eta = []
-    for n in range(C.n):
-        acc = dev[n]
-        for k in range(n):
-            acc = acc - eta[k] * vecs[k][n]
-        eta.append(acc)
-    dt = t - c0.t
-    out = list(star)
-    for n in range(C.n):
-        factor = eta[n]
-        if abs(dt) > 0:
-            rate = complex(C.diag[n]) * dt
-            try:
-                factor = factor * cmath.exp(rate)
-            except OverflowError:
-                raise OverflowRisk(
-                    f"mode {n + 1}: exp(mu_{n + 1} (t - t0)) overflows binary64 at"
-                    f" t = {t}, Re mu_{n + 1} (t - t0) = {rate.real:.4g}"
-                ) from None
-        for m in range(n, C.n):
-            out[m] = out[m] + factor * vecs[n][m]
-    return CoeffState(c=tuple(out), t=float(t))
 
 
 def _check_separation(zs) -> np.ndarray:

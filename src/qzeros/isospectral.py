@@ -8,17 +8,18 @@ whose spectrum is claimed in closed form:
 
 The eigenvalues depend only on q, N and the alphas, never on the betas: the
 matrix family is isospectral under beta deformations, and with rational q and
-alphas the spectrum is exactly rational (the exact path uses
-fractions.Fraction end to end).
+alphas the spectrum is exactly rational: mu_n evaluates over
+fractions.Fraction too, as the tests do.
 
 The matrix is the Jacobian of the zero flow, so its entries carry the flow's
 weights (zero_algebra.velocity_weights, read from the one table of the
 expanded q-difference equation, qdiff.qde_terms) times the derivatives of
 the shift kernels, one kernel table a shift. mu_n is the one home of the
-closed form; mu_closed, mu_closed_exact and the coefficient flow's build_C
-evaluate it; closed_trace sums it over n without evaluating it. A Case holds
-one parameter set's stages, each computed once, the kernel tables that M and
-the flow's Jacobian check share among them, and Case.at(ctx) at more digits.
+closed form; mu_closed evaluates it, and so do the tests' exact rational
+spectrum and coefficient flow (tests/oracles.py); closed_trace sums it over
+n without evaluating it. A Case holds one parameter set's stages, each
+computed once, the kernel tables that M and the flow's Jacobian check share
+among them, and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
 its own scalars, never rounded to binary64: matrix_power_traces by exact
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Any, Callable, List, Sequence, Tuple
 
 import mpmath
@@ -94,13 +94,6 @@ def mu_closed(params: ParamSet) -> List:
     params = in_context(params, context_of(params.q))
     diff = params.s - params.r
     return [mu_n(n, params.q, params.alpha, params.N, diff) for n in range(1, params.N + 1)]
-
-
-def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: int) -> List[Fraction]:
-    """The same formula over exact rationals (always lowest terms)."""
-    if len(alphas) != r:
-        raise LengthMismatch(f"got {len(alphas)} alphas for r = {r}")
-    return [Fraction(mu_n(n, q, alphas, N, s - r)) for n in range(1, N + 1)]
 
 
 # relative forward error bound demanded of the returned eigenvalues; three

@@ -1,10 +1,13 @@
-"""Parameter tuples, genericity validation, and elementary symmetric functions.
+"""Parameter tuples, genericity validation, and Vieta's expansion.
 
 A ParamSet fixes one polynomial family instance: the two index counts r and s,
 the degree N, the base q, and the numerator/denominator parameter lists. All
 downstream formulas assume "generic" parameters: q off the grid of small roots
 of unity, and no alpha or beta sitting on a pole q^{-m} of the coefficient
-formula. validate() certifies exactly that.
+formula. validate() certifies exactly that. _elementary is the one home of
+Vieta's expansion: the elementary symmetric functions of the alphas and
+betas (qdiff.qde_terms, isospectral.closed_trace) and of the zeros (the
+zeros command's reconstruction).
 """
 
 from __future__ import annotations
@@ -45,14 +48,6 @@ class ParamSet:
             raise ValueError(f"beta has {len(self.beta)} entries, expected s={self.s}")
 
 
-@dataclass(frozen=True)
-class SymFuncs:
-    """Coefficients of prod(1 + alpha_j x) and prod(1 + beta_k x) (constant term dropped)."""
-
-    a: Tuple
-    b: Tuple
-
-
 def validate(params: ParamSet) -> ParamSet:
     """Certify genericity; returns the same ParamSet or raises NonGenericParameter.
 
@@ -63,6 +58,8 @@ def validate(params: ParamSet) -> ParamSet:
       - any beta_k = q^{-m} for m = 0..N-1 (zeroes a (beta_k;q)_m denominator),
       - any alpha_j = q^{-m} for m = 0..N-1 (annihilates the leading coefficient
         through the (alpha_j;q)_N numerator factor, breaking the monic rescale).
+    A power of q that overflows binary64 ends its loop: it and every higher
+    power lie beyond every finite value, so none is 1 or near an alpha or beta.
     """
     if params.N < 1:
         raise InvalidDegree(f"N must be a positive integer, got {params.N}")
@@ -70,12 +67,19 @@ def validate(params: ParamSet) -> ParamSet:
     if abs(q) < GENERICITY_TOL:
         raise NonGenericParameter("q", "0", "dilation operator degenerates")
     for i in range(1, params.N + 1):
-        if abs(q**i - 1) < GENERICITY_TOL:
+        try:
+            power = q**i
+        except OverflowError:  # binary64 only; mpc powers do not overflow
+            break
+        if abs(power - 1) < GENERICITY_TOL:
             raise NonGenericParameter("q", f"root of unity of order {i}", "(q;q)_m factor 1 - q^i vanishes")
     for label, values in (("beta", params.beta), ("alpha", params.alpha)):
         for idx, val in enumerate(values, start=1):
             for m in range(params.N):
-                pole = q ** (-m)
+                try:
+                    pole = q ** (-m)
+                except OverflowError:
+                    break
                 if abs(val - pole) < GENERICITY_TOL * max(1.0, abs(pole)):
                     raise NonGenericParameter(f"{label}_{idx}", f"q^-{m}")
     return params
@@ -103,17 +107,10 @@ def _poly_mul_linear(coeffs: list, root_weight) -> list:
 
 
 def _elementary(values: Sequence) -> Tuple:
+    """Vieta's expansion: the coefficients e_1..e_k of prod(1 + v x) over the
+    values, by iterated convolution, the constant 1 dropped; the last is the
+    full product."""
     coeffs = [1.0 + 0.0j] if not values else [type(values[0])(1)]
     for v in values:
         coeffs = _poly_mul_linear(coeffs, v)
     return tuple(coeffs[1:])
-
-
-def elem_sym(params: ParamSet) -> SymFuncs:
-    """Elementary symmetric coefficients a_j(alpha), b_k(beta).
-
-    Computed by iterated convolution of the generating products
-    prod(1 + alpha_j x) and prod(1 + beta_k x); the top coefficients are the
-    full products prod(alpha_j), prod(beta_k).
-    """
-    return SymFuncs(a=_elementary(params.alpha), b=_elementary(params.beta))

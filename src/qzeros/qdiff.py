@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .params import ParamSet, elem_sym
+from .params import ParamSet, _elementary
 from .precision import TINY, context_of
 from .qseries import Poly, eval_poly
 
@@ -116,14 +116,13 @@ def qde_terms(params: ParamSet) -> List[Tuple[int, object, int]]:
     """
     q = params.q
     r, s = params.r, params.s
-    sym = elem_sym(params)
     q_minus_N = q ** (-params.N)
     sign_rs = (-1) ** (r - s)
     terms = []
-    for k, b in enumerate((1,) + sym.b):
+    for k, b in enumerate((1,) + _elementary(params.beta)):
         w = b * (-q) ** (-k)
         terms += [(k, w, 0), (k + 1, -w, 0)]
-    for j, a in enumerate((1,) + sym.a):
+    for j, a in enumerate((1,) + _elementary(params.alpha)):
         w = -sign_rs * (-1) ** j * a
         terms += [(s - r + j, w, 1), (s - r + j + 1, -w * q_minus_N, 1)]
     return terms

@@ -63,7 +63,8 @@ def qpochhammer(gamma, q, m: int):
 
 def coeffs_P(params: ParamSet) -> Poly:
     """Coefficient vector of P_N via the consecutive-term ratio recurrence,
-    in the precision of params.q."""
+    in the precision of params.q. OverflowRisk in binary64 once a coefficient
+    passes OVERFLOW_LIMIT or a power of q overflows."""
     ctx = context_of(params.q)
     params = in_context(params, ctx)
     q, N, diff = params.q, params.N, params.s - params.r
@@ -71,25 +72,29 @@ def coeffs_P(params: ParamSet) -> Poly:
     term = ctx.convert(1.0)
     coeffs = [term]
     qpow = ctx.convert(1.0)  # q^{m-1} while filling coefficient m
-    q_minus_N = q ** (-N)
-    for m in range(1, N + 1):
-        num = 1 - qpow * q_minus_N
-        den = 1 - q**m
-        for a in params.alpha:
-            num = num * (1 - a * qpow)
-        for b in params.beta:
-            den = den * (1 - b * qpow)
-        ratio = num / den
-        if diff:
-            ratio = ratio * (-qpow) ** diff
-        term = term * ratio
-        if ctx.mp is None and abs(term) > OVERFLOW_LIMIT:
-            raise OverflowRisk(
-                f"coefficient magnitude {abs(term):.3e} at m={m} exceeds {OVERFLOW_LIMIT:.0e};"
-                " use extended precision"
-            )
-        coeffs.append(term)
-        qpow = qpow * q
+    try:
+        q_minus_N = q ** (-N)
+        for m in range(1, N + 1):
+            num = 1 - qpow * q_minus_N
+            den = 1 - q**m
+            for a in params.alpha:
+                num = num * (1 - a * qpow)
+            for b in params.beta:
+                den = den * (1 - b * qpow)
+            ratio = num / den
+            if diff:
+                ratio = ratio * (-qpow) ** diff
+            term = term * ratio
+            if ctx.mp is None and not abs(term) <= OVERFLOW_LIMIT:
+                raise OverflowRisk(
+                    f"coefficient magnitude {abs(term):.3e} at m={m} exceeds {OVERFLOW_LIMIT:.0e};"
+                    " use extended precision"
+                )
+            coeffs.append(term)
+            qpow = qpow * q
+    except OverflowError:
+        # binary64 powers raise it; mpc ones do not overflow
+        raise OverflowRisk(f"a power of q overflows binary64 at N={N}; use extended precision") from None
     return Poly(coeffs=tuple(coeffs), monic=False)
 
 

@@ -14,15 +14,11 @@ import random
 
 import pytest
 
-from qzeros import (
-    NonGenericParameter,
-    ParamSet,
-    coeffs_P,
-    find_zeros,
-    to_monic,
-    validate,
-)
+from qzeros.errors import NonGenericParameter
+from qzeros.params import ParamSet, validate
 from qzeros.precision import context_of
+from qzeros.qseries import coeffs_P, to_monic
+from qzeros.rootfind import find_zeros
 
 RS_COMBOS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 SUITE_SEED = 20260815

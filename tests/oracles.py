@@ -11,6 +11,12 @@ prop1_residuals_r1s1 is the printed r = s = 1 form of the zero identity;
 closed_trace_r1s1 and closed_trace_r2s1 are the explicit trace formulas
 for (r, s) = (1, 1) and (2, 1) that closed_trace's general sum replaced;
 flow_rhs_from_products is the zero flow built from the zero identities;
+build_C, fixed_point and evolve_coeffs are PAPER.md's equivalent
+coefficient-space linear flow: the lower-bidiagonal C whose diagonal is the
+closed-form spectrum, its fixed point, the equilibrium polynomial's
+coefficients, and its exact evolution by eigen decomposition, the oracle of
+integrate_flow's trajectory; mu_closed_exact is the closed-form spectrum
+over exact rationals, the oracle of closed_trace and the certified spectra;
 eval_phi sums the hypergeometric series itself, an oracle for the
 coefficient recurrence of coeffs_P; reduce cancels equal trailing
 alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
@@ -47,20 +53,29 @@ passes and matrix products.
 import cmath
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 from mpmath.libmp import from_rational, round_nearest
 
-from qzeros.errors import DegenerateZeros, DegreeMismatch, EigenNoConvergence, IndexCollision, NoConvergence, QZerosError
-from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, match_spectrum
-from qzeros.params import GENERICITY_TOL, ParamSet
+from qzeros.errors import (
+    DegenerateZeros,
+    DegreeMismatch,
+    EigenNoConvergence,
+    LengthMismatch,
+    NoConvergence,
+    OverflowRisk,
+    QZerosError,
+)
+from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, match_spectrum, mu_n
+from qzeros.params import GENERICITY_TOL, ParamSet, in_context
 from qzeros.precision import F64, TINY, Dyadic, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
-from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet
+from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet, pairwise_gaps
 from qzeros.zero_algebra import velocity_terms
 
 
@@ -147,6 +162,10 @@ def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):
 def f_n(p: int, n: int, zeros: Sequence, q):
     """prod over l != n of (q^p z_n - z_l)/(z_n - z_l); 1 for N = 1 (0-based n)."""
     return _kernel_product(p, n, {n}, zeros, q)
+
+
+class IndexCollision(QZerosError):
+    """f_nm was called with n == m."""
 
 
 def f_nm(p: int, n: int, m: int, zeros: Sequence, q):
@@ -370,6 +389,133 @@ def flow_rhs_from_products(zs, params: ParamSet) -> List:
                 denom = denom * (zn - zl)
         out.append(sign * total / denom)
     return out
+
+
+class RepeatedEigenvalue(QZerosError):
+    """Two closed-form eigenvalues coincide; the eigenvector basis degenerates."""
+
+
+def mu_closed_exact(q: Fraction, alphas: Sequence[Fraction], N: int, r: int, s: int) -> List[Fraction]:
+    """isospectral.mu_n over exact rationals (always lowest terms)."""
+    if len(alphas) != r:
+        raise LengthMismatch(f"got {len(alphas)} alphas for r = {r}")
+    return [Fraction(mu_n(n, q, alphas, N, s - r)) for n in range(1, N + 1)]
+
+
+@dataclass(frozen=True)
+class CoeffState:
+    """Coefficients c_1..c_N at time t (c_0 = 1 is implicit, never stored)."""
+
+    c: Tuple
+    t: float = 0.0
+
+
+@dataclass(frozen=True)
+class TriangularC:
+    """Lower-bidiagonal coefficient-evolution matrix plus its eigen machinery.
+
+    diag[n-1] is the eigenvalue mu_n; sub[n-1] is S_n (sub[0] is the c_0 = 1
+    forcing on the first equation). Eigenvectors come from forward
+    substitution: u^(n) has u_n = 1 and u_m = S_m u_{m-1} / (mu_n - mu_m) for
+    m > n.
+    """
+
+    diag: Tuple
+    sub: Tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
+
+
+def build_C(params: ParamSet) -> TriangularC:
+    """The coefficients c_m of psi(z, t) = prod (z - z_n(t)) = z^N + sum c_m z^{N-m}
+    under the zero flow obey the lower-bidiagonal affine system
+
+        cdot_m = S_m c_{m-1} + mu_m c_m,   c_0 = 1 (forcing on m = 1),
+        S_m  = (q^{N-m+1} - 1) prod_k (beta_k q^{N-m} - 1),
+
+    mu_m the closed-form eigenvalue (isospectral.mu_n); its diagonal and
+    subdiagonal, in the precision of params.q."""
+    params = in_context(params, context_of(params.q))
+    q, N, diff = params.q, params.N, params.s - params.r
+    diag, sub = [], []
+    for n in range(1, N + 1):
+        diag.append(mu_n(n, q, params.alpha, N, diff))
+        sval = q ** (N - n + 1) - 1
+        for b in params.beta:
+            sval = sval * (b * q ** (N - n) - 1)
+        sub.append(sval)
+    scale = max(max(abs(d) for d in diag), 1.0)
+    close = np.argwhere(~(pairwise_gaps(diag) >= 1e-12 * scale))
+    if len(close):
+        i, j = close[0]
+        raise RepeatedEigenvalue(
+            f"eigenvalues {i + 1} and {j + 1} coincide within 1e-12; "
+            "the eigenvector basis degenerates (non-generic q)"
+        )
+    return TriangularC(diag=tuple(diag), sub=tuple(sub))
+
+
+def fixed_point(C: TriangularC) -> Tuple:
+    """Stationary coefficients: c*_m = -S_m c*_{m-1} / mu_m with c*_0 = 1.
+
+    Equals the z^{N-m} coefficients of the equilibrium monic polynomial.
+    """
+    out = []
+    prev = 1
+    for m in range(C.n):
+        cur = -C.sub[m] * prev / C.diag[m]
+        out.append(cur)
+        prev = cur
+    return tuple(out)
+
+
+def _eigenvector(C: TriangularC, n: int) -> List:
+    # forward substitution; component indices are 0-based, eigen index n 0-based
+    vec = [0 * C.diag[0] for _ in range(C.n)]
+    vec[n] = 1 + 0 * C.diag[0]
+    for m in range(n + 1, C.n):
+        vec[m] = C.sub[m] * vec[m - 1] / (C.diag[n] - C.diag[m])
+    return vec
+
+
+def evolve_coeffs(C: TriangularC, c0: CoeffState, t: float) -> CoeffState:
+    """Exact evolution via eigen decomposition (no time stepping).
+
+    The affine system is shifted to the fixed point, the deviation is expanded
+    in the triangular eigenbasis by forward substitution, each mode carries
+    exp(mu_n (t - t0)), and the fixed point is added back. Raises OverflowRisk
+    when a mode's exponential leaves binary64 (Re mu_n (t - t0) above about
+    709).
+    """
+    if len(c0.c) != C.n:
+        raise ValueError(f"state has {len(c0.c)} coefficients, matrix order is {C.n}")
+    star = fixed_point(C)
+    dev = [c0.c[m] - star[m] for m in range(C.n)]
+    vecs = [_eigenvector(C, n) for n in range(C.n)]
+    eta = []
+    for n in range(C.n):
+        acc = dev[n]
+        for k in range(n):
+            acc = acc - eta[k] * vecs[k][n]
+        eta.append(acc)
+    dt = t - c0.t
+    out = list(star)
+    for n in range(C.n):
+        factor = eta[n]
+        if abs(dt) > 0:
+            rate = complex(C.diag[n]) * dt
+            try:
+                factor = factor * cmath.exp(rate)
+            except OverflowError:
+                raise OverflowRisk(
+                    f"mode {n + 1}: exp(mu_{n + 1} (t - t0)) overflows binary64 at"
+                    f" t = {t}, Re mu_{n + 1} (t - t0) = {rate.real:.4g}"
+                ) from None
+        for m in range(n, C.n):
+            out[m] = out[m] + factor * vecs[n][m]
+    return CoeffState(c=tuple(out), t=float(t))
 
 
 def expanded_residual(p: Poly, params: ParamSet, zs: Sequence) -> List:

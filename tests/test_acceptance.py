@@ -24,7 +24,6 @@ from qzeros.isospectral import (
     match_spectrum,
     matrix_power_traces,
     mu_closed,
-    mu_closed_exact,
 )
 from qzeros.params import ParamSet, validate
 from qzeros.errors import NonGenericParameter
@@ -34,6 +33,7 @@ from qzeros.rootfind import companion_zeros, find_zeros
 from qzeros.zero_algebra import prop1_residuals
 
 from conftest import zeros_of
+from oracles import mu_closed_exact
 
 CONTRACTIVE = ParamSet(r=0, s=1, N=6, q=0.45, alpha=(), beta=(1.3 - 0.4j,))
 

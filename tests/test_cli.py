@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import mpmath.ctx_mp_python
@@ -187,6 +188,20 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
 def test_bad_out_path_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert run("poly", cfg, "--out", str(tmp_path / "no_dir" / "r.json")) == 2
+
+
+def test_binary64_out_of_range_degree_is_one_error_line(tmp_path, capsys):
+    # at q = 0.45, q^-1000 overflows binary64 (a pole no finite alpha or beta
+    # reaches; coeffs_P cannot form it); at q = 2 the coefficients turn NaN
+    # by N = 1000, and q^1100 overflows
+    for q, N in ((0.45, 1000), (2.0, 1000), (2.0, 1100)):
+        cfg = write_config(tmp_path, q=q, N=N)
+        for command in COMMANDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(command, cfg) == 1, (q, N, command)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (q, N, command, err)
 
 
 def test_flow_zero_horizon_csv(tmp_path):

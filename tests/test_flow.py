@@ -9,15 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qzeros.errors import CollisionDetected, ConsistencyWarning, OverflowRisk, RepeatedEigenvalue
+from qzeros.errors import CollisionDetected, ConsistencyWarning, OverflowRisk
 from qzeros.flow import (
-    CoeffState,
     FlowState,
-    TriangularC,
-    build_C,
     equilibrium_residual,
-    evolve_coeffs,
-    fixed_point,
     flow_rhs,
     integrate_flow,
     jacobian_fd,
@@ -31,7 +26,14 @@ from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import relative_separation
 
 from conftest import make_case, zeros_of
-from oracles import flow_rhs_from_products
+from oracles import (
+    CoeffState,
+    RepeatedEigenvalue,
+    build_C,
+    evolve_coeffs,
+    fixed_point,
+    flow_rhs_from_products,
+)
 
 CONTRACTIVE = ParamSet(r=0, s=1, N=6, q=0.45, alpha=(), beta=(1.3 - 0.4j,))
 

@@ -24,7 +24,6 @@ from qzeros.isospectral import (
     match_spectrum,
     matrix_power_traces,
     mu_closed,
-    mu_closed_exact,
 )
 from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, extended
@@ -42,6 +41,7 @@ from oracles import (
     closed_trace_r1s1,
     closed_trace_r2s1,
     eig_bound_lapack,
+    mu_closed_exact,
     refined_eigenvalues_fdot,
     spectrum_match,
 )

@@ -1,18 +1,13 @@
-"""Parameter validation, elementary symmetric coefficients, and reduction."""
+"""Parameter validation, Vieta's expansion, and reduction."""
 
 import cmath
 import random
 
 import pytest
 
-from qzeros import (
-    InvalidDegree,
-    NonGenericParameter,
-    ParamSet,
-    coeffs_P,
-    elem_sym,
-    validate,
-)
+from qzeros.errors import InvalidDegree, NonGenericParameter
+from qzeros.params import ParamSet, _elementary, validate
+from qzeros.qseries import coeffs_P
 
 from conftest import suite_cases
 from oracles import ReductionMismatch, ReductionTooDeep, reduce
@@ -54,44 +49,33 @@ def test_validate_rejects_degenerate_q():
         validate(ParamSet(r=0, s=0, N=2, q=-1.0))
 
 
-def test_elem_sym_empty_and_hand_cases():
-    sym = elem_sym(ParamSet(r=0, s=0, N=2, q=0.5))
-    assert sym.a == () and sym.b == ()
-
-    sym = elem_sym(ParamSet(r=0, s=3, N=2, q=0.5, beta=(1.0, 2.0, 3.0)))
-    assert [complex(b) for b in sym.b] == [6, 11, 6]
+def test_elementary_empty_and_hand_cases():
+    assert _elementary(()) == ()
+    assert [complex(b) for b in _elementary((1.0, 2.0, 3.0))] == [6, 11, 6]
 
     a1, a2 = 0.7 + 0.2j, 1.3 - 0.4j
-    sym = elem_sym(ParamSet(r=2, s=0, N=2, q=0.5, alpha=(a1, a2)))
-    assert abs(sym.a[0] - (a1 + a2)) < 1e-15
-    assert abs(sym.a[1] - a1 * a2) < 1e-15
+    a = _elementary((a1, a2))
+    assert abs(a[0] - (a1 + a2)) < 1e-15
+    assert abs(a[1] - a1 * a2) < 1e-15
 
 
-def test_elem_sym_generating_function_identity(small_suite):
+def test_elementary_generating_function_identity(small_suite):
     rng = random.Random(5)
     for params in small_suite:
-        sym = elem_sym(params)
-        for _ in range(1 + max(params.r, params.s)):
-            x = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            lhs = 1.0 + 0j
-            for a in params.alpha:
-                lhs *= 1 + a * x
-            rhs = 1 + sum(c * x ** (j + 1) for j, c in enumerate(sym.a))
-            scale = max(1.0, abs(lhs))
-            assert abs(lhs - rhs) < 1e-12 * scale
-            lhs = 1.0 + 0j
-            for b in params.beta:
-                lhs *= 1 + b * x
-            rhs = 1 + sum(c * x ** (k + 1) for k, c in enumerate(sym.b))
-            scale = max(1.0, abs(lhs))
-            assert abs(lhs - rhs) < 1e-12 * scale
+        for values in (params.alpha, params.beta):
+            e = _elementary(values)
+            for _ in range(1 + max(params.r, params.s)):
+                x = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                lhs = 1.0 + 0j
+                for v in values:
+                    lhs *= 1 + v * x
+                rhs = 1 + sum(c * x ** (j + 1) for j, c in enumerate(e))
+                assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_elem_sym_top_coefficient_is_full_product():
-    params = ParamSet(r=2, s=2, N=3, q=0.4, alpha=(0.3 + 0.1j, 1.2), beta=(0.9, 1.4j))
-    sym = elem_sym(params)
-    assert abs(sym.a[-1] - params.alpha[0] * params.alpha[1]) < 1e-15
-    assert abs(sym.b[-1] - params.beta[0] * params.beta[1]) < 1e-15
+def test_elementary_top_coefficient_is_full_product():
+    for values in ((0.3 + 0.1j, 1.2), (0.9, 1.4j)):
+        assert abs(_elementary(values)[-1] - values[0] * values[1]) < 1e-15
 
 
 def _reduction_pair():

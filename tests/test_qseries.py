@@ -3,23 +3,11 @@
 import numpy as np
 import pytest
 
-from qzeros import (
-    OverflowRisk,
-    ParamSet,
-    Poly,
-    ZeroLeadingCoefficient,
-    coeffs_P,
-    eval_poly,
-    eval_poly_deriv,
-    monic_prefactor,
-    qpochhammer,
-    to_monic,
-    validate,
-)
-
 from qzeros.cli import _sample_points
-from qzeros.params import in_context
+from qzeros.errors import OverflowRisk, ZeroLeadingCoefficient
+from qzeros.params import ParamSet, in_context, validate
 from qzeros.precision import F64, extended
+from qzeros.qseries import Poly, coeffs_P, eval_poly, eval_poly_deriv, monic_prefactor, qpochhammer, to_monic
 
 from conftest import zeros_of
 from oracles import eval_phi, horner, horner_deriv

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qzeros.errors import DegreeMismatch, IndexCollision
+from qzeros.errors import DegreeMismatch
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
@@ -18,6 +18,7 @@ from qzeros.zero_algebra import (
 
 from conftest import zeros_of
 from oracles import (
+    IndexCollision,
     _prop1_terms,
     _shift_products,
     decancelled_size,

@@ -15,10 +15,15 @@ the n-th zero identity over z_n prod_{l != n} (z_n - z_l). Grouped by shift
 (zero_algebra.velocity_weights, a stage of the case) it reads
 zdot_n = sum_k (a_k + b_k z_n) f_n(k), one kernel product a shift. Its
 equilibria are the true zeros and its linearization there is the spectral
-matrix. Velocities are arrays in the dtype of the zeros' context
-(complex128, or object holding mpc): _moved_velocity places each zero at an
-array of points, the others fixed, and multiplies its sum over the shifts
-by the product of the reciprocals 1/(z - z_l) once.
+matrix. Velocities are arrays in the carried arithmetic of the zeros'
+context (PrecisionContext.carried: complex128, or at extended digits
+precision.Carried, Gaussian integers cut to 3 times the context's bits at
+each product), rounded once on the way out: _moved_velocity places each
+zero at an array of points, the others fixed, and multiplies its sum over
+the shifts by the product of the reciprocals 1/(z - z_l) once. Those
+reciprocals, 1/(z_m + h w^j - z_l) in jacobian_fd and its 1/(K h), are the
+divisions, taken in mpc at extended digits and read in once, with the K N
+sample points they divide by; every other product is carried.
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
@@ -74,26 +79,31 @@ def _others(a):
     return np.broadcast_to(a, (n, n)).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
 
 
-def _moved_velocity(weights, others, q, z, inv):
+def _moved_velocity(weights, others, z, inv):
     """Velocity of zero i placed at each z[i, j], the zeros others[i] fixed:
-    sum_k (a_k + b_k z) f_i(k) over the velocity_weights items (k, (a_k, b_k)),
-    f_i(k) = prod_l (q^k z - others[i, l]) times the product of the
-    inv[i, l, j] = 1/(z[i, j] - others[i, l]) over l, which no shift changes
-    and so multiplies the sum once."""
+    sum_k (a_k + b_k z) f_i(k) over the velocity_weights items
+    (k, (q^k, a_k, b_k)), f_i(k) = prod_l (q^k z - others[i, l]) times the
+    product of the inv[i, l, j] = 1/(z[i, j] - others[i, l]) over l, which no
+    shift changes and so multiplies the sum once."""
     total = np.zeros_like(z)
-    for k, (a, b) in weights.items():
-        total = total + (z[:, None, :] * q**k - others[..., None]).prod(axis=1) * (z * b + a)
+    for qk, a, b in weights.values():
+        total = total + (z[:, None, :] * qk - others[..., None]).prod(axis=1) * (z * b + a)
     return total * inv.prod(axis=1)
 
 
 def flow_rhs(zs, case: Case) -> List:
     """Velocities of all zeros at the configuration zs (a sequence or array of
-    zeros) under the case's flow, as builtin complex or mpc scalars."""
-    zs = np.asarray(zs, dtype=context_of(zs[0]).dtype)
+    zeros) under the case's flow, as builtin complex or mpc scalars: the
+    reciprocals taken in those scalars, the products in their context's
+    carried arithmetic (PrecisionContext.carried), each velocity rounded
+    once."""
+    ctx = context_of(zs[0])
+    zs = np.asarray(zs, dtype=ctx.dtype)
     _check_separation(zs)
     others, z = _others(zs), zs[:, None]
-    inv = 1 / (z[:, None, :] - others[..., None])
-    return _moved_velocity(case.velocity_weights, others, case.params.q, z, inv)[:, 0].tolist()
+    inv = ctx.carried(1 / (z[:, None, :] - others[..., None]))
+    velocity = _moved_velocity(case.velocity_weights, ctx.carried(others), ctx.carried(z), inv)
+    return ctx.rounded(velocity[:, 0]).tolist()
 
 
 def equilibrium_residual(case: Case) -> float:
@@ -170,39 +180,39 @@ def jacobian_fd(case: Case):
     ConsistencyWarning is raised when it exceeds CONJUGATE_TOL relative.
     The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
-    params = case.params
     gaps = _check_separation(case.zeros)
-    kernels = case.kernels
-    zarr = kernels.z
-    ctx = context_of(zarr[0])
+    kernels, weights = case.kernels, case.velocity_weights
+    ctx = context_of(case.zeros[0])
+    carried = ctx.carried
+    zarr = np.asarray(case.zeros, dtype=ctx.dtype)
     n_count = len(zarr)
-    weights = case.velocity_weights
     others = _others(zarr)
     # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
     p_sum = q_sum = 0
-    for k, (a, b) in weights.items():
-        qk = params.q**k
-        wl = _others(zarr * b + a) * _others(kernels.fnm[k].T)
+    for k, (qk, a, b) in weights.items():
+        wl = _others(kernels.z * b + a) * _others(kernels.fnm[k].T)
         p_sum = p_sum + wl * qk
         q_sum = q_sum + wl
 
     samples, rel_step, down, circle = _contour(ctx)
     h = rel_step * np.asarray(np.minimum(ctx.sizes(zarr), gaps.min(axis=1)), dtype=float)
-    z = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
-    inv_at = 1 / (z[:, None, :] - others[..., None])
+    # the sample points and their reciprocals in the scalar type, read in once
+    points = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
+    inv_at = carried(1 / (points[:, None, :] - others[..., None]))
+    z, others = carried(points), carried(others)
     velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
     diagonal = np.eye(n_count, dtype=bool)
-    velocities[diagonal] = _moved_velocity(weights, others, params.q, z, inv_at)
+    velocities[diagonal] = _moved_velocity(weights, others, z, inv_at)
     rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
     velocities[~diagonal] = rows.reshape(-1, samples)
     half = samples // 2
     diffs = velocities[..., :half] - velocities[..., half:]
     # deriv[m, n] = d F_n / d z_m, times 1/(K h) after the sum and in the
     # scalar type: a float would round extended quotients to binary64
-    scale = np.array([(1 / ctx.convert(samples * hm)).real for hm in h], dtype=ctx.dtype)
-    deriv = (diffs * np.array(down, dtype=ctx.dtype)).sum(axis=-1) * scale[:, None]
+    scale = carried([(1 / ctx.convert(samples * hm)).real for hm in h])
+    deriv = ctx.rounded((diffs * carried(down)).sum(axis=-1) * scale[:, None])
     # its conj(z_m) counterpart feeds one float comparison: sized, then scaled in floats
-    conj = ctx.sizes((diffs * np.array(circle[:half], dtype=ctx.dtype)).sum(axis=-1))
+    conj = ctx.sizes((diffs * carried(circle[:half])).sum(axis=-1))
     conj = conj / (samples * h)[:, None]
     worst_conjugate = float((conj / np.maximum(1.0, ctx.sizes(deriv))).max())
     if worst_conjugate > CONJUGATE_TOL:

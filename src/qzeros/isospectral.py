@@ -17,9 +17,13 @@ expanded q-difference equation, qdiff.qde_terms) times the derivatives of
 the shift kernels, one kernel table a shift. mu_n is the one home of the
 closed form; mu_closed evaluates it, and so do the tests' exact rational
 spectrum and coefficient flow (tests/oracles.py); closed_trace sums it over
-n without evaluating it. A Case holds one parameter set's stages, each
-computed once, the kernel tables that M and the flow's Jacobian check share
-among them, and Case.at(ctx) at more digits.
+n without evaluating it. build_M multiplies in the kernel tables' carried
+arithmetic (precision.Carried at extended digits: Gaussian integers cut to
+3 times the context's bits at each product, no mpc product) and rounds M
+once into the context's scalars, which every check then reads. A Case
+holds one parameter set's stages, each computed once, the kernel tables
+that M and the flow's Jacobian check share among them, and Case.at(ctx) at
+more digits.
 
 Every check reads that array. The trace and determinant checks read it in
 its own scalars, never rounded to binary64: matrix_power_traces by exact
@@ -62,20 +66,22 @@ def build_M(case: Case) -> np.ndarray:
         M_nn = sum_k b_k f_n(k) - sum_{m != n} z_m S_nm / (z_n - z_m)^2,
 
     the second sum being the g_n(k) of each shift against its weight,
-    regrouped into one product with z and never divided by z_n.
+    regrouped into one product with z and never divided by z_n. Every
+    product is taken in the tables' carried arithmetic and M is rounded
+    once into the context's scalars (PrecisionContext.rounded).
     """
-    params, cache = case.params, case.kernels
-    q, z = params.q, cache.z
+    cache = case.kernels
+    z = cache.z
     S = own = 0
-    for k, (a, b) in case.velocity_weights.items():
+    for k, (qk, a, b) in case.velocity_weights.items():
         table = cache.fnm[k]
         # arrays on the left: an mpc on the left of an object array is slow
-        S = S + table * ((z * b + a) * (q**k - 1))[:, None]
+        S = S + table * ((z * b + a) * (qk - 1))[:, None]
         own = own + table.diagonal() * b
     W = cache.inv * cache.inv * S
     M = W * z[:, None]
     M[np.eye(len(z), dtype=bool)] = own - W @ z
-    return M
+    return context_of(case.params.q).rounded(M)
 
 
 def mu_n(n: int, q, alphas: Sequence, N: int, diff: int):

@@ -18,6 +18,13 @@ zero_algebra and isospectral.matrix_power_traces) evaluate their
 polynomials in it, so at extended digits they round only their inputs and
 what they return.
 
+Carried, a Dyadic cut to a fixed width, is the reading of the kernel route
+(zero_algebra.KernelCache, isospectral.build_M and flow.jacobian_fd):
+ctx.carried reads values into it, and each +, - and * keeps the top
+3 * prec bits of its integer parts, where prec is the context's bits. The
+route's reciprocals stay mpc divisions, read in once; M and the Jacobian
+leave it through ctx.rounded, one rounding each.
+
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
 converts carry through all their arithmetic. mpmath's global precision is
@@ -55,7 +62,7 @@ class PrecisionContext:
         Dyadic is rounded once, each part to nearest."""
         if self.mp is None:
             return complex(x)
-        if type(x) is Dyadic:
+        if isinstance(x, Dyadic):
             prec = self.mp.prec
             return self.mp.make_mpc(tuple(from_man_exp(m, x.exp, prec, round_nearest) for m in (x.re, x.im)))
         return self.mp.mpc(x)
@@ -69,9 +76,22 @@ class PrecisionContext:
         values = np.asarray(values, dtype=object)
         return np.array([self._dyadic(v) for v in values.flat], dtype=object).reshape(values.shape)
 
+    def carried(self, values) -> np.ndarray:
+        """The array values in carried arithmetic: the complex array in
+        binary64, as ctx.exact; at extended digits an object array of
+        Carried, each value read exactly and cut to CARRIED_WIDTH times the
+        context's bits."""
+        if self.mp is None:
+            return np.asarray(values, dtype=complex)
+        width = CARRIED_WIDTH * self.mp.prec
+        values = self.exact(values)
+        carried = [Carried(d.re, d.im, d.exp, d.context, width) for d in values.flat]
+        return np.array(carried, dtype=object).reshape(values.shape)
+
     def rounded(self, values) -> np.ndarray:
         """The array values back in this context's scalars: unchanged in
-        binary64, each Dyadic rounded once by convert at extended digits."""
+        binary64, each Dyadic or Carried rounded once by convert at extended
+        digits."""
         if self.mp is None:
             return values
         return np.array([self.convert(v) for v in values.flat], dtype=object).reshape(values.shape)
@@ -240,6 +260,76 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.re}, {self.im}, {self.exp})"
+
+
+# the bits a Carried keeps, in units of its context's bits: a product cut to
+# W = 3 prec bits errs by less than 2^(1 - W) of itself, so a sum of T of
+# them rounds to within an ulp of the exact sum unless it cancels by more
+# than about 2^(W - prec) / T, 2 prec bits (about 100 digits at 50)
+CARRIED_WIDTH = 3
+
+
+class Carried(Dyadic):
+    """A Dyadic carried at a fixed width: (re + i im) 2^exp whose integer
+    parts are cut to their top `width` bits (floor shifts, the dropped bits
+    moving into exp) when it is formed. +, - and * (with Carried and int
+    operands) return a Carried of the same width, each within 2^(1 - width)
+    of the exact result, so the integers of a long product chain stay at
+    the width where a Dyadic's would grow with every factor. No division,
+    and no mixing with Dyadic or rounding scalars: both raise TypeError."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, re: int, im: int, exp: int, context, width: int):
+        cut = max(re.bit_length(), im.bit_length()) - width
+        if cut > 0:
+            re, im, exp = re >> cut, im >> cut, exp + cut
+        self.re, self.im, self.exp, self.context, self.width = re, im, exp, context, width
+
+    def _int(self, other):
+        """An int operand as a Carried, None for any other non-Carried type."""
+        return Carried(other, 0, 0, self.context, self.width) if isinstance(other, int) else None
+
+    def _sum(self, re: int, im: int, exp: int):
+        """self + (re + i im) 2^exp, aligned to the lower exponent."""
+        shift = self.exp - exp
+        if shift >= 0:
+            return Carried((self.re << shift) + re, (self.im << shift) + im, exp, self.context, self.width)
+        return Carried(self.re + (re << -shift), self.im + (im << -shift), self.exp, self.context, self.width)
+
+    def __add__(self, other):
+        if type(other) is not Carried and (other := self._int(other)) is None:
+            return NotImplemented
+        return self._sum(other.re, other.im, other.exp)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Carried(-self.re, -self.im, self.exp, self.context, self.width)
+
+    def __sub__(self, other):
+        if type(other) is not Carried and (other := self._int(other)) is None:
+            return NotImplemented
+        return self._sum(-other.re, -other.im, other.exp)
+
+    def __rsub__(self, other):
+        if (other := self._int(other)) is None:
+            return NotImplemented
+        return other._sum(-self.re, -self.im, self.exp)
+
+    def __mul__(self, other):
+        if type(other) is not Carried and (other := self._int(other)) is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Carried(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context, self.width)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        raise TypeError("a Carried has no power; form it in the scalar type and read it with ctx.carried")
+
+    def __repr__(self) -> str:
+        return f"Carried({self.re}, {self.im}, {self.exp}, width={self.width})"
 
 
 F64 = PrecisionContext(eps=_F64_EPS)

@@ -32,7 +32,8 @@ point times every shift (shift_grid), the table grouped by shift
 (shift_groups) into sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the
 zero identities read too. Neither route divides, so at extended digits
 they round only their inputs (the points, the coefficients, the powers of
-q and the grouped weights, which divide in mpc) and what they return.
+q and the grouped weights, and the operator cascade's gammas beta_k/q and
+q^-N and its dilation q^{s-r}, which divide in mpc) and what they return.
 """
 
 from __future__ import annotations
@@ -87,20 +88,27 @@ def _operator_sides(p: Poly, params: ParamSet):
     then pure round-off of the larger intermediate, so the residual threshold
     has to be measured against that intermediate, not against the final
     coefficient.
+
+    Only the gammas beta_k/q and q^-N and the dilation q^{s-r} divide; they
+    are formed in q's scalars, and the cascade and its stage sizes run in
+    the context's exact arithmetic (ctx.exact: precision.Dyadic at extended
+    digits, so the sides are exact in their inputs; builtin complex in
+    binary64, through tolist).
     """
-    q = params.q
-    size = context_of(q).size
+    ctx = context_of(params.q)
+    size = ctx.size
+    q, dilation = ctx.exact([params.q, params.q ** (params.s - params.r)]).tolist()
 
     def cascade(side, gammas):
         scale = [size(c) for c in side.coeffs]
-        for gamma in gammas:
+        for gamma in ctx.exact(gammas).tolist():
             side = apply_Delta(gamma, side, q)
             scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
         return side, scale
 
-    a_side, a_scale = cascade(p, [1] + [b / q for b in params.beta])
-    b_dilated = apply_delta(p, q ** (params.s - params.r))
-    b_side, b_scale = cascade(b_dilated, [q ** (-params.N), *params.alpha])
+    p = Poly(tuple(ctx.exact(p.coeffs).tolist()), p.monic)
+    a_side, a_scale = cascade(p, [1] + [b / params.q for b in params.beta])
+    b_side, b_scale = cascade(apply_delta(p, dilation), [params.q ** (-params.N), *params.alpha])
     return a_side, a_scale, b_side, b_scale
 
 

@@ -13,12 +13,17 @@ the same family:
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
 A KernelCache holds, for each shift of the zero flow (velocity_weights), the
-left_out_products table as a read-only array in the dtype of the zeros'
-context (complex128, or object holding mpc). It is the one builder of these
-tables: a Case builds it once (isospectral.Case.kernels), and the matrix
-assembly (isospectral.build_M) and the flow's Jacobian check
-(flow.jacobian_fd) both read it. reciprocal_table inverts each z_n - z_l
-once, and left_out_products builds the whole f_nm(p) table of one shift,
+left_out_products table as a read-only array in the carried arithmetic of
+the zeros' context (PrecisionContext.carried: complex128 in binary64, an
+object array of precision.Carried at extended digits, Gaussian integers over
+a power of two cut to 3 times the context's bits at each product). It is
+the one builder of these tables: a Case builds it once
+(isospectral.Case.kernels), and the matrix assembly (isospectral.build_M)
+and the flow's Jacobian check (flow.jacobian_fd) both read it, with the
+flow weights and powers q^k of velocity_weights in the same arithmetic.
+reciprocal_table inverts each z_n - z_l once per unordered pair, the one
+division of the tables, taken in mpc at extended digits and read in once;
+left_out_products builds the whole f_nm(p) table of one shift,
 f_n(p) on its diagonal, from prefix and suffix products along the rows of
 factors: O(N^2) per shift, in array passes, with no division by a factor.
 g_n(p) is never tabled: the matrix assembly sums it against the flow
@@ -50,6 +55,7 @@ import numpy as np
 from .qdiff import shift_grid, shift_groups, shift_sum
 from .qseries import Poly, eval_poly_deriv
 from .precision import TINY, context_of
+from .rootfind import _pairs
 
 if TYPE_CHECKING:
     from .isospectral import Case
@@ -57,13 +63,14 @@ if TYPE_CHECKING:
 
 def reciprocal_table(z):
     """1/(z_n - z_l) over the array z of zeros, 0 on the diagonal: each
-    difference inverted once, not per shift, and taken factor by factor by
-    left_out_products, so binary64 cannot overflow at N = 16."""
-    diagonal = np.eye(len(z), dtype=bool)
-    diff = z[:, None] - z[None, :]
-    diff[diagonal] = 1
-    inv = 1 / diff
-    inv[diagonal] = 0
+    unordered pair divided once, its other entry the negation, since
+    -(a - b) = b - a and 1/(-x) = -(1/x) hold exactly in binary64 and mpc;
+    taken factor by factor by left_out_products, so binary64 cannot
+    overflow at N = 16."""
+    n, m, _ = _pairs(len(z))
+    upper = 1 / (z[n] - z[m])
+    inv = np.zeros((len(z), len(z)), dtype=z.dtype)
+    inv[n, m], inv[m, n] = upper, -upper
     return inv
 
 
@@ -94,16 +101,21 @@ def left_out_products(z, qp, inv):
 
 class KernelCache:
     """The kernel tables of one configuration z (an array in its context's
-    dtype) over the given shifts: z itself, inv = reciprocal_table(z), and
+    dtype) over the given shifts, in the carried arithmetic of q's context
+    (PrecisionContext.carried: precision.Carried at extended digits, the
+    complex array in binary64): z itself, inv = reciprocal_table(z), whose
+    divisions are taken in z's scalars and read in once, and
     fnm[p] = left_out_products(z, q^p, inv), f_nm(p) off the diagonal and
-    f_n(p) on it. Every array is read-only, since each reader of a Case
-    shares them."""
+    f_n(p) on it, q^p taken in q's scalars. Every array is read-only,
+    since each reader of a Case shares them."""
 
     def __init__(self, z, q, shifts):
-        self.z = z
-        self.inv = reciprocal_table(z)
-        self.fnm: Dict[int, np.ndarray] = {p: left_out_products(z, q**p, self.inv) for p in shifts}
-        for table in (z, self.inv, *self.fnm.values()):
+        carried = context_of(q).carried
+        self.z = carried(z)
+        self.inv = carried(reciprocal_table(z))
+        powers = carried([q**p for p in shifts])
+        self.fnm: Dict[int, np.ndarray] = {p: left_out_products(self.z, qp, self.inv) for p, qp in zip(shifts, powers)}
+        for table in (self.z, self.inv, *self.fnm.values()):
             table.flags.writeable = False
 
 
@@ -169,15 +181,19 @@ def velocity_terms(case: Case) -> List:
 
 
 def velocity_weights(case: Case) -> Dict[int, Tuple]:
-    """The velocity_terms addends grouped by shift, {k: (a_k, b_k)}, so that
-    velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow, its
-    Jacobian check and the matrix assembly read, one kernel table a shift,
-    each through the case's stage (Case.velocity_weights), formed once."""
-    out: Dict[int, Tuple] = {}
+    """The velocity_terms addends grouped by shift, {k: (q^k, a_k, b_k)},
+    so that velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow,
+    its Jacobian check and the matrix assembly read, one kernel table a
+    shift, each through the case's stage (Case.velocity_weights), formed
+    once. The three are summed and powered in q's scalars, then read into
+    its context's carried arithmetic (PrecisionContext.carried), the one
+    the kernel tables hold."""
+    sums: Dict[int, Tuple] = {}
     for k, c, e in velocity_terms(case):
-        a, b = out.get(k, (0, 0))
-        out[k] = (a, b + c) if e else (a + c, b)
-    return out
+        a, b = sums.get(k, (0, 0))
+        sums[k] = (a, b + c) if e else (a + c, b)
+    weights = [(case.params.q**k, a, b) for k, (a, b) in sums.items()]
+    return dict(zip(sums, map(tuple, context_of(case.params.q).carried(weights).tolist())))
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")

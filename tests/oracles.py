@@ -47,7 +47,9 @@ exact_prop1_totals and exact_traces evaluate the division-free checks
 (qdiff.qde_checks, zero_algebra.prop1_residuals(_qde) and
 isospectral.matrix_power_traces) in those Gaussian rationals, from the same
 values the kernels read, by power sums and triple sums instead of Horner
-passes and matrix products.
+passes and matrix products. mpc_kernel_route runs the kernel route
+(KernelCache, build_M and flow.jacobian_fd) with every product rounded in
+mpc, as before precision.Carried, the reference of its carried products.
 """
 
 import cmath
@@ -70,9 +72,10 @@ from qzeros.errors import (
     OverflowRisk,
     QZerosError,
 )
-from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, match_spectrum, mu_n
+from qzeros.flow import jacobian_fd
+from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, build_M, match_spectrum, mu_n
 from qzeros.params import GENERICITY_TOL, ParamSet, in_context
-from qzeros.precision import F64, TINY, Dyadic, context_of
+from qzeros.precision import F64, TINY, Dyadic, PrecisionContext, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
 from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet, pairwise_gaps
@@ -757,15 +760,17 @@ def _horner_terms(poly: Poly, z, shift: int, scales, size):
 
 def _operator_route(p: Poly, params: ParamSet, zs: Sequence, size) -> List:
     """(value, largest intermediate-term magnitude) of the operator-route
-    residual A(z) - z*B(z) at each sample point."""
+    residual A(z) - z*B(z) at each sample point, in the exact arithmetic of
+    the sides' coefficients (ctx.exact), the value rounded once."""
     if p.degree != params.N:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
+    ctx = context_of(params.q)
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
     out = []
-    for z in zs:
+    for z in ctx.exact(zs).tolist():
         a_val, a_scale = _horner_terms(a_side, z, 0, a_marks, size)
         b_val, b_scale = _horner_terms(b_side, z, 1, b_marks, size)
-        out.append((a_val - b_val, max(a_scale, b_scale)))
+        out.append((ctx.convert(a_val - b_val), max(a_scale, b_scale)))
     return out
 
 
@@ -1010,3 +1015,22 @@ def exact_traces(M) -> List[Gaussian]:
         sum(E[i][j] * E[j][i] for i in n for j in n),
         sum(E[i][j] * E[j][k] * E[k][i] for i in n for j in n for k in n),
     ]
+
+
+def mpc_kernel_route(params: ParamSet, zeros: Sequence):
+    """build_M and jacobian_fd over Case(params, zeros), the same formulas
+    with every product rounded in the context's scalars: carried read as
+    those scalars themselves (ctx.convert), so the kernel tables, M and the
+    Jacobian samples are mpc products at extended digits."""
+
+    def scalars(ctx, values):
+        values = np.asarray(values, dtype=object)
+        return np.array([ctx.convert(v) for v in values.flat], dtype=object).reshape(values.shape)
+
+    carried = PrecisionContext.carried
+    PrecisionContext.carried = scalars
+    try:
+        case = Case(params, zeros)
+        return build_M(case), np.array(jacobian_fd(case), dtype=object)
+    finally:
+        PrecisionContext.carried = carried

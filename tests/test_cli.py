@@ -422,11 +422,12 @@ STAGES = (
 def _stage_key(name, args):
     """(stage, input, precision) of one call. The kernel tables are keyed by
     their configuration and q (KernelCache) or q^p (left_out_products, one
-    shift), every other stage by its parameter set: its ParamSet argument,
-    or its Case argument's params, wherever it sits in the call."""
+    shift, whose inputs are carried values: keyed rounded), every other
+    stage by its parameter set: its ParamSet argument, or its Case
+    argument's params, wherever it sits in the call."""
     if name in ("KernelCache", "left_out_products"):
-        z, q = args[0], args[1]
-        return name, (tuple(z.tolist()), q), context_of(q)
+        ctx = context_of(args[1])
+        return name, (tuple(ctx.rounded(args[0]).tolist()), ctx.convert(args[1])), ctx
     [params] = [getattr(a, "params", a) for a in args if isinstance(a, (Case, ParamSet))]
     return name, params, context_of(params.q)
 
@@ -480,8 +481,9 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
 # its pure-Python backend) of one extended verify of three N = 5 suite
 # cases, one per (r, s) class and q style: a count, not a clock, so the
 # budget is exact. The division-free checks take none (their products are
-# exact integer products of precision.Dyadic values)
-MPC_MUL_BUDGET = {4: 1595, 14: 1195, 24: 931}
+# exact integer products of precision.Dyadic values), nor do the kernel
+# tables, M and the Jacobian check (precision.Carried products)
+MPC_MUL_BUDGET = {4: 292, 14: 197, 24: 222}
 
 
 @pytest.mark.parametrize("index", sorted(MPC_MUL_BUDGET))

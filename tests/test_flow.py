@@ -278,10 +278,10 @@ def test_jacobian_samples_one_circle_per_column(suite, monkeypatch, ctx):
     calls = []
     original = flow._moved_velocity
 
-    def counted(terms, others, q, z, inv):
+    def counted(weights, others, z, inv):
         # one entry per moved-row sample point
         calls.extend(z.flat)
-        return original(terms, others, q, z, inv)
+        return original(weights, others, z, inv)
 
     monkeypatch.setattr(flow, "_moved_velocity", counted)
     jacobian_fd(Case(params, zset.zeros))
@@ -299,10 +299,10 @@ def test_conjugate_dependence_warns_above_1e_6(suite, monkeypatch, ctx):
     original = flow._moved_velocity
     for relative, warns in ((1e-3, True), (2e-6, True), (5e-7, False)):
 
-        def skewed(terms, others, q, z, inv, amplitude=relative * weight):
-            # z[m, j] is zero m moved
-            conj = np.conjugate(z - np.asarray(zset.zeros, dtype=z.dtype)[:, None])
-            return original(terms, others, q, z, inv) + amplitude * conj
+        def skewed(weights, others, z, inv, amplitude=relative * weight):
+            # z[m, j] is zero m moved, in the carried arithmetic of the kernels
+            conj = np.conjugate(ctx.rounded(z) - np.asarray(zset.zeros, dtype=ctx.dtype)[:, None])
+            return original(weights, others, z, inv) + ctx.carried(amplitude * conj)
 
         monkeypatch.setattr(flow, "_moved_velocity", skewed)
         with warnings.catch_warnings(record=True) as caught:

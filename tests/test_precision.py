@@ -9,14 +9,36 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import counting
-from oracles import Gaussian, build_C, exact_prop1_totals, exact_qde_routes, exact_traces, gaussian, rounded_once, size64
+from oracles import (
+    Gaussian,
+    build_C,
+    exact_prop1_totals,
+    exact_qde_routes,
+    exact_traces,
+    gaussian,
+    mpc_kernel_route,
+    rounded_once,
+    size64,
+)
 
 import qzeros
 from qzeros import isospectral, qdiff, zero_algebra
 from qzeros.cli import _sample_points
-from qzeros.isospectral import Case, certified_spectrum, mu_closed
-from qzeros.params import in_context
-from qzeros.precision import F64, TINY, Dyadic, context_of, extended, rel_gap, rel_gaps
+from qzeros.flow import _contour, jacobian_fd
+from qzeros.isospectral import Case, build_M, certified_spectrum, mu_closed
+from qzeros.params import ParamSet, in_context
+from qzeros.precision import (
+    CARRIED_WIDTH,
+    F64,
+    TINY,
+    Carried,
+    Dyadic,
+    PrecisionContext,
+    context_of,
+    extended,
+    rel_gap,
+    rel_gaps,
+)
 from qzeros.qdiff import _horner_scale
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
@@ -185,9 +207,10 @@ def test_sizes_is_size_bit_for_bit(ctx):
 
 def test_exact_is_the_identity_in_binary64():
     values = np.random.default_rng(3).standard_normal(12).view(complex)
-    got = F64.exact(values)
-    assert got.dtype == complex and got.tobytes() == values.tobytes()
-    assert F64.exact([1, 2.5, 1j]).tolist() == [1, 2.5, 1j]
+    for reading in (F64.exact, F64.carried):
+        got = reading(values)
+        assert got.dtype == complex and got.tobytes() == values.tobytes()
+        assert reading([1, 2.5, 1j]).tolist() == [1, 2.5, 1j]
 
 
 def test_exact_reads_values_exactly_and_convert_rounds_them_once():
@@ -276,3 +299,89 @@ def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypat
             assert [gaussian(v) for v in total] == totals
             assert got == [size64(v) / max(s, TINY) for v, s in zip(totals, largest)]
         assert isospectral.matrix_power_traces(case.M) == [rounded_once(t, ctx) for t in exact_traces(case.M)]
+
+
+def test_carried_arithmetic_is_cut_to_its_width():
+    # +, - and * of Carried values give Carried values of one width, whose
+    # integer parts never pass it, each product within sqrt(2) 2^(1 - width)
+    # of its exact value; no division, and no mixing with exact or
+    # rounding scalars
+    ctx = extended(50)
+    width = CARRIED_WIDTH * ctx.mp.prec
+    rng = np.random.default_rng(5)
+    values = [ctx.convert(complex(*v)) / 3 for v in rng.standard_normal((40, 2)).tolist()]
+    carried, exact = ctx.carried(values), ctx.exact(values)
+    got, want = carried[0], gaussian(exact[0])
+    for c, e in zip(carried[1:], exact[1:]):
+        got, want = got * c, want * gaussian(e)
+        assert type(got) is Carried and got.width == width
+        assert max(got.re.bit_length(), got.im.bit_length()) <= width
+    error = gaussian(got) - want
+    assert abs(complex(float(error.re), float(error.im))) <= 2 * 40 * 2.0 ** (1 - width) * size64(want)
+    for result in (got + c, got - c, 1 - got, got - 1, 2 * got, -got):
+        assert type(result) is Carried and result.width == width
+    assert gaussian(c + c - c) == gaussian(c)  # short sums stay exact
+    for bad in (
+        lambda: got / c,
+        lambda: 1 / got,
+        lambda: got**2,
+        lambda: got * exact[0],
+        lambda: exact[0] + got,
+        lambda: got * values[0],
+        lambda: got * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+# draw 5 of conftest.make_case over random.Random(99), N replaced by 24
+LARGE = ParamSet(
+    r=2,
+    s=2,
+    N=24,
+    q=complex(-0.5615323790458884, -0.2022374257715006),
+    alpha=(complex(1.1988174837197494, 0.32936827618898945), complex(1.097366380973487, -0.11685272417082077)),
+    beta=(complex(0.7579786654451361, -0.5908562473189295), complex(0.646399499597426, 0.5874839627725049)),
+)
+
+
+def test_kernel_route_stays_within_its_width(monkeypatch):
+    # at N = 24 and 50 digits the kernel tables and M's carried entries run
+    # past 2 prec bits, where a Dyadic would keep growing, and every integer
+    # part stays within the derived width, 3 prec bits
+    ctx = extended(50)
+    case = Case(in_context(LARGE, ctx))
+    carried = []
+    original = PrecisionContext.rounded
+
+    def recorded(self, values):
+        carried.append(values)
+        return original(self, values)
+
+    monkeypatch.setattr(PrecisionContext, "rounded", recorded)
+    build_M(case)
+    kernels = case.kernels
+    bits = [
+        max(v.re.bit_length(), v.im.bit_length())
+        for table in (kernels.z, kernels.inv, *kernels.fnm.values(), carried[-1])
+        for v in table.flat
+        if type(v) is Carried
+    ]
+    assert len(bits) == 24 * (1 + 24 * (1 + len(kernels.fnm) + 1))
+    assert 2 * ctx.mp.prec < max(bits) <= 3 * ctx.mp.prec + 2
+
+
+def test_kernel_route_agrees_with_its_mpc_products(suite):
+    # build_M and jacobian_fd against the same formulas with every product
+    # rounded in mpc: M to a few units of eps entry by entry, the Jacobian
+    # to a few units of its circle rule's round-off, eps/h relative to the
+    # reach, h = eps^(1/(K+1)) (flow._contour), at which the mpc samples err
+    ctx = extended(50)
+    rel_step = _contour(ctx)[1]
+    cases = [params for params in suite if params.N <= 5]
+    assert len(cases) == 25
+    for params in cases:
+        case = Case(in_context(params, ctx))
+        M, J = mpc_kernel_route(case.params, case.zeros)
+        assert rel_gaps(build_M(case), M).max() <= 4 * ctx.eps
+        assert rel_gaps(np.array(jacobian_fd(case), dtype=object), J).max() <= 4 * ctx.eps / rel_step

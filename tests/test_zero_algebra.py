@@ -11,6 +11,7 @@ from qzeros.qdiff import qde_terms
 from qzeros.zero_algebra import (
     KernelCache,
     prop1_residuals,
+    reciprocal_table,
     prop1_residuals_qde,
     shifted_products,
     velocity_weights,
@@ -130,17 +131,39 @@ def test_kernel_cache_matches_direct(ctx, tol):
     assert min(shifts) < 0  # r > s exercises negative dilation shifts
     cache = KernelCache(np.asarray(zs, dtype=ctx.dtype), q, shifts)
     assert set(cache.fnm) == set(shifts)
+    # the tables in carried arithmetic, compared rounded once into the context
+    fnm = {p: ctx.rounded(table) for p, table in cache.fnm.items()}
+    inv = ctx.rounded(cache.inv)
 
     def close(a, b):
         assert abs(a - b) <= tol * max(1.0, abs(b))
 
     for p in shifts:
         for n in range(params.N):
-            close(cache.fnm[p][n, n], f_n(p, n, zs, q))
+            close(fnm[p][n, n], f_n(p, n, zs, q))
             for m in range(params.N):
                 if m != n:
-                    close(cache.fnm[p][n, m], f_nm(p, n, m, zs, q))
-                    close(cache.inv[n, m], 1 / (zs[n] - zs[m]))
+                    close(fnm[p][n, m], f_nm(p, n, m, zs, q))
+                    close(inv[n, m], 1 / (zs[n] - zs[m]))
+
+
+@pytest.mark.parametrize("ctx, count", [(F64, 2000), (extended(50), 100)], ids=["f64", "ext50"])
+def test_reciprocal_table_is_antisymmetric_bit_for_bit(ctx, count):
+    # each pair is divided once and negated into the other triangle: the
+    # table is that of dividing every ordered pair, bit for bit, so
+    # inv == -inv.T exactly; zeros spanning 1e+-8, N up to 16
+    rng = np.random.default_rng(32)
+    bits = (lambda a: a.tobytes()) if ctx.mp is None else (lambda a: [v._mpc_ for v in a])
+    for _ in range(count):
+        n = int(rng.integers(2, 17))
+        zs = np.exp(rng.uniform(-18.4, 18.4, n) + 1j * rng.uniform(-np.pi, np.pi, n))
+        z = np.array([ctx.convert(v) for v in zs.tolist()], dtype=ctx.dtype)
+        inv = reciprocal_table(z)
+        off = ~np.eye(n, dtype=bool)
+        assert bits(inv[off]) == bits((-inv.T)[off])
+        rows, cols = np.nonzero(off)
+        assert bits(inv[off]) == bits(1 / (z[rows] - z[cols]))
+        assert not inv[~off].any()
 
 
 def test_prop1_true_zeros_on_suite(suite):

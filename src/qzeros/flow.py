@@ -29,6 +29,8 @@ per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
 one factor of its kernels, read from the case's kernel tables (Case.kernels,
 the ones build_M reads): all K N^2 samples cost as much as K flow_rhs calls.
+integrate_flow steps in binary64 and returns the sample_times grid and the
+zeros at each of its times, as two arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import cmath
 import functools
 import warnings
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -53,14 +54,6 @@ COLLISION_TOL = 1e-10
 FLOW_RTOL = 1e-12
 # relative conjugate-direction dependence at which jacobian_fd warns
 CONJUGATE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Zero positions at time t."""
-
-    z: Tuple
-    t: float = 0.0
 
 
 def _check_separation(zs) -> np.ndarray:
@@ -221,9 +214,16 @@ def jacobian_fd(case: Case):
     return tuple(map(tuple, deriv.T.tolist()))
 
 
-def integrate_flow(case: Case, z0, t_end: float, dt_max: float) -> List[FlowState]:
+def sample_times(t_end: float, samples: int) -> np.ndarray:
+    """integrate_flow's samples + 1 evenly spaced times from 0 to t_end."""
+    return np.linspace(0.0, t_end, samples + 1)
+
+
+def integrate_flow(case: Case, z0, t_end: float, samples: int) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive embedded Runge-Kutta trajectory of the case's flow from the
-    zeros z0 at t = 0 to t_end, sampled at most every dt_max.
+    zeros z0 at t = 0 to t_end, reported at sample_times(t_end, samples):
+    the times t and the zeros Z[i] at t[i], solve_ivp's sol.t and sol.y.T.
+    For t_end = 0 the one sample (z0, 0).
 
     Aborts with OverflowRisk, naming t, as soon as a state or velocity it
     evaluates is not finite (the state checked before flow_rhs runs, so an
@@ -234,16 +234,12 @@ def integrate_flow(case: Case, z0, t_end: float, dt_max: float) -> List[FlowStat
     if the integrator stalls. A start that is not finite is a collision.
     Always steps in binary64.
     """
-    zs0 = tuple(z0)
-    _check_separation(zs0)
+    _check_separation(z0)
+    y0 = np.array([complex(z) for z in z0], dtype=complex)
     if t_end == 0:
-        return [FlowState(z=zs0, t=0.0)]
-    if dt_max <= 0:
-        raise ValueError(f"dt_max must be positive, got {dt_max}")
+        return np.zeros(1), y0[None, :]
 
     from scipy.integrate import solve_ivp
-
-    y0 = np.array([complex(z) for z in zs0], dtype=complex)
 
     def rhs(t, y):
         if not np.isfinite(y).all():
@@ -255,16 +251,15 @@ def integrate_flow(case: Case, z0, t_end: float, dt_max: float) -> List[FlowStat
             raise OverflowRisk(f"the flow velocity is not finite at t = {t:.6g}")
         return velocity
 
-    steps = max(1, int(np.ceil(abs(t_end) / dt_max)))
     sol = solve_ivp(
         rhs,
         (0.0, t_end),
         y0,
         method="RK45",
-        t_eval=np.linspace(0.0, t_end, steps + 1),
+        t_eval=sample_times(t_end, samples),
         rtol=FLOW_RTOL,
         atol=FLOW_RTOL * max(1.0, float(np.max(np.abs(y0)))),
     )
     if not sol.success:
         raise StepUnderflow(sol.message)
-    return [FlowState(z=tuple(y), t=float(t)) for y, t in zip(sol.y.T, sol.t)]
+    return sol.t, sol.y.T

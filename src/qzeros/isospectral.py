@@ -425,8 +425,9 @@ class Case:
     keyed on values (mpc(0.5) at 30 digits equals mpc(0.5) at 50). The
     monic polynomial, its zeros (zeroset, or the caller's N zeros), the
     qde_terms table, its flow weights, both zero-identity routes' shift
-    grid, the kernel tables (read by M and flow.jacobian_fd), M and the
-    closed-form spectrum mu. A check of another polynomial sets monic."""
+    grid, the kernel tables (of the zeros and the flow weights' q^k, read
+    by M and flow.jacobian_fd), M and the closed-form spectrum mu. A check
+    of another polynomial sets monic."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
@@ -461,8 +462,7 @@ class Case:
 
     @functools.cached_property
     def kernels(self) -> KernelCache:
-        z = np.asarray(self.zeros, dtype=context_of(self.zeros[0]).dtype)
-        return KernelCache(z, self.params.q, self.velocity_weights)
+        return KernelCache(self.zeros, self.velocity_weights)
 
     @functools.cached_property
     def M(self) -> np.ndarray:

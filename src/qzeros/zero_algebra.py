@@ -17,10 +17,10 @@ left_out_products table as a read-only array in the carried arithmetic of
 the zeros' context (PrecisionContext.carried: complex128 in binary64, an
 object array of precision.Carried at extended digits, Gaussian integers over
 a power of two cut to 3 times the context's bits at each product). It is
-the one builder of these tables: a Case builds it once
-(isospectral.Case.kernels), and the matrix assembly (isospectral.build_M)
-and the flow's Jacobian check (flow.jacobian_fd) both read it, with the
-flow weights and powers q^k of velocity_weights in the same arithmetic.
+the one builder of these tables: a Case builds it once from its zeros and
+the powers q^k of its velocity_weights (isospectral.Case.kernels), and the
+matrix assembly (isospectral.build_M) and the flow's Jacobian check
+(flow.jacobian_fd) both read it, with the flow weights in the same arithmetic.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
 division of the tables, taken in mpc at extended digits and read in once;
 left_out_products builds the whole f_nm(p) table of one shift,
@@ -100,21 +100,22 @@ def left_out_products(z, qp, inv):
 
 
 class KernelCache:
-    """The kernel tables of one configuration z (an array in its context's
-    dtype) over the given shifts, in the carried arithmetic of q's context
-    (PrecisionContext.carried: precision.Carried at extended digits, the
+    """The kernel tables of one configuration z (the zeros, a sequence or an
+    array) over the shifts of the flow weights (Case.velocity_weights,
+    {k: (q^k, a_k, b_k)} in the carried arithmetic of z's context,
+    PrecisionContext.carried: precision.Carried at extended digits, the
     complex array in binary64): z itself, inv = reciprocal_table(z), whose
     divisions are taken in z's scalars and read in once, and
-    fnm[p] = left_out_products(z, q^p, inv), f_nm(p) off the diagonal and
-    f_n(p) on it, q^p taken in q's scalars. Every array is read-only,
+    fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
+    f_n(k) on it, each q^k the weights' own. Every array is read-only,
     since each reader of a Case shares them."""
 
-    def __init__(self, z, q, shifts):
-        carried = context_of(q).carried
-        self.z = carried(z)
-        self.inv = carried(reciprocal_table(z))
-        powers = carried([q**p for p in shifts])
-        self.fnm: Dict[int, np.ndarray] = {p: left_out_products(self.z, qp, self.inv) for p, qp in zip(shifts, powers)}
+    def __init__(self, z, weights):
+        ctx = context_of(z[0])
+        z = np.asarray(z, dtype=ctx.dtype)
+        self.z = ctx.carried(z)
+        self.inv = ctx.carried(reciprocal_table(z))
+        self.fnm = {k: left_out_products(self.z, qk, self.inv) for k, (qk, _, _) in weights.items()}
         for table in (self.z, self.inv, *self.fnm.values()):
             table.flags.writeable = False
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qzeros import flow
-from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, _sample_points, build_parser, main
+from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, _sample_points, build_parser, main
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet
 from qzeros.precision import F64, context_of, extended
@@ -213,6 +213,26 @@ def test_flow_zero_horizon_csv(tmp_path):
     assert len(rows) == 2  # header + the single t = 0 sample
     assert rows[0][0] == "t"
     assert float(rows[1][0]) == 0.0
+
+
+def test_flow_samples_the_command_grid(tmp_path):
+    # ceil(0.13 / fl(0.13 / 100)) is 101, so the grid is taken from its
+    # interval count, never recounted from a spacing
+    cfg = write_config(tmp_path, N=6, t_end=0.13)
+    traj = tmp_path / "traj.csv"
+    assert run("flow", cfg, "--traj", str(traj), "--out", str(tmp_path / "r.json")) == 0
+    assert load_report(tmp_path / "r.json")["result"]["samples"] == FLOW_SAMPLES + 1
+    assert len(traj.read_text().splitlines()) == FLOW_SAMPLES + 2
+
+
+@pytest.mark.parametrize("t_end", [1e-322, 5e-324, -1e-322])
+def test_flow_horizon_below_its_sample_spacing_is_a_config_error(tmp_path, capsys, t_end):
+    # np.linspace rounds some of the 101 sample times together, which
+    # solve_ivp rejects
+    cfg = write_config(tmp_path, N=6, t_end=t_end)
+    assert run("flow", cfg) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: t_end") and err.count("\n") == 1, err
 
 
 def test_flow_contractive_run(tmp_path):
@@ -421,11 +441,15 @@ STAGES = (
 
 def _stage_key(name, args):
     """(stage, input, precision) of one call. The kernel tables are keyed by
-    their configuration and q (KernelCache) or q^p (left_out_products, one
-    shift, whose inputs are carried values: keyed rounded), every other
-    stage by its parameter set: its ParamSet argument, or its Case
+    their configuration and flow weights (KernelCache) or q^p
+    (left_out_products, one shift), carried values keyed rounded, every
+    other stage by its parameter set: its ParamSet argument, or its Case
     argument's params, wherever it sits in the call."""
-    if name in ("KernelCache", "left_out_products"):
+    if name == "KernelCache":
+        zeros, weights = args
+        ctx = context_of(zeros[0])
+        return name, (tuple(zeros), tuple((k, *map(ctx.convert, w)) for k, w in weights.items())), ctx
+    if name == "left_out_products":
         ctx = context_of(args[1])
         return name, (tuple(ctx.rounded(args[0]).tolist()), ctx.convert(args[1])), ctx
     [params] = [getattr(a, "params", a) for a in args if isinstance(a, (Case, ParamSet))]

@@ -127,9 +127,10 @@ def test_kernel_cache_matches_direct(ctx, tol):
     params = in_context(params, ctx)
     _, zset = zeros_of(params)
     zs, q = zset.zeros, params.q
-    shifts = list(velocity_weights(Case(params)))
+    weights = velocity_weights(Case(params))
+    shifts = list(weights)
     assert min(shifts) < 0  # r > s exercises negative dilation shifts
-    cache = KernelCache(np.asarray(zs, dtype=ctx.dtype), q, shifts)
+    cache = KernelCache(zs, weights)
     assert set(cache.fnm) == set(shifts)
     # the tables in carried arithmetic, compared rounded once into the context
     fnm = {p: ctx.rounded(table) for p, table in cache.fnm.items()}
@@ -145,6 +146,26 @@ def test_kernel_cache_matches_direct(ctx, tol):
                 if m != n:
                     close(fnm[p][n, m], f_nm(p, n, m, zs, q))
                     close(inv[n, m], 1 / (zs[n] - zs[m]))
+
+
+def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
+    # each q^k is formed once per case, in velocity_weights; the kernel
+    # tables read it from there
+    params = in_context(ParamSet(r=2, s=1, N=5, q=0.45, alpha=(0.7 + 0.2j, 1.1), beta=(1.3 - 0.4j,)), extended(50))
+    case = Case(params, zeros_of(params)[1].zeros)
+    weights = case.velocity_weights
+    powers = []
+    original = type(params.q).__pow__
+
+    def counted(*args):
+        powers.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(type(params.q), "__pow__", counted)
+    assert params.q**2 == original(params.q, 2) and powers == [(2,)]
+    powers.clear()
+    assert set(case.kernels.fnm) == set(weights)
+    assert powers == []
 
 
 @pytest.mark.parametrize("ctx, count", [(F64, 2000), (extended(50), 100)], ids=["f64", "ext50"])

@@ -1,0 +1,158 @@
+"""Compare what the command line reports in two source trees, run for run.
+
+    python tools/same_reports.py OLD NEW
+
+OLD and NEW are source trees that each hold src/qzeros, for example this
+checkout and a `git archive` copy of its parent. Both trees make the same
+runs, on configurations written once from this tree's tests:
+
+- the pinned streams of tests/test_suite_verdicts.py, STREAMS and
+  HIGH_STREAMS, each run as that test runs it;
+- flow with --traj on the 50 suite configurations in binary64, on the 25
+  of them with N <= 5 at extended digits, and on the 50 with perturb 1e-3
+  and t_end 0.5 in binary64.
+
+Each tree makes every run in one subprocess, through qzeros.cli.main in
+process and in the same order. A run's outcome is its exit code, its report
+with wall_time_s set to 0, its stderr, the warnings it raised and its
+trajectory CSV. The runs whose outcomes differ are printed, and the exit
+code is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FLOW_SUITE = 50
+FLOW_EXT_DEGREE = 5
+FLOW_PERTURBED = {"perturb": 1e-3, "t_end": 0.5}
+
+# run in a subprocess whose PYTHONPATH is the tree's src: it imports this
+# file for work() and the tree's qzeros for the runs
+WORKER = "import sys; sys.path.insert(0, sys.argv[1]); import same_reports; same_reports.work(*sys.argv[2:])"
+
+
+def pinned_runs(directory) -> list:
+    """(name, argv) of every run, its configuration written to directory:
+    name is the stream and the position in it, argv a qzeros.cli.main
+    argument list without --out and --traj."""
+    for path in (ROOT / "src", ROOT / "tests"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from conftest import suite_cases
+    from test_suite_verdicts import HIGH_STREAMS, STREAMS, _write_configs, high_degree_cases
+
+    directory = Path(directory)
+    for sub in ("suite", "high", "perturbed"):
+        (directory / sub).mkdir(parents=True, exist_ok=True)
+    suite = _write_configs(directory / "suite", suite_cases(max(s[2] for s in STREAMS.values())))
+    high = _write_configs(directory / "high", high_degree_cases(max(s[2] for s in HIGH_STREAMS.values())))
+    perturbed = []
+    for path, _ in suite[:FLOW_SUITE]:
+        cfg = {**json.loads(Path(path).read_text()), **FLOW_PERTURBED}
+        perturbed.append(directory / "perturbed" / Path(path).name)
+        perturbed[-1].write_text(json.dumps(cfg))
+
+    def runs(stream, command, precision, paths):
+        return [(f"{stream}/{i}", [command, "--config", str(p), "--precision", precision]) for i, p in enumerate(paths)]
+
+    out = []
+    for stream, (command, precision, count, max_degree) in STREAMS.items():
+        out += runs(stream, command, precision, [p for p, n in suite if n <= max_degree][:count])
+    for stream, (command, precision, count) in HIGH_STREAMS.items():
+        out += runs(stream, command, precision, [p for p, _ in high[:count]])
+    out += runs("flow", "flow", "f64", [p for p, _ in suite[:FLOW_SUITE]])
+    out += runs("flow-ext", "flow", "extended", [p for p, n in suite[:FLOW_SUITE] if n <= FLOW_EXT_DEGREE])
+    out += runs("flow-perturbed", "flow", "f64", perturbed)
+    return out
+
+
+def _read(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def work(runs_path, out_path):
+    """Make each run of the JSON list at runs_path with this process's
+    qzeros, and write the outcomes, by name, to out_path as JSON."""
+    from qzeros.cli import main
+
+    with open(runs_path, encoding="utf-8") as fh:
+        runs = json.load(fh)
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        report, traj = os.path.join(tmp, "report.json"), os.path.join(tmp, "traj.csv")
+        for name, argv in runs:
+            for path in (report, traj):
+                if os.path.exists(path):
+                    os.remove(path)
+            argv = argv + ["--out", report] + (["--traj", traj] if argv[0] == "flow" else [])
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as exc:  # a crash is an outcome too
+                    code = f"{type(exc).__name__}: {exc}"
+            text = _read(report)
+            outcomes[name] = {
+                "code": code,
+                "report": None if text is None else re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', text),
+                "stderr": stderr.getvalue(),
+                "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+                "csv": _read(traj),
+            }
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(outcomes, fh)
+
+
+def compare(old, new, runs) -> list:
+    """(name, fields) of each run whose outcome differs between the source
+    trees old and new, fields naming what differs, in the order of runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs_path = os.path.join(tmp, "runs.json")
+        with open(runs_path, "w", encoding="utf-8") as fh:
+            json.dump(runs, fh)
+        procs, outs = [], []
+        for i, tree in enumerate((old, new)):
+            outs.append(os.path.join(tmp, f"outcomes{i}.json"))
+            env = {**os.environ, "PYTHONPATH": str(Path(tree, "src").resolve())}
+            cmd = [sys.executable, "-c", WORKER, str(Path(__file__).resolve().parent), runs_path, outs[-1]]
+            procs.append(subprocess.Popen(cmd, env=env, cwd=tmp, stderr=subprocess.PIPE, text=True))
+        for tree, proc in zip((old, new), procs):
+            _, err = proc.communicate()
+            if proc.returncode:
+                raise RuntimeError(f"the runs in {tree} stopped:\n{err}")
+        a, b = (json.loads(Path(out).read_text()) for out in outs)
+    return [(name, [f for f in a[name] if a[name][f] != b[name][f]]) for name, _ in runs if a[name] != b[name]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="compare the reports of two source trees, run for run")
+    parser.add_argument("old", help="source tree holding src/qzeros")
+    parser.add_argument("new", help="source tree holding src/qzeros")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = pinned_runs(tmp)
+        differ = compare(args.old, args.new, runs)
+    for name, fields in differ:
+        print(f"{name}: {', '.join(fields)} differ")
+    print(f"{len(differ)} of {len(runs)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

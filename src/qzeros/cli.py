@@ -11,8 +11,11 @@ Report schema: {"command": str, "config": {...}, "checks":
 [{"name", "value", "threshold", "pass"}], "pass": bool, "result": {...},
 "wall_time_s": float}.
 Identical config and seed produce byte-identical reports apart from the
-wall-time field. Exit codes: 0 all checks pass, 1 a mathematical check failed,
-2 configuration or usage error.
+wall-time field. Only sweep (its beta factors) and flow (its perturbation
+phases) draw from the seed, through numpy.random; poly, zeros and verify
+never import it, and verify's q-difference checks read a fixed spiral of
+points. Every command validates --seed. Exit codes: 0 all checks pass, 1 a
+mathematical check failed, 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -198,10 +201,16 @@ def cmd_zeros(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     return checks, result
 
 
-def _sample_points(zeros, rng) -> np.ndarray:
+def _sample_points(zeros) -> np.ndarray:
+    """n = QDE_SAMPLE_COUNT points on a golden-angle spiral over the annulus
+    0.3 to 1.7 times the zeros' scale: point j has radius scale (0.3 + 1.4
+    (j + 1/2) / n) and phase (j + 1/2) pi (3 - sqrt 5). The q-difference
+    checks test a polynomial identity, which any fixed generic points test
+    as sharply as random ones, and every point moves with the count."""
     scale = max(1.0, max(abs(complex(z)) for z in zeros))
-    radii = scale * rng.uniform(0.3, 1.7, size=QDE_SAMPLE_COUNT)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=QDE_SAMPLE_COUNT)
+    steps = np.arange(QDE_SAMPLE_COUNT) + 0.5
+    radii = scale * (0.3 + 1.4 * steps / QDE_SAMPLE_COUNT)
+    phases = steps * (np.pi * (3.0 - np.sqrt(5.0)))
     return radii * np.cos(phases) + 1j * (radii * np.sin(phases))
 
 
@@ -215,7 +224,7 @@ def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     size = context_of(case.params.q).size
     prop1 = zero_algebra.prop1_residuals(case)
     # binary64 points, which qde_checks reads exactly in the case's arithmetic
-    qde, agreement = qdiff.qde_checks(case, _sample_points(case.zeros, rng))
+    qde, agreement = qdiff.qde_checks(case, _sample_points(case.zeros))
     prop1_qde = zero_algebra.prop1_residuals_qde(case)
     checks = [
         _check("qde_residual_max", max(size(v) for v in qde), tol),
@@ -399,8 +408,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         raw, params, options = load_config(args.config)
         # every command computes in the precision of the case it is given
         case = Case(params_mod.in_context(params, extended() if args.precision == "extended" else F64))
-        # poly and zeros draw nothing from the seed's stream
-        rng = np.random.default_rng(args.seed) if args.command in ("verify", "sweep", "flow") else None
+        # only sweep's beta factors and flow's phases draw from the seed's
+        # stream: poly, zeros and verify never load numpy.random
+        rng = np.random.default_rng(args.seed) if args.command in ("sweep", "flow") else None
         extra = (args.traj,) if args.command == "flow" else ()
         checks, result = COMMANDS[args.command](case, options, args.tol, rng, *extra)
     except (ConfigError, NonGenericParameter, InvalidDegree) as exc:

@@ -46,7 +46,7 @@ from .errors import CollisionDetected, ConsistencyWarning, OverflowRisk, StepUnd
 from .isospectral import Case
 from .precision import TINY, PrecisionContext, context_of
 from .rootfind import pairwise_gaps, relative_separation
-from .zero_algebra import shifted_products, velocity_terms
+from .zero_algebra import shifted_products
 
 COLLISION_TOL = 1e-10
 # integrate_flow's RK45 relative tolerance; its absolute tolerance is this
@@ -104,19 +104,20 @@ def equilibrium_residual(case: Case) -> float:
     being the largest factor-wise term bound in the n-th sum, taken per
     velocity_terms addend (a grouped weight can cancel): a scale-free stall
     check. |f_n(k)| is bounded by the shifted_products scale of its
-    numerator, all in one call, over |prod_{l != n} (z_n - z_l)|: f_n(k)
-    itself vanishes where q^k z_n lands on another zero (the chain q, ..,
-    q^N at r = s = 0), and the scale tracks how it moves."""
+    numerator, all in one call, at the points q^k z_n (each q^k the flow
+    weights', rounded into the zeros' scalars), over |prod_{l != n} (z_n -
+    z_l)|: f_n(k) itself vanishes where q^k z_n lands on another zero (the
+    chain q, .., q^N at r = s = 0), and the scale tracks how it moves."""
     ctx = context_of(case.zeros[0])
     z = np.asarray(case.zeros, dtype=ctx.dtype)
     # the products of the scalars themselves, in object arrays: NumPy's
     # complex128 loops round some products unlike builtin complex
     column = np.array(case.zeros, dtype=object)[:, None]
-    ks, cs, es = zip(*velocity_terms(case))
+    ks, cs, es = zip(*case.velocity_terms)
     shifts = sorted(set(ks))
     bound = np.ones((len(z), len(shifts)))
     if len(z) > 1:
-        qk = np.array([case.params.q**k for k in shifts], dtype=object)
+        qk = ctx.rounded(np.array([case.velocity_weights[k][0] for k in shifts], dtype=object))
         points = np.hstack([column * qk, column]).astype(ctx.dtype)
         products, scales = shifted_products(points, _others(z)[:, None, :])
         bound = scales[:, :-1] / ctx.sizes(products[:, -1:])

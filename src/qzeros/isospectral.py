@@ -48,7 +48,7 @@ from .precision import F64, TINY, PrecisionContext, _aligned, _float, context_of
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
 from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
-from .zero_algebra import KernelCache, identity_grid, velocity_weights
+from .zero_algebra import KernelCache, identity_grid, velocity_terms, velocity_weights
 
 
 def build_M(case: Case) -> np.ndarray:
@@ -403,8 +403,11 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
     smallest eigenvalues. Extended: they are refined to the entries' eps.
     Where the refinement cannot certify them (_refined_eigenvalues),
     mpmath.eig solves the matrix at its entries' digits (_eig_extended).
+    A 1 x 1 matrix's eigenvalue is its entry, returned before any solve.
     """
     ctx = context_of(A[0][0])
+    if len(A) == 1:
+        return [ctx.convert(A[0][0])]
     eps = ctx.eps
     if ctx.mp is None:
         arr = np.asarray(A, dtype=complex)
@@ -424,7 +427,8 @@ class Case:
     verdict: each stage computed on first use and held on the case, not
     keyed on values (mpc(0.5) at 30 digits equals mpc(0.5) at 50). The
     monic polynomial, its zeros (zeroset, or the caller's N zeros), the
-    qde_terms table, its flow weights, both zero-identity routes' shift
+    qde_terms table, its flow addends (velocity_terms) and their grouping
+    by shift (velocity_weights), both zero-identity routes' shift
     grid, the kernel tables (of the zeros and the flow weights' q^k, read
     by M and flow.jacobian_fd), M and the closed-form spectrum mu. A check
     of another polynomial sets monic."""
@@ -443,6 +447,10 @@ class Case:
     @functools.cached_property
     def qde_terms(self) -> List:
         return qde_terms(self.params)
+
+    @functools.cached_property
+    def velocity_terms(self) -> List:
+        return velocity_terms(self)
 
     @functools.cached_property
     def velocity_weights(self) -> dict:

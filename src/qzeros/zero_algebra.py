@@ -174,7 +174,8 @@ def velocity_terms(case: Case) -> List:
     The velocity is (-1)^s times the n-th zero identity over
     z_n prod_{l != n} (z_n - z_l), and that denominator divides each shifted
     product prod_l (q^k z_n - z_l) to (q^k - 1) f_n(k). Shift-0 addends drop
-    out, since q^0 - 1 = 0.
+    out, since q^0 - 1 = 0. A stage of the case (Case.velocity_terms), read
+    by velocity_weights and flow.equilibrium_residual.
     """
     q = case.params.q
     sign = (-1) ** case.params.s
@@ -190,7 +191,7 @@ def velocity_weights(case: Case) -> Dict[int, Tuple]:
     its context's carried arithmetic (PrecisionContext.carried), the one
     the kernel tables hold."""
     sums: Dict[int, Tuple] = {}
-    for k, c, e in velocity_terms(case):
+    for k, c, e in case.velocity_terms:
         a, b = sums.get(k, (0, 0))
         sums[k] = (a, b + c) if e else (a + c, b)
     weights = [(case.params.q**k, a, b) for k, (a, b) in sums.items()]

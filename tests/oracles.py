@@ -100,13 +100,18 @@ def horner_deriv(p: Poly, z):
     return acc, dacc
 
 
-def sample_points_loop(zeros, rng, count: int = 20) -> List[complex]:
-    """The points of cli._sample_points, each its scale times its radius
-    times the complex unit of its phase, from np.cos and np.sin of it."""
+def sample_points_loop(zeros, count: int = 20) -> List[complex]:
+    """The points of cli._sample_points one at a time: point j is its scale
+    times its radius 0.3 + 1.4 (j + 1/2) / count times the complex unit of
+    its phase (j + 1/2) pi (3 - sqrt 5), from np.cos and np.sin of it."""
     scale = max(1.0, max(abs(complex(z)) for z in zeros))
-    radii = rng.uniform(0.3, 1.7, size=count)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return [scale * rho * complex(np.cos(th), np.sin(th)) for rho, th in zip(radii, phases)]
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    points = []
+    for j in range(count):
+        rho = 0.3 + 1.4 * (j + 0.5) / count
+        th = (j + 0.5) * golden
+        points.append(scale * rho * complex(np.cos(th), np.sin(th)))
+    return points
 
 
 def relative_separation_pairs(zs) -> float:

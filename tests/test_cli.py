@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qzeros import flow
-from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, _sample_points, build_parser, main
+from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, QDE_SAMPLE_COUNT, _sample_points, build_parser, main
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet
 from qzeros.precision import F64, context_of, extended
@@ -120,6 +120,18 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     rep1.pop("wall_time_s")
     rep2.pop("wall_time_s")
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize("precision", ["f64", "extended"])
+def test_verify_report_does_not_depend_on_the_seed(tmp_path, precision):
+    # the q-difference checks read a fixed spiral of points: verify draws
+    # nothing, so every seed writes the same report
+    cfg = write_config(tmp_path)
+    outs = [tmp_path / f"seed{seed}.json" for seed in (0, 7)]
+    for seed, out in zip((0, 7), outs):
+        assert run("verify", cfg, "--seed", str(seed), "--precision", precision, "--out", str(out)) == 0
+    first, second = (_without_wall_time(out.read_text(encoding="utf-8")) for out in outs)
+    assert first == second
 
 
 def test_verify_tol_override_fails(tmp_path):
@@ -355,14 +367,14 @@ def test_every_report_at_one_zero_is_strict_json(tmp_path, capsys, precision):
 
 def test_sample_points_are_the_per_point_loop_bit_for_bit():
     # one array pass, r cos + 1j (r sin) with r = scale * radius, against
-    # scale * radius * complex(cos, sin) point by point
-    for seed in range(300):
-        zeros = [complex(10.0 ** (seed % 9 - 4), 0.5)]
-        got = _sample_points(zeros, np.random.default_rng(seed))
-        ref = sample_points_loop(zeros, np.random.default_rng(seed))
+    # scale * radius * complex(cos, sin) point by point, at nine zero scales
+    for exponent in range(-4, 5):
+        zeros = [complex(10.0**exponent, 0.5)]
+        got = _sample_points(zeros)
+        ref = sample_points_loop(zeros, QDE_SAMPLE_COUNT)
         assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
             (z.real.hex(), z.imag.hex()) for z in map(complex, ref)
-        ], seed
+        ], exponent
 
 
 def test_extended_verify_reads_extended_params(tmp_path, suite):
@@ -426,6 +438,26 @@ def test_commands_leave_scipy_unimported(tmp_path, suite):
     assert json.loads(proc.stdout) == [[0] * 8, False]
 
 
+def test_only_sweep_and_flow_load_numpy_random(tmp_path, suite):
+    # poly, zeros and verify draw nothing from the seed, so a fresh process
+    # never imports numpy.random (about 5 MB resident); sweep builds the
+    # generator for its beta factors, which shows the probe can see it
+    cfg = write_params(tmp_path, suite[3])
+    out = str(tmp_path / "r.json")
+    script = (
+        "import json, sys\n"
+        "from qzeros.cli import main\n"
+        f"codes = [main([c, '--config', {cfg!r}, '--precision', p, '--out', {out!r}])"
+        " for c in ('poly', 'zeros', 'verify') for p in ('f64', 'extended')]\n"
+        "before = 'numpy.random' in sys.modules\n"
+        f"codes.append(main(['sweep', '--config', {cfg!r}, '--out', {out!r}]))\n"
+        "print(json.dumps([codes, before, 'numpy.random' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 7, False, True]
+
+
 STAGES = (
     ("qzeros.qseries", "coeffs_P"),
     ("qzeros.rootfind", "find_zeros"),
@@ -434,6 +466,7 @@ STAGES = (
     ("qzeros.isospectral", "build_M"),
     ("qzeros.isospectral", "mu_closed"),
     ("qzeros.qdiff", "qde_terms"),
+    ("qzeros.zero_algebra", "velocity_terms"),
     ("qzeros.zero_algebra", "velocity_weights"),
     ("qzeros.zero_algebra", "identity_grid"),
 )

@@ -57,6 +57,19 @@ def test_build_M_n1_hand_case():
     assert abs(M[0, 0] - mu_closed(params)[0]) < 1e-12
 
 
+def test_one_by_one_eigenvalue_is_its_entry(suite):
+    # at 50 digits the refinement of the entry would miss it by a few ulps:
+    # M and the companion matrix at N = 1 return their entry, bit for bit
+    ctx = extended(50)
+    cases = [Case(in_context(params, ctx)) for params in suite if params.N == 1]
+    assert len(cases) == 5
+    for case in cases:
+        for rows in (case.M, rootfind.balanced_companion(case.monic)):
+            assert rows.shape == (1, 1)
+            assert certified_eigenvalues(rows) == [rows[0][0]]
+    assert certified_eigenvalues(((0.7 - 0.4j,),)) == [0.7 - 0.4j]
+
+
 def _entrywise_close(A, B, tol):
     for ra, rb in zip(A, B):
         for a, b in zip(ra, rb):

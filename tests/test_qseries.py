@@ -113,7 +113,7 @@ def test_monic_horner_start_is_bitwise_the_generic_loop(suite, ctx):
         p, zset = zeros_of(in_context(params, ctx))
         assert p.monic and p.coeffs[-1] == 1
         points = list(zset.zeros)
-        points += [ctx.convert(z) for z in _sample_points(points, np.random.default_rng(params.N))]
+        points += [ctx.convert(z) for z in _sample_points(points)]
         # the array pass against the loop over the same array (NumPy's
         # complex128 loops may round unlike builtin complex), then per point
         grid = np.array(points, dtype=ctx.dtype)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qzeros.errors import DegreeMismatch
+from qzeros.flow import equilibrium_residual
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
@@ -150,7 +151,7 @@ def test_kernel_cache_matches_direct(ctx, tol):
 
 def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
     # each q^k is formed once per case, in velocity_weights; the kernel
-    # tables read it from there
+    # tables and the flow's stall check read it from there
     params = in_context(ParamSet(r=2, s=1, N=5, q=0.45, alpha=(0.7 + 0.2j, 1.1), beta=(1.3 - 0.4j,)), extended(50))
     case = Case(params, zeros_of(params)[1].zeros)
     weights = case.velocity_weights
@@ -165,6 +166,7 @@ def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
     assert params.q**2 == original(params.q, 2) and powers == [(2,)]
     powers.clear()
     assert set(case.kernels.fnm) == set(weights)
+    assert equilibrium_residual(case) < 1e-40
     assert powers == []
 
 

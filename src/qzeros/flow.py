@@ -17,10 +17,11 @@ zdot_n = sum_k (a_k + b_k z_n) f_n(k), one kernel product a shift. Its
 equilibria are the true zeros and its linearization there is the spectral
 matrix. Velocities are arrays in the carried arithmetic of the zeros'
 context (PrecisionContext.carried: complex128, or at extended digits
-precision.Carried, Gaussian integers cut to 3 times the context's bits at
-each product), rounded once on the way out: _moved_velocity places each
-zero at an array of points, the others fixed, and multiplies its sum over
-the shifts by the product of the reciprocals 1/(z - z_l) once. Those
+precision.Dyadic at a width, Gaussian integers cut to 3 times the
+context's bits at each product), rounded once on the way out:
+_moved_velocity places each zero at an array of points, the others fixed,
+and multiplies its sum over the shifts by the product of the reciprocals
+1/(z - z_l) once. Those
 reciprocals, 1/(z_m + h w^j - z_l) in jacobian_fd and its 1/(K h), are the
 divisions, taken in mpc at extended digits and read in once, with the K N
 sample points they divide by; every other product is carried.

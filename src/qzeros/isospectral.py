@@ -18,12 +18,12 @@ the shift kernels, one kernel table a shift. mu_n is the one home of the
 closed form; mu_closed evaluates it, and so do the tests' exact rational
 spectrum and coefficient flow (tests/oracles.py); closed_trace sums it over
 n without evaluating it. build_M multiplies in the kernel tables' carried
-arithmetic (precision.Carried at extended digits: Gaussian integers cut to
-3 times the context's bits at each product, no mpc product) and rounds M
-once into the context's scalars, which every check then reads. A Case
-holds one parameter set's stages, each computed once, the kernel tables
-that M and the flow's Jacobian check share among them, and Case.at(ctx) at
-more digits.
+arithmetic (precision.Dyadic at a width at extended digits: Gaussian
+integers cut to 3 times the context's bits at each product, no mpc
+product) and rounds M once into the context's scalars, which every check
+then reads. A Case holds one parameter set's stages, each computed once,
+the kernel tables that M and the flow's Jacobian check share among them,
+and Case.at(ctx) at more digits.
 
 Every check reads that array. The trace and determinant checks read it in
 its own scalars, never rounded to binary64: matrix_power_traces by exact
@@ -40,11 +40,11 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_float, fzero, mpf_add, round_nearest
+from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from .errors import DegreeMismatch, EigenNoConvergence, LengthMismatch
 from .params import ParamSet, _elementary, in_context
-from .precision import F64, TINY, PrecisionContext, _aligned, _float, context_of, extended, rel_gap
+from .precision import F64, TINY, PrecisionContext, _aligned, _float, _parts, context_of, extended, rel_gaps
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
 from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
@@ -119,13 +119,12 @@ def _eig_extended(rows, ctx: PrecisionContext) -> List:
     as its scalars; entries that do not round to finite binary64 numbers
     add the digits the solve loses (_lost_digits): no diagonal scaling
     brings such an entry into range, and without them mpmath.eig returns 0
-    for the zero 3 of z^2 - (1e400 + 3) z + 3e400.
+    for the zero 3 of z^2 - (1e400 + 3) z + 3e400. rows is 2 x 2 or
+    larger: mpmath.eig returns (E, ER, EL) for 1 x 1 input, whatever left
+    and right say, and certified_eigenvalues returns that entry first.
 
     The one use of mpmath's own global context, scoped by workdps.
     """
-    if len(rows) == 1:
-        # mpmath.eig returns (E, ER, EL) for 1 x 1 input, whatever left/right say
-        return [ctx.convert(rows[0][0])]
     dps = ctx.mp.dps
     if not np.isfinite(np.array(rows, dtype=complex)).all():
         dps += _lost_digits(rows, ctx)
@@ -274,12 +273,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
     with np.errstate(over="ignore"):
         if cond is None or not (np.isfinite(np.abs(vals)).all() and np.isfinite(vr).all()):
             return None
-    parts = []
-    for row in rows:
-        for v in row:
-            v = mp.convert(v)
-            parts += v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
-    A, eA = _aligned_array(parts)
+    A, eA = _aligned_array([p for row in rows for v in row for p in _parts(v, mp)])
     A_re, A_im = A[0::2].reshape(n, n), A[1::2].reshape(n, n)
     target = EIG_TARGET * (eps_out / F64.eps)
 
@@ -427,8 +421,9 @@ class Case:
     verdict: each stage computed on first use and held on the case, not
     keyed on values (mpc(0.5) at 30 digits equals mpc(0.5) at 50). The
     monic polynomial, its zeros (zeroset, or the caller's N zeros), the
-    qde_terms table, its flow addends (velocity_terms) and their grouping
-    by shift (velocity_weights), both zero-identity routes' shift
+    qde_terms table, its flow addends (velocity_terms), the powers q^k
+    they read (flow_powers, one a shift) and their grouping by shift
+    (velocity_weights), both zero-identity routes' shift
     grid, the kernel tables (of the zeros and the flow weights' q^k, read
     by M and flow.jacobian_fd), M and the closed-form spectrum mu. A check
     of another polynomial sets monic."""
@@ -447,6 +442,10 @@ class Case:
     @functools.cached_property
     def qde_terms(self) -> List:
         return qde_terms(self.params)
+
+    @functools.cached_property
+    def flow_powers(self) -> dict:
+        return {k: self.params.q**k for k in {k for k, _, _ in self.qde_terms} - {0}}
 
     @functools.cached_property
     def velocity_terms(self) -> List:
@@ -529,8 +528,8 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
     minimum-total-distance assignment whenever each value lies closer to
     its partner than half the distance between any two closed values. Pairs
     come in the order of closed, with the gaps of the values themselves
-    (rel_gap, with its max(1, |.|) guard): a tuple of (numerical, closed,
-    abs_gap, rel_gap) rows.
+    (rel_gaps, with its max(1, |.|) guard, in one pass): a tuple of
+    (numerical, closed, abs_gap, rel_gap) rows.
     """
     lam = list(numerical)
     mu = list(closed)
@@ -545,7 +544,9 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
             free[i], partner[j] = False, i
             if None not in partner:
                 break
-    return tuple((lam[i], mv, float(abs(lam[i] - mv)), rel_gap(lam[i], mv)) for mv, i in zip(mu, partner))
+    paired = [lam[i] for i in partner]
+    gaps = rel_gaps(paired, mu).tolist()
+    return tuple((lv, mv, float(abs(lv - mv)), gap) for lv, mv, gap in zip(paired, mu, gaps))
 
 
 def matrix_power_traces(M: np.ndarray) -> List:

@@ -5,25 +5,25 @@ All numerical kernels in this package are written against plain arithmetic
 on mpmath arbitrary-precision complex, and on NumPy arrays of either. A
 PrecisionContext carries the scalar constructor, the array dtype, the complex
 elementary functions, the machine epsilon and size, the magnitude that
-scales, normalisers and relative gaps (rel_gap, and rel_gaps over arrays)
-are taken with. Every binary64 modulus is the C hypot of the two parts, as
-builtin abs of a complex takes it, so sizes equals size value by value.
+scales, normalisers and relative gaps (rel_gaps) are taken with. Every
+binary64 modulus is the C hypot of the two parts, as builtin abs of a
+complex takes it, so sizes equals size value by value.
 
-A third scalar type, Dyadic, holds an extended value exactly: Gaussian
-integers over a power of two, with exact +, - and * and no division.
-ctx.exact reads an array of extended values into it (in binary64 it
-returns the complex array unchanged), and ctx.convert rounds a Dyadic back
-once. The division-free checks (qdiff.qde_checks, the zero identities of
-zero_algebra and isospectral.matrix_power_traces) evaluate their
-polynomials in it, so at extended digits they round only their inputs and
-what they return.
+A third scalar type, Dyadic, holds an extended value as Gaussian integers
+over a power of two, with +, - and * and no division, at one of two widths.
+ctx.exact reads an array of extended values into it at no width: there
+its arithmetic is exact (in binary64 ctx.exact returns the complex array
+unchanged), and ctx.convert rounds a Dyadic back once. The division-free
+checks (qdiff.qde_checks, the zero identities of zero_algebra and
+isospectral.matrix_power_traces) evaluate their polynomials in it, so at
+extended digits they round only their inputs and what they return.
 
-Carried, a Dyadic cut to a fixed width, is the reading of the kernel route
-(zero_algebra.KernelCache, isospectral.build_M and flow.jacobian_fd):
-ctx.carried reads values into it, and each +, - and * keeps the top
-3 * prec bits of its integer parts, where prec is the context's bits. The
-route's reciprocals stay mpc divisions, read in once; M and the Jacobian
-leave it through ctx.rounded, one rounding each.
+ctx.carried reads values at the width 3 * prec, prec being the context's
+bits: each +, - and * keeps the top 3 * prec bits of its integer parts.
+That is the reading of the kernel route (zero_algebra.KernelCache,
+isospectral.build_M and flow.jacobian_fd), whose integers would grow with
+every product; its reciprocals stay mpc divisions, read in once, and M
+and the Jacobian leave it through ctx.rounded, one rounding each.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -70,43 +70,35 @@ class PrecisionContext:
     def exact(self, values) -> np.ndarray:
         """The array values in exact arithmetic: the complex array in
         binary64, whose arithmetic stays as it is; at extended digits an
-        object array of Dyadic, each value read from its raw mpf parts."""
-        if self.mp is None:
-            return np.asarray(values, dtype=complex)
-        values = np.asarray(values, dtype=object)
-        return np.array([self._dyadic(v) for v in values.flat], dtype=object).reshape(values.shape)
+        object array of Dyadic at no width."""
+        return self._read(values, None)
 
     def carried(self, values) -> np.ndarray:
         """The array values in carried arithmetic: the complex array in
         binary64, as ctx.exact; at extended digits an object array of
-        Carried, each value read exactly and cut to CARRIED_WIDTH times the
-        context's bits."""
-        if self.mp is None:
-            return np.asarray(values, dtype=complex)
-        width = CARRIED_WIDTH * self.mp.prec
-        values = self.exact(values)
-        carried = [Carried(d.re, d.im, d.exp, d.context, width) for d in values.flat]
-        return np.array(carried, dtype=object).reshape(values.shape)
+        Dyadic at CARRIED_WIDTH times the context's bits, each value read
+        exactly and cut to that width."""
+        return self._read(values, None if self.mp is None else CARRIED_WIDTH * self.mp.prec)
 
     def rounded(self, values) -> np.ndarray:
         """The array values back in this context's scalars: unchanged in
-        binary64, each Dyadic or Carried rounded once by convert at extended
-        digits."""
+        binary64, each Dyadic rounded once by convert at extended digits."""
         if self.mp is None:
             return values
         return np.array([self.convert(v) for v in values.flat], dtype=object).reshape(values.shape)
 
-    def _dyadic(self, x) -> Dyadic:
-        if type(x) is Dyadic:
-            return x
-        parts = getattr(x, "_mpc_", None)
-        if parts is None and isinstance(x, complex):  # binary64, read exactly
-            parts = (from_float(x.real), from_float(x.imag))
-        elif parts is None:
-            x = self.mp.convert(x)
-            parts = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
-        (re, im), exp = _aligned(parts)
-        return Dyadic(re, im, exp, self.mp)
+    def _read(self, values, width) -> np.ndarray:
+        """Each value of the array values as a Dyadic of the given width,
+        read from its own parts if it is one, else from its raw mpf parts
+        (_parts); the complex array in binary64."""
+        if self.mp is None:
+            return np.asarray(values, dtype=complex)
+        values = np.asarray(values, dtype=object)
+        read = []
+        for v in values.flat:
+            (re, im), exp = ((v.re, v.im), v.exp) if type(v) is Dyadic else _aligned(_parts(v, self.mp))
+            read.append(Dyadic(re, im, exp, self.mp, width))
+        return np.array(read, dtype=object).reshape(values.shape)
 
     @property
     def size(self):
@@ -159,6 +151,20 @@ def _extended_size(x):
     return mag if TINY <= mag < math.inf else abs(context_of(x).convert(x))
 
 
+def _parts(x, mp) -> Tuple:
+    """The raw mpf values (sign, man, exp, bc) of x's real and imaginary
+    parts, read exactly: an mpc's own, a binary64 complex's by from_float,
+    any other number's through mp.convert. The one reader of values as raw
+    parts, which _aligned turns into integers."""
+    parts = getattr(x, "_mpc_", None)
+    if parts is None and isinstance(x, complex):
+        return from_float(x.real), from_float(x.imag)
+    if parts is None:
+        x = mp.convert(x)
+        parts = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
+    return parts
+
+
 def _aligned(parts) -> Tuple[List[int], int]:
     """The raw mpf values parts, (sign, man, exp, bc), as integers over their
     smallest exponent E: a list of +-man 2^(exp - E), and E. The one reader
@@ -181,64 +187,98 @@ def _float(m: int, e: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
+# the bits a carried Dyadic keeps, in units of its context's bits: a product
+# cut to W = 3 prec bits errs by less than 2^(1 - W) of itself, so a sum of
+# T of them rounds to within an ulp of the exact sum unless it cancels by
+# more than about 2^(W - prec) / T, 2 prec bits (about 100 digits at 50)
+CARRIED_WIDTH = 3
+
+
 class Dyadic:
-    """The exact value (re + i im) 2^exp of an extended context, re and im
-    Python integers: +, - and * (with Dyadic and int operands) and integer
-    powers >= 0 are exact, and division raises TypeError, since it would
-    round. complex() rounds each part once to binary64, abs is the context's
-    size, and context is the mpmath context of the values it was read from,
-    so context_of and ctx.sizes read it as they read those values.
+    """The value (re + i im) 2^exp of an extended context, re and im Python
+    integers carried at a width: None holds them exactly (ctx.exact),
+    an integer width cuts them to their top `width` bits (ctx.carried) by
+    floor shifts, the dropped bits moving into exp, whenever a value is
+    formed. +, - and * (with int operands and Dyadic operands of the same
+    width) return a Dyadic of that width: exact at no width, within
+    2^(1 - width) of the exact result at one, so the integers of a long
+    product chain stay at the width where exact ones would grow with every
+    factor. Integer powers >= 0 are exact, and a carried value has none.
+    Division would round and raises TypeError, as does mixing widths or a
+    rounding scalar. complex() rounds each part once to binary64, abs is
+    the context's size, and context is the mpmath context of the values it
+    was read from, so context_of and ctx.sizes read it as they read those
+    values.
 
-    Kernels take their inputs through ctx.exact once, run their generic
-    code, and leave with sizes or with ctx.convert, one rounding each. The
-    integers grow with every product (Kulisch, Computer Arithmetic and
-    Validity, 2008: an exact dot product rounded once), which for the short
-    Horner passes and products of this package costs less than an mpmath
-    product rounded at every step on its pure-Python backend."""
+    Kernels take their inputs through ctx.exact or ctx.carried once, run
+    their generic code, and leave with sizes, ctx.convert or ctx.rounded,
+    one rounding each. Exact integers grow with every product (Kulisch,
+    Computer Arithmetic and Validity, 2008: an exact dot product rounded
+    once), which for the short Horner passes and products of this package
+    costs less than an mpmath product rounded at every step on its
+    pure-Python backend."""
 
-    __slots__ = ("re", "im", "exp", "context")
+    __slots__ = ("re", "im", "exp", "context", "width")
 
-    def __init__(self, re: int, im: int, exp: int, context):
-        self.re, self.im, self.exp, self.context = re, im, exp, context
+    def __init__(self, re: int, im: int, exp: int, context, width: int | None = None):
+        if width is not None and (cut := max(re.bit_length(), im.bit_length()) - width) > 0:
+            re, im, exp = re >> cut, im >> cut, exp + cut
+        self.re, self.im, self.exp, self.context, self.width = re, im, exp, context, width
 
     def _int(self, other):
-        """An int operand as a Dyadic, None for any other non-Dyadic type."""
-        return Dyadic(other, 0, 0, self.context) if isinstance(other, int) else None
+        """An int operand as a Dyadic of self's width; NotImplemented for
+        any other operand but a Dyadic of that width: another width, or a
+        rounding scalar."""
+        return Dyadic(other, 0, 0, self.context, self.width) if isinstance(other, int) else NotImplemented
 
     def __add__(self, other):
-        if type(other) is not Dyadic and (other := self._int(other)) is None:
-            return NotImplemented
+        if type(other) is not Dyadic or other.width != self.width:
+            if (other := self._int(other)) is NotImplemented:
+                return other
         shift = self.exp - other.exp
         if shift >= 0:
-            return Dyadic((self.re << shift) + other.re, (self.im << shift) + other.im, other.exp, self.context)
-        return Dyadic(self.re + (other.re << -shift), self.im + (other.im << -shift), self.exp, self.context)
+            return Dyadic(
+                (self.re << shift) + other.re, (self.im << shift) + other.im, other.exp, self.context, self.width
+            )
+        return Dyadic(
+            self.re + (other.re << -shift), self.im + (other.im << -shift), self.exp, self.context, self.width
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dyadic(-self.re, -self.im, self.exp, self.context)
+        return Dyadic(-self.re, -self.im, self.exp, self.context, self.width)
 
     def __sub__(self, other):
-        if type(other) is not Dyadic and (other := self._int(other)) is None:
-            return NotImplemented
-        return self + Dyadic(-other.re, -other.im, other.exp, self.context)
+        if type(other) is not Dyadic or other.width != self.width:
+            if (other := self._int(other)) is NotImplemented:
+                return other
+        shift = self.exp - other.exp
+        if shift >= 0:
+            return Dyadic(
+                (self.re << shift) - other.re, (self.im << shift) - other.im, other.exp, self.context, self.width
+            )
+        return Dyadic(
+            self.re - (other.re << -shift), self.im - (other.im << -shift), self.exp, self.context, self.width
+        )
 
     def __rsub__(self, other):
-        if (other := self._int(other)) is None:
-            return NotImplemented
-        return other + Dyadic(-self.re, -self.im, self.exp, self.context)
+        if (other := self._int(other)) is NotImplemented:
+            return other
+        return other - self
 
     def __mul__(self, other):
-        if type(other) is not Dyadic:
-            if not isinstance(other, int):
-                return NotImplemented
-            return Dyadic(self.re * other, self.im * other, self.exp, self.context)
+        if type(other) is not Dyadic or other.width != self.width:
+            if (other := self._int(other)) is NotImplemented:
+                return other
         a, b, c, d = self.re, self.im, other.re, other.im
-        return Dyadic(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context)
+        return Dyadic(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context, self.width)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if self.width is not None:
+            raise TypeError("a carried Dyadic has no power; take it in the scalar type, then ctx.carried")
         if not isinstance(n, int) or n < 0:
             raise TypeError(f"a Dyadic power must be an integer >= 0, not {n!r}")
         out, base = Dyadic(1, 0, 0, self.context), self
@@ -249,7 +289,7 @@ class Dyadic:
         return out
 
     def __truediv__(self, other):
-        raise TypeError("Dyadic arithmetic is exact and has no division; round with ctx.convert first")
+        raise TypeError("Dyadic arithmetic has no division; round with ctx.convert first")
 
     __rtruediv__ = __truediv__
 
@@ -259,77 +299,7 @@ class Dyadic:
     __abs__ = _extended_size
 
     def __repr__(self) -> str:
-        return f"Dyadic({self.re}, {self.im}, {self.exp})"
-
-
-# the bits a Carried keeps, in units of its context's bits: a product cut to
-# W = 3 prec bits errs by less than 2^(1 - W) of itself, so a sum of T of
-# them rounds to within an ulp of the exact sum unless it cancels by more
-# than about 2^(W - prec) / T, 2 prec bits (about 100 digits at 50)
-CARRIED_WIDTH = 3
-
-
-class Carried(Dyadic):
-    """A Dyadic carried at a fixed width: (re + i im) 2^exp whose integer
-    parts are cut to their top `width` bits (floor shifts, the dropped bits
-    moving into exp) when it is formed. +, - and * (with Carried and int
-    operands) return a Carried of the same width, each within 2^(1 - width)
-    of the exact result, so the integers of a long product chain stay at
-    the width where a Dyadic's would grow with every factor. No division,
-    and no mixing with Dyadic or rounding scalars: both raise TypeError."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, re: int, im: int, exp: int, context, width: int):
-        cut = max(re.bit_length(), im.bit_length()) - width
-        if cut > 0:
-            re, im, exp = re >> cut, im >> cut, exp + cut
-        self.re, self.im, self.exp, self.context, self.width = re, im, exp, context, width
-
-    def _int(self, other):
-        """An int operand as a Carried, None for any other non-Carried type."""
-        return Carried(other, 0, 0, self.context, self.width) if isinstance(other, int) else None
-
-    def _sum(self, re: int, im: int, exp: int):
-        """self + (re + i im) 2^exp, aligned to the lower exponent."""
-        shift = self.exp - exp
-        if shift >= 0:
-            return Carried((self.re << shift) + re, (self.im << shift) + im, exp, self.context, self.width)
-        return Carried(self.re + (re << -shift), self.im + (im << -shift), self.exp, self.context, self.width)
-
-    def __add__(self, other):
-        if type(other) is not Carried and (other := self._int(other)) is None:
-            return NotImplemented
-        return self._sum(other.re, other.im, other.exp)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Carried(-self.re, -self.im, self.exp, self.context, self.width)
-
-    def __sub__(self, other):
-        if type(other) is not Carried and (other := self._int(other)) is None:
-            return NotImplemented
-        return self._sum(-other.re, -other.im, other.exp)
-
-    def __rsub__(self, other):
-        if (other := self._int(other)) is None:
-            return NotImplemented
-        return other._sum(-self.re, -self.im, self.exp)
-
-    def __mul__(self, other):
-        if type(other) is not Carried and (other := self._int(other)) is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Carried(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context, self.width)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        raise TypeError("a Carried has no power; form it in the scalar type and read it with ctx.carried")
-
-    def __repr__(self) -> str:
-        return f"Carried({self.re}, {self.im}, {self.exp}, width={self.width})"
+        return f"Dyadic({self.re}, {self.im}, {self.exp}, width={self.width})"
 
 
 F64 = PrecisionContext(eps=_F64_EPS)
@@ -356,20 +326,14 @@ def context_of(x) -> PrecisionContext:
     return F64 if mp is None else extended(mp.dps)
 
 
-def rel_gap(a, b) -> float:
-    """The gap of a from b, size(a - b) / max(1, size(b)), in a - b's precision."""
-    d = a - b
-    size = context_of(d).size
-    return float(size(d) / max(1.0, size(b)))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def rel_gaps(a, b) -> np.ndarray:
-    """rel_gap of each entry of the array a from the entry of b broadcast
-    against it, as a float array equal to rel_gap entry by entry, bit for bit
-    (sizes is size entry by entry). As in rel_gap, a NaN size of b counts
-    as 1 (np.fmax is builtin max(1.0, x)), and an extended modulus outside
-    [TINY, inf) is taken in the scalar type, the quotient too."""
+    """The gap of each entry of the array a from the entry of b broadcast
+    against it, size(a - b) / max(1, size(b)) in a - b's precision, as a
+    float array. sizes is size entry by entry, so each gap is the one the
+    scalar formula gives, bit for bit. A NaN size of b counts as 1 (np.fmax
+    is builtin max(1.0, x)), and an extended modulus outside [TINY, inf) is
+    taken in the scalar type, the quotient too."""
     d = np.subtract(a, b)
     ctx = context_of(d.flat[0])
     return np.asarray(ctx.sizes(d) / np.fmax(ctx.sizes(b), 1.0), dtype=float)

@@ -15,12 +15,13 @@ the same family:
 A KernelCache holds, for each shift of the zero flow (velocity_weights), the
 left_out_products table as a read-only array in the carried arithmetic of
 the zeros' context (PrecisionContext.carried: complex128 in binary64, an
-object array of precision.Carried at extended digits, Gaussian integers over
-a power of two cut to 3 times the context's bits at each product). It is
-the one builder of these tables: a Case builds it once from its zeros and
-the powers q^k of its velocity_weights (isospectral.Case.kernels), and the
-matrix assembly (isospectral.build_M) and the flow's Jacobian check
-(flow.jacobian_fd) both read it, with the flow weights in the same arithmetic.
+object array of precision.Dyadic at a width at extended digits, Gaussian
+integers over a power of two cut to 3 times the context's bits at each
+product). It is the one builder of these tables: a Case builds it once
+from its zeros and the powers q^k of its velocity_weights
+(isospectral.Case.kernels), and the matrix assembly (isospectral.build_M)
+and the flow's Jacobian check (flow.jacobian_fd) both read it, with the
+flow weights in the same arithmetic.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
 division of the tables, taken in mpc at extended digits and read in once;
 left_out_products builds the whole f_nm(p) table of one shift,
@@ -103,9 +104,10 @@ class KernelCache:
     """The kernel tables of one configuration z (the zeros, a sequence or an
     array) over the shifts of the flow weights (Case.velocity_weights,
     {k: (q^k, a_k, b_k)} in the carried arithmetic of z's context,
-    PrecisionContext.carried: precision.Carried at extended digits, the
-    complex array in binary64): z itself, inv = reciprocal_table(z), whose
-    divisions are taken in z's scalars and read in once, and
+    PrecisionContext.carried: precision.Dyadic at a width at extended
+    digits, the complex array in binary64): z itself,
+    inv = reciprocal_table(z), whose divisions are taken in z's scalars
+    and read in once, and
     fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
     f_n(k) on it, each q^k the weights' own. Every array is read-only,
     since each reader of a Case shares them."""
@@ -174,12 +176,13 @@ def velocity_terms(case: Case) -> List:
     The velocity is (-1)^s times the n-th zero identity over
     z_n prod_{l != n} (z_n - z_l), and that denominator divides each shifted
     product prod_l (q^k z_n - z_l) to (q^k - 1) f_n(k). Shift-0 addends drop
-    out, since q^0 - 1 = 0. A stage of the case (Case.velocity_terms), read
+    out, since q^0 - 1 = 0. Each q^k is the case's (Case.flow_powers),
+    formed once a shift. A stage of the case (Case.velocity_terms), read
     by velocity_weights and flow.equilibrium_residual.
     """
-    q = case.params.q
+    powers = case.flow_powers
     sign = (-1) ** case.params.s
-    return [(k, sign * w * (q**k - 1), e) for k, w, e in case.qde_terms if k != 0]
+    return [(k, sign * w * (powers[k] - 1), e) for k, w, e in case.qde_terms if k != 0]
 
 
 def velocity_weights(case: Case) -> Dict[int, Tuple]:
@@ -187,14 +190,14 @@ def velocity_weights(case: Case) -> Dict[int, Tuple]:
     so that velocity_n = sum_k (a_k + b_k z_n) f_n(k): the form the flow,
     its Jacobian check and the matrix assembly read, one kernel table a
     shift, each through the case's stage (Case.velocity_weights), formed
-    once. The three are summed and powered in q's scalars, then read into
-    its context's carried arithmetic (PrecisionContext.carried), the one
-    the kernel tables hold."""
+    once. a_k and b_k are summed in q's scalars, q^k is the case's
+    flow_powers entry, and the three are read into its context's carried
+    arithmetic (PrecisionContext.carried), the one the kernel tables hold."""
     sums: Dict[int, Tuple] = {}
     for k, c, e in case.velocity_terms:
         a, b = sums.get(k, (0, 0))
         sums[k] = (a, b + c) if e else (a + c, b)
-    weights = [(case.params.q**k, a, b) for k, (a, b) in sums.items()]
+    weights = [(case.flow_powers[k], a, b) for k, (a, b) in sums.items()]
     return dict(zip(sums, map(tuple, context_of(case.params.q).carried(weights).tolist())))
 
 

@@ -49,7 +49,8 @@ isospectral.matrix_power_traces) in those Gaussian rationals, from the same
 values the kernels read, by power sums and triple sums instead of Horner
 passes and matrix products. mpc_kernel_route runs the kernel route
 (KernelCache, build_M and flow.jacobian_fd) with every product rounded in
-mpc, as before precision.Carried, the reference of its carried products.
+mpc, as before it carried precision.Dyadic values at a width, the
+reference of its carried products.
 """
 
 import cmath

@@ -539,7 +539,7 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
 # cases, one per (r, s) class and q style: a count, not a clock, so the
 # budget is exact. The division-free checks take none (their products are
 # exact integer products of precision.Dyadic values), nor do the kernel
-# tables, M and the Jacobian check (precision.Carried products)
+# tables, M and the Jacobian check (products of Dyadic values at a width)
 MPC_MUL_BUDGET = {4: 292, 14: 197, 24: 222}
 
 

@@ -4,6 +4,7 @@ globals, and every function computes in the precision of its inputs."""
 import importlib
 import inspect
 import pkgutil
+import random
 
 import mpmath
 import numpy as np
@@ -31,12 +32,10 @@ from qzeros.precision import (
     CARRIED_WIDTH,
     F64,
     TINY,
-    Carried,
     Dyadic,
     PrecisionContext,
     context_of,
     extended,
-    rel_gap,
     rel_gaps,
 )
 from qzeros.qdiff import _horner_scale
@@ -173,11 +172,18 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _gap(a, b) -> float:
+    """The gap of the scalar a from b, size(a - b) / max(1, size(b)), in a - b's precision."""
+    d = a - b
+    size = context_of(d).size
+    return float(size(d) / max(1.0, size(b)))
+
+
 @pytest.mark.parametrize("ctx", [F64, extended(50)])
-def test_rel_gaps_is_rel_gap_bit_for_bit(ctx):
+def test_rel_gaps_is_the_scalar_gap_bit_for_bit(ctx):
     pairs = _gap_pairs(ctx, np.random.default_rng(7))
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    ref = [rel_gap(x, y) for x, y in pairs]
+    ref = [_gap(x, y) for x, y in pairs]
     assert _bits(rel_gaps(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype))) == _bits(ref)
     # an N x N table (the Jacobian check) and a row of references broadcast
     # against the rows of states (the flow's endpoint drift)
@@ -185,10 +191,10 @@ def test_rel_gaps_is_rel_gap_bit_for_bit(ctx):
     row = np.array(b[:20], dtype=ctx.dtype)
     got = rel_gaps(table, row)
     assert got.shape == (20, 20)
-    assert _bits(got.ravel()) == _bits(rel_gap(x, y) for line in table for x, y in zip(line, row))
+    assert _bits(got.ravel()) == _bits(_gap(x, y) for line in table for x, y in zip(line, row))
     # binary64 real gaps, as the two zero-identity routes give them
     reals = [abs(x) for x in np.array(a[:50], dtype=complex)]
-    assert _bits(rel_gaps(reals, reals[::-1])) == _bits(rel_gap(x, y) for x, y in zip(reals, reals[::-1]))
+    assert _bits(rel_gaps(reals, reals[::-1])) == _bits(_gap(x, y) for x, y in zip(reals, reals[::-1]))
 
 
 @pytest.mark.parametrize("ctx", [F64, extended(50)])
@@ -302,10 +308,10 @@ def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypat
 
 
 def test_carried_arithmetic_is_cut_to_its_width():
-    # +, - and * of Carried values give Carried values of one width, whose
+    # +, - and * of carried values give Dyadic values of one width, whose
     # integer parts never pass it, each product within sqrt(2) 2^(1 - width)
-    # of its exact value; no division, and no mixing with exact or
-    # rounding scalars
+    # of its exact value; no division, no power, and no mixing with exact
+    # or rounding scalars
     ctx = extended(50)
     width = CARRIED_WIDTH * ctx.mp.prec
     rng = np.random.default_rng(5)
@@ -314,12 +320,12 @@ def test_carried_arithmetic_is_cut_to_its_width():
     got, want = carried[0], gaussian(exact[0])
     for c, e in zip(carried[1:], exact[1:]):
         got, want = got * c, want * gaussian(e)
-        assert type(got) is Carried and got.width == width
+        assert type(got) is Dyadic and got.width == width
         assert max(got.re.bit_length(), got.im.bit_length()) <= width
     error = gaussian(got) - want
     assert abs(complex(float(error.re), float(error.im))) <= 2 * 40 * 2.0 ** (1 - width) * size64(want)
     for result in (got + c, got - c, 1 - got, got - 1, 2 * got, -got):
-        assert type(result) is Carried and result.width == width
+        assert type(result) is Dyadic and result.width == width
     assert gaussian(c + c - c) == gaussian(c)  # short sums stay exact
     for bad in (
         lambda: got / c,
@@ -332,6 +338,54 @@ def test_carried_arithmetic_is_cut_to_its_width():
     ):
         with pytest.raises(TypeError):
             bad()
+
+
+def _cut(re: int, im: int, exp: int, width) -> tuple:
+    """(re + i im) 2^exp with both parts floor-shifted to their top width bits."""
+    cut = max(re.bit_length(), im.bit_length()) - width if width else 0
+    return (re >> cut, im >> cut, exp + cut) if cut > 0 else (re, im, exp)
+
+
+def test_dyadic_arithmetic_is_the_exact_result_cut_to_its_width():
+    # over random Gaussian integers, exponents and widths: +, - and * at
+    # width W are the exact result with both parts floor-shifted to W bits
+    # once (a difference is not cut at its negated operand first), and at
+    # no width Python's integer arithmetic; two widths never mix
+    rng = random.Random(35)
+    mp = extended(50).mp
+
+    def draw(width):
+        bits = rng.randint(0, 400)
+        re, im = (rng.randint(-(2**bits), 2**bits) for _ in range(2))
+        return Dyadic(re, im, rng.randint(-300, 300), mp, width)
+
+    for _ in range(2000):
+        width = rng.choice([None, rng.randint(1, 600)])
+        x, y, k = draw(width), draw(width), rng.randint(-(2**70), 2**70)
+        low = min(x.exp, y.exp)
+        xr, xi, yr, yi = (v << (e - low) for v, e in ((x.re, x.exp), (x.im, x.exp), (y.re, y.exp), (y.im, y.exp)))
+        kr, _, ke = _cut(k, 0, 0, width)
+        k_low = min(x.exp, ke)
+        sums = {
+            "x + y": (x + y, (xr + yr, xi + yi, low)),
+            "x - y": (x - y, (xr - yr, xi - yi, low)),
+            "x * y": (x * y, (x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re, x.exp + y.exp)),
+            "x * k": (x * k, (x.re * kr, x.im * kr, x.exp + ke)),
+            "k - x": (k - x, ((kr << (ke - k_low)) - (x.re << (x.exp - k_low)), -(x.im << (x.exp - k_low)), k_low)),
+        }
+        for name, (got, (re, im, exp)) in sums.items():
+            assert type(got) is Dyadic and got.width == width, name
+            assert (got.re, got.im, got.exp) == _cut(re, im, exp, width), name
+        if width is None:
+            n, power = rng.randint(0, 5), Gaussian(1)
+            for _ in range(n):
+                power = power * gaussian(x)
+            assert gaussian(x**n) == power
+        else:
+            other = Dyadic(y.re, y.im, y.exp, mp, rng.choice([None, width + 1]))
+            for mix in (lambda: x + other, lambda: other - x, lambda: x * other, lambda: other * x):
+                with pytest.raises(TypeError):
+                    mix()
 
 
 # draw 5 of conftest.make_case over random.Random(99), N replaced by 24
@@ -365,7 +419,7 @@ def test_kernel_route_stays_within_its_width(monkeypatch):
         max(v.re.bit_length(), v.im.bit_length())
         for table in (kernels.z, kernels.inv, *kernels.fnm.values(), carried[-1])
         for v in table.flat
-        if type(v) is Carried
+        if type(v) is Dyadic and v.width == 3 * ctx.mp.prec
     ]
     assert len(bits) == 24 * (1 + 24 * (1 + len(kernels.fnm) + 1))
     assert 2 * ctx.mp.prec < max(bits) <= 3 * ctx.mp.prec + 2

@@ -258,7 +258,10 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
     small = [in_context(params, ctx) for params in suite if params.N <= 5]
     assert len(small) == 25
     polys = [to_monic(coeffs_P(params)) for params in small]
-    refs = [isospectral._eig_extended(companion_rows(p), extended(70)) for p in polys]
+    # a 1 x 1 matrix's eigenvalue is its entry, which certified_eigenvalues
+    # returns before any solve; _eig_extended takes 2 x 2 and larger
+    rows = [companion_rows(p) for p in polys]
+    refs = [[r[0][0]] if len(r) == 1 else isospectral._eig_extended(r, extended(70)) for r in rows]
     eig_calls = counting(monkeypatch, mpmath, "eig")
     for p, ref in zip(polys, refs):
         _assert_near(companion_zeros(p), ref, 1e-45)

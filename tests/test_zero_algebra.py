@@ -150,11 +150,13 @@ def test_kernel_cache_matches_direct(ctx, tol):
 
 
 def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
-    # each q^k is formed once per case, in velocity_weights; the kernel
-    # tables and the flow's stall check read it from there
+    # each q^k is formed once per case and shift (Case.flow_powers), which
+    # the flow addends and their grouping by shift both read: 3 powers for
+    # the 7 addends over 3 shifts; the kernel tables and the flow's stall
+    # check read them from velocity_weights
     params = in_context(ParamSet(r=2, s=1, N=5, q=0.45, alpha=(0.7 + 0.2j, 1.1), beta=(1.3 - 0.4j,)), extended(50))
     case = Case(params, zeros_of(params)[1].zeros)
-    weights = case.velocity_weights
+    case.qde_terms  # formed first: it takes a power q^-N of its own
     powers = []
     original = type(params.q).__pow__
 
@@ -163,7 +165,9 @@ def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(type(params.q), "__pow__", counted)
-    assert params.q**2 == original(params.q, 2) and powers == [(2,)]
+    weights = case.velocity_weights
+    assert len(case.velocity_terms) == 7
+    assert sorted(powers) == sorted((k,) for k in weights) and len(powers) == 3
     powers.clear()
     assert set(case.kernels.fnm) == set(weights)
     assert equilibrium_residual(case) < 1e-40

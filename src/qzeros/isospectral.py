@@ -25,11 +25,16 @@ then reads. A Case holds one parameter set's stages, each computed once,
 the kernel tables that M and the flow's Jacobian check share among them,
 and Case.at(ctx) at more digits.
 
-Every check reads that array. The trace and determinant checks read it in
-its own scalars, never rounded to binary64: matrix_power_traces by exact
-array products (precision.Dyadic at extended digits), each trace rounded
-once, logdet_gap from the pivots of the one elimination (_eliminate),
-which _lost_digits reads.
+Every check reads that array. The spectrum check asks whether each mu_n is
+an exact eigenvalue of a matrix near M at mu_n's own scale
+(spectrum_report, a backward error that needs no eigenvalue of M, read at
+more digits only where binary64 cannot resolve that scale), and reports
+M's eigenvalues from one solve that never escalates; certified_eigenvalues,
+which escalates, solves the companion oracle's matrix and sweep's. The trace and determinant checks
+read M in its own scalars, never rounded to binary64: matrix_power_traces
+by exact array products (precision.Dyadic at extended digits), each trace
+rounded once, logdet_gap from the pivots of the one elimination
+(_eliminate), which _lost_digits reads.
 """
 
 from __future__ import annotations
@@ -165,27 +170,27 @@ def _eigenpairs(arr):
     return vals, right, left, cond
 
 
-def _eig_with_bound(arr):
-    """Binary64 eigenvalues plus the worst relative forward error estimate.
+def _eig_with_bound(arr, norm: float | None = None):
+    """Binary64 eigenvalues plus each one's relative forward error estimate.
 
     QR iteration is backward stable (exact for a perturbation of size
     O(eps ||M||)), and the forward error of eigenvalue i is that backward
     error amplified by the eigenvalue's condition, the norm of row i of V^-1
     (_eigenpairs; first order, simple eigenvalues). The estimate takes the
-    backward error as exactly eps ||M||_2 and leaves out the modest
-    dimension-dependent constant of the rigorous bound, so it is not a
-    strict upper bound: on the benchmark-stream companion matrices the true
-    error reached 5.7 times it. EIG_TARGET sits 1000x below the 1e-6
-    spectrum_gap_max threshold to cover that. Without a condition (a
-    singular V) the estimate is infinite. It is a property of the matrix
-    alone; no reference values enter.
+    backward error as exactly eps ||M||_2 (norm, where the caller has it)
+    and leaves out the modest dimension-dependent constant of the rigorous
+    bound, so it is not a strict upper bound: on the benchmark-stream
+    companion matrices the true error reached 5.7 times it. EIG_TARGET sits
+    1000x below the 1e-6 forward match threshold to cover that. Without a
+    condition (a singular V) every estimate is infinite. It is a property
+    of the matrix alone; no reference values enter.
     """
     vals, _, _, cond = _eigenpairs(arr)
     if cond is None:
-        return vals, math.inf
+        return vals, np.full(len(vals), math.inf)
+    norm = np.linalg.norm(arr, 2) if norm is None else norm
     with np.errstate(over="ignore"):
-        err = F64.eps * np.linalg.norm(arr, 2) * cond
-        return vals, float((err / np.maximum(np.abs(vals), TINY)).max())
+        return vals, F64.eps * norm * cond / np.maximum(np.abs(vals), TINY)
 
 
 def _complexes(re, im, e: int) -> np.ndarray:
@@ -200,6 +205,20 @@ def _aligned_array(parts) -> Tuple[np.ndarray, int]:
     return np.array(ints, dtype=object), E
 
 
+def _residual(A_re, A_im, eA: int, X_re, X_im, eX: int, L, eL: int) -> Tuple:
+    """M X - X Lambda, exactly, for M = (A_re + i A_im) 2^eA, X = (X_re +
+    i X_im) 2^eX and Lambda the diagonal of lambda_j = (L[2j] + i L[2j + 1])
+    2^eL, one lambda a column of X (integer arrays, precision._aligned's):
+    the integer parts of the residual and their exponent, the form
+    _complexes rounds once."""
+    E = min(eA, eL)
+    L_re, L_im = L[0::2] << (eL - E), L[1::2] << (eL - E)
+    M_re, M_im = A_re << (eA - E), A_im << (eA - E)
+    R_re = M_re @ X_re - M_im @ X_im - X_re * L_re + X_im * L_im
+    R_im = M_re @ X_im + M_im @ X_re - X_im * L_re - X_re * L_im
+    return R_re, R_im, E + eX
+
+
 def _norm(v) -> float:
     """||v||_2 of the binary64 vector v, scaled by its largest part only where
     the squared parts leave the binary64 range and np.linalg.norm reads 0 or inf."""
@@ -210,14 +229,15 @@ def _norm(v) -> float:
     return norm
 
 
-def _refined_eigenvalues(rows, eps_out: float) -> List | None:
+def _refined_eigenvalues(rows, eps_out: float) -> Tuple[List, List[float]] | None:
     """Eigenvalues of the extended matrix rows, refined from its binary64
-    eigenpairs, or None when they cannot be certified that way: when the
-    entries rounded to binary64 are not finite, when the binary64 QR
-    iteration does not converge or its eigenvectors V are singular, or when
-    a certificate fails. eps_out is the eps of the precision the caller
-    returns them in: eps64 when they are rounded to binary64, the entries'
-    own eps when they are kept.
+    eigenpairs, and each one's certificate over its modulus (a relative
+    forward error bound, to first order), or None when they cannot be
+    certified that way: when the entries rounded to binary64 are not
+    finite, when the binary64 QR iteration does not converge or its
+    eigenvectors V are singular, or when a certificate fails. eps_out is
+    the eps of the precision the caller returns them in: eps64 when they
+    are rounded to binary64, the entries' own eps when they are kept.
 
     Newton on (x, lambda) with x normalised to 1 at its largest component s
     (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
@@ -300,12 +320,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
         L, eL = _aligned_array([p for i in active for p in lams[i]])
         x64s = _complexes(X_re, X_im, eX).reshape(n, len(active))
         lam64s = _complexes(L[0::2], L[1::2], eL)
-        E = min(eA, eL)
-        L_re, L_im = L[0::2] << (eL - E), L[1::2] << (eL - E)
-        M_re, M_im = A_re << (eA - E), A_im << (eA - E)
-        R_re = M_re @ X_re - M_im @ X_im - X_re * L_re + X_im * L_im
-        R_im = M_re @ X_im + M_im @ X_re - X_im * L_re - X_re * L_im
-        res = _complexes(R_re, R_im, E + eX).reshape(n, len(active))
+        res = _complexes(*_residual(A_re, A_im, eA, X_re, X_im, eX, L, eL)).reshape(n, len(active))
         refining = []
         for c, i in enumerate(active):
             if not np.isfinite(res[:, c]).all():
@@ -338,8 +353,10 @@ def _refined_eigenvalues(rows, eps_out: float) -> List | None:
             break
     out = [mp.make_mpc(tuple(lam)) for _, lam in best]
     certs = np.array([cert for cert, _ in best])
-    accepted = (certs <= target * np.abs(np.array(out, dtype=complex))).all()
-    return out if accepted and (pairwise_gaps(out) > certs[:, None] + certs).all() else None
+    sizes = np.abs(np.array(out, dtype=complex))
+    if not ((certs <= target * sizes).all() and (pairwise_gaps(out) > certs[:, None] + certs).all()):
+        return None
+    return out, (certs / np.maximum(sizes, TINY)).tolist()
 
 
 def _escalated(worst: float) -> PrecisionContext:
@@ -385,35 +402,177 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
     the precision of its entries, each certified below EIG_TARGET relative
     forward error in binary64 and EIG_TARGET (eps / eps64) at extended
     digits (first-order estimates, which leave out the backward error's
-    dimension constant): the one eigensolve, of M and of the companion
-    matrix.
+    dimension constant): the eigensolve of the companion oracle and of
+    sweep's matrices (certified_spectrum).
 
-    Binary64: when the _eig_with_bound estimate exceeds EIG_TARGET, the
-    matrix is taken to the digits that bring that bound below it
+    Binary64: when the worst _eig_with_bound estimate exceeds EIG_TARGET,
+    the matrix is taken to the digits that bring that bound below it
     (_escalated), formed there by rebuild(ext) or else by converting A's
     entries, and its eigenvalues are refined there to eps64. The digits
     come from A's bound, so the escalated matrix must be conditioned as A
     is: at those digits an unbalanced companion matrix can misplace its
-    smallest eigenvalues. Extended: they are refined to the entries' eps.
-    Where the refinement cannot certify them (_refined_eigenvalues),
-    mpmath.eig solves the matrix at its entries' digits (_eig_extended).
-    A 1 x 1 matrix's eigenvalue is its entry, returned before any solve.
+    smallest eigenvalues. Extended: they are refined to the entries' eps
+    (_extended_eigenvalues). A 1 x 1 matrix's eigenvalue is its entry,
+    returned before any solve.
     """
     ctx = context_of(A[0][0])
     if len(A) == 1:
         return [ctx.convert(A[0][0])]
-    eps = ctx.eps
+    if ctx.mp is not None:
+        return _extended_eigenvalues(A, ctx.eps)[0]
+    arr = np.asarray(A, dtype=complex)
+    vals, bounds = _eig_with_bound(arr)
+    worst = bounds.max()
+    if worst <= EIG_TARGET:
+        return [complex(v) for v in vals]
+    ext = _escalated(worst)
+    rows = rebuild(ext) if rebuild else [[ext.convert(v) for v in row] for row in arr]
+    return [complex(v) for v in _extended_eigenvalues(rows, ctx.eps)[0]]
+
+
+def _extended_eigenvalues(rows, eps_out: float) -> Tuple[List, List]:
+    """Eigenvalues of the extended matrix rows (2 x 2 or larger) and each
+    one's relative certificate: refined to eps_out with the refinement's
+    certificates, or, where the refinement cannot certify them
+    (_refined_eigenvalues), solved by mpmath.eig at the entries' digits
+    (_eig_extended) with None for each certificate."""
+    refined = _refined_eigenvalues(rows, eps_out)
+    if refined is not None:
+        return refined
+    vals = _eig_extended(rows, context_of(rows[0][0]))
+    return vals, [None] * len(vals)
+
+
+def _stacked_svd(M64: np.ndarray, nu64: np.ndarray, vectors: bool = False):
+    """np.linalg.svd of M64 and of the matrices M64 - nu_n I in one stacked
+    call, singular values only or with vectors; a solve that does not
+    converge raises EigenNoConvergence."""
+    n, k = len(M64), len(nu64)
+    stack = np.empty((k + 1, n, n), dtype=complex)
+    stack[:] = M64
+    # each shifted matrix's diagonal, a view of its flattened entries
+    stack[1:].reshape(k, n * n)[:, :: n + 1] -= nu64[:, None]
+    try:
+        return np.linalg.svd(stack, compute_uv=vectors)
+    except np.linalg.LinAlgError as exc:
+        raise EigenNoConvergence(str(exc)) from exc
+
+
+def spectrum_report(
+    M: np.ndarray, closed: Sequence, rebuild: Callable[[PrecisionContext], Any] | None = None
+) -> Tuple[np.ndarray, List, List]:
+    """What verify reads of the spectrum of M against the closed values: the
+    backward error eta_n of each closed value, which the verdict judges, and
+    M's eigenvalues with each one's relative forward error certificate (None
+    where there is none), which the report carries.
+
+    eta_n = sigma_min(M - mu_n I) / |mu_n| is the smallest perturbation of
+    M, in the 2-norm and in units of |mu_n|, of which mu_n is an exact
+    eigenvalue: the epsilon of the pseudospectrum that mu_n lies in
+    (Trefethen & Embree, Spectra and Pseudospectra, 2005, ch. 2), taken at
+    mu_n's own scale, so that the smallest |mu_n| of a wide spectrum is
+    judged as closely as the largest. It needs no eigenvalue of M, so the
+    conditioning of M's eigenproblem does not enter it. It never exceeds
+    |lambda - mu_n| / |mu_n| for any eigenvalue lambda of M (a unit
+    eigenvector is a witness). M is not balanced: that would take scipy.
+
+    One formula in both precisions: M and mu rounded to binary64 and scaled
+    by 2^-top (top = 0 in binary64; at extended digits the largest of them
+    comes near 1, so that entries beyond the binary64 range round to finite
+    numbers), and one stacked SVD of that rounding S and of the N matrices
+    S - nu_n I (_stacked_svd), whose sigma_max(S) the binary64 certificates
+    read too. Binary64 is taken to hold M to about N eps64 ||M||_2 in the
+    2-norm: the pipeline's error in M, the rounding of its N^2 entries and
+    the SVD's backward error are each of that order. So eta_n is resolved
+    to N eps64 ||M||_2 / |mu_n|, its floor, which exceeds EIG_TARGET on
+    wide spectra: on (r, s) = (3, 0) sets the binary64 M reads eta_n up to
+    3.6e-7 at the smallest |mu_n|, where M rebuilt at more digits reads
+    below 3e-15. Where the floor exceeds EIG_TARGET, eta_n is read without
+    it: from the exact residual of the SVD's own singular vector on M's and
+    mu's values (_witnessed), an upper bound. Where that still exceeds
+    EIG_TARGET for one of them, M may be off at those scales, and every
+    eta_n beyond the floor is read from refined eigenpairs at digits that
+    resolve it: at extended digits the report's own; in binary64 those of
+    M formed by rebuild(ext) at the digits that bring the floor below
+    EIG_TARGET (_escalated). A refined pair (x, lambda) with certificate c
+    has ||(M - mu_n I) x|| / ||x|| <= |lambda - mu_n| + c |lambda|, so eta_n
+    is read as the least (|lambda - mu_n| + c |lambda|) / |mu_n| over them,
+    an upper bound (_read_eigenpairs); eigenvalues that mpmath.eig solved,
+    which carry no certificate, are taken as exact, as the forward gap
+    takes them. On the first 625 benchmark stream cases 12 read the
+    witness and none rebuilds.
+
+    The eigenvalues: in binary64 those of one _eigenpairs call, each with
+    its own _eig_with_bound estimate, whatever its size; at extended digits
+    those certified_eigenvalues refines (_extended_eigenvalues). A 1 x 1
+    matrix's eigenvalue is its entry, with certificate 0.
+    """
+    ctx = context_of(M[0, 0])
+    n = len(M)
     if ctx.mp is None:
-        arr = np.asarray(A, dtype=complex)
-        vals, worst = _eig_with_bound(arr)
-        if worst <= EIG_TARGET:
-            return [complex(v) for v in vals]
-        ext = _escalated(worst)
-        A = rebuild(ext) if rebuild else [[ext.convert(v) for v in row] for row in arr]
-    vals = _refined_eigenvalues(A, eps)
-    if vals is None:
-        vals = _eig_extended(A, context_of(A[0][0]))
-    return vals if ctx.mp is not None else [complex(v) for v in vals]
+        S, nu, top = M, np.asarray(closed, dtype=complex), 0
+    else:
+        A, eA = _aligned_array([p for v in M.flat for p in _parts(v, ctx.mp)])
+        L, eL = _aligned_array([p for v in closed for p in _parts(v, ctx.mp)])
+        top = max(e + max(v.bit_length() for v in ints) for ints, e in ((A, eA), (L, eL)))
+        S = _complexes(A[0::2], A[1::2], eA - top).reshape(n, n)
+        nu = _complexes(L[0::2], L[1::2], eL - top)
+    s = _stacked_svd(S, nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = s[1:, -1] / np.abs(nu)
+        floor = n * F64.eps * s[0, 0] / np.abs(nu)
+    if n == 1:
+        lam, certificates = [ctx.convert(M[0, 0])], [0.0]
+    elif ctx.mp is not None:
+        lam, certificates = _extended_eigenvalues(M, ctx.eps)
+    else:
+        vals, bounds = _eig_with_bound(M, s[0, 0])
+        lam = [complex(v) for v in vals]
+        certificates = [float(b) if math.isfinite(b) else None for b in bounds]
+    unresolved = np.flatnonzero(~(floor <= EIG_TARGET))
+    if unresolved.size:
+        eta[unresolved] = _witnessed(M, [closed[i] for i in unresolved], S, nu[unresolved], top)
+    if (eta[unresolved] <= EIG_TARGET).all():
+        return eta, lam, certificates
+    if ctx.mp is not None:
+        _read_eigenpairs(eta, unresolved, closed, ctx, lam, certificates)
+    elif rebuild and n > 1:
+        ext = _escalated(floor[unresolved].max())
+        _read_eigenpairs(eta, unresolved, closed, ext, *_extended_eigenvalues(rebuild(ext), ctx.eps))
+    return eta, lam, certificates
+
+
+def _witnessed(M: np.ndarray, closed: Sequence, S: np.ndarray, nu: np.ndarray, top: int) -> np.ndarray:
+    """||(M - mu I) v|| / (||v|| |mu|) for each closed value mu, v the right
+    singular vector of sigma_min(S - nu I), S and nu being M and mu rounded
+    to binary64 and scaled by 2^-top (spectrum_report): the residual is
+    formed exactly on M's and mu's own values (_residual) and rounded once,
+    so each value bounds sigma_min(M - mu I) / |mu| from above, free of the
+    SVD's floor, up to the rounding of the norms (Kahan, Parlett & Jiang,
+    SIAM J. Numer. Anal. 19, 1982: mu is an exact eigenvalue of
+    M - r v^H / ||v||^2)."""
+    n, k, mp = len(M), len(closed), context_of(M[0, 0]).mp
+    V = _stacked_svd(S, nu, vectors=True)[2][1:, -1].conj().T
+    A, eA = _aligned_array([p for v in M.flat for p in _parts(v, mp)])
+    L, eL = _aligned_array([p for v in closed for p in _parts(v, mp)])
+    X, eX = _aligned_array([p for v in V.flat for p in _parts(v, mp)])
+    R_re, R_im, e = _residual(
+        A[0::2].reshape(n, n), A[1::2].reshape(n, n), eA, X[0::2].reshape(n, k), X[1::2].reshape(n, k), eX, L, eL
+    )
+    r = np.linalg.norm(_complexes(R_re, R_im, e - top).reshape(n, k), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return r / (np.linalg.norm(V, axis=0) * np.abs(nu))
+
+
+def _read_eigenpairs(eta, indices, closed, ctx: PrecisionContext, lam: Sequence, certificates: Sequence) -> None:
+    """eta[i] for each i in indices, read from the refined eigenvalues lam of
+    M in ctx and their relative certificates: the least
+    (|lambda - mu_i| + c |lambda|) / |mu_i|, which bounds
+    sigma_min(M - mu_i I) / |mu_i| from above (spectrum_report)."""
+    for i in indices:
+        mu = ctx.convert(closed[i])
+        bound = min(abs(lv - mu) + (c or 0) * abs(lv) for lv, c in zip(lam, certificates))
+        eta[i] = float(bound / abs(mu)) if mu else math.inf
 
 
 class Case:
@@ -421,12 +580,13 @@ class Case:
     verdict: each stage computed on first use and held on the case, not
     keyed on values (mpc(0.5) at 30 digits equals mpc(0.5) at 50). The
     monic polynomial, its zeros (zeroset, or the caller's N zeros), the
-    qde_terms table, its flow addends (velocity_terms), the powers q^k
-    they read (flow_powers, one a shift) and their grouping by shift
-    (velocity_weights), both zero-identity routes' shift
-    grid, the kernel tables (of the zeros and the flow weights' q^k, read
-    by M and flow.jacobian_fd), M and the closed-form spectrum mu. A check
-    of another polynomial sets monic."""
+    qde_terms table, its flow addends (velocity_terms), the powers q^k of
+    its shifts (flow_powers, one a shift, the exact 1 at k = 0), which the
+    flow addends and every shift grid read, their grouping by shift
+    (velocity_weights), both zero-identity routes' shift grid, the kernel
+    tables (of the zeros and the flow weights' q^k, read by M and
+    flow.jacobian_fd), M and the closed-form spectrum mu. A check of
+    another polynomial sets monic."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
@@ -445,7 +605,7 @@ class Case:
 
     @functools.cached_property
     def flow_powers(self) -> dict:
-        return {k: self.params.q**k for k in {k for k, _, _ in self.qde_terms} - {0}}
+        return {k: self.params.q**k if k else 1 for k in {k for k, _, _ in self.qde_terms}}
 
     @functools.cached_property
     def velocity_terms(self) -> List:
@@ -490,9 +650,11 @@ class Case:
 
 
 def certified_spectrum(case: Case | ParamSet):
-    """Matrix and eigenvalues for the spectrum identity: case.M and its
-    eigenvalues from certified_eigenvalues in the precision of the case. A
-    bare ParamSet is taken as Case(params).
+    """Matrix and eigenvalues of the case: case.M and its eigenvalues from
+    certified_eigenvalues in the precision of the case, read by sweep's
+    spectrum_drift_max. verify judges the spectrum by backward error
+    (spectrum_report), which rebuilds the case only where the binary64 M
+    is off at a mu_n's scale. A bare ParamSet is taken as Case(params).
 
     The binary64 pipeline carries two error sources into the eigenvalues:
     the eigensolver backward error and the matrix contamination inherited
@@ -506,11 +668,7 @@ def certified_spectrum(case: Case | ParamSet):
     the scaling would have to follow the escalated case.
 
     Returns (M, lam). In binary64, M always comes from the binary64 pipeline
-    and lam may come from the escalated case. The entrywise and trace
-    checks read that M well conditioned, but det_gap reads it too, and the
-    relative condition of det M is kappa_1(M), which need not be small: on
-    an (r, s) = (3, 0) parameter set whose mu_n span 9.8e3 to 6.8e12,
-    eps kappa_1(M) is 5.6e-1 and the binary64 det_gap reads 1.1.
+    and lam may come from the escalated case.
     """
     if isinstance(case, ParamSet):
         case = Case(case)
@@ -565,7 +723,12 @@ def logdet_gap(M: np.ndarray, closed: Sequence) -> float:
     """|exp(log det M - sum log mu) - 1|, the scale-free determinant defect, in
     the scalars of M: log det M sums the logs of the pivots of _eliminate, plus
     i pi for an odd swap count, so it stays in log space; the branch is wrapped
-    before exponentiating. A zero pivot, det M = 0, is a defect of 1."""
+    before exponentiating. A zero pivot, det M = 0, is a defect of 1.
+
+    verify reads it on case.M, which in binary64 comes from the binary64
+    pipeline, and the relative condition of det M is kappa_1(M), which need
+    not be small: on an (r, s) = (3, 0) parameter set whose mu_n span 9.8e3
+    to 6.8e12, eps kappa_1(M) is 5.6e-1 and the binary64 det_gap reads 1.1."""
     ctx = context_of(M[0, 0])
     fn = ctx.elementary
     pivots, odd = _eliminate(M)

@@ -152,12 +152,12 @@ def shift_groups(terms, ctx):
     return ks, *map(ctx.exact, sums), *map(np.array, largest)
 
 
-def shift_grid(z, q, ks):
-    """z q^k at each entry of the array z (rows) and each shift k in ks
-    (columns), the powers q^k taken in q's scalars and multiplied in q's
-    context's exact arithmetic (ctx.exact); q^0 is the exact 1, so the
-    k = 0 column is z itself."""
-    return z[:, None] * context_of(q).exact([q**k if k else 1 for k in ks])
+def shift_grid(z, powers, ks):
+    """z q^k at each entry of the array z (rows), read in its context's
+    exact arithmetic (ctx.exact), and each shift k in ks (columns), q^k
+    being the case's powers[k] (Case.flow_powers), multiplied exactly; q^0
+    is the exact 1, so the k = 0 column is z itself."""
+    return z[:, None] * context_of(z.flat[0]).exact([powers[k] for k in ks])
 
 
 def shift_sum(groups, z, zmag, values, mags):
@@ -205,7 +205,7 @@ def qde_checks(case: Case, zs: Sequence) -> Tuple[List, List[float]]:
     op_scale = _horner_scale(marks, z, zmag, ctx)
 
     groups = shift_groups(case.qde_terms, ctx)
-    values = eval_poly(Poly(ctx.exact(p.coeffs), p.monic), shift_grid(z, params.q, groups[0]))
+    values = eval_poly(Poly(ctx.exact(p.coeffs), p.monic), shift_grid(z, case.flow_powers, groups[0]))
     exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
     defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
     agreements = defect / np.maximum(np.maximum(op_scale, exp_scale), 1.0)

@@ -159,7 +159,7 @@ def identity_grid(case: Case) -> Tuple:
     ctx = context_of(case.params.q)
     z = ctx.exact(case.zeros)
     groups = shift_groups([t for t in case.qde_terms if t[0] or t[2]], ctx)
-    return ctx, z, groups, shift_grid(z, case.params.q, groups[0])
+    return ctx, z, groups, shift_grid(z, case.flow_powers, groups[0])
 
 
 def _residuals(ctx, groups, z, values, mags) -> List[float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qzeros import isospectral, rootfind, zero_algebra
-from qzeros.cli import main
+from qzeros.cli import cmd_verify, main
 from qzeros.errors import EigenNoConvergence, LengthMismatch, NonGenericParameter
 from qzeros.isospectral import (
     EIG_TARGET,
@@ -388,7 +388,7 @@ def test_eig_with_bound_matches_the_lapack_left_vector_estimate(suite):
             "companion": rootfind.balanced_companion(p),
         }
         for name, arr in matrices.items():
-            _, worst = isospectral._eig_with_bound(arr)
+            worst = isospectral._eig_with_bound(arr)[1].max()
             _, ref = eig_bound_lapack(arr)
             level = len(arr) * F64.eps * np.linalg.cond(np.linalg.eig(arr)[1])
             assert abs(worst - ref) <= level * ref, (index, name)
@@ -405,8 +405,8 @@ def test_defective_matrix_fails_the_certificates_without_raising():
     rows = tuple(tuple(ctx.convert(v) for v in row) for row in jordan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, worst = isospectral._eig_with_bound(np.array(jordan, dtype=complex))
-        assert list(vals) == [1, 1] and worst > EIG_TARGET
+        vals, bounds = isospectral._eig_with_bound(np.array(jordan, dtype=complex))
+        assert list(vals) == [1, 1] and bounds.max() > EIG_TARGET
         assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
         # with no certificate at all the nilpotent block escalates to mpmath.eig
         nilpotent = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
@@ -424,8 +424,8 @@ def test_singular_eigenvectors_fail_the_certificates_not_the_solve(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "inv", fails)
-        vals, worst = isospectral._eig_with_bound(arr)
-        assert sorted(vals.real) == [1, 2] and worst == float("inf")
+        vals, bounds = isospectral._eig_with_bound(arr)
+        assert sorted(vals.real) == [1, 2] and (bounds == float("inf")).all()
         assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
     # a QR iteration that does not converge is an error of the solve
     monkeypatch.setattr(np.linalg, "eig", fails)
@@ -509,7 +509,7 @@ def test_refined_eigenvalues_equal_the_fdot_refinement(suite, monkeypatch):
             assert got is None, index
             failed.append(index)
         else:
-            assert len(got) == len(ref) and all(g == r for g, r in zip(got, ref)), index
+            assert len(got[0]) == len(ref) and all(g == r for g, r in zip(got[0], ref)), index
     # suite case 19, whose ill-conditioned eigenvalues gain about five digits
     # a correction and miss the target after REFINE_STEPS; the Jordan block;
     # the near-defective pair
@@ -565,7 +565,7 @@ def test_residual_leaving_binary64_after_a_step_keeps_the_best_certificate(monke
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0, 1e308], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = isospectral._refined_eigenvalues(rows, F64.eps)
+        got = isospectral._refined_eigenvalues(rows, F64.eps)[0]
     assert got == [mp.mpc(1 + 1e-12), mp.mpc(4)]
     with np.errstate(all="ignore"):
         # the fdot refinement runs on with infinite x_2
@@ -594,7 +594,7 @@ def test_stream_case_199_certifies_by_refinement(monkeypatch):
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     _, lam = certified_spectrum(Case(params))
     assert len(refined) == 1 and refined[0] is not None and fallback == []
-    assert lam == [complex(v) for v in refined[0]]
+    assert lam == [complex(v) for v in refined[0][0]]
     assert spectrum_match(lam, mu_closed(params)).is_match
 
 
@@ -622,7 +622,7 @@ def test_near_defective_matrix_falls_back_to_mpmath_eig(monkeypatch):
     assert len(fallback) == 1 and got is fallback[0]
 
 
-def _extended_verify_report(tmp_path, params):
+def _verify_report(tmp_path, params, precision):
     cfg = {
         "r": params.r,
         "s": params.s,
@@ -633,7 +633,7 @@ def _extended_verify_report(tmp_path, params):
     }
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
     path.write_text(json.dumps(cfg))
-    code = main(["verify", "--config", str(path), "--precision", "extended", "--out", str(out)])
+    code = main(["verify", "--config", str(path), "--precision", precision, "--out", str(out)])
     return code, json.loads(out.read_text())
 
 
@@ -658,11 +658,14 @@ def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch
     for params in small:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
-            code, report = _extended_verify_report(tmp_path, params)
+            code, report = _verify_report(tmp_path, params, "extended")
         caught += [(params, str(w.message)) for w in records]
         values = {c["name"]: c["value"] for c in report["checks"]}
-        gap, defect = values["spectrum_gap_max"], values["jacobian_defect"]
+        # the forward gaps are reported with the refinement's certificates
+        pairs = report["result"]["matched_pairs"]
+        gap, defect = max(pair[2] for pair in pairs), values["jacobian_defect"]
         assert code == 0 and gap <= 1e-40 and defect <= 1e-38, (params, gap, defect)
+        assert all(pair[3] is not None and pair[3] <= 1e-40 for pair in pairs), params
         # the matrix-side checks run in the scalars of M, not rounded to binary64
         for name in ("trace_gap_p1", "trace_gap_p2", "trace_gap_p3", "closed_trace_gap", "det_gap"):
             assert values[name] <= 1e-30, (params, name, values[name])
@@ -717,3 +720,109 @@ def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, 
     small, large = sorted(lam, key=abs)
     assert abs(small - 3) <= 3 * ctx.eps and abs(large - big) <= big * ctx.eps
 
+
+def test_binary64_verify_judges_the_spectrum_by_backward_error(suite, tmp_path, monkeypatch):
+    # the suite cases whose binary64 eigenvalue certificate fails: verify
+    # judges them by backward error, rebuilds nothing, refines nothing, and
+    # reports each eigenvalue's own estimate, above EIG_TARGET on each. Case
+    # 19 is judged by the binary64 SVD alone; cases 26 and 38, whose
+    # smallest mu_n lie below the SVD's floor, by the exact residual of its
+    # singular vectors
+    rebuilt = counting(monkeypatch, Case, "at")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    witnessed = counting(monkeypatch, isospectral, "_witnessed")
+    for index in ESCALATING:
+        witnessed.clear()
+        code, report = _verify_report(tmp_path, suite[index], "f64")
+        backward = {c["name"]: c for c in report["checks"]}["spectrum_backward_max"]
+        certificates = [pair[3] for pair in report["result"]["matched_pairs"]]
+        assert code == 0 and backward["pass"] and backward["threshold"] == EIG_TARGET, index
+        assert len(certificates) == suite[index].N and max(certificates) > EIG_TARGET, index
+        assert len(witnessed) == (index != 19), index
+    assert rebuilt == refined == eig_calls == []
+
+
+def test_binary64_verify_rebuilds_m_where_its_small_scales_are_off(monkeypatch):
+    # draw 96 of the E3 stream (ROADMAP item 12), (r, s) = (3, 0), whose
+    # |mu_n| span 1.5e7: the binary64 M itself, read exactly, puts its two
+    # smallest mu_n at 2.5e-9 and 1.5e-8, while M rebuilt at the digits
+    # that resolve their scale puts them below 1e-16; verify rebuilds once
+    # and passes the spectrum check (its det_gap fails, ROADMAP item 13)
+    alpha = (
+        1.848342540052744 - 0.4264861014522885j,
+        0.34573433466418213 - 0.4719859455051796j,
+        1.8792130207648807 - 0.18616358061962068j,
+    )
+    case = Case(validate(ParamSet(r=3, s=0, N=7, q=0.25446164455744025 + 0j, alpha=alpha)))
+    own = isospectral.spectrum_report(case.M, case.mu)[0]
+    assert own.max() > 10 * EIG_TARGET
+    rebuilt = counting(monkeypatch, Case, "at")
+    checks, _ = cmd_verify(case, {}, None, None)
+    backward = {c["name"]: c for c in checks}["spectrum_backward_max"]
+    assert backward["pass"] and backward["value"] < EIG_TARGET / 10 and len(rebuilt) == 1
+
+
+def _smallest_mu_mutant(M, mu):
+    k = int(np.argmin(np.abs(mu)))
+    return M, [m * (1 + 1e-4) if n == k else m for n, m in enumerate(mu)]
+
+
+MUTANTS = {
+    "mu_N": lambda M, mu: (M, mu[:-1] + [mu[-1] * (1 + 1e-6)]),
+    "smallest |mu_n|": _smallest_mu_mutant,
+    "M[0, 0]": lambda M, mu: (M + np.diag([M[0, 0] * 1e-6] + [0] * (len(M) - 1)), mu),
+    "M[0, N-1]": lambda M, mu: (M + np.outer(np.eye(len(M))[0], np.eye(len(M))[-1]) * M[0, -1] * 1e-6, mu),
+}
+
+
+def test_backward_error_catches_what_the_forward_gap_caught(suite, monkeypatch):
+    # each mutant changes one value x of M or mu to x + x 1e-6 on the 45
+    # suite cases with N >= 2, the smallest |mu_n| to x + x 1e-4, which a
+    # backward error normwise in M missed on 4 of them (spectra spanning up
+    # to 1e8); spectrum_backward_max must catch it on at least as many as
+    # the forward gap at its 1e-6 threshold, the eigenvalues verify reports
+    # against mu
+    cases = [params for params in suite if params.N >= 2]
+    assert len(cases) == 45
+    for name, mutant in MUTANTS.items():
+        backward = forward = 0
+        for params in cases:
+            case = Case(params)
+            case.M, case.mu = mutant(case.M, case.mu)
+            checks, result = cmd_verify(case, {}, None, None)
+            passed = {c["name"]: c["pass"] for c in checks}
+            backward += not passed["spectrum_backward_max"]
+            forward += max(pair[2] for pair in result["matched_pairs"]) > 1e-6
+        assert backward >= forward, (name, backward, forward)
+        if name != "M[0, N-1]":
+            assert backward == len(cases), (name, backward)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()])
+def test_spectrum_report_of_a_one_by_one_matrix(ctx):
+    m = ctx.convert(0.7 - 0.4j)
+    M = np.array([[m]], dtype=ctx.dtype)
+    eta, lam, certificates = isospectral.spectrum_report(M, [m])
+    assert eta.tolist() == [0.0] and lam == [m] and certificates == [0.0]
+    eta, _, _ = isospectral.spectrum_report(M, [m * (1 + ctx.convert(1e-6))])
+    assert eta[0] == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-9)
+
+
+def test_spectrum_report_of_extended_entries_beyond_binary64(monkeypatch):
+    # the companion rows of z^2 - (1e400 + 3) z + 3e400: the entries round
+    # to inf in binary64, so the SVD reads M and mu scaled by one power of
+    # two, where mu_1 = 3 underflows; eta_1 is read from the eigenvalues,
+    # which come from mpmath.eig, uncertified
+    ctx = extended()
+    big = ctx.mp.mpf("1e400")
+    M = np.array([[ctx.convert(0), ctx.convert(-3 * big)], [ctx.convert(1), ctx.convert(big + 3)]])
+    closed = [ctx.convert(3), ctx.convert(big)]
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta, lam, certificates = isospectral.spectrum_report(M, closed)
+        assert eta.max() <= 4 * F64.eps
+        assert len(fallback) == 1 and lam is fallback[0] and certificates == [None, None]
+        eta, _, _ = isospectral.spectrum_report(M, [closed[0], closed[1] * (1 + ctx.convert(1e-6))])
+    assert eta.max() > EIG_TARGET

@@ -2,12 +2,14 @@
 
 import cmath
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qzeros import qdiff, qseries, zero_algebra
+from qzeros.cli import cmd_verify
 from qzeros.errors import DegreeMismatch
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
@@ -197,3 +199,26 @@ def test_checks_evaluate_once_per_route_never_per_point(monkeypatch, small_suite
             calls.clear()
             check()
             assert calls == want
+
+
+def test_extended_verify_takes_each_shift_power_of_q_once(suite, monkeypatch):
+    # q^k is formed once per case and shift (Case.flow_powers): the flow
+    # weights, the zero identities' grid and the expanded route's grid all
+    # read it, 3 powers over the 3 nonzero shifts of an (r, s) = (2, 1)
+    # case; the closed forms take powers of q of their own
+    params = in_context(suite[4], extended())
+    assert (params.r, params.s, params.N) == (2, 1, 5)
+    case = Case(params)
+    calls = []
+    original = type(params.q).__pow__
+
+    def counted(base, k, *rest):
+        if base is params.q:
+            calls.append((sys._getframe(1).f_code.co_name, k))
+        return original(base, k, *rest)
+
+    monkeypatch.setattr(type(params.q), "__pow__", counted)
+    cmd_verify(case, {}, None, None)
+    closed_forms = {"qde_terms", "_operator_sides", "closed_trace"}
+    shifts = sorted(k for name, k in calls if name not in closed_forms)
+    assert shifts == sorted(case.velocity_weights) == [-1, 1, 2]

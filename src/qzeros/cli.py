@@ -13,9 +13,10 @@ Report schema: {"command": str, "config": {...}, "checks":
 Identical config and seed produce byte-identical reports apart from the
 wall-time field. Only sweep (its beta factors) and flow (its perturbation
 phases) draw from the seed, through numpy.random; poly, zeros and verify
-never import it, and verify's q-difference checks read a fixed spiral of
-points. Every command validates --seed. Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 configuration or usage error.
+never import it, and verify judges the q-difference equation coefficient
+by coefficient, at no sample points. Every command validates --seed. Exit
+codes: 0 all checks pass, 1 a mathematical check failed, 2 configuration
+or usage error.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ DEFAULT_THRESHOLDS = {
     "no_overflow": 0.5,
 }
 
-QDE_SAMPLE_COUNT = 20
 SWEEP_DEFAULT_K = 8
 SWEEP_REDRAW_LIMIT = 100
 FLOW_SAMPLES = 100
@@ -201,19 +201,6 @@ def cmd_zeros(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     return checks, result
 
 
-def _sample_points(zeros) -> np.ndarray:
-    """n = QDE_SAMPLE_COUNT points on a golden-angle spiral over the annulus
-    0.3 to 1.7 times the zeros' scale: point j has radius scale (0.3 + 1.4
-    (j + 1/2) / n) and phase (j + 1/2) pi (3 - sqrt 5). The q-difference
-    checks test a polynomial identity, which any fixed generic points test
-    as sharply as random ones, and every point moves with the count."""
-    scale = max(1.0, max(abs(complex(z)) for z in zeros))
-    steps = np.arange(QDE_SAMPLE_COUNT) + 0.5
-    radii = scale * (0.3 + 1.4 * steps / QDE_SAMPLE_COUNT)
-    phases = steps * (np.pi * (3.0 - np.sqrt(5.0)))
-    return radii * np.cos(phases) + 1j * (radii * np.sin(phases))
-
-
 def _jacobian_defect(case: Case) -> float:
     # compared in the precision of the entries: rounding both sides to
     # binary64 first would hide any extended-precision defect below 1e-16
@@ -223,8 +210,7 @@ def _jacobian_defect(case: Case) -> float:
 def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     size = context_of(case.params.q).size
     prop1 = zero_algebra.prop1_residuals(case)
-    # binary64 points, which qde_checks reads exactly in the case's arithmetic
-    qde, agreement = qdiff.qde_checks(case, _sample_points(case.zeros))
+    qde, agreement = qdiff.qde_checks(case)
     prop1_qde = zero_algebra.prop1_residuals_qde(case)
     checks = [
         _check("qde_residual_max", max(size(v) for v in qde), tol),

@@ -14,9 +14,10 @@ over a power of two, with +, - and * and no division, at one of two widths.
 ctx.exact reads an array of extended values into it at no width: there
 its arithmetic is exact (in binary64 ctx.exact returns the complex array
 unchanged), and ctx.convert rounds a Dyadic back once. The division-free
-checks (qdiff.qde_checks, the zero identities of zero_algebra and
-isospectral.matrix_power_traces) evaluate their polynomials in it, so at
-extended digits they round only their inputs and what they return.
+checks form their sums in it: the q-difference equation's coefficients
+(qdiff.qde_checks), the zero identities at the zeros (zero_algebra) and
+the traces (isospectral.matrix_power_traces), so at extended digits they
+round only their inputs and what they return.
 
 ctx.carried reads values at the width 3 * prec, prec being the context's
 bits: each +, - and * keeps the top 3 * prec bits of its integer parts.

@@ -12,9 +12,9 @@ exact). The defining residual of the polynomial family is
     Delta_1 prod_k Delta_{beta_k/q} p(z)
       - z * Delta_{q^-N} prod_j Delta_{alpha_j} p(z q^{s-r})  =  0,
 
-evaluated per sample point and normalized by the largest intermediate term
-magnitude (coefficient scales are tracked through every operator stage, see
-_operator_sides) so the pass threshold is scale-free.
+an identity between polynomials of degree N + 1, judged coefficient by
+coefficient, each normalized by the largest magnitude it reached in the
+operator cascade (see _operator_sides) so the pass threshold is scale-free.
 
 Expanding the operators gives the same equation as a weighted sum of
 shifted-argument values p(z q^k). Its weights live in one table, qde_terms,
@@ -22,30 +22,31 @@ which the zero identities (zero_algebra), the zero flow (flow) and the
 spectral matrix (isospectral) read as well, formed once per case (a stage
 of isospectral.Case). The expanded route sums that table; up to an overall
 (-1)^{s+1} it is algebraically identical to the operator route, which never
-reads the table and so certifies it. qde_checks evaluates both routes and
-returns the operator-route residual (qde_residual) and the defect between
-the routes (qde_expanded_agreement), each route one array pass over all
-sample points in the context's exact arithmetic (PrecisionContext.exact:
-complex128 in binary64, precision.Dyadic at extended digits, whose +, -
-and * are exact): one Horner pass of A(z) - z B(z), and one of p over every
-point times every shift (shift_grid), the table grouped by shift
-(shift_groups) into sum_k (a_k + b_k z) p(z q^k) (shift_sum), which the
-zero identities read too. Neither route divides, so at extended digits
-they round only their inputs (the points, the coefficients, the powers of
-q and the grouped weights, and the operator cascade's gammas beta_k/q and
-q^-N and its dilation q^{s-r}, which divide in mpc) and what they return.
+reads the table and so certifies it. qde_checks takes both routes'
+coefficients and returns the operator-route residual (qde_residual) and
+the defect between the routes (qde_expanded_agreement), in one pass of the
+context's exact arithmetic (PrecisionContext.exact: complex128 in binary64,
+precision.Dyadic at extended digits, whose +, - and * are exact): the
+cascade of the operator sides, and the table grouped by shift
+(shift_groups) into sum_k (a_k + b_k z) p(z q^k), whose coefficient m is
+sum_k a_k (q^k)^m c_m + b_k (q^k)^(m-1) c_(m-1). The zero identities read
+the same grouping at the grid of the zeros times q^k (shift_grid,
+shift_sum). Neither route divides, so at extended digits they round only
+their inputs (the coefficients, the powers of q and the grouped weights,
+and the operator cascade's gammas beta_k/q and q^-N and its dilation
+q^{s-r}, which divide in mpc) and what they return.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
 from .params import ParamSet, _elementary
 from .precision import TINY, context_of
-from .qseries import Poly, eval_poly
+from .qseries import Poly
 
 if TYPE_CHECKING:
     from .isospectral import Case
@@ -169,55 +170,68 @@ def shift_sum(groups, z, zmag, values, mags):
     return total, np.fmax.reduce(np.fmax(mags * wa, mags * zmag[:, None] * wb), axis=1)
 
 
-def _horner_scale(marks, z, zmag, ctx):
-    """max_m marks[m] |z|^m at each entry of the array z (zmag its sizes):
-    the largest term of a Horner pass, in floats, and in the scalar type
-    where a float power leaves the binary64 range."""
-    largest, power = 0 * zmag, 1 + 0 * zmag
-    for mark in marks:
-        largest = np.fmax(largest, power * mark)
-        power = power * zmag
-    far = largest == math.inf
-    if ctx.mp is not None and far.any():
-        largest = largest.astype(object)
-        largest[far] = _horner_scale(marks, z[far], np.array([abs(v) for v in z[far]], dtype=object), ctx)
-    return largest
+def _largest_addends(weights, powers, coeffs, ctx):
+    """max_k weights[e, k] |powers[k]|^m |coeffs[m]| at each e and m, the
+    largest addend of coefficient m of sum_k w_k p(z q^k) over the weights
+    of group e (powers[k] = q^k, coeffs p's): in floats, and in the scalar
+    type where a float product leaves the binary64 range, so that no scale
+    reads inf."""
+
+    def largest(w, qk, c):
+        return np.fmax.reduce(w[:, None, :] * qk ** np.arange(len(c))[:, None], axis=2) * c
+
+    sizes = weights, ctx.sizes(powers), ctx.sizes(coeffs)
+    out = largest(*sizes)
+    if ctx.mp is not None and (out == math.inf).any():
+        out = largest(*map(np.frompyfunc(ctx.mp.mpf, 1, 1), sizes))
+    return out
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def qde_checks(case: Case, zs: Sequence) -> Tuple[List, List[float]]:
+def qde_checks(case: Case) -> Tuple[List, List[float]]:
     """qde_residual and qde_expanded_agreement of the case's monic
-    polynomial p at each point of zs: the operator route over the largest
-    intermediate term of either side, the expanded route over its largest
-    addend (the case's qde_terms), each one array pass over all the points
-    in the exact arithmetic of params.q's context (ctx.exact): the points,
-    the coefficients of p and of both operator sides, the powers of q and
-    the grouped weights are read once, and only the sizes and the
-    operator-route values leave it, each rounded once."""
+    polynomial p, one value per coefficient m = 0..N+1 of the identity.
+
+    The operator route's coefficients are R_m = A_m - B_{m-1} (_operator_sides),
+    each over its cascade scale max(a_marks[m], b_marks[m-1]). The expanded
+    route's are E_m = sum_k [a_k (q^k)^m c_m + b_k (q^k)^(m-1) c_(m-1)] over
+    the case's qde_terms grouped by shift (shift_groups), c being p's
+    coefficients and q^k the case's flow_powers, each (q^k)^m a running
+    product; its scale is its largest addend, the group's largest |w| times
+    |q^k|^m |c_m|. The agreement is |R_m - (-1)^(s+1) E_m| over the larger
+    of the two scales (and 1). Both routes run in one pass of params.q's
+    exact arithmetic (ctx.exact), and only the sizes and the residual
+    coefficients leave it, each rounded once."""
     params, p = case.params, case.monic
     ctx = context_of(params.q)
-    z = ctx.exact(zs)
-    zmag = ctx.sizes(z)
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
-    sides = zip([*ctx.exact(a_side.coeffs), 0], [0, *ctx.exact(b_side.coeffs)])
-    op_val = eval_poly(Poly(tuple(a - b for a, b in sides)), z)
-    marks = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
-    op_scale = _horner_scale(marks, z, zmag, ctx)
+    residual = np.array([*a_side.coeffs, 0], dtype=ctx.dtype) - np.array([0, *b_side.coeffs], dtype=ctx.dtype)
+    op_scale = np.array([max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])])
 
-    groups = shift_groups(case.qde_terms, ctx)
-    values = eval_poly(Poly(ctx.exact(p.coeffs), p.monic), shift_grid(z, case.flow_powers, groups[0]))
-    exp_val, exp_scale = shift_sum(groups, z, zmag, values, ctx.sizes(values))
-    defect = ctx.sizes(op_val - exp_val * (-1) ** (params.s + 1))
+    ks, a, b, wa, wb = shift_groups(case.qde_terms, ctx)
+    powers, c = ctx.exact([case.flow_powers[k] for k in ks]), ctx.exact(p.coeffs)
+    # row m holds a_k (q^k)^m and b_k (q^k)^m, running products down the rows
+    rows = np.empty((len(c), 2, len(ks)), dtype=ctx.dtype)
+    rows[0], rows[1:] = (a, b), powers
+    G, H = np.multiply.accumulate(rows, axis=0).sum(axis=2).T
+    expanded = np.concatenate([c * G, [0]]) + np.concatenate([[0], c * H])
+    la, lb = _largest_addends(np.array([wa, wb]), powers, c, ctx)
+    exp_scale = np.fmax(np.concatenate([la, [0.0]]), np.concatenate([[0.0], lb]))
+    defect = ctx.sizes(residual - expanded if params.s % 2 else residual + expanded)
     agreements = defect / np.maximum(np.maximum(op_scale, exp_scale), 1.0)
-    return (ctx.rounded(op_val) / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
+    return (ctx.rounded(residual) / np.maximum(op_scale, TINY)).tolist(), agreements.tolist()
 
 
-def qde_residual(case: Case, zs: Sequence) -> List:
-    """Normalized annihilation residual of the operator route at each sample point."""
-    return qde_checks(case, zs)[0]
+def qde_residual(case: Case) -> List:
+    """The operator route's residual at each coefficient (qde_checks' first
+    list). No command calls it: bench/tracer.py traces it by name, and
+    tests/test_tracer_targets.py pins that the name resolves."""
+    return qde_checks(case)[0]
 
 
-def qde_expanded_agreement(case: Case, zs: Sequence) -> List[float]:
-    """Defect between the operator route and (-1)^{s+1} times the expanded
-    route, equal as polynomials in z, over a scale shared by both: round-off."""
-    return qde_checks(case, zs)[1]
+def qde_expanded_agreement(case: Case) -> List[float]:
+    """The defect between the operator route and (-1)^{s+1} times the
+    expanded route at each coefficient, over a scale shared by both:
+    round-off (qde_checks' second list). No command calls it, and it stays
+    for bench/tracer.py's traced name, as qde_residual does."""
+    return qde_checks(case)[1]

@@ -26,31 +26,33 @@ eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
 from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
 and refined_eigenvalues_fdot is the Newton refinement of
 _refined_eigenvalues in mpmath scalars, one fdot per residual component.
-qde_checks_scalar, prop1_residuals_scalar and prop1_residuals_qde_scalar
-are the two identity families checked one point, zero, shift and qde_terms
-addend at a time with the scalar eval_poly, the oracles of the array passes
-qdiff.qde_checks and zero_algebra.prop1_residuals(_qde): _horner_terms,
-_operator_route and _expanded_terms take the two q-difference routes at one
-point, _shift_products, decancelled_size and _shift_magnitudes the shifted
-products of one zero and their scales, _prop1_terms and _normalized one
-zero identity. horner and horner_deriv are Horner's rule from the leading
-coefficient whatever it is, the oracle of the monic start of
-qseries.eval_poly and eval_poly_deriv. relative_separation_pairs and
-certify_pairs take the separations of rootfind.relative_separation and
-rootfind._certify one pair at a time, the oracles of their one
-pairwise_gaps array. sample_points_loop forms the verify command's sample
-points one at a time, the oracle of cli._sample_points' one array pass.
+qde_coefficient_checks takes qdiff.qde_checks one coefficient and one
+qde_terms addend at a time in the case's scalars. qde_point_checks is the
+q-difference equation judged at sample points, as verify judged it before
+it compared coefficients (spiral_points are those points): _horner_terms,
+_operator_route and _expanded_terms take its two routes at one point.
+prop1_residuals_scalar and prop1_residuals_qde_scalar are the zero
+identities checked one zero, shift and qde_terms addend at a time with the
+scalar eval_poly, the oracles of the array passes
+zero_algebra.prop1_residuals(_qde): _shift_products, decancelled_size and
+_shift_magnitudes the shifted products of one zero and their scales,
+_prop1_terms and _normalized one zero identity. horner_deriv is Horner's
+rule for p and p' from the leading coefficient whatever it is, the oracle
+of the monic start of qseries.eval_poly_deriv, whose value eval_poly takes
+alone. relative_separation_pairs and certify_pairs take the separations of
+rootfind.relative_separation and rootfind._certify one pair at a time, the
+oracles of their one pairwise_gaps array.
 Gaussian is x + iy with Fraction parts, gaussian the exact value of a
 kernel scalar (Dyadic, mpc, mpf, complex or int), and rounded_once and
-size64 its one rounding to mpc and to a binary64 modulus: exact_qde_routes,
-exact_prop1_totals and exact_traces evaluate the division-free checks
-(qdiff.qde_checks, zero_algebra.prop1_residuals(_qde) and
-isospectral.matrix_power_traces) in those Gaussian rationals, from the same
-values the kernels read, by power sums and triple sums instead of Horner
-passes and matrix products. mpc_kernel_route runs the kernel route
-(KernelCache, build_M and flow.jacobian_fd) with every product rounded in
-mpc, as before it carried precision.Dyadic values at a width, the
-reference of its carried products.
+size64 its one rounding to mpc and to a binary64 modulus:
+exact_qde_coefficients, exact_prop1_totals and exact_traces evaluate the
+division-free checks (qdiff.qde_checks, zero_algebra.prop1_residuals(_qde)
+and isospectral.matrix_power_traces) in those Gaussian rationals, from the
+same values the kernels read, by power sums and triple sums instead of
+running products, Horner passes and matrix products. mpc_kernel_route
+runs the kernel route (KernelCache, build_M and flow.jacobian_fd) with
+every product rounded in mpc, as before it carried precision.Dyadic values
+at a width, the reference of its carried products.
 """
 
 import cmath
@@ -78,17 +80,15 @@ from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _nor
 from qzeros.params import GENERICITY_TOL, ParamSet, in_context
 from qzeros.precision import F64, TINY, Dyadic, PrecisionContext, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
-from qzeros.qseries import Poly, eval_poly, eval_poly_deriv
+from qzeros.qseries import Poly, eval_poly_deriv
 from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet, pairwise_gaps
 from qzeros.zero_algebra import velocity_terms
 
 
-def horner(p: Poly, z):
-    """p(z) by Horner's rule from the leading coefficient, a monic p's 1 too."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = z * acc + c
-    return acc
+def eval_poly(p: Poly, z):
+    """p(z) alone, the value of qseries.eval_poly_deriv's pass, for the
+    tests and oracles that evaluate p at points."""
+    return eval_poly_deriv(p, z)[0]
 
 
 def horner_deriv(p: Poly, z):
@@ -101,10 +101,11 @@ def horner_deriv(p: Poly, z):
     return acc, dacc
 
 
-def sample_points_loop(zeros, count: int = 20) -> List[complex]:
-    """The points of cli._sample_points one at a time: point j is its scale
-    times its radius 0.3 + 1.4 (j + 1/2) / count times the complex unit of
-    its phase (j + 1/2) pi (3 - sqrt 5), from np.cos and np.sin of it."""
+def spiral_points(zeros, count: int = 20) -> List[complex]:
+    """count points on a golden-angle spiral over the annulus 0.3 to 1.7
+    times the zeros' scale, the points the q-difference checks were once
+    evaluated at: point j is that scale times its radius 0.3 + 1.4 (j + 1/2)
+    / count times the complex unit of its phase (j + 1/2) pi (3 - sqrt 5)."""
     scale = max(1.0, max(abs(complex(z)) for z in zeros))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     points = []
@@ -793,18 +794,48 @@ def _expanded_terms(p: Poly, terms, qk, z, size):
     return total, largest
 
 
-def qde_checks_scalar(p: Poly, params: ParamSet, zs: Sequence):
-    """qdiff.qde_checks one point at a time: the operator route by two
-    Horner passes, A(z) and z B(z), the expanded route addend by addend."""
+def qde_point_checks(case: Case, zs: Sequence):
+    """The q-difference checks at the points zs, one point at a time, as
+    verify judged them before it compared coefficients: the operator route
+    by two Horner passes, A(z) and z B(z), over its largest intermediate
+    term, and its defect from the expanded route over the case's qde_terms,
+    addend by addend, over the larger scale."""
+    params, p = case.params, case.monic
     size = context_of(params.q).size
     orient = (-1) ** (params.s + 1)
-    terms = qde_terms(params)
-    qk = {k: params.q**k for k, _, _ in terms}
+    terms = case.qde_terms
     residuals, agreements = [], []
     for z, (op_val, op_scale) in zip(zs, _operator_route(p, params, zs, size)):
         residuals.append(op_val / max(op_scale, TINY))
-        exp_val, exp_scale = _expanded_terms(p, terms, qk, z, size)
+        exp_val, exp_scale = _expanded_terms(p, terms, case.flow_powers, z, size)
         agreements.append(size(op_val - orient * exp_val) / max(op_scale, exp_scale, 1.0))
+    return residuals, agreements
+
+
+def qde_coefficient_checks(case: Case):
+    """qdiff.qde_checks one coefficient and one qde_terms addend at a time
+    in the case's scalars: R_m = A_m - B_(m-1) over max(a_marks[m],
+    b_marks[m-1]), and |R_m - (-1)^(s+1) E_m| over the larger of that and
+    E_m's largest addend |w| |q^k|^(m-e) |c_(m-e)|, E_m summing the addends
+    w (q^k)^(m-e) c_(m-e)."""
+    params, p = case.params, case.monic
+    ctx = context_of(params.q)
+    size, N = ctx.size, params.N
+    a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
+    A, a_marks = [*map(ctx.convert, a_side.coeffs), 0], [*a_marks, 0.0]
+    B, b_marks = [0, *map(ctx.convert, b_side.coeffs)], [0.0, *b_marks]
+    orient = (-1) ** (params.s + 1)
+    residuals, agreements = [], []
+    for m in range(N + 2):
+        op_val, op_scale = A[m] - B[m], max(a_marks[m], b_marks[m])
+        total, largest = 0, 0.0
+        for k, w, e in case.qde_terms:
+            if 0 <= m - e <= N:
+                qk, c = case.flow_powers[k], p.coeffs[m - e]
+                total = total + w * qk ** (m - e) * c
+                largest = max(largest, size(w) * size(qk) ** (m - e) * size(c))
+        residuals.append(op_val / max(op_scale, TINY))
+        agreements.append(size(op_val - orient * total) / max(op_scale, largest, 1.0))
     return residuals, agreements
 
 
@@ -975,19 +1006,24 @@ def _grouped(params: ParamSet, terms):
     return {key: gaussian(w) for key, w in sums.items()}, powers
 
 
-def exact_qde_routes(p: Poly, params: ParamSet, zs: Sequence):
-    """The operator route A(z) - z B(z) and the expanded route
-    sum_k (a_k + b_k z) p(z q^k) of qdiff.qde_checks at each point of zs,
-    in exact Gaussian rationals of the operator sides' coefficients, p's,
-    the grouped qde_terms weights and the powers of q."""
+def exact_qde_coefficients(case: Case):
+    """The coefficients R_m = A_m - B_(m-1) of the operator route and
+    E_m = sum_(k, e) w_(k, e) (q^k)^(m - e) c_(m - e) of the expanded
+    route of qdiff.qde_checks, in exact Gaussian rationals of the operator
+    sides' coefficients, p's, the grouped qde_terms weights and the powers
+    of q, by power sums over each group."""
+    params, p = case.params, case.monic
     a_side, _, b_side, _ = _operator_sides(p, params)
-    a, b, coeffs = ([gaussian(c) for c in side.coeffs] for side in (a_side, b_side, p))
-    weights, powers = _grouped(params, qde_terms(params))
-    ops, expanded = [], []
-    for z in map(gaussian, zs):
-        ops.append(_power_sum(a, z) - z * _power_sum(b, z))
-        expanded.append(sum((w * z if e else w) * _power_sum(coeffs, z * powers[k]) for (k, e), w in weights.items()))
-    return ops, expanded
+    a = [*map(gaussian, a_side.coeffs), Gaussian(0)]
+    b = [Gaussian(0), *map(gaussian, b_side.coeffs)]
+    weights, powers = _grouped(params, case.qde_terms)
+    expanded = [Gaussian(0)] * (params.N + 2)
+    for (k, e), w in weights.items():
+        power = Gaussian(1)
+        for m, c in enumerate(map(gaussian, p.coeffs)):
+            expanded[m + e] = expanded[m + e] + w * power * c
+            power = power * powers[k]
+    return [x - y for x, y in zip(a, b)], expanded
 
 
 def exact_prop1_totals(zeros: Sequence, params: ParamSet, p: Poly):

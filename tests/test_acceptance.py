@@ -4,7 +4,6 @@
 prints the measured margin (visible with -s or in failure reports).
 """
 
-import cmath
 import random
 import time
 from fractions import Fraction
@@ -76,18 +75,14 @@ def test_criterion_02_prop1_residuals(suite):
 
 
 def test_criterion_03_qde_annihilation(suite):
-    rng = random.Random(301)
+    # the equation is an identity between polynomials of degree N + 1,
+    # judged at each of its N + 2 coefficients
     worst_res = 0.0
     worst_agree = 0.0
     for params in suite:
         case = Case(params)
-        lim = max(1.0, abs(params.q) ** (-params.N))
-        pts = [
-            rng.uniform(0.05, 1.0) * lim * cmath.exp(1j * rng.uniform(-3.1, 3.1))
-            for _ in range(20)
-        ]
-        worst_res = max(worst_res, max(abs(v) for v in qde_residual(case, pts)))
-        worst_agree = max(worst_agree, max(qde_expanded_agreement(case, pts)))
+        worst_res = max(worst_res, max(abs(v) for v in qde_residual(case)))
+        worst_agree = max(worst_agree, max(qde_expanded_agreement(case)))
     ok = worst_res < 1e-9 and worst_agree < 1e-10
     assert _report(
         "3 q-difference annihilation",

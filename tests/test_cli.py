@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from qzeros import flow
-from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, QDE_SAMPLE_COUNT, _sample_points, build_parser, main
+from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, build_parser, main
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet
-from qzeros.precision import F64, context_of, extended
+from qzeros.precision import F64, Dyadic, context_of, extended
 
 from conftest import RS_COMBOS, SUITE_SEED
-from oracles import sample_points_loop
 
 BASE = {
     "r": 1,
@@ -365,18 +364,6 @@ def test_every_report_at_one_zero_is_strict_json(tmp_path, capsys, precision):
         assert _without_wall_time(written) == _without_wall_time(printed), cmd
 
 
-def test_sample_points_are_the_per_point_loop_bit_for_bit():
-    # one array pass, r cos + 1j (r sin) with r = scale * radius, against
-    # scale * radius * complex(cos, sin) point by point, at nine zero scales
-    for exponent in range(-4, 5):
-        zeros = [complex(10.0**exponent, 0.5)]
-        got = _sample_points(zeros)
-        ref = sample_points_loop(zeros, QDE_SAMPLE_COUNT)
-        assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
-            (z.real.hex(), z.imag.hex()) for z in map(complex, ref)
-        ], exponent
-
-
 def test_extended_verify_reads_extended_params(tmp_path, suite):
     # binary64 q, alpha and beta would hold the residuals at ~1e-16
     params = suite[3]
@@ -557,6 +544,30 @@ def test_extended_verify_stays_within_its_product_budget(tmp_path, suite, monkey
     monkeypatch.setattr(mpmath.ctx_mp_python, "mpc_mul", counted)
     assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
     assert products[0] <= MPC_MUL_BUDGET[index]
+
+
+# Dyadic x Dyadic and Dyadic x int products of the same verifies, exact and
+# at a width, also a count: the q-difference checks compare the equation
+# coefficient by coefficient in about (r + s + 2 + 2 S)(N + 1) of them, S
+# the number of shifts; Horner passes at 20 points would take about
+# 20 (1 + S) N (2677, 2031 and 1573 in all)
+DYADIC_MUL_BUDGET = {4: 2029, 14: 1513, 24: 1185}
+
+
+@pytest.mark.parametrize("index", sorted(DYADIC_MUL_BUDGET))
+def test_extended_verify_stays_within_its_exact_product_budget(tmp_path, suite, monkeypatch, index):
+    products = [0]
+    original = Dyadic.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return original(self, other)
+
+    path = write_params(tmp_path, suite[index])
+    monkeypatch.setattr(Dyadic, "__mul__", counted)
+    monkeypatch.setattr(Dyadic, "__rmul__", counted)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
+    assert products[0] <= DYADIC_MUL_BUDGET[index]
 
 
 def test_module_entry_point(tmp_path):

@@ -14,7 +14,7 @@ from oracles import (
     Gaussian,
     build_C,
     exact_prop1_totals,
-    exact_qde_routes,
+    exact_qde_coefficients,
     exact_traces,
     gaussian,
     mpc_kernel_route,
@@ -24,7 +24,6 @@ from oracles import (
 
 import qzeros
 from qzeros import isospectral, qdiff, zero_algebra
-from qzeros.cli import _sample_points
 from qzeros.flow import _contour, jacobian_fd
 from qzeros.isospectral import Case, build_M, certified_spectrum, mu_closed
 from qzeros.params import ParamSet, in_context
@@ -38,8 +37,7 @@ from qzeros.precision import (
     extended,
     rel_gaps,
 )
-from qzeros.qdiff import _horner_scale
-from qzeros.qseries import coeffs_P, to_monic
+from qzeros.qseries import Poly, coeffs_P, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 THIRD_30 = "0." + "3" * 30
@@ -137,16 +135,24 @@ def test_extended_size_past_the_binary64_modulus_stays_in_the_scalar_type():
     assert ctx.sizes(np.array([x], dtype=object))[0] == got
 
 
-def test_horner_scales_past_binary64_are_taken_in_the_scalar_type():
-    # z (1 + z + z^2) at z = 1e200 has terms up to |z|^3 = 1e600: float
-    # powers of size(z) would make the scale inf and every residual
-    # normalised by it 0
+def test_coefficient_scales_past_binary64_are_taken_in_the_scalar_type(monkeypatch):
+    # p = z + 1e300 at q = 1e-10, r = s = 0, N = 1: the B side's
+    # Delta_{q^-1} takes c_0 to about 1e310, and so does the expanded
+    # route's addend q^-1 c_0, whose binary64 sizes multiply to inf; an inf
+    # scale would read every value normalised by it as 0
     ctx = extended(50)
-    z = np.array([ctx.convert(ctx.mp.mpf("1e200")), ctx.convert(2)], dtype=object)
-    with np.errstate(over="ignore"):  # as qde_checks calls it
-        largest = _horner_scale([0.0, 1.0, 1.0, 1.0], z, ctx.sizes(z), ctx)
-    assert abs(largest[0] - ctx.mp.mpf("1e600")) <= ctx.eps * ctx.mp.mpf("1e600")
-    assert largest[1] == 8.0
+    case = Case(in_context(ParamSet(r=0, s=0, N=1, q=1e-10), ctx))
+    case.monic = Poly((ctx.convert(1e300), ctx.convert(1)), monic=True)
+    addends = counting(monkeypatch, qdiff, "_largest_addends")
+    residuals, agreements = qdiff.qde_checks(case)
+    big = ctx.mp.mpf(1e300) * 1e10
+    b_marks = qdiff._operator_sides(case.monic, case.params)[3]
+    # coefficient 1's two scales, 1e300 (1e10 - 1) and 1e10 1e300
+    for scale in (b_marks[0], addends[-1][1][0]):
+        assert isinstance(scale, type(big)) and abs(scale - big) <= 2e-10 * big
+    # R_1 = (q - 1) - 1e300 (1e10 - 1) over its cascade scale: -1 to 1e-10
+    assert abs(complex(residuals[1]) + 1) < 1e-9
+    assert all(0 <= a < 1e-40 for a in agreements)
 
 
 def _gap_pairs(ctx, rng, count=2000):
@@ -271,26 +277,24 @@ def test_dyadic_has_no_division():
 
 
 def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypatch):
-    # the two q-difference routes, the two zero-identity routes and the
-    # traces at 50 digits compute the exact Gaussian rationals of the values
-    # they read, and each leaves that arithmetic rounded once: to mpc, or to
-    # the binary64 modulus of a size
+    # the two q-difference routes' coefficients, the two zero-identity
+    # routes and the traces at 50 digits compute the exact Gaussian
+    # rationals of the values they read, and each leaves that arithmetic
+    # rounded once: to mpc, or to the binary64 modulus of a size
     ctx = extended(50)
-    horner_scales = counting(monkeypatch, qdiff, "_horner_scale")
-    qde_values = counting(monkeypatch, qdiff, "eval_poly")
-    qde_sums = counting(monkeypatch, qdiff, "shift_sum")
+    addends = counting(monkeypatch, qdiff, "_largest_addends")
     prop1_sums = counting(monkeypatch, zero_algebra, "shift_sum")
     cases = [params for params in suite if params.N <= 5]
     assert len(cases) == 25
     for params in cases:
         case = Case(in_context(params, ctx))
         params, p, zeros = case.params, case.monic, case.zeros
-        points = [*zeros, *_sample_points(zeros)[:4]]
-        residuals, agreements = qdiff.qde_checks(case, points)
-        ops, expanded = exact_qde_routes(p, params, points)
-        assert [gaussian(v) for v in qde_values[-2]] == ops
-        assert [gaussian(v) for v in qde_sums[-1][0]] == expanded
-        op_scale, exp_scale = horner_scales[-1], qde_sums[-1][1]
+        residuals, agreements = qdiff.qde_checks(case)
+        ops, expanded = exact_qde_coefficients(case)
+        _, a_marks, _, b_marks = qdiff._operator_sides(p, params)
+        op_scale = [max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])]
+        la, lb = addends[-1]
+        exp_scale = [max(a, b) for a, b in zip([*la, 0.0], [0.0, *lb])]
         sign = (-1) ** (params.s + 1)
         assert residuals == [rounded_once(v, ctx) / max(s, TINY) for v, s in zip(ops, op_scale)]
         want = [size64(v - w * sign) / max(s, t, 1.0) for v, w, s, t in zip(ops, expanded, op_scale, exp_scale)]

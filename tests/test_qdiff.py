@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qzeros import qdiff, qseries, zero_algebra
-from qzeros.cli import cmd_verify
+from qzeros.cli import DEFAULT_THRESHOLDS, cmd_verify
 from qzeros.errors import DegreeMismatch
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
@@ -24,7 +24,7 @@ from qzeros.qdiff import (
 from qzeros.qseries import Poly, coeffs_P, to_monic
 
 from conftest import zeros_of
-from oracles import expanded_residual, qde_checks_scalar
+from oracles import expanded_residual, qde_coefficient_checks, qde_point_checks, spiral_points
 
 
 def _sample_points(params, rng, count=20):
@@ -92,18 +92,16 @@ def test_commutation_float_to_rounding():
 
 
 def test_annihilation_on_suite(suite):
-    rng = random.Random(405)
     for params in suite:
-        pts = _sample_points(params, rng)
-        res = qde_residual(Case(params), pts)
+        res = qde_residual(Case(params))
+        assert len(res) == params.N + 2
         assert max(abs(v) for v in res) < 1e-9
 
 
 def test_expanded_form_equivalence(suite):
-    rng = random.Random(406)
     for params in suite:
-        pts = _sample_points(params, rng)
-        gaps = qde_expanded_agreement(Case(params), pts)
+        gaps = qde_expanded_agreement(Case(params))
+        assert len(gaps) == params.N + 2
         assert max(gaps) < 1e-10
 
 
@@ -122,7 +120,7 @@ def test_monomial_alone_is_not_annihilated():
     params = ParamSet(r=1, s=1, N=3, q=0.45, alpha=(0.7 + 0.2j,), beta=(1.3 - 0.4j,))
     case = Case(params)
     case.monic = Poly((0.0, 0.0, 0.0, 1.0), monic=True)
-    res = qde_residual(case, [0.8 + 0.3j, -0.5j, 1.1])
+    res = qde_residual(case)
     assert max(abs(v) for v in res) > 1e-3
 
 
@@ -133,7 +131,7 @@ def test_linear_case_cancels_by_hand():
     params = ParamSet(r=0, s=0, N=1, q=q, alpha=(), beta=())
     case = Case(params)
     case.monic = Poly((-q, 1.0), monic=True)
-    res = qde_residual(case, [0.3, -1.7 + 0.2j, 5.0j])
+    res = qde_residual(case)
     assert max(abs(v) for v in res) < 1e-13
 
 
@@ -141,7 +139,7 @@ def test_true_zeros_annihilate(small_suite):
     # The defining property at the zeros themselves: both routes vanish.
     for params in small_suite:
         _, zset = zeros_of(params)
-        res = qde_residual(Case(params, zset.zeros), zset.zeros)
+        res, _ = qde_point_checks(Case(params, zset.zeros), zset.zeros)
         assert max(abs(v) for v in res) < 1e-9
 
 
@@ -158,41 +156,39 @@ def test_degree_mismatch_raised():
 
 @pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
 def test_array_pass_equals_the_scalar_oracle(suite, ctx):
-    # both routes are Horner sums over their largest term, whose rounding
-    # error is at most gamma_2N = 2N eps / (1 - 2N eps) of that term
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 5.1); the
-    # array pass and the oracle round differently, each within that
-    rng = random.Random(408)
+    # each coefficient is a sum of at most 2 S + 2 products over its
+    # largest addend or cascade intermediate, whose rounding error is at
+    # most gamma_(2S+2) of that term (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1); the array pass and the oracle round
+    # differently, each within that
     for params in suite:
-        params = in_context(params, ctx)
-        case = Case(params)
-        pts = [ctx.convert(z) for z in _sample_points(params, rng, count=8)]
-        got, want = qde_checks(case, pts), qde_checks_scalar(case.monic, params, pts)
+        case = Case(in_context(params, ctx))
+        got, want = qde_checks(case), qde_coefficient_checks(case)
         for route, ref in zip(got, want):
-            assert len(route) == len(ref)
+            assert len(route) == len(ref) == params.N + 2
             for a, b in zip(route, ref):
                 assert abs(a - b) <= 64 * ctx.eps
 
 
 def test_checks_evaluate_once_per_route_never_per_point(monkeypatch, small_suite):
-    # eval_poly and eval_poly_deriv take each route's points as one array
+    # eval_poly_deriv takes the zero-identity route's points as one array;
+    # the q-difference checks compare coefficients and evaluate p nowhere:
+    # the package has no Horner pass for p alone (eval_poly is a test's)
+    assert not any(hasattr(module, "eval_poly") for module in (qseries, qdiff, zero_algebra))
     calls = []
-    for name in ("eval_poly", "eval_poly_deriv"):
-        original = getattr(qseries, name)
+    original = qseries.eval_poly_deriv
 
-        def recorded(p, z, name=name, original=original):
-            calls.append((name, type(z)))
-            return original(p, z)
+    def recorded(p, z):
+        calls.append(("eval_poly_deriv", type(z)))
+        return original(p, z)
 
-        for module in (qseries, qdiff, zero_algebra):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recorded)
+    for module in (qseries, zero_algebra):
+        monkeypatch.setattr(module, "eval_poly_deriv", recorded)
     for params in small_suite:
         _, zset = zeros_of(params)
         case = Case(params, zset.zeros)
-        pts = list(zset.zeros) + [0.5 + 0.25j]
         for check, want in (
-            (lambda: qde_checks(case, pts), [("eval_poly", np.ndarray)] * 2),
+            (lambda: qde_checks(case), []),
             (lambda: zero_algebra.prop1_residuals(case), []),
             (lambda: zero_algebra.prop1_residuals_qde(case), [("eval_poly_deriv", np.ndarray)]),
         ):
@@ -222,3 +218,48 @@ def test_extended_verify_takes_each_shift_power_of_q_once(suite, monkeypatch):
     closed_forms = {"qde_terms", "_operator_sides", "closed_trace"}
     shifts = sorted(k for name, k in calls if name not in closed_forms)
     assert shifts == sorted(case.velocity_weights) == [-1, 1, 2]
+
+
+MUTANT_DELTAS = (1e-6, 1e-8, 3e-9)
+
+
+def _mutated(params, zeros, mutant, delta):
+    """A case on the found zeros with one input of the q-difference checks
+    taken to x + x delta: p's c_0, p's middle coefficient c_((N + 1) // 2),
+    or the first z-weighted qde_terms weight."""
+    case = Case(params, zeros)
+    if mutant == "weight":
+        i = next(i for i, (_, _, e) in enumerate(case.qde_terms) if e)
+        k, w, e = case.qde_terms[i]
+        case.qde_terms = [*case.qde_terms[:i], (k, w + w * delta, e), *case.qde_terms[i + 1 :]]
+    else:
+        coeffs = list(case.monic.coeffs)
+        m = 0 if mutant == "c0" else (params.N + 1) // 2
+        coeffs[m] = coeffs[m] + coeffs[m] * delta
+        # at N = 1 the middle is the leading 1, which p is then monic no more
+        case.monic = Poly(tuple(coeffs), monic=m < params.N)
+    return case
+
+
+def _caught(residuals, agreements) -> bool:
+    """Whether verify's thresholds fail either q-difference check."""
+    return (
+        max(abs(v) for v in residuals) > DEFAULT_THRESHOLDS["qde_residual_max"]
+        or max(agreements) > DEFAULT_THRESHOLDS["qde_expanded_agreement_max"]
+    )
+
+
+def test_coefficient_route_catches_what_the_point_route_caught(suite):
+    # each mutant run through qde_checks and through the point route at the
+    # 20 spiral points it was once judged at
+    for mutant in ("c0", "middle", "weight"):
+        for delta in MUTANT_DELTAS:
+            by_coefficients = by_points = 0
+            for params in suite:
+                zeros = zeros_of(params)[1].zeros
+                case = _mutated(params, zeros, mutant, delta)
+                by_coefficients += _caught(*qde_checks(case))
+                by_points += _caught(*qde_point_checks(case, spiral_points(zeros)))
+            assert by_coefficients >= by_points, (mutant, delta)
+            if delta == 1e-6:
+                assert by_coefficients == len(suite), mutant

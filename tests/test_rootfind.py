@@ -14,11 +14,11 @@ from qzeros import isospectral, rootfind
 from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
-from qzeros.qseries import Poly, coeffs_P, eval_poly, to_monic
+from qzeros.qseries import Poly, coeffs_P, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import certify_pairs, companion_rows, relative_separation_pairs
+from oracles import certify_pairs, companion_rows, eval_poly, relative_separation_pairs
 
 
 def _pair_off(found, oracle):

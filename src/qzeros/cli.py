@@ -46,7 +46,7 @@ from .errors import (
 )
 from .isospectral import Case
 from .params import ParamSet
-from .precision import F64, context_of, extended, rel_gaps
+from .precision import F64, _binary64, context_of, extended, rel_gaps
 
 CONFIG_FIELDS = {"r", "s", "N", "q", "alpha", "beta", "sweep_k", "t_end", "perturb"}
 
@@ -153,7 +153,7 @@ def load_config(path: str) -> Tuple[dict, ParamSet, dict]:
 
 
 def _pair(z) -> List[float]:
-    z = complex(z)
+    z = _binary64(z)
     return [z.real, z.imag]
 
 

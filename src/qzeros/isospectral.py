@@ -49,10 +49,10 @@ from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from .errors import DegreeMismatch, EigenNoConvergence, LengthMismatch
 from .params import ParamSet, _elementary, in_context
-from .precision import F64, TINY, PrecisionContext, _aligned, _float, _parts, context_of, extended, rel_gaps
+from .precision import F64, TINY, PrecisionContext, _aligned, _float, _parts, binary64, context_of, extended, rel_gaps
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
-from .rootfind import ZeroSet, _aberth, find_zeros, pairwise_gaps
+from .rootfind import ZeroSet, _finish, find_zeros, pairwise_gaps
 from .zero_algebra import KernelCache, identity_grid, velocity_terms, velocity_weights
 
 
@@ -131,7 +131,7 @@ def _eig_extended(rows, ctx: PrecisionContext) -> List:
     The one use of mpmath's own global context, scoped by workdps.
     """
     dps = ctx.mp.dps
-    if not np.isfinite(np.array(rows, dtype=complex)).all():
+    if not np.isfinite(binary64(rows)).all():
         dps += _lost_digits(rows, ctx)
     with mpmath.workdps(dps):
         mat = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in rows])
@@ -282,7 +282,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> Tuple[List, List[float]] | Non
     """
     ctx = context_of(rows[0][0])
     mp, prec = ctx.mp, ctx.mp.prec
-    arr = np.array(rows, dtype=complex)
+    arr = binary64(rows)
     if not np.isfinite(arr).all():
         return None
     n = len(rows)
@@ -353,7 +353,7 @@ def _refined_eigenvalues(rows, eps_out: float) -> Tuple[List, List[float]] | Non
             break
     out = [mp.make_mpc(tuple(lam)) for _, lam in best]
     certs = np.array([cert for cert, _ in best])
-    sizes = np.abs(np.array(out, dtype=complex))
+    sizes = np.abs(binary64(out))
     if not ((certs <= target * sizes).all() and (pairwise_gaps(out) > certs[:, None] + certs).all()):
         return None
     return out, (certs / np.maximum(sizes, TINY)).tolist()
@@ -427,7 +427,7 @@ def certified_eigenvalues(A, rebuild: Callable[[PrecisionContext], Any] | None =
         return [complex(v) for v in vals]
     ext = _escalated(worst)
     rows = rebuild(ext) if rebuild else [[ext.convert(v) for v in row] for row in arr]
-    return [complex(v) for v in _extended_eigenvalues(rows, ctx.eps)[0]]
+    return binary64(_extended_eigenvalues(rows, ctx.eps)[0]).tolist()
 
 
 def _extended_eigenvalues(rows, eps_out: float) -> Tuple[List, List]:
@@ -641,11 +641,13 @@ class Case:
 
     def at(self, ctx: PrecisionContext) -> "Case":
         """The same case at ctx's digits, q, alpha and beta included (binary64
-        q powers would re-contaminate M), its zeros this case's finished by
-        Aberth sweeps, as in extended find_zeros: binary64 zeros sit ~1e-11
-        off, where the sweeps converge cubically."""
+        q powers would re-contaminate M), its zeros this case's finished at
+        those digits as extended find_zeros finishes its binary64 start: by
+        Newton on exact integer residuals, or by Aberth sweeps where that
+        cannot vouch for them (rootfind._finish). Binary64 zeros sit ~1e-11
+        off, where Newton converges quadratically."""
         case = Case(in_context(self.params, ctx))
-        case.zeros = tuple(_aberth(case.monic, [ctx.convert(z) for z in self.zeros], ctx))
+        case.zeros = tuple(_finish(case.monic, self.zeros, ctx)[0])
         return case
 
 
@@ -694,7 +696,7 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
     if len(lam) != len(mu):
         raise LengthMismatch(f"{len(lam)} numerical vs {len(mu)} closed eigenvalues")
     n = len(lam)
-    dist = np.abs(np.subtract.outer(np.array(lam, dtype=complex), np.array(mu, dtype=complex)))
+    dist = np.abs(np.subtract.outer(binary64(lam), binary64(mu)))
     partner, free = [None] * n, [True] * n
     for flat in np.argsort(dist, axis=None, kind="stable").tolist():
         i, j = divmod(flat, n)

@@ -7,7 +7,9 @@ PrecisionContext carries the scalar constructor, the array dtype, the complex
 elementary functions, the machine epsilon and size, the magnitude that
 scales, normalisers and relative gaps (rel_gaps) are taken with. Every
 binary64 modulus is the C hypot of the two parts, as builtin abs of a
-complex takes it, so sizes equals size value by value.
+complex takes it, so sizes equals size value by value. An extended value
+is rounded to binary64 from its raw mpf parts (binary64), bit for bit the
+rounding of mpmath's complex() without its scalar layer.
 
 A third scalar type, Dyadic, holds an extended value as Gaussian integers
 over a power of two, with +, - and * and no division, at one of two widths.
@@ -44,7 +46,7 @@ from typing import List, Tuple
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_float, from_man_exp, fzero, round_nearest, to_float
 
 _F64_EPS = 2.220446049250313e-16
 
@@ -115,9 +117,10 @@ class PrecisionContext:
         binary64 moduli are np.hypot of the parts, not np.abs: builtin abs
         of a complex is the C hypot, and NumPy's vectorised complex abs
         differs from it in the last bit on about a fifth of random inputs."""
-        parts = np.asarray(values, dtype=complex)
         if self.mp is None:
+            parts = np.asarray(values, dtype=complex)
             return np.hypot(parts.real, parts.imag)
+        parts = binary64(values)
         with np.errstate(over="ignore"):  # such a modulus is taken again below
             mags = np.hypot(parts.real, parts.imag)
         # each extended modulus outside [TINY, inf) again in the scalar type
@@ -146,10 +149,51 @@ class PrecisionContext:
 
 def _extended_size(x):
     try:
-        mag = abs(complex(x))
+        mag = abs(_binary64(x))
     except OverflowError:  # both parts finite, the modulus beyond binary64
         mag = math.inf
     return mag if TINY <= mag < math.inf else abs(context_of(x).convert(x))
+
+
+def _part_float(part) -> float:
+    """The raw mpf value part, (sign, man, exp, bc), rounded to binary64 as
+    mpmath's complex() rounds each part (to_float at round_nearest), bit
+    for bit: the builtin conversion of man rounds it once to 53 bits, half
+    to even as mpmath's normalisation does, and math.ldexp then scales that
+    same value, with the same second rounding in the subnormal range;
+    +-inf where the scaling overflows. Zero, inf, nan and a mantissa too
+    long for the builtin conversion go through to_float itself."""
+    sign, man, exp, bc = part
+    if not man or bc > 1000:
+        return to_float(part, rnd=round_nearest)
+    try:
+        return math.ldexp(-man if sign else man, exp)
+    except OverflowError:
+        return -math.inf if sign else math.inf
+
+
+def _binary64(x) -> complex:
+    """x rounded to binary64, each part once to nearest: an mpc from its raw
+    mpf parts (_part_float), equal to complex(x) bit for bit at a third of
+    the cost of mpmath's complex(), which builds the rounding through its
+    own scalar layer; a binary64 complex as it is, any other number by
+    complex()."""
+    if type(x) is complex:
+        return x
+    parts = getattr(x, "_mpc_", None)
+    if parts is None:
+        return complex(x)
+    return complex(_part_float(parts[0]), _part_float(parts[1]))
+
+
+def binary64(values) -> np.ndarray:
+    """The array values rounded to binary64 entry by entry (_binary64), as a
+    complex array of its shape: np.asarray(values, dtype=complex) bit for
+    bit, without mpmath's complex() for each mpc."""
+    values = np.asarray(values)
+    if values.dtype != object:
+        return values.astype(complex, copy=False)
+    return np.array([_binary64(v) for v in values.flat], dtype=complex).reshape(values.shape)
 
 
 def _parts(x, mp) -> Tuple:
@@ -181,8 +225,13 @@ def _aligned(parts) -> Tuple[List[int], int]:
 
 
 def _float(m: int, e: int) -> float:
-    """m 2^e rounded once to binary64, +-inf beyond its range."""
+    """m 2^e rounded once to binary64, +-inf beyond its range: where the
+    result is normal, the builtin conversion of m rounds it once and
+    math.ldexp scales it exactly; elsewhere the integer division rounds once
+    (ldexp of a rounded m would round a subnormal result twice)."""
     try:
+        if m.bit_length() < 1024 and m.bit_length() + e > -1021:
+            return math.ldexp(m, e)
         return m / (1 << -e) if e < 0 else float(m << e)
     except OverflowError:
         return math.inf if m > 0 else -math.inf

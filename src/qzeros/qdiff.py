@@ -52,26 +52,26 @@ if TYPE_CHECKING:
     from .isospectral import Case
 
 
+def _powers(q, n: int) -> List:
+    """q^0 ... q^(n-1), running products from the exact 1 (q^0, which costs
+    no product): the table every dilation of n coefficients by q reads."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(out[-1] * q)
+    return out
+
+
 def apply_delta(p: Poly, q) -> Poly:
-    """Pure dilation: coefficient m picks up q^m (q^0 the exact 1, which
-    costs no product)."""
-    qpow = 1
-    out = []
-    for c in p.coeffs:
-        out.append(c * qpow)
-        qpow = qpow * q
-    return Poly(coeffs=tuple(out), monic=False)
+    """Pure dilation: coefficient m picks up q^m."""
+    return Poly(tuple(c * qm for c, qm in zip(p.coeffs, _powers(q, len(p.coeffs)))), monic=False)
 
 
-def apply_Delta(gamma, p: Poly, q) -> Poly:
+def apply_Delta(gamma, p: Poly, q, powers: List | None = None) -> Poly:
     """Shifted dilation Delta_gamma = gamma*delta - 1: coefficient m picks up
-    (gamma q^m - 1), q^0 the exact 1 as in apply_delta."""
-    qpow = 1
-    out = []
-    for c in p.coeffs:
-        out.append(c * (gamma * qpow - 1))
-        qpow = qpow * q
-    return Poly(coeffs=tuple(out), monic=False)
+    (gamma q^m - 1), q^m read from powers, the table _powers(q, N + 1) that
+    a caller applying many Delta_gamma shares, else formed here."""
+    powers = _powers(q, len(p.coeffs)) if powers is None else powers
+    return Poly(tuple(c * (gamma * qm - 1) for c, qm in zip(p.coeffs, powers)), monic=False)
 
 
 def _operator_sides(p: Poly, params: ParamSet):
@@ -90,20 +90,22 @@ def _operator_sides(p: Poly, params: ParamSet):
     has to be measured against that intermediate, not against the final
     coefficient.
 
-    Only the gammas beta_k/q and q^-N and the dilation q^{s-r} divide; they
-    are formed in q's scalars, and the cascade and its stage sizes run in
-    the context's exact arithmetic (ctx.exact: precision.Dyadic at extended
-    digits, so the sides are exact in their inputs; builtin complex in
-    binary64, through tolist).
+    Every Delta_gamma of both cascades reads one table q^0 ... q^N
+    (_powers), formed once. Only the gammas beta_k/q and q^-N and the
+    dilation q^{s-r} divide; they are formed in q's scalars, and the
+    cascade and its stage sizes run in the context's exact arithmetic
+    (ctx.exact: precision.Dyadic at extended digits, so the sides are
+    exact in their inputs; builtin complex in binary64, through tolist).
     """
     ctx = context_of(params.q)
     size = ctx.size
     q, dilation = ctx.exact([params.q, params.q ** (params.s - params.r)]).tolist()
+    powers = _powers(q, len(p.coeffs))
 
     def cascade(side, gammas):
         scale = [size(c) for c in side.coeffs]
         for gamma in ctx.exact(gammas).tolist():
-            side = apply_Delta(gamma, side, q)
+            side = apply_Delta(gamma, side, q, powers)
             scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
         return side, scale
 

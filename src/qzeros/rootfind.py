@@ -4,7 +4,13 @@ find_zeros runs the Aberth-Ehrlich simultaneous iteration (cubic local
 convergence) from a geometric-spiral initial configuration tuned to the
 quasi-geometric spread of this polynomial family's zeros, then polishes each
 root with one Newton step. With extended coefficients the spiral start is
-first solved in binary64, and the extended sweeps only finish from there.
+first solved in binary64, and Newton finishes from there at the extended
+digits (_newton_finish): each pass forms p and p' exactly on Gaussian
+integers, rounds their quotient once to binary64 and subtracts it at the
+context's digits, so the zeros are those of the extended polynomial to
+a unit or two of their last bit, and _certify reads that last exact pass.
+Where a correction is not finite or does not contract, extended Aberth
+sweeps finish the same start instead (_finish, which Case.at shares).
 companion_zeros is the independent cross-check oracle: eigenvalues of the
 balanced companion matrix through the package's one eigensolve
 (isospectral.certified_eigenvalues), which certifies, and if need be
@@ -25,16 +31,23 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
-from .precision import F64, TINY, PrecisionContext, context_of
+from .precision import F64, TINY, PrecisionContext, _aligned, _binary64, _part_float, _parts, binary64, context_of
 from .qseries import Poly, eval_poly_deriv
 
 MAX_SWEEPS = 500
 SEPARATION_FLOOR = 1e-8
 F64_DEGREE_WARN = 12
 F64_DEGREE_CAP = 16
+# the Newton finish: a correction above the settling level must be at most
+# CONTRACTION times the one before it; a pass doubles a zero's correct bits,
+# adding at most the 53 of its binary64 correction, so 3 + prec / NEWTON_BITS
+# passes carry a binary64 start to the context's last bit with room to spare
+CONTRACTION = 0.5
+NEWTON_BITS = 48
 
 
 @dataclass(frozen=True)
@@ -64,8 +77,12 @@ def _modulus(z):
         return math.inf
 
 
+def _canonical_key(z) -> Tuple[float, float]:
+    return _modulus(z), cmath.phase(_binary64(z))
+
+
 def _canonical_order(zs) -> List:
-    return sorted(zs, key=lambda z: (_modulus(z), cmath.phase(complex(z))))
+    return sorted(zs, key=_canonical_key)
 
 
 @functools.cache
@@ -97,20 +114,29 @@ def relative_separation(zs, gaps=None) -> float:
     return float(np.asarray((pairwise_gaps(zs) if gaps is None else gaps) / scale, dtype=float).min())
 
 
-def _certify(zs, p: Poly) -> ZeroSet:
-    """The ZeroSet of zs; DegenerateZeros when a zero is not finite or two
-    zeros cannot be certified apart. A point of an unresolved cluster
-    carries an error of about twice its Newton correction (which contracts
-    by 1/2 toward a double zero), so a pair's certified gap is its gap less
-    both bounds, gap_ij - 2 (step_i + step_j), from one pairwise_gaps; a NaN
-    step (binary64 only) stays NaN in the minimum, its gaps being floats."""
+def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
+    """The ZeroSet of zs in canonical order (by modulus, then phase), so
+    repeated runs are deterministic; DegenerateZeros when a zero is not
+    finite or two zeros cannot be certified apart. steps are the sizes of
+    the Newton corrections |p/p'| at zs, where the caller has them (the
+    Newton finish's last exact pass), else taken here by one Horner pass in
+    the scalars of p. A point of an unresolved cluster carries an error of
+    about twice its Newton correction (which contracts by 1/2 toward a
+    double zero), so a pair's certified gap is its gap less both bounds,
+    gap_ij - 2 (step_i + step_j), from one pairwise_gaps; a NaN step
+    (binary64 only) stays NaN in the minimum, its gaps being floats."""
     ctx = context_of(p.coeffs[0])
+    order = sorted(range(len(zs)), key=lambda n: _canonical_key(zs[n]))
+    zs = [zs[n] for n in order]
     z = np.asarray(zs, dtype=ctx.dtype)
     mags = ctx.sizes(z)
     if not (mags < math.inf).all():
         raise DegenerateZeros("a zero is not finite; the zero set is not resolved")
-    val, der = eval_poly_deriv(p, z)
-    steps = np.asarray(ctx.sizes(val) / np.maximum(ctx.sizes(der), TINY), dtype=float)
+    if steps is None:
+        val, der = eval_poly_deriv(p, z)
+        steps = np.asarray(ctx.sizes(val) / np.maximum(ctx.sizes(der), TINY), dtype=float)
+    else:
+        steps = np.array([steps[n] for n in order], dtype=float)
     gaps, scale = pairwise_gaps(z), max(mags.max(), TINY)
     certified = float((gaps - 2.0 * (steps[:, None] + steps)).min() / scale)
     if not certified > SEPARATION_FLOOR:
@@ -123,7 +149,7 @@ def _certify(zs, p: Poly) -> ZeroSet:
     return ZeroSet(tuple(zs), min_separation=float(gaps.min() / scale), max_residual=worst)
 
 
-def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
+def _spiral_init(p: Poly, q, N: int) -> List[complex]:
     # |constant term|^(1/N) estimates the geometric mean of the zero moduli;
     # the |q|^{-(n-1)/2} ladder matches their quasi-geometric spread and the
     # 0.37 phase offset breaks symmetry locks of the simultaneous iteration.
@@ -138,7 +164,7 @@ def _spiral_init(p: Poly, q, N: int, ctx: PrecisionContext) -> List:
     for n in range(1, N + 1):
         radius = rho * absq ** (-(n - 1) / 2.0)
         angle = 2.0 * cmath.pi * (n + 0.37) / N
-        out.append(ctx.convert(complex(radius * cmath.cos(angle), radius * cmath.sin(angle))))
+        out.append(complex(radius * cmath.cos(angle), radius * cmath.sin(angle)))
     return out
 
 
@@ -214,19 +240,122 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
 
 def _binary64_start(p: Poly, spiral: List) -> List | None:
     """Zeros of p rounded to binary64, found from the spiral, as a start for
-    the extended sweeps; None when they cannot serve as one (coefficients
+    the extended finish; None when they cannot serve as one (coefficients
     or zeros that are not finite, no convergence, or two zeros closer than
     SEPARATION_FLOOR, which the extended 1 / (z_n - z_m) cannot pull apart)."""
-    p64 = Poly(tuple(complex(c) for c in p.coeffs), monic=True)
+    p64 = Poly(tuple(_binary64(c) for c in p.coeffs), monic=True)
     if not all(cmath.isfinite(c) for c in p64.coeffs):
         return None
     try:
-        zs = _aberth(p64, [complex(z) for z in spiral], F64)
+        zs = _aberth(p64, spiral, F64)
     except NoConvergence:
         return None
     if not all(cmath.isfinite(z) for z in zs) or not relative_separation(zs) > SEPARATION_FLOOR:
         return None
     return zs
+
+
+def _quotient(a_re: int, a_im: int, b_re: int, b_im: int, e: int) -> complex:
+    """(a / b) 2^e for the Gaussian integers a and b, each part rounded once
+    to binary64: a conj(b) / |b|^2, both parts scaled by one power of two
+    2^s that brings the larger near 2^64, divided by the builtin integer
+    division (correctly rounded) and scaled back by 2^(e - s), which is
+    exact unless the part is subnormal. A part beyond the binary64 range
+    is inf, and b = 0 gives nan."""
+    den = b_re * b_re + b_im * b_im
+    if not den:
+        return complex(math.nan, math.nan)
+    num = (a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im)
+    s = den.bit_length() - max(abs(v).bit_length() for v in num) + 64
+    try:
+        return complex(*(math.ldexp((v << s) / den if s >= 0 else v / (den << -s), e - s) for v in num))
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
+def _newton_finish(p: Poly, start: Sequence, ctx: PrecisionContext) -> Tuple[List, List[float]] | None:
+    """The zeros of p at the digits of ctx, finished by Newton from start
+    (p's zeros to a few digits, in any scalars, rounded into ctx first),
+    and the size of each one's last Newton correction |p/p'|, which it was
+    not moved by; None where the finish cannot vouch for them.
+
+    Each pass forms p(z) and p'(z) exactly, in one Horner pass on Gaussian
+    integers over the zeros still moving: p's coefficients are read once
+    (precision._aligned), the zeros at each pass over one power of two 2^e,
+    e <= 0, and with u = 2^-e the pass forms
+        A_N = c_N,  A_j = A_{j+1} Z + c_j u^(N-j),  B_j = B_{j+1} Z + A_{j+1},
+    so that p(z) = A_0 2^(Ec + N e) and p'(z) = B_0 2^(Ec + (N-1) e). The
+    correction p/p' = (A_0 / B_0) 2^e is rounded once to binary64
+    (_quotient) and subtracted at the context's precision, to nearest, by
+    mpmath's raw addition (the eigenpairs' refinement in isospectral does
+    the same; Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).
+    The residual is exact, so the zeros are those of p itself: a zero
+    settles once its correction is within 2^(1 - prec) of its modulus, two
+    units of its last bit, and is not moved by it.
+
+    None, so that the caller falls back to the sweeps, when a start or a
+    correction is not finite in binary64, when a correction above the
+    settling level is more than CONTRACTION times the one before it (a
+    start that settled in binary64 only because p underflows there, or a
+    multiple zero, where Newton converges linearly), when
+    3 + prec / NEWTON_BITS passes do not settle every zero, or when a zero
+    moved by half its distance to another start or more (otherwise the N
+    disks of the moves are disjoint, and the N zeros are distinct).
+    """
+    start64 = binary64(start)
+    if not np.isfinite(start64).all():
+        return None
+    mp, prec, N = ctx.mp, ctx.mp.prec, p.degree
+    C, Ec = _aligned([part for c in p.coeffs for part in _parts(c, mp)])
+    c_re, c_im = C[0::2], C[1::2]
+    parts = [list(ctx.convert(z)._mpc_) for z in start]
+    steps, last, moved = [0.0] * N, [math.inf] * N, [0.0] * N
+    settle = 2.0 ** (1 - prec)
+    moving = list(range(N))
+    for _ in range(3 + prec // NEWTON_BITS):
+        Z, e = _aligned([x for n in moving for x in parts[n]])
+        if e > 0:
+            Z, e = [v << e for v in Z], 0
+        # c_j u^(N-j), high to low
+        low = [(c_re[j] << (-e * (N - j)), c_im[j] << (-e * (N - j))) for j in range(N - 1, -1, -1)]
+        still = []
+        for n, z_re, z_im in zip(moving, Z[0::2], Z[1::2]):
+            a_re, a_im, b_re, b_im = c_re[N], c_im[N], 0, 0
+            for l_re, l_im in low:
+                b_re, b_im = b_re * z_re - b_im * z_im + a_re, b_re * z_im + b_im * z_re + a_im
+                a_re, a_im = a_re * z_re - a_im * z_im + l_re, a_re * z_im + a_im * z_re + l_im
+            w = _quotient(a_re, a_im, b_re, b_im, e)
+            step = _modulus(w)
+            if not step < math.inf:
+                return None
+            if step <= settle * math.hypot(*map(_part_float, parts[n])):
+                steps[n] = step
+                continue
+            if not step <= CONTRACTION * last[n]:
+                return None
+            last[n] = step
+            moved[n] += step
+            parts[n] = [mpf_add(x, from_float(-d), prec, round_nearest) for x, d in zip(parts[n], (w.real, w.imag))]
+            still.append(n)
+        moving = still
+        if not moving:
+            break
+    else:
+        return None
+    if not (np.array(moved) < pairwise_gaps(start64).min(axis=1) / 2).all():
+        return None
+    return [mp.make_mpc(tuple(x)) for x in parts], steps
+
+
+def _finish(p: Poly, start: Sequence, ctx: PrecisionContext) -> Tuple[List, List[float] | None]:
+    """The zeros of p at ctx's extended digits from start (p's zeros to a
+    few digits), with the sizes of their last Newton corrections: by the
+    Newton finish, or, where it cannot vouch for them, by Aberth sweeps at
+    those digits from the same start, with no sizes (_certify takes them)."""
+    finished = _newton_finish(p, start, ctx)
+    if finished is not None:
+        return finished
+    return _aberth(p, [ctx.convert(z) for z in start], ctx), None
 
 
 def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
@@ -239,12 +368,17 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     phase) so repeated runs are deterministic.
 
     Extended coefficients are first rounded to binary64 and solved there
-    from the spiral; the sweeps at the extended digits then start from
-    those zeros, which the cubic convergence carries to the extended step
-    tolerance in two or three sweeps (the float start, multiprecision
-    finish of MPSolve; Bini & Fiorentino, Numer. Algorithms 23, 2000). When
-    the binary64 zeros cannot serve as a start, the extended sweeps start
-    from the spiral, as binary64 does.
+    from the spiral (the float start of MPSolve; Bini & Fiorentino, Numer.
+    Algorithms 23, 2000). Newton then finishes those zeros on exact integer
+    residuals (_newton_finish): each pass doubles a zero's correct digits,
+    adding at most the 16 of its binary64 correction, so three passes and
+    one that settles carry a binary64 start to 50 digits, and the zeros are
+    those of the polynomial itself to a unit or two of their last bit.
+    _certify reads the corrections of that last exact pass. Where the
+    finish cannot vouch for its zeros (a correction that is not finite or
+    does not contract), the extended Aberth sweeps finish the same start
+    instead. When the binary64 zeros cannot serve as a start, the extended
+    sweeps start from the spiral, as binary64 does.
     """
     if not p.monic:
         raise ValueError("find_zeros expects a monic polynomial")
@@ -266,15 +400,15 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
                 stacklevel=2,
             )
 
-    zs = _spiral_init(p, params.q, N, ctx)
     if N == 1:
-        zs = [-p.coeffs[0]]
-        return _certify(_canonical_order(zs), p)
+        return _certify([-p.coeffs[0]], p)
+    spiral = _spiral_init(p, params.q, N)
     if ctx.mp is not None:
-        start = _binary64_start(p, zs)
+        start = _binary64_start(p, spiral)
         if start is not None:
-            zs = [ctx.convert(z) for z in start]
-    return _certify(_canonical_order(_aberth(p, zs, ctx)), p)
+            zs, steps = _finish(p, start, ctx)
+            return _certify(zs, p, steps)
+    return _certify(_aberth(p, [ctx.convert(z) for z in spiral], ctx), p)
 
 
 # LAPACK zgebal's limits for binary64: SFMIN1 = dlamch('S') / dlamch('P')
@@ -399,7 +533,7 @@ def balanced_companion(p: Poly) -> np.ndarray:
         raise ValueError("balanced_companion expects a monic polynomial")
     N = p.degree
     ctx = context_of(p.coeffs[0])
-    low = [complex(c) for c in p.coeffs[:-1]]
+    low = [_binary64(c) for c in p.coeffs[:-1]]
     scale = _balancing_scale(low) if all(cmath.isfinite(c) for c in low) else [1.0] * N
     d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
     out = np.full((N, N), ctx.convert(0.0), dtype=ctx.dtype)

@@ -638,15 +638,17 @@ def _verify_report(tmp_path, params, precision):
 
 
 def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
-    # binary64 zeros are ~1e-11 off; the first Aberth sweep brings them to
-    # the escalated eps, and the second finds each at its noise floor, where
-    # a polish would leave it unchanged, so none follows
+    # binary64 zeros are ~1e-11 off; the first Newton pass brings them to
+    # the escalated eps, and the second finds each settled, within two units
+    # of its last bit, where its correction is not applied, so no pass
+    # follows; no Aberth sweep runs
     for index in (19, 26, 38):
         params = suite[index]
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
         evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
+        corrections = counting(monkeypatch, rootfind, "_quotient")
         _, lam = certified_spectrum(Case(params, zeros))
-        assert len(evaluations) == 2 * params.N, index
+        assert len(corrections) == 2 * params.N and not evaluations, index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
 

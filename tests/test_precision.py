@@ -3,8 +3,10 @@ globals, and every function computes in the precision of its inputs."""
 
 import importlib
 import inspect
+import math
 import pkgutil
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,7 +25,7 @@ from oracles import (
 )
 
 import qzeros
-from qzeros import isospectral, qdiff, zero_algebra
+from qzeros import isospectral, precision, qdiff, zero_algebra
 from qzeros.flow import _contour, jacobian_fd
 from qzeros.isospectral import Case, build_M, certified_spectrum, mu_closed
 from qzeros.params import ParamSet, in_context
@@ -215,6 +217,48 @@ def test_sizes_is_size_bit_for_bit(ctx):
         exact = ctx.exact(finite)
         assert _bits(ctx.sizes(exact)) == _bits(ctx.size(v) for v in finite)
         assert _bits(abs(d) for d in exact) == _bits(ctx.size(v) for v in finite)
+
+
+@pytest.mark.parametrize("dps", [15, 50, 330])
+def test_raw_part_rounding_is_mpmaths_complex_bit_for_bit(dps):
+    # binary64 and size read an mpc's raw parts; every part must round as
+    # mpmath's complex() rounds it: mantissas of prec bits that round up
+    # across a power of two, ties to even, subnormal results (rounded twice,
+    # as mpmath rounds them), overflow to +-inf, and zero, inf and nan parts
+    mp = extended(dps).mp
+    rng = random.Random(dps)
+    prec = mp.prec
+    mans = [(1 << prec) - 1, (1 << prec) - 3, (1 << (prec - 1)) + 1]
+    if prec > 54:
+        mans += [(1 << (prec - 1)) | (1 << (prec - 54)), (3 << (prec - 2)) | (1 << (prec - 54))]
+    mans += [rng.getrandbits(prec) | 1 for _ in range(40)]
+    exps = [-1080 - prec, -1074 - prec, -1060 - prec, -1023 - prec, -prec, 1023 - prec, 1024 - prec, 1100 - prec]
+    exps += [rng.randint(-1200, 1200) for _ in range(20)]
+    parts = [mp.ldexp(mp.mpf(sign * m), e) for m in mans for e in exps for sign in (1, -1)]
+    parts += [mp.mpf(0), mp.inf, -mp.inf, mp.nan]
+    values = [mp.mpc(x, rng.choice(parts)) for x in parts]
+    want = [complex(v) for v in values]
+    got = precision.binary64(np.array(values, dtype=object).reshape(-1, 2))
+    assert got.shape == (len(values) // 2, 2)
+    assert _bits(v for z in got.flat for v in (z.real, z.imag)) == _bits(v for z in want for v in (z.real, z.imag))
+    assert any(math.isinf(z.real) for z in want) and any(0 < abs(z.real) < 2.0**-1022 for z in want)
+
+
+def test_integer_parts_round_once_to_binary64():
+    # precision._float, which rounds a Dyadic's parts and the refinement's
+    # exact residuals: m 2^e rounded once, as a Fraction converts it, in the
+    # normal range (conversion, then an exact math.ldexp), the subnormal
+    # range (one integer division), across a power of two and past overflow
+    rng = random.Random(7)
+    for n in (1, 53, 54, 400, 1023, 1024, 1100):
+        for m in (1 << n) - 1, (1 << (n - 1)) | 1, rng.getrandbits(n) | (1 << (n - 1)):
+            for e in (-n - 1080, -n - 1074, -n - 1022, -n - 1021, -n - 1020, -n, 0, 1023 - n, 1024 - n, 1100 - n):
+                for v in (m, -m):
+                    try:
+                        want = float(Fraction(v) * Fraction(2) ** e)
+                    except OverflowError:
+                        want = math.inf if v > 0 else -math.inf
+                    assert precision._float(v, e).hex() == want.hex(), (v, e)
 
 
 def test_exact_is_the_identity_in_binary64():

@@ -495,3 +495,46 @@ def test_unusable_binary64_start_falls_back_to_the_spiral(suite, monkeypatch, sp
     got = find_zeros(p, params).zeros
     assert starts == [None]
     _assert_same_zeros(got, ref, 0.0)
+
+
+def test_extended_zeros_lie_within_a_few_units_of_their_last_bit(suite):
+    # the Newton finish reads exact residuals, so its zeros are those of the
+    # 50-digit polynomial itself, to the two units of the last bit at which
+    # a zero settles; two mpmath Newton steps at 90 digits from each give
+    # that polynomial's zero to 90 digits (a finish whose Horner passes
+    # round in mpc stops at their rounding floor, up to 1e-47 off)
+    ctx = extended(50)
+    unit = 2.0**-ctx.mp.prec
+    worst = 0.0
+    for params in suite:
+        p, zset = zeros_of(in_context(params, ctx))
+        with mpmath.workdps(90):
+            coeffs = [mpmath.mpc(c) for c in p.coeffs[::-1]]
+            for z in zset.zeros:
+                ref = mpmath.mpc(z)
+                for _ in range(2):
+                    val, der = mpmath.polyval(coeffs, ref, derivative=True)
+                    ref -= val / der
+                worst = max(worst, float(abs(mpmath.mpc(z) - ref) / abs(ref)))
+    assert worst <= 4 * unit
+
+
+def test_start_settled_by_underflow_falls_back_to_the_sweeps(monkeypatch):
+    # (z - a)(z - 2a)(z - 3a), a = 1e-110: rounded to binary64, p is exactly
+    # 0 at each point of this start (every Horner term underflows), so
+    # binary64 sweeps would stop there, although it lies 5 to 9 times the
+    # zeros' modulus away from them; Newton contracts by only about 2/3 a
+    # pass there, and the sweeps at the extended digits finish that start
+    ctx = extended(120)
+    zeros = [k * ctx.mp.mpf("1e-110") for k in (1, 2, 3)]
+    a, b, c = zeros
+    p = Poly(tuple(ctx.convert(v) for v in (-a * b * c, a * b + b * c + a * c, -(a + b + c), 1)), monic=True)
+    start = [5e-109 * complex(math.cos(t), math.sin(t)) for t in (0.3, 2.4, 4.5)]
+    p64 = Poly(tuple(complex(v) for v in p.coeffs), monic=True)
+    assert all(eval_poly(p64, z) == 0 for z in start)
+    monkeypatch.setattr(rootfind, "_binary64_start", lambda p, spiral: start)
+    finishes = counting(monkeypatch, rootfind, "_newton_finish")
+    got = find_zeros(p, ParamSet(r=0, s=0, N=3, q=0.5, alpha=(), beta=()))
+    assert finishes == [None]
+    assert got.zeros == rootfind._certify(rootfind._aberth(p, [ctx.convert(z) for z in start], ctx), p).zeros
+    _assert_same_zeros(got.zeros, zeros, 1e-100)

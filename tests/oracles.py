@@ -21,6 +21,8 @@ eval_phi sums the hypergeometric series itself, an oracle for the
 coefficient recurrence of coeffs_P; reduce cancels equal trailing
 alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
 adds to match_spectrum's pairs the trace, power-trace and determinant gaps;
+forward_spectrum is M's certified eigenvalues, escalated by rebuilding the
+case at more digits, the forward spectrum the tests pair with mu;
 companion_rows is the companion matrix of a monic polynomial and
 eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
 from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
@@ -76,9 +78,22 @@ from qzeros.errors import (
     QZerosError,
 )
 from qzeros.flow import jacobian_fd
-from qzeros.isospectral import EIG_TARGET, REFINE_STEPS, Case, _eigenpairs, _norm, build_M, match_spectrum, mu_n
+from qzeros.isospectral import (
+    EIG_TARGET,
+    REFINE_STEPS,
+    Case,
+    _eig_with_bound,
+    _eigenpairs,
+    _escalated,
+    _extended_eigenvalues,
+    _norm,
+    build_M,
+    certified_eigenvalues,
+    match_spectrum,
+    mu_n,
+)
 from qzeros.params import GENERICITY_TOL, ParamSet, in_context
-from qzeros.precision import F64, TINY, Dyadic, PrecisionContext, context_of
+from qzeros.precision import F64, TINY, Dyadic, PrecisionContext, binary64, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly_deriv
 from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet, pairwise_gaps
@@ -664,6 +679,25 @@ def spectrum_match(numerical, closed) -> SimpleNamespace:
         power_trace_gaps=power_gaps,
         is_match=all(g < MATCH_TOL for g in gaps),
     )
+
+
+def forward_spectrum(case: Case) -> Tuple:
+    """case.M and its eigenvalues, each certified below EIG_TARGET relative
+    forward error, which the tests pair with mu (the commands judge the
+    backward error, Case.backward): certified_eigenvalues(case.M), except
+    that where the binary64 certificate fails, M is rebuilt at the digits
+    _escalated derives (case.at) instead of having its entries converted,
+    and its eigenvalues are refined there to eps64. The binary64 M carries
+    the rounding of the series coefficients as well as the eigensolve's
+    backward error, and the same eigenvalue conditions amplify both."""
+    M = case.M
+    if len(M) == 1 or context_of(M[0, 0]).mp is not None:
+        return M, certified_eigenvalues(M)
+    vals, bounds = _eig_with_bound(M)
+    if bounds.max() <= EIG_TARGET:
+        return M, [complex(v) for v in vals]
+    rows = case.at(_escalated(bounds.max())).M
+    return M, binary64(_extended_eigenvalues(rows, F64.eps)[0]).tolist()
 
 
 def companion_rows(p):

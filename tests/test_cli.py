@@ -14,13 +14,13 @@ import mpmath.ctx_mp_python
 import numpy as np
 import pytest
 
-from qzeros import flow
+from qzeros import flow, isospectral
 from qzeros.cli import COMMANDS, DEFAULT_THRESHOLDS, FLOW_SAMPLES, build_parser, main
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet
 from qzeros.precision import F64, Dyadic, context_of, extended
 
-from conftest import RS_COMBOS, SUITE_SEED
+from conftest import RS_COMBOS, SUITE_SEED, counting
 
 BASE = {
     "r": 1,
@@ -327,6 +327,51 @@ def test_sweep_runs_perturbations(tmp_path):
     assert byname["matrix_drift_min"]["value"] > 1e-3
 
 
+def _sweep_checks(path, precision="f64"):
+    out = str(path) + ".report.json"
+    code = main(["sweep", "--config", str(path), "--out", out, "--precision", precision])
+    return code, {c["name"]: c for c in load_report(out)["checks"]}
+
+
+def test_sweep_judges_the_backward_error_with_no_eigensolve(tmp_path, suite, monkeypatch):
+    # draws 4 and 22 of the N = 11 to 16 stream, whose binary64 eigenvalue
+    # certificates fail, so that a forward spectrum needs M rebuilt at more
+    # digits (Case.at) and mpmath.eig, and on draw 22 still misses mu by
+    # 6.4e-4: the backward error solves no eigenproblem in either precision
+    from test_suite_verdicts import high_degree_cases
+
+    rebuilt = counting(monkeypatch, Case, "at")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
+    solved = counting(monkeypatch, isospectral, "_extended_eigenvalues")
+    draws = high_degree_cases(23)
+    for index in (4, 22):
+        path = write_params(tmp_path, draws[index])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, checks = _sweep_checks(path)
+        assert code == 0 and checks["spectrum_drift_max"]["value"] <= 1e-12, index
+    assert rebuilt == fallback == []
+    code, checks = _sweep_checks(write_params(tmp_path, suite[3]), "extended")
+    assert code == 0 and solved == []
+
+
+@pytest.mark.parametrize("precision", ["f64", "extended"])
+def test_sweep_catches_a_moved_mu_n(tmp_path, suite, monkeypatch, precision):
+    # mu_N moved by 1e-6 of itself is an eigenvalue of no M(beta') within
+    # EIG_TARGET |mu_N|
+    closed = isospectral.mu_closed
+
+    def moved(params):
+        mu = closed(params)
+        return mu[:-1] + [mu[-1] * (1 + context_of(params.q).convert(1e-6))]
+
+    monkeypatch.setattr(isospectral, "mu_closed", moved)
+    code, checks = _sweep_checks(write_params(tmp_path, suite[3]), precision)
+    drift = checks["spectrum_drift_max"]
+    assert code == 1 and not drift["pass"] and drift["value"] > 1e-7
+    assert checks["matrix_drift_min"]["pass"]
+
+
 def test_extended_precision_mode(tmp_path):
     # N = 1 takes the 1 x 1 eigenvalue path; neither run may leave mpmath's
     # global precision changed
@@ -498,7 +543,7 @@ def _count_stages(monkeypatch):
 @pytest.mark.parametrize("precision", ["f64", "extended"])
 def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, monkeypatch, precision):
     # verify builds M once in either precision, suite case 19 included,
-    # whose binary64 eigenvalues certified_spectrum would escalate; case 3
+    # whose binary64 eigenvalue certificate fails; case 3
     # sweeps eight beta perturbations; each command reads every stage
     # through one case: the
     # two zero-identity routes one shift grid, the q-difference checks, the

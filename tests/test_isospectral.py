@@ -18,7 +18,6 @@ from qzeros.isospectral import (
     Case,
     build_M,
     certified_eigenvalues,
-    certified_spectrum,
     closed_trace,
     logdet_gap,
     match_spectrum,
@@ -41,6 +40,7 @@ from oracles import (
     closed_trace_r1s1,
     closed_trace_r2s1,
     eig_bound_lapack,
+    forward_spectrum,
     mu_closed_exact,
     refined_eigenvalues_fdot,
     spectrum_match,
@@ -220,7 +220,7 @@ def test_match_spectrum_breaks_exact_ties_by_index():
 
 def test_spectrum_identity_on_small_suite(small_suite):
     for params in small_suite:
-        _, lam = certified_spectrum(Case(params))
+        _, lam = forward_spectrum(Case(params))
         rep = spectrum_match(lam, mu_closed(params))
         assert rep.is_match, (params.r, params.s, params.N)
         assert max(pair[3] for pair in rep.matched_pairs) < 1e-6
@@ -228,7 +228,7 @@ def test_spectrum_identity_on_small_suite(small_suite):
 
 def test_corollary_traces_and_det(small_suite):
     for params in small_suite:
-        M, _ = certified_spectrum(Case(params))
+        M = Case(params).M
         mus = mu_closed(params)
         for p, lhs in enumerate(matrix_power_traces(M), start=1):
             rhs = sum(v**p for v in mus)
@@ -261,7 +261,7 @@ def test_beta_perturbation_keeps_spectrum():
     ]
     for params in cases:
         mus = mu_closed(params)
-        M0, _ = certified_spectrum(Case(params))
+        M0 = Case(params).M
         for _ in range(2):
             while True:
                 pert = ParamSet(
@@ -277,7 +277,7 @@ def test_beta_perturbation_keeps_spectrum():
                     break
                 except NonGenericParameter:
                     continue
-            Mp, lam = certified_spectrum(Case(pert))
+            Mp, lam = forward_spectrum(Case(pert))
             rep = spectrum_match(lam, mus)
             assert rep.is_match
             norm0 = max(sum(abs(v) for v in row) for row in M0)
@@ -293,12 +293,12 @@ def test_diophantine_rational_case():
     alphas = (Fraction(3, 4),)
     exact = mu_closed_exact(q, alphas, 5, 1, 1)
     params = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(1.3 - 0.4j,))
-    _, lam = certified_spectrum(Case(params))
+    _, lam = forward_spectrum(Case(params))
     rep = spectrum_match(lam, [complex(Fraction(v)) for v in exact])
     assert rep.is_match
     # the rationals do not depend on beta
     other = ParamSet(r=1, s=1, N=5, q=0.5, alpha=(0.75,), beta=(0.6 + 0.2j,))
-    _, lam2 = certified_spectrum(Case(other))
+    _, lam2 = forward_spectrum(Case(other))
     assert spectrum_match(lam2, [complex(v) for v in exact]).is_match
 
 
@@ -356,7 +356,7 @@ def test_reduction_retains_alpha2_factor():
     a1, a2 = 0.7 + 0.2j, 1.5 - 0.3j
     full = ParamSet(r=2, s=2, N=5, q=q, alpha=(a1, a2), beta=(1.3 - 0.4j, a2))
     reduced = ParamSet(r=1, s=1, N=5, q=q, alpha=(a1,), beta=(1.3 - 0.4j,))
-    _, lam = certified_spectrum(Case(full))
+    _, lam = forward_spectrum(Case(full))
     rep = spectrum_match(lam, mu_closed(full))
     assert rep.is_match
     # the mu of the full set retain (alpha_2 q^{N-n} - 1); they differ from
@@ -438,7 +438,7 @@ def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     eig_calls = counting(monkeypatch, mpmath, "eig")
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for params in suite:
-        _, lam = certified_spectrum(Case(params, zeros_of(params)[1].zeros))
+        _, lam = forward_spectrum(Case(params, zeros_of(params)[1].zeros))
         assert spectrum_match(lam, mu_closed(params)).is_match
     assert len(refined) == len(ESCALATING)
     assert all(vals is not None for vals in refined)
@@ -449,10 +449,10 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
     for index in ESCALATING:
         params = suite[index]
         zeros = zeros_of(params)[1].zeros
-        _, lam = certified_spectrum(Case(params, zeros))
+        _, lam = forward_spectrum(Case(params, zeros))
         with monkeypatch.context() as patch:
             patch.setattr(isospectral, "_refined_eigenvalues", lambda rows, eps_out: None)
-            _, ref = certified_spectrum(Case(params, zeros))
+            _, ref = forward_spectrum(Case(params, zeros))
         nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in lam]
         assert sorted(nearest) == list(range(len(ref))), index
         for v, j in zip(lam, nearest):
@@ -473,7 +473,7 @@ def _escalated_inputs(suite, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(isospectral, "_refined_eigenvalues", recorded)
         for index in ESCALATING:
-            certified_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
+            forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
         for index in (26, 38):
             rootfind.companion_zeros(zeros_of(suite[index])[0])
     assert len(captured) == 5 and all(eps_out == F64.eps for _, eps_out in captured)
@@ -525,13 +525,13 @@ def test_refinement_never_calls_fdot(suite, monkeypatch):
     monkeypatch.setattr(mpmath.ctx_mp.MPContext, "fdot", refused)
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     for index in ESCALATING:
-        certified_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
+        forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
     for index in (26, 38):
         rootfind.companion_zeros(zeros_of(suite[index])[0])
     for index in (1, 3, 4):
         params = in_context(suite[index], extended())
         p, zeros = zeros_of(params)
-        certified_spectrum(Case(params, zeros.zeros))
+        forward_spectrum(Case(params, zeros.zeros))
         rootfind.companion_zeros(p)
     assert len(refined) == 11 and all(vals is not None for vals in refined)
 
@@ -592,7 +592,7 @@ def test_stream_case_199_certifies_by_refinement(monkeypatch):
     params = suite_cases(200)[199]
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    _, lam = certified_spectrum(Case(params))
+    _, lam = forward_spectrum(Case(params))
     assert len(refined) == 1 and refined[0] is not None and fallback == []
     assert lam == [complex(v) for v in refined[0][0]]
     assert spectrum_match(lam, mu_closed(params)).is_match
@@ -647,7 +647,7 @@ def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
         evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
         corrections = counting(monkeypatch, rootfind, "_quotient")
-        _, lam = certified_spectrum(Case(params, zeros))
+        _, lam = forward_spectrum(Case(params, zeros))
         assert len(corrections) == 2 * params.N and not evaluations, index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
@@ -680,7 +680,7 @@ def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):
     for index in (1, 3, 4):
         params = in_context(suite[index], ctx)
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
-        M, lam = certified_spectrum(Case(params, zeros))
+        M, lam = forward_spectrum(Case(params, zeros))
         ref = isospectral._eig_extended(M, extended(ctx.mp.dps + 20))
         assert len(lam) == params.N == len(ref), index
         for v in lam:
@@ -689,7 +689,7 @@ def test_refined_extended_eigenvalues_equal_mpmath_eig(suite):
 
 
 def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypatch):
-    # the extended branch of certified_spectrum refines before it calls
+    # the extended branch of forward_spectrum refines before it calls
     # mpmath.eig; the near-defective pair must still reach mpmath.eig
     ctx = extended()
     one, tiny = ctx.convert(1), ctx.mp.mpf("1e-60")
@@ -698,7 +698,7 @@ def test_near_defective_matrix_falls_back_on_the_extended_route(suite, monkeypat
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
-    _, lam = certified_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
+    _, lam = forward_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
     assert len(fallback) == 1 and lam is fallback[0]
     assert sorted(abs(v - 1) for v in lam) == pytest.approx([1e-30, 1e-30], rel=1e-12)
 
@@ -716,7 +716,7 @@ def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, 
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     params = in_context(suite[1], ctx)
     assert params.N == 2
-    _, lam = certified_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
+    _, lam = forward_spectrum(Case(params, [ctx.convert(1), ctx.convert(2)]))
     assert len(fallback) == 1 and lam is fallback[0]
     assert len(lost) == 1 and lost[0] > 0
     small, large = sorted(lam, key=abs)
@@ -757,7 +757,8 @@ def test_binary64_verify_rebuilds_m_where_its_small_scales_are_off(monkeypatch):
         1.8792130207648807 - 0.18616358061962068j,
     )
     case = Case(validate(ParamSet(r=3, s=0, N=7, q=0.25446164455744025 + 0j, alpha=alpha)))
-    own = isospectral.spectrum_report(case.M, case.mu)[0]
+    S, nu, top, _ = case.shifted_svd
+    own = isospectral._witnessed(case.M, case.mu, S, nu, top)
     assert own.max() > 10 * EIG_TARGET
     rebuilt = counting(monkeypatch, Case, "at")
     checks, _ = cmd_verify(case, {}, None, None)
@@ -801,21 +802,29 @@ def test_backward_error_catches_what_the_forward_gap_caught(suite, monkeypatch):
             assert backward == len(cases), (name, backward)
 
 
+def _given(M, closed):
+    """A case whose M and mu are given: its spectrum stages read nothing else
+    of it, the rebuild of a binary64 M aside."""
+    case = Case(None)
+    case.M, case.mu = M, list(closed)
+    return case
+
+
 @pytest.mark.parametrize("ctx", [F64, extended()])
 def test_spectrum_report_of_a_one_by_one_matrix(ctx):
     m = ctx.convert(0.7 - 0.4j)
     M = np.array([[m]], dtype=ctx.dtype)
-    eta, lam, certificates = isospectral.spectrum_report(M, [m])
-    assert eta.tolist() == [0.0] and lam == [m] and certificates == [0.0]
-    eta, _, _ = isospectral.spectrum_report(M, [m * (1 + ctx.convert(1e-6))])
+    case = _given(M, [m])
+    assert case.backward.tolist() == [0.0] and case.eigenpairs == ([m], [0.0])
+    eta = _given(M, [m * (1 + ctx.convert(1e-6))]).backward
     assert eta[0] == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-9)
 
 
 def test_spectrum_report_of_extended_entries_beyond_binary64(monkeypatch):
     # the companion rows of z^2 - (1e400 + 3) z + 3e400: the entries round
     # to inf in binary64, so the SVD reads M and mu scaled by one power of
-    # two, where mu_1 = 3 underflows; eta_1 is read from the eigenvalues,
-    # which come from mpmath.eig, uncertified
+    # two, where mu_1 = 3 underflows; eta_1 is read from the case's
+    # eigenvalues, which come from mpmath.eig, uncertified
     ctx = extended()
     big = ctx.mp.mpf("1e400")
     M = np.array([[ctx.convert(0), ctx.convert(-3 * big)], [ctx.convert(1), ctx.convert(big + 3)]])
@@ -823,8 +832,9 @@ def test_spectrum_report_of_extended_entries_beyond_binary64(monkeypatch):
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eta, lam, certificates = isospectral.spectrum_report(M, closed)
-        assert eta.max() <= 4 * F64.eps
+        case = _given(M, closed)
+        assert case.backward.max() <= 4 * F64.eps
+        lam, certificates = case.eigenpairs
         assert len(fallback) == 1 and lam is fallback[0] and certificates == [None, None]
-        eta, _, _ = isospectral.spectrum_report(M, [closed[0], closed[1] * (1 + ctx.convert(1e-6))])
+        eta = _given(M, [closed[0], closed[1] * (1 + ctx.convert(1e-6))]).backward
     assert eta.max() > EIG_TARGET

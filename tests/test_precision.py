@@ -18,6 +18,7 @@ from oracles import (
     exact_prop1_totals,
     exact_qde_coefficients,
     exact_traces,
+    forward_spectrum,
     gaussian,
     mpc_kernel_route,
     rounded_once,
@@ -27,7 +28,7 @@ from oracles import (
 import qzeros
 from qzeros import isospectral, precision, qdiff, zero_algebra
 from qzeros.flow import _contour, jacobian_fd
-from qzeros.isospectral import Case, build_M, certified_spectrum, mu_closed
+from qzeros.isospectral import Case, build_M, mu_closed
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import (
     CARRIED_WIDTH,
@@ -62,7 +63,7 @@ def test_extended_default_is_the_context_of_its_values():
 
 def _outputs(params):
     p = to_monic(coeffs_P(params))
-    M, lam = certified_spectrum(Case(params))
+    M, lam = forward_spectrum(Case(params))
     # M is one array in the dtype of the context, its entries that context's scalars
     assert M.dtype == context_of(params.q).dtype
     C = build_C(params)

@@ -21,7 +21,7 @@ import warnings
 
 import pytest
 
-from qzeros.cli import main
+from qzeros.cli import SWEEP_DEFAULT_K, main
 from qzeros.rootfind import F64_DEGREE_WARN
 
 from conftest import make_case, suite_cases
@@ -43,6 +43,7 @@ HIGH_STREAMS = {
     "verify-high": ("verify", "f64", 60),
     "zeros-high-ext": ("zeros", "extended", 6),
     "verify-high-ext": ("verify", "extended", 6),
+    "sweep-high": ("sweep", "f64", 60),
 }
 
 # (stream, position in the stream): (exit code, sorted failing checks); an
@@ -74,10 +75,16 @@ KNOWN_FAILURES = {
     ("verify-high", 39): (1, ()),
     ("verify-high-ext", 2): (1, ()),
     ("verify-high-ext", 5): (1, ()),
+    ("sweep-high", 2): (1, ()),
+    ("sweep-high", 5): (1, ()),
+    ("sweep-high", 39): (1, ()),
     # prop1_dual_gap from the forward error of the binary64 zeros, and
     # spectrum_backward_max (1.6e-9, resolved in binary64) from the M they
     # give: ROADMAP item 6
     ("verify-high", 45): (1, ("prop1_dual_gap", "spectrum_backward_max")),
+    # the same M, perturbed in beta: its mu_N reads a backward error of
+    # 5.4e-9 against 1e-9 (ROADMAP item 6)
+    ("sweep-high", 45): (1, ("spectrum_drift_max",)),
 }
 
 
@@ -128,7 +135,10 @@ def high_configs(tmp_path_factory):
 def _assert_verdicts(stream, command, precision, configs, out):
     """Each case's exit code and sorted failing checks are KNOWN_FAILURES'
     (exit 0, none, by default). The one warning is the root finder's note on
-    binary64 degrees above F64_DEGREE_WARN, once a run."""
+    binary64 degrees above F64_DEGREE_WARN, once a find_zeros call: once a
+    run, but 1 + SWEEP_DEFAULT_K times a sweep (the case and each beta
+    perturbation), once a sweep that stops at the case's zeros, and never a
+    sweep without beta parameters."""
     got, expected, caught, notes = {}, {}, [], []
     for i, (cfg, degree) in enumerate(configs):
         if os.path.exists(out):
@@ -142,10 +152,15 @@ def _assert_verdicts(stream, command, precision, configs, out):
                 checks = json.load(fh)["checks"]
             failing = tuple(sorted(c["name"] for c in checks if not c["pass"]))
         caught += [(i, w.category, str(w.message).split(":")[0]) for w in records]
-        if precision == "f64" and degree > F64_DEGREE_WARN:
-            notes.append((i, RuntimeWarning, f"degree {degree} above {F64_DEGREE_WARN}"))
         got[i] = (code, failing)
         expected[i] = KNOWN_FAILURES.get((stream, i), (0, ()))
+        calls = 1
+        if command == "sweep":
+            with open(cfg, encoding="utf-8") as fh:
+                vacuous = not json.load(fh)["beta"]
+            calls = 0 if vacuous else 1 if expected[i] == (1, ()) else 1 + SWEEP_DEFAULT_K
+        if precision == "f64" and degree > F64_DEGREE_WARN:
+            notes += [(i, RuntimeWarning, f"degree {degree} above {F64_DEGREE_WARN}")] * calls
     assert got == expected
     assert caught == notes
 

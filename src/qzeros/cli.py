@@ -224,7 +224,6 @@ def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
     M, backward = isospectral.certified_spectrum(case)
     mus, (lam, certificates) = case.mu, case.eigenpairs
     checks.append(_check("spectrum_backward_max", backward.max(), tol))
-    certificate = dict(zip(lam, certificates))
     traces = isospectral.matrix_power_traces(M)
     closed = [*(sum(m**p for m in mus) for p in (1, 2, 3)), isospectral.closed_trace(case.params)]
     names = ("trace_gap_p1", "trace_gap_p2", "trace_gap_p3", "closed_trace_gap")
@@ -237,8 +236,8 @@ def cmd_verify(case: Case, options: dict, tol, rng) -> Tuple[List[dict], dict]:
         "zeros": [_pair(z) for z in case.zeros],
         "mu_closed": [_pair(m) for m in mus],
         "matched_pairs": [
-            [_pair(lv), _pair(mu), float(rel), certificate[lv]]
-            for lv, mu, _absgap, rel in isospectral.match_spectrum(lam, mus)
+            [_pair(lam[i]), _pair(mu), float(rel), certificates[i]]
+            for i, mu, _absgap, rel in isospectral.match_spectrum(lam, mus, positions=True)
         ],
     }
     return checks, result

@@ -21,10 +21,12 @@ precision.Dyadic at a width, Gaussian integers cut to 3 times the
 context's bits at each product), rounded once on the way out:
 _moved_velocity places each zero at an array of points, the others fixed,
 and multiplies its sum over the shifts by the product of the reciprocals
-1/(z - z_l) once. Those
-reciprocals, 1/(z_m + h w^j - z_l) in jacobian_fd and its 1/(K h), are the
-divisions, taken in mpc at extended digits and read in once, with the K N
-sample points they divide by; every other product is carried.
+1/(z - z_l) once. The zeros, and the K N sample points z_m + h w^j of
+jacobian_fd, are read in once, at a width three times their bits: their
+differences are exact while their scales differ by less than about twice
+their bits, and are cut once at the width otherwise, and each reciprocal
+1/(z - z_l) is a carried one (precision.Dyadic's, rounded once at the
+width). The only mpc divisions left are jacobian_fd's N scales 1/(K h).
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
@@ -88,15 +90,13 @@ def _moved_velocity(weights, others, z, inv):
 def flow_rhs(zs, case: Case) -> List:
     """Velocities of all zeros at the configuration zs (a sequence or array of
     zeros) under the case's flow, as builtin complex or mpc scalars: the
-    reciprocals taken in those scalars, the products in their context's
-    carried arithmetic (PrecisionContext.carried), each velocity rounded
-    once."""
+    differences, reciprocals and products in their context's carried
+    arithmetic (PrecisionContext.carried), each velocity rounded once."""
     ctx = context_of(zs[0])
     zs = np.asarray(zs, dtype=ctx.dtype)
     _check_separation(zs)
-    others, z = _others(zs), zs[:, None]
-    inv = ctx.carried(1 / (z[:, None, :] - others[..., None]))
-    velocity = _moved_velocity(case.velocity_weights, ctx.carried(others), ctx.carried(z), inv)
+    others, z = ctx.carried(_others(zs)), ctx.carried(zs[:, None])
+    velocity = _moved_velocity(case.velocity_weights, others, z, 1 / (z[:, None, :] - others[..., None]))
     return ctx.rounded(velocity[:, 0]).tolist()
 
 
@@ -154,11 +154,12 @@ def jacobian_fd(case: Case):
     each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
     with P, Q summed once per call, one shift of velocity_weights at a time,
     from the products that leave it out (the case's kernel tables,
-    Case.kernels), and row m is _moved_velocity. The K samples of all N
-    columns form one array F[m, n, j] in the dtype of the zeros' context;
-    both contour sums reduce over j, and 1/(K h) scales each sum, not each
-    sample: in the scalar type for the derivative, in floats for the
-    conj(z_m) sum, of which only the size is read. The velocity formula is
+    Case.kernels), and row m is _moved_velocity, each divided in the
+    carried arithmetic, which reads the sample points in once. The K
+    samples of all N columns form one array F[m, n, j] in the dtype of the
+    zeros' context; both contour sums reduce over j, and 1/(K h) scales
+    each sum, not each sample: in the scalar type for the derivative, in
+    floats for the conj(z_m) sum, of which only the size is read. The velocity formula is
     the one flow_rhs sums, and the derivative is formed from the contour
     samples, never from the kernel derivative identities that build_M
     assembles, so the check against M stays independent: the kernel tables
@@ -191,10 +192,10 @@ def jacobian_fd(case: Case):
 
     samples, rel_step, down, circle = _contour(ctx)
     h = rel_step * np.asarray(np.minimum(ctx.sizes(zarr), gaps.min(axis=1)), dtype=float)
-    # the sample points and their reciprocals in the scalar type, read in once
+    # the sample points in the scalar type, read in once and divided by there
     points = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
-    inv_at = carried(1 / (points[:, None, :] - others[..., None]))
     z, others = carried(points), carried(others)
+    inv_at = 1 / (z[:, None, :] - others[..., None])
     velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
     diagonal = np.eye(n_count, dtype=bool)
     velocities[diagonal] = _moved_velocity(weights, others, z, inv_at)

@@ -29,8 +29,9 @@ Every check reads that array. The spectrum verdict of verify and sweep
 asks whether each mu_n is an exact eigenvalue of a matrix near M at mu_n's
 own scale (Case.backward, a backward error that needs no eigenvalue of M,
 read at more digits only where binary64 cannot resolve that scale;
-certified_spectrum); verify reports M's eigenvalues from one solve that
-never escalates (Case.eigenpairs). certified_eigenvalues, which escalates,
+certified_spectrum); verify reports M's eigenvalues from one binary64
+solve in both precisions, which never escalates and is never judged
+(Case.eigenpairs). certified_eigenvalues, which escalates,
 solves the companion oracle's matrix. The trace and determinant checks
 read M in its own scalars, never rounded to binary64: matrix_power_traces
 by exact array products (precision.Dyadic at extended digits), each trace
@@ -501,8 +502,9 @@ class Case:
     tables (of the zeros and the flow weights' q^k, read by M and
     flow.jacobian_fd), M, the closed-form spectrum mu, the stacked SVD of M
     and of each M - mu_n I (shifted_svd), the spectrum verdict read from it
-    (backward) and M's reported eigenvalues (eigenpairs). A check of
-    another polynomial sets monic."""
+    (backward) and M's reported eigenvalues, solved in binary64 on the
+    same scaled matrix (eigenpairs). A check of another polynomial sets
+    monic."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
@@ -559,10 +561,10 @@ class Case:
     def shifted_svd(self) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """M and mu rounded to binary64 and scaled by 2^-top, top, and the
         singular values of that rounding S and of each S - nu_n I in one
-        stacked SVD (_stacked_svd), which backward and the binary64
-        eigenpairs read. top = 0 in binary64; at extended digits the largest
-        of M's and mu's values comes near 1, so that entries beyond the
-        binary64 range round to finite numbers."""
+        stacked SVD (_stacked_svd), which backward and eigenpairs read.
+        top = 0 in binary64; at extended digits the largest of M's and mu's
+        values comes near 1, so that entries beyond the binary64 range
+        round to finite numbers."""
         M, closed = self.M, self.mu
         ctx = context_of(M[0, 0])
         if ctx.mp is None:
@@ -603,10 +605,11 @@ class Case:
         on M's and mu's values (_witnessed), an upper bound. Where that still
         exceeds EIG_TARGET for one of them, M may be off at those scales,
         and every eta_n beyond the floor is read from refined eigenpairs at
-        digits that resolve it: at extended digits the case's own
-        (eigenpairs); in binary64 those of the case rebuilt at the digits
-        that bring the floor below EIG_TARGET (at, _escalated), refined to
-        eps64. A refined pair (x, lambda) with certificate c has
+        digits that resolve it (_extended_eigenvalues, N > 1): at extended
+        digits those of M itself, refined to its eps; in binary64 those of
+        the case rebuilt at the digits that bring the floor below EIG_TARGET
+        (at, _escalated), refined to eps64. A refined pair (x, lambda) with
+        certificate c has
         ||(M - mu_n I) x|| / ||x|| <= |lambda - mu_n| + c |lambda|, so eta_n
         is read as the least (|lambda - mu_n| + c |lambda|) / |mu_n| over
         them, an upper bound (_read_eigenpairs); eigenvalues that mpmath.eig
@@ -622,31 +625,27 @@ class Case:
         unresolved = np.flatnonzero(~(floor <= EIG_TARGET))
         if unresolved.size:
             eta[unresolved] = _witnessed(M, [closed[i] for i in unresolved], S, nu[unresolved], top)
-        if (eta[unresolved] <= EIG_TARGET).all():
+        if n == 1 or (eta[unresolved] <= EIG_TARGET).all():
             return eta
-        if ctx.mp is not None:
-            _read_eigenpairs(eta, unresolved, closed, ctx, *self.eigenpairs)
-        elif n > 1:
-            ext = _escalated(floor[unresolved].max())
-            _read_eigenpairs(eta, unresolved, closed, ext, *_extended_eigenvalues(self.at(ext).M, ctx.eps))
+        ext = ctx if ctx.mp is not None else _escalated(floor[unresolved].max())
+        rows = M if ext is ctx else self.at(ext).M
+        _read_eigenpairs(eta, unresolved, closed, ext, *_extended_eigenvalues(rows, ctx.eps))
         return eta
 
     @functools.cached_property
     def eigenpairs(self) -> Tuple[List, List]:
-        """M's eigenvalues from one solve that never escalates, each with its
-        relative forward error certificate (None where there is none), which
-        verify reports: in binary64 those of one _eigenpairs call, each with
-        its _eig_with_bound estimate, whatever its size, sigma_max(M) read
-        from shifted_svd; at extended digits those _extended_eigenvalues
-        refines. A 1 x 1 matrix's eigenvalue is its entry, with certificate 0."""
+        """M's eigenvalues, which verify reports and never judges, each with
+        its relative forward error estimate (None where it is infinite):
+        _eig_with_bound on shifted_svd's S, with sigma_max(S) from its SVD,
+        in both precisions, the eigenvalues scaled back by 2^top exactly
+        (ctx.ldexp). A 1 x 1 matrix's eigenvalue is its entry, certified 0."""
         M = self.M
         ctx = context_of(M[0, 0])
         if len(M) == 1:
             return [ctx.convert(M[0, 0])], [0.0]
-        if ctx.mp is not None:
-            return _extended_eigenvalues(M, ctx.eps)
-        vals, bounds = _eig_with_bound(M, self.shifted_svd[3][0, 0])
-        return [complex(v) for v in vals], [float(b) if math.isfinite(b) else None for b in bounds]
+        S, _, top, s = self.shifted_svd
+        vals, bounds = _eig_with_bound(S, s[0, 0])
+        return ctx.ldexp(vals, top), [float(b) if math.isfinite(b) else None for b in bounds]
 
     def at(self, ctx: PrecisionContext) -> "Case":
         """The same case at ctx's digits, q, alpha and beta included (binary64
@@ -672,7 +671,7 @@ def certified_spectrum(case: Case | ParamSet) -> Tuple[np.ndarray, np.ndarray]:
     return case.M, case.backward
 
 
-def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
+def match_spectrum(numerical: Sequence, closed: Sequence, positions: bool = False) -> Tuple:
     """Nearest pairs first: a bijection between the two value lists.
 
     Complex values admit no stable total order (a conjugate pair has equal
@@ -684,7 +683,8 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
     its partner than half the distance between any two closed values. Pairs
     come in the order of closed, with the gaps of the values themselves
     (rel_gaps, with its max(1, |.|) guard, in one pass): a tuple of
-    (numerical, closed, abs_gap, rel_gap) rows.
+    (numerical, closed, abs_gap, rel_gap) rows, with numerical's position in
+    place of its value if positions is set.
     """
     lam = list(numerical)
     mu = list(closed)
@@ -701,7 +701,8 @@ def match_spectrum(numerical: Sequence, closed: Sequence) -> Tuple:
                 break
     paired = [lam[i] for i in partner]
     gaps = rel_gaps(paired, mu).tolist()
-    return tuple((lv, mv, float(abs(lv - mv)), gap) for lv, mv, gap in zip(paired, mu, gaps))
+    rows = zip(partner if positions else paired, paired, mu, gaps)
+    return tuple((row, mv, float(abs(lv - mv)), gap) for row, lv, mv, gap in rows)
 
 
 def matrix_power_traces(M: np.ndarray) -> List:

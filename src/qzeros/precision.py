@@ -12,7 +12,7 @@ is rounded to binary64 from its raw mpf parts (binary64), bit for bit the
 rounding of mpmath's complex() without its scalar layer.
 
 A third scalar type, Dyadic, holds an extended value as Gaussian integers
-over a power of two, with +, - and * and no division, at one of two widths.
+over a power of two, with +, - and *, at one of two widths.
 ctx.exact reads an array of extended values into it at no width: there
 its arithmetic is exact (in binary64 ctx.exact returns the complex array
 unchanged), and ctx.convert rounds a Dyadic back once. The division-free
@@ -22,11 +22,12 @@ the traces (isospectral.matrix_power_traces), so at extended digits they
 round only their inputs and what they return.
 
 ctx.carried reads values at the width 3 * prec, prec being the context's
-bits: each +, - and * keeps the top 3 * prec bits of its integer parts.
-That is the reading of the kernel route (zero_algebra.KernelCache,
-isospectral.build_M and flow.jacobian_fd), whose integers would grow with
-every product; its reciprocals stay mpc divisions, read in once, and M
-and the Jacobian leave it through ctx.rounded, one rounding each.
+bits: each +, - and * keeps the top 3 * prec bits of its integer parts,
+and 1 / x is one integer division rounded to that width. That is the
+reading of the kernel route (zero_algebra.KernelCache, isospectral.build_M,
+flow.flow_rhs and flow.jacobian_fd), whose integers would grow with every
+product: it reads the zeros in once, divides there, and M and the
+Jacobian leave it through ctx.rounded, one rounding each.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -46,7 +47,7 @@ from typing import List, Tuple
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, fzero, round_nearest, to_float
+from mpmath.libmp import from_float, from_man_exp, fzero, mpf_shift, round_nearest, to_float
 
 _F64_EPS = 2.220446049250313e-16
 
@@ -89,6 +90,14 @@ class PrecisionContext:
         if self.mp is None:
             return values
         return np.array([self.convert(v) for v in values.flat], dtype=object).reshape(values.shape)
+
+    def ldexp(self, values, e: int) -> List:
+        """The binary64 complex values times 2^e, a list of this context's
+        scalars: exact at extended digits (raw mpf parts shifted), by
+        math.ldexp in binary64."""
+        if self.mp is None:
+            return [complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in values]
+        return [self.mp.make_mpc(tuple(mpf_shift(from_float(p), e) for p in (v.real, v.imag))) for v in values]
 
     def _read(self, values, width) -> np.ndarray:
         """Each value of the array values as a Dyadic of the given width,
@@ -254,11 +263,12 @@ class Dyadic:
     2^(1 - width) of the exact result at one, so the integers of a long
     product chain stay at the width where exact ones would grow with every
     factor. Integer powers >= 0 are exact, and a carried value has none.
-    Division would round and raises TypeError, as does mixing widths or a
-    rounding scalar. complex() rounds each part once to binary64, abs is
-    the context's size, and context is the mpmath context of the values it
-    was read from, so context_of and ctx.sizes read it as they read those
-    values.
+    A carried value has a reciprocal, 1 / x, within 2^(1 - width) of the
+    exact one; any other division, and any division of an exact value,
+    raises TypeError, as does mixing widths or a rounding scalar. complex()
+    rounds each part once to binary64, abs is the context's size, and
+    context is the mpmath context of the values it was read from, so
+    context_of and ctx.sizes read it as they read those values.
 
     Kernels take their inputs through ctx.exact or ctx.carried once, run
     their generic code, and leave with sizes, ctx.convert or ctx.rounded,
@@ -339,9 +349,19 @@ class Dyadic:
         return out
 
     def __truediv__(self, other):
-        raise TypeError("Dyadic arithmetic has no division; round with ctx.convert first")
+        raise TypeError("Dyadic arithmetic divides only 1 by a carried value; round with ctx.convert first")
 
-    __rtruediv__ = __truediv__
+    def __rtruediv__(self, other):
+        """1 / self at its width: conj(self) 2^s over |self|^2, one integer
+        division a part rounded to nearest (Brent & Zimmermann, Modern
+        Computer Arithmetic, 2010, ch. 1), within 2^(1 - width) of 1 / self."""
+        if self.width is None or type(other) is not int or other != 1:
+            return self.__truediv__(other)
+        den = self.re * self.re + self.im * self.im
+        # |quotient| in (2^(width - 3/2), 2^(width - 1/2)]: no part passes the width
+        s = self.width + den.bit_length() // 2 - 1
+        re, im = (((part << s + 1) + den) // (2 * den) for part in (self.re, -self.im))
+        return Dyadic(re, im, -self.exp - s, self.context, self.width)
 
     def __complex__(self) -> complex:
         return complex(_float(self.re, self.exp), _float(self.im, self.exp))

@@ -88,7 +88,9 @@ def _operator_sides(p: Poly, params: ParamSet):
     after the q^{s-r} dilation inflated the entry by q^{-m}); what is left is
     then pure round-off of the larger intermediate, so the residual threshold
     has to be measured against that intermediate, not against the final
-    coefficient.
+    coefficient. The operators commute, and Delta_{q^-N} comes last: each
+    Delta_{alpha_j} after it would scale that round-off by |alpha_j q^N - 1|
+    at m = N, beyond every stage's size when |q| > 1.
 
     Every Delta_gamma of both cascades reads one table q^0 ... q^N
     (_powers), formed once. Only the gammas beta_k/q and q^-N and the
@@ -111,7 +113,7 @@ def _operator_sides(p: Poly, params: ParamSet):
 
     p = Poly(tuple(ctx.exact(p.coeffs).tolist()), p.monic)
     a_side, a_scale = cascade(p, [1] + [b / params.q for b in params.beta])
-    b_side, b_scale = cascade(apply_delta(p, dilation), [params.q ** (-params.N), *params.alpha])
+    b_side, b_scale = cascade(apply_delta(p, dilation), [*params.alpha, params.q ** (-params.N)])
     return a_side, a_scale, b_side, b_scale
 
 

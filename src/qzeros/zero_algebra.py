@@ -23,8 +23,8 @@ from its zeros and the powers q^k of its velocity_weights
 and the flow's Jacobian check (flow.jacobian_fd) both read it, with the
 flow weights in the same arithmetic.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
-division of the tables, taken in mpc at extended digits and read in once;
-left_out_products builds the whole f_nm(p) table of one shift,
+division of the tables, in that carried arithmetic (a Dyadic reciprocal,
+rounded once, at extended digits); left_out_products builds the whole f_nm(p) table of one shift,
 f_n(p) on its diagonal, from prefix and suffix products along the rows of
 factors: O(N^2) per shift, in array passes, with no division by a factor.
 g_n(p) is never tabled: the matrix assembly sums it against the flow
@@ -63,14 +63,14 @@ if TYPE_CHECKING:
 
 
 def reciprocal_table(z):
-    """1/(z_n - z_l) over the array z of zeros, 0 on the diagonal: each
-    unordered pair divided once, its other entry the negation, since
-    -(a - b) = b - a and 1/(-x) = -(1/x) hold exactly in binary64 and mpc;
-    taken factor by factor by left_out_products, so binary64 cannot
-    overflow at N = 16."""
+    """1/(z_n - z_l) over the array z of zeros, z_n - z_n (0 in z's
+    arithmetic) on the diagonal: each unordered pair divided once, its other
+    entry the negation, since -(a - b) = b - a and 1/(-x) = -(1/x) hold
+    exactly in binary64 and in a carried Dyadic; taken factor by factor by
+    left_out_products, so binary64 cannot overflow at N = 16."""
     n, m, _ = _pairs(len(z))
     upper = 1 / (z[n] - z[m])
-    inv = np.zeros((len(z), len(z)), dtype=z.dtype)
+    inv = np.diag(z - z)
     inv[n, m], inv[m, n] = upper, -upper
     return inv
 
@@ -105,18 +105,15 @@ class KernelCache:
     array) over the shifts of the flow weights (Case.velocity_weights,
     {k: (q^k, a_k, b_k)} in the carried arithmetic of z's context,
     PrecisionContext.carried: precision.Dyadic at a width at extended
-    digits, the complex array in binary64): z itself,
-    inv = reciprocal_table(z), whose divisions are taken in z's scalars
-    and read in once, and
+    digits, the complex array in binary64): z itself, read in once,
+    inv = reciprocal_table(z), divided in that arithmetic, and
     fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
     f_n(k) on it, each q^k the weights' own. Every array is read-only,
     since each reader of a Case shares them."""
 
     def __init__(self, z, weights):
-        ctx = context_of(z[0])
-        z = np.asarray(z, dtype=ctx.dtype)
-        self.z = ctx.carried(z)
-        self.inv = ctx.carried(reciprocal_table(z))
+        self.z = context_of(z[0]).carried(z)
+        self.inv = reciprocal_table(self.z)
         self.fnm = {k: left_out_products(self.z, qk, self.inv) for k, (qk, _, _) in weights.items()}
         for table in (self.z, self.inv, *self.fnm.values()):
             table.flags.writeable = False

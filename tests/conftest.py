@@ -24,8 +24,8 @@ RS_COMBOS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 SUITE_SEED = 20260815
 
 
-def _draw_q(rng, style):
-    mag = rng.uniform(0.2, 0.9)
+def _draw_q(rng, style, mags=(0.2, 0.9)):
+    mag = rng.uniform(*mags)
     if style == 0:
         return complex(mag, 0.0)
     if style == 1:
@@ -38,12 +38,13 @@ def _draw_param(rng):
     return complex(rng.uniform(0.3, 2.0), rng.uniform(-0.6, 0.6))
 
 
-def make_case(rng, index):
-    """One generic ParamSet; cycles the (r, s) grid, N and the q style."""
+def make_case(rng, index, mags=(0.2, 0.9)):
+    """One generic ParamSet; cycles the (r, s) grid, N and the q style,
+    |q| drawn uniformly from the range mags."""
     r, s = RS_COMBOS[index % len(RS_COMBOS)]
     N = index % 10 + 1
     while True:
-        q = _draw_q(rng, index % 3)
+        q = _draw_q(rng, index % 3, mags)
         alpha = tuple(_draw_param(rng) for _ in range(r))
         beta = tuple(_draw_param(rng) for _ in range(s))
         try:

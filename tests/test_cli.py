@@ -619,6 +619,28 @@ def test_extended_verify_stays_within_its_exact_product_budget(tmp_path, suite, 
     assert products[0] <= DYADIC_MUL_BUDGET[index]
 
 
+# mpc reciprocals (1 / x for an mpc x, mpmath's mpc __rtruediv__) of the
+# same verifies, also a count: the N scales 1/(K h) of jacobian_fd. The
+# kernel tables' and the Jacobian samples' reciprocals are carried Dyadic
+# ones (95 each in mpc, N (N - 1)/2 + K N (N - 1) + N at K = 4)
+MPC_RECIPROCAL_BUDGET = {4: 5, 14: 5, 24: 5}
+
+
+@pytest.mark.parametrize("index", sorted(MPC_RECIPROCAL_BUDGET))
+def test_extended_verify_stays_within_its_reciprocal_budget(tmp_path, suite, monkeypatch, index):
+    reciprocals = [0]
+    original = mpmath.ctx_mp_python._mpc.__rtruediv__
+
+    def counted(self, other):
+        reciprocals[0] += 1
+        return original(self, other)
+
+    path = write_params(tmp_path, suite[index])
+    monkeypatch.setattr(mpmath.ctx_mp_python._mpc, "__rtruediv__", counted)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
+    assert suite[index].N == 5 and reciprocals[0] <= MPC_RECIPROCAL_BUDGET[index]
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, r=0, s=0, N=2, q=2.0, alpha=[], beta=[])
     proc = subprocess.run(

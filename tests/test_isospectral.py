@@ -216,6 +216,10 @@ def test_match_spectrum_breaks_exact_ties_by_index():
     # 0 lies 1 from both 1 and -1: the lower closed index takes it
     pairs = match_spectrum([0.0, 5j], [1.0, -1.0])
     assert [(lv, mv) for lv, mv, _, _ in pairs] == [(0.0, 1.0), (5j, -1.0)]
+    # equal values keep their own positions: the lower one takes the
+    # nearer closed value, wherever that stands
+    pairs = match_spectrum([0.0, 0.0, 9.0], [5.0, 1.0, 9.0], positions=True)
+    assert [(i, mv, gap) for i, mv, gap, _ in pairs] == [(1, 5.0, 5.0), (0, 1.0, 1.0), (2, 9.0, 0.0)]
 
 
 def test_spectrum_identity_on_small_suite(small_suite):
@@ -652,8 +656,12 @@ def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
         assert spectrum_match(lam, mu_closed(params)).is_match
 
 
-def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch):
+def test_extended_verify_solves_no_eigenproblem_it_only_reports(suite, tmp_path, monkeypatch):
+    # the reported pairs come from one binary64 solve: nothing is refined
+    # and mpmath.eig never runs
     eig_calls = counting(monkeypatch, mpmath, "eig")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    extended_calls = counting(monkeypatch, isospectral, "_extended_eigenvalues")
     small = [params for params in suite if params.N <= 5]
     assert len(small) == 25
     caught = []
@@ -663,15 +671,16 @@ def test_extended_verify_refines_without_mpmath_eig(suite, tmp_path, monkeypatch
             code, report = _verify_report(tmp_path, params, "extended")
         caught += [(params, str(w.message)) for w in records]
         values = {c["name"]: c["value"] for c in report["checks"]}
-        # the forward gaps are reported with the refinement's certificates
+        # each forward gap lies within its binary64 certificate, times the
+        # dimension constant the first-order estimate leaves out
+        # (_eig_with_bound), plus the 50-digit gap between mu and M
         pairs = report["result"]["matched_pairs"]
-        gap, defect = max(pair[2] for pair in pairs), values["jacobian_defect"]
-        assert code == 0 and gap <= 1e-40 and defect <= 1e-38, (params, gap, defect)
-        assert all(pair[3] is not None and pair[3] <= 1e-40 for pair in pairs), params
+        assert code == 0 and values["jacobian_defect"] <= 1e-38, (params, values["jacobian_defect"])
+        assert all(pair[3] is not None and pair[2] <= 2 * params.N * pair[3] + 1e-40 for pair in pairs), params
         # the matrix-side checks run in the scalars of M, not rounded to binary64
         for name in ("trace_gap_p1", "trace_gap_p2", "trace_gap_p3", "closed_trace_gap", "det_gap"):
             assert values[name] <= 1e-30, (params, name, values[name])
-    assert eig_calls == []
+    assert eig_calls == refined == extended_calls == []
     assert caught == []
 
 
@@ -823,8 +832,11 @@ def test_spectrum_report_of_a_one_by_one_matrix(ctx):
 def test_spectrum_report_of_extended_entries_beyond_binary64(monkeypatch):
     # the companion rows of z^2 - (1e400 + 3) z + 3e400: the entries round
     # to inf in binary64, so the SVD reads M and mu scaled by one power of
-    # two, where mu_1 = 3 underflows; eta_1 is read from the case's
-    # eigenvalues, which come from mpmath.eig, uncertified
+    # two, where mu_1 = 3 underflows; backward reads eta_1 from M's
+    # eigenvalues by mpmath.eig, uncertified, in its one call. The reported
+    # eigenvalues come from the same scaled binary64 matrix, scaled back in
+    # the scalar type: 1e400 within its certificate, and mu_1's partner 0,
+    # whose certificate says nothing
     ctx = extended()
     big = ctx.mp.mpf("1e400")
     M = np.array([[ctx.convert(0), ctx.convert(-3 * big)], [ctx.convert(1), ctx.convert(big + 3)]])
@@ -834,7 +846,9 @@ def test_spectrum_report_of_extended_entries_beyond_binary64(monkeypatch):
         warnings.simplefilter("error")
         case = _given(M, closed)
         assert case.backward.max() <= 4 * F64.eps
-        lam, certificates = case.eigenpairs
-        assert len(fallback) == 1 and lam is fallback[0] and certificates == [None, None]
+        assert len(fallback) == 1
+        (zero, large), (vacuous, certificate) = case.eigenpairs
+        assert len(fallback) == 1
+        assert zero == 0 and vacuous > 1 and abs(large - big) <= 2 * certificate * big
         eta = _given(M, [closed[0], closed[1] * (1 + ctx.convert(1e-6))]).backward
     assert eta.max() > EIG_TARGET

@@ -359,8 +359,9 @@ def test_division_free_checks_are_the_exact_values_rounded_once(suite, monkeypat
 def test_carried_arithmetic_is_cut_to_its_width():
     # +, - and * of carried values give Dyadic values of one width, whose
     # integer parts never pass it, each product within sqrt(2) 2^(1 - width)
-    # of its exact value; no division, no power, and no mixing with exact
-    # or rounding scalars
+    # of its exact value, and 1 / x within 2^(1 - width) of the exact
+    # reciprocal; no other division, no division of an exact value, no
+    # power, and no mixing with exact or rounding scalars
     ctx = extended(50)
     width = CARRIED_WIDTH * ctx.mp.prec
     rng = np.random.default_rng(5)
@@ -376,9 +377,19 @@ def test_carried_arithmetic_is_cut_to_its_width():
     for result in (got + c, got - c, 1 - got, got - 1, 2 * got, -got):
         assert type(result) is Dyadic and result.width == width
     assert gaussian(c + c - c) == gaussian(c)  # short sums stay exact
+    for x in (got, c, -c):
+        inverse = 1 / x
+        assert type(inverse) is Dyadic and inverse.width == width
+        assert max(inverse.re.bit_length(), inverse.im.bit_length()) <= width
+        x = gaussian(x)
+        norm = x.re * x.re + x.im * x.im
+        error = gaussian(inverse) - Gaussian(x.re / norm, -x.im / norm)
+        assert error.re**2 + error.im**2 <= Fraction(2) ** (2 - 2 * width) / norm
+    assert gaussian(1 / -c) == gaussian(-(1 / c))
     for bad in (
         lambda: got / c,
-        lambda: 1 / got,
+        lambda: 1 / exact[0],
+        lambda: 2 / got,
         lambda: got**2,
         lambda: got * exact[0],
         lambda: exact[0] + got,

@@ -1,6 +1,7 @@
 """tools/same_reports.py: byte-identity of reports between two source trees."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -26,4 +27,40 @@ def test_a_copy_reports_the_same_and_a_changed_constant_does_not(tmp_path):
     cli.write_text(text.replace('"qde_residual_max": 1e-9,\n', '"qde_residual_max": 1e-8,\n'))
 
     assert same_reports.compare(ROOT, same, runs) == []
-    assert same_reports.compare(ROOT, changed, runs) == [("verify/3", ["report"]), ("verify/14", ["report"])]
+    threshold = [("report", ["checks[qde_residual_max].threshold"])]
+    assert same_reports.compare(ROOT, changed, runs) == [("verify/3", threshold), ("verify/14", threshold)]
+
+
+def _outcome(code, checks, pairs, stderr=""):
+    report = {"command": "verify", "checks": checks, "pass": code == 0, "result": {"matched_pairs": pairs}}
+    return {"code": code, "report": json.dumps(report), "stderr": stderr, "warnings": [], "csv": None}
+
+
+def test_changes_name_each_changed_check_and_result_entry():
+    det = {"name": "det_gap", "value": 1e-16, "pass": True}
+    old_checks = [det, {"name": "jacobian_defect", "value": 1e-8, "pass": True}]
+    new_checks = [det, {"name": "jacobian_defect", "value": 2e-5, "pass": False}]
+    old = _outcome(0, old_checks, [[[1.0, 0.0], [1.0, 0.0], 0.0, 1e-16], [[2.0, 0.0], [2.0, 0.0], 0.0, 1e-16]])
+    new = _outcome(1, new_checks, [[[1.0, 0.0], [1.0, 0.0], 0.0, 1e-16], [[2.0, 1e-15], [2.0, 0.0], 5e-16, 2e-16]])
+    assert same_reports.changes(old, old) == []
+    assert same_reports.changes(old, new) == [
+        ("code", []),
+        (
+            "report",
+            [
+                "checks[jacobian_defect].value",
+                "checks[jacobian_defect].pass",
+                "pass",
+                "result.matched_pairs[1][0][1]",
+                "result.matched_pairs[1][2]",
+                "result.matched_pairs[1][3]",
+            ],
+        ),
+    ]
+    # a check or key present on one side only, and a run without a report
+    dropped = _outcome(0, old_checks[:1], [], stderr="note")
+    assert same_reports.changes(old, dropped) == [
+        ("report", ["checks[jacobian_defect]", "result.matched_pairs[0]", "result.matched_pairs[1]"]),
+        ("stderr", []),
+    ]
+    assert same_reports.changes(old, {**old, "report": None}) == [("report", [])]

@@ -8,9 +8,10 @@ open (see ROADMAP). The streams are prefixes of the bench streams at
 SUITE_SEED (conftest.suite_cases is bench/cases.suite, asserted in
 bench/test_bench.py), taken by position, never by verdict; their first 50
 cases are the test suite. The high-degree streams are the N = 11 to 16 draws
-of HIGH_SEED, taken by position too. Exit codes and failing-check names are
-pinned, not values: binary64 results move in the last bits with NumPy's SIMD
-dispatch.
+of HIGH_SEED, taken by position too, and the edge streams the draws of
+EDGE_SEED with |q| outside the suite's range (ROADMAP item 12). Exit codes,
+failing-check names and warnings are pinned, not values: binary64 results
+move in the last bits with NumPy's SIMD dispatch.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import warnings
 import pytest
 
 from qzeros.cli import SWEEP_DEFAULT_K, main
+from qzeros.errors import ConsistencyWarning
 from qzeros.rootfind import F64_DEGREE_WARN
 
 from conftest import make_case, suite_cases
@@ -44,6 +46,14 @@ HIGH_STREAMS = {
     "zeros-high-ext": ("zeros", "extended", 6),
     "verify-high-ext": ("verify", "extended", 6),
     "sweep-high": ("sweep", "f64", 60),
+}
+
+# edge streams: (command, precision, draw count, |q| range); the stream is
+# the first count draws of make_case over random.Random(EDGE_SEED) with |q|
+# drawn from the range
+EDGE_SEED = 7
+EDGE_STREAMS = {
+    "verify-e4": ("verify", "f64", 120, (1.1, 5.0)),
 }
 
 # (stream, position in the stream): (exit code, sorted failing checks); an
@@ -85,6 +95,18 @@ KNOWN_FAILURES = {
     # the same M, perturbed in beta: its mu_N reads a backward error of
     # 5.4e-9 against 1e-9 (ROADMAP item 6)
     ("sweep-high", 45): (1, ("spectrum_drift_max",)),
+    # jacobian_defect at 3.4e-4 against 1e-5 on an (r, s) = (2, 2), N = 10
+    # case whose |q| = 4.3: entrywise gaps of an M whose 2-norm is 7.5e11
+    # (ROADMAP items 12 and 13)
+    ("verify-e4", 29): (1, ("jacobian_defect",)),
+}
+
+# (stream, position): warnings besides the degree note, as (category, text
+# up to its value); on E4 the Jacobian's circle rule reads a conjugate
+# dependence above CONJUGATE_TOL (ROADMAP item 12)
+CIRCLE_NOTE = (ConsistencyWarning, "the circle rule implies a conjugate-direction dependence")
+KNOWN_WARNINGS = {
+    ("verify-e4", i): [CIRCLE_NOTE] for i in (8, 17, 28, 29, 38, 47, 58, 69, 77, 87, 89, 98, 99, 107, 119)
 }
 
 
@@ -97,6 +119,12 @@ def high_degree_cases(count):
     by 11 + i mod 6."""
     rng = random.Random(HIGH_SEED)
     return [dataclasses.replace(make_case(rng, i), N=11 + i % 6) for i in range(count)]
+
+
+def edge_cases(count, mags):
+    """Draw i of make_case over random.Random(EDGE_SEED), |q| drawn from mags."""
+    rng = random.Random(EDGE_SEED)
+    return [make_case(rng, i, mags) for i in range(count)]
 
 
 def _write_configs(directory, cases):
@@ -134,11 +162,11 @@ def high_configs(tmp_path_factory):
 
 def _assert_verdicts(stream, command, precision, configs, out):
     """Each case's exit code and sorted failing checks are KNOWN_FAILURES'
-    (exit 0, none, by default). The one warning is the root finder's note on
-    binary64 degrees above F64_DEGREE_WARN, once a find_zeros call: once a
-    run, but 1 + SWEEP_DEFAULT_K times a sweep (the case and each beta
-    perturbation), once a sweep that stops at the case's zeros, and never a
-    sweep without beta parameters."""
+    (exit 0, none, by default). The warnings are KNOWN_WARNINGS' and the
+    root finder's note on binary64 degrees above F64_DEGREE_WARN, once a
+    find_zeros call: once a run, but 1 + SWEEP_DEFAULT_K times a sweep (the
+    case and each beta perturbation), once a sweep that stops at the case's
+    zeros, and never a sweep without beta parameters."""
     got, expected, caught, notes = {}, {}, [], []
     for i, (cfg, degree) in enumerate(configs):
         if os.path.exists(out):
@@ -151,7 +179,8 @@ def _assert_verdicts(stream, command, precision, configs, out):
             with open(out, encoding="utf-8") as fh:
                 checks = json.load(fh)["checks"]
             failing = tuple(sorted(c["name"] for c in checks if not c["pass"]))
-        caught += [(i, w.category, str(w.message).split(":")[0]) for w in records]
+        # a warning's text up to its first colon or value
+        caught += [(i, w.category, str(w.message).split(":")[0].split(" of ")[0]) for w in records]
         got[i] = (code, failing)
         expected[i] = KNOWN_FAILURES.get((stream, i), (0, ()))
         calls = 1
@@ -161,6 +190,7 @@ def _assert_verdicts(stream, command, precision, configs, out):
             calls = 0 if vacuous else 1 if expected[i] == (1, ()) else 1 + SWEEP_DEFAULT_K
         if precision == "f64" and degree > F64_DEGREE_WARN:
             notes += [(i, RuntimeWarning, f"degree {degree} above {F64_DEGREE_WARN}")] * calls
+        notes += [(i, *note) for note in KNOWN_WARNINGS.get((stream, i), [])]
     assert got == expected
     assert caught == notes
 
@@ -177,3 +207,10 @@ def test_suite_exit_codes(stream, stream_configs, tmp_path):
 def test_high_degree_exit_codes(stream, high_configs, tmp_path):
     command, precision, count = HIGH_STREAMS[stream]
     _assert_verdicts(stream, command, precision, high_configs[:count], str(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("stream", list(EDGE_STREAMS))
+def test_edge_exit_codes(stream, tmp_path):
+    command, precision, count, mags = EDGE_STREAMS[stream]
+    configs = _write_configs(tmp_path, edge_cases(count, mags))
+    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"))

@@ -15,8 +15,12 @@ runs, on configurations written once from this tree's tests:
 Each tree makes every run in one subprocess, through qzeros.cli.main in
 process and in the same order. A run's outcome is its exit code, its report
 with wall_time_s set to 0, its stderr, the warnings it raised and its
-trajectory CSV. The runs whose outcomes differ are printed, and the exit
-code is 1 if there is any.
+trajectory CSV. The runs whose outcomes differ are printed, with the
+fields that differ and the JSON paths of the report that changed, a check
+by its name (checks[det_gap].value, result.matched_pairs[2][3]). The
+output ends with the number of runs in which each path changed, list
+positions taken together (result.matched_pairs[*][3]), and the exit code
+is 1 if any run differs.
 """
 
 from __future__ import annotations
@@ -119,9 +123,40 @@ def work(runs_path, out_path):
         json.dump(outcomes, fh)
 
 
+_ABSENT = object()
+
+
+def _paths(a, b, path: str) -> list:
+    """The JSON paths below path at which the JSON values a and b differ: an
+    object's keys after a dot, a list's positions in brackets, and a check,
+    an object in a list of named objects, by its name in brackets."""
+    if a == b:
+        return []
+    if isinstance(a, list) and isinstance(b, list):
+        named = all(isinstance(v, dict) and "name" in v for v in a + b)
+        a, b = ({v["name"]: v for v in x} if named else dict(enumerate(x)) for x in (a, b))
+        return [p for k in {**a, **b} for p in _paths(a.get(k, _ABSENT), b.get(k, _ABSENT), f"{path}[{k}]")]
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in {**a, **b} for p in _paths(a.get(k, _ABSENT), b.get(k, _ABSENT), f"{path}.{k}" if path else k)]
+    return [path]
+
+
+def changes(a: dict, b: dict) -> list:
+    """(field, paths) for each field in which the outcomes a and b of one run
+    differ, in the order of a's fields: paths are the JSON paths that
+    changed where both outcomes hold a report (_paths), else empty."""
+    out = []
+    for field in a:
+        if a[field] != b[field]:
+            both = field == "report" and None not in (a[field], b[field])
+            out.append((field, _paths(json.loads(a[field]), json.loads(b[field]), "") if both else []))
+    return out
+
+
 def compare(old, new, runs) -> list:
-    """(name, fields) of each run whose outcome differs between the source
-    trees old and new, fields naming what differs, in the order of runs."""
+    """(name, changes) of each run whose outcome differs between the source
+    trees old and new, in the order of runs: the fields that differ, each
+    with the report's changed JSON paths (changes)."""
     with tempfile.TemporaryDirectory() as tmp:
         runs_path = os.path.join(tmp, "runs.json")
         with open(runs_path, "w", encoding="utf-8") as fh:
@@ -137,7 +172,7 @@ def compare(old, new, runs) -> list:
             if proc.returncode:
                 raise RuntimeError(f"the runs in {tree} stopped:\n{err}")
         a, b = (json.loads(Path(out).read_text()) for out in outs)
-    return [(name, [f for f in a[name] if a[name][f] != b[name][f]]) for name, _ in runs if a[name] != b[name]]
+    return [(name, changes(a[name], b[name])) for name, _ in runs if a[name] != b[name]]
 
 
 def main(argv=None) -> int:
@@ -148,8 +183,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = pinned_runs(tmp)
         differ = compare(args.old, args.new, runs)
+    tally = {}
     for name, fields in differ:
-        print(f"{name}: {', '.join(fields)} differ")
+        print(f"{name}: {', '.join(field for field, _ in fields)} differ")
+        for field, paths in fields:
+            if paths:
+                print(f"  {field}: {', '.join(paths)}")
+            for path in {re.sub(r"\[\d+\]", "[*]", p) for p in paths}:
+                tally[path] = tally.get(path, 0) + 1
+    for path, count in sorted(tally.items()):
+        print(f"{count} runs: {path}")
     print(f"{len(differ)} of {len(runs)} runs differ")
     return 1 if differ else 0
 

@@ -60,7 +60,7 @@ CONJUGATE_TOL = 1e-6
 
 
 def _check_separation(zs) -> np.ndarray:
-    """pairwise_gaps(zs); CollisionDetected below COLLISION_TOL or at a NaN."""
+    """pairwise_gaps(zs); CollisionDetected where relative_separation < COLLISION_TOL or NaN."""
     gaps = pairwise_gaps(zs)
     if not relative_separation(zs, gaps) >= COLLISION_TOL:
         raise CollisionDetected(f"pairwise relative separation below {COLLISION_TOL:.0e}")
@@ -231,9 +231,9 @@ def integrate_flow(case: Case, z0, t_end: float, samples: int) -> Tuple[np.ndarr
     Aborts with OverflowRisk, naming t, as soon as a state or velocity it
     evaluates is not finite (the state checked before flow_rhs runs, so an
     overflow is never read as a collision); with CollisionDetected as soon
-    as a right-hand side is evaluated at a configuration whose pairwise
-    relative separation is below COLLISION_TOL (flow_rhs's check, which
-    RK45 meets at each step's end point before accepting it); StepUnderflow
+    as a right-hand side is evaluated at a configuration where two zeros
+    are within COLLISION_TOL of the larger of their moduli (flow_rhs's check,
+    which RK45 meets at each step's end point before accepting it); StepUnderflow
     if the integrator stalls. A start that is not finite is a collision.
     Always steps in binary64.
     """

@@ -18,7 +18,8 @@ escalates, on that matrix. balanced_companion builds it from the powers of
 two of LAPACK zgebal's scaling loop, ported to the companion matrix's 2N - 1
 nonzeros (_balancing_scale), so zeros needs no scipy. The two routes share
 no code beyond polynomial evaluation. pairwise_gaps is the one array
-every separation test of the package reads, of zeros and of eigenvalues.
+every separation test of the package reads, of zeros and of eigenvalues;
+relative_separation reads each gap at its pair's scale, max(|z_i|, |z_j|).
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ NEWTON_BITS = 48
 class ZeroSet:
     """N zeros plus the certificates downstream formulas rely on.
 
-    min_separation: smallest pairwise distance over the largest zero magnitude.
-    max_residual:   largest relative Newton correction |p/p'| / max(1, |zero|).
+    min_separation: smallest pairwise distance over its pair's larger modulus.
+    max_residual:   largest relative Newton correction |p/p'| / |zero|.
     """
 
     zeros: Tuple
@@ -106,25 +107,49 @@ def pairwise_gaps(values) -> np.ndarray:
 
 
 def relative_separation(zs, gaps=None) -> float:
-    """Smallest entry of gaps (default pairwise_gaps(zs)) over the largest
-    zero size: inf for one zero, NaN at a NaN zero wherever it sits (taken
-    in floats: the minimum of an object array skips a NaN unless it is first)."""
+    """Smallest entry of gaps (default pairwise_gaps(zs)) over the larger
+    size of its pair's two zeros, the one scale of every separation test:
+    inf for one zero, NaN at a NaN zero wherever it sits (taken in floats:
+    the minimum of an object array skips a NaN unless it is first)."""
     ctx = context_of(zs[0])
-    scale = max(ctx.sizes(np.asarray(zs, dtype=ctx.dtype)).max(), TINY)
+    mags = ctx.sizes(np.asarray(zs, dtype=ctx.dtype))
+    scale = np.maximum(np.maximum.outer(mags, mags), TINY)
     return float(np.asarray((pairwise_gaps(zs) if gaps is None else gaps) / scale, dtype=float).min())
+
+
+def noise_floor(p: Poly):
+    """The rounding floor of a Horner pass of p at z, as a function of z:
+    4 N eps sum_k |c_k| |z|^k (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5), in ctx.size floats, or in the scalar type (abs) once
+    a float power overflows, so that an extended floor stays finite."""
+    ctx = context_of(p.coeffs[0])
+    sizes = [ctx.size(c) for c in p.coeffs]
+    factor = 4.0 * p.degree * ctx.eps
+
+    def floor(z):
+        for mag in (ctx.size(z), abs(z)):
+            bound, power = 0.0, 1.0
+            for cm in sizes:
+                bound, power = bound + cm * power, power * mag
+            if bound < math.inf:
+                break
+        return factor * bound
+
+    return floor
 
 
 def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
     """The ZeroSet of zs in canonical order (by modulus, then phase), so
     repeated runs are deterministic; DegenerateZeros when a zero is not
     finite or two zeros cannot be certified apart. steps are the sizes of
-    the Newton corrections |p/p'| at zs, where the caller has them (the
-    Newton finish's last exact pass), else taken here by one Horner pass in
-    the scalars of p. A point of an unresolved cluster carries an error of
-    about twice its Newton correction (which contracts by 1/2 toward a
-    double zero), so a pair's certified gap is its gap less both bounds,
-    gap_ij - 2 (step_i + step_j), from one pairwise_gaps; a NaN step
-    (binary64 only) stays NaN in the minimum, its gaps being floats."""
+    the Newton corrections |p/p'| at zs where the caller has them (the
+    Newton finish's last pass, on exact residuals), else taken here by one
+    Horner pass, each bounded by its noise_floor over |p'| as well. A point
+    of an unresolved cluster carries an error of about twice its bound (the
+    correction contracts by 1/2 toward a double zero), so a pair's certified
+    gap is gap_ij - 2 (bound_i + bound_j); relative_separation reads it and
+    the raw gap at the pair's scale, and max_residual each step at its
+    zero's modulus. A NaN step (binary64 only) stays NaN in the minimum."""
     ctx = context_of(p.coeffs[0])
     order = sorted(range(len(zs)), key=lambda n: _canonical_key(zs[n]))
     zs = [zs[n] for n in order]
@@ -134,19 +159,20 @@ def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
         raise DegenerateZeros("a zero is not finite; the zero set is not resolved")
     if steps is None:
         val, der = eval_poly_deriv(p, z)
-        steps = np.asarray(ctx.sizes(val) / np.maximum(ctx.sizes(der), TINY), dtype=float)
+        val, der = ctx.sizes(val), np.maximum(ctx.sizes(der), TINY)
+        steps, bounds = val / der, (val + list(map(noise_floor(p), zs))) / der
     else:
-        steps = np.array([steps[n] for n in order], dtype=float)
-    gaps, scale = pairwise_gaps(z), max(mags.max(), TINY)
-    certified = float((gaps - 2.0 * (steps[:, None] + steps)).min() / scale)
+        steps = bounds = np.array([steps[n] for n in order], dtype=float)
+    gaps = pairwise_gaps(z)
+    certified = relative_separation(z, gaps - 2.0 * (bounds[:, None] + bounds))
     if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros(
             f"certified relative zero separation {certified:.3e} <="
             f" {SEPARATION_FLOOR:.0e}; near-coincident zeros are rejected,"
             " not resolved"
         )
-    worst = float((steps / np.maximum(mags, 1.0)).max())
-    return ZeroSet(tuple(zs), min_separation=float(gaps.min() / scale), max_residual=worst)
+    worst = float(np.asarray(steps / np.maximum(mags, TINY), dtype=float).max())
+    return ZeroSet(tuple(zs), min_separation=relative_separation(z, gaps), max_residual=worst)
 
 
 def _spiral_init(p: Poly, q, N: int) -> List[complex]:
@@ -172,30 +198,16 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
     """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, then one
     Newton polish per root that the last sweep did not find at its noise
     floor (a root found there has not moved since, so its polish would
-    evaluate p at the same point and skip the step); raises NoConvergence
-    when the budget runs out."""
+    evaluate p at the same point and skip the step); each step is read at
+    its root's modulus. Raises NoConvergence when the budget runs out."""
     zs = list(zs)
     N = len(zs)
     tol = ctx.root_step_tol
     size = ctx.size
-    # sizes keep coefficients beyond the binary64 range in the scalar type,
-    # or a float floor would be inf and settle every root
-    abs_coeffs = [size(c) for c in p.coeffs]
-    # a root is settled once |p(z)| sits at the Horner rounding floor; past
-    # that point further corrections only shuffle noise (clustered zeros of
+    # a root is settled once |p(z)| sits at its noise floor; past that
+    # point further corrections only shuffle noise (clustered zeros of
     # high-N small-|q| polynomials never reach the step tolerance otherwise)
-    noise_factor = 4.0 * N * ctx.eps
-
-    def noise_floor(z) -> float:
-        for f in (size, abs):  # abs once float powers overflow
-            mag, bound, power = f(z), 0.0, 1.0
-            for cm in abs_coeffs:
-                bound += cm * power
-                power *= mag
-            if bound < math.inf:
-                break
-        return noise_factor * bound
-
+    floor = noise_floor(p)
     converged = False
     for _ in range(MAX_SWEEPS):
         max_step = 0.0
@@ -203,7 +215,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
         moving = []
         for n in range(N):
             val, der = eval_poly_deriv(p, zs[n])
-            if size(val) <= noise_floor(zs[n]):
+            if size(val) <= floor(zs[n]):
                 continue
             moving.append(n)
             if der == 0:
@@ -219,7 +231,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
             denom = 1 - w * rep
             corr = w if denom == 0 else w / denom
             zs[n] = zs[n] - corr
-            step = float(size(corr) / max(1.0, size(zs[n])))
+            step = float(size(corr) / max(size(zs[n]), TINY))
             max_step = max(max_step, step)
             if step >= tol:
                 all_settled = False
@@ -233,7 +245,7 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
 
     for n in moving:
         val, der = eval_poly_deriv(p, zs[n])
-        if der != 0 and size(val) > noise_floor(zs[n]):
+        if der != 0 and size(val) > floor(zs[n]):
             zs[n] = zs[n] - val / der
     return zs
 
@@ -242,7 +254,7 @@ def _binary64_start(p: Poly, spiral: List) -> List | None:
     """Zeros of p rounded to binary64, found from the spiral, as a start for
     the extended finish; None when they cannot serve as one (coefficients
     or zeros that are not finite, no convergence, or two zeros closer than
-    SEPARATION_FLOOR, which the extended 1 / (z_n - z_m) cannot pull apart)."""
+    SEPARATION_FLOOR at their scale, which extended sweeps cannot part)."""
     p64 = Poly(tuple(_binary64(c) for c in p.coeffs), monic=True)
     if not all(cmath.isfinite(c) for c in p64.coeffs):
         return None

@@ -38,10 +38,10 @@ def _draw_param(rng):
     return complex(rng.uniform(0.3, 2.0), rng.uniform(-0.6, 0.6))
 
 
-def make_case(rng, index, mags=(0.2, 0.9)):
-    """One generic ParamSet; cycles the (r, s) grid, N and the q style,
+def make_case(rng, index, mags=(0.2, 0.9), rs=RS_COMBOS):
+    """One generic ParamSet; cycles the (r, s) grid rs, N and the q style,
     |q| drawn uniformly from the range mags."""
-    r, s = RS_COMBOS[index % len(RS_COMBOS)]
+    r, s = rs[index % len(rs)]
     N = index % 10 + 1
     while True:
         q = _draw_q(rng, index % 3, mags)

@@ -42,8 +42,8 @@ _prop1_terms and _normalized one zero identity. horner_deriv is Horner's
 rule for p and p' from the leading coefficient whatever it is, the oracle
 of the monic start of qseries.eval_poly_deriv, whose value eval_poly takes
 alone. relative_separation_pairs and certify_pairs take the separations of
-rootfind.relative_separation and rootfind._certify one pair at a time, the
-oracles of their one pairwise_gaps array.
+rootfind.relative_separation and rootfind._certify one pair at a time, each
+gap at its pair's scale, the oracles of their one pairwise_gaps array.
 Gaussian is x + iy with Fraction parts, gaussian the exact value of a
 kernel scalar (Dyadic, mpc, mpf, complex or int), and rounded_once and
 size64 its one rounding to mpc and to a binary64 modulus:
@@ -132,44 +132,45 @@ def spiral_points(zeros, count: int = 20) -> List[complex]:
 
 
 def relative_separation_pairs(zs) -> float:
-    """Smallest pairwise distance over the largest zero magnitude, one pair
-    at a time; builtin min skips a NaN unless it comes first."""
-    n = len(zs)
-    if n < 2:
-        return float("inf")
+    """Smallest pairwise distance over the larger magnitude of its pair,
+    one pair at a time; builtin min skips a NaN unless it comes first."""
     size = context_of(zs[0]).size
-    scale = max(size(z) for z in zs)
     best = float("inf")
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, size(zs[i] - zs[j]))
-    return float(best / max(scale, TINY))
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            scale = max(size(zs[i]), size(zs[j]), TINY)
+            best = min(best, float(size(zs[i] - zs[j]) / scale))
+    return best
 
 
 def certify_pairs(zs, p: Poly) -> ZeroSet:
-    """rootfind._certify one zero and one pair at a time: the smallest raw
-    gap and the smallest certified gap, gap less twice both Newton steps,
-    each over the largest zero magnitude; DegenerateZeros as _certify."""
-    size = context_of(p.coeffs[0]).size
+    """rootfind._certify one zero and one pair at a time: a zero's bound is
+    its Newton step |p/p'| plus its Horner rounding floor
+    4 N eps sum_k |c_k| |z|^k over |p'|; the smallest raw gap and the
+    smallest certified gap, gap less twice both bounds, each over the
+    larger magnitude of its pair, and the largest step over its zero's
+    magnitude; DegenerateZeros as _certify."""
+    ctx = context_of(p.coeffs[0])
+    size = ctx.size
     if not all(size(z) < math.inf for z in zs):
         raise DegenerateZeros("a zero is not finite")
-    steps = []
+    bounds = []
     worst = 0.0
     for z in zs:
         val, der = eval_poly_deriv(p, z)
-        step = size(val) / max(size(der), TINY)
-        steps.append(float(step))
-        worst = max(worst, float(step / max(1.0, size(z))))
-    scale = max(max(size(z) for z in zs), TINY)
+        der = max(size(der), TINY)
+        floor = 4 * p.degree * ctx.eps * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+        bounds.append((size(val) + floor) / der)
+        worst = max(worst, float(size(val) / der / max(size(z), TINY)))
     raw = certified = math.inf
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            gap = size(zs[i] - zs[j])
-            raw = min(raw, gap)
-            certified = min(certified, gap - 2.0 * (steps[i] + steps[j]))
-    if not float(certified / scale) > SEPARATION_FLOOR:
+            gap, scale = size(zs[i] - zs[j]), max(size(zs[i]), size(zs[j]), TINY)
+            raw = min(raw, float(gap / scale))
+            certified = min(certified, float((gap - 2 * (bounds[i] + bounds[j])) / scale))
+    if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros("near-coincident zeros")
-    return ZeroSet(zeros=tuple(zs), min_separation=float(raw / scale), max_residual=worst)
+    return ZeroSet(zeros=tuple(zs), min_separation=raw, max_residual=worst)
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):

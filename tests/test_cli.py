@@ -269,14 +269,32 @@ def test_flow_perturbed_run(tmp_path):
     assert "endpoint_drift" not in {c["name"] for c in rep["checks"]}
 
 
-def test_flow_reports_a_collision_as_its_only_failing_check(tmp_path, suite):
-    # two zeros of suite case 19 meet under the flow before t_end: the
-    # equilibrium and Jacobian checks still pass, and the run stops at
-    # flow_rhs's separation check
+def test_flow_reports_an_overflow_of_suite_case_19_as_its_only_failing_check(tmp_path, suite):
+    # the zeros of suite case 19 span many decades; each pair stays apart at
+    # its own scale until the velocity overflows, at t = 1.03e-3: the
+    # equilibrium and Jacobian checks still pass
     out = tmp_path / "rep.json"
     assert run("flow", write_params(tmp_path, suite[19]), "--out", str(out)) == 1
     rep = load_report(out)
-    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["no_collision"]
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["no_overflow"]
+    assert "velocity is not finite at t = 0.001" in rep["result"]["error"]
+
+
+def test_flow_reports_a_collision_as_its_only_failing_check(tmp_path, monkeypatch):
+    # the integrator's right-hand side (flow_rhs of its state array) is taken
+    # with every zero moved onto the first, where flow_rhs's separation check
+    # raises; the equilibrium check reads flow_rhs of the zeros themselves
+    original = flow.flow_rhs
+
+    def colliding(zs, case):
+        return original(np.full_like(zs, zs[0]) if isinstance(zs, np.ndarray) else zs, case)
+
+    monkeypatch.setattr(flow, "flow_rhs", colliding)
+    out = tmp_path / "rep.json"
+    assert run("flow", write_config(tmp_path), "--out", str(out)) == 1
+    rep = load_report(out)
+    failing = [c for c in rep["checks"] if not c["pass"]]
+    assert failing == [{"name": "no_collision", "value": 1.0, "threshold": 0.5, "pass": False}]
     assert "separation below 1e-10" in rep["result"]["error"]
 
 

@@ -172,6 +172,14 @@ def test_flow_rhs_collision_detected():
         flow_rhs((0.5, 0.5 * (1 + 1e-11), 1.2), Case(params))
 
 
+def test_collision_check_reads_each_pair_at_its_own_scale():
+    # 1e-12 and 2e-12 are a factor 2 apart, although their gap is 1e-12 of
+    # the largest zero; 1e-6 and 1e-6 (1 + 1e-11) do meet at their scale
+    flow._check_separation(np.array([1e-12, 2e-12, 1.0], dtype=complex))
+    with pytest.raises(CollisionDetected):
+        flow._check_separation(np.array([1e-6, 1e-6 * (1 + 1e-11), 1.0], dtype=complex))
+
+
 @pytest.mark.parametrize("ctx", [F64, extended()])
 def test_a_nan_zero_is_a_collision_wherever_it_sits(ctx):
     # builtin min skips a NaN unless it comes first: a pair loop read

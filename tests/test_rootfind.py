@@ -12,7 +12,7 @@ import scipy.linalg
 
 from qzeros import isospectral, rootfind
 from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
-from qzeros.params import ParamSet, in_context
+from qzeros.params import ParamSet, _elementary, in_context
 from qzeros.precision import F64, extended
 from qzeros.qseries import Poly, coeffs_P, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
@@ -380,6 +380,38 @@ def test_pairwise_gaps_decide_as_the_pair_loops(suite, ctx):
         assert got.min_separation == pytest.approx(want.min_separation, rel=4 * F64.eps, abs=0)
         want_sep = relative_separation_pairs(zs)
         assert rootfind.relative_separation(zs) == pytest.approx(want_sep, rel=4 * F64.eps, abs=0)
+
+
+THREE = ParamSet(r=0, s=0, N=3, q=0.5, alpha=(), beta=())
+
+
+def _monic(ctx, zeros):
+    """prod (z - z_n) over the zeros, expanded in the scalars of ctx."""
+    lower = _elementary([-ctx.convert(z) for z in zeros])
+    return Poly(tuple(reversed((ctx.convert(1), *lower))), monic=True)
+
+
+def test_tiny_zeros_are_found_at_their_own_scale():
+    # (z - a)(z - 2a)(z - 3a), a = 1e-110, at 50 digits: a step test that
+    # is absolute below |z| = 1 settles these zeros wherever a sweep first
+    # takes a step below its tolerance, 4.5e-48, some 1e62 times their size
+    ctx = extended(50)
+    a = ctx.mp.mpf("1e-110")
+    zeros = [a, 2 * a, 3 * a]
+    _assert_same_zeros(find_zeros(_monic(ctx, zeros), THREE).zeros, zeros, 1e-45)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)])
+def test_each_pair_is_separated_at_its_own_scale(ctx):
+    # 1e-12 and 2e-12 are half their larger modulus apart, though their gap
+    # is 1e-12 of the largest zero; 1e-6 and 1e-6 (1 + 1e-10) are not
+    # apart at their scale, which binary64 certifies only without the
+    # Horner rounding floor of its residuals
+    zset = find_zeros(_monic(ctx, [1e-12, 2e-12, 1.0]), THREE)
+    assert zset.min_separation == pytest.approx(0.5, rel=1e-12)
+    _assert_same_zeros(zset.zeros, [1e-12, 2e-12, 1.0], 1e-12)
+    with pytest.raises(DegenerateZeros):
+        find_zeros(_monic(ctx, [1e-6, 1e-6 * (1 + 1e-10), 1.0]), THREE)
 
 
 def test_deterministic_output_order():

@@ -22,8 +22,10 @@ arithmetic (precision.Dyadic at a width at extended digits: Gaussian
 integers cut to 3 times the context's bits at each product, no mpc
 product) and rounds M once into the context's scalars, which every check
 then reads. A Case holds one parameter set's stages, each computed once,
-the kernel tables that M and the flow's Jacobian check share among them,
-and Case.at(ctx) at more digits.
+and the kernel tables that M and the flow's Jacobian check share among
+them; the same parameter set at more digits is another Case, of the
+parameters in that context (params.in_context), whose zeros come from
+find_zeros at those digits.
 
 Every check reads that array. The spectrum verdict of verify and sweep
 asks whether each mu_n is an exact eigenvalue of a matrix near M at mu_n's
@@ -54,7 +56,7 @@ from .params import ParamSet, _elementary, in_context
 from .precision import F64, TINY, PrecisionContext, _aligned, _float, _parts, binary64, context_of, extended, rel_gaps
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
-from .rootfind import ZeroSet, _finish, find_zeros, pairwise_gaps
+from .rootfind import ZeroSet, find_zeros, pairwise_gaps
 from .zero_algebra import KernelCache, identity_grid, velocity_terms, velocity_weights
 
 
@@ -504,7 +506,9 @@ class Case:
     and of each M - mu_n I (shifted_svd), the spectrum verdict read from it
     (backward) and M's reported eigenvalues, solved in binary64 on the
     same scaled matrix (eigenpairs). A check of another polynomial sets
-    monic."""
+    monic. The same parameter set at more digits is
+    Case(in_context(params, ctx)), whose zeros are find_zeros' at those
+    digits: there is no other route to them."""
 
     def __init__(self, params: ParamSet, zeros: Sequence | None = None):
         self.params = params
@@ -607,9 +611,12 @@ class Case:
         and every eta_n beyond the floor is read from refined eigenpairs at
         digits that resolve it (_extended_eigenvalues, N > 1): at extended
         digits those of M itself, refined to its eps; in binary64 those of
-        the case rebuilt at the digits that bring the floor below EIG_TARGET
-        (at, _escalated), refined to eps64. A refined pair (x, lambda) with
-        certificate c has
+        the M of the extended case, Case(in_context(params, ext)), at the
+        digits ext that bring the floor below EIG_TARGET (_escalated),
+        refined to eps64. That case's q, alpha and beta are this case's
+        values at those digits (binary64 q powers would re-contaminate M),
+        and its zeros are extended find_zeros', certified like every zero
+        set. A refined pair (x, lambda) with certificate c has
         ||(M - mu_n I) x|| / ||x|| <= |lambda - mu_n| + c |lambda|, so eta_n
         is read as the least (|lambda - mu_n| + c |lambda|) / |mu_n| over
         them, an upper bound (_read_eigenpairs); eigenvalues that mpmath.eig
@@ -628,7 +635,7 @@ class Case:
         if n == 1 or (eta[unresolved] <= EIG_TARGET).all():
             return eta
         ext = ctx if ctx.mp is not None else _escalated(floor[unresolved].max())
-        rows = M if ext is ctx else self.at(ext).M
+        rows = M if ext is ctx else Case(in_context(self.params, ext)).M
         _read_eigenpairs(eta, unresolved, closed, ext, *_extended_eigenvalues(rows, ctx.eps))
         return eta
 
@@ -646,17 +653,6 @@ class Case:
         S, _, top, s = self.shifted_svd
         vals, bounds = _eig_with_bound(S, s[0, 0])
         return ctx.ldexp(vals, top), [float(b) if math.isfinite(b) else None for b in bounds]
-
-    def at(self, ctx: PrecisionContext) -> "Case":
-        """The same case at ctx's digits, q, alpha and beta included (binary64
-        q powers would re-contaminate M), its zeros this case's finished at
-        those digits as extended find_zeros finishes its binary64 start: by
-        Newton on exact integer residuals, or by Aberth sweeps where that
-        cannot vouch for them (rootfind._finish). Binary64 zeros sit ~1e-11
-        off, where Newton converges quadratically."""
-        case = Case(in_context(self.params, ctx))
-        case.zeros = tuple(_finish(case.monic, self.zeros, ctx)[0])
-        return case
 
 
 def certified_spectrum(case: Case | ParamSet) -> Tuple[np.ndarray, np.ndarray]:

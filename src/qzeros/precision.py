@@ -262,10 +262,10 @@ class Dyadic:
     width) return a Dyadic of that width: exact at no width, within
     2^(1 - width) of the exact result at one, so the integers of a long
     product chain stay at the width where exact ones would grow with every
-    factor. Integer powers >= 0 are exact, and a carried value has none.
-    A carried value has a reciprocal, 1 / x, within 2^(1 - width) of the
-    exact one; any other division, and any division of an exact value,
-    raises TypeError, as does mixing widths or a rounding scalar. complex()
+    factor; -x is exact at any width. A carried value has a reciprocal,
+    1 / x, within 2^(1 - width) of the exact one; any other division, and
+    any division of an exact value, raises TypeError, as does mixing widths,
+    a power or a rounding scalar. complex()
     rounds each part once to binary64, abs is the context's size, and
     context is the mpmath context of the values it was read from, so
     context_of and ctx.sizes read it as they read those values.
@@ -307,7 +307,11 @@ class Dyadic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Dyadic(-self.re, -self.im, self.exp, self.context, self.width)
+        # not cut again: a floor cut can leave a part at -2^width, whose
+        # negation passes the width by one bit
+        out = Dyadic(-self.re, -self.im, self.exp, self.context)
+        out.width = self.width
+        return out
 
     def __sub__(self, other):
         if type(other) is not Dyadic or other.width != self.width:
@@ -335,18 +339,6 @@ class Dyadic:
         return Dyadic(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context, self.width)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if self.width is not None:
-            raise TypeError("a carried Dyadic has no power; take it in the scalar type, then ctx.carried")
-        if not isinstance(n, int) or n < 0:
-            raise TypeError(f"a Dyadic power must be an integer >= 0, not {n!r}")
-        out, base = Dyadic(1, 0, 0, self.context), self
-        while n:
-            if n & 1:
-                out = out * base
-            base, n = base * base, n >> 1
-        return out
 
     def __truediv__(self, other):
         raise TypeError("Dyadic arithmetic divides only 1 by a carried value; round with ctx.convert first")

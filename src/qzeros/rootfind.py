@@ -10,7 +10,10 @@ integers, rounds their quotient once to binary64 and subtracts it at the
 context's digits, so the zeros are those of the extended polynomial to
 a unit or two of their last bit, and _certify reads that last exact pass.
 Where a correction is not finite or does not contract, extended Aberth
-sweeps finish the same start instead (_finish, which Case.at shares).
+sweeps finish the same start instead. Every zero set find_zeros returns,
+in either precision and by either route, passes _certify; a case at more
+digits (isospectral.Case of the parameters in that context) takes its
+zeros from find_zeros too.
 companion_zeros is the independent cross-check oracle: eigenvalues of the
 balanced companion matrix through the package's one eigensolve
 (isospectral.certified_eigenvalues), which certifies, and if need be
@@ -359,17 +362,6 @@ def _newton_finish(p: Poly, start: Sequence, ctx: PrecisionContext) -> Tuple[Lis
     return [mp.make_mpc(tuple(x)) for x in parts], steps
 
 
-def _finish(p: Poly, start: Sequence, ctx: PrecisionContext) -> Tuple[List, List[float] | None]:
-    """The zeros of p at ctx's extended digits from start (p's zeros to a
-    few digits), with the sizes of their last Newton corrections: by the
-    Newton finish, or, where it cannot vouch for them, by Aberth sweeps at
-    those digits from the same start, with no sizes (_certify takes them)."""
-    finished = _newton_finish(p, start, ctx)
-    if finished is not None:
-        return finished
-    return _aberth(p, [ctx.convert(z) for z in start], ctx), None
-
-
 def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration,
     in the precision of its coefficients.
@@ -386,11 +378,11 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     adding at most the 16 of its binary64 correction, so three passes and
     one that settles carry a binary64 start to 50 digits, and the zeros are
     those of the polynomial itself to a unit or two of their last bit.
-    _certify reads the corrections of that last exact pass. Where the
-    finish cannot vouch for its zeros (a correction that is not finite or
-    does not contract), the extended Aberth sweeps finish the same start
-    instead. When the binary64 zeros cannot serve as a start, the extended
-    sweeps start from the spiral, as binary64 does.
+    _certify reads the corrections of that last exact pass. Where there is
+    no start, or the finish cannot vouch for its zeros (a correction that
+    is not finite or does not contract), Aberth sweeps run at the context's
+    digits, from the start if there is one, else from the spiral, as
+    binary64 does, and _certify takes their corrections itself.
     """
     if not p.monic:
         raise ValueError("find_zeros expects a monic polynomial")
@@ -415,12 +407,11 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     if N == 1:
         return _certify([-p.coeffs[0]], p)
     spiral = _spiral_init(p, params.q, N)
-    if ctx.mp is not None:
-        start = _binary64_start(p, spiral)
-        if start is not None:
-            zs, steps = _finish(p, start, ctx)
-            return _certify(zs, p, steps)
-    return _certify(_aberth(p, [ctx.convert(z) for z in spiral], ctx), p)
+    start = None if ctx.mp is None else _binary64_start(p, spiral)
+    finished = None if start is None else _newton_finish(p, start, ctx)
+    if finished is not None:
+        return _certify(finished[0], p, finished[1])
+    return _certify(_aberth(p, [ctx.convert(z) for z in start or spiral], ctx), p)
 
 
 # LAPACK zgebal's limits for binary64: SFMIN1 = dlamch('S') / dlamch('P')

@@ -687,8 +687,10 @@ def forward_spectrum(case: Case) -> Tuple:
     forward error, which the tests pair with mu (the commands judge the
     backward error, Case.backward): certified_eigenvalues(case.M), except
     that where the binary64 certificate fails, M is rebuilt at the digits
-    _escalated derives (case.at) instead of having its entries converted,
-    and its eigenvalues are refined there to eps64. The binary64 M carries
+    _escalated derives instead of having its entries converted, as the
+    case of the parameters in that context (Case(in_context(params, ext)),
+    whose zeros extended find_zeros finds), and its eigenvalues are refined
+    there to eps64. The binary64 M carries
     the rounding of the series coefficients as well as the eigensolve's
     backward error, and the same eigenvalue conditions amplify both."""
     M = case.M
@@ -697,7 +699,7 @@ def forward_spectrum(case: Case) -> Tuple:
     vals, bounds = _eig_with_bound(M)
     if bounds.max() <= EIG_TARGET:
         return M, [complex(v) for v in vals]
-    rows = case.at(_escalated(bounds.max())).M
+    rows = Case(in_context(case.params, _escalated(bounds.max()))).M
     return M, binary64(_extended_eigenvalues(rows, F64.eps)[0]).tolist()
 
 
@@ -957,7 +959,8 @@ def prop1_residuals_qde_scalar(zeros: Sequence, params: ParamSet, p: Poly) -> Li
 
 
 class Gaussian:
-    """x + iy with Fraction parts: exact +, - and *, and == on the value."""
+    """x + iy with Fraction parts: exact +, -, * and negation, and == on
+    the value."""
 
     __slots__ = ("re", "im")
 
@@ -976,6 +979,9 @@ class Gaussian:
 
     def __rsub__(self, other):
         return gaussian(other) - self
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
 
     def __mul__(self, other):
         other = gaussian(other)

@@ -354,11 +354,12 @@ def _sweep_checks(path, precision="f64"):
 def test_sweep_judges_the_backward_error_with_no_eigensolve(tmp_path, suite, monkeypatch):
     # draws 4 and 22 of the N = 11 to 16 stream, whose binary64 eigenvalue
     # certificates fail, so that a forward spectrum needs M rebuilt at more
-    # digits (Case.at) and mpmath.eig, and on draw 22 still misses mu by
-    # 6.4e-4: the backward error solves no eigenproblem in either precision
+    # digits (the digits _escalated derives) and mpmath.eig, and on draw 22
+    # still misses mu by 6.4e-4: the backward error solves no eigenproblem
+    # in either precision, and rebuilds no case
     from test_suite_verdicts import high_degree_cases
 
-    rebuilt = counting(monkeypatch, Case, "at")
+    rebuilt = counting(monkeypatch, isospectral, "_escalated")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     solved = counting(monkeypatch, isospectral, "_extended_eigenvalues")
     draws = high_degree_cases(23)

@@ -25,7 +25,7 @@ from qzeros.isospectral import (
     mu_closed,
 )
 from qzeros.params import ParamSet, in_context, validate
-from qzeros.precision import F64, extended
+from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import find_zeros
 from qzeros.zero_algebra import velocity_terms, velocity_weights
@@ -642,17 +642,18 @@ def _verify_report(tmp_path, params, precision):
 
 
 def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
-    # binary64 zeros are ~1e-11 off; the first Newton pass brings them to
-    # the escalated eps, and the second finds each settled, within two units
-    # of its last bit, where its correction is not applied, so no pass
-    # follows; no Aberth sweep runs
+    # the escalated case's binary64 start is ~1e-11 off; the first Newton
+    # pass brings it to the escalated eps, and the second finds each zero
+    # settled, within two units of its last bit, where its correction is not
+    # applied, so no pass follows; no Aberth sweep runs at those digits
     for index in (19, 26, 38):
         params = suite[index]
         zeros = find_zeros(to_monic(coeffs_P(params)), params).zeros
-        evaluations = counting(monkeypatch, rootfind, "eval_poly_deriv")
+        sweeps = counting(monkeypatch, rootfind, "_aberth")
         corrections = counting(monkeypatch, rootfind, "_quotient")
         _, lam = forward_spectrum(Case(params, zeros))
-        assert len(corrections) == 2 * params.N and not evaluations, index
+        assert len(corrections) == 2 * params.N, index
+        assert sweeps and all(type(z) is complex for zs in sweeps for z in zs), index
         assert spectrum_match(lam, mu_closed(params)).is_match
 
 
@@ -739,7 +740,7 @@ def test_binary64_verify_judges_the_spectrum_by_backward_error(suite, tmp_path, 
     # 19 is judged by the binary64 SVD alone; cases 26 and 38, whose
     # smallest mu_n lie below the SVD's floor, by the exact residual of its
     # singular vectors
-    rebuilt = counting(monkeypatch, Case, "at")
+    rebuilt = counting(monkeypatch, isospectral, "_escalated")
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
     eig_calls = counting(monkeypatch, mpmath, "eig")
     witnessed = counting(monkeypatch, isospectral, "_witnessed")
@@ -754,25 +755,58 @@ def test_binary64_verify_judges_the_spectrum_by_backward_error(suite, tmp_path, 
     assert rebuilt == refined == eig_calls == []
 
 
-def test_binary64_verify_rebuilds_m_where_its_small_scales_are_off(monkeypatch):
-    # draw 96 of the E3 stream (ROADMAP item 12), (r, s) = (3, 0), whose
-    # |mu_n| span 1.5e7: the binary64 M itself, read exactly, puts its two
-    # smallest mu_n at 2.5e-9 and 1.5e-8, while M rebuilt at the digits
-    # that resolve their scale puts them below 1e-16; verify rebuilds once
-    # and passes the spectrum check (its det_gap fails, ROADMAP item 13)
-    alpha = (
-        1.848342540052744 - 0.4264861014522885j,
-        0.34573433466418213 - 0.4719859455051796j,
-        1.8792130207648807 - 0.18616358061962068j,
+# draw 96 of the E3 stream (ROADMAP item 12), (r, s) = (3, 0), whose |mu_n|
+# span 1.5e7
+E3_96 = validate(
+    ParamSet(
+        r=3,
+        s=0,
+        N=7,
+        q=0.25446164455744025 + 0j,
+        alpha=(
+            1.848342540052744 - 0.4264861014522885j,
+            0.34573433466418213 - 0.4719859455051796j,
+            1.8792130207648807 - 0.18616358061962068j,
+        ),
     )
-    case = Case(validate(ParamSet(r=3, s=0, N=7, q=0.25446164455744025 + 0j, alpha=alpha)))
+)
+
+
+def test_binary64_verify_rebuilds_m_where_its_small_scales_are_off(monkeypatch):
+    # the binary64 M itself, read exactly, puts E3 case 96's two smallest
+    # mu_n at 2.5e-9 and 1.5e-8, while M rebuilt at the digits that resolve
+    # their scale puts them below 1e-16; verify rebuilds once and passes the
+    # spectrum check (its det_gap fails, ROADMAP item 13)
+    case = Case(E3_96)
     S, nu, top, _ = case.shifted_svd
     own = isospectral._witnessed(case.M, case.mu, S, nu, top)
     assert own.max() > 10 * EIG_TARGET
-    rebuilt = counting(monkeypatch, Case, "at")
+    rebuilt = counting(monkeypatch, isospectral, "_escalated")
     checks, _ = cmd_verify(case, {}, None, None)
     backward = {c["name"]: c for c in checks}["spectrum_backward_max"]
     assert backward["pass"] and backward["value"] < EIG_TARGET / 10 and len(rebuilt) == 1
+
+
+def test_binary64_verify_certifies_the_zeros_of_its_rebuilt_case(monkeypatch):
+    # the rebuilt case is the extended case itself: its zeros pass _certify
+    # at the escalated digits, as every zero set find_zeros returns does,
+    # and its verdict is the one the binary64 zeros finished by Newton at
+    # those digits give
+    case = Case(E3_96)
+    escalated = counting(monkeypatch, isospectral, "_escalated")
+    certified = counting(monkeypatch, rootfind, "_certify")
+    checks, _ = cmd_verify(case, {}, None, None)
+    value = {c["name"]: c for c in checks}["spectrum_backward_max"]["value"]
+    assert len(escalated) == 1
+    assert [context_of(zs.zeros[0]) for zs in certified] == [F64, escalated[0]]
+
+    def newton_finished(p, params):
+        finished = rootfind._newton_finish(p, case.zeros, context_of(p.coeffs[0]))
+        assert finished is not None
+        return rootfind.ZeroSet(tuple(finished[0]), math.nan, max(finished[1]))
+
+    monkeypatch.setattr(isospectral, "find_zeros", newton_finished)
+    assert Case(E3_96, case.zeros).backward.max() == value
 
 
 def _smallest_mu_mutant(M, mu):

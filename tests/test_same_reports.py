@@ -31,6 +31,21 @@ def test_a_copy_reports_the_same_and_a_changed_constant_does_not(tmp_path):
     assert same_reports.compare(ROOT, changed, runs) == [("verify/3", threshold), ("verify/14", threshold)]
 
 
+def test_pinned_runs_make_every_stream_the_verdict_pins_make(tmp_path):
+    # each stream table of test_suite_verdicts (STREAMS, HIGH_STREAMS,
+    # EDGE_STREAMS, and any added later), each stream with its run count
+    import test_suite_verdicts
+
+    tables = [table for name, table in vars(test_suite_verdicts).items() if name.endswith("STREAMS")]
+    want = {stream: spec[2] for table in tables for stream, spec in table.items()}
+    got = {}
+    for name, _ in same_reports.pinned_runs(tmp_path):
+        stream = name.split("/")[0]
+        got[stream] = got.get(stream, 0) + 1
+    assert len(tables) == 3 and {stream: got.get(stream) for stream in want} == want
+    assert sum(got.values()) == 2577
+
+
 def _outcome(code, checks, pairs, stderr=""):
     report = {"command": "verify", "checks": checks, "pass": code == 0, "result": {"matched_pairs": pairs}}
     return {"code": code, "report": json.dumps(report), "stderr": stderr, "warnings": [], "csv": None}

@@ -6,8 +6,9 @@ OLD and NEW are source trees that each hold src/qzeros, for example this
 checkout and a `git archive` copy of its parent. Both trees make the same
 runs, on configurations written once from this tree's tests:
 
-- the pinned streams of tests/test_suite_verdicts.py, STREAMS and
-  HIGH_STREAMS, each run as that test runs it;
+- the pinned streams of tests/test_suite_verdicts.py, STREAMS,
+  HIGH_STREAMS and EDGE_STREAMS, each run as that test runs it (1737 runs
+  with the flow runs below, and the 840 of the edge streams: 2577);
 - flow with --traj on the 50 suite configurations in binary64, on the 25
   of them with N <= 5 at extended digits, and on the 50 with perturb 1e-3
   and t_end 0.5 in binary64.
@@ -55,7 +56,7 @@ def pinned_runs(directory) -> list:
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     from conftest import suite_cases
-    from test_suite_verdicts import HIGH_STREAMS, STREAMS, _write_configs, high_degree_cases
+    from test_suite_verdicts import EDGE_STREAMS, HIGH_STREAMS, STREAMS, _write_configs, edge_cases, high_degree_cases
 
     directory = Path(directory)
     for sub in ("suite", "high", "perturbed"):
@@ -76,6 +77,10 @@ def pinned_runs(directory) -> list:
         out += runs(stream, command, precision, [p for p, n in suite if n <= max_degree][:count])
     for stream, (command, precision, count) in HIGH_STREAMS.items():
         out += runs(stream, command, precision, [p for p, _ in high[:count]])
+    for stream, (command, precision, count, mags, rs) in EDGE_STREAMS.items():
+        (directory / stream).mkdir(exist_ok=True)
+        edge = _write_configs(directory / stream, edge_cases(count, mags, rs))
+        out += runs(stream, command, precision, [p for p, _ in edge])
     out += runs("flow", "flow", "f64", [p for p, _ in suite[:FLOW_SUITE]])
     out += runs("flow-ext", "flow", "extended", [p for p, n in suite[:FLOW_SUITE] if n <= FLOW_EXT_DEGREE])
     out += runs("flow-perturbed", "flow", "f64", perturbed)

@@ -37,9 +37,7 @@ from . import isospectral, params as params_mod, qdiff, qseries, rootfind, zero_
 from .errors import (
     CollisionDetected,
     ConfigError,
-    DegenerateZeros,
     InvalidDegree,
-    NoConvergence,
     NonGenericParameter,
     OverflowRisk,
     QZerosError,
@@ -403,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, NonGenericParameter, InvalidDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateZeros, NoConvergence, QZerosError) as exc:
+    except QZerosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

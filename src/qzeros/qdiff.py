@@ -6,8 +6,10 @@ gamma*delta - 1. Both act diagonally on coefficient vectors:
     delta:        coeffs[m] -> q^m coeffs[m]
     Delta_gamma:  coeffs[m] -> (gamma q^m - 1) coeffs[m]
 
-so all operator algebra here is exact diagonal scaling (and commutation is
-exact). The defining residual of the polynomial family is
+so a product of them scales coefficient m by the product of its factors,
+in any order, and _operator_sides forms each side of the equation below as
+one running product down rows of them. The defining residual of the
+polynomial family is
 
     Delta_1 prod_k Delta_{beta_k/q} p(z)
       - z * Delta_{q^-N} prod_j Delta_{alpha_j} p(z q^{s-r})  =  0,
@@ -27,7 +29,7 @@ coefficients and returns the operator-route residual (qde_residual) and
 the defect between the routes (qde_expanded_agreement), in one pass of the
 context's exact arithmetic (PrecisionContext.exact: complex128 in binary64,
 precision.Dyadic at extended digits, whose +, - and * are exact): the
-cascade of the operator sides, and the table grouped by shift
+running products of the operator sides, and the table grouped by shift
 (shift_groups) into sum_k (a_k + b_k z) p(z q^k), whose coefficient m is
 sum_k a_k (q^k)^m c_m + b_k (q^k)^(m-1) c_(m-1). The zero identities read
 the same grouping at the grid of the zeros times q^k (shift_grid,
@@ -52,68 +54,57 @@ if TYPE_CHECKING:
     from .isospectral import Case
 
 
-def _powers(q, n: int) -> List:
-    """q^0 ... q^(n-1), running products from the exact 1 (q^0, which costs
-    no product): the table every dilation of n coefficients by q reads."""
-    out = [1]
-    for _ in range(n - 1):
-        out.append(out[-1] * q)
-    return out
-
-
-def apply_delta(p: Poly, q) -> Poly:
-    """Pure dilation: coefficient m picks up q^m."""
-    return Poly(tuple(c * qm for c, qm in zip(p.coeffs, _powers(q, len(p.coeffs)))), monic=False)
-
-
-def apply_Delta(gamma, p: Poly, q, powers: List | None = None) -> Poly:
-    """Shifted dilation Delta_gamma = gamma*delta - 1: coefficient m picks up
-    (gamma q^m - 1), q^m read from powers, the table _powers(q, N + 1) that
-    a caller applying many Delta_gamma shares, else formed here."""
-    powers = _powers(q, len(p.coeffs)) if powers is None else powers
-    return Poly(tuple(c * (gamma * qm - 1) for c, qm in zip(p.coeffs, powers)), monic=False)
+def _powers(q, n: int) -> np.ndarray:
+    """q^0 ... q^(n-1) as an object array, running products from the exact
+    1 (q^0, which costs no product): the table a dilation of n coefficients
+    by q reads."""
+    return np.multiply.accumulate(np.array([1] + [q] * (n - 1), dtype=object))
 
 
 def _operator_sides(p: Poly, params: ParamSet):
-    """Coefficient vectors of the two operator-route sides, with stage scales.
+    """Coefficient arrays of the two operator-route sides, with their scales.
 
     A = Delta_1 prod_k Delta_{beta_k/q} applied to p;
     B = Delta_{q^-N} prod_j Delta_{alpha_j} applied to p(z q^{s-r}).
     The full residual polynomial is A(z) - z*B(z).
 
-    Alongside each side we carry, per coefficient, the largest magnitude that
-    coefficient reached at any stage of the operator cascade. A stage can
-    shrink a coefficient by a near-total cancellation (gamma q^m - 1 with
-    gamma q^m within rounding of 1, e.g. the Delta_{q^-N} factor at m = N
-    after the q^{s-r} dilation inflated the entry by q^{-m}); what is left is
-    then pure round-off of the larger intermediate, so the residual threshold
-    has to be measured against that intermediate, not against the final
-    coefficient. The operators commute, and Delta_{q^-N} comes last: each
-    Delta_{alpha_j} after it would scale that round-off by |alpha_j q^N - 1|
-    at m = N, beyond every stage's size when |q| > 1.
+    Each side is one running product down rows (np.multiply.accumulate):
+    row 0 holds its coefficients, p's on the A side and p's times
+    (q^{s-r})^m on the B side, and each Delta_gamma adds one row of the
+    factors gamma q^m - 1, every row reading one table q^0 ... q^N
+    (_powers). The scale of a coefficient is the largest size it reaches
+    in any row. A factor can shrink a coefficient by a near-total
+    cancellation (gamma q^m within rounding of 1, e.g. the Delta_{q^-N}
+    factor at m = N after the q^{s-r} dilation inflated the entry by
+    q^{-m}); what is left is then pure round-off of the larger
+    intermediate, so the residual threshold has to be measured against
+    that intermediate, not against the final coefficient. The operators
+    commute, and Delta_{q^-N} comes last: each Delta_{alpha_j} after it
+    would scale that round-off by |alpha_j q^N - 1| at m = N, beyond every
+    row's size when |q| > 1.
 
-    Every Delta_gamma of both cascades reads one table q^0 ... q^N
-    (_powers), formed once. Only the gammas beta_k/q and q^-N and the
-    dilation q^{s-r} divide; they are formed in q's scalars, and the
-    cascade and its stage sizes run in the context's exact arithmetic
-    (ctx.exact: precision.Dyadic at extended digits, so the sides are
-    exact in their inputs; builtin complex in binary64, through tolist).
+    Only the gammas beta_k/q and q^-N and the dilation q^{s-r} divide;
+    they are formed in q's scalars, and the products and their sizes run
+    in the context's exact arithmetic (ctx.exact: precision.Dyadic at
+    extended digits, so the sides are exact in their inputs). The rows are
+    object arrays in both precisions, in binary64 of builtin complex
+    values, which round as the scalar code does.
     """
     ctx = context_of(params.q)
-    size = ctx.size
     q, dilation = ctx.exact([params.q, params.q ** (params.s - params.r)]).tolist()
     powers = _powers(q, len(p.coeffs))
+    c = ctx.exact(p.coeffs).astype(object)
 
-    def cascade(side, gammas):
-        scale = [size(c) for c in side.coeffs]
-        for gamma in ctx.exact(gammas).tolist():
-            side = apply_Delta(gamma, side, q, powers)
-            scale = [max(m, size(c)) for m, c in zip(scale, side.coeffs)]
-        return side, scale
+    def side(first, gammas):
+        # the array on the left: a Dyadic g on the left of an object array
+        # first tries, and declines, a product with the whole array
+        rows = np.array([first, *(powers * g - 1 for g in ctx.exact(gammas).tolist())], dtype=object)
+        rows = np.multiply.accumulate(rows, axis=0)
+        return rows[-1], np.fmax.reduce(ctx.sizes(rows), axis=0)
 
-    p = Poly(tuple(ctx.exact(p.coeffs).tolist()), p.monic)
-    a_side, a_scale = cascade(p, [1] + [b / params.q for b in params.beta])
-    b_side, b_scale = cascade(apply_delta(p, dilation), [*params.alpha, params.q ** (-params.N)])
+    a_side, a_scale = side(c, [1] + [b / params.q for b in params.beta])
+    dilated = c * _powers(dilation, len(p.coeffs))
+    b_side, b_scale = side(dilated, [*params.alpha, params.q ** (-params.N)])
     return a_side, a_scale, b_side, b_scale
 
 
@@ -209,7 +200,7 @@ def qde_checks(case: Case) -> Tuple[List, List[float]]:
     params, p = case.params, case.monic
     ctx = context_of(params.q)
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
-    residual = np.array([*a_side.coeffs, 0], dtype=ctx.dtype) - np.array([0, *b_side.coeffs], dtype=ctx.dtype)
+    residual = np.array([*a_side, 0], dtype=ctx.dtype) - np.array([0, *b_side], dtype=ctx.dtype)
     op_scale = np.array([max(a, b) for a, b in zip([*a_marks, 0.0], [0.0, *b_marks])])
 
     ks, a, b, wa, wb = shift_groups(case.qde_terms, ctx)

@@ -2,8 +2,9 @@
 
 find_zeros runs the Aberth-Ehrlich simultaneous iteration (cubic local
 convergence) from a geometric-spiral initial configuration tuned to the
-quasi-geometric spread of this polynomial family's zeros, then polishes each
-root with one Newton step. With extended coefficients the spiral start is
+quasi-geometric spread of this polynomial family's zeros, until a sweep's
+largest relative step is below the context's step tolerance, or every root
+sits at its noise floor. With extended coefficients the spiral start is
 first solved in binary64, and Newton finishes from there at the extended
 digits (_newton_finish): each pass forms p and p' exactly on Gaussian
 integers, rounds their quotient once to binary64 and subtracts it at the
@@ -198,11 +199,9 @@ def _spiral_init(p: Poly, q, N: int) -> List[complex]:
 
 
 def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
-    """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, then one
-    Newton polish per root that the last sweep did not find at its noise
-    floor (a root found there has not moved since, so its polish would
-    evaluate p at the same point and skip the step); each step is read at
-    its root's modulus. Raises NoConvergence when the budget runs out."""
+    """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, until a
+    sweep's largest step, each read at its root's modulus, is below
+    ctx.root_step_tol. Raises NoConvergence when the budget runs out."""
     zs = list(zs)
     N = len(zs)
     tol = ctx.root_step_tol
@@ -211,20 +210,15 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
     # point further corrections only shuffle noise (clustered zeros of
     # high-N small-|q| polynomials never reach the step tolerance otherwise)
     floor = noise_floor(p)
-    converged = False
     for _ in range(MAX_SWEEPS):
         max_step = 0.0
-        all_settled = True
-        moving = []
         for n in range(N):
             val, der = eval_poly_deriv(p, zs[n])
             if size(val) <= floor(zs[n]):
                 continue
-            moving.append(n)
             if der == 0:
                 zs[n] = zs[n] * (1 + 1e-8) + 1e-8
                 max_step = float("inf")
-                all_settled = False
                 continue
             w = val / der
             rep = 0 * w
@@ -234,23 +228,10 @@ def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
             denom = 1 - w * rep
             corr = w if denom == 0 else w / denom
             zs[n] = zs[n] - corr
-            step = float(size(corr) / max(size(zs[n]), TINY))
-            max_step = max(max_step, step)
-            if step >= tol:
-                all_settled = False
-        if all_settled or max_step < tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted (last step {max_step:.3e})"
-        )
-
-    for n in moving:
-        val, der = eval_poly_deriv(p, zs[n])
-        if der != 0 and size(val) > floor(zs[n]):
-            zs[n] = zs[n] - val / der
-    return zs
+            max_step = max(max_step, float(size(corr) / max(size(zs[n]), TINY)))
+        if max_step < tol:
+            return zs
+    raise NoConvergence(f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted (last step {max_step:.3e})")
 
 
 def _binary64_start(p: Poly, spiral: List) -> List | None:
@@ -367,9 +348,9 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     in the precision of its coefficients.
 
     Converged when the largest relative correction drops below the context's
-    step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; one Newton
-    polish per root afterwards; output canonically ordered by (magnitude,
-    phase) so repeated runs are deterministic.
+    step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; output
+    canonically ordered by (magnitude, phase) so repeated runs are
+    deterministic.
 
     Extended coefficients are first rounded to binary64 and solved there
     from the spiral (the float start of MPSolve; Bini & Fiorentino, Numer.

@@ -810,6 +810,7 @@ def _operator_route(p: Poly, params: ParamSet, zs: Sequence, size) -> List:
         raise DegreeMismatch(f"polynomial degree {p.degree} != N = {params.N}")
     ctx = context_of(params.q)
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
+    a_side, b_side = (Poly(tuple(side), monic=False) for side in (a_side, b_side))
     out = []
     for z in ctx.exact(zs).tolist():
         a_val, a_scale = _horner_terms(a_side, z, 0, a_marks, size)
@@ -859,8 +860,8 @@ def qde_coefficient_checks(case: Case):
     ctx = context_of(params.q)
     size, N = ctx.size, params.N
     a_side, a_marks, b_side, b_marks = _operator_sides(p, params)
-    A, a_marks = [*map(ctx.convert, a_side.coeffs), 0], [*a_marks, 0.0]
-    B, b_marks = [0, *map(ctx.convert, b_side.coeffs)], [0.0, *b_marks]
+    A, a_marks = [*map(ctx.convert, a_side), 0], [*a_marks, 0.0]
+    B, b_marks = [0, *map(ctx.convert, b_side)], [0.0, *b_marks]
     orient = (-1) ** (params.s + 1)
     residuals, agreements = [], []
     for m in range(N + 2):
@@ -1055,8 +1056,8 @@ def exact_qde_coefficients(case: Case):
     of q, by power sums over each group."""
     params, p = case.params, case.monic
     a_side, _, b_side, _ = _operator_sides(p, params)
-    a = [*map(gaussian, a_side.coeffs), Gaussian(0)]
-    b = [Gaussian(0), *map(gaussian, b_side.coeffs)]
+    a = [*map(gaussian, a_side), Gaussian(0)]
+    b = [Gaussian(0), *map(gaussian, b_side)]
     weights, powers = _grouped(params, case.qde_terms)
     expanded = [Gaussian(0)] * (params.N + 2)
     for (k, e), w in weights.items():

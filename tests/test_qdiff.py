@@ -3,7 +3,7 @@
 import cmath
 import random
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +14,7 @@ from qzeros.errors import DegreeMismatch
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
 from qzeros.precision import F64, extended
-from qzeros.qdiff import (
-    apply_delta,
-    apply_Delta,
-    qde_checks,
-    qde_expanded_agreement,
-    qde_residual,
-)
+from qzeros.qdiff import qde_checks, qde_expanded_agreement, qde_residual
 from qzeros.qseries import Poly, coeffs_P, to_monic
 
 from conftest import zeros_of
@@ -37,58 +31,53 @@ def _sample_points(params, rng, count=20):
     return pts
 
 
-def test_apply_delta_hand_cases():
-    c = 2.5 - 1.0j
-    out = apply_delta(Poly((c,), monic=False), 0.3)
-    assert out.coeffs == (c,)
-
-    out = apply_delta(Poly((0.0, 1.0), monic=True), 3.0)
-    assert out.coeffs == (0.0, 3.0)
-
-    out = apply_delta(Poly((1.0, 1.0, 1.0), monic=True), 2.0)
-    assert out.coeffs == (1.0, 2.0, 4.0)
-
-
-def test_apply_Delta_hand_cases():
-    q = 0.5
-    out = apply_Delta(1.0, Poly((4.0 + 1.0j,), monic=False), q)
-    assert out.coeffs == (0.0,)
-
-    # Delta_{q^{-N}} kills the z^N monomial: (q^{-2} q^2 - 1) = 0.
-    out = apply_Delta(q ** (-2), Poly((0.0, 0.0, 1.0), monic=True), q)
-    assert abs(out.coeffs[2]) < 1e-15
-    # the lower coefficients are zero already, so the whole vector vanishes
-    assert all(abs(v) < 1e-15 for v in out.coeffs)
-
-    out = apply_Delta(3.0, Poly((1.0, 1.0), monic=True), 2.0)
-    assert out.coeffs == (2.0, 5.0)
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_operator_sides_hand_case(ctx):
+    # r = 0, s = 1, N = 2, q = 2, beta = 4 and p = 1 + z + z^2: every value
+    # is a dyadic rational, so both precisions give the sides exactly.
+    # A_m = (q^m - 1)(beta q^(m-1) - 1): Delta_1 zeroes m = 0.
+    # B_m = q^m (q^(m-N) - 1): the dilation by q^(s-r) = q scales
+    # coefficient m by q^m, and Delta_{q^-N} zeroes z^N exactly.
+    params = in_context(ParamSet(r=0, s=1, N=2, q=2.0, beta=(4.0,)), ctx)
+    p = Poly(tuple(ctx.convert(1.0) for _ in range(3)), monic=True)
+    a_side, a_scale, b_side, b_scale = qdiff._operator_sides(p, params)
+    assert [complex(v) for v in a_side] == [0, 3, 21]
+    assert [complex(v) for v in b_side] == [-0.75, -1, 0]
+    # each scale is the largest size its coefficient reached: A's rows are
+    # (1, 1, 1), (0, 1, 3) and (0, 3, 21), B's (1, 2, 4) and (3/4, 1, 0)
+    assert list(a_scale) == [1, 3, 21] and list(b_scale) == [1, 2, 4]
 
 
-def test_commutation_exact_over_rationals():
-    # Diagonal scalings commute; with exact scalars the coefficient tuples
-    # agree bitwise, no tolerance involved.
-    q = Fraction(3, 7)
-    g1 = Fraction(5, 2)
-    g2 = Fraction(-4, 9)
-    p = Poly(tuple(Fraction(k * k - 3, k + 1) for k in range(6)), monic=False)
-    ab = apply_Delta(g1, apply_Delta(g2, p, q), q)
-    ba = apply_Delta(g2, apply_Delta(g1, p, q), q)
-    assert ab.coeffs == ba.coeffs
+@pytest.mark.parametrize("q", [0.5, 2.0], ids=["q0.5", "q2"])
+def test_operator_sides_dilate_by_q_to_the_s_minus_r(q):
+    # r = 1, s = 0, N = 1, p = 1 + z, alpha = 3: the B side is p(z / q)
+    # under Delta_alpha and then Delta_{q^-1}, coefficient m picking up
+    # q^-m (alpha q^m - 1)(q^(m-1) - 1), so B = ((alpha - 1)(1/q - 1), 0)
+    alpha = 3.0
+    params = ParamSet(r=1, s=0, N=1, q=q, alpha=(alpha,))
+    _, _, b_side, b_scale = qdiff._operator_sides(Poly((1.0, 1.0), monic=True), params)
+    assert list(b_side) == [(alpha - 1) * (1 / q - 1), 0]
+    # coefficient 1 read 1/q, then (1/q)(alpha q - 1), before Delta_{q^-1}
+    # zeroed it
+    assert b_scale[1] == max(1 / q, (alpha * q - 1) / q)
 
 
-def test_commutation_float_to_rounding():
-    # In binary64 the two orders group the same three factors differently,
-    # so agreement is to a couple of ulp rather than bitwise.
-    rng = random.Random(11)
-    for _ in range(40):
-        q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        g1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        g2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        p = Poly(tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(7)), monic=False)
-        ab = apply_Delta(g1, apply_Delta(g2, p, q), q)
-        ba = apply_Delta(g2, apply_Delta(g1, p, q), q)
-        for x, y in zip(ab.coeffs, ba.coeffs):
-            assert abs(x - y) <= 8e-16 * max(abs(x), abs(y), 1e-30)
+def test_permuted_parameters_give_bitwise_equal_sides(suite):
+    # the Delta_gamma factors commute, and at 50 digits the sides are exact
+    # Gaussian rationals (precision.Dyadic), so reversing alpha and beta
+    # leaves every coefficient bitwise equal; the scales may differ, since
+    # they read the intermediate rows
+    ctx = extended(50)
+    permuted = 0
+    for params in suite:
+        params = in_context(params, ctx)
+        p = to_monic(coeffs_P(params))
+        flipped = replace(params, alpha=params.alpha[::-1], beta=params.beta[::-1])
+        permuted += flipped != params
+        got, want = qdiff._operator_sides(p, flipped), qdiff._operator_sides(p, params)
+        for side in (0, 2):
+            assert [(v.re, v.im, v.exp) for v in got[side]] == [(v.re, v.im, v.exp) for v in want[side]]
+    assert permuted > 0
 
 
 def test_annihilation_on_suite(suite):

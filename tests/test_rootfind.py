@@ -320,6 +320,33 @@ def test_nan_zeros_are_not_certified(ctx):
             rootfind._certify([ctx.convert(z) for z in zs], p)
 
 
+def test_aberth_evaluates_p_once_per_root_per_sweep(suite, monkeypatch):
+    # a sweep evaluates p once at each root, one at its noise floor too, and
+    # _aberth returns at the sweep whose largest step passes the step test,
+    # so each run from the spiral evaluates p a whole number of sweeps
+    evaluations, runs = [0], []
+    original, aberth = rootfind.eval_poly_deriv, rootfind._aberth
+
+    def counted(p, z):
+        evaluations[0] += 1
+        return original(p, z)
+
+    def recorded(p, zs, ctx):
+        evaluations[0] = 0
+        out = aberth(p, zs, ctx)
+        runs.append((len(zs), evaluations[0]))
+        return out
+
+    monkeypatch.setattr(rootfind, "eval_poly_deriv", counted)
+    monkeypatch.setattr(rootfind, "_aberth", recorded)
+    cases = [params for params in suite if params.N >= 2]
+    assert len(cases) == 45
+    for params in cases:
+        find_zeros(to_monic(coeffs_P(params)), params)
+    assert len(runs) == len(cases)
+    assert all(count > 0 and count % N == 0 for N, count in runs), runs
+
+
 def test_residual_bound_on_suite(suite):
     for params in suite:
         p, zset = zeros_of(params)

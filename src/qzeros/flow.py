@@ -21,17 +21,18 @@ precision.Dyadic at a width, Gaussian integers cut to 3 times the
 context's bits at each product), rounded once on the way out:
 _moved_velocity places each zero at an array of points, the others fixed,
 and multiplies its sum over the shifts by the product of the reciprocals
-1/(z - z_l) once. The zeros, and the K N sample points z_m + h w^j of
-jacobian_fd, are read in once, at a width three times their bits: their
-differences are exact while their scales differ by less than about twice
-their bits, and are cut once at the width otherwise, and each reciprocal
-1/(z - z_l) is a carried one (precision.Dyadic's, rounded once at the
-width). The only mpc divisions left are jacobian_fd's N scales 1/(K h).
+1/(z - z_l) once. The zeros are read in once, at a width three times
+their bits, and the K N sample points z_m +- h w^j of jacobian_fd are
+formed there: their differences are exact while their scales differ by
+less than about twice their bits, and are cut once at the width
+otherwise, and each reciprocal 1/(z - z_l), like jacobian_fd's N scales
+1/(K h), is a carried one (precision.Dyadic's, rounded once at the width).
 jacobian_fd checks the linearization against build_M in one pass over K points
 per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
 precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
-one factor of its kernels, read from the case's kernel tables (Case.kernels,
-the ones build_M reads): all K N^2 samples cost as much as K flow_rhs calls.
+one factor of its kernels, read from the flow-weighted kernel sums that the
+case's kernel cache forms once (Case.kernels, whose S build_M reads): all
+K N^2 samples cost as much as K flow_rhs calls.
 integrate_flow steps in binary64 and returns the sample_times grid and the
 zeros at each of its times, as two arrays.
 """
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import CollisionDetected, ConsistencyWarning, OverflowRisk, StepUnderflow
 from .isospectral import Case
-from .precision import TINY, PrecisionContext, context_of
+from .precision import TINY, PrecisionContext, binary64, context_of
 from .rootfind import pairwise_gaps, relative_separation
 from .zero_algebra import shifted_products
 
@@ -131,8 +132,9 @@ def equilibrium_residual(case: Case) -> float:
 
 @functools.cache
 def _contour(ctx: PrecisionContext):
-    """K, radius eps^(1/(K+1)), w^-j for j < K/2 and circle w^j for j < K
-    (w = e^(2 pi i/K) in the scalar type, w^(j+K/2) = -w^j) of jacobian_fd.
+    """K, radius eps^(1/(K+1)), w^-j and w^j for j < K/2 (w = e^(2 pi i/K)
+    in the scalar type; w^(j+K/2) = -w^j gives the rest of the circle) of
+    jacobian_fd.
     K is the least even K >= 4 whose conjugate truncation eps^((K-2)/(K+1))
     is 100x below CONJUGATE_TOL: 6 in binary64, 4 at 50 digits, 12 at most."""
     k = 4
@@ -142,8 +144,7 @@ def _contour(ctx: PrecisionContext):
         up = [cmath.exp(2j * cmath.pi * j / k) for j in range(k // 2)]
     else:
         up = ctx.mp.unitroots(k)[: k // 2]
-    down = tuple(w.conjugate() for w in up)
-    return k, ctx.eps ** (1 / (k + 1)), down, tuple(up + [-w for w in up])
+    return k, ctx.eps ** (1 / (k + 1)), tuple(w.conjugate() for w in up), tuple(up)
 
 
 def jacobian_fd(case: Case):
@@ -151,19 +152,21 @@ def jacobian_fd(case: Case):
     trapezoidal rule on a circle around each zero, in one array pass.
 
     Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
-    each f_n(k), n != m, depends on it, so row n != m is (P - Q z)/(z_n - z)
-    with P, Q summed once per call, one shift of velocity_weights at a time,
-    from the products that leave it out (the case's kernel tables,
-    Case.kernels), and row m is _moved_velocity, each divided in the
-    carried arithmetic, which reads the sample points in once. The K
+    each f_n(k), n != m, depends on it, so row n != m is
+    (z_n P - Q z)/(z_n - z), P = S + Q and Q read at (n, m) from the sums
+    over the shifts of the products that leave z_m out, weighted by the
+    flow (KernelCache.S and KernelCache.Q of the case's kernels), and row m
+    is _moved_velocity, each divided in the carried arithmetic, where the
+    sample points are formed from the kernels' zeros. The K
     samples of all N columns form one array F[m, n, j] in the dtype of the
     zeros' context; both contour sums reduce over j, and 1/(K h) scales
-    each sum, not each sample: in the scalar type for the derivative, in
-    floats for the conj(z_m) sum, of which only the size is read. The velocity formula is
-    the one flow_rhs sums, and the derivative is formed from the contour
-    samples, never from the kernel derivative identities that build_M
-    assembles, so the check against M stays independent: the kernel tables
-    the two share are products of the zeros, not derivatives.
+    each sum, not each sample: in the carried arithmetic for the
+    derivative, and in floats for the conj(z_m) sum, taken in binary64 on
+    the differences rounded once, of which only the size is read. The
+    velocity formula is the one flow_rhs sums, and the derivative is formed
+    from the contour samples, never from the kernel derivative identities
+    that build_M assembles: the sums the two share are products of the
+    zeros and the flow weights, not derivatives.
 
     Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
     h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
@@ -177,38 +180,34 @@ def jacobian_fd(case: Case):
     The antipodal samples w^(j+K/2) = -w^j share one difference in both.
     """
     gaps = _check_separation(case.zeros)
-    kernels, weights = case.kernels, case.velocity_weights
+    kernels = case.kernels
     ctx = context_of(case.zeros[0])
     carried = ctx.carried
-    zarr = np.asarray(case.zeros, dtype=ctx.dtype)
-    n_count = len(zarr)
-    others = _others(zarr)
-    # with z_m moved to z, row n = others[m, l] is (z_n p_sum - q_sum z)/(z_n - z)
-    p_sum = q_sum = 0
-    for k, (qk, a, b) in weights.items():
-        wl = _others(kernels.z * b + a) * _others(kernels.fnm[k].T)
-        p_sum = p_sum + wl * qk
-        q_sum = q_sum + wl
+    n_count = len(kernels.z)
+    # with z_m moved to z, row n = others[m, l] is (z_n P - Q z)/(z_n - z),
+    # P = S + Q, each read at (n, m) from the case's weighted kernel sums
+    others = _others(kernels.z)
+    p_sum, q_sum = _others((kernels.S + kernels.Q).T), _others(kernels.Q.T)
 
-    samples, rel_step, down, circle = _contour(ctx)
-    h = rel_step * np.asarray(np.minimum(ctx.sizes(zarr), gaps.min(axis=1)), dtype=float)
-    # the sample points in the scalar type, read in once and divided by there
-    points = zarr[:, None] + np.array(h, dtype=ctx.dtype)[:, None] * np.array(circle, dtype=ctx.dtype)
-    z, others = carried(points), carried(others)
+    samples, rel_step, down, up = _contour(ctx)
+    half = samples // 2
+    h = rel_step * np.asarray(np.minimum(ctx.sizes(kernels.z), gaps.min(axis=1)), dtype=float)
+    # the sample points z_m + h w^j and their antipodes z_m - h w^j, formed
+    # and divided by in the carried arithmetic
+    step = carried(h)[:, None] * carried(up)
+    z = np.hstack([kernels.z[:, None] + step, kernels.z[:, None] - step])
     inv_at = 1 / (z[:, None, :] - others[..., None])
     velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
     diagonal = np.eye(n_count, dtype=bool)
-    velocities[diagonal] = _moved_velocity(weights, others, z, inv_at)
+    velocities[diagonal] = _moved_velocity(case.velocity_weights, others, z, inv_at)
     rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
     velocities[~diagonal] = rows.reshape(-1, samples)
-    half = samples // 2
     diffs = velocities[..., :half] - velocities[..., half:]
     # deriv[m, n] = d F_n / d z_m, times 1/(K h) after the sum and in the
-    # scalar type: a float would round extended quotients to binary64
-    scale = carried([(1 / ctx.convert(samples * hm)).real for hm in h])
-    deriv = ctx.rounded((diffs * carried(down)).sum(axis=-1) * scale[:, None])
-    # its conj(z_m) counterpart feeds one float comparison: sized, then scaled in floats
-    conj = ctx.sizes((diffs * carried(circle[:half])).sum(axis=-1))
+    # carried arithmetic: a float would round extended quotients to binary64
+    deriv = ctx.rounded((diffs * carried(down)).sum(axis=-1) * (1 / carried(samples * h))[:, None])
+    # its conj(z_m) counterpart feeds one float comparison: summed in binary64
+    conj = np.abs((binary64(diffs) * np.array(up, dtype=complex)).sum(axis=-1))
     conj = conj / (samples * h)[:, None]
     worst_conjugate = float((conj / np.maximum(1.0, ctx.sizes(deriv))).max())
     if worst_conjugate > CONJUGATE_TOL:

@@ -22,8 +22,9 @@ arithmetic (precision.Dyadic at a width at extended digits: Gaussian
 integers cut to 3 times the context's bits at each product, no mpc
 product) and rounds M once into the context's scalars, which every check
 then reads. A Case holds one parameter set's stages, each computed once,
-and the kernel tables that M and the flow's Jacobian check share among
-them; the same parameter set at more digits is another Case, of the
+and among them the kernel tables and their flow-weighted sums, which
+zero_algebra.KernelCache forms and M and the flow's Jacobian check
+share; the same parameter set at more digits is another Case, of the
 parameters in that context (params.in_context), whose zeros come from
 find_zeros at those digits.
 
@@ -37,8 +38,10 @@ solve in both precisions, which never escalates and is never judged
 solves the companion oracle's matrix. The trace and determinant checks
 read M in its own scalars, never rounded to binary64: matrix_power_traces
 by exact array products (precision.Dyadic at extended digits), each trace
-rounded once, logdet_gap from the pivots of the one elimination
-(_eliminate), which _lost_digits reads.
+rounded once, and logdet_gap by the ratio of det M to the closed
+product, one running product of the pivots of an elimination
+(_eliminate, which _lost_digits also reads) and the reciprocals of the
+closed values, all in carried arithmetic (no logarithm).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def build_M(case: Case) -> np.ndarray:
     over the shifts k of velocity_weights. By the kernel derivative
     identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) T_k,
     T_k the left_out_products table of shift k (case.kernels, one table a
-    shift),
+    shift, and S the weighted sum it forms with them),
 
         M_nm = z_n S_nm / (z_n - z_m)^2,   m != n,
         M_nn = sum_k b_k f_n(k) - sum_{m != n} z_m S_nm / (z_n - z_m)^2,
@@ -81,13 +84,10 @@ def build_M(case: Case) -> np.ndarray:
     """
     cache = case.kernels
     z = cache.z
-    S = own = 0
-    for k, (qk, a, b) in case.velocity_weights.items():
-        table = cache.fnm[k]
-        # arrays on the left: an mpc on the left of an object array is slow
-        S = S + table * ((z * b + a) * (qk - 1))[:, None]
-        own = own + table.diagonal() * b
-    W = cache.inv * cache.inv * S
+    own = 0
+    for k, (_, _, b) in case.velocity_weights.items():
+        own = own + cache.fnm[k].diagonal() * b
+    W = cache.inv * cache.inv * cache.S
     M = W * z[:, None]
     M[np.eye(len(z), dtype=bool)] = own - W @ z
     return context_of(case.params.q).rounded(M)
@@ -370,22 +370,26 @@ def _escalated(worst: float) -> PrecisionContext:
     return extended(max(16 + int(math.ceil(math.log10(excess))) + 8, 24))
 
 
-def _eliminate(rows) -> Tuple[List, bool]:
+def _eliminate(rows) -> Tuple[List | None, bool]:
     """Pivots of partial-pivoting elimination of the square matrix rows (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 9) in its scalars, and
-    the parity of the row swaps: det = (-1)^odd prod(pivots), 0 where a column
-    has nothing left to pivot on."""
+    Accuracy and Stability of Numerical Algorithms, ch. 9) in its scalars,
+    the context's own or carried ones (PrecisionContext.carried), each column
+    below a pivot scaled by the pivot's reciprocal, the one division a
+    carried value has; and the parity of the row swaps: det = (-1)^odd
+    prod(pivots). The pivots are None where a column has nothing left to
+    pivot on, det = 0."""
     ctx = context_of(rows[0][0])
     a = np.array(rows, dtype=ctx.dtype)
     pivots, odd = [], False
     for i in range(len(a)):
         k = max(range(i, len(a)), key=lambda j: ctx.size(a[j, i]))
+        if not ctx.size(a[k, i]):
+            return None, odd
         if k != i:
             a[[i, k]] = a[[k, i]]
             odd = not odd
         pivots.append(a[i, i])
-        if a[i, i] != 0:
-            a[i + 1 :, i + 1 :] -= np.outer(a[i + 1 :, i] / a[i, i], a[i, i + 1 :])
+        a[i + 1 :, i + 1 :] -= np.outer(a[i + 1 :, i] * (1 / a[i, i]), a[i, i + 1 :])
     return pivots, odd
 
 
@@ -395,7 +399,7 @@ def _lost_digits(rows, ctx: PrecisionContext) -> int:
     from the pivots of _eliminate, which keeps the small pivots mpmath's det
     zeroes."""
     pivots, mag = _eliminate(rows)[0], ctx.mp.mag
-    if not all(pivots):
+    if pivots is None:
         return 0
     norm_bits = max(mag(v) for row in rows for v in row) + len(rows).bit_length()
     return max(0, math.ceil((len(rows) * norm_bits - sum(mag(v) for v in pivots)) * math.log10(2)))
@@ -501,8 +505,9 @@ class Case:
     its shifts (flow_powers, one a shift, the exact 1 at k = 0), which the
     flow addends and every shift grid read, their grouping by shift
     (velocity_weights), both zero-identity routes' shift grid, the kernel
-    tables (of the zeros and the flow weights' q^k, read by M and
-    flow.jacobian_fd), M, the closed-form spectrum mu, the stacked SVD of M
+    tables and their flow-weighted sums (of the zeros and the flow
+    weights, read by M and flow.jacobian_fd), M, the closed-form spectrum
+    mu, the stacked SVD of M
     and of each M - mu_n I (shifted_svd), the spectrum verdict read from it
     (backward) and M's reported eigenvalues, solved in binary64 on the
     same scaled matrix (eigenpairs). A check of another polynomial sets
@@ -714,23 +719,34 @@ def matrix_power_traces(M: np.ndarray) -> List:
 
 
 def logdet_gap(M: np.ndarray, closed: Sequence) -> float:
-    """|exp(log det M - sum log mu) - 1|, the scale-free determinant defect, in
-    the scalars of M: log det M sums the logs of the pivots of _eliminate, plus
-    i pi for an odd swap count, so it stays in log space; the branch is wrapped
-    before exponentiating. A zero pivot, det M = 0, is a defect of 1.
+    """size(rho - 1) for rho = det M / prod mu_n, the scale-free determinant
+    defect, in the carried arithmetic of M's context
+    (PrecisionContext.carried: complex128, or Dyadic at a width): M read in
+    once and reduced by _eliminate there, and rho = (-1)^odd prod(pivots) /
+    prod(mu_n) one running product of its pivots and the carried
+    reciprocals 1 / mu_n, rounded once.
+    Each step takes a factor below 1 in size while the product's is at least
+    1, and one of at least 1 otherwise, so no partial product leaves the
+    range of the factors and rho: a determinant beyond binary64 range still
+    compares, and only a rho beyond it reads inf (a binary64 overflow that
+    leaves NaN parts as well). A zero pivot, det M = 0, is a defect of 1.
 
     verify reads it on case.M, which in binary64 comes from the binary64
     pipeline, and the relative condition of det M is kappa_1(M), which need
     not be small: on an (r, s) = (3, 0) parameter set whose mu_n span 9.8e3
     to 6.8e12, eps kappa_1(M) is 5.6e-1 and the binary64 det_gap reads 1.1."""
     ctx = context_of(M[0, 0])
-    fn = ctx.elementary
-    pivots, odd = _eliminate(M)
-    if not all(pivots):
+    pivots, odd = _eliminate(ctx.carried(M))
+    if pivots is None:
         return 1.0
-    diff = sum(fn.log(v) for v in pivots) - sum(fn.log(m) for m in closed) + odd * 1j * fn.pi
-    turns = round(float(diff.imag / (2 * fn.pi)))
-    return float(ctx.size(fn.exp(diff - turns * 2j * fn.pi) - 1))
+    factors = np.concatenate([pivots, 1 / ctx.carried(closed)])
+    small = np.asarray(ctx.sizes(factors) < 1, dtype=bool)
+    below, above = factors[small].tolist(), factors[~small].tolist()
+    rho = -1 if odd else 1
+    while below or above:
+        rho = rho * (below if below and (not above or ctx.size(rho) >= 1) else above).pop()
+    gap = float(ctx.size(rho - 1))
+    return math.inf if math.isnan(gap) else gap
 
 
 def closed_trace(params: ParamSet):

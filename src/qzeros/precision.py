@@ -3,9 +3,9 @@
 All numerical kernels in this package are written against plain arithmetic
 (+, -, *, /, integer **, abs) so the same code runs on binary64 complex and
 on mpmath arbitrary-precision complex, and on NumPy arrays of either. A
-PrecisionContext carries the scalar constructor, the array dtype, the complex
-elementary functions, the machine epsilon and size, the magnitude that
-scales, normalisers and relative gaps (rel_gaps) are taken with. Every
+PrecisionContext carries the scalar constructor, the array dtype, the
+machine epsilon and size, the magnitude that scales, normalisers and
+relative gaps (rel_gaps) are taken with. Every
 binary64 modulus is the C hypot of the two parts, as builtin abs of a
 complex takes it, so sizes equals size value by value. An extended value
 is rounded to binary64 from its raw mpf parts (binary64), bit for bit the
@@ -24,10 +24,13 @@ round only their inputs and what they return.
 ctx.carried reads values at the width 3 * prec, prec being the context's
 bits: each +, - and * keeps the top 3 * prec bits of its integer parts,
 and 1 / x is one integer division rounded to that width. That is the
-reading of the kernel route (zero_algebra.KernelCache, isospectral.build_M,
-flow.flow_rhs and flow.jacobian_fd), whose integers would grow with every
-product: it reads the zeros in once, divides there, and M and the
-Jacobian leave it through ctx.rounded, one rounding each.
+reading of the kernel route, whose integers would grow with every
+product: zero_algebra.KernelCache reads the zeros in once, divides there
+and forms the kernel tables and their flow-weighted sums, which
+isospectral.build_M and flow.jacobian_fd both read (flow.flow_rhs reads
+its own configuration the same way), and M and the Jacobian leave it
+through ctx.rounded, one rounding each. isospectral.logdet_gap forms the
+determinant ratio in it too, each 1 / mu_n a carried reciprocal.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it
@@ -39,7 +42,6 @@ reads it from a value); the command line converts q, alpha and beta once
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -146,11 +148,6 @@ class PrecisionContext:
         return complex if self.mp is None else object
 
     @property
-    def elementary(self):
-        """log, exp and pi of this context's scalars: cmath, or the mpmath context."""
-        return cmath if self.mp is None else self.mp
-
-    @property
     def root_step_tol(self) -> float:
         # 1e-14 at binary64, scaled with eps elsewhere
         return 1e-14 * (self.eps / _F64_EPS)
@@ -185,10 +182,12 @@ def _binary64(x) -> complex:
     """x rounded to binary64, each part once to nearest: an mpc from its raw
     mpf parts (_part_float), equal to complex(x) bit for bit at a third of
     the cost of mpmath's complex(), which builds the rounding through its
-    own scalar layer; a binary64 complex as it is, any other number by
-    complex()."""
+    own scalar layer; a binary64 complex as it is, a Dyadic from its
+    integer parts, any other number by complex()."""
     if type(x) is complex:
         return x
+    if type(x) is Dyadic:
+        return x.__complex__()
     parts = getattr(x, "_mpc_", None)
     if parts is None:
         return complex(x)
@@ -281,8 +280,12 @@ class Dyadic:
     __slots__ = ("re", "im", "exp", "context", "width")
 
     def __init__(self, re: int, im: int, exp: int, context, width: int | None = None):
-        if width is not None and (cut := max(re.bit_length(), im.bit_length()) - width) > 0:
-            re, im, exp = re >> cut, im >> cut, exp + cut
+        if width is not None:
+            # the longer part's bits past the width, by a conditional: the
+            # builtin max() call costs more than the rest of a cut
+            bits, other = re.bit_length(), im.bit_length()
+            if (cut := (bits if bits > other else other) - width) > 0:
+                re, im, exp = re >> cut, im >> cut, exp + cut
         self.re, self.im, self.exp, self.context, self.width = re, im, exp, context, width
 
     def _int(self, other):
@@ -335,8 +338,11 @@ class Dyadic:
         if type(other) is not Dyadic or other.width != self.width:
             if (other := self._int(other)) is NotImplemented:
                 return other
+        # three integer products (Knuth, TAOCP vol. 2, 4.6.4): with k1 = c (a + b),
+        # ac - bd = k1 - b (c + d) and ad + bc = k1 + a (d - c), exactly
         a, b, c, d = self.re, self.im, other.re, other.im
-        return Dyadic(a * c - b * d, a * d + b * c, self.exp + other.exp, self.context, self.width)
+        k1 = c * (a + b)
+        return Dyadic(k1 - b * (c + d), k1 + a * (d - c), self.exp + other.exp, self.context, self.width)
 
     __rmul__ = __mul__
 

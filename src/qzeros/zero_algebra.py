@@ -17,11 +17,14 @@ left_out_products table as a read-only array in the carried arithmetic of
 the zeros' context (PrecisionContext.carried: complex128 in binary64, an
 object array of precision.Dyadic at a width at extended digits, Gaussian
 integers over a power of two cut to 3 times the context's bits at each
-product). It is the one builder of these tables: a Case builds it once
-from its zeros and the powers q^k of its velocity_weights
-(isospectral.Case.kernels), and the matrix assembly (isospectral.build_M)
-and the flow's Jacobian check (flow.jacobian_fd) both read it, with the
-flow weights in the same arithmetic.
+product), and the two flow-weighted sums of those tables,
+
+    S = sum_k T_k (q^k - 1),   Q = sum_k T_k,   T_k = f_nm(k) (a_k + b_k z_n).
+
+It is the one builder of these tables and sums: a Case builds it once
+from its zeros and its velocity_weights (isospectral.Case.kernels), and
+the matrix assembly (isospectral.build_M, from S) and the flow's Jacobian
+check (flow.jacobian_fd, from S + Q and Q) both read it.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
 division of the tables, in that carried arithmetic (a Dyadic reciprocal,
 rounded once, at extended digits); left_out_products builds the whole f_nm(p) table of one shift,
@@ -106,16 +109,23 @@ class KernelCache:
     {k: (q^k, a_k, b_k)} in the carried arithmetic of z's context,
     PrecisionContext.carried: precision.Dyadic at a width at extended
     digits, the complex array in binary64): z itself, read in once,
-    inv = reciprocal_table(z), divided in that arithmetic, and
+    inv = reciprocal_table(z), divided in that arithmetic,
     fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
-    f_n(k) on it, each q^k the weights' own. Every array is read-only,
-    since each reader of a Case shares them."""
+    f_n(k) on it, each q^k the weights' own, and the weighted sums over the
+    shifts S = sum_k f_nm(k) ((a_k + b_k z_n)(q^k - 1)) and
+    Q = sum_k f_nm(k) (a_k + b_k z_n), row n scaled. Every array is
+    read-only, since each reader of a Case shares them."""
 
     def __init__(self, z, weights):
         self.z = context_of(z[0]).carried(z)
         self.inv = reciprocal_table(self.z)
-        self.fnm = {k: left_out_products(self.z, qk, self.inv) for k, (qk, _, _) in weights.items()}
-        for table in (self.z, self.inv, *self.fnm.values()):
+        self.fnm, self.S, self.Q = {}, 0, 0
+        for k, (qk, a, b) in weights.items():
+            table = self.fnm[k] = left_out_products(self.z, qk, self.inv)
+            w = self.z * b + a
+            self.S = self.S + table * (w * (qk - 1))[:, None]
+            self.Q = self.Q + table * w[:, None]
+        for table in (self.z, self.inv, self.S, self.Q, *self.fnm.values()):
             table.flags.writeable = False
 
 

@@ -591,10 +591,11 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
 # cases, one per (r, s) class and q style: a count, not a clock, so the
 # budget is exact. The division-free checks take none (their products are
 # exact integer products of precision.Dyadic values), nor do the kernel
-# tables, M and the Jacobian check (products of Dyadic values at a width),
-# nor the zeros' Newton finish, whose Horner passes are on Python integers
-# (Aberth sweeps in mpc would take 292, 197 and 222 in all)
-MPC_MUL_BUDGET = {4: 125, 14: 72, 24: 53}
+# tables, M, the Jacobian check and det_gap's elimination (products of
+# Dyadic values at a width; the elimination took 30 in mpc), nor the
+# zeros' Newton finish, whose Horner passes are on Python integers (Aberth
+# sweeps in mpc would take 262, 167 and 192 in all)
+MPC_MUL_BUDGET = {4: 95, 14: 42, 24: 23}
 
 
 @pytest.mark.parametrize("index", sorted(MPC_MUL_BUDGET))
@@ -616,10 +617,13 @@ def test_extended_verify_stays_within_its_product_budget(tmp_path, suite, monkey
 # at a width, also a count: the q-difference checks compare the equation
 # coefficient by coefficient in about (r + s + 2 + 2 S)(N + 1) of them, S
 # the number of shifts; Horner passes at 20 points would take about
-# 20 (1 + S) N (2677, 2031 and 1573 in all). Every Delta_gamma of the
-# operator cascade reads one table of q's powers (2029, 1513 and 1185 if
-# each formed its own)
-DYADIC_MUL_BUDGET = {4: 2003, 14: 1499, 24: 1177}
+# 20 (1 + S) N (2617, 1991 and 1553 in all). Every Delta_gamma of the
+# operator cascade reads one table of q's powers (1969, 1473 and 1165 if
+# each formed its own). The Jacobian check reads the kernel cache's
+# weighted sums (2063, 1559 and 1237 if it formed its own shift by shift)
+# and forms its steps h w^j in N K / 2; det_gap's elimination takes 40 and
+# its running product 2N
+DYADIC_MUL_BUDGET = {4: 1953, 14: 1469, 24: 1167}
 
 
 @pytest.mark.parametrize("index", sorted(DYADIC_MUL_BUDGET))
@@ -639,10 +643,10 @@ def test_extended_verify_stays_within_its_exact_product_budget(tmp_path, suite, 
 
 
 # mpc reciprocals (1 / x for an mpc x, mpmath's mpc __rtruediv__) of the
-# same verifies, also a count: the N scales 1/(K h) of jacobian_fd. The
-# kernel tables' and the Jacobian samples' reciprocals are carried Dyadic
-# ones (95 each in mpc, N (N - 1)/2 + K N (N - 1) + N at K = 4)
-MPC_RECIPROCAL_BUDGET = {4: 5, 14: 5, 24: 5}
+# same verifies, also a count: none. The kernel tables', the Jacobian
+# samples' and its N scales 1/(K h) are carried Dyadic ones (100 each in
+# mpc, N (N - 1)/2 + K N (N - 1) + N at K = 4), as are det_gap's 1 / mu_n
+MPC_RECIPROCAL_BUDGET = {4: 0, 14: 0, 24: 0}
 
 
 @pytest.mark.parametrize("index", sorted(MPC_RECIPROCAL_BUDGET))
@@ -658,6 +662,27 @@ def test_extended_verify_stays_within_its_reciprocal_budget(tmp_path, suite, mon
     monkeypatch.setattr(mpmath.ctx_mp_python._mpc, "__rtruediv__", counted)
     assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
     assert suite[index].N == 5 and reciprocals[0] <= MPC_RECIPROCAL_BUDGET[index]
+
+
+@pytest.mark.parametrize("index", [4, 14, 24])
+def test_extended_verify_takes_no_logarithm_or_exponential(tmp_path, suite, monkeypatch, index):
+    # det_gap is one running product of the pivots and 1 / mu_n in carried
+    # arithmetic: no mpmath log or exp of the context verify computes in
+    calls = []
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    mp = extended().mp
+    for name in ("ln", "exp"):  # mp.log takes mp.ln
+        monkeypatch.setattr(mp, name, spy(name, getattr(mp, name)))
+    path = write_params(tmp_path, suite[index])
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
+    assert calls == []
 
 
 def test_module_entry_point(tmp_path):

@@ -24,7 +24,7 @@ from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import coeffs_P, to_monic
 from qzeros.rootfind import relative_separation
 
-from conftest import make_case, zeros_of
+from conftest import counting, make_case, zeros_of
 from oracles import (
     CoeffState,
     RepeatedEigenvalue,
@@ -367,6 +367,28 @@ def test_jacobian_reads_the_kernel_tables_but_not_M(suite, monkeypatch):
     J = jacobian_fd(case)
     assert len(J) == params.N
     assert "kernels" in vars(case) and "M" not in vars(case)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended()], ids=["f64", "ext"])
+def test_m_and_the_jacobian_read_one_set_of_weighted_kernel_sums(suite, monkeypatch, ctx):
+    # the case's kernel cache, built once, forms S = sum_k T_k (q^k - 1) and
+    # Q = sum_k T_k (T_k = f_nm(k) (a_k + b_k z_n)): build_M's off-diagonal
+    # is z_n S_nm / (z_n - z_m)^2 from that S, and jacobian_fd reads S + Q
+    # and Q, forming no per-shift sum of its own, so without the per-shift
+    # tables it returns the same Jacobian
+    params = in_context(suite[9], ctx)
+    zeros = zeros_of(params)[1].zeros
+    expected = jacobian_fd(Case(params, zeros))
+    caches = counting(monkeypatch, isospectral, "KernelCache")
+    case = Case(params, zeros)
+    M = build_M(case)
+    kernels = case.kernels
+    W = kernels.inv * kernels.inv * kernels.S * kernels.z[:, None]
+    off = ~np.eye(params.N, dtype=bool)
+    assert (M[off] == ctx.rounded(W)[off]).all()
+    kernels.fnm = {}
+    assert jacobian_fd(case) == expected
+    assert len(caches) == 1
 
 
 def test_jacobian_n1_hand_case():

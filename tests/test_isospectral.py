@@ -118,7 +118,7 @@ def test_case_kernel_tables_are_read_only(suite, ctx):
     # either would change what the other reads
     params = in_context(suite[3], ctx)
     kernels = Case(params, zeros_of(params)[1].zeros).kernels
-    for table in (kernels.z, kernels.inv, *kernels.fnm.values()):
+    for table in (kernels.z, kernels.inv, kernels.S, kernels.Q, *kernels.fnm.values()):
         with pytest.raises(ValueError, match="read-only"):
             table *= 2
 
@@ -255,6 +255,12 @@ def test_logdet_gap_reads_the_swap_parity_and_stays_in_log_space(ctx):
     assert logdet_gap(big, [ctx.convert(1e200), ctx.convert(2e200)]) == pytest.approx(0.5)
     # a zero pivot is det M = 0: a defect of 1, with no log of 0 taken
     assert logdet_gap(matrix([[1, 2], [2, 4]]), [ctx.convert(5), ctx.convert(0)]) == 1.0
+    # the ratio is one running product kept within its factors' range: the
+    # mu in the reverse order would pair 1e200 with 1e-200, beyond binary64
+    wide = matrix([[1e200, 0], [0, 1e-200]])
+    assert logdet_gap(wide, [ctx.convert(1e-200), ctx.convert(1e200)]) <= 4 * ctx.eps
+    # a ratio itself beyond binary64 range, det M / prod mu = 1e800, fails
+    assert logdet_gap(big, [ctx.convert(1e-200), ctx.convert(1e-200)]) == math.inf
 
 
 def test_beta_perturbation_keeps_spectrum():

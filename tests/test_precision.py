@@ -454,6 +454,30 @@ def test_dyadic_arithmetic_is_the_exact_result_cut_to_its_width():
                     mix()
 
 
+def test_carried_product_is_the_four_product_form():
+    # Dyadic.__mul__ forms its parts from three integer products; at the
+    # carried width, over parts of either sign, they are ac - bd and
+    # ad + bc cut once, and precision._binary64 rounds the product from its
+    # integer parts as complex() does
+    rng = random.Random(45)
+    mp = extended(50).mp
+    width = CARRIED_WIDTH * mp.prec
+
+    def draw():
+        re, im = (rng.choice([-1, 1]) * rng.getrandbits(width) for _ in range(2))
+        return Dyadic(re, im, rng.randint(-400, 400), mp, width)
+
+    negative = 0
+    for _ in range(500):
+        x, y = draw(), draw()
+        got = x * y
+        a, b, c, d = x.re, x.im, y.re, y.im
+        assert (got.re, got.im, got.exp) == _cut(a * c - b * d, a * d + b * c, x.exp + y.exp, width)
+        assert precision._binary64(got) == complex(got)
+        negative += min(a, b, c, d) < 0
+    assert negative > 400
+
+
 # draw 5 of conftest.make_case over random.Random(99), N replaced by 24
 LARGE = ParamSet(
     r=2,

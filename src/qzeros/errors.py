@@ -64,7 +64,3 @@ class CollisionDetected(QZerosError):
 
 class StepUnderflow(QZerosError):
     """The adaptive integrator could not take a step within its error budget."""
-
-
-class ConsistencyWarning(UserWarning):
-    """A difference Jacobian implies a conjugate-direction dependence beyond tolerance."""

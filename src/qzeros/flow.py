@@ -19,45 +19,35 @@ matrix. Velocities are arrays in the carried arithmetic of the zeros'
 context (PrecisionContext.carried: complex128, or at extended digits
 precision.Dyadic at a width, Gaussian integers cut to 3 times the
 context's bits at each product), rounded once on the way out:
-_moved_velocity places each zero at an array of points, the others fixed,
-and multiplies its sum over the shifts by the product of the reciprocals
-1/(z - z_l) once. The zeros are read in once, at a width three times
-their bits, and the K N sample points z_m +- h w^j of jacobian_fd are
-formed there: their differences are exact while their scales differ by
-less than about twice their bits, and are cut once at the width
-otherwise, and each reciprocal 1/(z - z_l), like jacobian_fd's N scales
-1/(K h), is a carried one (precision.Dyadic's, rounded once at the width).
-jacobian_fd checks the linearization against build_M in one pass over K points
-per zero on a circle of radius eps^(1/(K+1)) times its reach (eps the zeros'
-precision; K = 6 in binary64, 4 at 50 digits); every other row moves through
-one factor of its kernels, read from the flow-weighted kernel sums that the
-case's kernel cache forms once (Case.kernels, whose S build_M reads): all
-K N^2 samples cost as much as K flow_rhs calls.
+_moved_velocity places each zero at a point, the others fixed, and
+multiplies its sum over the shifts by the product of the reciprocals
+1/(z - z_l) once, each a carried one (precision.Dyadic's, rounded once at
+the width). jacobian_fd checks the linearization against build_M by
+forward-mode dual numbers in the same arithmetic, with no step: the
+diagonal is _moved_velocity's derivative, and every other entry moves
+through one factor of its kernels, read from the flow-weighted kernel sums
+that the case's kernel cache forms once (Case.kernels, whose S build_M
+reads).
 integrate_flow steps in binary64 and returns the sample_times grid and the
 zeros at each of its times, as two arrays.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
-import warnings
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import CollisionDetected, ConsistencyWarning, OverflowRisk, StepUnderflow
+from .errors import CollisionDetected, OverflowRisk, StepUnderflow
 from .isospectral import Case
-from .precision import TINY, PrecisionContext, binary64, context_of
+from .precision import TINY, context_of
 from .rootfind import pairwise_gaps, relative_separation
-from .zero_algebra import shifted_products
+from .zero_algebra import leave_one_out, shifted_products
 
 COLLISION_TOL = 1e-10
 # integrate_flow's RK45 relative tolerance; its absolute tolerance is this
 # times max(1, largest starting |z_n|)
 FLOW_RTOL = 1e-12
-# relative conjugate-direction dependence at which jacobian_fd warns
-CONJUGATE_TOL = 1e-6
 
 
 def _check_separation(zs) -> np.ndarray:
@@ -76,16 +66,34 @@ def _others(a):
     return np.broadcast_to(a, (n, n)).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
 
 
-def _moved_velocity(weights, others, z, inv):
-    """Velocity of zero i placed at each z[i, j], the zeros others[i] fixed:
+def _moved_velocity(weights, others, z, inv, dual=False):
+    """Velocity of zero i placed at z[i], the zeros others[i] fixed:
     sum_k (a_k + b_k z) f_i(k) over the velocity_weights items
     (k, (q^k, a_k, b_k)), f_i(k) = prod_l (q^k z - others[i, l]) times the
-    product of the inv[i, l, j] = 1/(z[i, j] - others[i, l]) over l, which no
-    shift changes and so multiplies the sum once."""
-    total = np.zeros_like(z)
+    product of the inv[i, l] = 1/(z[i] - others[i, l]) over l, which no
+    shift changes and so multiplies the sum once.
+
+    With dual, the pair of the velocity and its derivative in z[i]: the
+    velocity at z + e, e^2 = 0 (forward-mode differentiation; Griewank &
+    Walther, Evaluating Derivatives, 2008, ch. 3). Each product over l
+    differentiates to q^k times the sum of the products that leave one
+    factor out (zero_algebra.leave_one_out), with no division by a
+    factor, which q^k z can make 0; the product of the inv differentiates
+    to itself times -sum_l inv[i, l]."""
+    total = dtotal = np.zeros_like(z)
     for qk, a, b in weights.values():
-        total = total + (z[:, None, :] * qk - others[..., None]).prod(axis=1) * (z * b + a)
-    return total * inv.prod(axis=1)
+        factors = z[:, None] * qk - others
+        w = z * b + a
+        if dual:
+            left_out, product = leave_one_out(factors)
+            dtotal = dtotal + left_out.sum(axis=1) * qk * w + product * b
+        else:
+            product = factors.prod(axis=1)
+        total = total + product * w
+    scale = inv.prod(axis=1)
+    if not dual:
+        return total * scale
+    return total * scale, (dtotal - total * inv.sum(axis=1)) * scale
 
 
 def flow_rhs(zs, case: Case) -> List:
@@ -96,9 +104,9 @@ def flow_rhs(zs, case: Case) -> List:
     ctx = context_of(zs[0])
     zs = np.asarray(zs, dtype=ctx.dtype)
     _check_separation(zs)
-    others, z = ctx.carried(_others(zs)), ctx.carried(zs[:, None])
-    velocity = _moved_velocity(case.velocity_weights, others, z, 1 / (z[:, None, :] - others[..., None]))
-    return ctx.rounded(velocity[:, 0]).tolist()
+    others, z = ctx.carried(_others(zs)), ctx.carried(zs)
+    velocity = _moved_velocity(case.velocity_weights, others, z, 1 / (z[:, None] - others))
+    return ctx.rounded(velocity).tolist()
 
 
 def equilibrium_residual(case: Case) -> float:
@@ -130,90 +138,36 @@ def equilibrium_residual(case: Case) -> float:
     return float(np.fmax.reduce(velocity / largest, initial=0.0))
 
 
-@functools.cache
-def _contour(ctx: PrecisionContext):
-    """K, radius eps^(1/(K+1)), w^-j and w^j for j < K/2 (w = e^(2 pi i/K)
-    in the scalar type; w^(j+K/2) = -w^j gives the rest of the circle) of
-    jacobian_fd.
-    K is the least even K >= 4 whose conjugate truncation eps^((K-2)/(K+1))
-    is 100x below CONJUGATE_TOL: 6 in binary64, 4 at 50 digits, 12 at most."""
-    k = 4
-    while k < 12 and ctx.eps ** ((k - 2) / (k + 1)) > CONJUGATE_TOL / 100:
-        k += 2
-    if ctx.mp is None:
-        up = [cmath.exp(2j * cmath.pi * j / k) for j in range(k // 2)]
-    else:
-        up = ctx.mp.unitroots(k)[: k // 2]
-    return k, ctx.eps ** (1 / (k + 1)), tuple(w.conjugate() for w in up), tuple(up)
-
-
 def jacobian_fd(case: Case):
-    """Jacobian of the flow velocity at the case's zeros, by the K-point
-    trapezoidal rule on a circle around each zero, in one array pass.
+    """Jacobian of the flow velocity at the case's zeros, by forward-mode
+    dual numbers in the carried arithmetic of the case's kernels, in one
+    array pass and rounded once.
 
-    Column m moves z_m alone; only the factor (q^k z_n - z_m)/(z_n - z_m) of
-    each f_n(k), n != m, depends on it, so row n != m is
-    (z_n P - Q z)/(z_n - z), P = S + Q and Q read at (n, m) from the sums
-    over the shifts of the products that leave z_m out, weighted by the
-    flow (KernelCache.S and KernelCache.Q of the case's kernels), and row m
-    is _moved_velocity, each divided in the carried arithmetic, where the
-    sample points are formed from the kernels' zeros. The K
-    samples of all N columns form one array F[m, n, j] in the dtype of the
-    zeros' context; both contour sums reduce over j, and 1/(K h) scales
-    each sum, not each sample: in the carried arithmetic for the
-    derivative, and in floats for the conj(z_m) sum, taken in binary64 on
-    the differences rounded once, of which only the size is read. The
-    velocity formula is the one flow_rhs sums, and the derivative is formed
-    from the contour samples, never from the kernel derivative identities
-    that build_M assembles: the sums the two share are products of the
-    zeros and the flow weights, not derivatives.
-
-    Column m samples F_j at z_m + h w^j, j < K, with w = e^(2 pi i/K) and
-    h = eps^(1/(K+1)) * min(|z_m|, distance from z_m to its nearest other
-    zero), eps being the precision of the zeros: the zeros of one
-    configuration can span eight orders of magnitude, and no zero is 0. The
-    flow is holomorphic in z_m away from collisions, so
-    (1/(K h)) sum w^-j F_j is the derivative to O(h^K) truncation plus
-    O(eps/h) round-off, and (1/(K h)) sum w^j F_j, the derivative in
-    conj(z_m), is 0 up to O(h^(K-2)) (Lyness & Moler 1967); a
-    ConsistencyWarning is raised when it exceeds CONJUGATE_TOL relative.
-    The antipodal samples w^(j+K/2) = -w^j share one difference in both.
+    Column m moves z_m alone, to z_m + e with e^2 = 0. Its row m is the
+    derivative of _moved_velocity, the formula flow_rhs sums, which reads
+    neither the kernel tables nor their sums. Only the factor
+    (q^k z_n - z_m)/(z_n - z_m) of each f_n(k), n != m, depends on z_m, so
+    row n != m is the derivative of (z_n P - Q z)/(z_n - z) at z_m, P = S + Q
+    and Q read at (n, m) from the sums over the shifts of the products that
+    leave z_m out, weighted by the flow (KernelCache.S and KernelCache.Q of
+    the case's kernels): (Q - (z_m Q - z_n P) r) r, r = 1/(z_m - z_n). Both
+    read one carried reciprocal a pair entry, the inv of _moved_velocity.
+    The derivative is formed from the velocity formula, never from the
+    kernel derivative identities that build_M assembles: the sums the two
+    share are products of the zeros and the flow weights, not derivatives.
     """
-    gaps = _check_separation(case.zeros)
+    _check_separation(case.zeros)
     kernels = case.kernels
-    ctx = context_of(case.zeros[0])
-    carried = ctx.carried
-    n_count = len(kernels.z)
-    # with z_m moved to z, row n = others[m, l] is (z_n P - Q z)/(z_n - z),
-    # P = S + Q, each read at (n, m) from the case's weighted kernel sums
-    others = _others(kernels.z)
+    z = kernels.z
+    others = _others(z)
+    inv = 1 / (z[:, None] - others)
+    # deriv[m, n] = d F_n / d z_m
+    deriv = np.empty((len(z), len(z)), dtype=z.dtype)
+    diagonal = np.eye(len(z), dtype=bool)
+    deriv[diagonal] = _moved_velocity(case.velocity_weights, others, z, inv, dual=True)[1]
     p_sum, q_sum = _others((kernels.S + kernels.Q).T), _others(kernels.Q.T)
-
-    samples, rel_step, down, up = _contour(ctx)
-    half = samples // 2
-    h = rel_step * np.asarray(np.minimum(ctx.sizes(kernels.z), gaps.min(axis=1)), dtype=float)
-    # the sample points z_m + h w^j and their antipodes z_m - h w^j, formed
-    # and divided by in the carried arithmetic
-    step = carried(h)[:, None] * carried(up)
-    z = np.hstack([kernels.z[:, None] + step, kernels.z[:, None] - step])
-    inv_at = 1 / (z[:, None, :] - others[..., None])
-    velocities = np.empty((n_count, n_count, samples), dtype=ctx.dtype)
-    diagonal = np.eye(n_count, dtype=bool)
-    velocities[diagonal] = _moved_velocity(case.velocity_weights, others, z, inv_at)
-    rows = (z[:, None, :] * q_sum[..., None] - (others * p_sum)[..., None]) * inv_at
-    velocities[~diagonal] = rows.reshape(-1, samples)
-    diffs = velocities[..., :half] - velocities[..., half:]
-    # deriv[m, n] = d F_n / d z_m, times 1/(K h) after the sum and in the
-    # carried arithmetic: a float would round extended quotients to binary64
-    deriv = ctx.rounded((diffs * carried(down)).sum(axis=-1) * (1 / carried(samples * h))[:, None])
-    # its conj(z_m) counterpart feeds one float comparison: summed in binary64
-    conj = np.abs((binary64(diffs) * np.array(up, dtype=complex)).sum(axis=-1))
-    conj = conj / (samples * h)[:, None]
-    worst_conjugate = float((conj / np.maximum(1.0, ctx.sizes(deriv))).max())
-    if worst_conjugate > CONJUGATE_TOL:
-        msg = f"the circle rule implies a conjugate-direction dependence of {worst_conjugate:.3e}"
-        warnings.warn(msg, ConsistencyWarning, stacklevel=2)
-    return tuple(map(tuple, deriv.T.tolist()))
+    deriv[~diagonal] = ((q_sum - (z[:, None] * q_sum - others * p_sum) * inv) * inv).ravel()
+    return tuple(map(tuple, context_of(case.zeros[0]).rounded(deriv).T.tolist()))
 
 
 def sample_times(t_end: float, samples: int) -> np.ndarray:

@@ -27,10 +27,11 @@ and 1 / x is one integer division rounded to that width. That is the
 reading of the kernel route, whose integers would grow with every
 product: zero_algebra.KernelCache reads the zeros in once, divides there
 and forms the kernel tables and their flow-weighted sums, which
-isospectral.build_M and flow.jacobian_fd both read (flow.flow_rhs reads
-its own configuration the same way), and M and the Jacobian leave it
-through ctx.rounded, one rounding each. isospectral.logdet_gap forms the
-determinant ratio in it too, each 1 / mu_n a carried reciprocal.
+isospectral.build_M and flow.jacobian_fd's dual numbers both read
+(flow.flow_rhs reads its own configuration the same way), and M and the
+Jacobian leave it through ctx.rounded, one rounding each.
+isospectral.logdet_gap forms the determinant ratio in it too, each 1 / mu_n
+a carried reciprocal.
 
 Precision is a property of the values, not of the process: an extended
 context owns a private mpmath context, whose precision the scalars it

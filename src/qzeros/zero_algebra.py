@@ -24,12 +24,13 @@ product), and the two flow-weighted sums of those tables,
 It is the one builder of these tables and sums: a Case builds it once
 from its zeros and its velocity_weights (isospectral.Case.kernels), and
 the matrix assembly (isospectral.build_M, from S) and the flow's Jacobian
-check (flow.jacobian_fd, from S + Q and Q) both read it.
+check (flow.jacobian_fd, its off-diagonal from S + Q and Q) both read it.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
 division of the tables, in that carried arithmetic (a Dyadic reciprocal,
-rounded once, at extended digits); left_out_products builds the whole f_nm(p) table of one shift,
-f_n(p) on its diagonal, from prefix and suffix products along the rows of
-factors: O(N^2) per shift, in array passes, with no division by a factor.
+rounded once, at extended digits); left_out_products builds the whole
+f_nm(p) table of one shift, f_n(p) on its diagonal, from the prefix and
+suffix products of leave_one_out along the rows of factors: O(N^2) per
+shift, in array passes, with no division by a factor.
 g_n(p) is never tabled: the matrix assembly sums it against the flow
 weights.
 
@@ -86,21 +87,30 @@ def left_out_products(z, qp, inv):
         out[n, n] = f_n(p), the full product in the order of l.
 
     Row n multiplies its factors with a 1 in place of the l = n factor;
-    prefix and suffix products (np.multiply.accumulate) give every left-out
-    product without dividing f_n(p) by a factor, since a geometric chain puts
-    q^p z_n exactly on another zero. The one home of these products, and
-    KernelCache its one caller.
+    leave_one_out gives every left-out product without dividing f_n(p) by
+    a factor. The one home of these products, and KernelCache its one
+    caller.
     """
     diagonal = np.eye(len(z), dtype=bool)
     # z * qp, never qp * z: an mpc on the left of an object array is slow
     factors = (z[:, None] * qp - z[None, :]) * inv
     factors[diagonal] = 1
-    ones = np.ones((len(z), 1), dtype=z.dtype)
-    forward = np.multiply.accumulate(factors, axis=1)
-    backward = np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1]
-    out = np.hstack([ones, forward[:, :-1]]) * np.hstack([backward[:, 1:], ones])
-    out[diagonal] = forward[:, -1]
+    out, whole = leave_one_out(factors)
+    out[diagonal] = whole
     return out
+
+
+def leave_one_out(factors):
+    """The products along each row of the N x L array factors with factor l
+    left out, as an N x L array, and each whole row product: the product of
+    the factors before l (np.multiply.accumulate) times that of the factors
+    after it, with no division by a factor, since a geometric chain puts
+    q^p z_n exactly on another zero. Read by left_out_products and by the
+    dual pass of the flow's Jacobian (flow._moved_velocity)."""
+    ones = np.ones((len(factors), 1), dtype=factors.dtype)
+    forward = np.concatenate((ones, np.multiply.accumulate(factors, axis=1)), axis=1)
+    backward = np.concatenate((np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1], ones), axis=1)
+    return forward[:, :-1] * backward[:, 1:], forward[:, -1]
 
 
 class KernelCache:

@@ -52,9 +52,9 @@ division-free checks (qdiff.qde_checks, zero_algebra.prop1_residuals(_qde)
 and isospectral.matrix_power_traces) in those Gaussian rationals, from the
 same values the kernels read, by power sums and triple sums instead of
 running products, Horner passes and matrix products. mpc_kernel_route
-runs the kernel route (KernelCache, build_M and flow.jacobian_fd) with
-every product rounded in mpc, as before it carried precision.Dyadic values
-at a width, the reference of its carried products.
+runs the kernel route (KernelCache, build_M and flow.jacobian_fd's dual
+numbers) with every product rounded in mpc, as before it carried
+precision.Dyadic values at a width, the reference of its carried products.
 """
 
 import cmath
@@ -1105,7 +1105,8 @@ def mpc_kernel_route(params: ParamSet, zeros: Sequence):
     """build_M and jacobian_fd over Case(params, zeros), the same formulas
     with every product rounded in the context's scalars: carried read as
     those scalars themselves (ctx.convert), so the kernel tables, M and the
-    Jacobian samples are mpc products at extended digits."""
+    Jacobian's dual numbers are mpc products and reciprocals at extended
+    digits."""
 
     def scalars(ctx, values):
         values = np.asarray(values, dtype=object)

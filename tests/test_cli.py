@@ -442,9 +442,8 @@ def test_extended_verify_reads_extended_params(tmp_path, suite):
     assert byname["qde_residual_max"] < 1e-40
     assert byname["qde_expanded_agreement_max"] < 1e-40
     assert byname["prop1_dual_gap"] < 1e-40
-    # a step of eps^(1/(K+1)), K = 4 at 50 digits, brings the difference
-    # Jacobian to the extended level
-    assert byname["jacobian_defect"] < 1e-30
+    # the dual numbers take no step: the Jacobian is at the extended level
+    assert byname["jacobian_defect"] < 1e-45
 
 
 def test_extended_zeros_checks_at_the_extended_level(tmp_path, suite):
@@ -619,11 +618,11 @@ def test_extended_verify_stays_within_its_product_budget(tmp_path, suite, monkey
 # the number of shifts; Horner passes at 20 points would take about
 # 20 (1 + S) N (2617, 1991 and 1553 in all). Every Delta_gamma of the
 # operator cascade reads one table of q's powers (1969, 1473 and 1165 if
-# each formed its own). The Jacobian check reads the kernel cache's
-# weighted sums (2063, 1559 and 1237 if it formed its own shift by shift)
-# and forms its steps h w^j in N K / 2; det_gap's elimination takes 40 and
-# its running product 2N
-DYADIC_MUL_BUDGET = {4: 1953, 14: 1469, 24: 1167}
+# each formed its own). The Jacobian check's off-diagonal reads the kernel
+# cache's weighted sums, and its diagonal is one dual pass of the moved
+# velocity (1953, 1469 and 1167 by a 4-point circle rule a column);
+# det_gap's elimination takes 40 and its running product 2N
+DYADIC_MUL_BUDGET = {4: 1598, 14: 1154, 24: 892}
 
 
 @pytest.mark.parametrize("index", sorted(DYADIC_MUL_BUDGET))
@@ -643,9 +642,9 @@ def test_extended_verify_stays_within_its_exact_product_budget(tmp_path, suite, 
 
 
 # mpc reciprocals (1 / x for an mpc x, mpmath's mpc __rtruediv__) of the
-# same verifies, also a count: none. The kernel tables', the Jacobian
-# samples' and its N scales 1/(K h) are carried Dyadic ones (100 each in
-# mpc, N (N - 1)/2 + K N (N - 1) + N at K = 4), as are det_gap's 1 / mu_n
+# same verifies, also a count: none. The kernel tables' and the Jacobian's
+# are carried Dyadic ones (30 each in mpc, N (N - 1)/2 + N (N - 1)), as are
+# det_gap's 1 / mu_n
 MPC_RECIPROCAL_BUDGET = {4: 0, 14: 0, 24: 0}
 
 

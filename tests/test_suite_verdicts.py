@@ -23,7 +23,6 @@ import warnings
 import pytest
 
 from qzeros.cli import SWEEP_DEFAULT_K, main
-from qzeros.errors import ConsistencyWarning
 from qzeros.rootfind import F64_DEGREE_WARN
 
 from conftest import RS_COMBOS, make_case, suite_cases
@@ -88,7 +87,7 @@ KNOWN_FAILURES = {
     # the same M, perturbed in beta: its mu_N reads a backward error of
     # 5.4e-9 against 1e-9 (ROADMAP item 6)
     ("sweep-high", 45): (1, ("spectrum_drift_max",)),
-    # jacobian_defect at 3.4e-4 against 1e-5 on an (r, s) = (2, 2), N = 10
+    # jacobian_defect at 3.9e-5 against 1e-5 on an (r, s) = (2, 2), N = 10
     # case whose |q| = 4.3: entrywise gaps of an M whose 2-norm is 7.5e11
     # (ROADMAP items 12 and 13)
     ("verify-e4", 29): (1, ("jacobian_defect",)),
@@ -119,12 +118,8 @@ KNOWN_FAILURES = {
 }
 
 # (stream, position): warnings besides the degree note, as (category, text
-# up to its value); on E4 the Jacobian's circle rule reads a conjugate
-# dependence above CONJUGATE_TOL (ROADMAP item 12)
-CIRCLE_NOTE = (ConsistencyWarning, "the circle rule implies a conjugate-direction dependence")
-KNOWN_WARNINGS = {
-    ("verify-e4", i): [CIRCLE_NOTE] for i in (8, 17, 28, 29, 38, 47, 58, 69, 77, 87, 89, 98, 99, 107, 119)
-}
+# up to its value); no pinned run raises one
+KNOWN_WARNINGS = {}
 
 
 def _pair(z):

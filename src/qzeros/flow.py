@@ -19,21 +19,22 @@ matrix. Velocities are arrays in the carried arithmetic of the zeros'
 context (PrecisionContext.carried: complex128, or at extended digits
 precision.Dyadic at a width, Gaussian integers cut to 3 times the
 context's bits at each product), rounded once on the way out:
-_moved_velocity places each zero at a point, the others fixed, and
-multiplies its sum over the shifts by the product of the reciprocals
-1/(z - z_l) once, each a carried one (precision.Dyadic's, rounded once at
-the width). jacobian_fd checks the linearization against build_M by
-forward-mode dual numbers in the same arithmetic, with no step: the
-diagonal is _moved_velocity's derivative, and every other entry moves
-through one factor of its kernels, read from the flow-weighted kernel sums
-that the case's kernel cache forms once (Case.kernels, whose S build_M
-reads).
+_moved_velocity reads a configuration in, places each zero at its point,
+the others fixed, and multiplies its sum over the shifts by the product of
+the reciprocals 1/(z - z_l) once, each a carried one (precision.Dyadic's,
+rounded once at the width). jacobian_fd checks the linearization against
+build_M by forward-mode dual numbers in the same arithmetic, with no step:
+the whole Jacobian is one dual pass of _moved_velocity, whose left-out
+products give each row's derivative in its own zero and in every other.
+It shares no table with build_M, whose kernel sums it therefore checks in
+every entry.
 integrate_flow steps in binary64 and returns the sample_times grid and the
 zeros at each of its times, as two arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 import numpy as np
@@ -58,42 +59,56 @@ def _check_separation(zs) -> np.ndarray:
     return gaps
 
 
-def _others(a):
-    """Rows a[i] without entry i, N x (N-1); a vector counts as N copies of it."""
-    n = len(a)
-    # the flattened square without its first entry, in rows of n + 1, holds
-    # a diagonal entry at the end of each row
-    return np.broadcast_to(a, (n, n)).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+@functools.cache
+def _others_index(n: int) -> np.ndarray:
+    """Row i of the n x (n - 1) index: 0..n-1 without i."""
+    return np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
 
 
-def _moved_velocity(weights, others, z, inv, dual=False):
-    """Velocity of zero i placed at z[i], the zeros others[i] fixed:
-    sum_k (a_k + b_k z) f_i(k) over the velocity_weights items
-    (k, (q^k, a_k, b_k)), f_i(k) = prod_l (q^k z - others[i, l]) times the
-    product of the inv[i, l] = 1/(z[i] - others[i, l]) over l, which no
-    shift changes and so multiplies the sum once.
+def _others(z):
+    """Row i the entries of the vector z other than z[i], N x (N - 1)."""
+    return z[_others_index(len(z))]
 
-    With dual, the pair of the velocity and its derivative in z[i]: the
-    velocity at z + e, e^2 = 0 (forward-mode differentiation; Griewank &
-    Walther, Evaluating Derivatives, 2008, ch. 3). Each product over l
-    differentiates to q^k times the sum of the products that leave one
-    factor out (zero_algebra.leave_one_out), with no division by a
-    factor, which q^k z can make 0; the product of the inv differentiates
-    to itself times -sum_l inv[i, l]."""
+
+def _moved_velocity(weights, zs, dual=False):
+    """Velocity of each zero of the configuration zs, the others fixed, in
+    the carried arithmetic of zs's context, read in once after
+    _check_separation: sum_k (a_k + b_k z_n) f_n(k) over the
+    velocity_weights items (k, (q^k, a_k, b_k)), f_n(k) =
+    prod_{l != n} (q^k z_n - z_l) times the product of the inv[n, l] =
+    1/(z_n - z_l), which no shift changes and so multiplies the sum once.
+
+    With dual, also its derivatives by forward-mode dual numbers (Griewank
+    & Walther, Evaluating Derivatives, 2008, ch. 3), from the products that
+    leave one factor out (zero_algebra.leave_one_out), with no division by
+    a factor, which q^k z_n can make 0. In z_n: q^k times their sum, the
+    product of the inv times -sum_l inv[n, l]. In each z_l, N x (N - 1) in
+    the order of _others: z_l enters row n only through
+    (q^k z_n - z_l)/(z_n - z_l), of derivative (q^k - 1) z_n inv[n, l]^2,
+    so the entry is z_n inv[n, l] sum_k (a_k + b_k z_n)(q^k - 1) times the
+    product leaving z_l out, times the inv's: no near terms subtract."""
+    ctx = context_of(zs[0])
+    zs = np.asarray(zs, dtype=ctx.dtype)
+    _check_separation(zs)
+    z = ctx.carried(zs)
+    others = _others(z)
+    inv = 1 / (z[:, None] - others)
     total = dtotal = np.zeros_like(z)
+    dothers = np.zeros_like(others)
     for qk, a, b in weights.values():
         factors = z[:, None] * qk - others
         w = z * b + a
         if dual:
             left_out, product = leave_one_out(factors)
             dtotal = dtotal + left_out.sum(axis=1) * qk * w + product * b
+            dothers = dothers + left_out * (w * (qk - 1))[:, None]
         else:
             product = factors.prod(axis=1)
         total = total + product * w
     scale = inv.prod(axis=1)
     if not dual:
         return total * scale
-    return total * scale, (dtotal - total * inv.sum(axis=1)) * scale
+    return total * scale, (dtotal - total * inv.sum(axis=1)) * scale, dothers * inv * (z * scale)[:, None]
 
 
 def flow_rhs(zs, case: Case) -> List:
@@ -101,12 +116,7 @@ def flow_rhs(zs, case: Case) -> List:
     zeros) under the case's flow, as builtin complex or mpc scalars: the
     differences, reciprocals and products in their context's carried
     arithmetic (PrecisionContext.carried), each velocity rounded once."""
-    ctx = context_of(zs[0])
-    zs = np.asarray(zs, dtype=ctx.dtype)
-    _check_separation(zs)
-    others, z = ctx.carried(_others(zs)), ctx.carried(zs)
-    velocity = _moved_velocity(case.velocity_weights, others, z, 1 / (z[:, None] - others))
-    return ctx.rounded(velocity).tolist()
+    return context_of(zs[0]).rounded(_moved_velocity(case.velocity_weights, zs)).tolist()
 
 
 def equilibrium_residual(case: Case) -> float:
@@ -139,35 +149,20 @@ def equilibrium_residual(case: Case) -> float:
 
 
 def jacobian_fd(case: Case):
-    """Jacobian of the flow velocity at the case's zeros, by forward-mode
-    dual numbers in the carried arithmetic of the case's kernels, in one
-    array pass and rounded once.
-
-    Column m moves z_m alone, to z_m + e with e^2 = 0. Its row m is the
-    derivative of _moved_velocity, the formula flow_rhs sums, which reads
-    neither the kernel tables nor their sums. Only the factor
-    (q^k z_n - z_m)/(z_n - z_m) of each f_n(k), n != m, depends on z_m, so
-    row n != m is the derivative of (z_n P - Q z)/(z_n - z) at z_m, P = S + Q
-    and Q read at (n, m) from the sums over the shifts of the products that
-    leave z_m out, weighted by the flow (KernelCache.S and KernelCache.Q of
-    the case's kernels): (Q - (z_m Q - z_n P) r) r, r = 1/(z_m - z_n). Both
-    read one carried reciprocal a pair entry, the inv of _moved_velocity.
-    The derivative is formed from the velocity formula, never from the
-    kernel derivative identities that build_M assembles: the sums the two
-    share are products of the zeros and the flow weights, not derivatives.
+    """Jacobian of the flow velocity at the case's zeros, J[n][m] =
+    d velocity_n / d z_m, by forward-mode dual numbers in the zeros'
+    carried arithmetic: one dual pass of _moved_velocity, the formula
+    flow_rhs sums, its own-position derivatives on the diagonal and its
+    N x (N - 1) table of the others off it, rounded once. It reads no
+    kernel table: the derivative is formed from the velocity formula,
+    never from the kernel sums and derivative identities that build_M
+    assembles.
     """
-    _check_separation(case.zeros)
-    kernels = case.kernels
-    z = kernels.z
-    others = _others(z)
-    inv = 1 / (z[:, None] - others)
-    # deriv[m, n] = d F_n / d z_m
-    deriv = np.empty((len(z), len(z)), dtype=z.dtype)
-    diagonal = np.eye(len(z), dtype=bool)
-    deriv[diagonal] = _moved_velocity(case.velocity_weights, others, z, inv, dual=True)[1]
-    p_sum, q_sum = _others((kernels.S + kernels.Q).T), _others(kernels.Q.T)
-    deriv[~diagonal] = ((q_sum - (z[:, None] * q_sum - others * p_sum) * inv) * inv).ravel()
-    return tuple(map(tuple, context_of(case.zeros[0]).rounded(deriv).T.tolist()))
+    _, own, others = _moved_velocity(case.velocity_weights, case.zeros, dual=True)
+    J = np.empty((len(own), len(own)), dtype=own.dtype)
+    diagonal = np.eye(len(own), dtype=bool)
+    J[diagonal], J[~diagonal] = own, others.ravel()
+    return tuple(map(tuple, context_of(case.zeros[0]).rounded(J).tolist()))
 
 
 def sample_times(t_end: float, samples: int) -> np.ndarray:

@@ -21,12 +21,12 @@ n without evaluating it. build_M multiplies in the kernel tables' carried
 arithmetic (precision.Dyadic at a width at extended digits: Gaussian
 integers cut to 3 times the context's bits at each product, no mpc
 product) and rounds M once into the context's scalars, which every check
-then reads. A Case holds one parameter set's stages, each computed once,
-and among them the kernel tables and their flow-weighted sums, which
-zero_algebra.KernelCache forms and M and the flow's Jacobian check
-share; the same parameter set at more digits is another Case, of the
-parameters in that context (params.in_context), whose zeros come from
-find_zeros at those digits.
+then reads. build_M forms the kernel tables and their flow-weighted sum
+(zero_algebra.KernelCache) itself, their one reader; the flow's Jacobian
+check shares none of them. A Case holds one parameter set's stages, each
+computed once, M among them; the same parameter set at more digits is
+another Case, of the parameters in that context (params.in_context),
+whose zeros come from find_zeros at those digits.
 
 Every check reads that array. The spectrum verdict of verify and sweep
 asks whether each mu_n is an exact eigenvalue of a matrix near M at mu_n's
@@ -71,8 +71,9 @@ def build_M(case: Case) -> np.ndarray:
     M is the Jacobian of the zero flow velocity_n = sum_k (a_k + b_k z_n) f_n(k)
     over the shifts k of velocity_weights. By the kernel derivative
     identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) T_k,
-    T_k the left_out_products table of shift k (case.kernels, one table a
-    shift, and S the weighted sum it forms with them),
+    T_k the left_out_products table of shift k (one KernelCache over the
+    case's zeros and velocity_weights, one table a shift, and S the
+    weighted sum it forms with them),
 
         M_nm = z_n S_nm / (z_n - z_m)^2,   m != n,
         M_nn = sum_k b_k f_n(k) - sum_{m != n} z_m S_nm / (z_n - z_m)^2,
@@ -82,7 +83,7 @@ def build_M(case: Case) -> np.ndarray:
     product is taken in the tables' carried arithmetic and M is rounded
     once into the context's scalars (PrecisionContext.rounded).
     """
-    cache = case.kernels
+    cache = KernelCache(case.zeros, case.velocity_weights)
     z = cache.z
     own = 0
     for k, (_, _, b) in case.velocity_weights.items():
@@ -504,14 +505,12 @@ class Case:
     qde_terms table, its flow addends (velocity_terms), the powers q^k of
     its shifts (flow_powers, one a shift, the exact 1 at k = 0), which the
     flow addends and every shift grid read, their grouping by shift
-    (velocity_weights), both zero-identity routes' shift grid, the kernel
-    tables and their flow-weighted sums (of the zeros and the flow
-    weights, read by M and flow.jacobian_fd), M, the closed-form spectrum
-    mu, the stacked SVD of M
-    and of each M - mu_n I (shifted_svd), the spectrum verdict read from it
-    (backward) and M's reported eigenvalues, solved in binary64 on the
-    same scaled matrix (eigenpairs). A check of another polynomial sets
-    monic. The same parameter set at more digits is
+    (velocity_weights), both zero-identity routes' shift grid, M (with the
+    kernel tables it alone reads), the closed-form spectrum mu, the
+    stacked SVD of M and of each M - mu_n I (shifted_svd), the spectrum
+    verdict read from it (backward) and M's reported eigenvalues, solved
+    in binary64 on the same scaled matrix (eigenpairs). A check of another
+    polynomial sets monic. The same parameter set at more digits is
     Case(in_context(params, ctx)), whose zeros are find_zeros' at those
     digits: there is no other route to them."""
 
@@ -553,10 +552,6 @@ class Case:
     @functools.cached_property
     def zeros(self) -> Tuple:
         return self.zeroset.zeros
-
-    @functools.cached_property
-    def kernels(self) -> KernelCache:
-        return KernelCache(self.zeros, self.velocity_weights)
 
     @functools.cached_property
     def M(self) -> np.ndarray:

@@ -17,14 +17,14 @@ left_out_products table as a read-only array in the carried arithmetic of
 the zeros' context (PrecisionContext.carried: complex128 in binary64, an
 object array of precision.Dyadic at a width at extended digits, Gaussian
 integers over a power of two cut to 3 times the context's bits at each
-product), and the two flow-weighted sums of those tables,
+product), and the flow-weighted sum of those tables,
 
-    S = sum_k T_k (q^k - 1),   Q = sum_k T_k,   T_k = f_nm(k) (a_k + b_k z_n).
+    S = sum_k f_nm(k) (a_k + b_k z_n)(q^k - 1).
 
-It is the one builder of these tables and sums: a Case builds it once
-from its zeros and its velocity_weights (isospectral.Case.kernels), and
-the matrix assembly (isospectral.build_M, from S) and the flow's Jacobian
-check (flow.jacobian_fd, its off-diagonal from S + Q and Q) both read it.
+It is the one builder of these tables and of S, and the matrix assembly
+(isospectral.build_M) its one reader, once a case, from the case's zeros
+and velocity_weights. The flow's Jacobian check (flow.jacobian_fd) reads
+none of them: it differentiates the velocity through leave_one_out.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
 division of the tables, in that carried arithmetic (a Dyadic reciprocal,
 rounded once, at extended digits); left_out_products builds the whole
@@ -121,21 +121,19 @@ class KernelCache:
     digits, the complex array in binary64): z itself, read in once,
     inv = reciprocal_table(z), divided in that arithmetic,
     fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
-    f_n(k) on it, each q^k the weights' own, and the weighted sums over the
-    shifts S = sum_k f_nm(k) ((a_k + b_k z_n)(q^k - 1)) and
-    Q = sum_k f_nm(k) (a_k + b_k z_n), row n scaled. Every array is
-    read-only, since each reader of a Case shares them."""
+    f_n(k) on it, each q^k the weights' own, and the weighted sum over the
+    shifts S = sum_k f_nm(k) ((a_k + b_k z_n)(q^k - 1)), row n scaled.
+    Every array is read-only: an in-place write would leave a cache whose
+    tables are no longer those of its z, from which build_M assembles M."""
 
     def __init__(self, z, weights):
         self.z = context_of(z[0]).carried(z)
         self.inv = reciprocal_table(self.z)
-        self.fnm, self.S, self.Q = {}, 0, 0
+        self.fnm, self.S = {}, 0
         for k, (qk, a, b) in weights.items():
             table = self.fnm[k] = left_out_products(self.z, qk, self.inv)
-            w = self.z * b + a
-            self.S = self.S + table * (w * (qk - 1))[:, None]
-            self.Q = self.Q + table * w[:, None]
-        for table in (self.z, self.inv, self.S, self.Q, *self.fnm.values()):
+            self.S = self.S + table * ((self.z * b + a) * (qk - 1))[:, None]
+        for table in (self.z, self.inv, self.S, *self.fnm.values()):
             table.flags.writeable = False
 
 

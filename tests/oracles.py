@@ -52,8 +52,8 @@ division-free checks (qdiff.qde_checks, zero_algebra.prop1_residuals(_qde)
 and isospectral.matrix_power_traces) in those Gaussian rationals, from the
 same values the kernels read, by power sums and triple sums instead of
 running products, Horner passes and matrix products. mpc_kernel_route
-runs the kernel route (KernelCache, build_M and flow.jacobian_fd's dual
-numbers) with every product rounded in mpc, as before it carried
+runs the kernel route (KernelCache and build_M, and flow.jacobian_fd's
+dual numbers) with every product rounded in mpc, as before it carried
 precision.Dyadic values at a width, the reference of its carried products.
 """
 
@@ -1104,9 +1104,9 @@ def exact_traces(M) -> List[Gaussian]:
 def mpc_kernel_route(params: ParamSet, zeros: Sequence):
     """build_M and jacobian_fd over Case(params, zeros), the same formulas
     with every product rounded in the context's scalars: carried read as
-    those scalars themselves (ctx.convert), so the kernel tables, M and the
-    Jacobian's dual numbers are mpc products and reciprocals at extended
-    digits."""
+    those scalars themselves (ctx.convert), so M's kernel tables and the
+    Jacobian's one dual pass of the moved velocity are mpc products and
+    reciprocals at extended digits."""
 
     def scalars(ctx, values):
         values = np.asarray(values, dtype=object)

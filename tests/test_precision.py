@@ -503,15 +503,16 @@ def test_kernel_route_stays_within_its_width(monkeypatch):
         return original(self, values)
 
     monkeypatch.setattr(PrecisionContext, "rounded", recorded)
+    caches = counting(monkeypatch, isospectral, "KernelCache")
     build_M(case)
-    kernels = case.kernels
+    [cache] = caches
     bits = [
         max(v.re.bit_length(), v.im.bit_length())
-        for table in (kernels.z, kernels.inv, *kernels.fnm.values(), carried[-1])
+        for table in (cache.z, cache.inv, *cache.fnm.values(), carried[-1])
         for v in table.flat
         if type(v) is Dyadic and v.width == 3 * ctx.mp.prec
     ]
-    assert len(bits) == 24 * (1 + 24 * (1 + len(kernels.fnm) + 1))
+    assert len(bits) == 24 * (1 + 24 * (1 + len(cache.fnm) + 1))
     assert 2 * ctx.mp.prec < max(bits) <= 3 * ctx.mp.prec + 2
 
 

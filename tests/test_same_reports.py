@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -79,3 +80,34 @@ def test_changes_name_each_changed_check_and_result_entry():
         ("stderr", []),
     ]
     assert same_reports.changes(old, {**old, "report": None}) == [("report", [])]
+
+
+def test_check_maxima_read_every_run_of_each_stream():
+    # the largest value of each given check over a stream, read from every
+    # run of it, not only the runs that differ; a stream none of whose runs
+    # reports the check (flow's det_gap) and a path other than a check's
+    # value have no line, and NaN counts as the largest
+    def check(name, value):
+        return {"name": name, "value": value, "pass": True}
+
+    a = {
+        "verify/0": _outcome(0, [check("jacobian_defect", 3e-14), check("det_gap", 1e-9)], []),
+        "verify/1": _outcome(0, [check("jacobian_defect", 1e-14), check("det_gap", 2e-9)], []),
+        "flow/0": _outcome(0, [check("jacobian_defect", 5e-15)], []),
+        "flow/1": {**_outcome(1, [], []), "report": None},
+    }
+    b = {
+        **a,
+        "verify/1": _outcome(0, [check("jacobian_defect", 2e-14), check("det_gap", 2e-9)], []),
+        "flow/0": _outcome(0, [check("jacobian_defect", float("nan"))], []),
+    }
+    differ = same_reports.differing(a, b, [(name, []) for name in a])
+    paths = {path for _, fields in differ for _, changed in fields for path in changed}
+    assert paths == {"checks[jacobian_defect].value"}
+    maxima = same_reports.check_maxima(a, b, paths | {"checks[det_gap].value", "checks[det_gap].threshold"})
+    assert [m[:3] for m in maxima] == [
+        ("checks[det_gap].value", "verify", 2e-9),
+        ("checks[jacobian_defect].value", "verify", 3e-14),
+        ("checks[jacobian_defect].value", "flow", 5e-15),
+    ]
+    assert [m[3] for m in maxima[:2]] == [2e-9, 3e-14] and math.isnan(maxima[2][3])

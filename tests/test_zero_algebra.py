@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qzeros import isospectral
 from qzeros.errors import DegreeMismatch
 from qzeros.flow import equilibrium_residual
 from qzeros.isospectral import Case
@@ -18,7 +19,7 @@ from qzeros.zero_algebra import (
     velocity_weights,
 )
 
-from conftest import zeros_of
+from conftest import counting, zeros_of
 from oracles import (
     IndexCollision,
     _prop1_terms,
@@ -169,7 +170,9 @@ def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
     assert len(case.velocity_terms) == 7
     assert sorted(powers) == sorted((k,) for k in weights) and len(powers) == 3
     powers.clear()
-    assert set(case.kernels.fnm) == set(weights)
+    caches = counting(monkeypatch, isospectral, "KernelCache")
+    case.M
+    assert set(caches[0].fnm) == set(weights)
     assert equilibrium_residual(case) < 1e-40
     assert powers == []
 

@@ -20,8 +20,10 @@ trajectory CSV. The runs whose outcomes differ are printed, with the
 fields that differ and the JSON paths of the report that changed, a check
 by its name (checks[det_gap].value, result.matched_pairs[2][3]). The
 output ends with the number of runs in which each path changed, list
-positions taken together (result.matched_pairs[*][3]), and the exit code
-is 1 if any run differs.
+positions taken together (result.matched_pairs[*][3]), and, for each
+check whose value changed in some run, the largest value of that check
+over each stream's runs in OLD and in NEW. The exit code is 1 if any run
+differs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -158,10 +161,56 @@ def changes(a: dict, b: dict) -> list:
     return out
 
 
+CHECK_VALUE = re.compile(r"checks\[(.+)\]\.value")
+
+
+def _check_value(outcome: dict, name: str):
+    """The value of the check called name in the outcome's report, or None."""
+    report = json.loads(outcome["report"] or "{}")
+    return next((c.get("value") for c in report.get("checks", []) if c.get("name") == name), None)
+
+
+def _largest(values):
+    """The largest value that is not None, NaN above every number; None if none."""
+    return max((v for v in values if v is not None), key=lambda v: (math.isnan(v), v), default=None)
+
+
+def check_maxima(a: dict, b: dict, paths) -> list:
+    """(path, stream, old, new) for each checks[<name>].value path among
+    paths and each stream, the part of a run's name before its slash: the
+    largest value of that check over all of the stream's runs in the
+    outcomes a and in b, NaN the largest, None where no run reports one."""
+    out = []
+    for path in sorted({p for p in paths if CHECK_VALUE.fullmatch(p)}):
+        name = CHECK_VALUE.fullmatch(path).group(1)
+        streams = {}
+        for run in a:
+            old, new = streams.setdefault(run.split("/")[0], ([], []))
+            old.append(_check_value(a[run], name))
+            new.append(_check_value(b[run], name))
+        for stream, sides in streams.items():
+            largest = [_largest(values) for values in sides]
+            if largest != [None, None]:
+                out.append((path, stream, *largest))
+    return out
+
+
+def differing(a: dict, b: dict, runs) -> list:
+    """(name, changes) of each run whose outcomes a[name] and b[name]
+    differ, in the order of runs: the fields that differ, each with the
+    report's changed JSON paths (changes)."""
+    return [(name, changes(a[name], b[name])) for name, _ in runs if a[name] != b[name]]
+
+
 def compare(old, new, runs) -> list:
-    """(name, changes) of each run whose outcome differs between the source
-    trees old and new, in the order of runs: the fields that differ, each
-    with the report's changed JSON paths (changes)."""
+    """differing over the outcomes of the runs in the source trees old and
+    new (outcomes)."""
+    return differing(*outcomes(old, new, runs), runs)
+
+
+def outcomes(old, new, runs) -> tuple:
+    """The outcomes of the runs by name, work's, in the source trees old and
+    new, each tree's in one subprocess, the two side by side."""
     with tempfile.TemporaryDirectory() as tmp:
         runs_path = os.path.join(tmp, "runs.json")
         with open(runs_path, "w", encoding="utf-8") as fh:
@@ -176,8 +225,7 @@ def compare(old, new, runs) -> list:
             _, err = proc.communicate()
             if proc.returncode:
                 raise RuntimeError(f"the runs in {tree} stopped:\n{err}")
-        a, b = (json.loads(Path(out).read_text()) for out in outs)
-    return [(name, changes(a[name], b[name])) for name, _ in runs if a[name] != b[name]]
+        return tuple(json.loads(Path(out).read_text()) for out in outs)
 
 
 def main(argv=None) -> int:
@@ -187,7 +235,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         runs = pinned_runs(tmp)
-        differ = compare(args.old, args.new, runs)
+        a, b = outcomes(args.old, args.new, runs)
+    differ = differing(a, b, runs)
     tally = {}
     for name, fields in differ:
         print(f"{name}: {', '.join(field for field, _ in fields)} differ")
@@ -198,6 +247,8 @@ def main(argv=None) -> int:
                 tally[path] = tally.get(path, 0) + 1
     for path, count in sorted(tally.items()):
         print(f"{count} runs: {path}")
+    for path, stream, old, new in check_maxima(a, b, tally):
+        print(f"largest {path} over {stream}: {old!r} -> {new!r}")
     print(f"{len(differ)} of {len(runs)} runs differ")
     return 1 if differ else 0
 

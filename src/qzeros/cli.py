@@ -317,12 +317,15 @@ def cmd_flow(
         checks.append(_check("endpoint_drift", rel_gaps(Z, zeta).max(), tol))
 
     if traj_path is not None:
-        with open(traj_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"{part}_z{n}" for n in range(1, len(zeta) + 1) for part in ("re", "im")])
-            for ti, zi in zip(t, Z):
-                parts = [p for z in map(complex, zi) for p in (z.real, z.imag)]
-                writer.writerow([repr(x) for x in (float(ti), *parts)])
+        try:
+            with open(traj_path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t"] + [f"{part}_z{n}" for n in range(1, len(zeta) + 1) for part in ("re", "im")])
+                for ti, zi in zip(t, Z):
+                    parts = [p for z in map(complex, zi) for p in (z.real, z.imag)]
+                    writer.writerow([repr(x) for x in (float(ti), *parts)])
+        except OSError as exc:
+            raise ConfigError(f"cannot write trajectory: {exc}") from exc
 
     result = {
         "t_end": float(t_end),

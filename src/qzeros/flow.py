@@ -22,19 +22,19 @@ context's bits at each product), rounded once on the way out:
 _moved_velocity reads a configuration in, places each zero at its point,
 the others fixed, and multiplies its sum over the shifts by the product of
 the reciprocals 1/(z - z_l) once, each a carried one (precision.Dyadic's,
-rounded once at the width). jacobian_fd checks the linearization against
+rounded once at the width), one division a pair (zero_algebra's
+reciprocal_table). jacobian_fd checks the linearization against
 build_M by forward-mode dual numbers in the same arithmetic, with no step:
 the whole Jacobian is one dual pass of _moved_velocity, whose left-out
 products give each row's derivative in its own zero and in every other.
-It shares no table with build_M, whose kernel sums it therefore checks in
-every entry.
+It shares no table with build_M, only the helpers the tables are formed
+with, so it checks build_M's kernel sums in every entry.
 integrate_flow steps in binary64 and returns the sample_times grid and the
 zeros at each of its times, as two arrays.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import List, Tuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import CollisionDetected, OverflowRisk, StepUnderflow
 from .isospectral import Case
 from .precision import TINY, context_of
 from .rootfind import pairwise_gaps, relative_separation
-from .zero_algebra import leave_one_out, shifted_products
+from .zero_algebra import leave_one_out, others, reciprocal_table, shifted_products
 
 COLLISION_TOL = 1e-10
 # integrate_flow's RK45 relative tolerance; its absolute tolerance is this
@@ -59,31 +59,21 @@ def _check_separation(zs) -> np.ndarray:
     return gaps
 
 
-@functools.cache
-def _others_index(n: int) -> np.ndarray:
-    """Row i of the n x (n - 1) index: 0..n-1 without i."""
-    return np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-
-
-def _others(z):
-    """Row i the entries of the vector z other than z[i], N x (N - 1)."""
-    return z[_others_index(len(z))]
-
-
 def _moved_velocity(weights, zs, dual=False):
     """Velocity of each zero of the configuration zs, the others fixed, in
     the carried arithmetic of zs's context, read in once after
     _check_separation: sum_k (a_k + b_k z_n) f_n(k) over the
     velocity_weights items (k, (q^k, a_k, b_k)), f_n(k) =
     prod_{l != n} (q^k z_n - z_l) times the product of the inv[n, l] =
-    1/(z_n - z_l), which no shift changes and so multiplies the sum once.
+    1/(z_n - z_l) (reciprocal_table), which no shift changes and so
+    multiplies the sum once.
 
     With dual, also its derivatives by forward-mode dual numbers (Griewank
     & Walther, Evaluating Derivatives, 2008, ch. 3), from the products that
     leave one factor out (zero_algebra.leave_one_out), with no division by
     a factor, which q^k z_n can make 0. In z_n: q^k times their sum, the
     product of the inv times -sum_l inv[n, l]. In each z_l, N x (N - 1) in
-    the order of _others: z_l enters row n only through
+    the order of zero_algebra.others: z_l enters row n only through
     (q^k z_n - z_l)/(z_n - z_l), of derivative (q^k - 1) z_n inv[n, l]^2,
     so the entry is z_n inv[n, l] sum_k (a_k + b_k z_n)(q^k - 1) times the
     product leaving z_l out, times the inv's: no near terms subtract."""
@@ -91,12 +81,11 @@ def _moved_velocity(weights, zs, dual=False):
     zs = np.asarray(zs, dtype=ctx.dtype)
     _check_separation(zs)
     z = ctx.carried(zs)
-    others = _others(z)
-    inv = 1 / (z[:, None] - others)
+    rest, inv = others(z), reciprocal_table(z)
     total = dtotal = np.zeros_like(z)
-    dothers = np.zeros_like(others)
+    dothers = np.zeros_like(rest)
     for qk, a, b in weights.values():
-        factors = z[:, None] * qk - others
+        factors = z[:, None] * qk - rest
         w = z * b + a
         if dual:
             left_out, product = leave_one_out(factors)
@@ -139,7 +128,7 @@ def equilibrium_residual(case: Case) -> float:
     if len(z) > 1:
         qk = ctx.rounded(np.array([case.velocity_weights[k][0] for k in shifts], dtype=object))
         points = np.hstack([column * qk, column]).astype(ctx.dtype)
-        products, scales = shifted_products(points, _others(z)[:, None, :])
+        products, scales = shifted_products(points, others(z)[:, None, :])
         bound = scales[:, :-1] / ctx.sizes(products[:, -1:])
     c = np.array(cs, dtype=object)
     sizes = np.where(es, ctx.sizes((column * c).astype(ctx.dtype)), ctx.sizes(c.astype(ctx.dtype)))
@@ -158,10 +147,10 @@ def jacobian_fd(case: Case):
     never from the kernel sums and derivative identities that build_M
     assembles.
     """
-    _, own, others = _moved_velocity(case.velocity_weights, case.zeros, dual=True)
+    _, own, off = _moved_velocity(case.velocity_weights, case.zeros, dual=True)
     J = np.empty((len(own), len(own)), dtype=own.dtype)
     diagonal = np.eye(len(own), dtype=bool)
-    J[diagonal], J[~diagonal] = own, others.ravel()
+    J[diagonal], J[~diagonal] = own, off.ravel()
     return tuple(map(tuple, context_of(case.zeros[0]).rounded(J).tolist()))
 
 

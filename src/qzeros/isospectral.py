@@ -70,13 +70,13 @@ def build_M(case: Case) -> np.ndarray:
 
     M is the Jacobian of the zero flow velocity_n = sum_k (a_k + b_k z_n) f_n(k)
     over the shifts k of velocity_weights. By the kernel derivative
-    identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) T_k,
-    T_k the left_out_products table of shift k (one KernelCache over the
-    case's zeros and velocity_weights, one table a shift, and S the
-    weighted sum it forms with them),
+    identities (zero_algebra), with S = sum_k (q^k - 1) (a_k + b_k z_n) f_nm(k)
+    and W = S / (z_n - z_m)^2, each N x (N - 1) over the other zeros (one
+    KernelCache over the case's zeros and velocity_weights, one table a
+    shift, and S the weighted sum it forms with them),
 
-        M_nm = z_n S_nm / (z_n - z_m)^2,   m != n,
-        M_nn = sum_k b_k f_n(k) - sum_{m != n} z_m S_nm / (z_n - z_m)^2,
+        M_nm = z_n W_nm,   m != n,
+        M_nn = sum_k b_k f_n(k) - sum_{m != n} W_nm z_m,
 
     the second sum being the g_n(k) of each shift against its weight,
     regrouped into one product with z and never divided by z_n. Every
@@ -85,12 +85,13 @@ def build_M(case: Case) -> np.ndarray:
     """
     cache = KernelCache(case.zeros, case.velocity_weights)
     z = cache.z
-    own = 0
-    for k, (_, _, b) in case.velocity_weights.items():
-        own = own + cache.fnm[k].diagonal() * b
-    W = cache.inv * cache.inv * cache.S
+    own = sum(cache.fn[k] * b for k, (_, _, b) in case.velocity_weights.items())
+    # W placed off a zero diagonal, so that one product with z sums each row
+    W = np.zeros((len(z), len(z)), dtype=z.dtype)
+    diagonal = np.eye(len(z), dtype=bool)
+    W[~diagonal] = (cache.inv * cache.inv * cache.S).ravel()
     M = W * z[:, None]
-    M[np.eye(len(z), dtype=bool)] = own - W @ z
+    M[diagonal] = own - W @ z
     return context_of(case.params.q).rounded(M)
 
 
@@ -450,14 +451,14 @@ def _extended_eigenvalues(rows, eps_out: float) -> Tuple[List, List]:
 
 
 def _stacked_svd(M64: np.ndarray, nu64: np.ndarray, vectors: bool = False):
-    """np.linalg.svd of M64 and of the matrices M64 - nu_n I in one stacked
-    call, singular values only or with vectors; a solve that does not
-    converge raises EigenNoConvergence."""
+    """np.linalg.svd of the matrices M64 - nu_j I, one for each shift nu_j
+    of nu64, in one stacked call, singular values only or with vectors; a
+    solve that does not converge raises EigenNoConvergence."""
     n, k = len(M64), len(nu64)
-    stack = np.empty((k + 1, n, n), dtype=complex)
+    stack = np.empty((k, n, n), dtype=complex)
     stack[:] = M64
     # each shifted matrix's diagonal, a view of its flattened entries
-    stack[1:].reshape(k, n * n)[:, :: n + 1] -= nu64[:, None]
+    stack.reshape(k, n * n)[:, :: n + 1] -= nu64[:, None]
     try:
         return np.linalg.svd(stack, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
@@ -474,7 +475,7 @@ def _witnessed(M: np.ndarray, closed: Sequence, S: np.ndarray, nu: np.ndarray, t
     SIAM J. Numer. Anal. 19, 1982: mu is an exact eigenvalue of
     M - r v^H / ||v||^2)."""
     n, k, mp = len(M), len(closed), context_of(M[0, 0]).mp
-    V = _stacked_svd(S, nu, vectors=True)[2][1:, -1].conj().T
+    V = _stacked_svd(S, nu, vectors=True)[2][:, -1].conj().T
     A, eA = _aligned_array([p for v in M.flat for p in _parts(v, mp)])
     L, eL = _aligned_array([p for v in closed for p in _parts(v, mp)])
     X, eX = _aligned_array([p for v in V.flat for p in _parts(v, mp)])
@@ -579,7 +580,8 @@ class Case:
             top = max(e + max(v.bit_length() for v in ints) for ints, e in ((A, eA), (L, eL)))
             S = _complexes(A[0::2], A[1::2], eA - top).reshape(M.shape)
             nu = _complexes(L[0::2], L[1::2], eL - top)
-        return S, nu, top, _stacked_svd(S, nu)
+        # S itself is the shift 0, exactly: x - 0j = x
+        return S, nu, top, _stacked_svd(S, np.concatenate(([0], nu)))
 
     @functools.cached_property
     def backward(self) -> np.ndarray:

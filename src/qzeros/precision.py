@@ -26,9 +26,9 @@ bits: each +, - and * keeps the top 3 * prec bits of its integer parts,
 and 1 / x is one integer division rounded to that width. That is the
 reading of the kernel route, whose integers would grow with every
 product: zero_algebra.KernelCache reads the zeros in once, divides there
-and forms the kernel tables and their flow-weighted sum, which
-isospectral.build_M reads, and the flow (flow.flow_rhs and the dual
-numbers of flow.jacobian_fd) reads its own configuration the same way;
+once a pair (reciprocal_table) and forms the kernel tables and their
+weighted sum, which isospectral.build_M reads, and the flow (flow_rhs and
+the dual numbers of jacobian_fd) reads its configuration the same way;
 M and the Jacobian leave it through ctx.rounded, one rounding each.
 isospectral.logdet_gap forms the determinant ratio in it too, each 1 / mu_n
 a carried reciprocal.

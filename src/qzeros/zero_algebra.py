@@ -12,12 +12,14 @@ the same family:
     d f_n / d z_n = (1 - q^p) g_n(p)
     d f_n / d z_m = (q^p - 1) f_nm(p) z_n / (z_n - z_m)^2
 
-A KernelCache holds, for each shift of the zero flow (velocity_weights), the
-left_out_products table as a read-only array in the carried arithmetic of
-the zeros' context (PrecisionContext.carried: complex128 in binary64, an
-object array of precision.Dyadic at a width at extended digits, Gaussian
-integers over a power of two cut to 3 times the context's bits at each
-product), and the flow-weighted sum of those tables,
+Every table over the other zeros z_l, l != n, is N x (N - 1), row n in the
+order of others(z), the one gather of them. A KernelCache holds, for each
+shift of the zero flow (velocity_weights), the f_nm(p) table and the whole
+products f_n(p) as read-only arrays in the carried arithmetic of the zeros'
+context (PrecisionContext.carried: complex128 in binary64, an object array
+of precision.Dyadic at a width at extended digits, Gaussian integers over a
+power of two cut to 3 times the context's bits at each product), and the
+flow-weighted sum of those tables,
 
     S = sum_k f_nm(k) (a_k + b_k z_n)(q^k - 1).
 
@@ -26,11 +28,11 @@ It is the one builder of these tables and of S, and the matrix assembly
 and velocity_weights. The flow's Jacobian check (flow.jacobian_fd) reads
 none of them: it differentiates the velocity through leave_one_out.
 reciprocal_table inverts each z_n - z_l once per unordered pair, the one
-division of the tables, in that carried arithmetic (a Dyadic reciprocal,
-rounded once, at extended digits); left_out_products builds the whole
-f_nm(p) table of one shift, f_n(p) on its diagonal, from the prefix and
-suffix products of leave_one_out along the rows of factors: O(N^2) per
-shift, in array passes, with no division by a factor.
+division of the tables and of the flow, in that carried arithmetic (a
+Dyadic reciprocal, rounded once, at extended digits); one leave_one_out
+pass a shift gives f_nm(p) and f_n(p) from the prefix and suffix products
+along the rows of factors: O(N^2) per shift, in array passes, with no
+division by a factor.
 g_n(p) is never tabled: the matrix assembly sums it against the flow
 weights.
 
@@ -53,6 +55,7 @@ all collapse simultaneously.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
@@ -66,38 +69,36 @@ if TYPE_CHECKING:
     from .isospectral import Case
 
 
+@functools.cache
+def _others_index(n: int) -> np.ndarray:
+    """Row i of the n x (n - 1) index: 0..n-1 without i."""
+    return np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+
+
+def others(z):
+    """Row n the entries of the vector z other than z[n], N x (N - 1): the
+    one layout of every table over the other zeros."""
+    return z[_others_index(len(z))]
+
+
+@functools.cache
+def _mirror_index(n: int) -> np.ndarray:
+    """The n x (n - 1) index, in the order of others, into the pairs i < l
+    of _pairs(n) and then their negations, which row i takes where i > l."""
+    rows, cols = np.arange(n)[:, None], _others_index(n)
+    return _pairs(n)[2][rows, cols] + np.where(rows < cols, 0, n * (n - 1) // 2)
+
+
 def reciprocal_table(z):
-    """1/(z_n - z_l) over the array z of zeros, z_n - z_n (0 in z's
-    arithmetic) on the diagonal: each unordered pair divided once, its other
-    entry the negation, since -(a - b) = b - a and 1/(-x) = -(1/x) hold
-    exactly in binary64 and in a carried Dyadic; taken factor by factor by
-    left_out_products, so binary64 cannot overflow at N = 16."""
+    """1/(z_n - z_l) over the array z of zeros, N x (N - 1) in the order of
+    others: each unordered pair divided once, its other entry the negation,
+    since -(a - b) = b - a and 1/(-x) = -(1/x) hold exactly in binary64 and
+    in a carried Dyadic, so the table is that of dividing every ordered
+    pair, bit for bit; taken factor by factor by KernelCache and the flow,
+    so binary64 cannot overflow at N = 16."""
     n, m, _ = _pairs(len(z))
     upper = 1 / (z[n] - z[m])
-    inv = np.diag(z - z)
-    inv[n, m], inv[m, n] = upper, -upper
-    return inv
-
-
-def left_out_products(z, qp, inv):
-    """The N x N array of f_n(p) with the factor of each z_m left out,
-    qp = q^p and inv = reciprocal_table(z):
-
-        out[n, m] = prod_{l != n, m} (q^p z_n - z_l)/(z_n - z_l),  m != n,
-        out[n, n] = f_n(p), the full product in the order of l.
-
-    Row n multiplies its factors with a 1 in place of the l = n factor;
-    leave_one_out gives every left-out product without dividing f_n(p) by
-    a factor. The one home of these products, and KernelCache its one
-    caller.
-    """
-    diagonal = np.eye(len(z), dtype=bool)
-    # z * qp, never qp * z: an mpc on the left of an object array is slow
-    factors = (z[:, None] * qp - z[None, :]) * inv
-    factors[diagonal] = 1
-    out, whole = leave_one_out(factors)
-    out[diagonal] = whole
-    return out
+    return np.concatenate((upper, -upper))[_mirror_index(len(z))]
 
 
 def leave_one_out(factors):
@@ -105,8 +106,8 @@ def leave_one_out(factors):
     left out, as an N x L array, and each whole row product: the product of
     the factors before l (np.multiply.accumulate) times that of the factors
     after it, with no division by a factor, since a geometric chain puts
-    q^p z_n exactly on another zero. Read by left_out_products and by the
-    dual pass of the flow's Jacobian (flow._moved_velocity)."""
+    q^p z_n exactly on another zero. Read by KernelCache, one call a shift,
+    and by the dual pass of the flow's Jacobian (flow._moved_velocity)."""
     ones = np.ones((len(factors), 1), dtype=factors.dtype)
     forward = np.concatenate((ones, np.multiply.accumulate(factors, axis=1)), axis=1)
     backward = np.concatenate((np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1], ones), axis=1)
@@ -118,22 +119,26 @@ class KernelCache:
     array) over the shifts of the flow weights (Case.velocity_weights,
     {k: (q^k, a_k, b_k)} in the carried arithmetic of z's context,
     PrecisionContext.carried: precision.Dyadic at a width at extended
-    digits, the complex array in binary64): z itself, read in once,
-    inv = reciprocal_table(z), divided in that arithmetic,
-    fnm[k] = left_out_products(z, q^k, inv), f_nm(k) off the diagonal and
-    f_n(k) on it, each q^k the weights' own, and the weighted sum over the
-    shifts S = sum_k f_nm(k) ((a_k + b_k z_n)(q^k - 1)), row n scaled.
-    Every array is read-only: an in-place write would leave a cache whose
-    tables are no longer those of its z, from which build_M assembles M."""
+    digits, the complex array in binary64): z itself, read in once, and,
+    each N x (N - 1) in the order of others, inv = reciprocal_table(z),
+    divided in that arithmetic, fnm[k], f_nm(k), from one leave_one_out
+    pass a shift over the factors (q^k z_n - z_l) inv[n, l], each q^k the
+    weights' own, with fn[k], the whole products f_n(k), and the weighted
+    sum over the shifts S = sum_k f_nm(k) ((a_k + b_k z_n)(q^k - 1)),
+    row n scaled. Every array is read-only: an in-place write would leave a
+    cache whose tables are no longer those of its z, from which build_M
+    assembles M."""
 
     def __init__(self, z, weights):
         self.z = context_of(z[0]).carried(z)
         self.inv = reciprocal_table(self.z)
-        self.fnm, self.S = {}, 0
+        rest = others(self.z)
+        self.fnm, self.fn, self.S = {}, {}, 0
         for k, (qk, a, b) in weights.items():
-            table = self.fnm[k] = left_out_products(self.z, qk, self.inv)
-            self.S = self.S + table * ((self.z * b + a) * (qk - 1))[:, None]
-        for table in (self.z, self.inv, self.S, *self.fnm.values()):
+            # z * qk, never qk * z: an mpc on the left of an object array is slow
+            self.fnm[k], self.fn[k] = leave_one_out((self.z[:, None] * qk - rest) * self.inv)
+            self.S = self.S + self.fnm[k] * ((self.z * b + a) * (qk - 1))[:, None]
+        for table in (self.z, self.inv, self.S, *self.fnm.values(), *self.fn.values()):
             table.flags.writeable = False
 
 

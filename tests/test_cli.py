@@ -201,6 +201,17 @@ def test_bad_out_path_exits_2(tmp_path):
     assert run("poly", cfg, "--out", str(tmp_path / "no_dir" / "r.json")) == 2
 
 
+def test_bad_traj_path_exits_2(tmp_path, capsys):
+    # a trajectory CSV that cannot be written is a usage error, as a report
+    # is, not a failed check: one error line and no report
+    cfg = write_config(tmp_path, t_end=0)
+    out = tmp_path / "r.json"
+    assert run("flow", cfg, "--traj", str(tmp_path / "no_dir" / "t.csv"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write trajectory: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_binary64_out_of_range_degree_is_one_error_line(tmp_path, capsys):
     # at q = 0.45, q^-1000 overflows binary64 (a pole no finite alpha or beta
     # reaches; coeffs_P cannot form it); at q = 2 the coefficients turn NaN
@@ -512,7 +523,7 @@ STAGES = (
     ("qzeros.qseries", "coeffs_P"),
     ("qzeros.rootfind", "find_zeros"),
     ("qzeros.zero_algebra", "KernelCache"),
-    ("qzeros.zero_algebra", "left_out_products"),
+    ("qzeros.zero_algebra", "leave_one_out"),
     ("qzeros.isospectral", "build_M"),
     ("qzeros.isospectral", "mu_closed"),
     ("qzeros.qdiff", "qde_terms"),
@@ -524,17 +535,19 @@ STAGES = (
 
 def _stage_key(name, args):
     """(stage, input, precision) of one call. The kernel tables are keyed by
-    their configuration and flow weights (KernelCache) or q^p
-    (left_out_products, one shift), carried values keyed rounded, every
-    other stage by its parameter set: its ParamSet argument, or its Case
+    their configuration and flow weights (KernelCache) or by the factors of
+    one shift's left-out products (leave_one_out, of the kernel tables or of
+    the Jacobian's dual pass), carried values keyed rounded, every other
+    stage by its parameter set: its ParamSet argument, or its Case
     argument's params, wherever it sits in the call."""
     if name == "KernelCache":
         zeros, weights = args
         ctx = context_of(zeros[0])
         return name, (tuple(zeros), tuple((k, *map(ctx.convert, w)) for k, w in weights.items())), ctx
-    if name == "left_out_products":
-        ctx = context_of(args[1])
-        return name, (tuple(ctx.rounded(args[0]).tolist()), ctx.convert(args[1])), ctx
+    if name == "leave_one_out":
+        [factors] = args
+        ctx = context_of(factors.flat[0])
+        return name, tuple(ctx.rounded(factors).ravel().tolist()), ctx
     [params] = [getattr(a, "params", a) for a in args if isinstance(a, (Case, ParamSet))]
     return name, params, context_of(params.q)
 
@@ -567,8 +580,8 @@ def test_each_stage_runs_once_per_parameter_set_and_precision(tmp_path, suite, m
     # two zero-identity routes one shift grid, the q-difference checks, the
     # flow weights and the grid one qde_terms table, and build_M one set of
     # kernel tables, which the Jacobian check does not read: one KernelCache
-    # per configuration and precision, one left_out_products table per shift
-    # of it
+    # per configuration and precision, one leave_one_out pass per shift of
+    # it, and one per shift of the Jacobian's dual pass
     calls = _count_stages(monkeypatch)
     home = extended() if precision == "extended" else F64
     out = str(tmp_path / "report.json")
@@ -623,9 +636,11 @@ def test_extended_verify_stays_within_its_product_budget(tmp_path, suite, monkey
 # velocity, its off-diagonal from the same left-out products as its
 # diagonal, one N x (N - 1) product a shift (1598, 1154 and 892 when it
 # read the kernel cache's weighted sums, and 1953, 1469 and 1167 by a
-# 4-point circle rule a column); det_gap's elimination takes 40 and its
-# running product 2N
-DYADIC_MUL_BUDGET = {4: 1563, 14: 1119, 24: 857}
+# 4-point circle rule a column). The kernel tables, the Jacobian and M
+# keep N x (N - 1) tables over the other zeros (1563, 1119 and 857 when
+# the kernel tables were N x N, a 1 multiplied through each row);
+# det_gap's elimination takes 40 and its running product 2N
+DYADIC_MUL_BUDGET = {4: 1478, 14: 1059, 24: 822}
 
 
 @pytest.mark.parametrize("index", sorted(DYADIC_MUL_BUDGET))
@@ -646,9 +661,31 @@ def test_extended_verify_stays_within_its_exact_product_budget(tmp_path, suite, 
 
 # mpc reciprocals (1 / x for an mpc x, mpmath's mpc __rtruediv__) of the
 # same verifies, also a count: none. The kernel tables' and the Jacobian's
-# are carried Dyadic ones (30 each in mpc, N (N - 1)/2 + N (N - 1)), as are
-# det_gap's 1 / mu_n
+# are carried Dyadic ones (20 in mpc, N (N - 1)/2 each), as are det_gap's
+# (DYADIC_RECIPROCAL_BUDGET)
 MPC_RECIPROCAL_BUDGET = {4: 0, 14: 0, 24: 0}
+
+# carried Dyadic reciprocals of the same verifies, a count: the kernel
+# tables and the Jacobian's dual pass each divide every unordered pair of
+# zeros once (reciprocal_table, N (N - 1)/2 = 10 at N = 5; 40 in all when
+# the flow divided every ordered pair), and det_gap the other 2N, one a
+# pivot of its elimination and one a closed value mu_n
+DYADIC_RECIPROCAL_BUDGET = {4: 30, 14: 30, 24: 30}
+
+
+@pytest.mark.parametrize("index", sorted(DYADIC_RECIPROCAL_BUDGET))
+def test_extended_verify_stays_within_its_carried_reciprocal_budget(tmp_path, suite, monkeypatch, index):
+    reciprocals = [0]
+    original = Dyadic.__rtruediv__
+
+    def counted(self, other):
+        reciprocals[0] += 1
+        return original(self, other)
+
+    path = write_params(tmp_path, suite[index])
+    monkeypatch.setattr(Dyadic, "__rtruediv__", counted)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "r.json"), "--precision", "extended"]) == 0
+    assert suite[index].N == 5 and reciprocals[0] <= DYADIC_RECIPROCAL_BUDGET[index]
 
 
 @pytest.mark.parametrize("index", sorted(MPC_RECIPROCAL_BUDGET))

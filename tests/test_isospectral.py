@@ -100,7 +100,8 @@ def test_specialized_builders_match_general(suite, ctx, max_degree, tol):
 
 
 def test_build_M_takes_one_kernel_table_per_shift(suite, monkeypatch):
-    tables = counting(monkeypatch, zero_algebra, "left_out_products")
+    # one leave_one_out pass a shift gives its f_nm(k) table and f_n(k)
+    tables = counting(monkeypatch, zero_algebra, "leave_one_out")
     addends = 0
     for params in suite[:6]:  # one case of each (r, s)
         _, zset = zeros_of(params)
@@ -120,7 +121,7 @@ def test_case_kernel_tables_are_read_only(suite, monkeypatch, ctx):
     caches = counting(monkeypatch, isospectral, "KernelCache")
     build_M(Case(params, zeros_of(params)[1].zeros))
     [cache] = caches
-    for table in (cache.z, cache.inv, cache.S, *cache.fnm.values()):
+    for table in (cache.z, cache.inv, cache.S, *cache.fnm.values(), *cache.fn.values()):
         with pytest.raises(ValueError, match="read-only"):
             table *= 2
 

@@ -490,7 +490,8 @@ LARGE = ParamSet(
 
 
 def test_kernel_route_stays_within_its_width(monkeypatch):
-    # at N = 24 and 50 digits the kernel tables and M's carried entries run
+    # at N = 24 and 50 digits the kernel tables (N x (N - 1) over the other
+    # zeros, and the whole products f_n(k)) and M's carried entries run
     # past 2 prec bits, where a Dyadic would keep growing, and every integer
     # part stays within the derived width, 3 prec bits
     ctx = extended(50)
@@ -508,11 +509,11 @@ def test_kernel_route_stays_within_its_width(monkeypatch):
     [cache] = caches
     bits = [
         max(v.re.bit_length(), v.im.bit_length())
-        for table in (cache.z, cache.inv, *cache.fnm.values(), carried[-1])
+        for table in (cache.z, cache.inv, *cache.fnm.values(), *cache.fn.values(), carried[-1])
         for v in table.flat
         if type(v) is Dyadic and v.width == 3 * ctx.mp.prec
     ]
-    assert len(bits) == 24 * (1 + 24 * (1 + len(cache.fnm) + 1))
+    assert len(bits) == 24 * (1 + 23 * (1 + len(cache.fnm)) + len(cache.fn) + 24)
     assert 2 * ctx.mp.prec < max(bits) <= 3 * ctx.mp.prec + 2
 
 

@@ -1,17 +1,21 @@
 """Kernels f_n, f_nm, g_n and the N-equation zero identities."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from qzeros import isospectral
+from qzeros.cli import cmd_verify
 from qzeros.errors import DegreeMismatch
 from qzeros.flow import equilibrium_residual
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, in_context
-from qzeros.precision import F64, extended
+from qzeros.precision import F64, context_of, extended
 from qzeros.qdiff import qde_terms
 from qzeros.zero_algebra import (
     KernelCache,
+    others,
     prop1_residuals,
     reciprocal_table,
     prop1_residuals_qde,
@@ -136,18 +140,21 @@ def test_kernel_cache_matches_direct(ctx, tol):
     assert set(cache.fnm) == set(shifts)
     # the tables in carried arithmetic, compared rounded once into the context
     fnm = {p: ctx.rounded(table) for p, table in cache.fnm.items()}
+    fn = {p: ctx.rounded(products) for p, products in cache.fn.items()}
     inv = ctx.rounded(cache.inv)
+    # row n of the N x (N - 1) tables holds the zeros other than z_n in order
+    rest = others(np.arange(params.N))
 
     def close(a, b):
         assert abs(a - b) <= tol * max(1.0, abs(b))
 
     for p in shifts:
+        assert fnm[p].shape == inv.shape == (params.N, params.N - 1)
         for n in range(params.N):
-            close(fnm[p][n, n], f_n(p, n, zs, q))
-            for m in range(params.N):
-                if m != n:
-                    close(fnm[p][n, m], f_nm(p, n, m, zs, q))
-                    close(inv[n, m], 1 / (zs[n] - zs[m]))
+            close(fn[p][n], f_n(p, n, zs, q))
+            for j, m in enumerate(rest[n]):
+                close(fnm[p][n, j], f_nm(p, n, m, zs, q))
+                close(inv[n, j], 1 / (zs[n] - zs[m]))
 
 
 def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
@@ -179,9 +186,10 @@ def test_kernel_tables_take_the_flow_weights_powers_of_q(monkeypatch):
 
 @pytest.mark.parametrize("ctx, count", [(F64, 2000), (extended(50), 100)], ids=["f64", "ext50"])
 def test_reciprocal_table_is_antisymmetric_bit_for_bit(ctx, count):
-    # each pair is divided once and negated into the other triangle: the
-    # table is that of dividing every ordered pair, bit for bit, so
-    # inv == -inv.T exactly; zeros spanning 1e+-8, N up to 16
+    # each pair is divided once and its negation gathered into the mirror
+    # entry: the N x (N - 1) table is that of dividing every ordered pair,
+    # bit for bit, and placed off the diagonal of an N x N array it is
+    # antisymmetric exactly; zeros spanning 1e+-8, N up to 16
     rng = np.random.default_rng(32)
     bits = (lambda a: a.tobytes()) if ctx.mp is None else (lambda a: [v._mpc_ for v in a])
     for _ in range(count):
@@ -189,11 +197,40 @@ def test_reciprocal_table_is_antisymmetric_bit_for_bit(ctx, count):
         zs = np.exp(rng.uniform(-18.4, 18.4, n) + 1j * rng.uniform(-np.pi, np.pi, n))
         z = np.array([ctx.convert(v) for v in zs.tolist()], dtype=ctx.dtype)
         inv = reciprocal_table(z)
+        assert inv.shape == (n, n - 1)
         off = ~np.eye(n, dtype=bool)
-        assert bits(inv[off]) == bits((-inv.T)[off])
+        full = np.zeros((n, n), dtype=ctx.dtype)
+        full[off] = inv.ravel()
+        assert bits(full[off]) == bits((-full.T)[off])
         rows, cols = np.nonzero(off)
-        assert bits(inv[off]) == bits(1 / (z[rows] - z[cols]))
-        assert not inv[~off].any()
+        assert (cols.reshape(n, n - 1) == others(np.arange(n))).all()
+        assert bits(inv.ravel()) == bits(1 / (z[rows] - z[cols]))
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_a_fault_in_one_reciprocal_pair_fails_verify(suite, monkeypatch, ctx):
+    # the kernel tables and the flow's dual pass share reciprocal_table, so
+    # jacobian_defect, which compares them, cannot see a fault in it; M's
+    # spectrum and trace checks, which hold it to the closed forms, do
+    original = reciprocal_table
+
+    def skewed(z):
+        # 1/(z_1 - z_2) and its mirror 1/(z_2 - z_1), off by 1e-6 relative
+        inv = original(z)
+        ctx = context_of(z[0])
+        err = ctx.carried([ctx.convert(1 + 1e-6)])[0]
+        inv[0, 0], inv[1, 0] = inv[0, 0] * err, inv[1, 0] * err
+        return inv
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qzeros.") and vars(module).get("reciprocal_table") is original:
+            monkeypatch.setattr(module, "reciprocal_table", skewed)
+    cases = [params for params in suite if params.N >= 2 and (ctx is F64 or params.N <= 5)]
+    assert len(cases) == (45 if ctx is F64 else 20)
+    for params in cases:
+        checks, _ = cmd_verify(Case(in_context(params, ctx)), {}, None, None)
+        failed = {c["name"] for c in checks if not c["pass"]}
+        assert {"spectrum_backward_max", "closed_trace_gap"} <= failed, (params, failed)
 
 
 def test_prop1_true_zeros_on_suite(suite):

@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 import time
 from typing import List, Sequence, Tuple
@@ -393,6 +395,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # an output path in no directory fails before any work, as its write would
+        for path, what in ((args.out, "report"), (getattr(args, "traj", None), "trajectory")):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                error = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+                raise ConfigError(f"cannot write {what}: {error}")
         raw, params, options = load_config(args.config)
         # every command computes in the precision of the case it is given
         case = Case(params_mod.in_context(params, extended() if args.precision == "extended" else F64))

@@ -34,8 +34,9 @@ own scale (Case.backward, a backward error that needs no eigenvalue of M,
 read at more digits only where binary64 cannot resolve that scale;
 certified_spectrum); verify reports M's eigenvalues from one binary64
 solve in both precisions, which never escalates and is never judged
-(Case.eigenpairs). certified_eigenvalues, which escalates,
-solves the companion oracle's matrix. The trace and determinant checks
+(Case.eigenpairs). The companion oracle of zeros reaches the refinement
+(_extended_eigenvalues) only as the fallback of its Newton finish
+(rootfind.companion_zeros). The trace and determinant checks
 read M in its own scalars, never rounded to binary64: matrix_power_traces
 by exact array products (precision.Dyadic at extended digits), each trace
 rounded once, and logdet_gap by the ratio of det M to the closed
@@ -132,7 +133,7 @@ def _eig_extended(rows, ctx: PrecisionContext) -> List:
     brings such an entry into range, and without them mpmath.eig returns 0
     for the zero 3 of z^2 - (1e400 + 3) z + 3e400. rows is 2 x 2 or
     larger: mpmath.eig returns (E, ER, EL) for 1 x 1 input, whatever left
-    and right say, and certified_eigenvalues returns that entry first.
+    and right say, and each caller takes a 1 x 1 entry itself.
 
     The one use of mpmath's own global context, scoped by workdps.
     """
@@ -258,20 +259,14 @@ def _refined_eigenvalues(rows, eps_out: float) -> Tuple[List, List[float]] | Non
     19 takes eight corrections to reach EIG_TARGET where Newton takes
     three.
 
-    The arithmetic is on Python integers, not on mpmath scalars: without
-    gmpy2, mpmath runs on its pure-Python backend, which builds an object
-    and rounds at every product. M's entries are read once, as Gaussian
-    integers over one power of two, and the parts of x and lambda are held
-    as raw mpf values. Each Newton step forms R = M X - X Lambda for all the
-    pairs still refining in one exact integer product (fdot's exact
-    products, summed exactly), and each residual component is rounded once,
-    to binary64, the only form the certificate and the correction read.
-    Each correction is added by mpmath's raw addition at the entries'
-    precision, to nearest, which is the context's addition without the mpc
-    objects, so x and lambda are the mpc values the same corrections would
-    give. A pair whose residual leaves the binary64 range stops refining
-    and keeps the best certificate it had; at the start, where it has none,
-    the certificate fails.
+    The arithmetic is on Python integers (README, Precision): M's entries
+    read once over one power of two, x and lambda held as raw mpf values,
+    R = M X - X Lambda formed exactly for all the pairs still refining and
+    each component rounded once to binary64, each correction added by
+    mpmath's raw addition at the entries' precision, to nearest. A pair
+    whose residual leaves the binary64 range stops refining and keeps the
+    best certificate it had; at the start, where it has none, the
+    certificate fails.
 
     lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
     it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H being row i of
@@ -405,36 +400,6 @@ def _lost_digits(rows, ctx: PrecisionContext) -> int:
         return 0
     norm_bits = max(mag(v) for row in rows for v in row) + len(rows).bit_length()
     return max(0, math.ceil((len(rows) * norm_bits - sum(mag(v) for v in pivots)) * math.log10(2)))
-
-
-def certified_eigenvalues(A) -> List:
-    """All eigenvalues of the square matrix A (an array or nested rows), in
-    the precision of its entries, each certified below EIG_TARGET relative
-    forward error in binary64 and EIG_TARGET (eps / eps64) at extended
-    digits (first-order estimates, which leave out the backward error's
-    dimension constant): the eigensolve of the companion oracle.
-
-    Binary64: when the worst _eig_with_bound estimate exceeds EIG_TARGET,
-    A's entries are converted to the digits that bring that bound below it
-    (_escalated), and its eigenvalues are refined there to eps64. The
-    digits come from A's bound, so A must be conditioned as its caller
-    wants its eigenvalues read: at those digits an unbalanced companion
-    matrix can misplace its smallest eigenvalues. Extended: they are
-    refined to the entries' eps (_extended_eigenvalues). A 1 x 1 matrix's
-    eigenvalue is its entry, returned before any solve.
-    """
-    ctx = context_of(A[0][0])
-    if len(A) == 1:
-        return [ctx.convert(A[0][0])]
-    if ctx.mp is not None:
-        return _extended_eigenvalues(A, ctx.eps)[0]
-    arr = np.asarray(A, dtype=complex)
-    vals, bounds = _eig_with_bound(arr)
-    worst = bounds.max()
-    if worst <= EIG_TARGET:
-        return [complex(v) for v in vals]
-    ext = _escalated(worst)
-    return binary64(_extended_eigenvalues([[ext.convert(v) for v in row] for row in arr], ctx.eps)[0]).tolist()
 
 
 def _extended_eigenvalues(rows, eps_out: float) -> Tuple[List, List]:

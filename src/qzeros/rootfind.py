@@ -15,15 +15,15 @@ sweeps finish the same start instead. Every zero set find_zeros returns,
 in either precision and by either route, passes _certify; a case at more
 digits (isospectral.Case of the parameters in that context) takes its
 zeros from find_zeros too.
-companion_zeros is the independent cross-check oracle: eigenvalues of the
-balanced companion matrix through the package's one eigensolve
-(isospectral.certified_eigenvalues), which certifies, and if need be
-escalates, on that matrix. balanced_companion builds it from the powers of
-two of LAPACK zgebal's scaling loop, ported to the companion matrix's 2N - 1
-nonzeros (_balancing_scale), so zeros needs no scipy. The two routes share
-no code beyond polynomial evaluation. pairwise_gaps is the one array
-every separation test of the package reads, of zeros and of eigenvalues;
-relative_separation reads each gap at its pair's scale, max(|z_i|, |z_j|).
+companion_zeros is the independent cross-check oracle: the eigenvalues of
+the balanced companion matrix, the zeros of p, finished by the same Newton
+where their bounds ask for it. Its independence lies in the start, LAPACK's
+QR iteration against Aberth from the spiral; reconstruction_gap (Vieta)
+shares neither start nor finish. balanced_companion builds the matrix from
+the powers of two of LAPACK zgebal's scaling loop, ported to its 2N - 1
+nonzeros (_balancing_scale), so zeros needs no scipy. pairwise_gaps is the
+one array every separation test of the package reads, of zeros and of
+eigenvalues; relative_separation reads each gap at its pair's scale.
 """
 
 from __future__ import annotations
@@ -110,14 +110,19 @@ def pairwise_gaps(values) -> np.ndarray:
     return np.concatenate((ctx.sizes(values[i] - values[j]), [math.inf]))[slots]
 
 
-def relative_separation(zs, gaps=None) -> float:
-    """Smallest entry of gaps (default pairwise_gaps(zs)) over the larger
-    size of its pair's two zeros, the one scale of every separation test:
-    inf for one zero, NaN at a NaN zero wherever it sits (taken in floats:
-    the minimum of an object array skips a NaN unless it is first)."""
-    ctx = context_of(zs[0])
-    mags = ctx.sizes(np.asarray(zs, dtype=ctx.dtype))
-    scale = np.maximum(np.maximum.outer(mags, mags), TINY)
+def _pair_scale(mags) -> np.ndarray:
+    """max(|z_i|, |z_j|, TINY) for the sizes mags, N x N: the one scale."""
+    return np.maximum(np.maximum.outer(mags, mags), TINY)
+
+
+def relative_separation(zs, gaps=None, scale=None) -> float:
+    """Smallest entry of gaps (default pairwise_gaps(zs)) over scale (default
+    the zeros' _pair_scale), the one scale of every separation test: inf
+    for one zero, NaN at a NaN zero wherever it sits (taken in floats: the
+    minimum of an object array skips a NaN unless it is first)."""
+    if scale is None:
+        ctx = context_of(zs[0])
+        scale = _pair_scale(ctx.sizes(np.asarray(zs, dtype=ctx.dtype)))
     return float(np.asarray((pairwise_gaps(zs) if gaps is None else gaps) / scale, dtype=float).min())
 
 
@@ -142,18 +147,26 @@ def noise_floor(p: Poly):
     return floor
 
 
+def _newton_bounds(p: Poly, zs: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """|p/p'| at each of zs and its first-order bound on the distance to a
+    zero of p, (|p| + noise_floor) / |p'|, from one Horner pass over zs."""
+    ctx = context_of(p.coeffs[0])
+    val, der = eval_poly_deriv(p, np.asarray(zs, dtype=ctx.dtype))
+    val, der = ctx.sizes(val), np.maximum(ctx.sizes(der), TINY)
+    return val / der, (val + list(map(noise_floor(p), zs))) / der
+
+
 def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
     """The ZeroSet of zs in canonical order (by modulus, then phase), so
     repeated runs are deterministic; DegenerateZeros when a zero is not
-    finite or two zeros cannot be certified apart. steps are the sizes of
-    the Newton corrections |p/p'| at zs where the caller has them (the
-    Newton finish's last pass, on exact residuals), else taken here by one
-    Horner pass, each bounded by its noise_floor over |p'| as well. A point
-    of an unresolved cluster carries an error of about twice its bound (the
-    correction contracts by 1/2 toward a double zero), so a pair's certified
-    gap is gap_ij - 2 (bound_i + bound_j); relative_separation reads it and
-    the raw gap at the pair's scale, and max_residual each step at its
-    zero's modulus. A NaN step (binary64 only) stays NaN in the minimum."""
+    finite or two zeros cannot be certified apart. steps are the Newton
+    corrections |p/p'| at zs where the caller has them (the Newton finish's
+    last exact pass), else taken here with their bounds (_newton_bounds).
+    A point of an unresolved cluster carries an error of about twice its
+    bound (the correction contracts by 1/2 toward a double zero), so a
+    pair's certified gap is gap_ij - 2 (bound_i + bound_j), read with the
+    raw gap at the pair's scale (_pair_scale, formed once), and max_residual
+    each step at its zero's modulus. A NaN step (binary64 only) stays NaN."""
     ctx = context_of(p.coeffs[0])
     order = sorted(range(len(zs)), key=lambda n: _canonical_key(zs[n]))
     zs = [zs[n] for n in order]
@@ -162,13 +175,11 @@ def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
     if not (mags < math.inf).all():
         raise DegenerateZeros("a zero is not finite; the zero set is not resolved")
     if steps is None:
-        val, der = eval_poly_deriv(p, z)
-        val, der = ctx.sizes(val), np.maximum(ctx.sizes(der), TINY)
-        steps, bounds = val / der, (val + list(map(noise_floor(p), zs))) / der
+        steps, bounds = _newton_bounds(p, zs)
     else:
         steps = bounds = np.array([steps[n] for n in order], dtype=float)
-    gaps = pairwise_gaps(z)
-    certified = relative_separation(z, gaps - 2.0 * (bounds[:, None] + bounds))
+    gaps, scale = pairwise_gaps(z), _pair_scale(mags)
+    certified = relative_separation(z, gaps - 2.0 * (bounds[:, None] + bounds), scale)
     if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros(
             f"certified relative zero separation {certified:.3e} <="
@@ -176,7 +187,7 @@ def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
             " not resolved"
         )
     worst = float(np.asarray(steps / np.maximum(mags, TINY), dtype=float).max())
-    return ZeroSet(tuple(zs), min_separation=relative_separation(z, gaps), max_residual=worst)
+    return ZeroSet(tuple(zs), min_separation=relative_separation(z, gaps, scale), max_residual=worst)
 
 
 def _spiral_init(p: Poly, q, N: int) -> List[complex]:
@@ -354,16 +365,11 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
 
     Extended coefficients are first rounded to binary64 and solved there
     from the spiral (the float start of MPSolve; Bini & Fiorentino, Numer.
-    Algorithms 23, 2000). Newton then finishes those zeros on exact integer
-    residuals (_newton_finish): each pass doubles a zero's correct digits,
-    adding at most the 16 of its binary64 correction, so three passes and
-    one that settles carry a binary64 start to 50 digits, and the zeros are
-    those of the polynomial itself to a unit or two of their last bit.
-    _certify reads the corrections of that last exact pass. Where there is
-    no start, or the finish cannot vouch for its zeros (a correction that
-    is not finite or does not contract), Aberth sweeps run at the context's
-    digits, from the start if there is one, else from the spiral, as
-    binary64 does, and _certify takes their corrections itself.
+    Algorithms 23, 2000), and Newton on exact residuals finishes those
+    zeros (_newton_finish), whose last corrections _certify reads. Where
+    there is no start, or the finish cannot vouch for its zeros, Aberth
+    sweeps run at the context's digits, from the start if there is one,
+    else from the spiral, and _certify takes their corrections itself.
     """
     if not p.monic:
         raise ValueError("find_zeros expects a monic polynomial")
@@ -530,14 +536,36 @@ def balanced_companion(p: Poly) -> np.ndarray:
 
 def companion_zeros(p: Poly) -> List:
     """Eigenvalues of the balanced companion matrix (independent oracle for
-    find_zeros), in the precision of the coefficients.
+    find_zeros) in the precision of the coefficients, finished as the zeros
+    of p: the binary64 eigenvalues of its rounding, returned in binary64
+    where each one's Newton bound over its modulus (_newton_bounds) is
+    within EIG_TARGET, else carried by _newton_finish to the digits that
+    bring the worst bound below it (isospectral._escalated; the context's
+    at extended digits, where binary64 cannot meet EIG_TARGET eps / eps64)
+    and rounded once. Where the rounding is not finite, QR does not converge
+    or the finish fails, the balanced rows at those digits are solved as
+    eigenvalues (isospectral._extended_eigenvalues). A linear p's zero is
+    -c_0, returned before any matrix is built."""
+    from .isospectral import EIG_TARGET, _escalated, _extended_eigenvalues
 
-    Balancing keeps the spectrum exactly and, for coefficients that span
-    dozens of decades, is what makes the binary64 eigenpairs good enough to
-    certify or to refine (Edelman & Murakami 1995): over the 50 suite cases
-    2 balanced certificates exceed EIG_TARGET instead of 21 unbalanced, and
-    unbalanced, the extended refinement fails on 14 of the 45 suite
-    companion matrices with N > 1."""
-    from .isospectral import certified_eigenvalues
-
-    return _canonical_order(certified_eigenvalues(balanced_companion(p)))
+    ctx, N = context_of(p.coeffs[0]), p.degree
+    if N == 1 and p.monic:
+        return [ctx.convert(-p.coeffs[0])]
+    rows = balanced_companion(p)
+    try:
+        zs = np.linalg.eigvals(binary64(rows)).tolist()
+    except np.linalg.LinAlgError:  # entries beyond binary64, or no convergence
+        zs = [complex(math.nan, math.nan)] * N
+    ext = ctx
+    if ctx.mp is None:
+        try:
+            worst = float((_newton_bounds(p, zs)[1] / np.maximum(ctx.sizes(zs), TINY)).max())
+        except OverflowError:  # a modulus beyond binary64, which builtin abs raises on
+            worst = math.inf
+        if worst <= EIG_TARGET:
+            return _canonical_order(zs)
+        ext = _escalated(worst)
+    finished = _newton_finish(p, zs, ext)
+    if finished is None:
+        finished = _extended_eigenvalues([[ext.convert(v) for v in row] for row in rows], ctx.eps)
+    return _canonical_order(finished[0] if ctx.mp else binary64(finished[0]).tolist())

@@ -23,6 +23,9 @@ alpha/beta pairs, which leaves the polynomial unchanged; spectrum_match
 adds to match_spectrum's pairs the trace, power-trace and determinant gaps;
 forward_spectrum is M's certified eigenvalues, escalated by rebuilding the
 case at more digits, the forward spectrum the tests pair with mu;
+certified_eigenvalues is the eigensolve the companion oracle used before it
+finished its eigenvalues as zeros of p, escalated by converting the
+matrix's entries, the oracle of companion_zeros and of forward_spectrum;
 companion_rows is the companion matrix of a monic polynomial and
 eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
 from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
@@ -88,7 +91,6 @@ from qzeros.isospectral import (
     _extended_eigenvalues,
     _norm,
     build_M,
-    certified_eigenvalues,
     match_spectrum,
     mu_n,
 )
@@ -701,6 +703,38 @@ def forward_spectrum(case: Case) -> Tuple:
         return M, [complex(v) for v in vals]
     rows = Case(in_context(case.params, _escalated(bounds.max()))).M
     return M, binary64(_extended_eigenvalues(rows, F64.eps)[0]).tolist()
+
+
+def certified_eigenvalues(A) -> List:
+    """All eigenvalues of the square matrix A (an array or nested rows), in
+    the precision of its entries, each certified below EIG_TARGET relative
+    forward error in binary64 and EIG_TARGET (eps / eps64) at extended
+    digits (first-order estimates, which leave out the backward error's
+    dimension constant): the companion oracle's eigensolve before
+    rootfind.companion_zeros finished its eigenvalues as zeros of p.
+
+    Binary64: when the worst _eig_with_bound estimate exceeds EIG_TARGET,
+    A's entries are converted to the digits that bring that bound below it
+    (_escalated), and its eigenvalues are refined there to eps64. The
+    digits come from A's bound, so A must be conditioned as its caller
+    wants its eigenvalues read: at those digits an unbalanced companion
+    matrix can misplace its smallest eigenvalues. Extended: they are
+    refined to the entries' eps (_extended_eigenvalues). A 1 x 1 matrix's
+    eigenvalue is its entry, returned before any solve.
+    """
+    ctx = context_of(A[0][0])
+    if len(A) == 1:
+        return [ctx.convert(A[0][0])]
+    if ctx.mp is not None:
+        return _extended_eigenvalues(A, ctx.eps)[0]
+    arr = np.asarray(A, dtype=complex)
+    vals, bounds = _eig_with_bound(arr)
+    worst = bounds.max()
+    if worst <= EIG_TARGET:
+        return [complex(v) for v in vals]
+    ext = _escalated(worst)
+    rows = [[ext.convert(v) for v in row] for row in arr]
+    return binary64(_extended_eigenvalues(rows, ctx.eps)[0]).tolist()
 
 
 def companion_rows(p):

@@ -212,6 +212,21 @@ def test_bad_traj_path_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unwritable_paths_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # the directories of --out and --traj are checked before the command
+    # runs: no zero is found and no trajectory integrated for a report or a
+    # CSV that cannot be written, and the message is the one the write gives
+    found = counting(monkeypatch, isospectral, "find_zeros")
+    integrated = counting(monkeypatch, flow, "integrate_flow")
+    cfg = write_config(tmp_path)
+    missing = tmp_path / "no_dir"
+    assert run("zeros", cfg, "--out", str(missing / "r.json")) == 2
+    assert capsys.readouterr().err == f"error: cannot write report: [Errno 2] No such file or directory: '{missing / 'r.json'}'\n"
+    assert run("flow", cfg, "--traj", str(missing / "t.csv")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write trajectory: [Errno 2] No such file or directory")
+    assert found == integrated == []
+
+
 def test_binary64_out_of_range_degree_is_one_error_line(tmp_path, capsys):
     # at q = 0.45, q^-1000 overflows binary64 (a pole no finite alpha or beta
     # reaches; coeffs_P cannot form it); at q = 2 the coefficients turn NaN

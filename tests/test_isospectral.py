@@ -17,7 +17,6 @@ from qzeros.isospectral import (
     EIG_TARGET,
     Case,
     build_M,
-    certified_eigenvalues,
     closed_trace,
     logdet_gap,
     match_spectrum,
@@ -37,6 +36,7 @@ from oracles import (
     build_M_r1s1,
     build_M_r2s1,
     build_M_r2s2,
+    certified_eigenvalues,
     closed_trace_r1s1,
     closed_trace_r2s1,
     eig_bound_lapack,
@@ -59,7 +59,8 @@ def test_build_M_n1_hand_case():
 
 def test_one_by_one_eigenvalue_is_its_entry(suite):
     # at 50 digits the refinement of the entry would miss it by a few ulps:
-    # M and the companion matrix at N = 1 return their entry, bit for bit
+    # M and the companion matrix at N = 1 return their entry, bit for bit,
+    # and the companion oracle returns it, -c_0, before building the matrix
     ctx = extended(50)
     cases = [Case(in_context(params, ctx)) for params in suite if params.N == 1]
     assert len(cases) == 5
@@ -67,6 +68,7 @@ def test_one_by_one_eigenvalue_is_its_entry(suite):
         for rows in (case.M, rootfind.balanced_companion(case.monic)):
             assert rows.shape == (1, 1)
             assert certified_eigenvalues(rows) == [rows[0][0]]
+        assert rootfind.companion_zeros(case.monic) == [rows[0][0]]
     assert certified_eigenvalues(((0.7 - 0.4j,),)) == [0.7 - 0.4j]
 
 
@@ -475,7 +477,9 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
 def _escalated_inputs(suite, monkeypatch):
     """The (rows, eps_out) each escalation hands _refined_eigenvalues: M
     rebuilt for the ESCALATING suite cases and the balanced companion
-    matrices of suite cases 26 and 38, at the digits _escalated derives."""
+    matrices of suite cases 26 and 38 (the eigensolve the companion oracle
+    once used, oracles.certified_eigenvalues), at the digits _escalated
+    derives."""
     captured = []
     refine = isospectral._refined_eigenvalues
 
@@ -488,7 +492,7 @@ def _escalated_inputs(suite, monkeypatch):
         for index in ESCALATING:
             forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
         for index in (26, 38):
-            rootfind.companion_zeros(zeros_of(suite[index])[0])
+            certified_eigenvalues(rootfind.balanced_companion(zeros_of(suite[index])[0]))
     assert len(captured) == 5 and all(eps_out == F64.eps for _, eps_out in captured)
     return captured
 
@@ -531,7 +535,8 @@ def test_refined_eigenvalues_equal_the_fdot_refinement(suite, monkeypatch):
 
 def test_refinement_never_calls_fdot(suite, monkeypatch):
     # every extended and escalated eigensolve of M and of the companion
-    # matrix refines without the context's fdot
+    # matrix (oracles.certified_eigenvalues) refines without the context's
+    # fdot
     def refused(*args, **kwargs):
         raise AssertionError("fdot called")
 
@@ -540,12 +545,12 @@ def test_refinement_never_calls_fdot(suite, monkeypatch):
     for index in ESCALATING:
         forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
     for index in (26, 38):
-        rootfind.companion_zeros(zeros_of(suite[index])[0])
+        certified_eigenvalues(rootfind.balanced_companion(zeros_of(suite[index])[0]))
     for index in (1, 3, 4):
         params = in_context(suite[index], extended())
         p, zeros = zeros_of(params)
         forward_spectrum(Case(params, zeros.zeros))
-        rootfind.companion_zeros(p)
+        certified_eigenvalues(rootfind.balanced_companion(p))
     assert len(refined) == 11 and all(vals is not None for vals in refined)
 
 

@@ -11,14 +11,16 @@ import pytest
 import scipy.linalg
 
 from qzeros import isospectral, rootfind
+from qzeros.cli import cmd_zeros
 from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
+from qzeros.isospectral import Case
 from qzeros.params import ParamSet, _elementary, in_context
-from qzeros.precision import F64, extended
+from qzeros.precision import F64, context_of, extended
 from qzeros.qseries import Poly, coeffs_P, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import certify_pairs, companion_rows, eval_poly, relative_separation_pairs
+from oracles import certified_eigenvalues, certify_pairs, companion_rows, eval_poly, relative_separation_pairs
 
 
 def _pair_off(found, oracle):
@@ -78,9 +80,13 @@ def test_oracle_agreement_on_suite(suite):
 
 
 def test_companion_escalates_on_the_balanced_matrix():
-    # coefficients from 1.5e-37 to 1: the balanced certificate asks for 25
-    # digits, too few for the unbalanced companion matrix, whose five
-    # smallest eigenvalues then land up to 5e-5 away
+    # coefficients from 1.5e-37 to 1. The eigenvector estimate of the
+    # balanced matrix read 1.1e-9 here and asked for 25 digits, too few for
+    # the unbalanced companion matrix, whose five smallest eigenvalues then
+    # land up to 5e-5 away. As zeros of p, the binary64 eigenvalues certify
+    # by their Newton bounds (7.9e-14) with no escalation, and the fallback
+    # still converts the balanced entries: at those 25 digits their
+    # eigenvalues meet the target too
     params = ParamSet(
         r=2,
         s=2,
@@ -97,9 +103,16 @@ def test_companion_escalates_on_the_balanced_matrix():
     )
     p = to_monic(coeffs_P(params))
     zeros = find_zeros(p, params).zeros
-    oracle = companion_zeros(p)
-    for z, w in zip(zeros, oracle):
-        assert abs(z - w) <= 1e-9 * abs(z)
+    balanced = rootfind.balanced_companion(p)
+    starts = np.linalg.eigvals(balanced).tolist()
+    assert (rootfind._newton_bounds(p, starts)[1] / np.abs(starts)).max() < 1e-13
+    ext = isospectral._escalated(isospectral._eig_with_bound(balanced)[1].max())
+    assert ext.mp.dps == 25
+    rows = [[ext.convert(v) for v in row] for row in balanced]
+    fallback = rootfind._canonical_order(isospectral._extended_eigenvalues(rows, F64.eps)[0])
+    for oracle in (companion_zeros(p), fallback):
+        for z, w in zip(zeros, oracle):
+            assert abs(z - w) <= 1e-9 * abs(z)
 
 
 def test_companion_zeros_where_moduli_overflow():
@@ -116,20 +129,15 @@ def test_companion_zeros_where_moduli_overflow():
 
 
 def test_companion_escalations_on_suite(suite, monkeypatch):
-    # balancing leaves 2 of the 50 suite certificates above EIG_TARGET
-    # (21 on the unbalanced companion matrices)
-    calls = []
-    solve = isospectral._eig_extended
-
-    def counted(rows, ctx):
-        calls.append(ctx.mp.dps)
-        return solve(rows, ctx)
-
-    monkeypatch.setattr(isospectral, "_eig_extended", counted)
+    # the Newton bounds of the binary64 eigenvalues meet EIG_TARGET on every
+    # suite case (at most 3.5e-10), where the eigenvector estimate of the
+    # balanced matrix failed on 2 of them (21 unbalanced): no suite case
+    # finishes at more digits, and none reaches the eigenvalue fallback
+    finished = counting(monkeypatch, rootfind, "_newton_finish")
+    fallback = counting(monkeypatch, isospectral, "_extended_eigenvalues")
     for params in suite:
-        p, _ = zeros_of(params)
-        companion_zeros(p)
-    assert len(calls) <= 2
+        companion_zeros(zeros_of(params)[0])
+    assert finished == fallback == []
 
 
 EPS64 = 2.0**-52
@@ -142,19 +150,86 @@ def _assert_near(got, ref, tol):
         assert abs(v - ref[j]) <= tol * abs(ref[j]), (v, ref[j])
 
 
-def test_companion_escalations_refine_without_mpmath_eig(suite, monkeypatch):
-    # the two suite companion matrices whose balanced certificate fails
-    for index in (26, 38):
-        p, _ = zeros_of(suite[index])
-        balanced = rootfind.balanced_companion(p)
-        worst = isospectral._eig_with_bound(balanced)[1].max()
-        ref = isospectral._eig_extended(balanced, isospectral._escalated(worst))
-        with monkeypatch.context() as patch:
-            eig_calls = counting(patch, mpmath, "eig")
-            refined = counting(patch, isospectral, "_refined_eigenvalues")
-            got = companion_zeros(p)
-        assert eig_calls == [] and len(refined) == 1 and refined[0] is not None, index
+# the zeros-f64 stream cases whose binary64 eigenvalues' Newton bounds
+# exceed EIG_TARGET (1.9e-9 to 1.5e-8), so that Newton finishes them
+FINISHED = (78, 228, 348, 438, 468)
+# the stream cases whose eigenvector estimate of the balanced matrix
+# exceeded EIG_TARGET, where the oracle refined eigenpairs
+EIGENPAIR_ESCALATIONS = (26, 38, 78, 98, 158, 228, 269, 348, 368, 398, 446, 458)
+
+
+def test_companion_escalations_refine_without_mpmath_eig(monkeypatch):
+    # the stream cases whose Newton bounds fail finish as zeros of p at the
+    # digits _escalated derives, by exact Newton: no eigenpair is refined
+    # and mpmath.eig never runs. Each value is p's zero rounded once, within
+    # 4 eps64 of the balanced matrix's eigenvalues by mpmath.eig at 40 digits
+    stream = suite_cases(500)
+    polys = [to_monic(coeffs_P(stream[index])) for index in FINISHED]
+    refs = [isospectral._eig_extended(rootfind.balanced_companion(p), extended(40)) for p in polys]
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    finished = counting(monkeypatch, rootfind, "_newton_finish")
+    for index, p, ref in zip(FINISHED, polys, refs):
+        finished.clear()
+        got = companion_zeros(p)
+        assert len(finished) == 1 and finished[0] is not None, index
+        assert context_of(finished[0][0][0]).mp.dps in (25, 26), index
         _assert_near(got, ref, 4 * EPS64)
+    assert refined == eig_calls == []
+
+
+def test_companion_oracle_on_the_eigenpair_escalations():
+    # on the stream cases whose eigenpairs the oracle once refined, every
+    # value lies within EIG_TARGET of the 50-digit zeros. Where Newton
+    # finishes, it lies within 4 eps64 of that refinement
+    # (oracles.certified_eigenvalues); elsewhere within its own Newton bound
+    # of it, which reads at most 2.2e-13 there
+    stream = suite_cases(500)
+    ctx = extended(50)
+    for index in EIGENPAIR_ESCALATIONS:
+        params = stream[index]
+        p = to_monic(coeffs_P(params))
+        got = companion_zeros(p)
+        exact = find_zeros(to_monic(coeffs_P(in_context(params, ctx))), in_context(params, ctx)).zeros
+        _assert_near(got, exact, isospectral.EIG_TARGET)
+        refined = certified_eigenvalues(rootfind.balanced_companion(p))
+        bounds = rootfind._newton_bounds(p, got)[1] / np.abs(got)
+        tol = 4 * EPS64 if index in FINISHED else 4 * EPS64 + bounds.max()
+        assert index in FINISHED or bounds.max() <= 2.5e-13, index
+        _assert_near(got, refined, tol)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_companion_falls_back_to_eigenvalues_where_the_finish_fails(ctx, monkeypatch):
+    # with the finish refused, the oracle solves the balanced rows at the
+    # finish's digits as eigenvalues, once, and returns the same values: to
+    # 4 eps64 in binary64 (stream cases 78 and 228), to the refinement's
+    # certificate EIG_TARGET (eps / eps64) at 50 digits (stream cases 3, 9,
+    # 19, 26 and 38)
+    stream = suite_cases(500)
+    indices, tol = ((78, 228), 4 * EPS64) if ctx is F64 else ((3, 9, 19, 26, 38), 1e-9 * ctx.eps / EPS64)
+    for index in indices:
+        p = to_monic(coeffs_P(in_context(stream[index], ctx)))
+        want = companion_zeros(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(rootfind, "_newton_finish", lambda p, start, ctx: None)
+            fallback = counting(patch, isospectral, "_extended_eigenvalues")
+            got = companion_zeros(p)
+        assert len(fallback) == 1, index
+        _assert_near(got, want, tol)
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_suite_zeros_refine_no_eigenpairs(suite, ctx, monkeypatch):
+    # no zeros run of the 50 suite cases refines an eigenpair or calls
+    # mpmath.eig, in either precision: the oracle's eigenvalues are
+    # certified, or finished, as zeros of p
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    for params in suite:
+        checks, _ = cmd_zeros(Case(in_context(params, ctx)), {}, None, None)
+        assert all(check["pass"] for check in checks), params
+    assert refined == eig_calls == []
 
 
 def _lapack_balanced(p):
@@ -258,14 +333,15 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
     small = [in_context(params, ctx) for params in suite if params.N <= 5]
     assert len(small) == 25
     polys = [to_monic(coeffs_P(params)) for params in small]
-    # a 1 x 1 matrix's eigenvalue is its entry, which certified_eigenvalues
-    # returns before any solve; _eig_extended takes 2 x 2 and larger
+    # a linear p's zero is -c_0, which companion_zeros returns before any
+    # matrix is built; _eig_extended takes 2 x 2 and larger
     rows = [companion_rows(p) for p in polys]
     refs = [[r[0][0]] if len(r) == 1 else isospectral._eig_extended(r, extended(70)) for r in rows]
     eig_calls = counting(monkeypatch, mpmath, "eig")
+    built = counting(monkeypatch, rootfind, "balanced_companion")
     for p, ref in zip(polys, refs):
         _assert_near(companion_zeros(p), ref, 1e-45)
-    assert eig_calls == []
+    assert eig_calls == [] and len(built) == 20
 
 
 def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
@@ -274,8 +350,8 @@ def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
     big = ctx.mp.mpf("1e400")
     rows = ((ctx.convert(big), ctx.convert(1)), (ctx.convert(0), ctx.convert(2)))
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    got = isospectral.certified_eigenvalues(rows)
-    assert len(fallback) == 1 and got is fallback[0]
+    got, certificates = isospectral._extended_eigenvalues(rows, ctx.eps)
+    assert len(fallback) == 1 and got is fallback[0] and certificates == [None, None]
     _assert_near(got, [big, 2], 1e-55)
 
 

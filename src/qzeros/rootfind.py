@@ -16,14 +16,16 @@ in either precision and by either route, passes _certify; a case at more
 digits (isospectral.Case of the parameters in that context) takes its
 zeros from find_zeros too.
 companion_zeros is the independent cross-check oracle: the eigenvalues of
-the balanced companion matrix, the zeros of p, finished by the same Newton
-where their bounds ask for it. Its independence lies in the start, LAPACK's
+the companion matrix, the zeros of p, finished by the same Newton where
+their bounds ask for it. Its independence lies in the start, LAPACK's
 QR iteration against Aberth from the spiral; reconstruction_gap (Vieta)
-shares neither start nor finish. balanced_companion builds the matrix from
-the powers of two of LAPACK zgebal's scaling loop, ported to its 2N - 1
-nonzeros (_balancing_scale), so zeros needs no scipy. pairwise_gaps is the
-one array every separation test of the package reads, of zeros and of
-eigenvalues; relative_separation reads each gap at its pair's scale.
+shares neither start nor finish. The start balances the matrix once, in
+zgeev behind np.linalg.eigvals; only the oracle's eigenvalue fallback
+builds the balanced rows itself (balanced_companion), from the powers of
+two of scipy's LAPACK zgebal, so no zeros run that does not reach that
+fallback imports scipy. pairwise_gaps is the one array every separation
+test of the package reads, of zeros and of eigenvalues;
+relative_separation reads each gap at its pair's scale.
 """
 
 from __future__ import annotations
@@ -401,130 +403,44 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     return _certify(_aberth(p, [ctx.convert(z) for z in start or spiral], ctx), p)
 
 
-# LAPACK zgebal's limits for binary64: SFMIN1 = dlamch('S') / dlamch('P')
-# = 2^-1022 / 2^-52, SFMIN2 = SFMIN1 times the radix, SFMAX = 1 / SFMIN
-_SFMIN1 = 2.0**-970
-_SFMAX1 = 2.0**970
-_SFMIN2 = 2.0**-969
-_SFMAX2 = 2.0**969
-
-
-def _balancing_scale(low: Sequence[complex]) -> List[float]:
-    """The powers of two d_i that LAPACK zgebal (job 'S', no permutation)
-    picks for the companion matrix with last column -low, low the finite
-    binary64 coefficients c_0..c_{N-1} of a monic polynomial.
-
-    The scaling loop of zgebal verbatim (Parlett & Reinsch, Numer. Math. 13,
-    1969, in the form LAPACK has used since 3.5; James, Langou & Lowery,
-    arXiv:1401.5766): radix 2; the 2-norms c and r of column and row i,
-    diagonal included (DZNRM2); ca and ra the moduli of their entries of
-    largest |re| + |im|, the first on a tie (IZAMAX); the SFMIN/SFMAX guards;
-    and the scaling kept only when it brings c + r below 0.95 of its old
-    value. The entries are scaled in place, row i by 1/f and then column i
-    by f, each part of an entry on its own (ZDSCAL), as LAPACK does. The
-    matrix has 2N - 1 nonzeros: B[i, i - 1], held in sub[i], is the one entry
-    of column i - 1, and row i holds it and B[i, N - 1], held in re[i] and
-    im[i], only; so a visit costs O(1), the last column's O(N), and a
-    sweep O(N). Those entries are finite, and so are their norms' sums,
-    which makes zgebal's NaN exit unreachable.
-    """
-    n = len(low)
-    sub = [1.0] * n  # sub[0] is no entry of the matrix
-    re = [-c.real for c in low]
-    im = [-c.imag for c in low]
-    scale = [1.0] * n
-    noconv = True
-    while noconv:
-        noconv = False
-        for i in range(n):
-            if i < n - 1:
-                c = ca = sub[i + 1]
-            else:
-                c = math.hypot(*re, *im)
-                sizes = [abs(x) + abs(y) for x, y in zip(re, im)]
-                k = sizes.index(max(sizes))
-                ca = _modulus(complex(re[k], im[k]))
-            if i == 0:
-                r = math.hypot(re[0], im[0])
-                ra = _modulus(complex(re[0], im[0]))
-            else:
-                r = math.hypot(sub[i], re[i], im[i])
-                if sub[i] >= abs(re[i]) + abs(im[i]):
-                    ra = sub[i]
-                else:
-                    ra = _modulus(complex(re[i], im[i]))
-            if c == 0 or r == 0:
-                continue
-            g = r / 2
-            f = 1.0
-            s = c + r
-            # MAX(F, C, CA) < SFMAX2 and MIN(R, G, RA) > SFMIN2, spelt out
-            while (
-                c < g
-                and f < _SFMAX2 and c < _SFMAX2 and ca < _SFMAX2
-                and r > _SFMIN2 and g > _SFMIN2 and ra > _SFMIN2
-            ):
-                f *= 2
-                c *= 2
-                ca *= 2
-                r /= 2
-                g /= 2
-                ra /= 2
-            g = c / 2
-            while (
-                g >= r
-                and r < _SFMAX2 and ra < _SFMAX2
-                and f > _SFMIN2 and c > _SFMIN2 and g > _SFMIN2 and ca > _SFMIN2
-            ):
-                f /= 2
-                c /= 2
-                g /= 2
-                ca /= 2
-                r *= 2
-                ra *= 2
-            if c + r >= 0.95 * s:
-                continue
-            if f < 1 and scale[i] < 1 and f * scale[i] <= _SFMIN1:
-                continue
-            if f > 1 and scale[i] > 1 and scale[i] >= _SFMAX1 / f:
-                continue
-            g = 1 / f
-            scale[i] *= f
-            noconv = True
-            sub[i] *= g
-            re[i] *= g
-            im[i] *= g
-            if i < n - 1:
-                sub[i + 1] *= f
-            else:
-                re = [v * f for v in re]
-                im = [v * f for v in im]
-    return scale
+def _companion64(p: Poly) -> np.ndarray:
+    """The companion matrix of the monic p from its coefficients' binary64
+    rounding: ones below the diagonal, -c_0..-c_{N-1} down the last column."""
+    out = np.eye(p.degree, k=-1, dtype=complex)
+    out[:, -1] = [-_binary64(c) for c in p.coeffs[:-1]]
+    return out
 
 
 def balanced_companion(p: Poly) -> np.ndarray:
     """The companion matrix A of the monic p balanced, B = D^-1 A D, as an
     N x N array in the dtype of the coefficients' context.
 
-    D holds the powers of two of _balancing_scale for the binary64 rounding
-    of the coefficients, and B is built from its 2N - 1 nonzeros in the
-    coefficients' own scalars: B[i, i - 1] = d_{i-1} / d_i and
-    B[i, N - 1] = -c_i d_{N-1} / d_i, each part of -c_i scaled once by the
-    exponent difference of d_{N-1} and d_i (in binary64 the product
-    -c_i d_{N-1} can leave the normal range before the division brings it
-    back, and d_{N-1} / d_i itself can overflow). Powers of two scale
-    exactly, so B has A's spectrum exactly; in binary64 each entry is
-    correctly rounded, and B is LAPACK's balanced matrix bit for bit
-    wherever zgebal's in-place scaling stays in the normal range. A
+    D holds the powers of two LAPACK zgebal picks (job 'S', no permutation)
+    for the binary64 companion matrix (_companion64), and B is built from
+    its 2N - 1 nonzeros in the coefficients' own scalars:
+    B[i, i - 1] = d_{i-1} / d_i and B[i, N - 1] = -c_i d_{N-1} / d_i, each
+    part of -c_i scaled once by the exponent difference of d_{N-1} and d_i
+    (in binary64 the product -c_i d_{N-1} can leave the normal range before
+    the division brings it back, and d_{N-1} / d_i itself can overflow).
+    Powers of two scale exactly, so B has A's spectrum exactly; in binary64
+    each entry is correctly rounded, and B is LAPACK's balanced matrix bit
+    for bit wherever zgebal's in-place scaling stays in the normal range. A
     polynomial whose coefficients do not round to finite binary64 numbers
     is left unbalanced (D = I): no scaling brings such an entry into range.
+    Only the oracle's eigenvalue fallback builds B, so scipy is imported
+    here, when it is first needed.
     """
     if not p.monic:
         raise ValueError("balanced_companion expects a monic polynomial")
     N = p.degree
     ctx = context_of(p.coeffs[0])
-    low = [_binary64(c) for c in p.coeffs[:-1]]
-    scale = _balancing_scale(low) if all(cmath.isfinite(c) for c in low) else [1.0] * N
+    arr = _companion64(p)
+    if np.isfinite(arr).all():
+        from scipy.linalg.lapack import zgebal
+
+        scale = zgebal(arr, scale=1, permute=0)[3].tolist()
+    else:
+        scale = [1.0] * N
     d = np.array([ctx.convert(v) for v in scale], dtype=ctx.dtype)
     out = np.full((N, N), ctx.convert(0.0), dtype=ctx.dtype)
     out[range(1, N), range(N - 1)] = d[:-1] / d[1:]
@@ -535,25 +451,28 @@ def balanced_companion(p: Poly) -> np.ndarray:
 
 
 def companion_zeros(p: Poly) -> List:
-    """Eigenvalues of the balanced companion matrix (independent oracle for
+    """Eigenvalues of the companion matrix (independent oracle for
     find_zeros) in the precision of the coefficients, finished as the zeros
-    of p: the binary64 eigenvalues of its rounding, returned in binary64
-    where each one's Newton bound over its modulus (_newton_bounds) is
-    within EIG_TARGET, else carried by _newton_finish to the digits that
-    bring the worst bound below it (isospectral._escalated; the context's
-    at extended digits, where binary64 cannot meet EIG_TARGET eps / eps64)
-    and rounded once. Where the rounding is not finite, QR does not converge
-    or the finish fails, the balanced rows at those digits are solved as
+    of p: the binary64 eigenvalues of the companion matrix of the
+    coefficients' rounding (_companion64; zgeev, behind np.linalg.eigvals,
+    balances it), returned in binary64 where each one's Newton bound over
+    its modulus (_newton_bounds) is within EIG_TARGET, else carried by
+    _newton_finish to the digits that bring the worst bound below it
+    (isospectral._escalated; the context's at extended digits, where
+    binary64 cannot meet EIG_TARGET eps / eps64) and rounded once. Where the
+    rounding is not finite, QR does not converge or the finish fails, the
+    balanced rows (balanced_companion) at those digits are solved as
     eigenvalues (isospectral._extended_eigenvalues). A linear p's zero is
     -c_0, returned before any matrix is built."""
     from .isospectral import EIG_TARGET, _escalated, _extended_eigenvalues
 
+    if not p.monic:
+        raise ValueError("companion_zeros expects a monic polynomial")
     ctx, N = context_of(p.coeffs[0]), p.degree
-    if N == 1 and p.monic:
+    if N == 1:
         return [ctx.convert(-p.coeffs[0])]
-    rows = balanced_companion(p)
     try:
-        zs = np.linalg.eigvals(binary64(rows)).tolist()
+        zs = np.linalg.eigvals(_companion64(p)).tolist()
     except np.linalg.LinAlgError:  # entries beyond binary64, or no convergence
         zs = [complex(math.nan, math.nan)] * N
     ext = ctx
@@ -567,5 +486,5 @@ def companion_zeros(p: Poly) -> List:
         ext = _escalated(worst)
     finished = _newton_finish(p, zs, ext)
     if finished is None:
-        finished = _extended_eigenvalues([[ext.convert(v) for v in row] for row in rows], ctx.eps)
+        finished = _extended_eigenvalues([[ext.convert(v) for v in row] for row in balanced_companion(p)], ctx.eps)
     return _canonical_order(finished[0] if ctx.mp else binary64(finished[0]).tolist())

@@ -496,22 +496,27 @@ def test_zeros_fails_only_where_verify_fails_on_real_parameters(tmp_path, precis
 
 
 def test_commands_leave_scipy_unimported(tmp_path, suite):
-    # poly, zeros, verify and sweep run on numpy.linalg alone (zeros balances
-    # its companion matrix with rootfind's port of LAPACK zgebal), so a fresh
+    # poly, zeros, verify and sweep run on numpy.linalg alone, so a fresh
     # process never pays for scipy's import (about 0.2 s and 20 MB); only
-    # flow loads it, for solve_ivp
-    cfg = write_params(tmp_path, suite[3])
+    # flow loads it, for solve_ivp, and zeros' companion oracle in its
+    # eigenvalue fallback, to balance the rows it solves. No suite case
+    # reaches that fallback, so zeros runs here on all 50 in both precisions
+    configs = []
+    for index, params in enumerate(suite):
+        (tmp_path / str(index)).mkdir()
+        configs.append(write_params(tmp_path / str(index), params))
     out = str(tmp_path / "r.json")
     script = (
         "import json, sys\n"
         "from qzeros.cli import main\n"
-        f"codes = [main([c, '--config', {cfg!r}, '--precision', p, '--out', {out!r}])"
-        " for c in ('poly', 'zeros', 'verify', 'sweep') for p in ('f64', 'extended')]\n"
+        f"runs = [(c, {configs[3]!r}) for c in ('poly', 'verify', 'sweep')] + [('zeros', cfg) for cfg in {configs!r}]\n"
+        f"codes = [main([c, '--config', cfg, '--precision', p, '--out', {out!r}])"
+        " for c, cfg in runs for p in ('f64', 'extended')]\n"
         "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 8, False]
+    assert json.loads(proc.stdout) == [[0] * 106, False]
 
 
 def test_only_sweep_and_flow_load_numpy_random(tmp_path, suite):

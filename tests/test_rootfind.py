@@ -117,7 +117,8 @@ def test_companion_escalates_on_the_balanced_matrix():
 
 def test_companion_zeros_where_moduli_overflow():
     # z^2 + z + 1.5e308 (1 + i): finite parts whose moduli leave binary64,
-    # read as inf by balancing and by the canonical order, where abs raises
+    # read as inf by the Newton bounds and by the canonical order, where abs
+    # raises
     c = 1.5e308 * (1 + 1j)
     got = companion_zeros(Poly((c, 1.0, 1.0), monic=True))
     with mpmath.workdps(40):
@@ -221,15 +222,25 @@ def test_companion_falls_back_to_eigenvalues_where_the_finish_fails(ctx, monkeyp
 
 @pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
 def test_suite_zeros_refine_no_eigenpairs(suite, ctx, monkeypatch):
-    # no zeros run of the 50 suite cases refines an eigenpair or calls
-    # mpmath.eig, in either precision: the oracle's eigenvalues are
-    # certified, or finished, as zeros of p
+    # no zeros run of the 50 suite cases refines an eigenpair, calls
+    # mpmath.eig or builds the balanced rows, in either precision: the
+    # oracle's eigenvalues are certified, or finished, as zeros of p, and
+    # only its eigenvalue fallback balances the matrix itself
     eig_calls = counting(monkeypatch, mpmath, "eig")
     refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    built = counting(monkeypatch, rootfind, "balanced_companion")
     for params in suite:
         checks, _ = cmd_zeros(Case(in_context(params, ctx)), {}, None, None)
         assert all(check["pass"] for check in checks), params
-    assert refined == eig_calls == []
+    assert refined == eig_calls == built == []
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 2.0), (1.0, -3.0, 0.5, 2.0)], ids=["N1", "N3"])
+def test_companion_zeros_expects_a_monic_polynomial(coeffs):
+    # as find_zeros does: a leading coefficient other than 1 is refused, not
+    # read as 1
+    with pytest.raises(ValueError, match="expects a monic polynomial"):
+        companion_zeros(Poly(tuple(complex(c) for c in coeffs), monic=False))
 
 
 def _lapack_balanced(p):
@@ -282,19 +293,20 @@ def test_balanced_companion_is_lapacks_at_degrees_one_and_two(coeffs):
         (1e-300, 1e-300, 1e-300, 1e-300),
         (1e300j, 1e300, 1e300),
         (1e300, 1e-300j, 1.0, 1e-300, 1e300),
-        # removing the SFMAX1 test on the accumulated scale changes D here
+        # zgebal's scale stops at its guard on the accumulated D here
         (0.0, 0.0, 1e-150),
-        # and removing the SFMIN2 test on r, g and ra in the first loop here
+        # and at its guard on the row sizes here, next to a subnormal part
         (5e-324, 1e300, 1e300, 1e300, 1e-300),
     ],
 )
 def test_balanced_companion_keeps_lapacks_guards(coeffs):
     # coefficients near the ends of the binary64 range, where zgebal's
-    # SFMIN/SFMAX guards stop the scaling. zgebal scales its matrix in place
-    # one power of two at a time, so an entry it scales below the normal
-    # range loses bits or becomes 0. B is formed once from D instead, and is
-    # compared with scipy's powers of two applied once: the subdiagonal as
-    # their product, the last column rounded from its exact value
+    # guards stop the scaling. zgebal scales its matrix in place one power
+    # of two at a time, so an entry it scales below the normal range loses
+    # bits or becomes 0. balanced_companion forms B once from LAPACK's D
+    # instead, with no such loss: it equals LAPACK's powers of two applied
+    # once, the subdiagonal as their product, the last column rounded from
+    # its exact value
     p = Poly(tuple(complex(c) for c in coeffs) + (1 + 0j,), monic=True)
     arr, _, scale = _lapack_balanced(p)
     d = scale.astype(complex)
@@ -313,19 +325,18 @@ def _exact_last_column(p, scale):
     return np.array(column)
 
 
-def test_balanced_companion_last_column_is_correctly_rounded(monkeypatch):
+def test_balanced_companion_last_column_is_correctly_rounded():
     # random monic polynomials with parts in 1e+-300. Formed as
     # (-c_i d_{N-1}) / d_i, about 0.4 % of the parts whose exact value is
     # normal came out wrong: the product left the normal range before the
     # division brought it back
     rng = random.Random(6000)
-    scales = counting(monkeypatch, rootfind, "_balancing_scale")
     for _ in range(2000):
         N = rng.randint(1, 10)
         parts = [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2 * N)]
         p = Poly(tuple(complex(*parts[i : i + 2]) for i in range(0, 2 * N, 2)) + (1 + 0j,), monic=True)
         got = rootfind.balanced_companion(p)[:, -1]
-        assert got.tobytes() == _exact_last_column(p, scales[-1]).tobytes(), p.coeffs
+        assert got.tobytes() == _exact_last_column(p, _lapack_balanced(p)[2]).tobytes(), p.coeffs
 
 
 def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
@@ -338,10 +349,9 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
     rows = [companion_rows(p) for p in polys]
     refs = [[r[0][0]] if len(r) == 1 else isospectral._eig_extended(r, extended(70)) for r in rows]
     eig_calls = counting(monkeypatch, mpmath, "eig")
-    built = counting(monkeypatch, rootfind, "balanced_companion")
     for p, ref in zip(polys, refs):
         _assert_near(companion_zeros(p), ref, 1e-45)
-    assert eig_calls == [] and len(built) == 20
+    assert eig_calls == []
 
 
 def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):

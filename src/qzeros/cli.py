@@ -27,6 +27,7 @@ import dataclasses
 import errno
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -353,6 +354,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _tol(text: str) -> float:
+    # a report's threshold is a finite JSON number, and no value lies below 0
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}")
+    return float(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args returns a
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report path (default: stdout)")
         p.add_argument("--seed", type=_seed, default=0, help="RNG seed, a nonnegative integer (default 0)")
         p.add_argument(
-            "--tol", type=float, default=None, help="override every check threshold"
+            "--tol", type=_tol, default=None, help="override every check threshold, a finite number at least 0"
         )
         p.add_argument(
             "--precision", choices=("f64", "extended"), default="f64",

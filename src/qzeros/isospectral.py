@@ -31,12 +31,16 @@ whose zeros come from find_zeros at those digits.
 Every check reads that array. The spectrum verdict of verify and sweep
 asks whether each mu_n is an exact eigenvalue of a matrix near M at mu_n's
 own scale (Case.backward, a backward error that needs no eigenvalue of M,
-read at more digits only where binary64 cannot resolve that scale;
+read from an exact residual where binary64 cannot resolve that scale, of
+M's eigenvector refined by Newton where the SVD's own vector does not
+resolve it either, and from mpmath.eig only where neither does;
 certified_spectrum); verify reports M's eigenvalues from one binary64
 solve in both precisions, which never escalates and is never judged
-(Case.eigenpairs). The companion oracle of zeros reaches the refinement
-(_extended_eigenvalues) only as the fallback of its Newton finish
-(rootfind.companion_zeros). The trace and determinant checks
+(Case.eigenpairs). The companion oracle of zeros reaches mpmath.eig
+(_eig_extended) only as the fallback of its Newton finish, whose values
+that finish then takes as its start (rootfind.companion_zeros). No
+eigenpair is refined by its eigenvalue certificate anywhere: the tests
+keep that refinement as an oracle. The trace and determinant checks
 read M in its own scalars, never rounded to binary64: matrix_power_traces
 by exact array products (precision.Dyadic at extended digits), each trace
 rounded once, and logdet_gap by the ratio of det M to the closed
@@ -60,7 +64,7 @@ from .params import ParamSet, _elementary, in_context
 from .precision import F64, TINY, PrecisionContext, _aligned, _float, _parts, binary64, context_of, extended, rel_gaps
 from .qdiff import qde_terms
 from .qseries import Poly, coeffs_P, to_monic
-from .rootfind import ZeroSet, find_zeros, pairwise_gaps
+from .rootfind import ZeroSet, find_zeros
 from .zero_algebra import KernelCache, identity_grid, velocity_terms, velocity_weights
 
 
@@ -119,10 +123,11 @@ def mu_closed(params: ParamSet) -> List:
 # dimension constant the _eig_with_bound estimate leaves out (the true error
 # reached 5.7 times the estimate on benchmark-stream companion matrices)
 EIG_TARGET = 1e-9
-# Newton corrections per eigenpair before _refined_eigenvalues gives up; on
-# the first 625 benchmark stream cases case 199's pairs near 3.17e6 take 9
-# (slow, then quadratic contraction), every other pair it certifies at most 4,
-# and at most 3 to reach 50 digits on the 175 N <= 5 ones
+# Newton corrections of a refined witness (_witnessed) before it stops; on
+# the eight pinned verify runs that reach it (ROADMAP item 12's E3 cases 18
+# and 96, E4 cases 29, 47, 58, 77, 89 and 119) each resolves its mu_n in 1
+# or 2, and the tests' eigenpair refinement took 9 for suite stream case
+# 199's ill-conditioned pairs near 3.17e6
 REFINE_STEPS = 10
 
 
@@ -149,54 +154,38 @@ def _eig_extended(rows, ctx: PrecisionContext) -> List:
     return [ctx.convert(v) for v in vals]
 
 
-def _eigenpairs(arr):
-    """Binary64 eigenvalues of arr, its unit right eigenvectors (the columns
-    of V), V^-1 and the norms of the rows of V^-1.
-
-    Row i of V^-1 is y_i^H for the left eigenvector y_i scaled to
-    y_i^H x_i = 1 (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2; Golub
-    & Van Loan, Matrix Computations, 7.2.2), so its norm is the condition of
-    eigenvalue i, ||x_i|| ||y_i|| / |y_i^H x_i|. When V is singular, or so
-    nearly singular that a row norm overflows (a defective matrix, such as
-    a nilpotent Jordan block), there is no first-order certificate and
-    V^-1 and the norms are None. Raises EigenNoConvergence when the QR
-    iteration does not converge.
-    """
-    try:
-        vals, right = np.linalg.eig(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigenNoConvergence(str(exc)) from exc
-    try:
-        left = np.linalg.inv(right)
-    except np.linalg.LinAlgError:
-        return vals, right, None, None
-    with np.errstate(over="ignore"):
-        cond = np.linalg.norm(left, axis=1)
-    if not np.isfinite(cond).all():
-        return vals, right, None, None
-    return vals, right, left, cond
-
-
 def _eig_with_bound(arr, norm: float | None = None):
     """Binary64 eigenvalues plus each one's relative forward error estimate.
 
     QR iteration is backward stable (exact for a perturbation of size
     O(eps ||M||)), and the forward error of eigenvalue i is that backward
     error amplified by the eigenvalue's condition, the norm of row i of V^-1
-    (_eigenpairs; first order, simple eigenvalues). The estimate takes the
-    backward error as exactly eps ||M||_2 (norm, where the caller has it)
-    and leaves out the modest dimension-dependent constant of the rigorous
-    bound, so it is not a strict upper bound: on the benchmark-stream
-    companion matrices the true error reached 5.7 times it. EIG_TARGET sits
-    1000x below the 1e-6 forward match threshold to cover that. Without a
-    condition (a singular V) every estimate is infinite. It is a property
-    of the matrix alone; no reference values enter.
+    for the unit right eigenvectors V (first order, simple eigenvalues):
+    that row is y_i^H for the left eigenvector y_i scaled to y_i^H x_i = 1
+    (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2; Golub & Van Loan,
+    Matrix Computations, 7.2.2). The estimate takes the backward error as
+    exactly eps ||M||_2 (norm, where the caller has it) and leaves out the
+    modest dimension-dependent constant of the rigorous bound, so it is not
+    a strict upper bound: on the benchmark-stream companion matrices the
+    true error reached 5.7 times it. EIG_TARGET sits 1000x below the 1e-6
+    forward match threshold to cover that. Where V is singular, or so
+    nearly singular that a row norm overflows (a defective matrix, such as
+    a nilpotent Jordan block), every estimate is infinite. It is a property
+    of the matrix alone; no reference values enter. Raises
+    EigenNoConvergence when the QR iteration does not converge.
     """
-    vals, _, _, cond = _eigenpairs(arr)
-    if cond is None:
-        return vals, np.full(len(vals), math.inf)
-    norm = np.linalg.norm(arr, 2) if norm is None else norm
+    try:
+        vals, right = np.linalg.eig(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigenNoConvergence(str(exc)) from exc
     with np.errstate(over="ignore"):
+        try:
+            cond = np.linalg.norm(np.linalg.inv(right), axis=1)
+        except np.linalg.LinAlgError:
+            cond = np.full(len(vals), math.inf)
+        if not np.isfinite(cond).all():
+            return vals, np.full(len(vals), math.inf)
+        norm = np.linalg.norm(arr, 2) if norm is None else norm
         return vals, F64.eps * norm * cond / np.maximum(np.abs(vals), TINY)
 
 
@@ -224,140 +213,6 @@ def _residual(A_re, A_im, eA: int, X_re, X_im, eX: int, L, eL: int) -> Tuple:
     R_re = M_re @ X_re - M_im @ X_im - X_re * L_re + X_im * L_im
     R_im = M_re @ X_im + M_im @ X_re - X_im * L_re - X_re * L_im
     return R_re, R_im, E + eX
-
-
-def _norm(v) -> float:
-    """||v||_2 of the binary64 vector v, scaled by its largest part only where
-    the squared parts leave the binary64 range and np.linalg.norm reads 0 or inf."""
-    norm = float(np.linalg.norm(v))
-    scale = float(np.abs(np.concatenate([v.real, v.imag])).max())
-    if norm in (0, math.inf) and 0 < scale < math.inf:
-        return scale * float(np.linalg.norm(v / scale))
-    return norm
-
-
-def _refined_eigenvalues(rows, eps_out: float) -> Tuple[List, List[float]] | None:
-    """Eigenvalues of the extended matrix rows, refined from its binary64
-    eigenpairs, and each one's certificate over its modulus (a relative
-    forward error bound, to first order), or None when they cannot be
-    certified that way: when the entries rounded to binary64 are not
-    finite, when the binary64 QR iteration does not converge or its
-    eigenvectors V are singular, or when a certificate fails. eps_out is
-    the eps of the precision the caller returns them in: eps64 when they
-    are rounded to binary64, the entries' own eps when they are kept.
-
-    Newton on (x, lambda) with x normalised to 1 at its largest component s
-    (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1), 1983): the
-    residual r = M x - lambda x is exact and rounded once to binary64, and
-    the correction solves, in binary64, the bordered matrix A - lambda I
-    with column s replaced by -x, A being M rounded to binary64. Each
-    correction gains about as many digits as binary64 holds, less the
-    eigenvalue's condition, so two or three reach 50 digits. The bordered
-    matrix is rebuilt at each correction: with one factorisation the
-    iteration converges only linearly, at a rate set by the start's
-    eigenvalue error times the eigenvalue's condition, which on suite case
-    19 takes eight corrections to reach EIG_TARGET where Newton takes
-    three.
-
-    The arithmetic is on Python integers (README, Precision): M's entries
-    read once over one power of two, x and lambda held as raw mpf values,
-    R = M X - X Lambda formed exactly for all the pairs still refining and
-    each component rounded once to binary64, each correction added by
-    mpmath's raw addition at the entries' precision, to nearest. A pair
-    whose residual leaves the binary64 range stops refining and keeps the
-    best certificate it had; at the start, where it has none, the
-    certificate fails.
-
-    lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to first order
-    it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H being row i of
-    V^-1 (_eigenpairs), the binary64 left eigenvector (the certificate does
-    not depend on how y is scaled). That certificate stops a pair once it
-    reaches eps_out |lambda|, once it stops decreasing, or after REFINE_STEPS
-    corrections; it may rise at the first correction, since the binary64
-    start has a backward-stable residual but a poor eigenvector when the
-    eigenvalue is ill-conditioned. The result is accepted only if every
-    certificate is below EIG_TARGET (eps_out / eps64) |lambda|, the margin
-    above round-off that EIG_TARGET gives binary64, and every two
-    eigenvalues lie farther apart than the sum of their certificates, so
-    that no two starts converged to one eigenvalue of M.
-    """
-    ctx = context_of(rows[0][0])
-    mp, prec = ctx.mp, ctx.mp.prec
-    arr = binary64(rows)
-    if not np.isfinite(arr).all():
-        return None
-    n = len(rows)
-    try:
-        vals, vr, left, cond = _eigenpairs(arr)
-    except EigenNoConvergence:
-        return None
-    with np.errstate(over="ignore"):
-        if cond is None or not (np.isfinite(np.abs(vals)).all() and np.isfinite(vr).all()):
-            return None
-    A, eA = _aligned_array([p for row in rows for v in row for p in _parts(v, mp)])
-    A_re, A_im = A[0::2].reshape(n, n), A[1::2].reshape(n, n)
-    target = EIG_TARGET * (eps_out / F64.eps)
-
-    def plus(p, d: float):
-        return mpf_add(p, from_float(d), prec, round_nearest)
-
-    # per pair: the pivot s, lambda and x as raw mpf values, part by part
-    # (x[2j], x[2j + 1] the parts of x_j), the best (certificate, lambda)
-    # and the last certificate
-    pivots, lams, xs = [], [], []
-    for i in range(n):
-        s = int(np.argmax(np.abs(vr[:, i])))
-        x = vr[:, i] / vr[s, i]
-        x[s] = 1
-        pivots.append(s)
-        lams.append([from_float(p) for p in (vals[i].real, vals[i].imag)])
-        xs.append([from_float(p) for v in x for p in (v.real, v.imag)])
-    best, prev = [None] * n, [None] * n
-    active = list(range(n))
-    for step in range(REFINE_STEPS + 1):
-        X, eX = _aligned_array([p for i in active for p in xs[i]])
-        X = X.reshape(len(active), n, 2)
-        X_re, X_im = X[:, :, 0].T, X[:, :, 1].T
-        L, eL = _aligned_array([p for i in active for p in lams[i]])
-        x64s = _complexes(X_re, X_im, eX).reshape(n, len(active))
-        lam64s = _complexes(L[0::2], L[1::2], eL)
-        res = _complexes(*_residual(A_re, A_im, eA, X_re, X_im, eX, L, eL)).reshape(n, len(active))
-        refining = []
-        for c, i in enumerate(active):
-            if not np.isfinite(res[:, c]).all():
-                if best[i] is None:
-                    return None
-                continue
-            s, x, x64, lam64 = pivots[i], xs[i], x64s[:, c], lam64s[c]
-            cert = _norm(res[:, c]) * float(cond[i]) / max(abs(left[i] @ x64), TINY)
-            if best[i] is None or cert < best[i][0]:
-                best[i] = (cert, lams[i])
-            if step > 1 and cert >= prev[i]:
-                continue
-            prev[i] = cert
-            if cert <= eps_out * abs(lam64) or step == REFINE_STEPS:
-                continue
-            bordered = arr - lam64 * np.eye(n)
-            bordered[:, s] = -x64
-            try:
-                delta = np.linalg.solve(bordered, -res[:, c])
-            except np.linalg.LinAlgError:
-                continue
-            if not np.isfinite(delta).all():
-                continue
-            lams[i] = [plus(p, d) for p, d in zip(lams[i], (delta[s].real, delta[s].imag))]
-            delta[s] = 0
-            xs[i] = [plus(p, d) for p, d in zip(x, (d for v in delta for d in (v.real, v.imag)))]
-            refining.append(i)
-        active = refining
-        if not active:
-            break
-    out = [mp.make_mpc(tuple(lam)) for _, lam in best]
-    certs = np.array([cert for cert, _ in best])
-    sizes = np.abs(binary64(out))
-    if not ((certs <= target * sizes).all() and (pairwise_gaps(out) > certs[:, None] + certs).all()):
-        return None
-    return out, (certs / np.maximum(sizes, TINY)).tolist()
 
 
 def _escalated(worst: float) -> PrecisionContext:
@@ -402,19 +257,6 @@ def _lost_digits(rows, ctx: PrecisionContext) -> int:
     return max(0, math.ceil((len(rows) * norm_bits - sum(mag(v) for v in pivots)) * math.log10(2)))
 
 
-def _extended_eigenvalues(rows, eps_out: float) -> Tuple[List, List]:
-    """Eigenvalues of the extended matrix rows (2 x 2 or larger) and each
-    one's relative certificate: refined to eps_out with the refinement's
-    certificates, or, where the refinement cannot certify them
-    (_refined_eigenvalues), solved by mpmath.eig at the entries' digits
-    (_eig_extended) with None for each certificate."""
-    refined = _refined_eigenvalues(rows, eps_out)
-    if refined is not None:
-        return refined
-    vals = _eig_extended(rows, context_of(rows[0][0]))
-    return vals, [None] * len(vals)
-
-
 def _stacked_svd(M64: np.ndarray, nu64: np.ndarray, vectors: bool = False):
     """np.linalg.svd of the matrices M64 - nu_j I, one for each shift nu_j
     of nu64, in one stacked call, singular values only or with vectors; a
@@ -430,37 +272,98 @@ def _stacked_svd(M64: np.ndarray, nu64: np.ndarray, vectors: bool = False):
         raise EigenNoConvergence(str(exc)) from exc
 
 
-def _witnessed(M: np.ndarray, closed: Sequence, S: np.ndarray, nu: np.ndarray, top: int) -> np.ndarray:
-    """||(M - mu I) v|| / (||v|| |mu|) for each closed value mu, v the right
-    singular vector of sigma_min(S - nu I), S and nu being M and mu rounded
-    to binary64 and scaled by 2^-top (Case.backward): the residual is
-    formed exactly on M's and mu's own values (_residual) and rounded once,
-    so each value bounds sigma_min(M - mu I) / |mu| from above, free of the
-    SVD's floor, up to the rounding of the norms (Kahan, Parlett & Jiang,
-    SIAM J. Numer. Anal. 19, 1982: mu is an exact eigenvalue of
-    M - r v^H / ||v||^2)."""
-    n, k, mp = len(M), len(closed), context_of(M[0, 0]).mp
-    V = _stacked_svd(S, nu, vectors=True)[2][:, -1].conj().T
+def _scaled(M: np.ndarray, closed: Sequence) -> Tuple:
+    """M's entries and the closed values read exactly (precision._parts), as
+    integers over one power of two, in units of 2^top, top the exponent
+    that brings the largest of their values near 1: A_re, A_im, eA, L, eL
+    and top, with M = (A_re + i A_im) 2^(eA + top) and mu_j = (L[2j] +
+    i L[2j + 1]) 2^(eL + top), the forms _residual takes and _complexes
+    rounds, so that entries beyond the binary64 range round to finite
+    numbers."""
+    mp = context_of(M[0, 0]).mp
     A, eA = _aligned_array([p for v in M.flat for p in _parts(v, mp)])
     L, eL = _aligned_array([p for v in closed for p in _parts(v, mp)])
-    X, eX = _aligned_array([p for v in V.flat for p in _parts(v, mp)])
-    R_re, R_im, e = _residual(
-        A[0::2].reshape(n, n), A[1::2].reshape(n, n), eA, X[0::2].reshape(n, k), X[1::2].reshape(n, k), eX, L, eL
-    )
-    r = np.linalg.norm(_complexes(R_re, R_im, e - top).reshape(n, k), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return r / (np.linalg.norm(V, axis=0) * np.abs(nu))
+    top = max(e + max(v.bit_length() for v in ints) for ints, e in ((A, eA), (L, eL)))
+    return A[0::2].reshape(M.shape), A[1::2].reshape(M.shape), eA - top, L, eL - top, top
 
 
-def _read_eigenpairs(eta, indices, closed, ctx: PrecisionContext, lam: Sequence, certificates: Sequence) -> None:
-    """eta[i] for each i in indices, read from the refined eigenvalues lam of
-    M in ctx and their relative certificates: the least
-    (|lambda - mu_i| + c |lambda|) / |mu_i|, which bounds
-    sigma_min(M - mu_i I) / |mu_i| from above (Case.backward)."""
-    for i in indices:
-        mu = ctx.convert(closed[i])
-        bound = min(abs(lv - mu) + (c or 0) * abs(lv) for lv, c in zip(lam, certificates))
-        eta[i] = float(bound / abs(mu)) if mu else math.inf
+def _witnessed(rows: np.ndarray, closed: Sequence, V: np.ndarray, eps_out: float | None = None) -> np.ndarray:
+    """eta_j = ||(rows - mu_j I) x|| / (||x|| |mu_j|) for each closed value
+    mu_j, x column j of V (a right singular vector of sigma_min(S - nu_j I),
+    Case.backward), refined as an eigenvector of rows where eps_out is
+    given. The residual is formed exactly on the rows' and mu_j's own
+    values (_residual), in the units of _scaled, and rounded once, so each
+    value bounds sigma_min(rows - mu_j I) / |mu_j| from above, free of the
+    SVD's floor, up to the rounding of the norms (Kahan, Parlett & Jiang,
+    SIAM J. Numer. Anal. 19, 1982: mu_j is an exact eigenvalue of
+    rows - r x^H / ||x||^2).
+
+    The refinement is Newton on (x, lambda) from (v_j, nu_j), x held fixed
+    at its largest component s (Dongarra, Moler & Wilkinson, SIAM J.
+    Numer. Anal. 20(1), 1983): the residual rows x - lambda x is formed
+    exactly and rounded once to binary64, the correction solves the rows'
+    binary64 rounding less lambda I, column s replaced by -x, in those
+    units, where rows beyond the binary64 range round to finite numbers,
+    and it is added at the rows' precision, to nearest, by mpmath's raw
+    addition. A witness stops once eta_j is at most eps_out, once it stops
+    decreasing, once a correction is not finite, or after REFINE_STEPS
+    corrections. Each step reads eta_j at mu_j itself, whatever eigenvalue
+    lambda converges to, so that a mu_j off the rows' spectrum reads as
+    off, and the least read is kept."""
+    n, k = V.shape
+    mp = context_of(rows[0, 0]).mp
+    A_re, A_im, eA, Mu, eMu, _ = _scaled(rows, closed)
+    nu = _complexes(Mu[0::2], Mu[1::2], eMu)
+    Mu = Mu.reshape(k, 2)
+    steps = REFINE_STEPS if eps_out else 0
+    S = _complexes(A_re, A_im, eA).reshape(n, n) if steps else None
+    pivots = np.argmax(np.abs(V), axis=0)
+
+    def plus(parts, deltas):
+        return [mpf_add(p, from_float(d), mp.prec, round_nearest) for p, d in zip(parts, deltas)]
+
+    # per witness: x and lambda as raw mpf values, part by part (x[2i] and
+    # x[2i + 1] the parts of x_i), and the eta_j of its last correction
+    xs = [[p for v in V[:, j] for p in _parts(v, mp)] for j in range(k)]
+    lams = [list(_parts(v, mp)) for v in nu]
+    eta, last = np.full(k, math.nan), np.full(k, math.inf)
+    active = list(range(k))
+    for step in range(steps + 1):
+        X, eX = _aligned_array([p for j in active for p in xs[j]])
+        X = X.reshape(len(active), n, 2)
+        X_re, X_im = X[:, :, 0].T, X[:, :, 1].T
+        x64 = _complexes(X_re, X_im, eX).reshape(n, len(active))
+        size = np.linalg.norm(x64, axis=0)
+        at_mu = _residual(A_re, A_im, eA, X_re, X_im, eX, Mu[active].ravel(), eMu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            read = np.linalg.norm(_complexes(*at_mu).reshape(n, len(active)), axis=0) / (size * np.abs(nu[active]))
+        eta[active] = np.fmin(eta[active], read)
+        if step == steps:
+            break
+        L, eL = _aligned_array([p for j in active for p in lams[j]])
+        lam64 = _complexes(L[0::2], L[1::2], eL)
+        res = _complexes(*_residual(A_re, A_im, eA, X_re, X_im, eX, L, eL)).reshape(n, len(active))
+        refining = []
+        for c, j in enumerate(active):
+            if not eps_out < read[c] < last[j]:
+                continue
+            last[j], s = read[c], pivots[j]
+            bordered = S - lam64[c] * np.eye(n)
+            bordered[:, s] = -x64[:, c]
+            try:
+                delta = np.linalg.solve(bordered, -res[:, c])
+            except np.linalg.LinAlgError:
+                continue
+            if not np.isfinite(delta).all():
+                continue
+            lams[j] = plus(lams[j], (delta[s].real, delta[s].imag))
+            delta[s] = 0
+            xs[j] = plus(xs[j], (d for v in delta for d in (v.real, v.imag)))
+            refining.append(j)
+        active = refining
+        if not active:
+            break
+    return eta
 
 
 class Case:
@@ -532,19 +435,15 @@ class Case:
         """M and mu rounded to binary64 and scaled by 2^-top, top, and the
         singular values of that rounding S and of each S - nu_n I in one
         stacked SVD (_stacked_svd), which backward and eigenpairs read.
-        top = 0 in binary64; at extended digits the largest of M's and mu's
-        values comes near 1, so that entries beyond the binary64 range
-        round to finite numbers."""
+        top = 0 in binary64; at extended digits it is _scaled's, so that
+        entries beyond the binary64 range round to finite numbers."""
         M, closed = self.M, self.mu
         ctx = context_of(M[0, 0])
         if ctx.mp is None:
             S, nu, top = M, np.asarray(closed, dtype=complex), 0
         else:
-            A, eA = _aligned_array([p for v in M.flat for p in _parts(v, ctx.mp)])
-            L, eL = _aligned_array([p for v in closed for p in _parts(v, ctx.mp)])
-            top = max(e + max(v.bit_length() for v in ints) for ints, e in ((A, eA), (L, eL)))
-            S = _complexes(A[0::2], A[1::2], eA - top).reshape(M.shape)
-            nu = _complexes(L[0::2], L[1::2], eL - top)
+            A_re, A_im, eA, L, eL, top = _scaled(M, closed)
+            S, nu = _complexes(A_re, A_im, eA).reshape(M.shape), _complexes(L[0::2], L[1::2], eL)
         # S itself is the shift 0, exactly: x - 0j = x
         return S, nu, top, _stacked_svd(S, np.concatenate(([0], nu)))
 
@@ -573,37 +472,50 @@ class Case:
         to 3.6e-7 at the smallest |mu_n|, where M rebuilt at more digits
         reads below 3e-15. Where the floor exceeds EIG_TARGET, eta_n is read
         without it: from the exact residual of the SVD's own singular vector
-        on M's and mu's values (_witnessed), an upper bound. Where that still
-        exceeds EIG_TARGET for one of them, M may be off at those scales,
-        and every eta_n beyond the floor is read from refined eigenpairs at
-        digits that resolve it (_extended_eigenvalues, N > 1): at extended
-        digits those of M itself, refined to its eps; in binary64 those of
-        the M of the extended case, Case(in_context(params, ext)), at the
-        digits ext that bring the floor below EIG_TARGET (_escalated),
+        v_n on M's and mu's values (_witnessed), an upper bound. Where that
+        still exceeds EIG_TARGET for one of them, M may be off at those
+        scales, and every eta_n beyond the floor is read from a refined
+        witness: v_n refined by Newton as an eigenvector of rows that
+        resolve its scale, its exact residual read at the case's own mu_n
+        (_witnessed with eps_out, N > 1), an upper bound again. At extended
+        digits the rows are M itself, refined to its eps; in binary64 they
+        are the M of the extended case, Case(in_context(params, ext)), at
+        the digits ext that bring the floor below EIG_TARGET (_escalated),
         refined to eps64. That case's q, alpha and beta are this case's
         values at those digits (binary64 q powers would re-contaminate M),
         and its zeros are extended find_zeros', certified like every zero
-        set. A refined pair (x, lambda) with certificate c has
-        ||(M - mu_n I) x|| / ||x|| <= |lambda - mu_n| + c |lambda|, so eta_n
-        is read as the least (|lambda - mu_n| + c |lambda|) / |mu_n| over
-        them, an upper bound (_read_eigenpairs); eigenvalues that mpmath.eig
-        solved, which carry no certificate, are taken as exact. On the first
-        625 benchmark stream cases 12 read the witness and none rebuilds.
+        set. Where a refined witness still exceeds EIG_TARGET (rows whose
+        mu_n leaves the binary64 range in the units of _scaled, or whose
+        eigenvector Newton cannot refine), eta_n is read from the rows'
+        eigenvalues by mpmath.eig (_eig_extended), taken as exact: the
+        least |lambda - mu_n| / |mu_n|. On the first
+        625 benchmark stream cases 12 read the witness and none rebuilds;
+        over the pinned streams 8 verify runs read the refined witness and
+        none reads mpmath.eig.
         """
         M, closed = self.M, self.mu
         ctx, n = context_of(M[0, 0]), len(M)
-        S, nu, top, s = self.shifted_svd
+        S, nu, _, s = self.shifted_svd
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = s[1:, -1] / np.abs(nu)
             floor = n * F64.eps * s[0, 0] / np.abs(nu)
         unresolved = np.flatnonzero(~(floor <= EIG_TARGET))
-        if unresolved.size:
-            eta[unresolved] = _witnessed(M, [closed[i] for i in unresolved], S, nu[unresolved], top)
+        if not unresolved.size:
+            return eta
+        mu = [closed[i] for i in unresolved]
+        V = _stacked_svd(S, nu[unresolved], vectors=True)[2][:, -1].conj().T
+        eta[unresolved] = _witnessed(M, mu, V)
         if n == 1 or (eta[unresolved] <= EIG_TARGET).all():
             return eta
         ext = ctx if ctx.mp is not None else _escalated(floor[unresolved].max())
         rows = M if ext is ctx else Case(in_context(self.params, ext)).M
-        _read_eigenpairs(eta, unresolved, closed, ext, *_extended_eigenvalues(rows, ctx.eps))
+        eta[unresolved] = _witnessed(rows, mu, V, ctx.eps)
+        high = unresolved[~(eta[unresolved] <= EIG_TARGET)]
+        if high.size:
+            lam = _eig_extended(rows, ext)
+            for i in high:
+                mu_i = ext.convert(closed[i])
+                eta[i] = float(min(abs(v - mu_i) for v in lam) / abs(mu_i)) if mu_i else math.inf
         return eta
 
     @functools.cached_property

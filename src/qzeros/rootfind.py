@@ -23,7 +23,9 @@ shares neither start nor finish. The start balances the matrix once, in
 zgeev behind np.linalg.eigvals; only the oracle's eigenvalue fallback
 builds the balanced rows itself (balanced_companion), from the powers of
 two of scipy's LAPACK zgebal, so no zeros run that does not reach that
-fallback imports scipy. pairwise_gaps is the one array every separation
+fallback imports scipy. The fallback's eigenvalues, by mpmath.eig, are
+the start of a second Newton finish, and are returned raw only where
+that finish declines too. pairwise_gaps is the one array every separation
 test of the package reads, of zeros and of eigenvalues;
 relative_separation reads each gap at its pair's scale.
 """
@@ -296,8 +298,9 @@ def _newton_finish(p: Poly, start: Sequence, ctx: PrecisionContext) -> Tuple[Lis
     so that p(z) = A_0 2^(Ec + N e) and p'(z) = B_0 2^(Ec + (N-1) e). The
     correction p/p' = (A_0 / B_0) 2^e is rounded once to binary64
     (_quotient) and subtracted at the context's precision, to nearest, by
-    mpmath's raw addition (the eigenpairs' refinement in isospectral does
-    the same; Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).
+    mpmath's raw addition (the refined witness of isospectral._witnessed
+    does the same; Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20,
+    1983).
     The residual is exact, so the zeros are those of p itself: a zero
     settles once its correction is within 2^(1 - prec) of its modulus, two
     units of its last bit, and is not moved by it.
@@ -462,9 +465,11 @@ def companion_zeros(p: Poly) -> List:
     binary64 cannot meet EIG_TARGET eps / eps64) and rounded once. Where the
     rounding is not finite, QR does not converge or the finish fails, the
     balanced rows (balanced_companion) at those digits are solved as
-    eigenvalues (isospectral._extended_eigenvalues). A linear p's zero is
-    -c_0, returned before any matrix is built."""
-    from .isospectral import EIG_TARGET, _escalated, _extended_eigenvalues
+    eigenvalues by mpmath.eig (isospectral._eig_extended), and
+    _newton_finish finishes those as zeros of p; they are returned raw
+    only where that finish declines. A linear p's zero is -c_0, returned
+    before any matrix is built."""
+    from .isospectral import EIG_TARGET, _eig_extended, _escalated
 
     if not p.monic:
         raise ValueError("companion_zeros expects a monic polynomial")
@@ -486,5 +491,6 @@ def companion_zeros(p: Poly) -> List:
         ext = _escalated(worst)
     finished = _newton_finish(p, zs, ext)
     if finished is None:
-        finished = _extended_eigenvalues([[ext.convert(v) for v in row] for row in balanced_companion(p)], ctx.eps)
+        vals = _eig_extended([[ext.convert(v) for v in row] for row in balanced_companion(p)], ext)
+        finished = _newton_finish(p, vals, ext) or (vals,)
     return _canonical_order(finished[0] if ctx.mp else binary64(finished[0]).tolist())

@@ -26,11 +26,13 @@ case at more digits, the forward spectrum the tests pair with mu;
 certified_eigenvalues is the eigensolve the companion oracle used before it
 finished its eigenvalues as zeros of p, escalated by converting the
 matrix's entries, the oracle of companion_zeros and of forward_spectrum;
+extended_eigenvalues is its solve at extended digits, the certified
+eigenpair refinement refined_eigenvalues_fdot (Newton on eigenpairs in
+mpmath scalars, one fdot per residual component, which the package ran
+before its spectrum verdict became a backward error) or else mpmath.eig;
 companion_rows is the companion matrix of a monic polynomial and
 eig_bound_lapack the eigenvalue certificate of _eig_with_bound computed
-from LAPACK's own left eigenvectors, one pair of unit vectors at a time,
-and refined_eigenvalues_fdot is the Newton refinement of
-_refined_eigenvalues in mpmath scalars, one fdot per residual component.
+from LAPACK's own left eigenvectors, one pair of unit vectors at a time.
 qde_coefficient_checks takes qdiff.qde_checks one coefficient and one
 qde_terms addend at a time in the case's scalars. qde_point_checks is the
 q-difference equation judged at sample points, as verify judged it before
@@ -80,16 +82,14 @@ from qzeros.errors import (
     OverflowRisk,
     QZerosError,
 )
+from qzeros import isospectral
 from qzeros.flow import jacobian_fd
 from qzeros.isospectral import (
     EIG_TARGET,
     REFINE_STEPS,
     Case,
     _eig_with_bound,
-    _eigenpairs,
     _escalated,
-    _extended_eigenvalues,
-    _norm,
     build_M,
     match_spectrum,
     mu_n,
@@ -692,7 +692,7 @@ def forward_spectrum(case: Case) -> Tuple:
     _escalated derives instead of having its entries converted, as the
     case of the parameters in that context (Case(in_context(params, ext)),
     whose zeros extended find_zeros finds), and its eigenvalues are refined
-    there to eps64. The binary64 M carries
+    there to eps64 (extended_eigenvalues). The binary64 M carries
     the rounding of the series coefficients as well as the eigensolve's
     backward error, and the same eigenvalue conditions amplify both."""
     M = case.M
@@ -702,7 +702,7 @@ def forward_spectrum(case: Case) -> Tuple:
     if bounds.max() <= EIG_TARGET:
         return M, [complex(v) for v in vals]
     rows = Case(in_context(case.params, _escalated(bounds.max()))).M
-    return M, binary64(_extended_eigenvalues(rows, F64.eps)[0]).tolist()
+    return M, binary64(extended_eigenvalues(rows, F64.eps)).tolist()
 
 
 def certified_eigenvalues(A) -> List:
@@ -719,14 +719,14 @@ def certified_eigenvalues(A) -> List:
     digits come from A's bound, so A must be conditioned as its caller
     wants its eigenvalues read: at those digits an unbalanced companion
     matrix can misplace its smallest eigenvalues. Extended: they are
-    refined to the entries' eps (_extended_eigenvalues). A 1 x 1 matrix's
+    refined to the entries' eps (extended_eigenvalues). A 1 x 1 matrix's
     eigenvalue is its entry, returned before any solve.
     """
     ctx = context_of(A[0][0])
     if len(A) == 1:
         return [ctx.convert(A[0][0])]
     if ctx.mp is not None:
-        return _extended_eigenvalues(A, ctx.eps)[0]
+        return extended_eigenvalues(A, ctx.eps)
     arr = np.asarray(A, dtype=complex)
     vals, bounds = _eig_with_bound(arr)
     worst = bounds.max()
@@ -734,7 +734,16 @@ def certified_eigenvalues(A) -> List:
         return [complex(v) for v in vals]
     ext = _escalated(worst)
     rows = [[ext.convert(v) for v in row] for row in arr]
-    return binary64(_extended_eigenvalues(rows, ctx.eps)[0]).tolist()
+    return binary64(extended_eigenvalues(rows, ctx.eps)).tolist()
+
+
+def extended_eigenvalues(rows, eps_out: float) -> List:
+    """Eigenvalues of the extended matrix rows (2 x 2 or larger): refined
+    from its binary64 eigenpairs to eps_out (refined_eigenvalues_fdot), or,
+    where that refinement cannot certify them, solved by mpmath.eig at the
+    entries' digits (isospectral._eig_extended), uncertified."""
+    refined = refined_eigenvalues_fdot(rows, eps_out)
+    return isospectral._eig_extended(rows, context_of(rows[0][0])) if refined is None else refined
 
 
 def companion_rows(p):
@@ -762,11 +771,54 @@ def eig_bound_lapack(arr):
     return vals, worst
 
 
+def _eigenpairs(arr):
+    """Binary64 eigenvalues of arr, its unit right eigenvectors (the columns
+    of V), V^-1 and the norms of the rows of V^-1, the condition of each
+    eigenvalue (isospectral._eig_with_bound); V^-1 and the norms are None
+    where V is singular or a row norm overflows. Raises EigenNoConvergence
+    when the QR iteration does not converge."""
+    try:
+        vals, right = np.linalg.eig(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigenNoConvergence(str(exc)) from exc
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return vals, right, None, None
+    with np.errstate(over="ignore"):
+        cond = np.linalg.norm(left, axis=1)
+    if not np.isfinite(cond).all():
+        return vals, right, None, None
+    return vals, right, left, cond
+
+
+def _norm(v) -> float:
+    """||v||_2 of the binary64 vector v, scaled by its largest part only where
+    the squared parts leave the binary64 range and np.linalg.norm reads 0 or inf."""
+    norm = float(np.linalg.norm(v))
+    scale = float(np.abs(np.concatenate([v.real, v.imag])).max())
+    if norm in (0, math.inf) and 0 < scale < math.inf:
+        return scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def refined_eigenvalues_fdot(rows, eps_out: float):
-    """isospectral._refined_eigenvalues with its residual in mpmath scalars,
-    one fdot per row (exact products, rounded once to the entries' digits,
-    then to binary64), and x and lambda updated by the context's addition;
-    the same pairs, steps, stopping rules and acceptance otherwise."""
+    """Eigenvalues of the extended matrix rows refined from its binary64
+    eigenpairs (_eigenpairs), or None where they cannot be certified that
+    way. Newton on (x, lambda) with x normalised to 1 at its largest
+    component s (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20(1),
+    1983): the residual r = M x - lambda x one fdot per row (exact
+    products, rounded once to the entries' digits, then to binary64), the
+    correction solved in binary64 on the bordered matrix A - lambda I with
+    column s replaced by -x, and x and lambda updated by the context's
+    addition. lambda is an exact eigenvalue of M - r x^H / ||x||^2, so to
+    first order it lies within ||r|| ||y|| / |y^H x| of one of M's, y^H
+    row i of V^-1. A pair stops once that certificate reaches
+    eps_out |lambda|, once it stops decreasing after the first correction,
+    or after REFINE_STEPS corrections; the result is accepted only if every
+    best certificate is below EIG_TARGET (eps_out / eps64) |lambda| and
+    every two eigenvalues lie farther apart than the sum of their
+    certificates."""
     ctx = context_of(rows[0][0])
     fdot = ctx.mp.fdot
     arr = np.array(rows, dtype=complex)

@@ -196,6 +196,19 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
         assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_tol_beyond_a_finite_nonnegative_number_is_a_usage_error(tmp_path, capsys):
+    # a report's threshold must be a finite JSON number (RFC 8259 has no NaN
+    # or Infinity), and no check value lies below 0: exit 2, no report
+    cfg = write_config(tmp_path)
+    out = tmp_path / "r.json"
+    for tol in ("nan", "inf", "1e999", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run("zeros", cfg, "--tol", tol, "--out", str(out))
+        assert exc.value.code == 2, tol
+        assert "--tol: must be a finite number at least 0" in capsys.readouterr().err, tol
+        assert not out.exists(), tol
+
+
 def test_bad_out_path_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert run("poly", cfg, "--out", str(tmp_path / "no_dir" / "r.json")) == 2
@@ -387,7 +400,7 @@ def test_sweep_judges_the_backward_error_with_no_eigensolve(tmp_path, suite, mon
 
     rebuilt = counting(monkeypatch, isospectral, "_escalated")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    solved = counting(monkeypatch, isospectral, "_extended_eigenvalues")
+    eig_calls = counting(monkeypatch, mpmath, "eig")
     draws = high_degree_cases(23)
     for index in (4, 22):
         path = write_params(tmp_path, draws[index])
@@ -397,7 +410,7 @@ def test_sweep_judges_the_backward_error_with_no_eigensolve(tmp_path, suite, mon
         assert code == 0 and checks["spectrum_drift_max"]["value"] <= 1e-12, index
     assert rebuilt == fallback == []
     code, checks = _sweep_checks(write_params(tmp_path, suite[3]), "extended")
-    assert code == 0 and solved == []
+    assert code == 0 and fallback == eig_calls == []
 
 
 @pytest.mark.parametrize("precision", ["f64", "extended"])

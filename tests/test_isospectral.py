@@ -422,7 +422,7 @@ def test_defective_matrix_fails_the_certificates_without_raising():
         warnings.simplefilter("error")
         vals, bounds = isospectral._eig_with_bound(np.array(jordan, dtype=complex))
         assert list(vals) == [1, 1] and bounds.max() > EIG_TARGET
-        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+        assert refined_eigenvalues_fdot(rows, ctx.eps) is None
         # with no certificate at all the nilpotent block escalates to mpmath.eig
         nilpotent = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
         assert all(abs(v) < 1e-50 for v in certified_eigenvalues(nilpotent))
@@ -441,17 +441,17 @@ def test_singular_eigenvectors_fail_the_certificates_not_the_solve(monkeypatch):
         patch.setattr(np.linalg, "inv", fails)
         vals, bounds = isospectral._eig_with_bound(arr)
         assert sorted(vals.real) == [1, 2] and (bounds == float("inf")).all()
-        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+        assert refined_eigenvalues_fdot(rows, ctx.eps) is None
     # a QR iteration that does not converge is an error of the solve
     monkeypatch.setattr(np.linalg, "eig", fails)
     with pytest.raises(EigenNoConvergence):
         isospectral._eig_with_bound(arr)
-    assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
+    assert refined_eigenvalues_fdot(rows, ctx.eps) is None
 
 
 def test_suite_escalations_refine_without_mpmath_eig(suite, monkeypatch):
     eig_calls = counting(monkeypatch, mpmath, "eig")
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    refined = counting(monkeypatch, oracles, "refined_eigenvalues_fdot")
     for params in suite:
         _, lam = forward_spectrum(Case(params, zeros_of(params)[1].zeros))
         assert spectrum_match(lam, mu_closed(params)).is_match
@@ -466,128 +466,12 @@ def test_refined_eigenvalues_equal_mpmath_eig(suite, monkeypatch):
         zeros = zeros_of(params)[1].zeros
         _, lam = forward_spectrum(Case(params, zeros))
         with monkeypatch.context() as patch:
-            patch.setattr(isospectral, "_refined_eigenvalues", lambda rows, eps_out: None)
+            patch.setattr(oracles, "refined_eigenvalues_fdot", lambda rows, eps_out: None)
             _, ref = forward_spectrum(Case(params, zeros))
         nearest = [min(range(len(ref)), key=lambda j: abs(v - ref[j])) for v in lam]
         assert sorted(nearest) == list(range(len(ref))), index
         for v, j in zip(lam, nearest):
             assert abs(v - ref[j]) <= 4 * EPS64 * abs(ref[j]), index
-
-
-def _escalated_inputs(suite, monkeypatch):
-    """The (rows, eps_out) each escalation hands _refined_eigenvalues: M
-    rebuilt for the ESCALATING suite cases and the balanced companion
-    matrices of suite cases 26 and 38 (the eigensolve the companion oracle
-    once used, oracles.certified_eigenvalues), at the digits _escalated
-    derives."""
-    captured = []
-    refine = isospectral._refined_eigenvalues
-
-    def recorded(rows, eps_out):
-        captured.append((rows, eps_out))
-        return refine(rows, eps_out)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(isospectral, "_refined_eigenvalues", recorded)
-        for index in ESCALATING:
-            forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
-        for index in (26, 38):
-            certified_eigenvalues(rootfind.balanced_companion(zeros_of(suite[index])[0]))
-    assert len(captured) == 5 and all(eps_out == F64.eps for _, eps_out in captured)
-    return captured
-
-
-def test_refined_eigenvalues_equal_the_fdot_refinement(suite, monkeypatch):
-    # the exact residual rounded once and the state rounded as the context
-    # adds give the eigenvalues of the refinement in mpmath scalars bit for
-    # bit, and the same None decisions
-    ctx = extended(50)
-    mp = ctx.mp
-    inputs = []
-    for params in suite:
-        params = in_context(params, ctx)
-        inputs.append((build_M(Case(params, zeros_of(params)[1].zeros)), ctx.eps))
-    inputs += _escalated_inputs(suite, monkeypatch)
-    big, small = mp.ldexp(1, 830), mp.ldexp(1, -830)
-    for rows in (
-        # real entries: a Jordan block, a diagonal, a near-defective pair
-        ((1, 1), (0, 1)),
-        ((1, 0), (0, 2)),
-        ((1, 1), (mp.mpf("1e-60"), 1)),
-        # entries from 1.4e-250 to 7.2e249
-        ((big, 1, small), (small, 3, 2), (small, 1, 7)),
-    ):
-        inputs.append(([[mp.mpf(v) for v in row] for row in rows], ctx.eps))
-    failed = []
-    for index, (rows, eps_out) in enumerate(inputs):
-        got = isospectral._refined_eigenvalues(rows, eps_out)
-        ref = refined_eigenvalues_fdot(rows, eps_out)
-        if ref is None:
-            assert got is None, index
-            failed.append(index)
-        else:
-            assert len(got[0]) == len(ref) and all(g == r for g, r in zip(got[0], ref)), index
-    # suite case 19, whose ill-conditioned eigenvalues gain about five digits
-    # a correction and miss the target after REFINE_STEPS; the Jordan block;
-    # the near-defective pair
-    assert failed == [19, len(inputs) - 4, len(inputs) - 2]
-
-
-def test_refinement_never_calls_fdot(suite, monkeypatch):
-    # every extended and escalated eigensolve of M and of the companion
-    # matrix (oracles.certified_eigenvalues) refines without the context's
-    # fdot
-    def refused(*args, **kwargs):
-        raise AssertionError("fdot called")
-
-    monkeypatch.setattr(mpmath.ctx_mp.MPContext, "fdot", refused)
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
-    for index in ESCALATING:
-        forward_spectrum(Case(suite[index], zeros_of(suite[index])[1].zeros))
-    for index in (26, 38):
-        certified_eigenvalues(rootfind.balanced_companion(zeros_of(suite[index])[0]))
-    for index in (1, 3, 4):
-        params = in_context(suite[index], extended())
-        p, zeros = zeros_of(params)
-        forward_spectrum(Case(params, zeros.zeros))
-        certified_eigenvalues(rootfind.balanced_companion(p))
-    assert len(refined) == 11 and all(vals is not None for vals in refined)
-
-
-def test_residual_beyond_binary64_fails_the_certificate(monkeypatch):
-    # a start whose residual M x - lambda x leaves the binary64 range: the
-    # first residual component is 2e308
-    ctx = extended(50)
-    rows = [[ctx.mp.mpf("1e308")] * 2] * 2
-    eye = np.eye(2, dtype=complex)
-    start = (np.array([-1e308, 0], dtype=complex), eye, eye, np.ones(2))
-    monkeypatch.setattr(isospectral, "_eigenpairs", lambda arr: start)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert isospectral._refined_eigenvalues(rows, ctx.eps) is None
-
-
-def test_residual_leaving_binary64_after_a_step_keeps_the_best_certificate(monkeypatch):
-    # the first pair of diag(1, 4) starts 1e-12 off, within EIG_TARGET, and
-    # its correction (made here by the solve) sends x_2 to 1e308, so the
-    # residual of its next step is 3e308: that pair stops with the
-    # certificate of its start, which is accepted, as the fdot refinement
-    # accepts it
-    ctx = extended(50)
-    mp = ctx.mp
-    rows = [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(4)]]
-    eye = np.eye(2, dtype=complex)
-    start = (np.array([1 + 1e-12, 4], dtype=complex), eye, eye, np.ones(2))
-    monkeypatch.setattr(isospectral, "_eigenpairs", lambda arr: start)
-    monkeypatch.setattr(oracles, "_eigenpairs", lambda arr: start)
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0, 1e308], dtype=complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = isospectral._refined_eigenvalues(rows, F64.eps)[0]
-    assert got == [mp.mpc(1 + 1e-12), mp.mpc(4)]
-    with np.errstate(all="ignore"):
-        # the fdot refinement runs on with infinite x_2
-        assert got == oracles.refined_eigenvalues_fdot(rows, F64.eps)
 
 
 def test_residual_below_the_squared_binary64_range_is_not_certified_at_0():
@@ -608,11 +492,11 @@ def test_stream_case_199_certifies_by_refinement(monkeypatch):
     # the pairs of 3168819.2 and 3168894.2 contract slowly, then
     # quadratically, and reach EIG_TARGET |lambda| after about 9 corrections
     params = suite_cases(200)[199]
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    refined = counting(monkeypatch, oracles, "refined_eigenvalues_fdot")
     fallback = counting(monkeypatch, isospectral, "_eig_extended")
     _, lam = forward_spectrum(Case(params))
     assert len(refined) == 1 and refined[0] is not None and fallback == []
-    assert lam == [complex(v) for v in refined[0][0]]
+    assert lam == [complex(v) for v in refined[0]]
     assert spectrum_match(lam, mu_closed(params)).is_match
 
 
@@ -672,11 +556,11 @@ def test_escalation_stops_its_newton_sweeps_once_converged(suite, monkeypatch):
 
 
 def test_extended_verify_solves_no_eigenproblem_it_only_reports(suite, tmp_path, monkeypatch):
-    # the reported pairs come from one binary64 solve: nothing is refined
-    # and mpmath.eig never runs
+    # the reported pairs come from one binary64 solve, and the spectrum
+    # verdict refines no witness: mpmath.eig never runs
     eig_calls = counting(monkeypatch, mpmath, "eig")
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
-    extended_calls = counting(monkeypatch, isospectral, "_extended_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
+    witnessed = counting(monkeypatch, isospectral, "_witnessed")
     small = [params for params in suite if params.N <= 5]
     assert len(small) == 25
     caught = []
@@ -695,7 +579,7 @@ def test_extended_verify_solves_no_eigenproblem_it_only_reports(suite, tmp_path,
         # the matrix-side checks run in the scalars of M, not rounded to binary64
         for name in ("trace_gap_p1", "trace_gap_p2", "trace_gap_p3", "closed_trace_gap", "det_gap"):
             assert values[name] <= 1e-30, (params, name, values[name])
-    assert eig_calls == refined == extended_calls == []
+    assert eig_calls == fallback == witnessed == []
     assert caught == []
 
 
@@ -749,13 +633,13 @@ def test_extended_matrix_beyond_binary64_falls_back_with_the_lost_digits(suite, 
 
 def test_binary64_verify_judges_the_spectrum_by_backward_error(suite, tmp_path, monkeypatch):
     # the suite cases whose binary64 eigenvalue certificate fails: verify
-    # judges them by backward error, rebuilds nothing, refines nothing, and
+    # judges them by backward error, rebuilds nothing, solves nothing, and
     # reports each eigenvalue's own estimate, above EIG_TARGET on each. Case
     # 19 is judged by the binary64 SVD alone; cases 26 and 38, whose
     # smallest mu_n lie below the SVD's floor, by the exact residual of its
     # singular vectors
     rebuilt = counting(monkeypatch, isospectral, "_escalated")
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     eig_calls = counting(monkeypatch, mpmath, "eig")
     witnessed = counting(monkeypatch, isospectral, "_witnessed")
     for index in ESCALATING:
@@ -766,7 +650,7 @@ def test_binary64_verify_judges_the_spectrum_by_backward_error(suite, tmp_path, 
         assert code == 0 and backward["pass"] and backward["threshold"] == EIG_TARGET, index
         assert len(certificates) == suite[index].N and max(certificates) > EIG_TARGET, index
         assert len(witnessed) == (index != 19), index
-    assert rebuilt == refined == eig_calls == []
+    assert rebuilt == fallback == eig_calls == []
 
 
 # draw 96 of the E3 stream (ROADMAP item 12), (r, s) = (3, 0), whose |mu_n|
@@ -792,8 +676,8 @@ def test_binary64_verify_rebuilds_m_where_its_small_scales_are_off(monkeypatch):
     # their scale puts them below 1e-16; verify rebuilds once and passes the
     # spectrum check (its det_gap fails, ROADMAP item 13)
     case = Case(E3_96)
-    S, nu, top, _ = case.shifted_svd
-    own = isospectral._witnessed(case.M, case.mu, S, nu, top)
+    S, nu, _, _ = case.shifted_svd
+    own = isospectral._witnessed(case.M, case.mu, isospectral._stacked_svd(S, nu, vectors=True)[2][:, -1].conj().T)
     assert own.max() > 10 * EIG_TARGET
     rebuilt = counting(monkeypatch, isospectral, "_escalated")
     checks, _ = cmd_verify(case, {}, None, None)
@@ -821,6 +705,46 @@ def test_binary64_verify_certifies_the_zeros_of_its_rebuilt_case(monkeypatch):
 
     monkeypatch.setattr(isospectral, "find_zeros", newton_finished)
     assert Case(E3_96, case.zeros).backward.max() == value
+
+
+def test_refined_witness_bounds_the_backward_error_of_the_rebuilt_m(monkeypatch):
+    # E3 case 96 and E4 case 29 read their small mu_n beyond the binary64
+    # floor from the refined witness on M rebuilt at more digits: each eta_n
+    # it reads is at or above sigma_min(M - mu_n I) / |mu_n| from mpmath.svd
+    # at those digits, an upper bound as it should be, and resolves mu_n to
+    # EIG_TARGET / 10; no mpmath.eig call is made
+    from test_suite_verdicts import EDGE_STREAMS, edge_cases
+
+    _, _, count, mags, rs = EDGE_STREAMS["verify-e4"]
+    witnessed = isospectral._witnessed
+    calls = []
+
+    def recorded(rows, closed, V, eps_out=None):
+        eta = witnessed(rows, closed, V, eps_out)
+        if eps_out is not None:
+            calls.append((rows, closed, eta))
+        return eta
+
+    monkeypatch.setattr(isospectral, "_witnessed", recorded)
+    eig_calls = counting(monkeypatch, mpmath, "eig")
+    for params in (E3_96, edge_cases(count, mags, rs)[29]):
+        calls.clear()
+        Case(params).backward
+        (rows, closed, eta), = calls
+        assert (eta <= EIG_TARGET / 10).all(), eta
+        with mpmath.workdps(context_of(rows[0, 0]).mp.dps):
+            for mu, bound in zip(closed, eta):
+                shifted = mpmath.matrix(rows.tolist()) - mu * mpmath.eye(len(rows))
+                sigma = min(mpmath.svd_c(shifted, compute_uv=False))
+                assert bound >= sigma / abs(mpmath.mpc(mu)), (mu, bound, sigma)
+    assert eig_calls == []
+    # the witness reads eta at the case's own mu_n, not at the eigenvalue
+    # it converges to: E3 case 96's smallest mu_n moved by 1e-6 of itself
+    # reads as moved
+    case = Case(E3_96)
+    k = int(np.argmin(np.abs(case.mu)))
+    case.mu = [m * (1 + 1e-6) if n == k else m for n, m in enumerate(case.mu)]
+    assert case.backward[k] > 100 * EIG_TARGET
 
 
 def _smallest_mu_mutant(M, mu):

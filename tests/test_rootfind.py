@@ -86,7 +86,7 @@ def test_companion_escalates_on_the_balanced_matrix():
     # land up to 5e-5 away. As zeros of p, the binary64 eigenvalues certify
     # by their Newton bounds (7.9e-14) with no escalation, and the fallback
     # still converts the balanced entries: at those 25 digits their
-    # eigenvalues meet the target too
+    # eigenvalues by mpmath.eig, before any Newton finish, meet the target too
     params = ParamSet(
         r=2,
         s=2,
@@ -109,7 +109,7 @@ def test_companion_escalates_on_the_balanced_matrix():
     ext = isospectral._escalated(isospectral._eig_with_bound(balanced)[1].max())
     assert ext.mp.dps == 25
     rows = [[ext.convert(v) for v in row] for row in balanced]
-    fallback = rootfind._canonical_order(isospectral._extended_eigenvalues(rows, F64.eps)[0])
+    fallback = rootfind._canonical_order(isospectral._eig_extended(rows, ext))
     for oracle in (companion_zeros(p), fallback):
         for z, w in zip(zeros, oracle):
             assert abs(z - w) <= 1e-9 * abs(z)
@@ -135,7 +135,7 @@ def test_companion_escalations_on_suite(suite, monkeypatch):
     # balanced matrix failed on 2 of them (21 unbalanced): no suite case
     # finishes at more digits, and none reaches the eigenvalue fallback
     finished = counting(monkeypatch, rootfind, "_newton_finish")
-    fallback = counting(monkeypatch, isospectral, "_extended_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     for params in suite:
         companion_zeros(zeros_of(params)[0])
     assert finished == fallback == []
@@ -161,14 +161,14 @@ EIGENPAIR_ESCALATIONS = (26, 38, 78, 98, 158, 228, 269, 348, 368, 398, 446, 458)
 
 def test_companion_escalations_refine_without_mpmath_eig(monkeypatch):
     # the stream cases whose Newton bounds fail finish as zeros of p at the
-    # digits _escalated derives, by exact Newton: no eigenpair is refined
-    # and mpmath.eig never runs. Each value is p's zero rounded once, within
+    # digits _escalated derives, by exact Newton: the eigenvalue fallback
+    # and mpmath.eig never run. Each value is p's zero rounded once, within
     # 4 eps64 of the balanced matrix's eigenvalues by mpmath.eig at 40 digits
     stream = suite_cases(500)
     polys = [to_monic(coeffs_P(stream[index])) for index in FINISHED]
     refs = [isospectral._eig_extended(rootfind.balanced_companion(p), extended(40)) for p in polys]
     eig_calls = counting(monkeypatch, mpmath, "eig")
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     finished = counting(monkeypatch, rootfind, "_newton_finish")
     for index, p, ref in zip(FINISHED, polys, refs):
         finished.clear()
@@ -176,7 +176,7 @@ def test_companion_escalations_refine_without_mpmath_eig(monkeypatch):
         assert len(finished) == 1 and finished[0] is not None, index
         assert context_of(finished[0][0][0]).mp.dps in (25, 26), index
         _assert_near(got, ref, 4 * EPS64)
-    assert refined == eig_calls == []
+    assert fallback == eig_calls == []
 
 
 def test_companion_oracle_on_the_eigenpair_escalations():
@@ -203,36 +203,47 @@ def test_companion_oracle_on_the_eigenpair_escalations():
 @pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
 def test_companion_falls_back_to_eigenvalues_where_the_finish_fails(ctx, monkeypatch):
     # with the finish refused, the oracle solves the balanced rows at the
-    # finish's digits as eigenvalues, once, and returns the same values: to
-    # 4 eps64 in binary64 (stream cases 78 and 228), to the refinement's
-    # certificate EIG_TARGET (eps / eps64) at 50 digits (stream cases 3, 9,
-    # 19, 26 and 38)
+    # finish's digits as eigenvalues, once, by mpmath.eig, and returns them
+    # raw where their own finish is refused too: the same values to 4 eps64
+    # in binary64 (stream cases 78 and 228), to EIG_TARGET (eps / eps64) at
+    # 50 digits (stream cases 3, 9, 19, 26 and 38). Where only the first
+    # finish is refused, the second finishes those eigenvalues as zeros of
+    # p: the zeros of the unrefused oracle, within 2^(1 - prec) at 50
+    # digits, two units of the last bit, and 4 eps64 in binary64
     stream = suite_cases(500)
     indices, tol = ((78, 228), 4 * EPS64) if ctx is F64 else ((3, 9, 19, 26, 38), 1e-9 * ctx.eps / EPS64)
+    finish = rootfind._newton_finish
     for index in indices:
         p = to_monic(coeffs_P(in_context(stream[index], ctx)))
         want = companion_zeros(p)
-        with monkeypatch.context() as patch:
-            patch.setattr(rootfind, "_newton_finish", lambda p, start, ctx: None)
-            fallback = counting(patch, isospectral, "_extended_eigenvalues")
-            got = companion_zeros(p)
-        assert len(fallback) == 1, index
-        _assert_near(got, want, tol)
+        for refused, near in ((math.inf, tol), (1, 4 * EPS64 if ctx is F64 else 2.0 ** (1 - ctx.mp.prec))):
+            calls = []
+
+            def first_refused(p, start, ext):
+                calls.append(ext)
+                return None if len(calls) <= refused else finish(p, start, ext)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(rootfind, "_newton_finish", first_refused)
+                fallback = counting(patch, isospectral, "_eig_extended")
+                got = companion_zeros(p)
+            assert len(fallback) == 1 and len(calls) == 2, index
+            _assert_near(got, want, near)
 
 
 @pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
 def test_suite_zeros_refine_no_eigenpairs(suite, ctx, monkeypatch):
-    # no zeros run of the 50 suite cases refines an eigenpair, calls
-    # mpmath.eig or builds the balanced rows, in either precision: the
+    # no zeros run of the 50 suite cases reaches the eigenvalue fallback,
+    # calls mpmath.eig or builds the balanced rows, in either precision: the
     # oracle's eigenvalues are certified, or finished, as zeros of p, and
     # only its eigenvalue fallback balances the matrix itself
     eig_calls = counting(monkeypatch, mpmath, "eig")
-    refined = counting(monkeypatch, isospectral, "_refined_eigenvalues")
+    fallback = counting(monkeypatch, isospectral, "_eig_extended")
     built = counting(monkeypatch, rootfind, "balanced_companion")
     for params in suite:
         checks, _ = cmd_zeros(Case(in_context(params, ctx)), {}, None, None)
         assert all(check["pass"] for check in checks), params
-    assert refined == eig_calls == built == []
+    assert fallback == eig_calls == built == []
 
 
 @pytest.mark.parametrize("coeffs", [(0.5, 2.0), (1.0, -3.0, 0.5, 2.0)], ids=["N1", "N3"])
@@ -352,17 +363,6 @@ def test_extended_companion_refines_without_mpmath_eig(suite, monkeypatch):
     for p, ref in zip(polys, refs):
         _assert_near(companion_zeros(p), ref, 1e-45)
     assert eig_calls == []
-
-
-def test_rows_beyond_binary64_are_solved_by_mpmath_eig(monkeypatch):
-    # 1e400 rounds to inf in binary64, where no binary64 eigenpairs exist to refine
-    ctx = extended(60)
-    big = ctx.mp.mpf("1e400")
-    rows = ((ctx.convert(big), ctx.convert(1)), (ctx.convert(0), ctx.convert(2)))
-    fallback = counting(monkeypatch, isospectral, "_eig_extended")
-    got, certificates = isospectral._extended_eigenvalues(rows, ctx.eps)
-    assert len(fallback) == 1 and got is fallback[0] and certificates == [None, None]
-    _assert_near(got, [big, 2], 1e-55)
 
 
 def test_companion_rows_beyond_binary64_keep_the_small_zeros():

@@ -20,12 +20,13 @@ import os
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from qzeros.cli import SWEEP_DEFAULT_K, main
 from qzeros.rootfind import F64_DEGREE_WARN
 
-from conftest import RS_COMBOS, make_case, suite_cases
+from conftest import RS_COMBOS, counting, make_case, suite_cases
 
 # stream: (command, precision, case count, largest N); the stream is the
 # first count suite cases with N at most the largest N
@@ -173,13 +174,16 @@ def high_configs(tmp_path_factory):
     return _write_configs(tmp_path_factory.mktemp("high"), high_degree_cases(count))
 
 
-def _assert_verdicts(stream, command, precision, configs, out):
+def _assert_verdicts(stream, command, precision, configs, out, monkeypatch):
     """Each case's exit code and sorted failing checks are KNOWN_FAILURES'
     (exit 0, none, by default). The warnings are KNOWN_WARNINGS' and the
     root finder's note on binary64 degrees above F64_DEGREE_WARN, once a
     find_zeros call: once a run, but 1 + SWEEP_DEFAULT_K times a sweep (the
     case and each beta perturbation), once a sweep that stops at the case's
-    zeros, and never a sweep without beta parameters."""
+    zeros, and never a sweep without beta parameters. No run calls
+    mpmath.eig: the spectrum verdict's last read and the companion
+    oracle's last fallback."""
+    eig_calls = counting(monkeypatch, mpmath, "eig")
     got, expected, caught, notes = {}, {}, [], []
     for i, (cfg, degree) in enumerate(configs):
         if os.path.exists(out):
@@ -206,24 +210,25 @@ def _assert_verdicts(stream, command, precision, configs, out):
         notes += [(i, *note) for note in KNOWN_WARNINGS.get((stream, i), [])]
     assert got == expected
     assert caught == notes
+    assert eig_calls == []
 
 
 @pytest.mark.parametrize("stream", list(STREAMS))
-def test_suite_exit_codes(stream, stream_configs, tmp_path):
+def test_suite_exit_codes(stream, stream_configs, tmp_path, monkeypatch):
     command, precision, count, max_degree = STREAMS[stream]
     configs = [(path, degree) for path, degree in stream_configs if degree <= max_degree][:count]
     assert len(configs) == count
-    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"))
+    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"), monkeypatch)
 
 
 @pytest.mark.parametrize("stream", list(HIGH_STREAMS))
-def test_high_degree_exit_codes(stream, high_configs, tmp_path):
+def test_high_degree_exit_codes(stream, high_configs, tmp_path, monkeypatch):
     command, precision, count = HIGH_STREAMS[stream]
-    _assert_verdicts(stream, command, precision, high_configs[:count], str(tmp_path / "report.json"))
+    _assert_verdicts(stream, command, precision, high_configs[:count], str(tmp_path / "report.json"), monkeypatch)
 
 
 @pytest.mark.parametrize("stream", list(EDGE_STREAMS))
-def test_edge_exit_codes(stream, tmp_path):
+def test_edge_exit_codes(stream, tmp_path, monkeypatch):
     command, precision, count, mags, rs = EDGE_STREAMS[stream]
     configs = _write_configs(tmp_path, edge_cases(count, mags, rs))
-    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"))
+    _assert_verdicts(stream, command, precision, configs, str(tmp_path / "report.json"), monkeypatch)

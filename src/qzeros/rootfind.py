@@ -2,19 +2,21 @@
 
 find_zeros runs the Aberth-Ehrlich simultaneous iteration (cubic local
 convergence) from a geometric-spiral initial configuration tuned to the
-quasi-geometric spread of this polynomial family's zeros, until a sweep's
-largest relative step is below the context's step tolerance, or every root
-sits at its noise floor. With extended coefficients the spiral start is
-first solved in binary64, and Newton finishes from there at the extended
-digits (_newton_finish): each pass forms p and p' exactly on Gaussian
-integers, rounds their quotient once to binary64 and subtracts it at the
-context's digits, so the zeros are those of the extended polynomial to
-a unit or two of their last bit, and _certify reads that last exact pass.
-Where a correction is not finite or does not contract, extended Aberth
-sweeps finish the same start instead. Every zero set find_zeros returns,
-in either precision and by either route, passes _certify; a case at more
-digits (isospectral.Case of the parameters in that context) takes its
-zeros from find_zeros too.
+quasi-geometric spread of this polynomial family's zeros; each root stops
+once its own relative step falls below the context's step tolerance or it
+sits at its noise floor, and the sweeps end when none is left moving. One
+scalar pass, horner_floor, forms p, p' and that floor for the sweeps and
+every Newton bound (_certify, the companion oracle). With extended
+coefficients the spiral start is first solved in binary64, and Newton
+finishes from there at the extended digits (_newton_finish): each pass
+forms p and p' exactly on Gaussian integers, rounds their quotient once to
+binary64 and subtracts it at the context's digits, so the zeros are those
+of the extended polynomial to a unit or two of their last bit, and
+_certify reads that last exact pass. Where a correction is not finite or
+does not contract, extended Aberth sweeps finish the same start instead.
+Every zero set find_zeros returns, in either precision and by either
+route, passes _certify; a case at more digits (isospectral.Case of the
+parameters in that context) takes its zeros from find_zeros too.
 companion_zeros is the independent cross-check oracle: the eigenvalues of
 the companion matrix, the zeros of p, finished by the same Newton where
 their bounds ask for it. Its independence lies in the start, LAPACK's
@@ -45,7 +47,7 @@ from mpmath.libmp import from_float, mpf_add, round_nearest
 from .errors import DegenerateZeros, NoConvergence, OverflowRisk
 from .params import ParamSet
 from .precision import F64, TINY, PrecisionContext, _aligned, _binary64, _part_float, _parts, binary64, context_of
-from .qseries import Poly, eval_poly_deriv
+from .qseries import Poly
 
 MAX_SWEEPS = 500
 SEPARATION_FLOOR = 1e-8
@@ -130,34 +132,46 @@ def relative_separation(zs, gaps=None, scale=None) -> float:
     return float(np.asarray((pairwise_gaps(zs) if gaps is None else gaps) / scale, dtype=float).min())
 
 
-def noise_floor(p: Poly):
-    """The rounding floor of a Horner pass of p at z, as a function of z:
-    4 N eps sum_k |c_k| |z|^k (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 5), in ctx.size floats, or in the scalar type (abs) once
-    a float power overflows, so that an extended floor stays finite."""
+def horner_floor(p: Poly):
+    """The zero finder's kernel, a function of z: p(z) and p'(z) of the
+    monic p, qseries.eval_poly_deriv's scalar pass bit for bit, and in the
+    same loop the rounding floor of that pass, 4 N eps sum_k |c_k| |z|^k
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5), in
+    ctx.size floats, or again in the scalar type (abs) once a float power
+    overflows, so that an extended floor stays finite."""
     ctx = context_of(p.coeffs[0])
-    sizes = [ctx.size(c) for c in p.coeffs]
-    factor = 4.0 * p.degree * ctx.eps
+    size, factor = ctx.size, 4.0 * p.degree * ctx.eps
+    sizes = [size(c) for c in p.coeffs]
+    lead, below = p.coeffs[-1], p.coeffs[-2]
+    # c_{N-2}..c_0 for Horner beside |c_0|..|c_{N-2}| for the floor, whose
+    # sum ends at |c_{N-1}| and |c_N|
+    terms, (below_size, lead_size) = list(zip(p.coeffs[-3::-1], sizes)), sizes[-2:]
 
-    def floor(z):
-        for mag in (ctx.size(z), abs(z)):
-            bound, power = 0.0, 1.0
+    def point(z):
+        acc, dacc, mag = z + below, lead, size(z)
+        bound, power = 0.0, 1.0
+        for c, cm in terms:
+            dacc = z * dacc + acc
+            acc = z * acc + c
+            bound, power = bound + cm * power, power * mag
+        bound, power = bound + below_size * power, power * mag
+        bound = bound + lead_size * power
+        if not bound < math.inf:
+            bound, power, mag = 0.0, 1.0, abs(z)
             for cm in sizes:
                 bound, power = bound + cm * power, power * mag
-            if bound < math.inf:
-                break
-        return factor * bound
+        return acc, dacc, factor * bound
 
-    return floor
+    return point
 
 
 def _newton_bounds(p: Poly, zs: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     """|p/p'| at each of zs and its first-order bound on the distance to a
-    zero of p, (|p| + noise_floor) / |p'|, from one Horner pass over zs."""
+    zero of p, (|p| + floor) / |p'|, from one horner_floor pass a value."""
     ctx = context_of(p.coeffs[0])
-    val, der = eval_poly_deriv(p, np.asarray(zs, dtype=ctx.dtype))
+    val, der, floor = zip(*map(horner_floor(p), zs))
     val, der = ctx.sizes(val), np.maximum(ctx.sizes(der), TINY)
-    return val / der, (val + list(map(noise_floor(p), zs))) / der
+    return val / der, (val + floor) / der
 
 
 def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
@@ -165,7 +179,8 @@ def _certify(zs, p: Poly, steps: Sequence[float] | None = None) -> ZeroSet:
     repeated runs are deterministic; DegenerateZeros when a zero is not
     finite or two zeros cannot be certified apart. steps are the Newton
     corrections |p/p'| at zs where the caller has them (the Newton finish's
-    last exact pass), else taken here with their bounds (_newton_bounds).
+    last exact pass), else taken here, one horner_floor pass a zero, with
+    their bounds (_newton_bounds).
     A point of an unresolved cluster carries an error of about twice its
     bound (the correction contracts by 1/2 toward a double zero), so a
     pair's certified gap is gap_ij - 2 (bound_i + bound_j), read with the
@@ -214,39 +229,42 @@ def _spiral_init(p: Poly, q, N: int) -> List[complex]:
 
 
 def _aberth(p: Poly, zs: List, ctx: PrecisionContext) -> List:
-    """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx, until a
-    sweep's largest step, each read at its root's modulus, is below
-    ctx.root_step_tol. Raises NoConvergence when the budget runs out."""
+    """Aberth-Ehrlich sweeps from the start zs in the scalars of ctx over
+    the roots still moving (Bini & Fiorentino, Numer. Algorithms 23, 2000).
+    A root stops, and is not evaluated again, once |p| sits at its noise
+    floor (horner_floor; clustered zeros of high-N small-|q| polynomials
+    never reach the step tolerance otherwise) or its own step at its
+    modulus is below ctx.root_step_tol or NaN. Returns when none is left
+    moving; NoConvergence when the budget runs out."""
     zs = list(zs)
     N = len(zs)
-    tol = ctx.root_step_tol
-    size = ctx.size
-    # a root is settled once |p(z)| sits at its noise floor; past that
-    # point further corrections only shuffle noise (clustered zeros of
-    # high-N small-|q| polynomials never reach the step tolerance otherwise)
-    floor = noise_floor(p)
+    tol, size, point = ctx.root_step_tol, ctx.size, horner_floor(p)
+    moving = range(N)
     for _ in range(MAX_SWEEPS):
-        max_step = 0.0
-        for n in range(N):
-            val, der = eval_poly_deriv(p, zs[n])
-            if size(val) <= floor(zs[n]):
+        still = []
+        for n in moving:
+            z = zs[n]
+            val, der, floor = point(z)
+            if size(val) <= floor:
                 continue
             if der == 0:
-                zs[n] = zs[n] * (1 + 1e-8) + 1e-8
-                max_step = float("inf")
+                zs[n] = z * (1 + 1e-8) + 1e-8
+                still.append(n)
                 continue
             w = val / der
             rep = 0 * w
             for m in range(N):
                 if m != n:
-                    rep = rep + 1 / (zs[n] - zs[m])
+                    rep = rep + 1 / (z - zs[m])
             denom = 1 - w * rep
             corr = w if denom == 0 else w / denom
-            zs[n] = zs[n] - corr
-            max_step = max(max_step, float(size(corr) / max(size(zs[n]), TINY)))
-        if max_step < tol:
+            zs[n] = z - corr
+            if float(size(corr) / max(size(zs[n]), TINY)) >= tol:
+                still.append(n)
+        moving = still
+        if not moving:
             return zs
-    raise NoConvergence(f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted (last step {max_step:.3e})")
+    raise NoConvergence(f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted ({len(moving)} of {N} roots moving)")
 
 
 def _binary64_start(p: Poly, spiral: List) -> List | None:
@@ -363,8 +381,9 @@ def find_zeros(p: Poly, params: ParamSet) -> ZeroSet:
     """All N zeros of the monic polynomial by Aberth-Ehrlich simultaneous iteration,
     in the precision of its coefficients.
 
-    Converged when the largest relative correction drops below the context's
-    step tolerance (1e-14 at binary64); budget MAX_SWEEPS sweeps; output
+    Converged when each root's relative correction has dropped below the
+    context's step tolerance (1e-14 at binary64) or its residual to its
+    noise floor (_aberth); budget MAX_SWEEPS sweeps; output
     canonically ordered by (magnitude, phase) so repeated runs are
     deterministic.
 

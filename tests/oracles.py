@@ -49,6 +49,11 @@ of the monic start of qseries.eval_poly_deriv, whose value eval_poly takes
 alone. relative_separation_pairs and certify_pairs take the separations of
 rootfind.relative_separation and rootfind._certify one pair at a time, each
 gap at its pair's scale, the oracles of their one pairwise_gaps array.
+noise_floor is the Horner rounding floor in its own loop and aberth_sweeps
+the Aberth-Ehrlich sweeps that evaluate every root until a whole sweep
+passes, by eval_poly_deriv and noise_floor: the oracles of
+rootfind.horner_floor's one pass and of _aberth, which stops each root
+once it has settled.
 Gaussian is x + iy with Fraction parts, gaussian the exact value of a
 kernel scalar (Dyadic, mpc, mpf, complex or int), and rounded_once and
 size64 its one rounding to mpc and to a binary64 modulus:
@@ -98,7 +103,7 @@ from qzeros.params import GENERICITY_TOL, ParamSet, in_context
 from qzeros.precision import F64, TINY, Dyadic, PrecisionContext, binary64, context_of
 from qzeros.qdiff import _operator_sides, qde_terms
 from qzeros.qseries import Poly, eval_poly_deriv
-from qzeros.rootfind import SEPARATION_FLOOR, ZeroSet, pairwise_gaps
+from qzeros.rootfind import MAX_SWEEPS, SEPARATION_FLOOR, ZeroSet, pairwise_gaps
 from qzeros.zero_algebra import velocity_terms
 
 
@@ -173,6 +178,60 @@ def certify_pairs(zs, p: Poly) -> ZeroSet:
     if not certified > SEPARATION_FLOOR:
         raise DegenerateZeros("near-coincident zeros")
     return ZeroSet(zeros=tuple(zs), min_separation=raw, max_residual=worst)
+
+
+def noise_floor(p: Poly):
+    """The rounding floor of a Horner pass of p at z, as a function of z:
+    4 N eps sum_k |c_k| |z|^k in ctx.size floats, or in the scalar type
+    (abs) once a float power overflows, its own loop from c_0 up."""
+    ctx = context_of(p.coeffs[0])
+    sizes = [ctx.size(c) for c in p.coeffs]
+    factor = 4.0 * p.degree * ctx.eps
+
+    def floor(z):
+        for mag in (ctx.size(z), abs(z)):
+            bound, power = 0.0, 1.0
+            for cm in sizes:
+                bound, power = bound + cm * power, power * mag
+            if bound < math.inf:
+                break
+        return factor * bound
+
+    return floor
+
+
+def aberth_sweeps(p: Poly, zs: List, ctx: PrecisionContext) -> List:
+    """Aberth-Ehrlich sweeps that evaluate every root each sweep, with
+    eval_poly_deriv and noise_floor, until a whole sweep's largest step,
+    each read at its root's modulus, is below ctx.root_step_tol (a NaN step
+    is skipped by max); NoConvergence when the budget runs out."""
+    zs = list(zs)
+    N = len(zs)
+    tol = ctx.root_step_tol
+    size = ctx.size
+    floor = noise_floor(p)
+    for _ in range(MAX_SWEEPS):
+        max_step = 0.0
+        for n in range(N):
+            val, der = eval_poly_deriv(p, zs[n])
+            if size(val) <= floor(zs[n]):
+                continue
+            if der == 0:
+                zs[n] = zs[n] * (1 + 1e-8) + 1e-8
+                max_step = float("inf")
+                continue
+            w = val / der
+            rep = 0 * w
+            for m in range(N):
+                if m != n:
+                    rep = rep + 1 / (zs[n] - zs[m])
+            denom = 1 - w * rep
+            corr = w if denom == 0 else w / denom
+            zs[n] = zs[n] - corr
+            max_step = max(max_step, float(size(corr) / max(size(zs[n]), TINY)))
+        if max_step < tol:
+            return zs
+    raise NoConvergence(f"Aberth-Ehrlich sweep budget {MAX_SWEEPS} exhausted (last step {max_step:.3e})")
 
 
 def _kernel_product(p: int, n: int, left_out, zeros: Sequence, q):

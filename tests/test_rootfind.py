@@ -1,5 +1,6 @@
 """Zero finding against the companion-matrix oracle."""
 
+import cmath
 import math
 import random
 import warnings
@@ -16,11 +17,21 @@ from qzeros.errors import DegenerateZeros, NoConvergence, OverflowRisk
 from qzeros.isospectral import Case
 from qzeros.params import ParamSet, _elementary, in_context
 from qzeros.precision import F64, context_of, extended
-from qzeros.qseries import Poly, coeffs_P, to_monic
+from qzeros.qseries import Poly, coeffs_P, eval_poly_deriv, to_monic
 from qzeros.rootfind import companion_zeros, find_zeros
 
 from conftest import counting, suite_cases, zeros_of
-from oracles import certified_eigenvalues, certify_pairs, companion_rows, eval_poly, relative_separation_pairs
+from oracles import (
+    aberth_sweeps,
+    certified_eigenvalues,
+    certify_pairs,
+    companion_rows,
+    eval_poly,
+    noise_floor,
+    relative_separation_pairs,
+    spiral_points,
+)
+from test_suite_verdicts import EDGE_STREAMS, edge_cases
 
 
 def _pair_off(found, oracle):
@@ -406,31 +417,124 @@ def test_nan_zeros_are_not_certified(ctx):
             rootfind._certify([ctx.convert(z) for z in zs], p)
 
 
-def test_aberth_evaluates_p_once_per_root_per_sweep(suite, monkeypatch):
-    # a sweep evaluates p once at each root, one at its noise floor too, and
-    # _aberth returns at the sweep whose largest step passes the step test,
-    # so each run from the spiral evaluates p a whole number of sweeps
-    evaluations, runs = [0], []
-    original, aberth = rootfind.eval_poly_deriv, rootfind._aberth
+# calls of the kernel (horner_floor's point function) that _aberth makes
+# over the 45 N >= 2 suite cases from the spiral: a count, not a clock, of
+# pure-Python binary64 scalars, so the budget is exact. A root stops being
+# evaluated once it settles; sweeps that evaluate every root until a whole
+# sweep settles (oracles.aberth_sweeps) take 2414, for the same zeros
+ABERTH_EVAL_BUDGET = 2103
 
-    def counted(p, z):
-        evaluations[0] += 1
-        return original(p, z)
 
-    def recorded(p, zs, ctx):
-        evaluations[0] = 0
-        out = aberth(p, zs, ctx)
-        runs.append((len(zs), evaluations[0]))
-        return out
+def _counting_kernel(monkeypatch):
+    calls = [0]
+    original = rootfind.horner_floor
 
-    monkeypatch.setattr(rootfind, "eval_poly_deriv", counted)
-    monkeypatch.setattr(rootfind, "_aberth", recorded)
+    def counted(p):
+        point = original(p)
+
+        def counted_point(z):
+            calls[0] += 1
+            return point(z)
+
+        return counted_point
+
+    monkeypatch.setattr(rootfind, "horner_floor", counted)
+    return calls
+
+
+def test_aberth_stays_within_its_evaluation_budget(suite, monkeypatch):
     cases = [params for params in suite if params.N >= 2]
     assert len(cases) == 45
+    starts = []
     for params in cases:
-        find_zeros(to_monic(coeffs_P(params)), params)
-    assert len(runs) == len(cases)
-    assert all(count > 0 and count % N == 0 for N, count in runs), runs
+        p = to_monic(coeffs_P(params))
+        starts.append((p, rootfind._spiral_init(p, params.q, params.N)))
+    calls = _counting_kernel(monkeypatch)
+    for p, start in starts:
+        rootfind._aberth(p, start, F64)
+    assert calls[0] == ABERTH_EVAL_BUDGET
+
+
+def _bits(values):
+    """The exact binary form of each value: signed-zero and NaN aware."""
+    return [
+        v._mpc_ if hasattr(v, "_mpc_") else v._mpf_ if hasattr(v, "_mpf_") else (v.real.hex(), v.imag.hex())
+        for v in values
+    ]
+
+
+def _solved(f, p, start, ctx):
+    try:
+        return _bits(f(p, start, ctx))
+    except NoConvergence:
+        return "NoConvergence"
+
+
+def test_aberth_returns_the_zeros_of_sweeps_over_every_root(suite):
+    # a root that has settled is not evaluated again; the sweeps that
+    # evaluate every root until a whole sweep settles return the same zeros
+    # bit for bit, on the first 120 zeros stream cases (the suite's 50
+    # among them) and on ROADMAP item 12's edge streams E1 to E4, in
+    # binary64 from the spiral, and at 50 digits from the suite's binary64
+    # zeros (the start of the extended sweeps)
+    cases = suite_cases(120)
+    for stream in ("zeros-e1", "zeros-e2", "zeros-e3", "verify-e4"):
+        cases += edge_cases(*EDGE_STREAMS[stream][2:])
+    assert len(cases) == 600
+    ctx50 = extended(50)
+    for params in cases:
+        if params.N >= 2:
+            p = to_monic(coeffs_P(params))
+            start = rootfind._spiral_init(p, params.q, params.N)
+            assert _solved(rootfind._aberth, p, start, F64) == _solved(aberth_sweeps, p, start, F64), params
+    for params in suite[:10]:
+        if params.N >= 2:
+            p, zset = zeros_of(in_context(params, ctx50))
+            start = [ctx50.convert(complex(z)) for z in zset.zeros]
+            assert _solved(rootfind._aberth, p, start, ctx50) == _solved(aberth_sweeps, p, start, ctx50), params
+
+
+@pytest.mark.parametrize("ctx", [F64, extended(50)], ids=["f64", "ext50"])
+def test_kernel_is_the_horner_pass_and_the_noise_floor(suite, ctx):
+    # horner_floor's one pass against qseries.eval_poly_deriv's scalar pass
+    # and the floor's own loop, bit for bit, at the suite's zeros and at
+    # points around them
+    for params in suite:
+        p, zset = zeros_of(in_context(params, ctx))
+        point, floor = rootfind.horner_floor(p), noise_floor(p)
+        points = list(zset.zeros) + [ctx.convert(z) for z in spiral_points(zset.zeros)]
+        for z in points:
+            val, der, bound = point(z)
+            assert _bits((val, der, bound)) == _bits((*eval_poly_deriv(p, z), floor(z)))
+
+
+def test_kernel_floor_overflows_as_the_noise_floor():
+    # where a float power of |z| overflows, the binary64 floor reads inf
+    # and the extended one is summed again in mpf, finite, as the floor's
+    # own loop takes them
+    for ctx in (F64, extended(60)):
+        big = ctx.convert(1e200)
+        p = Poly((ctx.convert(1), -big, ctx.convert(1)), monic=True)
+        bound = rootfind.horner_floor(p)(big)[2]
+        assert _bits([bound]) == _bits([noise_floor(p)(big)])
+        assert (bound == math.inf) == (ctx.mp is None)
+
+
+def test_nan_evaluations_end_the_sweeps(monkeypatch):
+    # p(z) is NaN at every point: each root's step is NaN after one sweep,
+    # which stops it as the sweeps over every root skip it (builtin max
+    # passes over a NaN after the first value), so find_zeros rejects the
+    # NaN zeros instead of sweeping them until the budget runs out
+    p = Poly((2.0, complex("nan"), 1.0), monic=True)
+    params = ParamSet(r=0, s=0, N=2, q=0.5, alpha=(), beta=())
+    start = rootfind._spiral_init(p, params.q, 2)
+    assert all(math.isfinite(abs(z)) for z in start)
+    assert all(cmath.isnan(z) for z in aberth_sweeps(p, start, F64))
+    calls = _counting_kernel(monkeypatch)
+    assert _solved(rootfind._aberth, p, start, F64) == _solved(aberth_sweeps, p, start, F64)
+    assert calls[0] == 2
+    with pytest.raises(DegenerateZeros):
+        find_zeros(p, params)
 
 
 def test_residual_bound_on_suite(suite):
